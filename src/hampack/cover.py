@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PhaseFailure
-from .model import SimpleDigraph
+from .model import SimpleDigraph, pair_csr
 
 __all__ = [
     "PermutationDigraph", "PhaseTwoBudget", "PhaseTwoStats", "cycles_of",
@@ -214,14 +214,12 @@ class _Ctx:
         self.pool_ids = np.asarray(pool_ids, dtype=np.int64)
         tails = sd.edges[self.pool_ids, 0]
         heads = sd.edges[self.pool_ids, 1]
-        order_out = np.lexsort((self.pool_ids, tails))
+        order_out, self._out_ptr = pair_csr(tails, self.pool_ids, sd.m, sd.n)
         self._out_ids = self.pool_ids[order_out]
         self._out_heads = heads[order_out]
-        self._out_ptr = np.searchsorted(tails[order_out], np.arange(sd.n + 1))
-        order_in = np.lexsort((self.pool_ids, heads))
+        order_in, self._in_ptr = pair_csr(heads, self.pool_ids, sd.m, sd.n)
         self._in_ids = self.pool_ids[order_in]
         self._in_tails = tails[order_in]
-        self._in_ptr = np.searchsorted(heads[order_in], np.arange(sd.n + 1))
         self.avail = np.zeros(sd.m, dtype=bool)
         self.pd: PermutationDigraph | None = None
 

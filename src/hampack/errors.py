@@ -41,8 +41,8 @@ class OracleSizeError(HampackError):
 class PhaseFailure(HampackError):
     """A pipeline phase gave up; trials treat this as an attributed failure.
 
-    phase is one of "sample", "partition", "phase1", "phase2",
-    "phase3-select", "phase3-search", "verify".
+    phase is one of "sample", "phase1", "phase2", "phase3", "3-select",
+    "3-search", "verify".
     """
 
     def __init__(self, phase: str, detail: str = "", index: int | None = None,

@@ -22,9 +22,11 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import PhaseFailure
-from .model import SimpleDigraph
+from .model import SimpleDigraph, pair_csr
 from .partition import EdgePartition
 
 __all__ = [
@@ -33,50 +35,64 @@ __all__ = [
     "build_k_matchings", "matching_to_cycle_cover",
 ]
 
-try:
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import maximum_bipartite_matching as _scipy_mbm
-except ImportError:  # pragma: no cover
-    _scipy_mbm = None
-
 
 class BipartiteGraph:
-    """Side A and side B are both [n); adjacency from A; every edge
-    remembers the host edge id it came from."""
+    """Side A and side B are both [n); every edge remembers the host
+    edge id it came from.
 
-    def __init__(self, n: int):
-        self.n = n
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-        self._eid: dict[int, int] = {}
+    Edges are held as sorted pair codes a*n + b with their host edge
+    ids aligned, and the same order read as CSR rows: A vertex a is
+    adjacent to indices[indptr[a]:indptr[a + 1]], ascending.  Edges
+    added later (boosters) wait in a per-vertex append buffer until
+    fold() merges them into the arrays.
+    """
+
+    def __init__(self, n: int, a, b, eids):
+        self.n = int(n)
+        self._extra: dict[int, list[tuple[int, int]]] = {}
+        self._build(np.asarray(a, dtype=np.int64),
+                    np.asarray(b, dtype=np.int64),
+                    np.asarray(eids, dtype=np.int64))
+
+    def _build(self, a: np.ndarray, b: np.ndarray, eids: np.ndarray) -> None:
+        order, self.indptr = pair_csr(a, b, self.n, self.n)
+        self.indices = b[order]
+        self.codes = a[order] * self.n + self.indices
+        self.eids = eids[order]
+
+    def fold(self) -> None:
+        """Merge the booster buffer into the sorted arrays."""
+        if not self._extra:
+            return
+        extra = np.array([(a, b, e) for a, row in self._extra.items()
+                          for b, e in row], dtype=np.int64)
+        self._extra = {}
+        self._build(np.concatenate((self.codes // self.n, extra[:, 0])),
+                    np.concatenate((self.indices, extra[:, 1])),
+                    np.concatenate((self.eids, extra[:, 2])))
 
     def add_edge(self, a: int, b: int, eid: int) -> None:
-        self.adj[a].append(b)
-        self._eid[a * self.n + b] = eid
+        self._extra.setdefault(a, []).append((b, eid))
 
     def has_edge(self, a: int, b: int) -> bool:
-        return a * self.n + b in self._eid
-
-    def edge_id(self, a: int, b: int) -> int:
-        return self._eid[a * self.n + b]
+        code = a * self.n + b
+        pos = np.searchsorted(self.codes, code)
+        if pos < len(self.codes) and self.codes[pos] == code:
+            return True
+        return any(b2 == b for b2, _ in self._extra.get(a, ()))
 
     @property
     def num_edges(self) -> int:
-        return len(self._eid)
+        return len(self.codes) + sum(map(len, self._extra.values()))
 
 
 def digraph_to_bipartite(edge_ids, sd: SimpleDigraph,
-                         relabel: np.ndarray | None = None) -> BipartiteGraph:
-    """Translate host edges into the bipartite view.
-
-    relabel, when given, is a permutation applied to the B side: host
-    edge (u, v) becomes {a_u, b_relabel[v]}.
-    """
-    g = BipartiteGraph(sd.n)
-    for e in np.asarray(edge_ids, dtype=np.int64):
-        u, v = sd.edges[e]
-        b = int(relabel[v]) if relabel is not None else int(v)
-        g.add_edge(int(u), b, int(e))
-    return g
+                         label: np.ndarray) -> BipartiteGraph:
+    """Translate host edges into the bipartite view: host edge (u, v)
+    becomes {a_u, b_label[v]} for the B-side permutation label."""
+    ids = np.asarray(edge_ids, dtype=np.int64)
+    ends = sd.edges[ids]
+    return BipartiteGraph(sd.n, ends[:, 0], np.asarray(label)[ends[:, 1]], ids)
 
 
 @dataclass
@@ -85,11 +101,6 @@ class Matching:
 
     pair_a: np.ndarray
     pair_b: np.ndarray
-
-    @classmethod
-    def empty(cls, n: int) -> "Matching":
-        return cls(np.full(n, -1, dtype=np.int64),
-                   np.full(n, -1, dtype=np.int64))
 
     @property
     def size(self) -> int:
@@ -105,78 +116,18 @@ class Matching:
         return True
 
 
-def _hopcroft_karp(g: BipartiteGraph) -> Matching:
-    # textbook Hopcroft-Karp: BFS layering, then layered DFS sweeps
-    n = g.n
-    adj = g.adj
-    INF = n + 1
-    pair_a = [-1] * n
-    pair_b = [-1] * n
-    dist = [INF] * n
-
-    def bfs() -> bool:
-        q = deque()
-        for a in range(n):
-            if pair_a[a] < 0:
-                dist[a] = 0
-                q.append(a)
-            else:
-                dist[a] = INF
-        found = False
-        while q:
-            a = q.popleft()
-            for b in adj[a]:
-                a2 = pair_b[b]
-                if a2 < 0:
-                    found = True
-                elif dist[a2] == INF:
-                    dist[a2] = dist[a] + 1
-                    q.append(a2)
-        return found
-
-    def dfs(a: int) -> bool:
-        for b in adj[a]:
-            a2 = pair_b[b]
-            if a2 < 0 or (dist[a2] == dist[a] + 1 and dfs(a2)):
-                pair_a[a] = b
-                pair_b[b] = a
-                return True
-        dist[a] = INF
-        return False
-
-    while bfs():
-        for a in range(n):
-            if pair_a[a] < 0:
-                dfs(a)
-    return Matching(np.asarray(pair_a, dtype=np.int64),
-                    np.asarray(pair_b, dtype=np.int64))
-
-
-def _scipy_matching(g: BipartiteGraph) -> Matching:
-    rows, cols = [], []
-    for a, nbrs in enumerate(g.adj):
-        rows.extend([a] * len(nbrs))
-        cols.extend(nbrs)
-    mat = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)),
-                     shape=(g.n, g.n))
-    pair_a = _scipy_mbm(mat, perm_type="column").astype(np.int64)
+def maximum_matching(g: BipartiteGraph) -> Matching:
+    """Maximum-cardinality matching by scipy's Hopcroft-Karp over g's
+    CSR rows; deterministic for fixed arrays."""
+    g.fold()
+    mat = csr_matrix((np.ones(len(g.indices), dtype=np.int8), g.indices,
+                      g.indptr), shape=(g.n, g.n))
+    pair_a = maximum_bipartite_matching(mat, perm_type="column")
+    pair_a = pair_a.astype(np.int64)
     pair_b = np.full(g.n, -1, dtype=np.int64)
     hit = np.nonzero(pair_a >= 0)[0]
     pair_b[pair_a[hit]] = hit
     return Matching(pair_a, pair_b)
-
-
-def maximum_matching(g: BipartiteGraph, engine: str = "auto") -> Matching:
-    """Maximum-cardinality matching.
-
-    engine="native" runs the augmenting-phase implementation here;
-    "auto" prefers the scipy C routine (same algorithm family, an
-    order of magnitude faster) and falls back to native.  Both are
-    deterministic for a fixed adjacency.
-    """
-    if engine == "auto" and _scipy_mbm is not None:
-        return _scipy_matching(g)
-    return _hopcroft_karp(g)
 
 
 class _AlternatingForest:
@@ -186,22 +137,24 @@ class _AlternatingForest:
     vertices reachable by even alternating paths, reach_b the B
     vertices reachable by odd ones, parent_b the discovering A vertex.
     An exposed vertex entering reach_b completes an augmenting path.
+    rows holds g's CSR rows as Python lists, which the search reads
+    faster than array slices; offered edges are appended to them.
     """
 
     def __init__(self, g: BipartiteGraph, mt: Matching):
-        self.g = g
+        ptr, ind = g.indptr.tolist(), g.indices.tolist()
+        self.rows = [ind[ptr[a]:ptr[a + 1]] for a in range(g.n)]
         self.mt = mt
 
     def rebuild(self):
-        n = self.g.n
+        n = len(self.rows)
         self.reach_a = bytearray(n)
         self.reach_b = bytearray(n)
         self.parent_b = [-1] * n
         self.queue = deque()
-        for a in range(n):
-            if self.mt.pair_a[a] < 0:
-                self.reach_a[a] = 1
-                self.queue.append(a)
+        for a in np.nonzero(self.mt.pair_a < 0)[0].tolist():
+            self.reach_a[a] = 1
+            self.queue.append(a)
         return self._drain()
 
     def _visit(self, a: int, b: int):
@@ -218,7 +171,7 @@ class _AlternatingForest:
     def _drain(self):
         while self.queue:
             a = self.queue.popleft()
-            for b in self.g.adj[a]:
+            for b in self.rows[a]:
                 if not self.reach_b[b]:
                     hit = self._visit(a, b)
                     if hit is not None:
@@ -228,6 +181,7 @@ class _AlternatingForest:
     def offer(self, a: int, b: int):
         """Feed one new edge; returns an exposed B endpoint if this
         completes an augmenting path, else None."""
+        self.rows[a].append(b)
         if not self.reach_a[a] or self.reach_b[b]:
             return None
         hit = self._visit(a, b)
@@ -263,8 +217,7 @@ class BoosterReport:
         return self.witness is None
 
 
-def booster_augment(g: BipartiteGraph, mt: Matching, stream,
-                    rng: np.random.Generator | None = None) -> BoosterReport:
+def booster_augment(g: BipartiteGraph, mt: Matching, stream) -> BoosterReport:
     """Repair a non-perfect maximum matching with streamed boosters.
 
     stream yields (a, b, host_edge_id) triples; each edge joins g and
@@ -273,6 +226,7 @@ def booster_augment(g: BipartiteGraph, mt: Matching, stream,
     the Hall violator certifying that no perfect matching exists in
     the graph examined so far.
     """
+    g.fold()
     forest = _AlternatingForest(g, mt)
     hit = forest.rebuild()
     while hit is not None:  # mt was not maximum: finish the job first
@@ -308,20 +262,14 @@ class PerfectMatching:
 
 def _finalize(g: BipartiteGraph, mt: Matching,
               unlabel: np.ndarray) -> PerfectMatching:
-    n = g.n
-    succ = np.empty(n, dtype=np.int64)
-    eids = np.empty(n, dtype=np.int64)
-    for a in range(n):
-        b = int(mt.pair_a[a])
-        succ[a] = unlabel[b]
-        eids[a] = g.edge_id(a, b)
-    return PerfectMatching(succ=succ, edge_ids=eids)
+    g.fold()
+    pos = np.searchsorted(g.codes, np.arange(g.n) * g.n + mt.pair_a)
+    return PerfectMatching(succ=unlabel[mt.pair_a], edge_ids=g.eids[pos])
 
 
 def build_k_matchings(sd: SimpleDigraph, part: EdgePartition,
-                      rng: np.random.Generator, used: np.ndarray | None = None,
-                      engine: str = "auto",
-                      relabel: bool = True) -> list[PerfectMatching]:
+                      rng: np.random.Generator,
+                      used: np.ndarray | None = None) -> list[PerfectMatching]:
     """k pairwise edge-disjoint perfect matchings, one per pool index.
 
     G_i = (Ê_{1,i} ∪ E_SMALL) minus every edge spent by earlier
@@ -334,26 +282,22 @@ def build_k_matchings(sd: SimpleDigraph, part: EdgePartition,
     n, k = sd.n, part.k
     if used is None:
         used = np.zeros(sd.m, dtype=bool)
-    small_ids = np.nonzero(part.e_small)[0]
     out = []
     for i in range(k):
-        if relabel:
-            label = rng.permutation(n).astype(np.int64)
-        else:
-            label = np.arange(n, dtype=np.int64)
+        label = rng.permutation(n).astype(np.int64)
         unlabel = np.empty(n, dtype=np.int64)
         unlabel[label] = np.arange(n)
-        base = np.union1d(part.pool_edges(1, i), small_ids)
+        base = part.working_edges(1, i)
         base = base[~used[base]]
-        g = digraph_to_bipartite(base, sd, relabel=label)
-        mt = maximum_matching(g, engine=engine)
+        g = digraph_to_bipartite(base, sd, label)
+        mt = maximum_matching(g)
         if not mt.is_perfect():
             pool2 = part.pool_edges(2, i)
             pool2 = pool2[~used[pool2] & ~part.e_small[pool2]]
             pool2 = pool2[rng.permutation(len(pool2))]
             uu = sd.edges[pool2, 0]
             vv = label[sd.edges[pool2, 1]]
-            report = booster_augment(g, mt, zip(uu, vv, pool2), rng)
+            report = booster_augment(g, mt, zip(uu, vv, pool2))
             if not report.is_perfect():
                 s, ns = report.witness
                 raise PhaseFailure(

@@ -45,7 +45,8 @@ __all__ = [
     "tail_sum", "rho", "sigma2", "solve_z", "ModelParams", "TruncatedPoisson",
     "DegreeSequence", "conditioned_degree_vector", "sample_degree_sequence",
     "ConfigDigraph", "pair_configuration", "duplicate_pair_count",
-    "SimpleDigraph", "sample_simple_digraph", "sample_erased_digraph",
+    "pair_csr", "SimpleDigraph", "sample_simple_digraph",
+    "sample_erased_digraph",
     "simplicity_exponents", "write_edge_list", "read_edge_list",
 ]
 
@@ -388,6 +389,20 @@ def duplicate_pair_count(cfg: ConfigDigraph, include_loops: bool = False) -> int
     return int((counts * (counts - 1) // 2).sum())
 
 
+def pair_csr(rows: np.ndarray, cols: np.ndarray, width: int,
+             n: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR layout of pairs keyed by the codes rows*width + cols.
+
+    rows lie in [0, n), cols in [0, width), and no code repeats.
+    Returns (order, indptr): order sorts the codes ascending, so row v
+    is order[indptr[v]:indptr[v + 1]], ascending by col.
+    """
+    order = np.argsort(rows * width + cols)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return order, indptr
+
+
 class SimpleDigraph:
     """Loop-free digraph without repeated ordered pairs.
 
@@ -417,14 +432,13 @@ class SimpleDigraph:
                 raise ValueError("duplicate ordered pair present")
 
     def _build_adjacency(self):
-        tails = self.edges[:, 0]
-        heads = self.edges[:, 1]
-        self.out_deg = np.bincount(tails, minlength=self.n)
-        self.in_deg = np.bincount(heads, minlength=self.n)
-        self._out_order = np.argsort(tails, kind="stable")
-        self._out_ptr = np.concatenate(([0], np.cumsum(self.out_deg)))
-        self._in_order = np.argsort(heads, kind="stable")
-        self._in_ptr = np.concatenate(([0], np.cumsum(self.in_deg)))
+        ids = np.arange(self.m)
+        self._out_order, self._out_ptr = pair_csr(self.edges[:, 0], ids,
+                                                  self.m, self.n)
+        self._in_order, self._in_ptr = pair_csr(self.edges[:, 1], ids,
+                                                self.m, self.n)
+        self.out_deg = np.diff(self._out_ptr)
+        self.in_deg = np.diff(self._in_ptr)
 
     @property
     def m(self) -> int:

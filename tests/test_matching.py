@@ -1,11 +1,14 @@
 """Phase-1 matchings: translation, maximum matching, boosters.
 
 The maximum-matching oracle is an exhaustive bitmask DP, written
-independently of the library code and feasible up to n = 12.
+independently of the library code and feasible up to n = 12; networkx
+serves as a second independent oracle at larger n.
 """
 
 import functools
+import hashlib
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -39,99 +42,117 @@ def oracle_max_matching(adj: list[list[int]], n_b: int) -> int:
     return result
 
 
+def random_pairs(n: int, p: float, rng) -> list[tuple[int, int]]:
+    return [(a, b) for a in range(n) for b in range(n) if rng.random() < p]
+
+
+def graph_of(n: int, pairs) -> BipartiteGraph:
+    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return BipartiteGraph(n, ends[:, 0], ends[:, 1], np.arange(len(ends)))
+
+
 def random_bipartite(n: int, p: float, rng) -> BipartiteGraph:
-    g = BipartiteGraph(n)
-    eid = 0
-    for a in range(n):
-        for b in range(n):
-            if rng.random() < p:
-                g.add_edge(a, b, eid)
-                eid += 1
-    return g
+    return graph_of(n, random_pairs(n, p, rng))
+
+
+def row(g: BipartiteGraph, a: int) -> list[int]:
+    return g.indices[g.indptr[a]:g.indptr[a + 1]].tolist()
+
+
+def edge_id(g: BipartiteGraph, a: int, b: int) -> int:
+    """Host edge id of {a, b}, read off the sorted pair codes."""
+    pos = int(np.searchsorted(g.codes, a * g.n + b))
+    assert g.codes[pos] == a * g.n + b
+    return int(g.eids[pos])
 
 
 class TestTranslation:
     def test_single_edge(self):
         sd = SimpleDigraph(8, np.array([[3, 7]]), 1)
-        g = digraph_to_bipartite([0], sd)
-        assert g.adj[3] == [7]
-        assert g.edge_id(3, 7) == 0
+        g = digraph_to_bipartite([0], sd, np.arange(8))
+        assert row(g, 3) == [7]
+        assert edge_id(g, 3, 7) == 0
         assert g.num_edges == 1
 
     def test_min_degree_preserved(self, tiny_host):
-        g = digraph_to_bipartite(np.arange(tiny_host.m), tiny_host)
-        a_deg = np.array([len(g.adj[a]) for a in range(g.n)])
-        b_deg = np.zeros(g.n, dtype=int)
-        for nbrs in g.adj:
-            for b in nbrs:
-                b_deg[b] += 1
+        g = digraph_to_bipartite(np.arange(tiny_host.m), tiny_host,
+                                 np.arange(tiny_host.n))
+        a_deg = np.diff(g.indptr)
+        b_deg = np.bincount(g.indices, minlength=g.n)
         assert a_deg.min() >= tiny_host.k + 1
         assert b_deg.min() >= tiny_host.k + 1
 
     def test_empty(self, tiny_host):
-        g = digraph_to_bipartite([], tiny_host)
+        g = digraph_to_bipartite([], tiny_host, np.arange(tiny_host.n))
         assert g.num_edges == 0
 
     def test_relabel_round_trip(self, tiny_host):
         rng = rng_stream(31, 0)
         label = rng.permutation(tiny_host.n)
-        g = digraph_to_bipartite([0, 1, 2], tiny_host, relabel=label)
+        g = digraph_to_bipartite([0, 1, 2], tiny_host, label)
         for e in (0, 1, 2):
             u, v = tiny_host.edges[e]
-            assert g.edge_id(int(u), int(label[v])) == e
+            assert edge_id(g, int(u), int(label[v])) == e
+
+    def test_codes_sorted_and_rows_aligned(self, tiny_host):
+        label = rng_stream(31, 1).permutation(tiny_host.n)
+        g = digraph_to_bipartite(np.arange(tiny_host.m), tiny_host, label)
+        assert np.all(np.diff(g.codes) > 0)
+        rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+        assert np.array_equal(g.codes, rows * g.n + g.indices)
+        ends = tiny_host.edges[g.eids]
+        assert np.array_equal(ends[:, 0], rows)
+        assert np.array_equal(label[ends[:, 1]], g.indices)
 
 
 class TestMaximumMatching:
     def test_disjoint_perfect(self):
-        g = BipartiteGraph(5)
-        for v in range(5):
-            g.add_edge(v, (v + 2) % 5, v)
-        for engine in ("native", "auto"):
-            mt = maximum_matching(g, engine=engine)
-            assert mt.is_perfect()
-            assert mt.check_consistent(g)
+        g = graph_of(5, [(v, (v + 2) % 5) for v in range(5)])
+        mt = maximum_matching(g)
+        assert mt.is_perfect()
+        assert mt.check_consistent(g)
 
     def test_star(self):
-        g = BipartiteGraph(3)
-        for b in range(3):
-            g.add_edge(0, b, b)
-        assert maximum_matching(g, engine="native").size == 1
+        g = graph_of(3, [(0, b) for b in range(3)])
+        assert maximum_matching(g).size == 1
 
     def test_matches_exhaustive_oracle(self):
         rng = rng_stream(32, 0)
         for trial in range(200):
             n = int(rng.integers(2, 13))
             p = float(rng.uniform(0.1, 0.9))
-            g = random_bipartite(n, p, rng)
-            want = oracle_max_matching(g.adj, n)
-            assert maximum_matching(g, engine="native").size == want
-            assert maximum_matching(g, engine="auto").size == want
+            pairs = random_pairs(n, p, rng)
+            adj = [[b for a2, b in pairs if a2 == a] for a in range(n)]
+            want = oracle_max_matching(adj, n)
+            assert maximum_matching(graph_of(n, pairs)).size == want
 
-    def test_engines_agree_medium(self):
+    def test_networkx_agrees_medium(self):
         rng = rng_stream(33, 0)
-        g = random_bipartite(300, 0.02, rng)
-        a = maximum_matching(g, engine="native")
-        b = maximum_matching(g, engine="auto")
-        assert a.size == b.size
-        assert a.check_consistent(g) and b.check_consistent(g)
+        n = 300
+        pairs = random_pairs(n, 0.02, rng)
+        g = graph_of(n, pairs)
+        mt = maximum_matching(g)
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(n))
+        nxg.add_nodes_from(range(n, 2 * n))
+        nxg.add_edges_from((a, n + b) for a, b in pairs)
+        ref = nx.bipartite.hopcroft_karp_matching(nxg, top_nodes=range(n))
+        assert mt.size == len(ref) // 2
+        assert mt.check_consistent(g)
 
 
 class TestBoosterAugment:
     def test_perfect_input_untouched(self):
-        g = BipartiteGraph(3)
-        for v in range(3):
-            g.add_edge(v, v, v)
-        mt = maximum_matching(g, engine="native")
+        g = graph_of(3, [(v, v) for v in range(3)])
+        mt = maximum_matching(g)
         report = booster_augment(g, mt, iter([(0, 1, 99)]))
         assert report.is_perfect()
         assert report.consumed == 0
 
     def test_forced_augmentation(self):
         # a1-b1-a2 path matched at {a1 b1}; booster {a2, b2} completes it
-        g = BipartiteGraph(2)
-        g.add_edge(0, 0, 0)
-        g.add_edge(1, 0, 1)
-        mt = maximum_matching(g, engine="native")
+        g = graph_of(2, [(0, 0), (1, 0)])
+        mt = maximum_matching(g)
         assert mt.size == 1
         report = booster_augment(g, mt, iter([(1, 1, 2)]))
         assert report.is_perfect()
@@ -140,17 +161,15 @@ class TestBoosterAugment:
 
     def test_witness_on_failure(self):
         # three A vertices contending for one B vertex
-        g = BipartiteGraph(3)
-        for a in range(3):
-            g.add_edge(a, 0, a)
-        mt = maximum_matching(g, engine="native")
+        g = graph_of(3, [(a, 0) for a in range(3)])
+        mt = maximum_matching(g)
         report = booster_augment(g, mt, iter([]))
         assert not report.is_perfect()
         s, ns = report.witness
         assert len(ns) < len(s)
         neighborhood = set()
         for a in s:
-            neighborhood.update(g.adj[a])
+            neighborhood.update(row(g, a))
         assert neighborhood == set(ns.tolist())
 
     def test_incremental_equals_batch(self):
@@ -160,18 +179,18 @@ class TestBoosterAugment:
         for trial in range(30):
             n = int(rng.integers(4, 16))
             g = random_bipartite(n, 0.15, rng)
-            mt = maximum_matching(g, engine="native")
+            mt = maximum_matching(g)
             boosters = [(int(a), int(b), 1000 + j) for j, (a, b) in enumerate(
                 zip(rng.integers(0, n, 25), rng.integers(0, n, 25)))]
             report = booster_augment(g, mt, iter(boosters))
-            fresh = maximum_matching(g, engine="native")
+            fresh = maximum_matching(g)
             assert report.matching.size == fresh.size
             assert report.matching.check_consistent(g)
 
     def test_augmenting_never_uncovers(self):
         rng = rng_stream(35, 0)
         g = random_bipartite(12, 0.12, rng)
-        mt = maximum_matching(g, engine="native")
+        mt = maximum_matching(g)
         covered_before = set(np.nonzero(mt.pair_a >= 0)[0].tolist())
         boosters = [(int(a), int(b), 500 + j) for j, (a, b) in enumerate(
             zip(rng.integers(0, 12, 40), rng.integers(0, 12, 40)))]
@@ -204,6 +223,17 @@ class TestBuildK:
     def test_k2_host(self, host_k2):
         params, sd = host_k2
         self._check(params, sd, 2, 37)
+
+    def test_output_pinned(self, host_k2):
+        # digest of the matchings the dict-backed view and scipy's COO
+        # round trip produced; the CSR view must reproduce them bit for bit
+        params, sd = host_k2
+        h = hashlib.sha256()
+        for pm in self._check(params, sd, 2, 37):
+            h.update(pm.succ.astype("<i8").tobytes())
+            h.update(pm.edge_ids.astype("<i8").tobytes())
+        assert h.hexdigest() == ("54056c994ee6c6bd03aad4defbc54303"
+                                 "e118fcfda930ab10502af4dadc7dc096")
 
     def test_deterministic(self, host_k2):
         params, sd = host_k2
