@@ -58,19 +58,22 @@ class PermutationDigraph:
     """A cycle cover of [n]: a permutation successor map with provenance.
 
     succ[v] is the next vertex after v; edge_ids[v] is the host edge id
-    of (v, succ[v]).  Cycles are extracted eagerly: cycle_id[v] names
-    the cycle of v, pos[v] is v's offset along its cycle from the
-    cycle's canonical start.
+    of (v, succ[v]).  Cycles are extracted eagerly: cycles are numbered
+    by their smallest vertex, which is also their canonical start;
+    cycle_id[v] names the cycle of v, pos[v] is v's offset along its
+    cycle from that start, and cycles[c] lists cycle c from its start.
     """
 
     def __init__(self, succ: np.ndarray, edge_ids: np.ndarray | None = None):
         succ = np.asarray(succ, dtype=np.int64)
         n = len(succ)
-        if n == 0 or not np.array_equal(np.sort(succ), np.arange(n)):
+        if n == 0 or succ.min() < 0 or succ.max() >= n:
             raise ValueError("succ is not a permutation")
         self.succ = succ
-        self.pred = np.empty(n, dtype=np.int64)
+        self.pred = np.full(n, -1, dtype=np.int64)
         self.pred[succ] = np.arange(n)
+        if (self.pred < 0).any():  # some vertex has no predecessor
+            raise ValueError("succ is not a permutation")
         self.edge_ids = (None if edge_ids is None
                          else np.asarray(edge_ids, dtype=np.int64))
         self._extract_cycles()
@@ -80,26 +83,44 @@ class PermutationDigraph:
         return len(self.succ)
 
     def _extract_cycles(self):
+        """Cycle tables by pointer doubling in O(n log n).
+
+        After r rounds root[v] is the smallest of the 2^r vertices from
+        v onward and jump[v] is 2^r steps ahead of v, so once 2^r >= n
+        root[v] is the smallest vertex of v's cycle, which is its start.
+        A second doubling over pred, cut at each start, counts the steps
+        from v back to its start, which is pos[v].
+        """
         n = self.n
-        cycle_id = np.full(n, -1, dtype=np.int64)
-        pos = np.zeros(n, dtype=np.int64)
-        cycles = []
-        for start in range(n):
-            if cycle_id[start] >= 0:
-                continue
-            cid = len(cycles)
-            walk = []
-            v = start
-            while cycle_id[v] < 0:
-                cycle_id[v] = cid
-                pos[v] = len(walk)
-                walk.append(v)
-                v = int(self.succ[v])
-            cycles.append(np.asarray(walk, dtype=np.int64))
+        root = np.arange(n, dtype=np.int64)
+        jump = self.succ
+        span = 1
+        while span < n:
+            root = np.minimum(root, root[jump])
+            jump = jump[jump]
+            span *= 2
+        starts = np.flatnonzero(root == np.arange(n))
+        cid_of = np.empty(n, dtype=np.int64)
+        cid_of[starts] = np.arange(len(starts))
+        cycle_id = cid_of[root]
+        cycle_lens = np.bincount(cycle_id, minlength=len(starts))
+        is_start = np.zeros(n, dtype=bool)
+        is_start[starts] = True
+        back = np.where(is_start, np.arange(n), self.pred)
+        pos = (~is_start).astype(np.int64)
+        reach = 1
+        while reach < cycle_lens.max():
+            pos = pos + pos[back]
+            back = back[back]
+            reach *= 2
+        offsets = np.zeros(len(starts) + 1, dtype=np.int64)
+        np.cumsum(cycle_lens, out=offsets[1:])
+        flat = np.empty(n, dtype=np.int64)
+        flat[offsets[cycle_id] + pos] = np.arange(n)
         self.cycle_id = cycle_id
         self.pos = pos
-        self.cycles = cycles
-        self.cycle_lens = np.array([len(c) for c in cycles], dtype=np.int64)
+        self.cycles = np.split(flat, offsets[1:-1])
+        self.cycle_lens = cycle_lens
 
     @property
     def num_cycles(self) -> int:
@@ -236,6 +257,21 @@ class _Ctx:
             e = self._out_ids[idx]
             if self.avail[e]:
                 yield int(e), int(self._out_heads[idx])
+
+    def pool_out_edges(self, vs: np.ndarray):
+        """Available pool edges leaving the vertices vs, as arrays.
+
+        Returns (tails, eids, heads) listing, for each v of vs in turn,
+        the pairs pool_out(v) yields, in the same order.
+        """
+        lo = self._out_ptr[vs]
+        cnt = self._out_ptr[vs + 1] - lo
+        first = np.cumsum(cnt) - cnt
+        idx = np.arange(int(cnt.sum())) + np.repeat(lo - first, cnt)
+        eids = self._out_ids[idx]
+        keep = self.avail[eids]
+        return (np.repeat(vs, cnt)[keep], eids[keep],
+                self._out_heads[idx][keep])
 
     def pool_in(self, u: int):
         """(eid, tail) pairs of available pool edges entering u."""

@@ -42,7 +42,11 @@ class PhaseFailure(HampackError):
     """A pipeline phase gave up; trials treat this as an attributed failure.
 
     phase is one of "sample", "phase1", "phase2", "phase3", "3-select",
-    "3-search", "verify".
+    "3-search", "verify".  Trial outcomes use these as "failure:<phase>"
+    tags, plus "failure:internal" for a ValueError raised inside the
+    pipeline (a broken invariant, such as a cover that is not a
+    permutation or not a single cycle); its record keeps the message in
+    detail and the trial's seed.
     """
 
     def __init__(self, phase: str, detail: str = "", index: int | None = None,

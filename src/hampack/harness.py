@@ -222,6 +222,13 @@ def run_trial(params: ModelParams, seed: int,
         rec.detail = str(exc)
         log.info("trial seed=%d failed while sampling: %s", seed, exc)
         return rec
+    except ValueError as exc:
+        # a broken internal invariant (say, a cover that is not a
+        # permutation): the trial fails, the sweep goes on
+        rec.outcome = "failure:internal"
+        rec.detail = str(exc)
+        log.warning("trial seed=%d failed internally: %s", seed, exc)
+        return rec
     rec.outcome = "success"
     rec.attempts = info["attempts"]
     rec.phase2_retries = [p.second_attempts for p in info["phase2"]]
@@ -698,8 +705,10 @@ def _cmd_pack(args, parser) -> int:
         try:
             sd, cert, info = run_pipeline(params, rng,
                                           tau_mode=args.tau_mode, sd=sd)
-        except (PhaseFailure, HampackError) as exc:
-            tag = exc.phase if isinstance(exc, PhaseFailure) else "sample"
+        except (PhaseFailure, HampackError, ValueError) as exc:
+            tag = (exc.phase if isinstance(exc, PhaseFailure)
+                   else "internal" if isinstance(exc, ValueError)
+                   else "sample")
             print(f"failure:{tag}: {exc}", file=sys.stderr)
             return 2
         rec = None

@@ -427,8 +427,10 @@ class SimpleDigraph:
                 raise ValueError("edge endpoint out of range")
             if np.any(self.edges[:, 0] == self.edges[:, 1]):
                 raise ValueError("loop edge present")
+            # sorted in place: a repeat shows up as equal neighbours
             codes = self.edges[:, 0] * self.n + self.edges[:, 1]
-            if len(np.unique(codes)) != len(codes):
+            codes.sort()
+            if np.any(codes[1:] == codes[:-1]):
                 raise ValueError("duplicate ordered pair present")
 
     def _build_adjacency(self):
@@ -451,17 +453,23 @@ class SimpleDigraph:
     def in_edge_ids(self, v: int) -> np.ndarray:
         return self._in_order[self._in_ptr[v]:self._in_ptr[v + 1]]
 
-    def edge_lookup(self, u: int, v: int) -> int:
-        """Edge index of the ordered pair (u, v), or -1."""
+    def edge_lookup(self, u, v):
+        """Edge index of the ordered pair (u, v), or -1.
+
+        u and v may also be equal-length arrays; the answer is then an
+        int64 array with one index (or -1) per pair.
+        """
         if self._codes_sorted is None:
             codes = self.edges[:, 0] * self.n + self.edges[:, 1]
             self._codes_order = np.argsort(codes, kind="stable")
             self._codes_sorted = codes[self._codes_order]
-        code = u * self.n + v
-        pos = np.searchsorted(self._codes_sorted, code)
-        if pos < len(self._codes_sorted) and self._codes_sorted[pos] == code:
-            return int(self._codes_order[pos])
-        return -1
+        code = np.asarray(u, dtype=np.int64) * self.n + v
+        if self.m == 0:
+            return -1 if code.ndim == 0 else np.full(code.shape, -1, np.int64)
+        pos = np.minimum(np.searchsorted(self._codes_sorted, code), self.m - 1)
+        out = np.where(self._codes_sorted[pos] == code,
+                       self._codes_order[pos], -1)
+        return int(out) if out.ndim == 0 else out
 
     def has_edge(self, u: int, v: int) -> bool:
         return self.edge_lookup(u, v) >= 0

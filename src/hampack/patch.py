@@ -292,24 +292,28 @@ def _find_exchange(pd: PermutationDigraph, cid: int, ctx: _Ctx,
 
     Returns (a, b, eid_ab+, eid_ba+) where both joins are available
     reserve edges, or None.  blocked filters the two break vertices.
+    Candidates a are tried in a random order and, per a, along its
+    available pool edges (a, b+); all of them are checked in one pass
+    and the first feasible one wins.
     """
     cyc = pd.cycles[cid]
-    sd = ctx.sd
-    for idx in rng.permutation(len(cyc)):
-        a = int(cyc[idx])
-        if blocked is not None and blocked[a]:
-            continue
-        a_next = int(pd.succ[a])
-        for eid1, h in ctx.pool_out(a):
-            if pd.cycle_id[h] == cid:
-                continue
-            b = int(pd.pred[h])
-            if blocked is not None and blocked[b]:
-                continue
-            eid2 = sd.edge_lookup(b, a_next)
-            if eid2 >= 0 and ctx.avail[eid2]:
-                return a, b, eid1, eid2
-    return None
+    order = cyc[rng.permutation(len(cyc))]
+    if blocked is not None:
+        order = order[~blocked[order]]
+    a, eid1, h = ctx.pool_out_edges(order)
+    keep = pd.cycle_id[h] != cid
+    b = pd.pred[h]
+    if blocked is not None:
+        keep &= ~blocked[b]
+    a, b, eid1 = a[keep], b[keep], eid1[keep]
+    eid2 = ctx.sd.edge_lookup(b, pd.succ[a])
+    ok = eid2 >= 0
+    ok[ok] = ctx.avail[eid2[ok]]
+    hit = np.flatnonzero(ok)
+    if not len(hit):
+        return None
+    j = hit[0]
+    return int(a[j]), int(b[j]), int(eid1[j]), int(eid2[j])
 
 
 def merge_patch(pd: PermutationDigraph, sd: SimpleDigraph,

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hampack import cover as cv
 from hampack.cover import (
@@ -85,6 +87,9 @@ class TestPermutationDigraph:
             PermutationDigraph(np.array([0, 0, 2]))
         with pytest.raises(ValueError):
             PermutationDigraph(np.array([], dtype=np.int64))
+        for succ in ([1, 3, 0], [1, -1, 0]):  # successor out of range
+            with pytest.raises(ValueError):
+                PermutationDigraph(np.array(succ))
 
     def test_arc_edges(self):
         pd = perm_digraph([0, 1, 2, 3, 4, 5])
@@ -94,6 +99,68 @@ class TestPermutationDigraph:
         pd2 = perm_digraph([0, 1], [2, 3])
         with pytest.raises(ValueError):
             pd2.arc_edges(0, 2)
+
+
+def walk_cycles(succ):
+    """Reference cycle tables by walking succ from each unseen vertex.
+
+    The loop PermutationDigraph used before its pointer doubling; kept
+    as the oracle for cycle_id, pos, cycles and cycle_lens.
+    """
+    n = len(succ)
+    cycle_id = np.full(n, -1, dtype=np.int64)
+    pos = np.zeros(n, dtype=np.int64)
+    cycles = []
+    for start in range(n):
+        if cycle_id[start] >= 0:
+            continue
+        cid = len(cycles)
+        walk = []
+        v = start
+        while cycle_id[v] < 0:
+            cycle_id[v] = cid
+            pos[v] = len(walk)
+            walk.append(v)
+            v = int(succ[v])
+        cycles.append(np.asarray(walk, dtype=np.int64))
+    lens = np.array([len(c) for c in cycles], dtype=np.int64)
+    return cycle_id, pos, cycles, lens
+
+
+class TestExtractCyclesOracle:
+    @staticmethod
+    def check(succ):
+        pd = PermutationDigraph(np.asarray(succ, dtype=np.int64))
+        cycle_id, pos, cycles, lens = walk_cycles(succ)
+        assert np.array_equal(pd.cycle_id, cycle_id)
+        assert np.array_equal(pd.pos, pos)
+        assert np.array_equal(pd.cycle_lens, lens)
+        assert pd.cycle_lens.dtype == np.int64
+        assert len(pd.cycles) == len(cycles)
+        for got, want in zip(pd.cycles, cycles):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 300).flatmap(
+        lambda n: st.permutations(list(range(n)))))
+    def test_matches_walk(self, succ):
+        self.check(succ)
+
+    @pytest.mark.parametrize("n", [1, 2, 257, 1000])
+    def test_identity_and_one_n_cycle(self, n):
+        self.check(np.arange(n))
+        self.check(np.roll(np.arange(n), -1))
+        self.check(np.roll(np.arange(n), 1))
+
+    def test_cycles_of_mixed_lengths(self):
+        perm = rng_stream(5).permutation(5000)
+        succ = np.empty(5000, dtype=np.int64)
+        cuts = [0, 1, 3, 40, 41, 1000, 5000]
+        for lo, hi in zip(cuts, cuts[1:]):
+            block = perm[lo:hi]
+            succ[block] = np.roll(block, -1)
+        self.check(succ)
 
 
 class TestCyclesOf:

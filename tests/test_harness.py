@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from hampack import harness as hn
-from hampack.model import ModelParams, read_edge_list, sample_erased_digraph
+from hampack.model import (ModelParams, read_edge_list, sample_erased_digraph,
+                           write_edge_list)
 from hampack.errors import OracleSizeError
 from hampack.rng import derive_seed, rng_stream
 from hampack.verify import verify_packing
@@ -61,6 +62,38 @@ class TestRunTrial:
                 rec.outcome.split(":", 1)[1] in {
                     "sample", "partition", "phase1", "phase2", "phase3",
                     "3-select", "3-search", "verify"}
+
+
+class TestInternalFailure:
+    @staticmethod
+    def broken_pipeline(*args, **kwargs):
+        raise ValueError("succ is not a permutation")
+
+    def test_run_trial_records_value_error(self, monkeypatch):
+        monkeypatch.setattr(hn, "run_pipeline", self.broken_pipeline)
+        rec = hn.run_trial(ModelParams.make(300, 4.0, 1), 41)
+        assert rec.outcome == "failure:internal"
+        assert rec.detail == "succ is not a permutation"
+        assert rec.seed == 41 and not rec.success
+        assert rec.cert_digest is None
+
+    def test_sweep_completes(self, monkeypatch):
+        monkeypatch.setattr(hn, "run_pipeline", self.broken_pipeline)
+        summary = hn.run_sweep(ns=[60, 80], cs=[4.0], ks=[1], trials=2,
+                               seed=29)
+        assert [(r.trials, r.successes, r.failures)
+                for r in summary.rows] == [(2, 0, "internal=2")] * 2
+
+    def test_pack_in_reports_internal_tag(self, monkeypatch, tmp_path,
+                                          capsys):
+        params = ModelParams.make(60, 4.0, 1)
+        sd, _ = sample_erased_digraph(params, rng_stream(3))
+        path = tmp_path / "host.txt"
+        write_edge_list(sd, path)
+        monkeypatch.setattr(hn, "run_pipeline", self.broken_pipeline)
+        assert hn.main(["pack", "--in", str(path), "--seed", "1"]) == 2
+        assert "failure:internal: succ is not a permutation" in \
+            capsys.readouterr().err
 
 
 class TestRunSweep:

@@ -247,6 +247,41 @@ class TestSimpleDigraph:
         with pytest.raises(ValueError):
             SimpleDigraph(3, np.array([[0, 3]]), 1)
 
+    def test_validation_non_adjacent_duplicate(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            SimpleDigraph(3, np.array([[0, 1], [1, 2], [0, 1]]), 1)
+
+    def test_validation_duplicate_in_shuffled_large_host(self):
+        rng = rng_stream(19, 0)
+        n = 2000
+        codes = rng.choice(n * n, size=10_000, replace=False)
+        edges = np.column_stack((codes // n, codes % n))
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        SimpleDigraph(n, edges, 1)  # distinct pairs pass
+        dup = np.vstack((edges, edges[rng.integers(len(edges))]))
+        rng.shuffle(dup)
+        with pytest.raises(ValueError, match="duplicate"):
+            SimpleDigraph(n, dup, 1)
+
+    def test_validation_negative_endpoint(self):
+        with pytest.raises(ValueError, match="out of range"):
+            SimpleDigraph(3, np.array([[0, 1], [-1, 2]]), 1)
+
+    def test_edge_lookup_arrays(self, tiny_host):
+        sd = tiny_host
+        ids = np.arange(0, sd.m, 7)
+        got = sd.edge_lookup(sd.edges[ids, 0], sd.edges[ids, 1])
+        assert got.dtype == np.int64 and np.array_equal(got, ids)
+        # reversed pairs: hits only where the reverse edge exists
+        rev = sd.edge_lookup(sd.edges[ids, 1], sd.edges[ids, 0])
+        want = [sd.edge_lookup(int(v), int(u)) for u, v in sd.edges[ids]]
+        assert rev.tolist() == want
+        assert sd.edge_lookup(np.array([0, sd.n - 1]),
+                              np.array([0, sd.n - 1])).tolist() == [-1, -1]
+        empty = SimpleDigraph(3, np.empty((0, 2), dtype=np.int64), 1)
+        assert empty.edge_lookup(0, 1) == -1
+        assert empty.edge_lookup(np.array([0]), np.array([1])).tolist() == [-1]
+
     def test_min_degree(self, tiny_params, tiny_host):
         assert tiny_host.min_degree() >= tiny_params.k + 1
 
@@ -317,6 +352,9 @@ class TestEdgeListIO:
             read_edge_list(bad)
         bad.write_text("3 1 1\n0 0\n")
         with pytest.raises(EdgeListFormatError):
+            read_edge_list(bad)
+        bad.write_text("3 3 1\n0 1\n1 2\n0 1\n")
+        with pytest.raises(EdgeListFormatError, match="duplicate"):
             read_edge_list(bad)
 
 

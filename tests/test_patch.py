@@ -1,5 +1,7 @@
 """Final repair: section labeling, the tau search, and cycle merging."""
 
+import copy
+import hashlib
 import itertools
 import math
 
@@ -428,6 +430,76 @@ class TestMergePatch:
                                 rng)
         new = set(ham.edge_ids.tolist()) - set(pd.edge_ids.tolist())
         assert new <= set(pool.tolist())
+
+    def test_output_pinned(self):
+        # digest of what the per-vertex exchange loop produced: five
+        # merges, three of them relaxed; the batched search must
+        # reproduce them and leave the stream where the loop left it
+        sd, pd, pool, rng = random_instance(81, 8000, n=600, parts=6)
+        blocked = rng.random(sd.n) < 0.93
+        ham, stats = pt.merge_patch(pd, sd, pool, blocked, rng)
+        assert (stats.merges, stats.relaxed_merges) == (5, 3)
+        h = hashlib.sha256()
+        h.update(ham.succ.astype("<i8").tobytes())
+        h.update(ham.edge_ids.astype("<i8").tobytes())
+        assert h.hexdigest() == ("77326eac9a7ceff235f02c80898d7ccf"
+                                 "2cca18ab9ff4efdb4096ee42e03331cc")
+        assert int(rng.integers(1 << 62)) == 3348483245973653063
+
+
+def loop_find_exchange(pd, cid, ctx, blocked, rng):
+    """Reference exchange search: one a at a time, scalar lookups.
+
+    The loop _find_exchange ran before it was batched; kept as the
+    oracle for its return value and its draw from rng.
+    """
+    cyc = pd.cycles[cid]
+    sd = ctx.sd
+    for idx in rng.permutation(len(cyc)):
+        a = int(cyc[idx])
+        if blocked is not None and blocked[a]:
+            continue
+        a_next = int(pd.succ[a])
+        for eid1, h in ctx.pool_out(a):
+            if pd.cycle_id[h] == cid:
+                continue
+            b = int(pd.pred[h])
+            if blocked is not None and blocked[b]:
+                continue
+            eid2 = sd.edge_lookup(b, a_next)
+            if eid2 >= 0 and ctx.avail[eid2]:
+                return a, b, eid1, eid2
+    return None
+
+
+class TestFindExchangeOracle:
+    def test_matches_loop(self):
+        rng0 = rng_stream(0, 9)
+        outcomes = {True: 0, False: 0}
+        for seed in range(12):
+            parts = int(rng0.integers(2, 6))
+            n = parts * int(rng0.integers(5, 60))
+            extra = int(rng0.integers(0, min(20 * n, n * (n - 1) // 4)))
+            sd, pd, pool, _ = random_instance(seed, extra, n=n, parts=parts)
+            # the whole host as the pool puts the cover's own edges in
+            # the CSR, where only the availability mask keeps them out
+            for pool_ids in (pool, np.arange(sd.m)):
+                ctx = _Ctx(sd, pool_ids)
+                ctx.refresh(pd)
+                for frac in (None, 0.0, 0.3, 0.8):
+                    blocked = None if frac is None else rng0.random(n) < frac
+                    for cid in range(pd.num_cycles):
+                        twin = copy.deepcopy(rng0)
+                        want = loop_find_exchange(pd, cid, ctx, blocked, twin)
+                        got = pt._find_exchange(pd, cid, ctx, blocked, rng0)
+                        assert got == want
+                        # both searches leave the stream at the same place
+                        assert np.array_equal(twin.integers(1 << 62, size=4),
+                                              rng0.integers(1 << 62, size=4))
+                        if got is not None:
+                            assert all(type(x) is int for x in got)
+                        outcomes[got is not None] += 1
+        assert outcomes[True] > 20 and outcomes[False] > 20
 
 
 class TestPipelinePhaseThree:
