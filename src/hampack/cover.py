@@ -224,39 +224,39 @@ class _Node:
 
 
 class _Ctx:
-    """Per-cover working context: Π tables plus reserve-pool adjacency.
+    """Per-cover working context: reserve-pool adjacency and availability.
 
-    Adjacency over the pool is built once; availability (pool member
-    and not sitting in the current cover) refreshes per iteration.
+    The pool is a mask over host edges with a CSR of its edge ids by
+    tail (the in-CSR by head is built on the first pool_in call); both
+    rows run ascending by edge id and endpoints are read from sd.edges.
+    Availability (pool member and not sitting in the current cover)
+    refreshes per iteration.
     """
 
     def __init__(self, sd: SimpleDigraph, pool_ids: np.ndarray):
         self.sd = sd
-        self.pool_ids = np.asarray(pool_ids, dtype=np.int64)
-        tails = sd.edges[self.pool_ids, 0]
-        heads = sd.edges[self.pool_ids, 1]
-        order_out, self._out_ptr = pair_csr(tails, self.pool_ids, sd.m, sd.n)
-        self._out_ids = self.pool_ids[order_out]
-        self._out_heads = heads[order_out]
-        order_in, self._in_ptr = pair_csr(heads, self.pool_ids, sd.m, sd.n)
-        self._in_ids = self.pool_ids[order_in]
-        self._in_tails = tails[order_in]
+        self.in_pool = np.zeros(sd.m, dtype=bool)
+        self.in_pool[pool_ids] = True
+        self._out_ptr, self._out_ids = self._csr(0)
+        self._in_ptr = self._in_ids = None
         self.avail = np.zeros(sd.m, dtype=bool)
-        self.pd: PermutationDigraph | None = None
+
+    def _csr(self, side: int):
+        """(indptr, edge ids) of the pool keyed by sd.edges[:, side]."""
+        ids = np.flatnonzero(self.in_pool)
+        order, ptr = pair_csr(self.sd.edges[ids, side], ids, self.sd.m,
+                              self.sd.n)
+        return ptr, ids[order]
 
     def refresh(self, pd: PermutationDigraph):
-        self.pd = pd
-        self.avail[:] = False
-        self.avail[self.pool_ids] = True
+        np.copyto(self.avail, self.in_pool)
         self.avail[pd.edge_ids] = False
 
     def pool_out(self, v: int):
         """(eid, head) pairs of available pool edges leaving v."""
-        lo, hi = self._out_ptr[v], self._out_ptr[v + 1]
-        for idx in range(lo, hi):
-            e = self._out_ids[idx]
-            if self.avail[e]:
-                yield int(e), int(self._out_heads[idx])
+        ids = self._out_ids[self._out_ptr[v]:self._out_ptr[v + 1]]
+        ids = ids[self.avail[ids]]
+        return zip(ids.tolist(), self.sd.edges[ids, 1].tolist())
 
     def pool_out_edges(self, vs: np.ndarray):
         """Available pool edges leaving the vertices vs, as arrays.
@@ -270,16 +270,16 @@ class _Ctx:
         idx = np.arange(int(cnt.sum())) + np.repeat(lo - first, cnt)
         eids = self._out_ids[idx]
         keep = self.avail[eids]
-        return (np.repeat(vs, cnt)[keep], eids[keep],
-                self._out_heads[idx][keep])
+        eids = eids[keep]
+        return np.repeat(vs, cnt)[keep], eids, self.sd.edges[eids, 1]
 
     def pool_in(self, u: int):
         """(eid, tail) pairs of available pool edges entering u."""
-        lo, hi = self._in_ptr[u], self._in_ptr[u + 1]
-        for idx in range(lo, hi):
-            e = self._in_ids[idx]
-            if self.avail[e]:
-                yield int(e), int(self._in_tails[idx])
+        if self._in_ptr is None:
+            self._in_ptr, self._in_ids = self._csr(1)
+        ids = self._in_ids[self._in_ptr[u]:self._in_ptr[u + 1]]
+        ids = ids[self.avail[ids]]
+        return zip(ids.tolist(), self.sd.edges[ids, 0].tolist())
 
 
 def _root_node(pd: PermutationDigraph, u0: int, v0: int, cid: int) -> _Node:

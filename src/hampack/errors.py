@@ -38,15 +38,20 @@ class OracleSizeError(HampackError):
     """Brute-force oracle invoked above its size cap."""
 
 
+#: Every outcome tag of a failed trial, from run_trial or `pack --in`:
+#: a PhaseFailure's phase, "sample" for any other HampackError, and
+#: "internal" for a ValueError raised inside the pipeline (a broken
+#: invariant, such as a cover that is not a permutation).
+FAILURE_TAGS = tuple(f"failure:{tag}" for tag in (
+    "sample", "phase1", "phase2", "phase3", "3-select", "3-search",
+    "verify", "internal"))
+
+
 class PhaseFailure(HampackError):
     """A pipeline phase gave up; trials treat this as an attributed failure.
 
-    phase is one of "sample", "phase1", "phase2", "phase3", "3-select",
-    "3-search", "verify".  Trial outcomes use these as "failure:<phase>"
-    tags, plus "failure:internal" for a ValueError raised inside the
-    pipeline (a broken invariant, such as a cover that is not a
-    permutation or not a single cycle); its record keeps the message in
-    detail and the trial's seed.
+    phase names the tag "failure:<phase>" the trial records, with the
+    detail and the trial's seed; the closed set of tags is FAILURE_TAGS.
     """
 
     def __init__(self, phase: str, detail: str = "", index: int | None = None,

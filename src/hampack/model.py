@@ -36,6 +36,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import (ConditioningFailureError, EdgeListFormatError,
                      InfeasibleDegreeError, PhaseFailure, RejectionStallError,
@@ -395,12 +396,15 @@ def pair_csr(rows: np.ndarray, cols: np.ndarray, width: int,
 
     rows lie in [0, n), cols in [0, width), and no code repeats.
     Returns (order, indptr): order sorts the codes ascending, so row v
-    is order[indptr[v]:indptr[v + 1]], ascending by col.
+    is order[indptr[v]:indptr[v + 1]], ascending by col.  Built by
+    scipy's COO-to-CSR bucket pass over rows, then a sort within each
+    row that is skipped when cols already ascend there.
     """
-    order = np.argsort(rows * width + cols)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return order, indptr
+    csr = csr_array((np.arange(len(rows)), (rows, cols)), shape=(n, width))
+    csr.sort_indices()
+    if csr.nnz != len(rows):
+        raise ValueError("pair_csr: repeated pair code")
+    return csr.data, csr.indptr.astype(np.int64, copy=False)
 
 
 class SimpleDigraph:
@@ -408,7 +412,9 @@ class SimpleDigraph:
 
     Edges are stored as an (m, 2) array in a canonical order that is
     part of the identity of the instance: every pool label, bitset and
-    certificate refers to positions in this array.
+    certificate refers to positions in this array.  Besides the edges
+    it keeps only the degree vectors and, from the first edge_lookup,
+    the sorted pair codes; CSR views are built by their users.
     """
 
     def __init__(self, n: int, edges: np.ndarray, k: int):
@@ -417,7 +423,8 @@ class SimpleDigraph:
         self.k = int(k)
         self.edges = edges
         self._validate()
-        self._build_adjacency()
+        self.out_deg = np.bincount(edges[:, 0], minlength=self.n)
+        self.in_deg = np.bincount(edges[:, 1], minlength=self.n)
         self._codes_sorted = None
         self._codes_order = None
 
@@ -433,25 +440,9 @@ class SimpleDigraph:
             if np.any(codes[1:] == codes[:-1]):
                 raise ValueError("duplicate ordered pair present")
 
-    def _build_adjacency(self):
-        ids = np.arange(self.m)
-        self._out_order, self._out_ptr = pair_csr(self.edges[:, 0], ids,
-                                                  self.m, self.n)
-        self._in_order, self._in_ptr = pair_csr(self.edges[:, 1], ids,
-                                                self.m, self.n)
-        self.out_deg = np.diff(self._out_ptr)
-        self.in_deg = np.diff(self._in_ptr)
-
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def out_edge_ids(self, v: int) -> np.ndarray:
-        """Edge indices leaving v, ascending by edge index."""
-        return self._out_order[self._out_ptr[v]:self._out_ptr[v + 1]]
-
-    def in_edge_ids(self, v: int) -> np.ndarray:
-        return self._in_order[self._in_ptr[v]:self._in_ptr[v + 1]]
 
     def edge_lookup(self, u, v):
         """Edge index of the ordered pair (u, v), or -1.

@@ -293,27 +293,30 @@ def _find_exchange(pd: PermutationDigraph, cid: int, ctx: _Ctx,
     Returns (a, b, eid_ab+, eid_ba+) where both joins are available
     reserve edges, or None.  blocked filters the two break vertices.
     Candidates a are tried in a random order and, per a, along its
-    available pool edges (a, b+); all of them are checked in one pass
-    and the first feasible one wins.
+    available pool edges (a, b+); they are checked in chunks of that
+    order growing 4x from 256, and the first feasible one wins.
     """
     cyc = pd.cycles[cid]
     order = cyc[rng.permutation(len(cyc))]
     if blocked is not None:
         order = order[~blocked[order]]
-    a, eid1, h = ctx.pool_out_edges(order)
-    keep = pd.cycle_id[h] != cid
-    b = pd.pred[h]
-    if blocked is not None:
-        keep &= ~blocked[b]
-    a, b, eid1 = a[keep], b[keep], eid1[keep]
-    eid2 = ctx.sd.edge_lookup(b, pd.succ[a])
-    ok = eid2 >= 0
-    ok[ok] = ctx.avail[eid2[ok]]
-    hit = np.flatnonzero(ok)
-    if not len(hit):
-        return None
-    j = hit[0]
-    return int(a[j]), int(b[j]), int(eid1[j]), int(eid2[j])
+    lo, size = 0, 256
+    while lo < len(order):
+        a, eid1, h = ctx.pool_out_edges(order[lo:lo + size])
+        lo, size = lo + size, 4 * size
+        keep = pd.cycle_id[h] != cid
+        b = pd.pred[h]
+        if blocked is not None:
+            keep &= ~blocked[b]
+        a, b, eid1 = a[keep], b[keep], eid1[keep]
+        eid2 = ctx.sd.edge_lookup(b, pd.succ[a])
+        ok = eid2 >= 0
+        ok[ok] = ctx.avail[eid2[ok]]
+        hit = np.flatnonzero(ok)
+        if len(hit):
+            j = hit[0]
+            return int(a[j]), int(b[j]), int(eid1[j]), int(eid2[j])
+    return None
 
 
 def merge_patch(pd: PermutationDigraph, sd: SimpleDigraph,

@@ -45,10 +45,6 @@ class PackingCheck:
         return self.ok
 
 
-def _pair_codes(sd: SimpleDigraph) -> np.ndarray:
-    return np.sort(sd.edges[:, 0].astype(np.int64) * sd.n + sd.edges[:, 1])
-
-
 def _has_repeat(values: np.ndarray) -> bool:
     """True iff some value occurs twice (equal neighbours once sorted)."""
     s = np.sort(values)
@@ -68,11 +64,7 @@ def verify_hamilton(sd: SimpleDigraph, cycle) -> HamiltonCheck:
         return HamiltonCheck(False, "range")
     if _has_repeat(cyc):
         return HamiltonCheck(False, "repeat")
-    codes = cyc * sd.n + np.roll(cyc, -1)
-    host = _pair_codes(sd)
-    pos = np.searchsorted(host, codes)
-    hit = (pos < len(host)) & (host[np.minimum(pos, len(host) - 1)] == codes)
-    if not hit.all():
+    if (sd.edge_lookup(cyc, np.roll(cyc, -1)) < 0).any():
         return HamiltonCheck(False, "non-edge")
     return HamiltonCheck(True)
 
@@ -104,19 +96,15 @@ class PackingCertificate:
 
 def certificate_from_covers(sd: SimpleDigraph, covers) -> PackingCertificate:
     """Read single-cycle covers (successor arrays with edge ids) into a
-    certificate.  Each sequence starts at vertex 0."""
+    certificate.  Each sequence starts at vertex 0: a one-cycle cover
+    lists its cycle from its smallest vertex."""
     cycles = []
     edge_ids = []
     for pd in covers:
-        order = np.empty(sd.n, dtype=np.int64)
-        v = 0
-        for i in range(sd.n):
-            order[i] = v
-            v = int(pd.succ[v])
-        if v != 0 or _has_repeat(order):
+        if pd.num_cycles != 1 or pd.n != sd.n:
             raise ValueError("cover is not a single cycle through 0")
-        cycles.append(order)
-        edge_ids.append(pd.edge_ids[order])
+        cycles.append(pd.cycles[0])
+        edge_ids.append(pd.edge_ids[pd.cycles[0]])
     return PackingCertificate(cycles=cycles, edge_ids=edge_ids)
 
 

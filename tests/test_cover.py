@@ -163,6 +163,63 @@ class TestExtractCyclesOracle:
         self.check(succ)
 
 
+def naive_pool(sd, pool_ids, avail_ids, v, side):
+    """(eid, other end) of every available pool edge with end v on
+    side (0: tail, 1: head), ascending by eid: a scan of the pool."""
+    return [(e, int(sd.edges[e, 1 - side])) for e in sorted(set(pool_ids))
+            if e in avail_ids and sd.edges[e, side] == v]
+
+
+class TestCtxPoolOracle:
+    @staticmethod
+    def instance(seed):
+        rng = rng_stream(seed, 4)
+        n = 40
+        perm = rng.permutation(n).tolist()
+        cycles = [perm[:13], perm[13:]]
+        cover = {(a, b) for cyc in cycles
+                 for a, b in zip(cyc, cyc[1:] + cyc[:1])}
+        extra = set()
+        while len(extra) < 300:
+            u, v = (int(x) for x in rng.integers(n, size=2))
+            if u != v and (u, v) not in cover:
+                extra.add((u, v))
+        sd, pd, reserve = host_with_cover(*cycles, extra=sorted(extra))
+        # unsorted pool ids that also hold some of the cover's own edges
+        pool = rng.permutation(np.concatenate(
+            (reserve[rng.random(len(reserve)) < 0.7], pd.edge_ids[::3])))
+        return sd, pd, pool, rng
+
+    def check(self, ctx, sd, pool, avail_ids, rng):
+        for v in range(sd.n):
+            assert list(ctx.pool_out(v)) == naive_pool(sd, pool, avail_ids,
+                                                       v, 0)
+            assert list(ctx.pool_in(v)) == naive_pool(sd, pool, avail_ids,
+                                                      v, 1)
+        vs = rng.integers(sd.n, size=25)
+        tails, eids, heads = ctx.pool_out_edges(vs)
+        want = [(int(v), e, h) for v in vs
+                for e, h in naive_pool(sd, pool, avail_ids, v, 0)]
+        assert list(zip(tails.tolist(), eids.tolist(),
+                        heads.tolist())) == want
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_naive_scan(self, seed):
+        sd, pd, pool, rng = self.instance(seed)
+        ctx = cv._Ctx(sd, pool)
+        assert ctx.in_pool.sum() == len(pool)
+        self.check(ctx, sd, pool, set(), rng)  # nothing available yet
+        ctx.refresh(pd)
+        self.check(ctx, sd, pool,
+                   set(pool.tolist()) - set(pd.edge_ids.tolist()), rng)
+        # a second refresh frees the old cover's edges, holds the new one's
+        other = PermutationDigraph(pd.succ, rng.choice(sd.m, sd.n,
+                                                       replace=False))
+        ctx.refresh(other)
+        self.check(ctx, sd, pool,
+                   set(pool.tolist()) - set(other.edge_ids.tolist()), rng)
+
+
 class TestCyclesOf:
     def test_threshold_at_ten_thousand(self):
         # n/ln n = 1085.73...: 1085 is small, 1086 is not

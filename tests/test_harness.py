@@ -1,15 +1,21 @@
 """Trial orchestration, sweep determinism, stats, and CLI plumbing."""
 
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
 
+from hampack import cover as cv
 from hampack import harness as hn
-from hampack.model import (ModelParams, read_edge_list, sample_erased_digraph,
-                           write_edge_list)
-from hampack.errors import OracleSizeError
+from hampack import matching as mt
+from hampack import model as md
+from hampack import patch as pt
+from hampack.model import (ModelParams, SimpleDigraph, read_edge_list,
+                           sample_erased_digraph, write_edge_list)
+from hampack.errors import (FAILURE_TAGS, ConditioningFailureError,
+                            OracleSizeError)
 from hampack.rng import derive_seed, rng_stream
 from hampack.verify import verify_packing
 
@@ -94,6 +100,184 @@ class TestInternalFailure:
         assert hn.main(["pack", "--in", str(path), "--seed", "1"]) == 2
         assert "failure:internal: succ is not a permutation" in \
             capsys.readouterr().err
+
+
+# the real functions, kept before any test patches their names
+real_compute_small = hn.compute_small
+real_finalize = mt._finalize
+real_certificate = hn.certificate_from_covers
+
+
+@functools.lru_cache(maxsize=None)
+def failure_host(n, c, k):
+    """A model host every failure case below starts from."""
+    return sample_erased_digraph(ModelParams.make(n, c, k), rng_stream(5))[0]
+
+
+def two_cycles(pd, *args, **kwargs):
+    """Stand-in for phase 2: the cover becomes two cycles of n/2."""
+    half = pd.n // 2
+    succ = np.roll(np.arange(pd.n), -1)
+    succ[half - 1], succ[-1] = 0, half
+    return cv.PermutationDigraph(succ, pd.edge_ids), cv.PhaseTwoStats()
+
+
+def new_small_cycle(pd, *args, **kwargs):
+    """An "early closure" that leaves one small cycle, a new one."""
+    v = int(pd.cycles[int(np.argmax(pd.cycle_lens))][0])
+    rest = np.flatnonzero(np.arange(pd.n) != v)
+    succ = np.full(pd.n, v)
+    succ[rest] = np.roll(rest, -1)
+    return "closed", cv.PermutationDigraph(succ, pd.edge_ids)
+
+
+def set_small(value):
+    def compute_small(sd, part, c, k):
+        real_compute_small(sd, part, c, k)
+        part.small[:] = value
+    return compute_small
+
+
+def replay_first_matching():
+    """_finalize that hands every cover the first matching's edges."""
+    first = []
+
+    def finalize(g, m, unlabel):
+        first.append(real_finalize(g, m, unlabel))
+        return first[0]
+    return finalize
+
+
+def swap_two_steps(sd, covers):
+    cert = real_certificate(sd, covers)
+    cyc = cert.cycles[0].copy()
+    cyc[[1, 2]] = cyc[[2, 1]]
+    cert.cycles[0] = cyc
+    return cert
+
+
+def raise_conditioning(*args):
+    raise ConditioningFailureError("stub")
+
+# case -> (host point, tau mode, patches as (module, name, value),
+#          expected tag, a fragment of its detail); a host point of None
+# runs the real sampler, which `pack --in` bypasses
+FAILURE_CASES = {
+    "erasure": (None, "merge",
+                [(SimpleDigraph, "min_degree", lambda self: 0)],
+                "sample", "erasure broke"),
+    "conditioning": (None, "merge",
+                     [(md, "conditioned_degree_vector", raise_conditioning)],
+                     "sample", "stub"),
+    "deficiency": ("no-in-edges", "merge", [], "phase1", "deficiency"),
+    "used-edge": ((600, 40.0, 2), "merge",
+                  [(mt, "_finalize", replay_first_matching)], "phase1",
+                  "already-used"),
+    "rotation-fails": ((600, 30.0, 1), "merge",
+                       [(cv, "out_phase", lambda *a, **kw: ("fail", "x"))],
+                       "phase2", "could not remove"),
+    "no-drop": ((600, 30.0, 1), "merge",
+                [(cv, "out_phase", lambda pd, *a, **kw: ("closed", pd))],
+                "phase2", "failed to drop"),
+    "new-small": ((600, 30.0, 1), "merge",
+                  [(cv, "out_phase", new_small_cycle)],
+                  "phase2", "new small cycle"),
+    "postcondition": ((600, 30.0, 1), "merge",
+                      [(cv, "cycles_of", lambda pd, n0: ([], []))],
+                      "phase2", "postcondition"),
+    "no-exchange": ((600, 30.0, 1), "merge",
+                    [(hn, "eliminate_small_cycles", two_cycles),
+                     (pt, "_find_exchange", lambda *a: None)],
+                    "phase3", "no exchange"),
+    "no-merge": ((600, 30.0, 1), "merge",
+                 [(hn, "eliminate_small_cycles", two_cycles),
+                  (pt, "_find_exchange",
+                   lambda pd, *a: (0, 0, int(pd.edge_ids[0]),
+                                   int(pd.edge_ids[0])))],
+                 "phase3", "failed to merge"),
+    "no-eligible": ((600, 30.0, 1), "any",
+                    [(hn, "eliminate_small_cycles", two_cycles),
+                     (hn, "compute_small", set_small(True))],
+                    "3-select", "eligible"),
+    "kappa-guard": ((40, 8.0, 1), "any",
+                    [(hn, "eliminate_small_cycles", two_cycles),
+                     (hn, "compute_small", set_small(False))],
+                    "3-select", "exceeds"),
+    "no-tau": ((600, 30.0, 1), "any",
+               [(hn, "eliminate_small_cycles", two_cycles),
+                (hn, "compute_small", set_small(False)),
+                (pt, "find_cyclic_tau", lambda *a: (None, None, 0))],
+               "3-search", "no cyclic tau"),
+    "bad-tau": ((600, 30.0, 1), "any",
+                [(hn, "eliminate_small_cycles", two_cycles),
+                 (hn, "compute_small", set_small(False)),
+                 (pt, "find_cyclic_tau",
+                  lambda aux, *a: (np.arange(len(aux)),
+                                   np.zeros(len(aux), np.int64), 0))],
+                "phase3", "not one cycle"),
+    "verify": ((600, 30.0, 1), "merge",
+               [(hn, "certificate_from_covers", swap_two_steps)],
+               "verify", "cycle 0"),
+    "internal": ((600, 30.0, 1), "merge",
+                 [(hn, "matching_to_cycle_cover",
+                   lambda pm: cv.PermutationDigraph(0 * pm.succ))],
+                 "internal", "not a permutation"),
+}
+
+
+class TestFailureTags:
+    """Each raise site a trial can reach, driven through run_trial and
+    `pack --in`: the outcome carries the expected tag from the closed
+    set FAILURE_TAGS."""
+
+    @staticmethod
+    def host_for(point):
+        if point == "no-in-edges":  # b_0 is unmatchable: Hall fails
+            sd = failure_host(600, 30.0, 1)
+            return SimpleDigraph(sd.n, sd.edges[sd.edges[:, 1] != 0], sd.k)
+        return failure_host(*point)
+
+    @staticmethod
+    def apply(monkeypatch, patches):
+        for owner, name, value in patches:
+            if value is replay_first_matching:  # fresh state per test
+                value = value()
+            monkeypatch.setattr(owner, name, value)
+
+    @pytest.mark.parametrize("case", sorted(FAILURE_CASES))
+    def test_run_trial_tag(self, case, monkeypatch):
+        point, mode, patches, tag, fragment = FAILURE_CASES[case]
+        if point is None:
+            params = ModelParams.make(200, 10.0, 1)
+        else:
+            sd = self.host_for(point)
+            params = ModelParams.from_nmk(sd.n, sd.m, sd.k)
+            monkeypatch.setattr(hn, "sample_erased_digraph",
+                                lambda params, rng: (sd, 1))
+        self.apply(monkeypatch, patches)
+        rec = hn.run_trial(params, 0, tau_mode=mode)
+        assert rec.outcome in FAILURE_TAGS
+        assert rec.outcome == f"failure:{tag}" and fragment in rec.detail
+        assert rec.seed == 0 and rec.cert_digest is None
+
+    @pytest.mark.parametrize("case", sorted(
+        c for c, spec in FAILURE_CASES.items() if spec[0] is not None))
+    def test_pack_in_tag(self, case, monkeypatch, tmp_path, capsys):
+        point, mode, patches, tag, fragment = FAILURE_CASES[case]
+        path = tmp_path / "host.txt"
+        write_edge_list(self.host_for(point), path)
+        self.apply(monkeypatch, patches)
+        code = hn.main(["pack", "--in", str(path), "--seed", "0",
+                        "--tau-mode", mode])
+        err = capsys.readouterr().err
+        emitted = ":".join(err.split(":", 2)[:2])
+        assert code == 2 and emitted in FAILURE_TAGS
+        assert emitted == f"failure:{tag}" and fragment in err
+
+    def test_every_tag_is_driven(self):
+        assert {f"failure:{spec[3]}" for spec in FAILURE_CASES.values()} \
+            == set(FAILURE_TAGS)
+        assert len(set(FAILURE_TAGS)) == len(FAILURE_TAGS)
 
 
 class TestRunSweep:

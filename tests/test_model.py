@@ -13,6 +13,8 @@ import pytest
 import scipy.optimize
 import scipy.special
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hampack.errors import (ConditioningFailureError, EdgeListFormatError,
                             InfeasibleDegreeError, PhaseFailure,
@@ -20,7 +22,7 @@ from hampack.errors import (ConditioningFailureError, EdgeListFormatError,
 from hampack.model import (ConfigDigraph, DegreeSequence, ModelParams,
                            SimpleDigraph, TruncatedPoisson,
                            conditioned_degree_vector, duplicate_pair_count,
-                           pair_configuration, read_edge_list, rho,
+                           pair_configuration, pair_csr, read_edge_list, rho,
                            sample_degree_sequence, sample_erased_digraph,
                            sample_simple_digraph, sigma2, simplicity_exponents,
                            solve_z, tail_sum, write_edge_list)
@@ -230,11 +232,13 @@ class TestPairing:
 class TestSimpleDigraph:
     def test_adjacency_matches_naive(self, tiny_host):
         sd = tiny_host
-        by_tail = {}
-        for j, (u, v) in enumerate(sd.edges):
-            by_tail.setdefault(int(u), []).append(j)
-        for v in range(sd.n):
-            assert list(sd.out_edge_ids(v)) == sorted(by_tail.get(v, []))
+        out_naive = [0] * sd.n
+        in_naive = [0] * sd.n
+        for u, v in sd.edges:
+            out_naive[u] += 1
+            in_naive[v] += 1
+        assert sd.out_deg.tolist() == out_naive
+        assert sd.in_deg.tolist() == in_naive
         for j, (u, v) in enumerate(sd.edges[:50]):
             assert sd.edge_lookup(int(u), int(v)) == j
         assert sd.edge_lookup(0, 0) == -1
@@ -284,6 +288,53 @@ class TestSimpleDigraph:
 
     def test_min_degree(self, tiny_params, tiny_host):
         assert tiny_host.min_degree() >= tiny_params.k + 1
+
+
+def argsort_pair_csr(rows, cols, width, n):
+    """Reference layout: comparison sort of the codes, counted rows."""
+    order = np.argsort(rows * width + cols)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return order, indptr
+
+
+@st.composite
+def distinct_pairs(draw):
+    """(rows, cols, width, n): distinct codes in drawn (unsorted) order."""
+    n = draw(st.integers(1, 30))
+    width = draw(st.integers(1, 40))
+    codes = np.array(draw(st.lists(st.integers(0, n * width - 1),
+                                   unique=True, max_size=200)),
+                     dtype=np.int64)
+    return codes // width, codes % width, width, n
+
+
+class TestPairCsr:
+    @settings(max_examples=200, deadline=None)
+    @given(distinct_pairs())
+    def test_matches_argsort(self, case):
+        rows, cols, width, n = case
+        order, indptr = pair_csr(rows, cols, width, n)
+        want_order, want_ptr = argsort_pair_csr(rows, cols, width, n)
+        assert order.dtype == np.int64 and indptr.dtype == np.int64
+        assert np.array_equal(order, want_order)
+        assert np.array_equal(indptr, want_ptr)
+
+    def test_empty_rows_and_wide_cols(self):
+        rows = np.array([4, 0, 4, 4, 2], dtype=np.int64)
+        cols = np.array([90, 7, 3, 41, 0], dtype=np.int64)
+        order, indptr = pair_csr(rows, cols, 100, 6)
+        assert order.tolist() == [1, 4, 2, 3, 0]
+        assert indptr.tolist() == [0, 1, 1, 2, 2, 5, 5]
+
+    def test_empty_input(self):
+        empty = np.empty(0, dtype=np.int64)
+        order, indptr = pair_csr(empty, empty, 5, 3)
+        assert len(order) == 0 and indptr.tolist() == [0, 0, 0, 0]
+
+    def test_repeated_code_refused(self):
+        with pytest.raises(ValueError, match="repeated"):
+            pair_csr(np.array([1, 0, 1]), np.array([2, 2, 2]), 3, 2)
 
 
 class TestSamplers:

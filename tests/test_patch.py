@@ -502,6 +502,46 @@ class TestFindExchangeOracle:
         assert outcomes[True] > 20 and outcomes[False] > 20
 
 
+    LONG = 1500  # cycle 0 is 0 -> 1 -> ... -> 1499; cycle 1 has 10
+
+    def long_cycle_case(self, seed, hit_positions):
+        """A long cycle whose feasible exchanges start only at the given
+        positions of the search order, with dead ends (a pool edge into
+        cycle 1 but no return edge) at positions before them."""
+        L = self.LONG
+        order = rng_stream(seed, 6).permutation(L)  # cyc is 0..L-1
+        extra = []
+        for j, p in enumerate(hit_positions):
+            a = int(order[p])
+            h = L + j % 10
+            b = L + (j - 1) % 10
+            extra += [(a, h), (b, (a + 1) % L)]
+        for p in range(0, min(hit_positions, default=L), 37):
+            extra.append((int(order[p]), L + 5))
+        sd, pd, pool = cover_instance(
+            [list(range(L)), list(range(L, L + 10))], extra=extra)
+        ctx = _Ctx(sd, pool)
+        ctx.refresh(pd)
+        return sd, pd, ctx, order
+
+    @pytest.mark.parametrize("hits", [(256, 1000), (1279, 1450), (1280,), ()])
+    def test_hit_past_first_chunk(self, hits):
+        sd, pd, ctx, order = self.long_cycle_case(8, hits)
+        rng = rng_stream(8, 6)
+        twin = copy.deepcopy(rng)
+        got = pt._find_exchange(pd, 0, ctx, None, rng)
+        assert got == loop_find_exchange(pd, 0, ctx, None, twin)
+        assert np.array_equal(twin.integers(1 << 62, size=4),
+                              rng.integers(1 << 62, size=4))
+        if not hits:
+            assert got is None  # every chunk scanned, nothing feasible
+            return
+        a, b, eid1, eid2 = got
+        assert a == order[hits[0]] and b == self.LONG + 9
+        assert sd.edges[eid1].tolist() == [a, self.LONG]
+        assert sd.edges[eid2].tolist() == [b, (a + 1) % self.LONG]
+
+
 class TestPipelinePhaseThree:
     @pytest.fixture(scope="class")
     @staticmethod
