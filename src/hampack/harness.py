@@ -67,10 +67,10 @@ _TAU_MODES = {"merge": "merge", "any": "any", "rphi": "restrict-rphi"}
 
 
 def run_pipeline(params: ModelParams, rng: np.random.Generator,
-                 tau_mode: str = "merge", sd=None, budget=None,
-                 host: str = "erased"):
+                 tau_mode: str = "merge", sd=None):
     """sample -> partition -> matchings -> per-i repair -> verify.
 
+    sd, when given, is packed in place of an erased-model sample.
     Returns (sd, certificate, info).  info carries the sampler attempt
     count, per-i phase stats, and per-phase wall times.  Raises
     PhaseFailure (or a sampler error) when a phase gives up.
@@ -80,9 +80,7 @@ def run_pipeline(params: ModelParams, rng: np.random.Generator,
 
     t = clock()
     if sd is None:
-        sampler = (sample_erased_digraph if host == "erased"
-                   else sample_simple_digraph)
-        sd, attempts = sampler(params, rng)
+        sd, attempts = sample_erased_digraph(params, rng)
         info["attempts"] = attempts
     info["timings"]["sample"] = clock() - t
 
@@ -96,8 +94,7 @@ def run_pipeline(params: ModelParams, rng: np.random.Generator,
     pms = build_k_matchings(sd, part, rng, used=used)
     info["timings"]["phase1"] = clock() - t
 
-    if budget is None:
-        budget = PhaseTwoBudget.for_model(params.n, params.c, params.k)
+    budget = PhaseTwoBudget.for_model(params.n, params.c, params.k)
     mode = _TAU_MODES.get(tau_mode, tau_mode)
     covers = []
     t2 = t3 = 0.0
@@ -204,14 +201,15 @@ def _cert_digest(cert) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def run_trial(params: ModelParams, seed: int,
-              tau_mode: str = "merge") -> TrialRecord:
-    """Deterministic single trial; failures become outcome tags."""
+def run_trial(params: ModelParams, seed: int, tau_mode: str = "merge",
+              sd=None) -> TrialRecord:
+    """Deterministic single trial; failures become outcome tags.  sd,
+    when given, is the host to pack in place of a sampled one."""
     rec = TrialRecord(seed=seed, n=params.n, m=params.m, k=params.k,
                       c=params.c, z=params.z, outcome="")
     rng = rng_stream(seed)
     try:
-        sd, cert, info = run_pipeline(params, rng, tau_mode=tau_mode)
+        sd, cert, info = run_pipeline(params, rng, tau_mode=tau_mode, sd=sd)
     except PhaseFailure as exc:
         rec.outcome = f"failure:{exc.phase}"
         rec.detail = exc.detail
@@ -287,8 +285,9 @@ class SweepSummary:
 
 def _sweep_one(spec):
     ci, n, c, k, seed, tau_mode = spec
-    params = ModelParams.make(n, c, k)
-    return ci, run_trial(params, seed, tau_mode)
+    rec = run_trial(ModelParams.make(n, c, k), seed, tau_mode)
+    rec.certificate = None  # sweeps read the digest: keep n*k ints out of IPC
+    return ci, rec
 
 
 def run_sweep(ns, cs, ks, trials: int, seed: int, workers: int = 1,
@@ -701,43 +700,26 @@ def _cmd_pack(args, parser) -> int:
         if sd is None:
             return 64
         params = ModelParams.from_nmk(sd.n, sd.m, args.k or sd.k)
-        rng = rng_stream(args.seed)
-        try:
-            sd, cert, info = run_pipeline(params, rng,
-                                          tau_mode=args.tau_mode, sd=sd)
-        except (PhaseFailure, HampackError, ValueError) as exc:
-            tag = (exc.phase if isinstance(exc, PhaseFailure)
-                   else "internal" if isinstance(exc, ValueError)
-                   else "sample")
-            print(f"failure:{tag}: {exc}", file=sys.stderr)
-            return 2
-        rec = None
     else:
         if args.n is None or args.c is None or args.k is None:
             parser.error("pack needs --in or all of --n --c --k")
-        params = ModelParams.make(args.n, args.c, args.k)
-        rec = run_trial(params, args.seed, tau_mode=args.tau_mode)
-        if not rec.success:
-            print(f"{rec.outcome}: {rec.detail}", file=sys.stderr)
-            return 2
-        cert, info = rec.certificate, None
-    for j, cyc in enumerate(cert.cycles):
+        params, sd = ModelParams.make(args.n, args.c, args.k), None
+    rec = run_trial(params, args.seed, tau_mode=args.tau_mode, sd=sd)
+    if not rec.success:
+        print(f"{rec.outcome}: {rec.detail}", file=sys.stderr)
+        return 2
+    cert = rec.certificate
+    for cyc in cert.cycles:
         print(" ".join(str(int(v)) for v in cyc))
     meta = {
         "schema": SCHEMA,
         "mode": args.tau_mode,
         "k": cert.k,
         "seed": args.seed,
+        "kappa": rec.kappa,
+        "search_nodes": rec.search_nodes,
+        "cert_digest": rec.cert_digest,
     }
-    if rec is not None:
-        meta.update({"kappa": rec.kappa, "search_nodes": rec.search_nodes,
-                     "cert_digest": rec.cert_digest})
-    else:
-        meta.update({"kappa": [p.kappa if p.kappa else 2 * p.merges
-                               for p in info["phase3"]],
-                     "search_nodes": [p.search_nodes
-                                      for p in info["phase3"]],
-                     "cert_digest": _cert_digest(cert)})
     print(json.dumps(meta, sort_keys=True))
     if args.cert_out:
         with open(args.cert_out, "w", encoding="ascii") as fh:

@@ -3,12 +3,13 @@
 A digraph on [n] maps to a bipartite graph on A ∪ B (two copies of
 [n]) with an edge {a_u, b_v} per digraph edge (u, v); perfect
 matchings correspond to cycle covers.  For each i the working graph
-G_i is built from Ê_{1,i} plus the unused E_SMALL edges, a maximum
-matching is found, and any deficiency is repaired by streaming booster
-edges from Ê_{2,i} one at a time, each followed by a single
-augmenting-path search.  A global used-edge bitset keeps the k
-matchings edge-disjoint and stops E_SMALL edges from being spent
-twice.
+G_i is built from Ê_{1,i} plus the unused E_SMALL edges and given a
+maximum matching.  If that falls short of perfect, booster edges from
+Ê_{2,i} join G_i in uniform random order, and G_i takes the shortest
+prefix of them that makes a perfect matching possible, found by a
+search over prefix lengths with one maximum matching per probe.  A
+global used-edge bitset keeps the k matchings edge-disjoint and stops
+E_SMALL edges from being spent twice.
 
 The B side is relabeled by a uniform random permutation before
 matching and unrelabeled after, so the algorithmic tie-breaking cannot
@@ -18,12 +19,12 @@ uniform permutation.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
+from scipy.sparse.csgraph import (breadth_first_order,
+                                  maximum_bipartite_matching)
 
 from .errors import PhaseFailure
 from .model import SimpleDigraph, pair_csr
@@ -42,14 +43,11 @@ class BipartiteGraph:
 
     Edges are held as sorted pair codes a*n + b with their host edge
     ids aligned, and the same order read as CSR rows: A vertex a is
-    adjacent to indices[indptr[a]:indptr[a + 1]], ascending.  Edges
-    added later (boosters) wait in a per-vertex append buffer until
-    fold() merges them into the arrays.
+    adjacent to indices[indptr[a]:indptr[a + 1]], ascending.
     """
 
     def __init__(self, n: int, a, b, eids):
         self.n = int(n)
-        self._extra: dict[int, list[tuple[int, int]]] = {}
         self._build(np.asarray(a, dtype=np.int64),
                     np.asarray(b, dtype=np.int64),
                     np.asarray(eids, dtype=np.int64))
@@ -60,30 +58,9 @@ class BipartiteGraph:
         self.codes = a[order] * self.n + self.indices
         self.eids = eids[order]
 
-    def fold(self) -> None:
-        """Merge the booster buffer into the sorted arrays."""
-        if not self._extra:
-            return
-        extra = np.array([(a, b, e) for a, row in self._extra.items()
-                          for b, e in row], dtype=np.int64)
-        self._extra = {}
-        self._build(np.concatenate((self.codes // self.n, extra[:, 0])),
-                    np.concatenate((self.indices, extra[:, 1])),
-                    np.concatenate((self.eids, extra[:, 2])))
-
-    def add_edge(self, a: int, b: int, eid: int) -> None:
-        self._extra.setdefault(a, []).append((b, eid))
-
-    def has_edge(self, a: int, b: int) -> bool:
-        code = a * self.n + b
-        pos = np.searchsorted(self.codes, code)
-        if pos < len(self.codes) and self.codes[pos] == code:
-            return True
-        return any(b2 == b for b2, _ in self._extra.get(a, ()))
-
     @property
     def num_edges(self) -> int:
-        return len(self.codes) + sum(map(len, self._extra.values()))
+        return len(self.codes)
 
 
 def digraph_to_bipartite(edge_ids, sd: SimpleDigraph,
@@ -110,101 +87,50 @@ class Matching:
         return bool((self.pair_a >= 0).all())
 
     def check_consistent(self, g: BipartiteGraph) -> bool:
-        for a, b in enumerate(self.pair_a):
-            if b >= 0 and (self.pair_b[b] != a or not g.has_edge(a, int(b))):
-                return False
-        return True
+        a = np.nonzero(self.pair_a >= 0)[0]
+        b = self.pair_a[a]
+        return bool((self.pair_b[b] == a).all()
+                    and np.isin(a * g.n + b, g.codes).all())
 
 
-def maximum_matching(g: BipartiteGraph) -> Matching:
-    """Maximum-cardinality matching by scipy's Hopcroft-Karp over g's
-    CSR rows; deterministic for fixed arrays."""
-    g.fold()
-    mat = csr_matrix((np.ones(len(g.indices), dtype=np.int8), g.indices,
-                      g.indptr), shape=(g.n, g.n))
+def _matching(n: int, indptr: np.ndarray, indices: np.ndarray) -> Matching:
+    """scipy's Hopcroft-Karp over CSR rows of the A side."""
+    mat = csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr),
+                     shape=(n, n))
     pair_a = maximum_bipartite_matching(mat, perm_type="column")
     pair_a = pair_a.astype(np.int64)
-    pair_b = np.full(g.n, -1, dtype=np.int64)
+    pair_b = np.full(n, -1, dtype=np.int64)
     hit = np.nonzero(pair_a >= 0)[0]
     pair_b[pair_a[hit]] = hit
     return Matching(pair_a, pair_b)
 
 
-class _AlternatingForest:
-    """Reachability from exposed A-vertices along alternating paths.
+def maximum_matching(g: BipartiteGraph) -> Matching:
+    """Maximum-cardinality matching by scipy's Hopcroft-Karp over g's
+    CSR rows; deterministic for fixed arrays."""
+    return _matching(g.n, g.indptr, g.indices)
 
-    Grown incrementally as booster edges arrive: reach_a holds A
-    vertices reachable by even alternating paths, reach_b the B
-    vertices reachable by odd ones, parent_b the discovering A vertex.
-    An exposed vertex entering reach_b completes an augmenting path.
-    rows holds g's CSR rows as Python lists, which the search reads
-    faster than array slices; offered edges are appended to them.
-    """
 
-    def __init__(self, g: BipartiteGraph, mt: Matching):
-        ptr, ind = g.indptr.tolist(), g.indices.tolist()
-        self.rows = [ind[ptr[a]:ptr[a + 1]] for a in range(g.n)]
-        self.mt = mt
-
-    def rebuild(self):
-        n = len(self.rows)
-        self.reach_a = bytearray(n)
-        self.reach_b = bytearray(n)
-        self.parent_b = [-1] * n
-        self.queue = deque()
-        for a in np.nonzero(self.mt.pair_a < 0)[0].tolist():
-            self.reach_a[a] = 1
-            self.queue.append(a)
-        return self._drain()
-
-    def _visit(self, a: int, b: int):
-        """Mark b discovered from a; returns b if b is exposed."""
-        self.reach_b[b] = 1
-        self.parent_b[b] = a
-        a2 = int(self.mt.pair_b[b])
-        if a2 < 0:
-            return b
-        self.reach_a[a2] = 1
-        self.queue.append(a2)
-        return None
-
-    def _drain(self):
-        while self.queue:
-            a = self.queue.popleft()
-            for b in self.rows[a]:
-                if not self.reach_b[b]:
-                    hit = self._visit(a, b)
-                    if hit is not None:
-                        return hit
-        return None
-
-    def offer(self, a: int, b: int):
-        """Feed one new edge; returns an exposed B endpoint if this
-        completes an augmenting path, else None."""
-        self.rows[a].append(b)
-        if not self.reach_a[a] or self.reach_b[b]:
-            return None
-        hit = self._visit(a, b)
-        if hit is not None:
-            return hit
-        return self._drain()
-
-    def augment(self, b_end: int):
-        """Flip the alternating path ending at the exposed b_end."""
-        b = b_end
-        while b >= 0:
-            a = self.parent_b[b]
-            prev_b = int(self.mt.pair_a[a])
-            self.mt.pair_a[a] = b
-            self.mt.pair_b[b] = a
-            b = prev_b
-
-    def witness(self) -> tuple[np.ndarray, np.ndarray]:
-        """Hall violator: S = reachable A side, N(S) = reachable B side
-        with |N(S)| = |S| - (number of exposed roots) < |S|."""
-        s = np.nonzero(np.frombuffer(bytes(self.reach_a), dtype=np.uint8))[0]
-        ns = np.nonzero(np.frombuffer(bytes(self.reach_b), dtype=np.uint8))[0]
-        return s.astype(np.int64), ns.astype(np.int64)
+def _hall_violator(g: BipartiteGraph,
+                   mt: Matching) -> tuple[np.ndarray, np.ndarray]:
+    """Hall violator from a maximum matching mt of g: S and N(S) are the
+    A and B vertices that alternating paths from the exposed A vertices
+    reach, so |S| - |N(S)| is the deficiency.  S does not depend on
+    which maximum matching mt is (Dulmage-Mendelsohn)."""
+    n = g.n
+    exposed = np.nonzero(mt.pair_a < 0)[0]
+    mated = np.nonzero(mt.pair_b >= 0)[0]
+    # one BFS from a root 2n over A = [0, n) and B = [n, 2n): the root
+    # points at each exposed A vertex, A at B along g, B at its mate
+    tail = np.concatenate((g.codes // n, n + mated,
+                           np.full(len(exposed), 2 * n)))
+    head = np.concatenate((n + g.indices, mt.pair_b[mated], exposed))
+    arcs = csr_matrix((np.ones(len(tail), dtype=np.int8), (tail, head)),
+                      shape=(2 * n + 1, 2 * n + 1))
+    seen = breadth_first_order(arcs, 2 * n, return_predecessors=False)
+    seen = np.sort(seen[seen < 2 * n]).astype(np.int64)
+    split = np.searchsorted(seen, n)
+    return seen[:split], seen[split:] - n
 
 
 @dataclass
@@ -217,38 +143,64 @@ class BoosterReport:
         return self.witness is None
 
 
-def booster_augment(g: BipartiteGraph, mt: Matching, stream) -> BoosterReport:
-    """Repair a non-perfect maximum matching with streamed boosters.
+def booster_augment(g: BipartiteGraph, mt: Matching,
+                    boosters) -> BoosterReport:
+    """Repair a maximum matching mt of g with booster edges.
 
-    stream yields (a, b, host_edge_id) triples; each edge joins g and
-    triggers at most one augmenting-path extension.  Scanning stops as
-    soon as the matching is perfect.  On exhaustion the report carries
-    the Hall violator certifying that no perfect matching exists in
-    the graph examined so far.
+    boosters holds (a, b, host_edge_id) rows in the order they are
+    offered; a row whose pair is already in g or repeats an earlier row
+    is dropped.  consumed is the length of the shortest prefix of the
+    rest whose union with g has a perfect matching, g is rebuilt with
+    that prefix, and the report carries a perfect matching of it.  When
+    no prefix has one, every booster joins g and the report carries the
+    Hall violator certifying that.
+
+    Adding one edge raises the maximum matching by at most one, so a
+    prefix of length t that is d short of perfect rules out every
+    prefix shorter than t + d.  The search gallops from the deficiency
+    of mt, then bisects; each probe is one maximum matching.
     """
-    g.fold()
-    forest = _AlternatingForest(g, mt)
-    hit = forest.rebuild()
-    while hit is not None:  # mt was not maximum: finish the job first
-        forest.augment(hit)
-        hit = forest.rebuild()
-    consumed = 0
-    for a, b, eid in stream:
-        if mt.is_perfect():
-            break
-        a, b = int(a), int(b)
-        if g.has_edge(a, b):
-            continue
-        g.add_edge(a, b, int(eid))
-        consumed += 1
-        hit = forest.offer(a, b)
-        while hit is not None:
-            forest.augment(hit)
-            hit = forest.rebuild()
+    n = g.n
     if mt.is_perfect():
-        return BoosterReport(matching=mt, consumed=consumed, witness=None)
-    return BoosterReport(matching=mt, consumed=consumed,
-                         witness=forest.witness())
+        return BoosterReport(matching=mt, consumed=0, witness=None)
+    a, b, eids = np.asarray(boosters, dtype=np.int64).reshape(-1, 3).T
+    codes = a * n + b
+    _, first = np.unique(codes, return_index=True)
+    first = np.sort(first[~np.isin(codes[first], g.codes)])
+    a, b, eids = a[first], b[first], eids[first]
+    base_a = g.codes // n
+
+    def grown(t: int):
+        return (np.concatenate((base_a, a[:t])),
+                np.concatenate((g.indices, b[:t])),
+                np.concatenate((g.eids, eids[:t])))
+
+    def probe(t: int) -> Matching:
+        ga, gb, _ = grown(t)
+        order, indptr = pair_csr(ga, gb, n, n)
+        return _matching(n, indptr, gb[order])
+
+    total = len(a)
+    lo = n - mt.size  # no shorter prefix can be perfect
+    hi = min(lo, total)
+    found = probe(hi)
+    while not found.is_perfect() and hi < total:
+        lo = hi + n - found.size
+        hi = min(2 * hi, total)
+        found = probe(hi)
+    if not found.is_perfect():
+        g._build(*grown(total))
+        return BoosterReport(matching=found, consumed=total,
+                             witness=_hall_violator(g, found))
+    while lo < hi:  # the shortest perfect prefix lies in [lo, hi]
+        mid = (lo + hi) // 2
+        trial = probe(mid)
+        if trial.is_perfect():
+            hi, found = mid, trial
+        else:
+            lo = mid + n - trial.size
+    g._build(*grown(hi))
+    return BoosterReport(matching=found, consumed=hi, witness=None)
 
 
 @dataclass
@@ -262,7 +214,6 @@ class PerfectMatching:
 
 def _finalize(g: BipartiteGraph, mt: Matching,
               unlabel: np.ndarray) -> PerfectMatching:
-    g.fold()
     pos = np.searchsorted(g.codes, np.arange(g.n) * g.n + mt.pair_a)
     return PerfectMatching(succ=unlabel[mt.pair_a], edge_ids=g.eids[pos])
 
@@ -295,9 +246,8 @@ def build_k_matchings(sd: SimpleDigraph, part: EdgePartition,
             pool2 = part.pool_edges(2, i)
             pool2 = pool2[~used[pool2] & ~part.e_small[pool2]]
             pool2 = pool2[rng.permutation(len(pool2))]
-            uu = sd.edges[pool2, 0]
-            vv = label[sd.edges[pool2, 1]]
-            report = booster_augment(g, mt, zip(uu, vv, pool2))
+            report = booster_augment(g, mt, np.column_stack(
+                (sd.edges[pool2, 0], label[sd.edges[pool2, 1]], pool2)))
             if not report.is_perfect():
                 s, ns = report.witness
                 raise PhaseFailure(

@@ -12,11 +12,12 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from hampack import matching
 from hampack.errors import PhaseFailure
 from hampack.matching import (BipartiteGraph, Matching, booster_augment,
                               build_k_matchings, digraph_to_bipartite,
                               matching_to_cycle_cover, maximum_matching)
-from hampack.model import SimpleDigraph
+from hampack.model import ModelParams, SimpleDigraph, sample_erased_digraph
 from hampack.partition import compute_small, split_edges
 from hampack.rng import rng_stream
 
@@ -141,11 +142,35 @@ class TestMaximumMatching:
         assert mt.check_consistent(g)
 
 
+def booster_stream(n, pairs, length, rng):
+    """Random boosters with repeats and pairs already in the graph mixed
+    in, each with a distinct host edge id."""
+    out = []
+    for j in range(length):
+        pick = rng.random()
+        if pick < 0.2 and pairs:
+            a, b = pairs[int(rng.integers(len(pairs)))]
+        elif pick < 0.4 and out:
+            a, b, _ = out[int(rng.integers(len(out)))]
+        else:
+            a, b = int(rng.integers(n)), int(rng.integers(n))
+        out.append((a, b, 1000 + j))
+    return out
+
+
+def nx_matching_size(n, pairs) -> int:
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(2 * n))
+    nxg.add_edges_from((a, n + b) for a, b in pairs)
+    pairing = nx.bipartite.hopcroft_karp_matching(nxg, top_nodes=range(n))
+    return len(pairing) // 2
+
+
 class TestBoosterAugment:
     def test_perfect_input_untouched(self):
         g = graph_of(3, [(v, v) for v in range(3)])
         mt = maximum_matching(g)
-        report = booster_augment(g, mt, iter([(0, 1, 99)]))
+        report = booster_augment(g, mt, [(0, 1, 99)])
         assert report.is_perfect()
         assert report.consumed == 0
 
@@ -154,7 +179,7 @@ class TestBoosterAugment:
         g = graph_of(2, [(0, 0), (1, 0)])
         mt = maximum_matching(g)
         assert mt.size == 1
-        report = booster_augment(g, mt, iter([(1, 1, 2)]))
+        report = booster_augment(g, mt, [(1, 1, 2)])
         assert report.is_perfect()
         assert report.consumed == 1
         assert report.matching.check_consistent(g)
@@ -163,7 +188,7 @@ class TestBoosterAugment:
         # three A vertices contending for one B vertex
         g = graph_of(3, [(a, 0) for a in range(3)])
         mt = maximum_matching(g)
-        report = booster_augment(g, mt, iter([]))
+        report = booster_augment(g, mt, [])
         assert not report.is_perfect()
         s, ns = report.witness
         assert len(ns) < len(s)
@@ -173,8 +198,8 @@ class TestBoosterAugment:
         assert neighborhood == set(ns.tolist())
 
     def test_incremental_equals_batch(self):
-        # after any prefix of boosters, the incremental matching has the
-        # size a from-scratch maximum matching finds on the same graph
+        # the report's matching has the size a from-scratch maximum
+        # matching finds on the graph booster_augment leaves behind
         rng = rng_stream(34, 0)
         for trial in range(30):
             n = int(rng.integers(4, 16))
@@ -182,28 +207,65 @@ class TestBoosterAugment:
             mt = maximum_matching(g)
             boosters = [(int(a), int(b), 1000 + j) for j, (a, b) in enumerate(
                 zip(rng.integers(0, n, 25), rng.integers(0, n, 25)))]
-            report = booster_augment(g, mt, iter(boosters))
+            report = booster_augment(g, mt, boosters)
             fresh = maximum_matching(g)
             assert report.matching.size == fresh.size
             assert report.matching.check_consistent(g)
 
-    def test_augmenting_never_uncovers(self):
+    def test_minimal_prefix(self):
+        # consumed is the shortest prefix of the new, distinct boosters
+        # whose graph networkx finds perfect; on failure the witness is
+        # a Hall violator as large as the deficiency
         rng = rng_stream(35, 0)
-        g = random_bipartite(12, 0.12, rng)
-        mt = maximum_matching(g)
-        covered_before = set(np.nonzero(mt.pair_a >= 0)[0].tolist())
-        boosters = [(int(a), int(b), 500 + j) for j, (a, b) in enumerate(
-            zip(rng.integers(0, 12, 40), rng.integers(0, 12, 40)))]
-        report = booster_augment(g, mt, iter(boosters))
-        covered_after = set(np.nonzero(report.matching.pair_a >= 0)[0].tolist())
-        assert covered_before <= covered_after
+        outcomes = set()
+        for trial in range(40):
+            n = int(rng.integers(4, 14))
+            pairs = random_pairs(n, 0.15, rng)
+            g = graph_of(n, pairs)
+            stream = booster_stream(n, pairs, 30, rng)
+            report = booster_augment(g, maximum_matching(g), stream)
+            kept = []
+            for a, b, _ in stream:
+                if (a, b) not in pairs and (a, b) not in kept:
+                    kept.append((a, b))
+            want = next((t for t in range(len(kept) + 1)
+                         if nx_matching_size(n, pairs + kept[:t]) == n),
+                        len(kept))
+            assert report.consumed == want
+            assert g.num_edges == len(pairs) + want
+            assert report.matching.check_consistent(g)
+            outcomes.add(report.is_perfect())
+            if report.is_perfect():
+                assert report.matching.is_perfect()
+                continue
+            s, ns = report.witness
+            edges = pairs + kept
+            assert {b for a, b in edges if a in set(s.tolist())} \
+                == set(ns.tolist())
+            assert len(s) - len(ns) == n - nx_matching_size(n, edges)
+        assert outcomes == {True, False}
+
+
+def forced_booster_host(keep2: float):
+    """A (500, 100, 1) host and partition with 97 % of pool 1's
+    non-E_SMALL edges moved into pool 2, and only a keep2 share of
+    pool 2's kept there: phase 1 falls about 250 short."""
+    params = ModelParams.make(500, 100.0, 1)
+    sd, _ = sample_erased_digraph(params, rng_stream(1))
+    rng = rng_stream(1, 0)
+    part = split_edges(sd, 1, rng)
+    compute_small(sd, part, params.c, 1)
+    side = np.random.default_rng(1)
+    p1 = np.nonzero((part.pool_t == 1) & ~part.e_small)[0]
+    part.pool_t[p1[side.random(len(p1)) < 0.97]] = 2
+    p2 = np.nonzero((part.pool_t == 2) & ~part.e_small)[0]
+    part.pool_t[p2[side.random(len(p2)) >= keep2]] = 3
+    return sd, part, rng
 
 
 class TestBuildK:
-    def _check(self, params, sd, k, seed):
-        rng = rng_stream(seed, 0)
-        part = split_edges(sd, k, rng)
-        compute_small(sd, part, params.c, k)
+    @staticmethod
+    def _build(sd, part, rng):
         used = np.zeros(sd.m, dtype=bool)
         pms = build_k_matchings(sd, part, rng, used=used)
         all_ids = np.concatenate([pm.edge_ids for pm in pms])
@@ -215,6 +277,32 @@ class TestBuildK:
             assert np.array_equal(sd.edges[pm.edge_ids, 0], np.arange(sd.n))
             assert np.array_equal(sd.edges[pm.edge_ids, 1], pm.succ)
         return pms
+
+    def _check(self, params, sd, k, seed):
+        rng = rng_stream(seed, 0)
+        part = split_edges(sd, k, rng)
+        compute_small(sd, part, params.c, k)
+        return self._build(sd, part, rng)
+
+    def test_forced_boosters(self, monkeypatch):
+        # consumed is pinned to the count that augmenting one booster
+        # at a time found on this case
+        reports = []
+        real = matching.booster_augment
+
+        def recorded(*args):
+            reports.append(real(*args))
+            return reports[-1]
+        monkeypatch.setattr(matching, "booster_augment", recorded)
+        self._build(*forced_booster_host(1.0))
+        assert [r.consumed for r in reports] == [1072]
+
+    def test_forced_boosters_run_out(self):
+        # witness sizes and consumed as augmenting one booster at a time
+        # found them on this case
+        with pytest.raises(PhaseFailure, match=r"\|S\|=132 > \|N\(S\)\|=122 "
+                           r"after 1001 boosters"):
+            build_k_matchings(*forced_booster_host(0.05))
 
     def test_k1_host(self, host_5k):
         params, sd = host_5k
