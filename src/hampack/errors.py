@@ -16,7 +16,7 @@ class InfeasibleDegreeError(HampackError):
 
 
 class ConditioningFailureError(HampackError):
-    """Degree-sequence rejection loop exceeded its attempt cap."""
+    """A degree-vector sampler exceeded its attempt cap."""
 
 
 class RejectionStallError(HampackError):

@@ -398,7 +398,7 @@ def stats_simplicity_rate(n: int, c: float, k: int, attempts: int,
     loop/duplicate moments are functions of the sequence only through
     sums that concentrate, and the analysis itself conditions on the
     sequence.  fresh_degrees redraws it per attempt (the whole-sampler
-    acceptance rate) at sqrt(n)-rejection cost per attempt.
+    acceptance rate), at the cost of two degree vectors per attempt.
     """
     params = ModelParams.make(n, c, k)
     rng = rng_stream(seed, 61)

@@ -16,8 +16,19 @@ inside (c-(k+1), c).
 Sampling proceeds in three stages:
 
 1. draw n iid truncated-Poisson out-degrees conditioned on their sum
-   being exactly m (full-vector rejection), and independently the
-   in-degrees;
+   being exactly m, and independently the in-degrees.  That law does
+   not depend on z: its pmf is z^m / f_{k+1}(z)^n * prod 1/x_i!, which
+   on {x_i >= k+1, sum x_i = m} is proportional to prod 1/x_i!.  So is
+   the pmf of Multinomial(m; 1/n, ..., 1/n) conditioned on every count
+   being >= k+1, and the two laws are equal.  Each vector comes from
+   whichever exact path is expected to be cheaper at (n, m, k):
+   - multinomial: bincount m uniform vertex labels, redrawn until the
+     minimum is >= k+1 (about e^lambda * m labels, with
+     lambda = n * P(Pois(c) <= k) the expected number of counts below
+     the floor);
+   - rejection: n truncated-Poisson draws, redrawn until the sum is m
+     (about sqrt(2 pi sigma^2 n) * n draws), the path for low c where
+     the floor almost never holds by chance;
 2. pair degree slots uniformly at random (bipartite configuration
    model): edge j of the multigraph is (heads[j], tails[j]) where heads
    is a uniform shuffle of the out-degree multiset and tails of the
@@ -44,7 +55,8 @@ from .errors import (ConditioningFailureError, EdgeListFormatError,
 
 __all__ = [
     "tail_sum", "rho", "sigma2", "solve_z", "ModelParams", "TruncatedPoisson",
-    "DegreeSequence", "conditioned_degree_vector", "sample_degree_sequence",
+    "DegreeSequence", "degree_vector_path", "conditioned_degree_vector",
+    "sample_degree_sequence",
     "ConfigDigraph", "pair_configuration", "duplicate_pair_count",
     "pair_csr", "SimpleDigraph", "sample_simple_digraph",
     "sample_erased_digraph",
@@ -279,19 +291,50 @@ class DegreeSequence:
 
 
 _BATCH_ROWS = 64
+# attempts allowed per vector, per sqrt(n)
+_CAP_PER_ROOT_N = 1e6
 
 
-def conditioned_degree_vector(params: ModelParams,
-                              rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """One n-vector of iid truncated-Poisson draws conditioned on sum m.
+def degree_vector_path(n: int, m: int, k: int) -> str:
+    """"multinomial" or "rejection": the cheaper exact path at (n, m, k).
 
-    Conditioning is by rejection: the whole vector is redrawn until the
-    sum is exactly m.  Acceptance is Theta(1/sqrt(n)); the cap of
-    1e6*sqrt(n) attempts is unreachable in practice.  Returns the
-    vector and the number of attempts consumed.
+    The multinomial path meets the floor with probability about
+    e^-lambda, lambda = n * P(Pois(m/n) <= k), and costs m labels per
+    try; rejection hits sum m with probability about
+    1/sqrt(2 pi sigma^2 n) and costs n draws per try.  The expected
+    costs are compared in logs.  Raises InfeasibleDegreeError when
+    m/n <= k+1, as the sampler does.
     """
+    c = m / n
+    z = solve_z(c, k)
+    lam = n * math.fsum(math.exp(j * math.log(c) - c - math.lgamma(j + 1))
+                        for j in range(k + 1))
+    multinomial = lam + math.log(m)
+    rejection = 0.5 * math.log(2 * math.pi * sigma2(z, k) * n) + math.log(n)
+    return "multinomial" if multinomial < rejection else "rejection"
+
+
+def _multinomial_vector(params: ModelParams, rng: np.random.Generator,
+                        cap: int) -> tuple[np.ndarray, int]:
+    """Counts of m uniform labels over n vertices, redrawn until every
+    count is >= k+1; returns the vector and the draws consumed."""
+    floor = params.k + 1
+    for attempt in range(1, cap + 1):
+        vec = np.bincount(rng.integers(0, params.n, params.m),
+                          minlength=params.n)
+        if vec.min() >= floor:
+            return vec.astype(np.int64, copy=False), attempt
+    raise ConditioningFailureError(
+        f"conditioning failure: no count vector with min >= {floor} "
+        f"in {cap} attempts")
+
+
+def _rejection_vector(params: ModelParams, rng: np.random.Generator,
+                      cap: int) -> tuple[np.ndarray, int]:
+    """n truncated-Poisson draws, redrawn in blocks of _BATCH_ROWS
+    vectors until one sums to m; returns it and the vectors consumed
+    up to and including it."""
     sampler = TruncatedPoisson(params.require_z(), params.k)
-    cap = int(1e6 * math.sqrt(params.n))
     attempts = 0
     while attempts < cap:
         block = sampler.sample(rng, (_BATCH_ROWS, params.n))
@@ -303,6 +346,27 @@ def conditioned_degree_vector(params: ModelParams,
         attempts += _BATCH_ROWS
     raise ConditioningFailureError(
         f"conditioning failure: no sum-{params.m} vector in {cap} attempts")
+
+
+def conditioned_degree_vector(params: ModelParams,
+                              rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """One n-vector of iid truncated-Poisson draws conditioned on sum m.
+
+    The law has pmf proportional to prod 1/x_i! on
+    {x_i >= k+1, sum x_i = m}, whatever z is, and so does
+    Multinomial(m; 1/n, ..., 1/n) conditioned on every count being
+    >= k+1.  Two exact paths draw it, and degree_vector_path picks the
+    one expected to be cheaper at (n, m, k): the count of m uniform
+    labels, redrawn until its minimum is >= k+1, when the floor holds
+    by chance often enough; n truncated-Poisson draws, redrawn until
+    they sum to m, otherwise (low c).  Either stops after 1e6*sqrt(n)
+    vectors with ConditioningFailureError, a cap that is unreachable in
+    practice.  Returns the vector and the number of vectors drawn.
+    """
+    cap = int(_CAP_PER_ROOT_N * math.sqrt(params.n))
+    if degree_vector_path(params.n, params.m, params.k) == "multinomial":
+        return _multinomial_vector(params, rng, cap)
+    return _rejection_vector(params, rng, cap)
 
 
 def sample_degree_sequence(params: ModelParams,

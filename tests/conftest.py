@@ -2,8 +2,21 @@
 
 import pytest
 
+from hampack import model
 from hampack.model import ModelParams, sample_erased_digraph, sample_simple_digraph
 from hampack.rng import rng_stream
+
+
+def _rejection(n, m, k):
+    return "rejection"
+
+
+@pytest.fixture
+def rejection_path(monkeypatch):
+    """Draw the test's degree vectors by full-vector rejection at every
+    point.  Tests that pin a value on a sampled host use it, so that the
+    host is the one the value was taken on."""
+    monkeypatch.setattr(model, "degree_vector_path", _rejection)
 
 
 @pytest.fixture(scope="session")
@@ -28,7 +41,10 @@ def host_5k():
 
 @pytest.fixture(scope="session")
 def host_k2():
-    """n=2000, c=100, k=2 erased host."""
+    """n=2000, c=100, k=2 erased host, its degree vectors drawn by
+    rejection (test_matching pins phase 1's output on it)."""
     params = ModelParams.make(2000, 100.0, 2)
-    sd, _ = sample_erased_digraph(params, rng_stream(171717, 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "degree_vector_path", _rejection)
+        sd, _ = sample_erased_digraph(params, rng_stream(171717, 1))
     return params, sd

@@ -3,8 +3,8 @@
 Each test prints a single verdict line carrying the measured quantity, so
 the captured output doubles as the acceptance report; the `pytest -v`
 transcript gives the same pass/fail per criterion through the test names.
-All seeds are fixed.  The end-to-end gates (1 and 2) and the chi-square
-fit (3) dominate the runtime, roughly two minutes combined.
+All seeds are fixed.  The end-to-end gates (1 and 2) and the
+simplicity rate (4) dominate the runtime, about 35 seconds combined.
 """
 
 import functools

@@ -53,7 +53,8 @@ class TestRunTrial:
         assert doc["schema"] == 1
         assert "timings" not in doc and "certificate" not in doc
 
-    def test_failure_is_attributed_not_raised(self):
+    def test_failure_is_attributed_not_raised(self, rejection_path):
+        # seed 7 fails on the host the rejection path draws
         params = ModelParams.make(800, 30.0, 1)
         rec = hn.run_trial(params, 7)
         assert rec.outcome.startswith("failure:")
@@ -274,6 +275,18 @@ class TestFailureTags:
         assert code == 2 and emitted in FAILURE_TAGS
         assert emitted == f"failure:{tag}" and fragment in err
 
+    def test_multinomial_cap_is_a_sample_failure(self, monkeypatch):
+        # forced onto the multinomial path at (300, 3, 1), where about 60
+        # counts per draw fall below the floor, with a cap of
+        # int(sqrt(300)) = 17 draws
+        monkeypatch.setattr(md, "degree_vector_path",
+                            lambda n, m, k: "multinomial")
+        monkeypatch.setattr(md, "_CAP_PER_ROOT_N", 1.0)
+        rec = hn.run_trial(ModelParams.make(300, 3.0, 1), 9)
+        assert rec.outcome == "failure:sample"
+        assert "min >= 2 in 17 attempts" in rec.detail
+        assert rec.seed == 9 and rec.cert_digest is None
+
     def test_every_tag_is_driven(self):
         assert {f"failure:{spec[3]}" for spec in FAILURE_CASES.values()} \
             == set(FAILURE_TAGS)
@@ -472,7 +485,8 @@ class TestCLI:
         doc = json.loads(cert_file.read_text())
         assert doc["k"] == 1 and doc["cycles"][0] == cycle
 
-    def test_pack_failure_exit_code(self, capsys):
+    def test_pack_failure_exit_code(self, capsys, rejection_path):
+        # seed 7 fails on the host the rejection path draws
         code = hn.main(["pack", "--n", "800", "--c", "30", "--k", "1",
                         "--seed", "7"])
         captured = capsys.readouterr()

@@ -249,7 +249,8 @@ class TestBoosterAugment:
 def forced_booster_host(keep2: float):
     """A (500, 100, 1) host and partition with 97 % of pool 1's
     non-E_SMALL edges moved into pool 2, and only a keep2 share of
-    pool 2's kept there: phase 1 falls about 250 short."""
+    pool 2's kept there: phase 1 falls about 250 short.  Tests that
+    pin values on it draw it with the rejection_path fixture."""
     params = ModelParams.make(500, 100.0, 1)
     sd, _ = sample_erased_digraph(params, rng_stream(1))
     rng = rng_stream(1, 0)
@@ -284,7 +285,7 @@ class TestBuildK:
         compute_small(sd, part, params.c, k)
         return self._build(sd, part, rng)
 
-    def test_forced_boosters(self, monkeypatch):
+    def test_forced_boosters(self, monkeypatch, rejection_path):
         # consumed is pinned to the count that augmenting one booster
         # at a time found on this case
         reports = []
@@ -297,7 +298,7 @@ class TestBuildK:
         self._build(*forced_booster_host(1.0))
         assert [r.consumed for r in reports] == [1072]
 
-    def test_forced_boosters_run_out(self):
+    def test_forced_boosters_run_out(self, rejection_path):
         # witness sizes and consumed as augmenting one booster at a time
         # found them on this case
         with pytest.raises(PhaseFailure, match=r"\|S\|=132 > \|N\(S\)\|=122 "

@@ -6,6 +6,7 @@ than the package's own series code, and a handful of calibrated values
 are frozen as regression anchors.
 """
 
+import collections
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hampack import model as md
 from hampack.errors import (ConditioningFailureError, EdgeListFormatError,
                             InfeasibleDegreeError, PhaseFailure,
                             RejectionStallError, TailUnderflowError)
@@ -199,6 +201,108 @@ class TestConditionedVector:
         predicted = math.sqrt(
             2 * math.pi * sigma2(tiny_params.z, tiny_params.k) * tiny_params.n)
         assert 0.5 * predicted < total / reps < 2.0 * predicted
+
+
+def conditional_pmf(n: int, m: int, k: int) -> dict[tuple, float]:
+    """Every vector with entries >= k+1 summing to m, weighted by
+    prod 1/x_i! and normalized: the law both sampler paths must give."""
+    def vectors(slots, total):
+        if slots == 1:
+            yield (total,)
+            return
+        for x in range(k + 1, total - (k + 1) * (slots - 1) + 1):
+            for rest in vectors(slots - 1, total - x):
+                yield (x,) + rest
+    weights = {v: math.exp(-sum(math.lgamma(x + 1) for x in v))
+               for v in vectors(n, m)}
+    total = math.fsum(weights.values())
+    return {v: w / total for v, w in weights.items()}
+
+
+def chi_square_p(draws: list[tuple], pmf: dict[tuple, float]) -> float:
+    """Pearson p value of the draws against pmf, cells of expected
+    count < 5 pooled into one."""
+    counts = collections.Counter(draws)
+    assert set(counts) <= set(pmf), "a vector outside the support"
+    big = sorted(v for v, p in pmf.items() if p * len(draws) >= 5)
+    obs = [counts[v] for v in big]
+    exp = [pmf[v] * len(draws) for v in big]
+    rest = len(draws) - sum(obs)
+    if rest or len(big) < len(pmf):
+        obs.append(rest)
+        exp.append(len(draws) - math.fsum(exp))
+    return float(scipy.stats.chisquare(obs, exp).pvalue)
+
+
+class TestExactLaw:
+    """Each path against the enumerated conditional law at tiny points.
+
+    10^4 draws per path and point; the Pearson test must give p > 1e-4,
+    and the total variation distance to the law must be below twice the
+    mean distance of 10^4 exact draws (0.012-0.044 at these points).
+    The same Pearson test on the same draws rejects the uniform law on
+    the support, so it can see a wrong law.
+    """
+
+    POINTS = [(3, 9, 1), (4, 14, 2), (5, 15, 1)]
+    DRAWS = 10_000
+
+    @pytest.mark.parametrize("path", [md._multinomial_vector,
+                                      md._rejection_vector],
+                             ids=["multinomial", "rejection"])
+    @pytest.mark.parametrize("point", POINTS, ids=str)
+    def test_path_draws_the_conditional_law(self, path, point):
+        n, m, k = point
+        params = ModelParams.from_nmk(n, m, k)
+        pmf = conditional_pmf(n, m, k)
+        rng = rng_stream(derive_seed(18, *point), 0)
+        draws = []
+        for _ in range(self.DRAWS):
+            vec, attempts = path(params, rng, 10_000)
+            assert vec.dtype == np.int64 and attempts >= 1
+            draws.append(tuple(vec.tolist()))
+        assert chi_square_p(draws, pmf) > 1e-4
+        counts = collections.Counter(draws)
+        tv = 0.5 * sum(abs(counts[v] / self.DRAWS - p)
+                       for v, p in pmf.items())
+        # mean total variation of DRAWS exact draws, from the normal
+        # approximation E|p_hat - p| = sqrt(2 p (1 - p) / (pi N))
+        noise = 0.5 * sum(math.sqrt(2 * p * (1 - p) / (math.pi * self.DRAWS))
+                          for p in pmf.values())
+        assert tv < 2 * noise
+        uniform = {v: 1 / len(pmf) for v in pmf}
+        assert chi_square_p(draws, uniform) < 1e-4
+
+
+class TestPathChoice:
+    @pytest.mark.parametrize("point", [(2000, 100, 2), (5000, 50, 1),
+                                       (100_000, 20, 1)], ids=str)
+    def test_multinomial_where_the_floor_holds_by_chance(self, point):
+        n, c, k = point
+        assert md.degree_vector_path(n, c * n, k) == "multinomial"
+
+    @pytest.mark.parametrize("point", [(300, 3, 1), (10_000, 5, 1),
+                                       (100_000, 10, 1)], ids=str)
+    def test_rejection_at_low_c(self, point):
+        n, c, k = point
+        assert md.degree_vector_path(n, c * n, k) == "rejection"
+
+    def test_dispatch_follows_the_choice(self, monkeypatch):
+        # the chosen path draws the vector: same vector, same stream
+        params = ModelParams.make(200, 10.0, 1)
+        for name, path in (("multinomial", md._multinomial_vector),
+                           ("rejection", md._rejection_vector)):
+            monkeypatch.setattr(md, "degree_vector_path",
+                                lambda n, m, k, name=name: name)
+            a, b = rng_stream(20, 0), rng_stream(20, 0)
+            vec, draws = conditioned_degree_vector(params, a)
+            ref, ref_draws = path(params, b, int(1e6 * math.sqrt(200)))
+            assert np.array_equal(vec, ref) and draws == ref_draws
+            assert a.integers(1 << 62) == b.integers(1 << 62)
+
+    def test_infeasible_point_refused(self):
+        with pytest.raises(InfeasibleDegreeError):
+            md.degree_vector_path(10, 20, 1)
 
 
 class TestPairing:
