@@ -406,7 +406,7 @@ def out_phase(pd: PermutationDigraph, cid: int, ctx: _Ctx, w_set: bytearray,
                 leaves.sort(key=lambda nd: -nd.path_v)
                 return ("leaves", u0, leaves[:budget.leaf_cap])
             return ("fail", "tree stalled with no long-path leaf")
-        if sum(w_set) > budget.w_cap:
+        if w_set.count(1) > budget.w_cap:
             return ("fail", "burnt-vertex cap exceeded")
         level = nxt
     return ("fail", "level budget exhausted")
@@ -530,7 +530,7 @@ def in_phase(pd: PermutationDigraph, u0: int, leaves: list, ctx: _Ctx,
     branch = budget.in_branch or budget.alpha
     # each start burns two vertices; never spend more than half the
     # remaining W headroom on one attempt so a retry stays possible
-    headroom = budget.w_cap - sum(w_set)
+    headroom = budget.w_cap - w_set.count(1)
     if headroom <= 0:
         return None
     max_starts = min(budget.max_starts, max(16, headroom // 4))
@@ -557,7 +557,7 @@ def in_phase(pd: PermutationDigraph, u0: int, leaves: list, ctx: _Ctx,
                 if hit is not None:
                     return hit
                 nxt.append(x)
-        if sum(w_set) > budget.w_cap:
+        if w_set.count(1) > budget.w_cap:
             return None
         frontier = nxt
     return None
@@ -635,11 +635,11 @@ def eliminate_small_cycles(pd: PermutationDigraph, sd: SimpleDigraph,
         if new_pd is None:
             raise PhaseFailure(
                 "phase2", f"could not remove a {clen}-cycle "
-                f"(|W|={sum(w_set)}, cap={budget.w_cap})")
+                f"(|W|={w_set.count(1)}, cap={budget.w_cap})")
         _assert_progress(pd, new_pd, budget.n0)
         stats.eliminated.append(clen)
         pd = new_pd
-    stats.w_size = sum(w_set)
+    stats.w_size = w_set.count(1)
     if pd.cycle_lens.min() < budget.n0:
         raise PhaseFailure("phase2", "postcondition violated")
     return pd, stats

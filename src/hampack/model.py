@@ -36,15 +36,18 @@ Sampling proceeds in three stages:
 3. either reject non-simple pairings outright (exactly uniform over
    simple digraphs, but the acceptance rate decays like
    exp(-rho^2/c - O(c)), which is astronomically small beyond c ~ 5),
-   or erase loops and duplicate ordered pairs (near-uniform, and the
-   only practical option at the mean degrees where Hamilton packing is
-   interesting).
+   or erase loops and repeated ordered pairs, keeping the first copy of
+   each pair in pairing order (near-uniform, and the only practical
+   option at the mean degrees where Hamilton packing is interesting).
+   Erasure reads one argsort of the pair codes u*n + v; the host then
+   sorts its codes once more to check them, and once for its lookup
+   index, built on the first edge_lookup.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -379,78 +382,66 @@ def sample_degree_sequence(params: ModelParams,
 
 @dataclass
 class ConfigDigraph:
-    """A pairing of degree slots: possibly with loops and multi-edges.
+    """A pairing of degree slots, possibly with loops and repeated pairs.
 
-    slots is the flat sequence x of 2m vertex labels; edge j is
-    (x[2j], x[2j+1]).  loops/multis hold the edge indices that are
-    loops or members of a duplicated ordered pair.
+    Edge j of the multigraph is (heads[j], tails[j]), in pairing order.
+    Nothing else is stored: loops and degrees are computed when asked
+    for, and repeated pairs are counted by duplicate_pair_count.
     """
 
     n: int
-    slots: np.ndarray
-    loops: np.ndarray = field(default=None)
-    multis: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.loops is None or self.multis is None:
-            self.recompute_defects()
+    heads: np.ndarray
+    tails: np.ndarray
 
     @property
     def m(self) -> int:
-        return len(self.slots) // 2
+        return len(self.heads)
 
     @property
-    def heads(self) -> np.ndarray:
-        return self.slots[0::2]
+    def loops(self) -> np.ndarray:
+        """Indices of the edges that are loops."""
+        return np.flatnonzero(self.heads == self.tails)
 
     @property
-    def tails(self) -> np.ndarray:
-        return self.slots[1::2]
-
-    def recompute_defects(self):
-        heads, tails = self.heads, self.tails
-        self.loops = np.nonzero(heads == tails)[0]
-        codes = heads.astype(np.int64) * self.n + tails
-        _, inv, counts = np.unique(codes, return_inverse=True,
-                                   return_counts=True)
-        self.multis = np.nonzero(counts[inv] > 1)[0]
-
-    def is_simple(self) -> bool:
-        return len(self.loops) == 0 and len(self.multis) == 0
-
-    def out_degrees(self) -> np.ndarray:
+    def out_deg(self) -> np.ndarray:
         return np.bincount(self.heads, minlength=self.n)
 
-    def in_degrees(self) -> np.ndarray:
+    @property
+    def in_deg(self) -> np.ndarray:
         return np.bincount(self.tails, minlength=self.n)
+
+    def is_simple(self) -> bool:
+        return len(self.loops) == 0 and duplicate_pair_count(self) == 0
 
 
 def pair_configuration(ds: DegreeSequence,
                        rng: np.random.Generator) -> ConfigDigraph:
     """Uniform pairing of out-slots with in-slots.
 
-    heads (the odd positions of x) is a uniform permutation of the
-    multiset holding vertex v out_deg[v] times, tails likewise for
-    in-degrees; the two shuffles are independent so the pairing is
-    uniform over the configuration space.
+    heads is a uniform permutation of the multiset holding vertex v
+    out_deg[v] times, tails likewise for in-degrees; the two shuffles
+    are independent so the pairing is uniform over the configuration
+    space.
     """
     n = ds.n
     heads = np.repeat(np.arange(n, dtype=np.int64), ds.out_deg)
     tails = np.repeat(np.arange(n, dtype=np.int64), ds.in_deg)
     rng.shuffle(heads)
     rng.shuffle(tails)
-    slots = np.empty(2 * len(heads), dtype=np.int64)
-    slots[0::2] = heads
-    slots[1::2] = tails
-    return ConfigDigraph(n=n, slots=slots)
+    return ConfigDigraph(n=n, heads=heads, tails=tails)
 
 
-def duplicate_pair_count(cfg: ConfigDigraph, include_loops: bool = False) -> int:
-    """Number of unordered index pairs {j, j'} carrying the same ordered pair."""
-    heads, tails = cfg.heads, cfg.tails
-    keep = np.ones(len(heads), dtype=bool) if include_loops else heads != tails
-    codes = heads[keep].astype(np.int64) * cfg.n + tails[keep]
-    _, counts = np.unique(codes, return_counts=True)
+def _run_starts(codes_sorted: np.ndarray) -> np.ndarray:
+    """Positions where a new value begins in an ascending array."""
+    return np.flatnonzero(np.r_[True, codes_sorted[1:] != codes_sorted[:-1]])
+
+
+def duplicate_pair_count(cfg: ConfigDigraph) -> int:
+    """Number of unordered index pairs {j, j'} carrying the same ordered
+    pair, loops left out."""
+    keep = cfg.heads != cfg.tails
+    codes = np.sort(cfg.heads[keep] * cfg.n + cfg.tails[keep])
+    counts = np.diff(np.r_[_run_starts(codes), len(codes)])
     return int((counts * (counts - 1) // 2).sum())
 
 
@@ -516,7 +507,8 @@ class SimpleDigraph:
         """
         if self._codes_sorted is None:
             codes = self.edges[:, 0] * self.n + self.edges[:, 1]
-            self._codes_order = np.argsort(codes, kind="stable")
+            # the codes are distinct, so any sort gives the same order
+            self._codes_order = np.argsort(codes)
             self._codes_sorted = codes[self._codes_order]
         code = np.asarray(u, dtype=np.int64) * self.n + v
         if self.m == 0:
@@ -526,18 +518,10 @@ class SimpleDigraph:
                        self._codes_order[pos], -1)
         return int(out) if out.ndim == 0 else out
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return self.edge_lookup(u, v) >= 0
-
     def min_degree(self) -> int:
         if self.n == 0:
             return 0
         return int(min(self.out_deg.min(), self.in_deg.min()))
-
-
-def _config_to_simple(cfg: ConfigDigraph, k: int) -> SimpleDigraph:
-    edges = np.column_stack((cfg.heads, cfg.tails))
-    return SimpleDigraph(n=cfg.n, edges=edges, k=k)
 
 
 def sample_simple_digraph(params: ModelParams, rng: np.random.Generator,
@@ -555,7 +539,8 @@ def sample_simple_digraph(params: ModelParams, rng: np.random.Generator,
         ds = sample_degree_sequence(params, rng)
         cfg = pair_configuration(ds, rng)
         if cfg.is_simple():
-            return _config_to_simple(cfg, params.k), attempt
+            edges = np.column_stack((cfg.heads, cfg.tails))
+            return SimpleDigraph(n=cfg.n, edges=edges, k=params.k), attempt
     raise RejectionStallError(
         f"rejection stall: no simple pairing in {cap} attempts", attempts=cap)
 
@@ -564,22 +549,24 @@ def sample_erased_digraph(params: ModelParams, rng: np.random.Generator,
                           cap: int = 100) -> tuple[SimpleDigraph, int]:
     """Near-uniform simple digraph by erasing defects from one pairing.
 
-    Loops are dropped and each duplicated ordered pair keeps a single
-    copy.  At the mean degrees where Hamilton packing applies this
-    removes an O(c + c^2) = o(m) sliver of edges and the min-degree
-    condition survives; when it does not (possible at small c), the
-    draw is repeated up to cap times.
+    Loops are dropped and each repeated ordered pair keeps its first
+    copy in pairing order; the kept edges stay in pairing order.  One
+    argsort of the pair codes finds every first copy: it is the least
+    pairing index in its run of equal codes.  At the mean degrees where
+    Hamilton packing applies this removes an O(c + c^2) = o(m) sliver
+    of edges and the min-degree condition survives; when it does not
+    (possible at small c), the draw is repeated up to cap times.
     """
     for attempt in range(1, cap + 1):
         ds = sample_degree_sequence(params, rng)
         cfg = pair_configuration(ds, rng)
         heads, tails = cfg.heads, cfg.tails
-        non_loop = heads != tails
-        codes = heads.astype(np.int64) * params.n + tails
-        _, first = np.unique(codes, return_index=True)
+        codes = heads * params.n + tails
+        order = np.argsort(codes)
+        first = np.minimum.reduceat(order, _run_starts(codes[order]))
         keep = np.zeros(len(heads), dtype=bool)
         keep[first] = True
-        keep &= non_loop
+        keep &= heads != tails
         edges = np.column_stack((heads[keep], tails[keep]))
         sd = SimpleDigraph(n=params.n, edges=edges, k=params.k)
         if sd.min_degree() >= params.k + 1:
@@ -612,25 +599,28 @@ def write_edge_list(sd: SimpleDigraph, path) -> None:
 
 
 def read_edge_list(path) -> SimpleDigraph:
-    """Inverse of write_edge_list; round-trips bit-exactly."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise EdgeListFormatError("header must be 'n m k'")
-        try:
-            n, m, k = (int(x) for x in header)
-        except ValueError as exc:
-            raise EdgeListFormatError("non-integer header") from exc
-        edges = np.empty((m, 2), dtype=np.int64)
-        for j in range(m):
-            line = fh.readline().split()
-            if len(line) != 2:
-                raise EdgeListFormatError(f"edge line {j} malformed")
-            edges[j, 0] = int(line[0])
-            edges[j, 1] = int(line[1])
-        if fh.readline().strip():
-            raise EdgeListFormatError("trailing content after edge list")
+    """Inverse of write_edge_list; round-trips bit-exactly.
+
+    Malformed content, whether a bad header or edge line, a non-ASCII
+    byte or a digraph SimpleDigraph refuses, raises EdgeListFormatError.
+    """
     try:
+        with open(path, "r", encoding="ascii") as fh:
+            header = fh.readline().split()
+            if len(header) != 3:
+                raise EdgeListFormatError("header must be 'n m k'")
+            n, m, k = (int(x) for x in header)
+            if m < 0:
+                raise EdgeListFormatError("negative edge count in header")
+            edges = np.empty((m, 2), dtype=np.int64)
+            for j in range(m):
+                line = fh.readline().split()
+                if len(line) != 2:
+                    raise EdgeListFormatError(f"edge line {j} malformed")
+                edges[j, 0] = int(line[0])
+                edges[j, 1] = int(line[1])
+            if fh.readline().strip():
+                raise EdgeListFormatError("trailing content after edge list")
         return SimpleDigraph(n=n, edges=edges, k=k)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise EdgeListFormatError(str(exc)) from exc

@@ -178,12 +178,7 @@ def degree_census(x, params: ModelParams, k_const: float = 20.0,
     (1 + sqrt(expected)) log n so cells are comparable.  k_const only
     sets the violation threshold; raw deviations stay in the rows.
     """
-    if hasattr(x, "out_degrees"):
-        out = x.out_degrees()
-        inn = x.in_degrees()
-    else:
-        out = x.out_deg
-        inn = x.in_deg
+    out, inn = x.out_deg, x.in_deg
     n = len(out)
     z = params.require_z()
     k = params.k

@@ -528,8 +528,11 @@ class TestCLI:
     def test_bad_host_file_exits_64(self, capsys, tmp_path):
         headerless = tmp_path / "bad.txt"
         headerless.write_text("0 1\n1 2\n2 0\n")
+        letter = tmp_path / "letter.txt"
+        letter.write_text("3 1 1\n1 x\n")
         for argv in (["oracle", "--in", str(headerless), "--k", "1"],
                      ["pack", "--in", str(headerless), "--seed", "1"],
+                     ["pack", "--in", str(letter), "--seed", "1"],
                      ["oracle", "--in", str(tmp_path / "absent.txt"),
                       "--k", "1"]):
             assert hn.main(argv) == 64

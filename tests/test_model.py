@@ -7,6 +7,7 @@ are frozen as regression anchors.
 """
 
 import collections
+import hashlib
 import math
 
 import numpy as np
@@ -310,22 +311,21 @@ class TestPairing:
         rng = rng_stream(14, 0)
         ds = sample_degree_sequence(tiny_params, rng)
         cfg = pair_configuration(ds, rng)
-        assert np.array_equal(cfg.out_degrees(), ds.out_deg)
-        assert np.array_equal(cfg.in_degrees(), ds.in_deg)
+        assert np.array_equal(cfg.out_deg, ds.out_deg)
+        assert np.array_equal(cfg.in_deg, ds.in_deg)
         assert cfg.m == tiny_params.m
 
     def test_defect_detection_on_fixed_slots(self):
         # edges: (0,0) loop, (1,2), (1,2) duplicated, (2,1)
-        slots = np.array([0, 0, 1, 2, 1, 2, 2, 1])
-        cfg = ConfigDigraph(n=3, slots=slots)
+        cfg = ConfigDigraph(n=3, heads=np.array([0, 1, 1, 2]),
+                            tails=np.array([0, 2, 2, 1]))
         assert list(cfg.loops) == [0]
-        assert sorted(cfg.multis) == [1, 2]
         assert not cfg.is_simple()
         assert duplicate_pair_count(cfg) == 1
 
     def test_triple_pair_counts_three(self):
-        slots = np.array([0, 1, 0, 1, 0, 1, 2, 0])
-        cfg = ConfigDigraph(n=3, slots=slots)
+        cfg = ConfigDigraph(n=3, heads=np.array([0, 0, 0, 2]),
+                            tails=np.array([1, 1, 1, 0]))
         assert duplicate_pair_count(cfg) == 3  # C(3,2)
 
     def test_degree_sum_mismatch_rejected(self):
@@ -365,7 +365,9 @@ class TestSimpleDigraph:
         codes = rng.choice(n * n, size=10_000, replace=False)
         edges = np.column_stack((codes // n, codes % n))
         edges = edges[edges[:, 0] != edges[:, 1]]
-        SimpleDigraph(n, edges, 1)  # distinct pairs pass
+        sd = SimpleDigraph(n, edges, 1)  # distinct pairs pass
+        assert np.array_equal(sd.edge_lookup(edges[:, 0], edges[:, 1]),
+                              np.arange(sd.m))
         dup = np.vstack((edges, edges[rng.integers(len(edges))]))
         rng.shuffle(dup)
         with pytest.raises(ValueError, match="duplicate"):
@@ -466,6 +468,41 @@ class TestSamplers:
         b, _ = sample_erased_digraph(params, rng_stream(77, 3))
         assert np.array_equal(a.edges, b.edges)
 
+    # a pairing on 4 vertices in pairing order: loops at 1 and 11, and
+    # (0,1), (1,2), (3,0) repeated at 3, 6 and 16; erasure leaves the
+    # complete digraph, every degree 3
+    PAIRING = [(0, 1), (2, 2), (1, 2), (0, 1), (2, 3), (3, 0), (1, 2),
+               (0, 2), (1, 3), (2, 0), (3, 1), (3, 3), (0, 3), (1, 0),
+               (2, 1), (3, 2), (3, 0)]
+    KEPT = [0, 2, 4, 5, 7, 8, 9, 10, 12, 13, 14, 15]
+
+    def test_erasure_keeps_first_copies_in_pairing_order(self, monkeypatch):
+        pairs = np.array(self.PAIRING, dtype=np.int64)
+
+        def fixed_pairing(ds, rng):
+            return ConfigDigraph(n=4, heads=pairs[:, 0].copy(),
+                                 tails=pairs[:, 1].copy())
+
+        monkeypatch.setattr(md, "pair_configuration", fixed_pairing)
+        sd, attempts = sample_erased_digraph(ModelParams.make(4, 4.0, 1),
+                                             rng_stream(21, 0))
+        assert attempts == 1
+        # the last copy of (0,1) would sit after (1,2), that of (1,2)
+        # after (3,0), and that of (3,0) at the end
+        assert sd.edges.tolist() == pairs[self.KEPT].tolist()
+        assert sd.min_degree() == 3
+
+    def test_erased_edges_pinned(self):
+        # sha256 of the int64 edge bytes: a change to the sampler's
+        # stream or to which copy erasure keeps shows here
+        sd, attempts = sample_erased_digraph(ModelParams.make(2000, 100.0, 2),
+                                             rng_stream(0))
+        assert attempts == 1 and sd.m == 195023
+        digest = hashlib.sha256(
+            np.ascontiguousarray(sd.edges, dtype="<i8").tobytes()).hexdigest()
+        assert digest == ("10ff24a1c5610fa5e0da51d8c5829cad"
+                          "b97c5acf6ad3763b022599249b549668")
+
     def test_defect_rates_match_theory(self):
         # loop count ~ Poisson(rho^2/c); duplicate pairs ~ Poisson(beta^2/2)
         params = ModelParams.make(10_000, 20.0, 1)
@@ -511,6 +548,13 @@ class TestEdgeListIO:
         bad.write_text("3 3 1\n0 1\n1 2\n0 1\n")
         with pytest.raises(EdgeListFormatError, match="duplicate"):
             read_edge_list(bad)
+        # a non-integer endpoint, a negative edge count, a non-ASCII
+        # byte, an endpoint beyond int64
+        for text in (b"3 1 1\n1 x\n", b"3 -1 1\n", b"3 1 1\n0 \xe9\n",
+                     b"3 1 1\n0 99999999999999999999\n"):
+            bad.write_bytes(text)
+            with pytest.raises(EdgeListFormatError):
+                read_edge_list(bad)
 
 
 class TestParams:
