@@ -33,9 +33,9 @@ so nothing is lost).
 The textbook asymptotic budgets (ν = √n·ln n leaves, |W| ≤ n^{3/4})
 only separate at astronomical n: already 2αν > n^{3/4} for every n
 below ~10⁹, so a literal reading can never finish a single tree.  The
-defaults here keep the same shape at bench scale: ν ≈ √(n/α) leaves
-and a W cap of max(n^{3/4}, 3n/4); PhaseTwoBudget.asymptotic restores
-the literal constants for limit experiments.
+budget here keeps the same shape at bench scale: ν ≈ √(n/α) leaves
+and a W cap of max(n^{3/4}, 0.85n).  W leaves the phase as
+PhaseTwoStats.burnt; phase 3 must not break cycles at its vertices.
 """
 
 from __future__ import annotations
@@ -144,19 +144,21 @@ def cycles_of(pd: PermutationDigraph, n0: float) -> tuple[list, list]:
     return small, large
 
 
+MAX_LEVELS = 60        # out-phase tree depth
+MAX_STARTS = 384       # in-phase path starts per attempt
+MAX_VALIDATIONS = 512  # in-phase closure replays per attempt
+
+
 @dataclass(frozen=True)
 class PhaseTwoBudget:
-    """Knobs for the rotation trees; None fields auto-fill from (n,c,k)."""
+    """Sizes of the rotation trees, derived from (n, c, k)."""
 
     n0: float
     alpha: int
     leaf_target: int
     leaf_cap: int
     w_cap: int
-    max_levels: int = 60
-    max_starts: int = 384
-    max_validations: int = 512
-    in_branch: int = 0  # 0 means fall back to alpha
+    in_branch: int
 
     @classmethod
     def for_model(cls, n: int, c: float, k: int) -> "PhaseTwoBudget":
@@ -171,22 +173,16 @@ class PhaseTwoBudget:
                    w_cap=max(math.ceil(n ** 0.75), math.ceil(0.85 * n)),
                    in_branch=3 * alpha)
 
-    @classmethod
-    def asymptotic(cls, n: int, c: float, k: int) -> "PhaseTwoBudget":
-        alpha = max(2, math.ceil(c / (8 * k)))
-        nu = math.ceil(math.sqrt(n) * math.log(n))
-        return cls(n0=n / math.log(n), alpha=alpha, leaf_target=nu,
-                   leaf_cap=3 * nu, w_cap=math.ceil(n ** 0.75),
-                   in_branch=alpha)
-
 
 @dataclass
 class PhaseTwoStats:
+    """Counters of one phase-2 run; burnt is the vertex mask of W."""
+
+    burnt: np.ndarray
     iterations: int = 0
     early_closures: int = 0
     in_phase_closures: int = 0
     second_attempts: int = 0
-    validations: int = 0
     w_size: int = 0
     eliminated: list = field(default_factory=list)
 
@@ -330,31 +326,27 @@ def _split_head(pd, segs, at_idx: int, w: int):
     return ((x, l),) + segs[at_idx + 1:], x
 
 
-def out_phase(pd: PermutationDigraph, cid: int, ctx: _Ctx, w_set: bytearray,
-              budget: PhaseTwoBudget, rng: np.random.Generator,
-              u0: int | None = None):
-    """Grow the rotation tree for one small cycle.
+def out_phase(pd: PermutationDigraph, u0: int, ctx: _Ctx, w_set: bytearray,
+              budget: PhaseTwoBudget):
+    """Grow the rotation tree for u0's small cycle, broken at (v0, u0).
 
-    Returns ("closed", Π') on early closure, ("leaves", u0, [nodes])
-    once enough long-path leaves exist, or ("fail", reason).
+    Returns ("closed", Π') on early closure, ("leaves", [nodes]) once
+    enough long-path leaves exist, or ("fail", reason).
     """
     n0 = budget.n0
-    cyc = pd.cycles[cid]
-    if u0 is None:
-        u0 = int(cyc[rng.integers(len(cyc))])
     v0 = int(pd.pred[u0])
     # the broken edge needs no C(ii) clearance: burns from earlier
     # iterations are already materialized into Π, so only this
     # iteration's own surgeries constrain pivot admission
     w_set[u0] = 1
     w_set[v0] = 1
-    root = _root_node(pd, u0, v0, cid)
+    root = _root_node(pd, u0, v0, int(pd.cycle_id[u0]))
     level = [root]
-    for _ in range(budget.max_levels):
+    for _ in range(MAX_LEVELS):
         leaves = [nd for nd in level if nd.path_v >= n0]
         if len(leaves) >= budget.leaf_target:
             leaves.sort(key=lambda nd: -nd.path_v)
-            return ("leaves", u0, leaves[:budget.leaf_cap])
+            return ("leaves", leaves[:budget.leaf_cap])
         nxt = []
         for node in level:
             v = node.end
@@ -404,7 +396,7 @@ def out_phase(pd: PermutationDigraph, cid: int, ctx: _Ctx, w_set: bytearray,
             leaves = [nd for nd in level if nd.path_v >= n0]
             if leaves:
                 leaves.sort(key=lambda nd: -nd.path_v)
-                return ("leaves", u0, leaves[:budget.leaf_cap])
+                return ("leaves", leaves[:budget.leaf_cap])
             return ("fail", "tree stalled with no long-path leaf")
         if w_set.count(1) > budget.w_cap:
             return ("fail", "burnt-vertex cap exceeded")
@@ -507,7 +499,7 @@ def in_phase(pd: PermutationDigraph, u0: int, leaves: list, ctx: _Ctx,
     def try_close(s):
         nonlocal validations
         for j, closure_eid in target.get(s, ()):
-            if validations >= budget.max_validations:
+            if validations >= MAX_VALIDATIONS:
                 return None
             validations += 1
             leaf = leaves[j]
@@ -527,21 +519,20 @@ def in_phase(pd: PermutationDigraph, u0: int, leaves: list, ctx: _Ctx,
     hit = try_close(u0)
     if hit is not None:
         return hit
-    branch = budget.in_branch or budget.alpha
     # each start burns two vertices; never spend more than half the
     # remaining W headroom on one attempt so a retry stays possible
     headroom = budget.w_cap - w_set.count(1)
     if headroom <= 0:
         return None
-    max_starts = min(budget.max_starts, max(16, headroom // 4))
+    max_starts = min(MAX_STARTS, max(16, headroom // 4))
     while frontier and starts_seen < max_starts:
-        if validations >= budget.max_validations:
+        if validations >= MAX_VALIDATIONS:
             return None  # try_close can no longer accept anything
         nxt = []
         for s in frontier:
             admitted = 0
             for eid, w in ctx.pool_in(s):
-                if admitted >= branch:
+                if admitted >= budget.in_branch:
                     break
                 if w_set[w]:
                     continue
@@ -579,20 +570,19 @@ def _assert_progress(old: PermutationDigraph, new: PermutationDigraph,
 def eliminate_small_cycles(pd: PermutationDigraph, sd: SimpleDigraph,
                            pool_ids: np.ndarray, rng: np.random.Generator,
                            budget: PhaseTwoBudget,
-                           w_set: bytearray | None = None,
                            ) -> tuple[PermutationDigraph, PhaseTwoStats]:
     """Drive rotations until every cycle has ≥ n0 vertices.
 
     Small cycles are processed largest first; a cycle of length ≥ 4
     may use two attempts with vertex-disjoint broken edges, shorter
-    ones get one.  W persists across the whole phase.
+    ones get one.  W persists across the whole phase and is returned
+    as stats.burnt.
     """
     if pd.edge_ids is None:
         raise ValueError("cover lacks edge provenance")
-    stats = PhaseTwoStats()
+    w_set = bytearray(sd.n)
+    stats = PhaseTwoStats(burnt=np.frombuffer(w_set, dtype=bool))
     ctx = _Ctx(sd, pool_ids)
-    if w_set is None:
-        w_set = bytearray(sd.n)
     while True:
         small, _large = cycles_of(pd, budget.n0)
         if not small:
@@ -620,14 +610,13 @@ def eliminate_small_cycles(pd: PermutationDigraph, sd: SimpleDigraph,
             tried.append((u0, int(pd.pred[u0])))
             if a == 1:
                 stats.second_attempts += 1
-            res = out_phase(pd, cid, ctx, w_set, budget, rng, u0=u0)
+            res = out_phase(pd, u0, ctx, w_set, budget)
             if res[0] == "closed":
                 stats.early_closures += 1
                 new_pd = res[1]
                 break
             if res[0] == "leaves":
-                _, u0_fixed, leaves = res
-                closed = in_phase(pd, u0_fixed, leaves, ctx, w_set, budget)
+                closed = in_phase(pd, u0, res[1], ctx, w_set, budget)
                 if closed is not None:
                     stats.in_phase_closures += 1
                     new_pd = closed

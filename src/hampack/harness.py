@@ -99,41 +99,34 @@ def run_pipeline(params: ModelParams, rng: np.random.Generator,
     covers = []
     t2 = t3 = 0.0
     for i in range(params.k):
-        t = clock()
-        pd = matching_to_cycle_cover(pms[i])
-        # release this matching's reservation: its own edges are fair
-        # game for rotations, only other covers' edges stay off-limits
-        used[pms[i].edge_ids] = False
-        pool3 = part.working_edges(3, i)
-        pool3 = pool3[~used[pool3]]
-        w_set = bytearray(sd.n)
         try:
-            pd2, p2 = eliminate_small_cycles(pd, sd, pool3, rng, budget,
-                                             w_set=w_set)
-        except PhaseFailure as exc:
-            exc.index = i
-            raise
-        info["phase2"].append(p2)
-        t2 += clock() - t
+            t = clock()
+            pd = matching_to_cycle_cover(pms[i])
+            # release this matching's reservation: its own edges are fair
+            # game for rotations, only other covers' edges stay off-limits
+            used[pms[i].edge_ids] = False
+            pool3 = part.working_edges(3, i)
+            pool3 = pool3[~used[pool3]]
+            pd2, p2 = eliminate_small_cycles(pd, sd, pool3, rng, budget)
+            info["phase2"].append(p2)
+            t2 += clock() - t
 
-        t = clock()
-        blocked = (np.frombuffer(bytes(w_set), dtype=np.uint8).astype(bool)
-                   | part.small)
-        pool4 = part.pool_edges(4, i)
-        pool4 = pool4[~used[pool4]]
-        try:
+            t = clock()
+            blocked = p2.burnt | part.small
+            pool4 = part.pool_edges(4, i)
+            pool4 = pool4[~used[pool4]]
             if mode == "merge":
                 ham, p3 = merge_patch(pd2, sd, pool4, blocked, rng)
             else:
                 ham, p3 = oneshot_patch(pd2, sd, pool4, blocked, budget.n0,
                                         rng, mode=mode)
+            info["phase3"].append(p3)
+            used[ham.edge_ids] = True
+            covers.append(ham)
+            t3 += clock() - t
         except PhaseFailure as exc:
             exc.index = i
             raise
-        info["phase3"].append(p3)
-        used[ham.edge_ids] = True
-        covers.append(ham)
-        t3 += clock() - t
         log.debug("cover %d repaired: |W|=%d kappa=%d", i, p2.w_size,
                   p3.kappa)
     info["timings"]["phase2"] = t2

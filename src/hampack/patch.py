@@ -261,28 +261,30 @@ def reassemble(pd: PermutationDigraph, ps: PathSystem, tau: np.ndarray,
 def oneshot_patch(pd: PermutationDigraph, sd: SimpleDigraph,
                   pool_ids: np.ndarray, blocked: np.ndarray, n0: float,
                   rng: np.random.Generator, mode: str = "any",
-                  node_cap: int = 1_000_000, reselections: int = 1,
                   ) -> tuple[PermutationDigraph, PatchStats]:
-    """Break every cycle at once and rejoin along one cyclic tau."""
+    """Break every cycle at once and rejoin along one cyclic tau.
+
+    A second break selection is drawn if the first has no cyclic tau.
+    """
     stats = PatchStats(mode=f"oneshot-{mode}")
     if pd.num_cycles == 1:
         return pd, stats
     ctx = _Ctx(sd, pool_ids)
     ctx.refresh(pd)
-    for round_ in range(1 + reselections):
+    for round_ in range(2):
         if round_:
             stats.reselections += 1
         ps = select_breaks(pd, blocked, n0, rng)
         aux = build_aux(ps, ctx)
-        tau, eid_of, nodes = find_cyclic_tau(aux, ps.phi, mode, node_cap)
+        tau, eid_of, nodes = find_cyclic_tau(aux, ps.phi, mode)
         stats.search_nodes += nodes
         if tau is not None:
             stats.kappa = ps.kappa
             stats.kappa_j = list(ps.kappa_j)
             return reassemble(pd, ps, tau, eid_of), stats
     raise PhaseFailure(
-        "3-search", f"no cyclic tau after {1 + reselections} break "
-        f"selections ({stats.search_nodes} nodes)")
+        "3-search", "no cyclic tau after 2 break selections "
+        f"({stats.search_nodes} nodes)")
 
 
 def _find_exchange(pd: PermutationDigraph, cid: int, ctx: _Ctx,

@@ -19,7 +19,7 @@ from .errors import OracleSizeError
 from .model import ModelParams, SimpleDigraph, tail_sum
 
 __all__ = [
-    "HamiltonCheck", "PackingCheck", "PackingCertificate",
+    "Check", "PackingCertificate",
     "verify_hamilton", "verify_packing", "certificate_from_covers",
     "CensusReport", "degree_census",
     "ExpansionReport", "expansion_check",
@@ -28,16 +28,9 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class HamiltonCheck:
-    ok: bool
-    reason: str = "ok"
+class Check:
+    """Outcome of a verifier: truthy iff ok, with a reason code."""
 
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-@dataclass(frozen=True)
-class PackingCheck:
     ok: bool
     reason: str = "ok"
 
@@ -51,7 +44,7 @@ def _has_repeat(values: np.ndarray) -> bool:
     return bool(np.any(s[1:] == s[:-1]))
 
 
-def verify_hamilton(sd: SimpleDigraph, cycle) -> HamiltonCheck:
+def verify_hamilton(sd: SimpleDigraph, cycle) -> Check:
     """True iff cycle visits every vertex once using edges of sd.
 
     The closing edge last -> first is required too.  False outcomes
@@ -59,14 +52,14 @@ def verify_hamilton(sd: SimpleDigraph, cycle) -> HamiltonCheck:
     """
     cyc = np.asarray(cycle, dtype=np.int64)
     if cyc.ndim != 1 or len(cyc) != sd.n or sd.n == 0:
-        return HamiltonCheck(False, "length")
+        return Check(False, "length")
     if cyc.min() < 0 or cyc.max() >= sd.n:
-        return HamiltonCheck(False, "range")
+        return Check(False, "range")
     if _has_repeat(cyc):
-        return HamiltonCheck(False, "repeat")
+        return Check(False, "repeat")
     if (sd.edge_lookup(cyc, np.roll(cyc, -1)) < 0).any():
-        return HamiltonCheck(False, "non-edge")
-    return HamiltonCheck(True)
+        return Check(False, "non-edge")
+    return Check(True)
 
 
 @dataclass
@@ -108,7 +101,7 @@ def certificate_from_covers(sd: SimpleDigraph, covers) -> PackingCertificate:
     return PackingCertificate(cycles=cycles, edge_ids=edge_ids)
 
 
-def verify_packing(sd: SimpleDigraph, cert: PackingCertificate) -> PackingCheck:
+def verify_packing(sd: SimpleDigraph, cert: PackingCertificate) -> Check:
     """All cycles Hamiltonian and pairwise edge-disjoint.
 
     Disjointness is on ordered pairs recomputed from the sequences, so
@@ -124,14 +117,14 @@ def verify_packing(sd: SimpleDigraph, cert: PackingCertificate) -> PackingCheck:
     cert.flags = flags
     if not all(flags):
         j = flags.index(False)
-        return PackingCheck(False, f"cycle {j}: {reasons[j]}")
+        return Check(False, f"cycle {j}: {reasons[j]}")
     if cert.k:
         all_codes = np.concatenate([
             np.asarray(cyc, dtype=np.int64) * sd.n + np.roll(cyc, -1)
             for cyc in cert.cycles])
         if _has_repeat(all_codes):
-            return PackingCheck(False, "shared edge")
-    return PackingCheck(True)
+            return Check(False, "shared edge")
+    return Check(True)
 
 
 @dataclass(frozen=True)

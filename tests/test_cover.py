@@ -1,5 +1,6 @@
 """Cycle-cover repair: rotation trees and the small-cycle sweep."""
 
+import hashlib
 import itertools
 import math
 
@@ -59,7 +60,8 @@ def host_with_cover(*cycles, extra=()):
 
 
 def tiny_budget(n0, **kw):
-    base = dict(n0=n0, alpha=4, leaf_target=4, leaf_cap=16, w_cap=10 ** 9)
+    base = dict(n0=n0, alpha=4, leaf_target=4, leaf_cap=16, w_cap=10 ** 9,
+                in_branch=4)
     base.update(kw)
     return PhaseTwoBudget(**base)
 
@@ -384,8 +386,7 @@ class TestOutPhase:
         ctx.refresh(pd)
         w_set = bytearray(sd.n)
         budget = tiny_budget(n0=3)
-        res = cv.out_phase(pd, int(pd.cycle_id[0]), ctx, w_set, budget,
-                           rng_stream(1), u0=0)
+        res = cv.out_phase(pd, 0, ctx, w_set, budget)
         assert res[0] == "closed"
         closed = res[1]
         assert closed.num_cycles == 1
@@ -400,8 +401,7 @@ class TestOutPhase:
         sd, pd, pool = host_with_cover([0, 1], [2, 3, 4, 5, 6, 7])
         ctx = cv._Ctx(sd, pool)
         ctx.refresh(pd)
-        res = cv.out_phase(pd, int(pd.cycle_id[0]), ctx, bytearray(sd.n),
-                           tiny_budget(n0=3), rng_stream(1), u0=0)
+        res = cv.out_phase(pd, 0, ctx, bytearray(sd.n), tiny_budget(n0=3))
         assert res[0] == "fail"
 
     def test_burns_break_edge_endpoints(self):
@@ -410,8 +410,7 @@ class TestOutPhase:
         ctx = cv._Ctx(sd, pool)
         ctx.refresh(pd)
         w_set = bytearray(sd.n)
-        cv.out_phase(pd, int(pd.cycle_id[0]), ctx, w_set,
-                     tiny_budget(n0=3), rng_stream(1), u0=0)
+        cv.out_phase(pd, 0, ctx, w_set, tiny_budget(n0=3))
         assert w_set[0] == 1 and w_set[1] == 1
 
 
@@ -437,6 +436,7 @@ class TestEliminate:
         assert out.num_cycles == 1
         assert stats.eliminated == [2]
         assert stats.early_closures + stats.in_phase_closures == 1
+        assert stats.burnt.sum() == stats.w_size
 
     def test_requires_edge_provenance(self):
         pd = perm_digraph([0, 1], [2, 3, 4, 5])
@@ -456,7 +456,7 @@ class TestEliminate:
         # edges, a shorter one only one
         calls = []
 
-        def failing_out_phase(pd, cid, ctx, w_set, budget, rng, u0=None):
+        def failing_out_phase(pd, u0, ctx, w_set, budget):
             calls.append((u0, int(pd.pred[u0])))
             return ("fail", "forced")
 
@@ -480,8 +480,8 @@ class TestEliminate:
     def test_largest_small_cycle_first(self, monkeypatch):
         seen = []
 
-        def failing_out_phase(pd, cid, ctx, w_set, budget, rng, u0=None):
-            seen.append(int(pd.cycle_lens[cid]))
+        def failing_out_phase(pd, u0, ctx, w_set, budget):
+            seen.append(pd.cycle_len_of(u0))
             return ("fail", "forced")
 
         monkeypatch.setattr(cv, "out_phase", failing_out_phase)
@@ -491,6 +491,34 @@ class TestEliminate:
             eliminate_small_cycles(pd, sd, pool, rng_stream(7),
                                    tiny_budget(n0=5))
         assert seen and seen[0] == 4
+
+    def test_output_pinned(self, host_k2):
+        # cover 0 of host_k2 after the pipeline's own split, SMALL and
+        # matchings: eight eliminations, all closed in the in-phase
+        params, sd = host_k2
+        rng = rng_stream(58, 4)
+        part = split_edges(sd, params.k, rng)
+        compute_small(sd, part, params.c, params.k)
+        used = np.zeros(sd.m, dtype=bool)
+        pms = build_k_matchings(sd, part, rng, used=used)
+        budget = PhaseTwoBudget.for_model(params.n, params.c, params.k)
+        pd = matching_to_cycle_cover(pms[0])
+        used[pms[0].edge_ids] = False
+        pool = part.working_edges(3, 0)
+        pool = pool[~used[pool]]
+        out, stats = eliminate_small_cycles(pd, sd, pool, rng, budget)
+        counts = (stats.iterations, stats.early_closures,
+                  stats.in_phase_closures, stats.second_attempts,
+                  stats.w_size, stats.eliminated)
+        assert counts[:3] == (8, 0, 8)
+        h = hashlib.sha256()
+        h.update(out.succ.astype("<i8").tobytes())
+        h.update(out.edge_ids.astype("<i8").tobytes())
+        h.update(stats.burnt.tobytes())
+        h.update(repr(counts).encode())
+        assert h.hexdigest() == ("49ffd8ea3ef53ad045eb041c01b168b6"
+                                 "1406919fcfd13097dca009cd5841cff1")
+        assert int(rng.integers(1 << 62)) == 2020087793598210236
 
 
 class TestAssertProgress:
@@ -520,17 +548,6 @@ class TestBudget:
         assert b.w_cap == max(math.ceil(5000 ** 0.75), math.ceil(0.85 * 5000))
         assert b.in_branch == 3 * b.alpha
         assert b.leaf_cap == 3 * b.leaf_target
-
-    def test_asymptotic_keeps_literal_caps(self):
-        b = PhaseTwoBudget.asymptotic(5000, 50.0, 1)
-        assert b.leaf_target == math.ceil(math.sqrt(5000) * math.log(5000))
-        assert b.w_cap == math.ceil(5000 ** 0.75)
-        assert b.in_branch == b.alpha
-
-    def test_in_branch_default_falls_back(self):
-        b = tiny_budget(n0=3)
-        assert b.in_branch == 0
-        assert (b.in_branch or b.alpha) == b.alpha
 
 
 class TestPipelineIntegration:

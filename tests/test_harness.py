@@ -15,7 +15,7 @@ from hampack import patch as pt
 from hampack.model import (ModelParams, SimpleDigraph, read_edge_list,
                            sample_erased_digraph, write_edge_list)
 from hampack.errors import (FAILURE_TAGS, ConditioningFailureError,
-                            OracleSizeError)
+                            OracleSizeError, PhaseFailure)
 from hampack.rng import derive_seed, rng_stream
 from hampack.verify import verify_packing
 
@@ -120,7 +120,8 @@ def two_cycles(pd, *args, **kwargs):
     half = pd.n // 2
     succ = np.roll(np.arange(pd.n), -1)
     succ[half - 1], succ[-1] = 0, half
-    return cv.PermutationDigraph(succ, pd.edge_ids), cv.PhaseTwoStats()
+    return (cv.PermutationDigraph(succ, pd.edge_ids),
+            cv.PhaseTwoStats(burnt=np.zeros(pd.n, bool)))
 
 
 def new_small_cycle(pd, *args, **kwargs):
@@ -286,6 +287,27 @@ class TestFailureTags:
         assert rec.outcome == "failure:sample"
         assert "min >= 2 in 17 attempts" in rec.detail
         assert rec.seed == 9 and rec.cert_digest is None
+
+    @pytest.mark.parametrize("name, phase", [
+        ("eliminate_small_cycles", "phase2"), ("merge_patch", "phase3")])
+    def test_failure_carries_cover_index(self, name, phase, monkeypatch):
+        # phase 2 or phase 3 of the second cover gives up: the failure
+        # names cover 1
+        sd = failure_host(600, 40.0, 2)
+        real = getattr(hn, name)
+        calls = []
+
+        def second_call_fails(*args, **kwargs):
+            calls.append(name)
+            if len(calls) == 2:
+                raise PhaseFailure(phase, "stub")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hn, name, second_call_fails)
+        params = ModelParams.from_nmk(sd.n, sd.m, sd.k)
+        with pytest.raises(PhaseFailure) as info:
+            hn.run_pipeline(params, rng_stream(0), sd=sd)
+        assert len(calls) == 2 and info.value.index == 1
 
     def test_every_tag_is_driven(self):
         assert {f"failure:{spec[3]}" for spec in FAILURE_CASES.values()} \

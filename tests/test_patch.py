@@ -561,11 +561,8 @@ class TestPipelinePhaseThree:
                 used[pms[i].edge_ids] = False
                 pool3 = part.working_edges(3, i)
                 pool3 = pool3[~used[pool3]]
-                w_set = bytearray(sd.n)
-                pd2, _ = eliminate_small_cycles(pd, sd, pool3, rng, budget,
-                                                w_set=w_set)
-                blocked = (np.frombuffer(bytes(w_set), dtype=np.uint8)
-                           .astype(bool) | part.small)
+                pd2, p2 = eliminate_small_cycles(pd, sd, pool3, rng, budget)
+                blocked = p2.burnt | part.small
                 pool4 = part.pool_edges(4, i)
                 pool4 = pool4[~used[pool4]]
                 ham, _ = pt.merge_patch(pd2, sd, pool4, blocked, rng)
