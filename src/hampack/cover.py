@@ -18,24 +18,28 @@ digraphs (NPDs):
                closing everything into one cycle of length ≥ n₀.
 
 Admission of a rotation needs C(i): any cycle it creates has ≥ n₀
-vertices and the surviving path is empty or keeps ≥ n₀ vertices; and
-C(ii): the touched pair {w, x} avoids the burnt set W.  Vertices burn
-on admission, which freezes their successor pointers and is exactly
-what lets all in-phase trees share one layer structure: for any
-unburnt w, succ(w) agrees with Π across every NPD in play.
+vertices and the surviving path keeps ≥ n₀ vertices; and C(ii): the
+touched pair {w, x} avoids the burnt set W.  _rotate is the one place
+C(i) and the arc surgery live, for both path ends.  Vertices burn on
+admission, which freezes their successor pointers and is exactly what
+lets all in-phase trees share one layer structure: for any unburnt w,
+succ(w) agrees with Π across every NPD in play.
 
 Tree nodes never copy the digraph.  A node stores its surgery delta
 plus the current path as a tuple of Π-arcs (first, last); lengths and
 membership come from Π's cycle tables in O(arcs).  Cycles created by
-earlier splits are never absorbed again (they are ≥ n₀ by admission,
-so nothing is lost).
+earlier splits are opaque: a pivot on one is refused, not absorbed,
+although such cycles are ≥ n₀ by admission.
 
 The textbook asymptotic budgets (ν = √n·ln n leaves, |W| ≤ n^{3/4})
 only separate at astronomical n: already 2αν > n^{3/4} for every n
 below ~10⁹, so a literal reading can never finish a single tree.  The
 budget here keeps the same shape at bench scale: ν ≈ √(n/α) leaves
-and a W cap of max(n^{3/4}, 0.85n).  W leaves the phase as
-PhaseTwoStats.burnt; phase 3 must not break cycles at its vertices.
+with α = ⌈c/8k⌉, and a W cap of max(n^{3/4}, 0.85n).  Unlike the
+construction, the out-phase has no per-node cap of α children: a node
+admits every available pivot, and only the level's leaf cap stops it.
+W leaves the phase as PhaseTwoStats.burnt; phase 3 must not break
+cycles at its vertices.
 """
 
 from __future__ import annotations
@@ -154,7 +158,6 @@ class PhaseTwoBudget:
     """Sizes of the rotation trees, derived from (n, c, k)."""
 
     n0: float
-    alpha: int
     leaf_target: int
     leaf_cap: int
     w_cap: int
@@ -168,8 +171,7 @@ class PhaseTwoBudget:
         # a wide shallow start tree burns the same two vertices per
         # start but keeps the delta chains short, which is what closure
         # validation odds hinge on
-        return cls(n0=n / math.log(n), alpha=alpha, leaf_target=nu,
-                   leaf_cap=3 * nu,
+        return cls(n0=n / math.log(n), leaf_target=nu, leaf_cap=3 * nu,
                    w_cap=max(math.ceil(n ** 0.75), math.ceil(0.85 * n)),
                    in_branch=3 * alpha)
 
@@ -304,26 +306,39 @@ def _locate(pd: PermutationDigraph, segs, w: int):
     return None
 
 
-def _apply_absorb(pd, node_segs, touched, path_v, w):
-    """Absorb w's intact Π-cycle at the path end (out-phase case 1)."""
-    x = int(pd.pred[w])
-    segs = node_segs + ((w, x),)
-    clen = pd.cycle_len_of(w)
-    return segs, touched | {int(pd.cycle_id[w])}, path_v + clen, x
+def _rotate(pd: PermutationDigraph, segs, touched, path_v: int, w: int,
+            n0: float, at_end: bool):
+    """One rotation on pivot w, at the path end or at its start.
 
-
-def _split_tail(pd, segs, at_idx: int, w: int):
-    """Path prefix left after splitting off w..end (out-phase case 2)."""
-    f, _ = segs[at_idx]
-    x = int(pd.pred[w])
-    return segs[:at_idx] + ((f, x),), x
-
-
-def _split_head(pd, segs, at_idx: int, w: int):
-    """Path suffix left after the front splits off (in-phase split)."""
-    _, l = segs[at_idx]
-    x = int(pd.succ[w])
-    return ((x, l),) + segs[at_idx + 1:], x
+    At the end the reserve edge (end, w) replaces (x, w) with
+    x = pred(w), and x becomes the end; at the start (w, start)
+    replaces (w, x) with x = succ(w), and x becomes the start.  A w off
+    the path brings its whole Π-cycle into the path (absorb), unless an
+    earlier rotation touched that cycle (opaque).  A w on the path
+    closes the piece between w and the pivot end into a cycle (split).
+    C(i): the closed piece and the path left over both keep ≥ n0
+    vertices.  Returns (segs, touched, path_v, x), or None if refused.
+    """
+    hit = _locate(pd, segs, w)
+    x = int(pd.pred[w] if at_end else pd.succ[w])
+    if hit is None:
+        cid = int(pd.cycle_id[w])
+        if cid in touched:
+            return None  # lives on a created cycle: opaque
+        segs = segs + ((w, x),) if at_end else ((x, w),) + segs
+        return segs, touched | {cid}, path_v + pd.cycle_len_of(w), x
+    idx, before = hit
+    if at_end:
+        closed, rest = path_v - before, before
+    else:
+        closed, rest = before + 1, path_v - before - 1
+    if closed < n0 or rest < n0:
+        return None
+    if at_end:
+        segs = segs[:idx] + ((segs[idx][0], x),)
+    else:
+        segs = ((x, segs[idx][1]),) + segs[idx + 1:]
+    return segs, touched, rest, x
 
 
 def out_phase(pd: PermutationDigraph, u0: int, ctx: _Ctx, w_set: bytearray,
@@ -345,46 +360,26 @@ def out_phase(pd: PermutationDigraph, u0: int, ctx: _Ctx, w_set: bytearray,
     for _ in range(MAX_LEVELS):
         leaves = [nd for nd in level if nd.path_v >= n0]
         if len(leaves) >= budget.leaf_target:
-            leaves.sort(key=lambda nd: -nd.path_v)
-            return ("leaves", leaves[:budget.leaf_cap])
+            break
         nxt = []
         for node in level:
             v = node.end
-            closing = None
-            admitted = 0
-            for eid, w in ctx.pool_out(v):
-                # eager full scan for the early closure first
-                if w == u0 and node.path_v >= n0:
-                    closing = (eid, node)
-                    break
-            if closing is not None:
-                eid, node = closing
-                closed = _materialize(pd, node, [], (node.end, u0, eid))
-                return ("closed", closed)
-            for eid, w in ctx.pool_out(v):
-                if admitted >= budget.alpha:
-                    break
+            row = list(ctx.pool_out(v))
+            if node.path_v >= n0:
+                for eid, w in row:
+                    if w == u0:
+                        return ("closed",
+                                _materialize(pd, node, [], (v, u0, eid)))
+            for eid, w in row:
                 if w_set[w] or w == u0:
                     continue
-                hit = _locate(pd, node.segs, w)
-                if hit is None:
-                    if int(pd.cycle_id[w]) in node.touched:
-                        continue  # lives on a created cycle: opaque
-                    segs, touched, pv, x = _apply_absorb(
-                        pd, node.segs, node.touched, node.path_v, w)
-                    if w_set[x]:
-                        continue
-                else:
-                    idx, before = hit
-                    cyc_v = node.path_v - before
-                    if cyc_v < n0 or (before > 0 and before < n0):
-                        continue
-                    if before == 0:
-                        continue  # w == u0 handled by the eager scan
-                    segs, x = _split_tail(pd, node.segs, idx, w)
-                    if w_set[x]:
-                        continue
-                    touched, pv = node.touched, before
+                out = _rotate(pd, node.segs, node.touched, node.path_v, w,
+                              n0, at_end=True)
+                if out is None:
+                    continue
+                segs, touched, pv, x = out
+                if w_set[x]:
+                    continue
                 w_set[w] = 1
                 w_set[x] = 1
                 nxt.append(_Node(parent=node, added=(v, w, eid),
@@ -393,46 +388,31 @@ def out_phase(pd: PermutationDigraph, u0: int, ctx: _Ctx, w_set: bytearray,
             if len(nxt) >= budget.leaf_cap:
                 break
         if not nxt:
-            leaves = [nd for nd in level if nd.path_v >= n0]
             if leaves:
-                leaves.sort(key=lambda nd: -nd.path_v)
-                return ("leaves", leaves[:budget.leaf_cap])
+                break
             return ("fail", "tree stalled with no long-path leaf")
         if w_set.count(1) > budget.w_cap:
             return ("fail", "burnt-vertex cap exceeded")
         level = nxt
-    return ("fail", "level budget exhausted")
+    else:
+        return ("fail", "level budget exhausted")
+    leaves.sort(key=lambda nd: -nd.path_v)
+    return ("leaves", leaves[:budget.leaf_cap])
 
 
-def _replay(pd: PermutationDigraph, leaf: _Node, steps, n0: float):
-    """Validate an in-phase chain against one leaf.
+def _replay(pd: PermutationDigraph, leaf: _Node, steps, n0: float) -> bool:
+    """Whether an in-phase chain is admissible against one leaf.
 
-    steps is [(w, eid), ...] in application order (pivot w feeds the
-    current start).  Returns (ok, final path vertices, final segs).
+    steps is [(w, start_fed, eid), ...] in application order (pivot w
+    feeds the current start); the final path must keep ≥ n0 vertices.
     """
-    segs = leaf.segs
-    touched = set(leaf.touched)
-    path_v = leaf.path_v
-    for w, _eid in steps:
-        hit = _locate(pd, segs, w)
-        if hit is None:
-            if int(pd.cycle_id[w]) in touched:
-                return False, 0, None  # created-cycle vertex: opaque
-            x = int(pd.succ[w])
-            segs = ((x, w),) + segs
-            touched.add(int(pd.cycle_id[w]))
-            path_v += pd.cycle_len_of(w)
-        else:
-            idx, before = hit
-            front = before + 1  # vertices u' .. w inclusive
-            rest = path_v - front
-            if front < n0 or rest < n0:
-                return False, 0, None
-            segs, x = _split_head(pd, segs, idx, w)
-            path_v = rest
-    if path_v < n0:
-        return False, 0, None
-    return True, path_v, segs
+    segs, touched, path_v = leaf.segs, leaf.touched, leaf.path_v
+    for w, _fed, _eid in steps:
+        out = _rotate(pd, segs, touched, path_v, w, n0, at_end=False)
+        if out is None:
+            return False
+        segs, touched, path_v, _x = out
+    return path_v >= n0
 
 
 def _materialize(pd: PermutationDigraph, leaf: _Node, in_steps,
@@ -491,10 +471,10 @@ def in_phase(pd: PermutationDigraph, u0: int, leaves: list, ctx: _Ctx,
         cur = s
         while parent[cur] is not None:
             prev, w, eid = parent[cur]
-            steps.append((w, eid, prev))
+            steps.append((w, prev, eid))
             cur = prev
         steps.reverse()
-        return steps  # [(w, eid, start_fed)] root-first
+        return steps  # [(w, start_fed, eid)] root-first
 
     def try_close(s):
         nonlocal validations
@@ -504,16 +484,11 @@ def in_phase(pd: PermutationDigraph, u0: int, leaves: list, ctx: _Ctx,
             validations += 1
             leaf = leaves[j]
             steps = chain_to(s)
-            chain_eids = {e for _, e, _ in steps}
-            if closure_eid in chain_eids:
+            if any(e == closure_eid for _, _, e in steps):
                 continue
-            ok, _pv, _segs = _replay(
-                pd, leaf, [(w, e) for w, e, _ in steps], n0)
-            if not ok:
+            if not _replay(pd, leaf, steps, n0):
                 continue
-            in_steps = [(w, fed, e) for w, e, fed in steps]
-            return _materialize(pd, leaf, in_steps,
-                                (leaf.end, s, closure_eid))
+            return _materialize(pd, leaf, steps, (leaf.end, s, closure_eid))
         return None
 
     hit = try_close(u0)

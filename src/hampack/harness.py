@@ -75,6 +75,9 @@ def run_pipeline(params: ModelParams, rng: np.random.Generator,
     count, per-i phase stats, and per-phase wall times.  Raises
     PhaseFailure (or a sampler error) when a phase gives up.
     """
+    if tau_mode not in _TAU_MODES:
+        raise ValueError(f"unknown tau_mode {tau_mode!r}")
+    mode = _TAU_MODES[tau_mode]
     info = {"attempts": 0, "phase2": [], "phase3": [], "timings": {}}
     clock = time.perf_counter
 
@@ -95,7 +98,6 @@ def run_pipeline(params: ModelParams, rng: np.random.Generator,
     info["timings"]["phase1"] = clock() - t
 
     budget = PhaseTwoBudget.for_model(params.n, params.c, params.k)
-    mode = _TAU_MODES.get(tau_mode, tau_mode)
     covers = []
     t2 = t3 = 0.0
     for i in range(params.k):

@@ -27,7 +27,7 @@ from scipy.sparse.csgraph import (breadth_first_order,
                                   maximum_bipartite_matching)
 
 from .errors import PhaseFailure
-from .model import SimpleDigraph, pair_csr
+from .model import SimpleDigraph, first_copies, pair_csr
 from .partition import EdgePartition
 
 __all__ = [
@@ -165,7 +165,7 @@ def booster_augment(g: BipartiteGraph, mt: Matching,
         return BoosterReport(matching=mt, consumed=0, witness=None)
     a, b, eids = np.asarray(boosters, dtype=np.int64).reshape(-1, 3).T
     codes = a * n + b
-    _, first = np.unique(codes, return_index=True)
+    first = first_copies(codes)
     first = np.sort(first[~np.isin(codes[first], g.codes)])
     a, b, eids = a[first], b[first], eids[first]
     base_a = g.codes // n

@@ -61,7 +61,7 @@ __all__ = [
     "DegreeSequence", "degree_vector_path", "conditioned_degree_vector",
     "sample_degree_sequence",
     "ConfigDigraph", "pair_configuration", "duplicate_pair_count",
-    "pair_csr", "SimpleDigraph", "sample_simple_digraph",
+    "first_copies", "pair_csr", "SimpleDigraph", "sample_simple_digraph",
     "sample_erased_digraph",
     "simplicity_exponents", "write_edge_list", "read_edge_list",
 ]
@@ -436,6 +436,18 @@ def _run_starts(codes_sorted: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.r_[True, codes_sorted[1:] != codes_sorted[:-1]])
 
 
+def first_copies(codes: np.ndarray) -> np.ndarray:
+    """Index of the first copy of each distinct code, by ascending code.
+
+    One default argsort groups equal codes; the least index in each run
+    is that code's first copy.
+    """
+    order = np.argsort(codes)
+    if not len(order):
+        return order
+    return np.minimum.reduceat(order, _run_starts(codes[order]))
+
+
 def duplicate_pair_count(cfg: ConfigDigraph) -> int:
     """Number of unordered index pairs {j, j'} carrying the same ordered
     pair, loops left out."""
@@ -561,11 +573,8 @@ def sample_erased_digraph(params: ModelParams, rng: np.random.Generator,
         ds = sample_degree_sequence(params, rng)
         cfg = pair_configuration(ds, rng)
         heads, tails = cfg.heads, cfg.tails
-        codes = heads * params.n + tails
-        order = np.argsort(codes)
-        first = np.minimum.reduceat(order, _run_starts(codes[order]))
         keep = np.zeros(len(heads), dtype=bool)
-        keep[first] = True
+        keep[first_copies(heads * params.n + tails)] = True
         keep &= heads != tails
         edges = np.column_stack((heads[keep], tails[keep]))
         sd = SimpleDigraph(n=params.n, edges=edges, k=params.k)

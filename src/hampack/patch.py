@@ -40,7 +40,6 @@ class PatchStats:
     kappa: int = 0
     kappa_j: list = field(default_factory=list)
     search_nodes: int = 0
-    reselections: int = 0
     mode: str = "merge"
 
 
@@ -271,9 +270,7 @@ def oneshot_patch(pd: PermutationDigraph, sd: SimpleDigraph,
         return pd, stats
     ctx = _Ctx(sd, pool_ids)
     ctx.refresh(pd)
-    for round_ in range(2):
-        if round_:
-            stats.reselections += 1
+    for _ in range(2):
         ps = select_breaks(pd, blocked, n0, rng)
         aux = build_aux(ps, ctx)
         tau, eid_of, nodes = find_cyclic_tau(aux, ps.phi, mode)

@@ -60,7 +60,7 @@ def host_with_cover(*cycles, extra=()):
 
 
 def tiny_budget(n0, **kw):
-    base = dict(n0=n0, alpha=4, leaf_target=4, leaf_cap=16, w_cap=10 ** 9,
+    base = dict(n0=n0, leaf_target=4, leaf_cap=16, w_cap=10 ** 9,
                 in_branch=4)
     base.update(kw)
     return PhaseTwoBudget(**base)
@@ -309,24 +309,41 @@ class TestPathSegments:
 
     def test_absorb_appends_full_cycle(self):
         pd, root = self.make()
-        segs, touched, pv, x = cv._apply_absorb(
-            pd, root.segs, root.touched, root.path_v, 9)
+        cid = int(pd.cycle_id[9])
+        segs, touched, pv, x = cv._rotate(
+            pd, root.segs, root.touched, root.path_v, 9, n0=3, at_end=True)
         assert segs == ((0, 7), (9, 8))  # enters at 9, runs to pred 8
         assert pv == 8 + 3
         assert x == 8
-        assert touched == root.touched | {int(pd.cycle_id[9])}
+        assert touched == root.touched | {cid}
+        # at the start the cycle runs from succ 10 round to 9, then u0
+        segs, touched, pv, x = cv._rotate(
+            pd, root.segs, root.touched, root.path_v, 9, n0=3, at_end=False)
+        assert segs == ((10, 9), (0, 7))
+        assert (pv, x) == (8 + 3, 10)
+        assert touched == root.touched | {cid}
 
     def test_split_tail_keeps_prefix(self):
         pd, root = self.make()
-        segs, x = cv._split_tail(pd, root.segs, 0, 5)
+        segs, touched, pv, x = cv._rotate(
+            pd, root.segs, root.touched, root.path_v, 5, n0=3, at_end=True)
         assert segs == ((0, 4),)
         assert x == 4
+        assert pv == 5 and touched == root.touched  # 5 6 7 closes off
+        # C(i) at the end: the closed piece 5 6 7 is 3 < 4
+        assert cv._rotate(pd, root.segs, root.touched, root.path_v, 5,
+                          n0=4, at_end=True) is None
 
     def test_split_head_keeps_suffix(self):
         pd, root = self.make()
-        segs, x = cv._split_head(pd, root.segs, 0, 2)
+        segs, touched, pv, x = cv._rotate(
+            pd, root.segs, root.touched, root.path_v, 2, n0=3, at_end=False)
         assert segs == ((3, 7),)
         assert x == 3
+        assert pv == 5 and touched == root.touched  # 0 1 2 closes off
+        # C(i) at the start: the closed piece 0 1 2 is 3 < 4
+        assert cv._rotate(pd, root.segs, root.touched, root.path_v, 2,
+                          n0=4, at_end=False) is None
 
 
 class TestReplay:
@@ -335,29 +352,39 @@ class TestReplay:
         root = cv._root_node(pd, 0, 11, int(pd.cycle_id[0]))
         return pd, root
 
+    @staticmethod
+    def start(pd, node, w, n0):
+        """_rotate at the path start from node's path."""
+        return cv._rotate(pd, node.segs, node.touched, node.path_v, w, n0,
+                          at_end=False)
+
     def test_empty_chain_needs_long_path(self):
         pd, root = self.make()
-        ok, pv, segs = cv._replay(pd, root, [], n0=4)
-        assert ok and pv == 12 and segs == root.segs
-        ok, _, _ = cv._replay(pd, root, [], n0=13)
-        assert not ok
+        assert cv._replay(pd, root, [], n0=4)
+        assert root.path_v == 12 and root.segs == ((0, 11),)
+        assert not cv._replay(pd, root, [], n0=13)
 
     def test_split_boundaries(self):
         pd, root = self.make()
         # front = before + 1 vertices close into a cycle, rest stays
-        ok, pv, _ = cv._replay(pd, root, [(3, 0)], n0=4)
-        assert ok and pv == 8
-        ok, _, _ = cv._replay(pd, root, [(2, 0)], n0=4)
-        assert not ok  # front would be 3 < 4
-        ok, _, _ = cv._replay(pd, root, [(8, 0)], n0=4)
-        assert not ok  # rest would be 3 < 4
+        assert cv._replay(pd, root, [(3, 0, 0)], n0=4)
+        assert self.start(pd, root, 3, n0=4)[2] == 8
+        assert not cv._replay(pd, root, [(2, 0, 0)], n0=4)
+        assert self.start(pd, root, 2, n0=4) is None  # front 3 < 4
+        assert not cv._replay(pd, root, [(8, 0, 0)], n0=4)
+        assert self.start(pd, root, 8, n0=4) is None  # rest 3 < 4
 
     def test_absorb_then_split(self):
         pd, root = self.make()
-        ok, pv, segs = cv._replay(pd, root, [(13, 0), (5, 1)], n0=4)
+        # 13 feeds u0, so the start moves to succ(13) = 14; 5 feeds 14
+        assert cv._replay(pd, root, [(13, 0, 0), (5, 14, 1)], n0=4)
+        segs, touched, pv, x = self.start(pd, root, 13, n0=4)
+        assert (segs, pv, x) == (((14, 13), (0, 11)), 16, 14)
+        segs, _, pv, x = cv._rotate(pd, segs, touched, pv, 5, 4,
+                                    at_end=False)
         # absorb the 4-cycle at 13 (path grows to 16, prepended), then
         # split: front 14 15 12 13 0..5 closes off, rest is 6..11
-        assert ok and pv == 6
+        assert pv == 6 and x == 6
         assert segs == ((6, 11),)
 
     def test_touched_cycle_is_opaque(self):
@@ -371,8 +398,101 @@ class TestReplay:
         segs = (leaf.segs[0],)
         probe = cv._Node(parent=None, added=None, removed=None,
                          segs=segs, touched=leaf.touched, path_v=12, end=11)
-        ok, _, _ = cv._replay(pd, probe, [(14, 0)], n0=4)
-        assert not ok
+        assert not cv._replay(pd, probe, [(14, 0, 0)], n0=4)
+        for at_end in (True, False):
+            assert cv._rotate(pd, segs, leaf.touched, 12, 14, 4,
+                              at_end) is None
+
+
+def npd_of(pd, node, v0):
+    """Successor map of node's NPD, following its delta chain from Π.
+
+    The broken edge (v0, u0) and each removed edge leave their tail
+    with no successor (-1) until a later addition sets it.
+    """
+    succ = pd.succ.copy()
+    succ[v0] = -1
+    for (v, w, _eid), (x, _w) in node.chain():
+        succ[v] = w
+        succ[x] = -1
+    return succ
+
+
+class TestRotateOracle:
+    """Every NPD out_phase admits, rebuilt from Π and walked."""
+
+    @staticmethod
+    def instance(seed):
+        rng = rng_stream(seed, 9)
+        n = 90
+        perm = rng.permutation(n).tolist()
+        # even cuts: every cycle has ≥ 2 vertices, so no loop edges
+        cuts = sorted(2 * rng.choice(np.arange(1, n // 2), size=5,
+                                     replace=False))
+        cycles = [perm[lo:hi] for lo, hi in zip([0] + cuts, cuts + [n])]
+        cover = {(a, b) for cyc in cycles
+                 for a, b in zip(cyc, cyc[1:] + cyc[:1])}
+        extra = set()
+        while len(extra) < 4 * n:
+            u, v = (int(x) for x in rng.integers(n, size=2))
+            if u != v and (u, v) not in cover:
+                extra.add((u, v))
+        sd, pd, pool = host_with_cover(*cycles, extra=sorted(extra))
+        return sd, pd, pool, min(cycles, key=len)[0]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_admitted_nodes_match_their_chains(self, seed, monkeypatch):
+        made = []
+
+        class Recorded(cv._Node):
+            __slots__ = ()
+
+            def __init__(self, *args, **kw):
+                super().__init__(*args, **kw)
+                made.append(self)
+
+        monkeypatch.setattr(cv, "_Node", Recorded)
+        sd, pd, pool, u0 = self.instance(seed)
+        v0 = int(pd.pred[u0])
+        n0 = 8
+        ctx = cv._Ctx(sd, pool)
+        ctx.refresh(pd)
+        budget = tiny_budget(n0=n0, leaf_target=10 ** 6, leaf_cap=10 ** 6)
+        cv.out_phase(pd, u0, ctx, bytearray(sd.n), budget)
+        old = {frozenset(c.tolist()) for c in pd.cycles}
+        kinds = set()
+        for node in made:
+            succ = npd_of(pd, node, v0)
+            path = [u0]
+            while succ[path[-1]] >= 0:
+                path.append(int(succ[path[-1]]))
+            assert path[-1] == node.end
+            assert len(path) == node.path_v
+            want = []
+            for f, l in node.segs:
+                want.append(f)
+                while want[-1] != l:
+                    want.append(int(pd.succ[want[-1]]))
+            assert path == want
+            # off the path succ is a permutation: Π's cycles and the
+            # cycles rotations closed off, each of ≥ n0 vertices
+            rest = np.setdiff1d(np.arange(sd.n), path)
+            assert sorted(succ[rest].tolist()) == rest.tolist()
+            seen = set()
+            for v in rest.tolist():
+                if v in seen:
+                    continue
+                cyc = [v]
+                while int(succ[cyc[-1]]) != v:
+                    cyc.append(int(succ[cyc[-1]]))
+                seen.update(cyc)
+                if frozenset(cyc) not in old:
+                    assert len(cyc) >= n0
+            if node.parent is not None:
+                kinds.add(node.path_v > node.parent.path_v)
+        assert len(made) > 1
+        if seed == 0:
+            assert kinds == {True, False}  # both absorbs and splits
 
 
 class TestOutPhase:
@@ -543,10 +663,11 @@ class TestAssertProgress:
 class TestBudget:
     def test_for_model_arithmetic(self):
         b = PhaseTwoBudget.for_model(5000, 50.0, 1)
-        assert b.alpha == math.ceil(50 / 8)
+        alpha = math.ceil(50 / 8)
         assert b.n0 == pytest.approx(5000 / math.log(5000))
         assert b.w_cap == max(math.ceil(5000 ** 0.75), math.ceil(0.85 * 5000))
-        assert b.in_branch == 3 * b.alpha
+        assert b.in_branch == 3 * alpha
+        assert b.leaf_target == math.ceil(math.sqrt(5000 / alpha))
         assert b.leaf_cap == 3 * b.leaf_target
 
 

@@ -84,6 +84,21 @@ class TestInternalFailure:
         assert rec.seed == 41 and not rec.success
         assert rec.cert_digest is None
 
+    def test_unknown_tau_mode_refused(self, monkeypatch):
+        # seed 2's phase 2 leaves one cycle, so a mode passed through
+        # unchecked reaches no phase-3 branch and records a success
+        def no_sampling(params, rng):
+            raise AssertionError("sampled before checking tau_mode")
+
+        rec = hn.run_trial(ModelParams.make(600, 30.0, 1), 2,
+                           tau_mode="bogus")
+        assert rec.outcome == "failure:internal"
+        assert rec.detail == "unknown tau_mode 'bogus'"
+        monkeypatch.setattr(hn, "sample_erased_digraph", no_sampling)
+        with pytest.raises(ValueError, match="unknown tau_mode"):
+            hn.run_pipeline(ModelParams.make(600, 30.0, 1), rng_stream(2),
+                            tau_mode="restrict-rphi")
+
     def test_sweep_completes(self, monkeypatch):
         monkeypatch.setattr(hn, "run_pipeline", self.broken_pipeline)
         summary = hn.run_sweep(ns=[60, 80], cs=[4.0], ks=[1], trials=2,

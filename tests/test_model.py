@@ -443,6 +443,18 @@ class TestPairCsr:
             pair_csr(np.array([1, 0, 1]), np.array([2, 2, 2]), 3, 2)
 
 
+class TestFirstCopies:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 12), max_size=60))
+    def test_matches_unique_return_index(self, values):
+        # np.unique's stable sort returns each code's least index
+        codes = np.array(values, dtype=np.int64)
+        _, want = np.unique(codes, return_index=True)
+        got = md.first_copies(codes)
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist()
+
+
 class TestSamplers:
     def test_strict_rejection_is_simple(self, tiny_params, tiny_host):
         assert tiny_host.n == tiny_params.n
