@@ -31,6 +31,12 @@ membership come from Π's cycle tables in O(arcs).  Cycles created by
 earlier splits are opaque: a pivot on one is refused, not absorbed,
 although such cycles are ≥ n₀ by admission.
 
+Covers are spliced, never rebuilt: pointer doubling builds the cycle
+tables once, for phase 1's cover, and each closure (like each merge in
+phase 3) hands its rewired tails to PermutationDigraph.rewired, which
+reuses the tables of every cycle the closure leaves alone and joins
+the arcs of the rest.
+
 The textbook asymptotic budgets (ν = √n·ln n leaves, |W| ≤ n^{3/4})
 only separate at astronomical n: already 2αν > n^{3/4} for every n
 below ~10⁹, so a literal reading can never finish a single tree.  The
@@ -50,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PhaseFailure
-from .model import SimpleDigraph, pair_csr
+from .model import SimpleDigraph, first_copies, pair_csr
 
 __all__ = [
     "PermutationDigraph", "PhaseTwoBudget", "PhaseTwoStats", "cycles_of",
@@ -66,6 +72,8 @@ class PermutationDigraph:
     by their smallest vertex, which is also their canonical start;
     cycle_id[v] names the cycle of v, pos[v] is v's offset along its
     cycle from that start, and cycles[c] lists cycle c from its start.
+    The constructor builds these tables by pointer doubling; rewired
+    splices them for a cover that differs in a few arcs.
     """
 
     def __init__(self, succ: np.ndarray, edge_ids: np.ndarray | None = None):
@@ -125,6 +133,101 @@ class PermutationDigraph:
         self.pos = pos
         self.cycles = np.split(flat, offsets[1:-1])
         self.cycle_lens = cycle_lens
+
+    def rewired(self, tails, heads, eids) -> "PermutationDigraph":
+        """The cover with succ[tails] = heads and edge_ids[tails] = eids.
+
+        Writes apply in order, so a repeated tail keeps its last head;
+        the heads kept must be a permutation of the old succ[tails], or
+        ValueError.  The tables are spliced from this cover's instead of
+        rebuilt by pointer doubling.  Cutting each touched cycle after
+        its rewired tails leaves arcs, each running from an old head to
+        the next rewired tail along its cycle; each new cycle is a ring
+        of such arcs, rotated to start at its smallest vertex.  Cycles
+        with no rewired tail keep their arrays, and cycle ids are
+        renumbered by start.
+        """
+        if self.edge_ids is None:
+            raise ValueError("cover lacks edge provenance")
+        n = self.n
+        tails = np.asarray(tails, dtype=np.int64).ravel()
+        heads = np.asarray(heads, dtype=np.int64).ravel()
+        eids = np.asarray(eids, dtype=np.int64).ravel()
+        if not len(tails) == len(heads) == len(eids):
+            raise ValueError("tails, heads and eids differ in length")
+        if len(tails) == 0:
+            return self
+        if tails.min() < 0 or tails.max() >= n:
+            raise ValueError("tail out of range")
+        # the last write to a tail is its first copy in reverse; what is
+        # kept runs by (cycle_id, pos), the order of tails along cycles
+        key = self.cycle_id[tails] * n + self.pos[tails]
+        last = len(tails) - 1 - first_copies(key[::-1])
+        tails, heads, eids, key = tails[last], heads[last], eids[last], key[last]
+        if not np.array_equal(np.sort(heads), np.sort(self.succ[tails])):
+            raise ValueError("succ is not a permutation")
+        d = len(tails)
+        cid = self.cycle_id[tails]
+        lead = np.flatnonzero(np.r_[True, cid[1:] != cid[:-1]])
+        # arc j runs from the old head of tails[j] to tails[nxt[j]], the
+        # next rewired tail along its cycle
+        nxt = np.arange(1, d + 1)
+        nxt[np.r_[lead[1:], d] - 1] = lead
+        lens = self.cycle_lens[cid]
+        from_pos = (self.pos[tails] + 1) % lens
+        arc_lens = (self.pos[tails[nxt]] - from_pos) % lens + 1
+        # the arc after arc j starts at the new head of tails[nxt[j]],
+        # which is the old head of tails[link[j]]
+        fed = self.pred[heads[nxt]]
+        link = np.searchsorted(key, self.cycle_id[fed] * n
+                               + self.pos[fed]).tolist()
+        cid_l, lo_l, len_l = cid.tolist(), from_pos.tolist(), arc_lens.tolist()
+        rings = []
+        seen = [False] * d
+        for j in range(d):
+            parts = []
+            while not seen[j]:
+                seen[j] = True
+                cyc = self.cycles[cid_l[j]]
+                lo, hi = lo_l[j], lo_l[j] + len_l[j]
+                parts.append(cyc[lo:hi])
+                if hi > len(cyc):  # the arc wraps past the cycle's start
+                    parts.append(cyc[:hi - len(cyc)])
+                j = link[j]
+            if parts:
+                ring = np.concatenate(parts)
+                at = int(ring.argmin())
+                rings.append(np.concatenate((ring[at:], ring[:at])))
+        ring_lens = np.array([len(r) for r in rings], dtype=np.int64)
+        ring_at = np.cumsum(ring_lens) - ring_lens
+        rid = np.repeat(np.arange(len(rings)), ring_lens)
+        flat = np.concatenate(rings)
+        # renumber: kept cycles and new rings, in order of their starts
+        kept = np.ones(self.num_cycles, dtype=bool)
+        kept[cid] = False
+        kept = np.flatnonzero(kept)
+        order = np.argsort(np.r_[np.flatnonzero(self.pos == 0)[kept],
+                                 flat[ring_at]])
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        remap = np.full(self.num_cycles, -1, dtype=np.int64)
+        remap[kept] = rank[:len(kept)]
+        pieces = [self.cycles[c] for c in kept.tolist()] + rings
+
+        out = object.__new__(type(self))
+        out.succ = self.succ.copy()
+        out.succ[tails] = heads
+        out.pred = self.pred.copy()
+        out.pred[heads] = tails
+        out.edge_ids = self.edge_ids.copy()
+        out.edge_ids[tails] = eids
+        out.cycle_id = remap[self.cycle_id]
+        out.cycle_id[flat] = rank[len(kept):][rid]
+        out.pos = self.pos.copy()
+        out.pos[flat] = np.arange(len(flat)) - ring_at[rid]
+        out.cycles = [pieces[i] for i in order.tolist()]
+        out.cycle_lens = np.r_[self.cycle_lens[kept], ring_lens][order]
+        return out
 
     @property
     def num_cycles(self) -> int:
@@ -192,33 +295,33 @@ class PhaseTwoStats:
 class _Node:
     """One NPD in a rotation tree, stored as a delta chain.
 
+    added is the reserve edge (v, w, eid) whose rotation made this node
+    from its parent; the Π-edge it displaced, (end, w), is implied.
     segs is the path u0 -> ... -> end as consecutive Π-arcs (first,
     last); touched is the set of Π-cycle ids that ever contributed an
     arc (their leftovers may live on created cycles, which are opaque
     to further surgery).
     """
 
-    __slots__ = ("parent", "added", "removed", "segs", "touched",
-                 "path_v", "end")
+    __slots__ = ("parent", "added", "segs", "touched", "path_v", "end")
 
-    def __init__(self, parent, added, removed, segs, touched, path_v, end):
+    def __init__(self, parent, added, segs, touched, path_v, end):
         self.parent = parent
         self.added = added      # (v, w, eid) or None at the root
-        self.removed = removed  # (x, w) or None
         self.segs = segs
         self.touched = touched
         self.path_v = path_v
         self.end = end
 
     def chain(self):
-        """Deltas from the root down to this node."""
-        steps = []
+        """The nodes from the root's child down to this one."""
+        nodes = []
         node = self
         while node.added is not None:
-            steps.append((node.added, node.removed))
+            nodes.append(node)
             node = node.parent
-        steps.reverse()
-        return steps
+        nodes.reverse()
+        return nodes
 
 
 class _Ctx:
@@ -259,8 +362,9 @@ class _Ctx:
     def pool_out_edges(self, vs: np.ndarray):
         """Available pool edges leaving the vertices vs, as arrays.
 
-        Returns (tails, eids, heads) listing, for each v of vs in turn,
-        the pairs pool_out(v) yields, in the same order.
+        Returns (at, eids, heads) listing, for each v of vs in turn,
+        the pairs pool_out(v) yields, in the same order; the tail of
+        each is vs[at].
         """
         lo = self._out_ptr[vs]
         cnt = self._out_ptr[vs + 1] - lo
@@ -269,7 +373,8 @@ class _Ctx:
         eids = self._out_ids[idx]
         keep = self.avail[eids]
         eids = eids[keep]
-        return np.repeat(vs, cnt)[keep], eids, self.sd.edges[eids, 1]
+        at = np.repeat(np.arange(len(vs)), cnt)[keep]
+        return at, eids, self.sd.edges[eids, 1]
 
     def pool_in(self, u: int):
         """(eid, tail) pairs of available pool edges entering u."""
@@ -281,9 +386,9 @@ class _Ctx:
 
 
 def _root_node(pd: PermutationDigraph, u0: int, v0: int, cid: int) -> _Node:
-    return _Node(parent=None, added=None, removed=None,
-                 segs=((u0, v0),), touched=frozenset((cid,)),
-                 path_v=int(pd.cycle_lens[cid]), end=v0)
+    return _Node(parent=None, added=None, segs=((u0, v0),),
+                 touched=frozenset((cid,)), path_v=int(pd.cycle_lens[cid]),
+                 end=v0)
 
 
 def _locate(pd: PermutationDigraph, segs, w: int):
@@ -383,8 +488,8 @@ def out_phase(pd: PermutationDigraph, u0: int, ctx: _Ctx, w_set: bytearray,
                 w_set[w] = 1
                 w_set[x] = 1
                 nxt.append(_Node(parent=node, added=(v, w, eid),
-                                 removed=(x, w), segs=segs, touched=touched,
-                                 path_v=pv, end=x))
+                                 segs=segs, touched=touched, path_v=pv,
+                                 end=x))
             if len(nxt) >= budget.leaf_cap:
                 break
         if not nxt:
@@ -417,26 +522,17 @@ def _replay(pd: PermutationDigraph, leaf: _Node, steps, n0: float) -> bool:
 
 def _materialize(pd: PermutationDigraph, leaf: _Node, in_steps,
                  closure) -> PermutationDigraph:
-    """Apply a full delta chain to Π and build the new cover.
+    """Apply a full delta chain to Π by splicing its cycles.
 
     in_steps = [(w, start_before, eid)] start-side surgeries in order;
-    closure = (tail, head, eid) the final closing edge.
+    closure = (tail, head, eid) the final closing edge.  Each removal
+    (x, w) is superseded: x is the next delta's tail (or the final
+    dangling end the closure edge resolves), so writing the additions
+    in order leaves no stale pointer behind.
     """
-    succ = pd.succ.copy()
-    eids = pd.edge_ids.copy()
-    # each removal (x,w) is superseded: x is the next delta's tail (or
-    # the final dangling end the closure edge resolves), so writing the
-    # additions in order leaves no stale pointer behind
-    for (v, w, eid), _removed in leaf.chain():
-        succ[v] = w
-        eids[v] = eid
-    for w, start, eid in in_steps:
-        succ[w] = start
-        eids[w] = eid
-    t, h, eid = closure
-    succ[t] = h
-    eids[t] = eid
-    return PermutationDigraph(succ, eids)
+    steps = [nd.added for nd in leaf.chain()] + list(in_steps) + [closure]
+    tails, heads, eids = np.array(steps, dtype=np.int64).T
+    return pd.rewired(tails, heads, eids)
 
 
 def in_phase(pd: PermutationDigraph, u0: int, leaves: list, ctx: _Ctx,
@@ -452,15 +548,19 @@ def in_phase(pd: PermutationDigraph, u0: int, leaves: list, ctx: _Ctx,
     hold for one leaf and fail for another).
     """
     n0 = budget.n0
-    # closure targets: reserve edges out of each leaf end.  Long paths
-    # validate far more often (short ones refuse most pivots as opaque
-    # created-cycle vertices), so try them first.
-    target: dict[int, list] = {}
-    for j in sorted(range(len(leaves)), key=lambda i: -leaves[i].path_v):
-        for eid, w in ctx.pool_out(leaves[j].end):
-            target.setdefault(w, []).append((j, eid))
-    if not target:
+    # closure targets: reserve edges out of each leaf end, sorted
+    # stably by head.  Long paths validate far more often (short ones
+    # refuse most pivots as opaque created-cycle vertices), so each
+    # head lists them first, by leaf rank and then by row.
+    rank = sorted(range(len(leaves)), key=lambda i: -leaves[i].path_v)
+    at, eids, heads = ctx.pool_out_edges(
+        np.array([leaves[j].end for j in rank], dtype=np.int64))
+    if not len(heads):
         return None
+    by_head = np.argsort(heads, kind="stable")
+    target_heads = heads[by_head]
+    target_leaf = np.asarray(rank)[at[by_head]].tolist()
+    target_eid = eids[by_head].tolist()
     parent: dict[int, tuple] = {u0: None}  # start -> (prev, w, eid)
     frontier = [u0]
     starts_seen = 1
@@ -478,7 +578,9 @@ def in_phase(pd: PermutationDigraph, u0: int, leaves: list, ctx: _Ctx,
 
     def try_close(s):
         nonlocal validations
-        for j, closure_eid in target.get(s, ()):
+        lo = int(np.searchsorted(target_heads, s))
+        hi = int(np.searchsorted(target_heads, s, side="right"))
+        for j, closure_eid in zip(target_leaf[lo:hi], target_eid[lo:hi]):
             if validations >= MAX_VALIDATIONS:
                 return None
             validations += 1

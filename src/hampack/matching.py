@@ -27,7 +27,7 @@ from scipy.sparse.csgraph import (breadth_first_order,
                                   maximum_bipartite_matching)
 
 from .errors import PhaseFailure
-from .model import SimpleDigraph, first_copies, pair_csr
+from .model import SimpleDigraph, first_copies
 from .partition import EdgePartition
 
 __all__ = [
@@ -53,10 +53,16 @@ class BipartiteGraph:
                     np.asarray(eids, dtype=np.int64))
 
     def _build(self, a: np.ndarray, b: np.ndarray, eids: np.ndarray) -> None:
-        order, self.indptr = pair_csr(a, b, self.n, self.n)
+        """One argsort of the distinct codes; rows are cut by a bincount."""
+        codes = a * self.n + b
+        order = np.argsort(codes)
+        self.codes = codes[order]
+        if np.any(self.codes[1:] == self.codes[:-1]):
+            raise ValueError("repeated pair code")
         self.indices = b[order]
-        self.codes = a[order] * self.n + self.indices
         self.eids = eids[order]
+        self.indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(a, minlength=self.n), out=self.indptr[1:])
 
     @property
     def num_edges(self) -> int:
@@ -68,8 +74,8 @@ def digraph_to_bipartite(edge_ids, sd: SimpleDigraph,
     """Translate host edges into the bipartite view: host edge (u, v)
     becomes {a_u, b_label[v]} for the B-side permutation label."""
     ids = np.asarray(edge_ids, dtype=np.int64)
-    ends = sd.edges[ids]
-    return BipartiteGraph(sd.n, ends[:, 0], np.asarray(label)[ends[:, 1]], ids)
+    return BipartiteGraph(sd.n, sd.edges[ids, 0],
+                          np.asarray(label)[sd.edges[ids, 1]], ids)
 
 
 @dataclass
@@ -176,9 +182,8 @@ def booster_augment(g: BipartiteGraph, mt: Matching,
                 np.concatenate((g.eids, eids[:t])))
 
     def probe(t: int) -> Matching:
-        ga, gb, _ = grown(t)
-        order, indptr = pair_csr(ga, gb, n, n)
-        return _matching(n, indptr, gb[order])
+        gt = BipartiteGraph(n, *grown(t))
+        return _matching(n, gt.indptr, gt.indices)
 
     total = len(a)
     lo = n - mt.size  # no shorter prefix can be perfect

@@ -525,7 +525,12 @@ class SimpleDigraph:
         code = np.asarray(u, dtype=np.int64) * self.n + v
         if self.m == 0:
             return -1 if code.ndim == 0 else np.full(code.shape, -1, np.int64)
-        pos = np.minimum(np.searchsorted(self._codes_sorted, code), self.m - 1)
+        # queries in ascending order walk the index once, in cache order
+        flat = code.ravel()
+        order = np.argsort(flat)
+        pos = np.empty(flat.shape, dtype=np.int64)
+        pos[order] = np.searchsorted(self._codes_sorted, flat[order])
+        pos = np.minimum(pos.reshape(code.shape), self.m - 1)
         out = np.where(self._codes_sorted[pos] == code,
                        self._codes_order[pos], -1)
         return int(out) if out.ndim == 0 else out

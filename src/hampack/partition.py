@@ -114,15 +114,17 @@ def compute_small(sd: SimpleDigraph, part: EdgePartition,
     they are reserve edges, not working graphs.
     """
     thr = c / (8.0 * k)
+    n = sd.n
     tails = sd.edges[:, 0]
     heads = sd.edges[:, 1]
     small = (sd.out_deg <= thr) | (sd.in_deg <= thr)
-    for t in (1, 2, 3):
-        for i in range(k):
-            mask = (part.pool_t == t) & (part.pool_i == i)
-            pool_out = np.bincount(tails[mask], minlength=sd.n)
-            pool_in = np.bincount(heads[mask], minlength=sd.n)
-            small |= (pool_out <= thr) | (pool_in <= thr)
+    # Ê_{t,i} is row (t-1)k + i of the per-pool degree tables, which two
+    # bincounts over (pool, vertex) keys fill at once
+    work = part.pool_t <= 3
+    row = (part.pool_t[work].astype(np.int64) - 1) * k + part.pool_i[work]
+    for ends in (tails, heads):
+        deg = np.bincount(row * n + ends[work], minlength=3 * k * n)
+        small |= deg.reshape(3 * k, n).min(axis=0) <= thr
     e_small = small[tails] | small[heads]
     part.small = small
     part.e_small = e_small

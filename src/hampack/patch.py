@@ -245,13 +245,7 @@ def count_r_phi(phi: np.ndarray) -> int:
 def reassemble(pd: PermutationDigraph, ps: PathSystem, tau: np.ndarray,
                eid_of: np.ndarray) -> PermutationDigraph:
     """Apply the joins (v_a, u[phi[tau[a]]]) and return the new cover."""
-    succ = pd.succ.copy()
-    eids = pd.edge_ids.copy()
-    for a in range(ps.kappa):
-        b = int(tau[a])
-        succ[ps.v[a]] = ps.u[ps.phi[b]]
-        eids[ps.v[a]] = eid_of[a]
-    out = PermutationDigraph(succ, eids)
+    out = pd.rewired(ps.v, ps.u[ps.phi[tau]], eid_of)
     if out.num_cycles != 1:
         raise PhaseFailure("phase3", "reassembled cover is not one cycle")
     return out
@@ -301,7 +295,9 @@ def _find_exchange(pd: PermutationDigraph, cid: int, ctx: _Ctx,
         order = order[~blocked[order]]
     lo, size = 0, 256
     while lo < len(order):
-        a, eid1, h = ctx.pool_out_edges(order[lo:lo + size])
+        chunk = order[lo:lo + size]
+        at, eid1, h = ctx.pool_out_edges(chunk)
+        a = chunk[at]
         lo, size = lo + size, 4 * size
         keep = pd.cycle_id[h] != cid
         b = pd.pred[h]
@@ -342,14 +338,8 @@ def merge_patch(pd: PermutationDigraph, sd: SimpleDigraph,
                     f"-cycle ({pd.num_cycles} cycles left)")
             stats.relaxed_merges += 1
         a, b, eid1, eid2 = found
-        succ = pd.succ.copy()
-        eids = pd.edge_ids.copy()
-        a_next = int(pd.succ[a])
-        succ[a] = int(sd.edges[eid1, 1])
-        eids[a] = eid1
-        succ[b] = a_next
-        eids[b] = eid2
-        merged = PermutationDigraph(succ, eids)
+        merged = pd.rewired((a, b), (sd.edges[eid1, 1], pd.succ[a]),
+                            (eid1, eid2))
         if merged.num_cycles != pd.num_cycles - 1:
             raise PhaseFailure("phase3", "exchange failed to merge")
         pd = merged

@@ -165,6 +165,98 @@ class TestExtractCyclesOracle:
         self.check(succ)
 
 
+TABLES = ("succ", "pred", "edge_ids", "cycle_id", "pos", "cycle_lens")
+
+
+@st.composite
+def rewires(draw):
+    """(succ, eids, tails, heads, new_eids): a cover and writes to it.
+
+    Tails may repeat; the last write to each tail sends it to a
+    permutation of the old heads, earlier writes anywhere.
+    """
+    n = draw(st.integers(1, 40))
+    succ = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    eids = np.array(draw(st.lists(st.integers(0, 999), min_size=n,
+                                  max_size=n)), dtype=np.int64)
+    tails = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    last = {t: i for i, t in enumerate(tails)}
+    lasts = sorted(last.values())
+    moved = draw(st.permutations([int(succ[tails[i]]) for i in lasts]))
+    heads = [draw(st.integers(0, n - 1)) for _ in tails]
+    for i, h in zip(lasts, moved):
+        heads[i] = h
+    new_eids = draw(st.lists(st.integers(0, 999), min_size=len(tails),
+                             max_size=len(tails)))
+    return succ, eids, tails, heads, new_eids
+
+
+class TestRewiredOracle:
+    """rewired splices the tables; the constructor rebuilds them."""
+
+    @staticmethod
+    def check(pd, tails, heads, new_eids):
+        succ, eids = pd.succ.copy(), pd.edge_ids.copy()
+        for t, h, e in zip(tails, heads, new_eids):
+            succ[t], eids[t] = h, e
+        got = pd.rewired(tails, heads, new_eids)
+        want = PermutationDigraph(succ, eids)
+        for name in TABLES:
+            assert getattr(got, name).dtype == np.int64, name
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert len(got.cycles) == len(want.cycles)
+        for a, b in zip(got.cycles, want.cycles):
+            assert np.array_equal(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rewires())
+    def test_matches_rebuild(self, case):
+        succ, eids, tails, heads, new_eids = case
+        self.check(PermutationDigraph(succ, eids), tails, heads, new_eids)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rewires())
+    def test_identity_rewire(self, case):
+        succ, eids, tails, _, new_eids = case
+        pd = PermutationDigraph(succ, eids)
+        self.check(pd, tails, succ[tails], new_eids)
+        assert pd.rewired([], [], []) is pd
+
+    @settings(max_examples=100, deadline=None)
+    @given(rewires(), st.data())
+    def test_non_permutation_refused(self, case, data):
+        succ, eids, tails, heads, new_eids = case
+        if not tails:
+            return
+        pd = PermutationDigraph(succ, eids)
+        # the last write to the final tail lands on a head that some
+        # other vertex keeps, or outside [0, n)
+        kept = set(range(len(succ))) - set(succ[list(set(tails))].tolist())
+        bad = data.draw(st.sampled_from(sorted(kept | {-1, len(succ)})))
+        heads = list(heads)
+        heads[-1] = bad
+        with pytest.raises(ValueError, match="not a permutation"):
+            pd.rewired(tails, heads, new_eids)
+
+    def test_splices_only_touched_cycles(self):
+        pd = perm_digraph([0, 3, 1], [2, 4], [5, 6, 7], with_ids=True)
+        out = pd.rewired([0, 2], [4, 3], [10, 11])
+        # 0 -> 4 -> 2 -> 3 -> 1 -> 0 joins the first two cycles
+        assert out.cycles[0].tolist() == [0, 4, 2, 3, 1]
+        assert out.cycles[1] is pd.cycles[2]
+        assert out.edge_ids[[0, 2]].tolist() == [10, 11]
+        assert out.pred[4] == 0 and out.pred[3] == 2
+
+    def test_refusals(self):
+        pd = perm_digraph([0, 1, 2], with_ids=True)
+        with pytest.raises(ValueError, match="out of range"):
+            pd.rewired([3], [1], [0])
+        with pytest.raises(ValueError, match="differ in length"):
+            pd.rewired([0, 1], [1], [0])
+        with pytest.raises(ValueError, match="provenance"):
+            perm_digraph([0, 1, 2]).rewired([0], [1], [0])
+
+
 def naive_pool(sd, pool_ids, avail_ids, v, side):
     """(eid, other end) of every available pool edge with end v on
     side (0: tail, 1: head), ascending by eid: a scan of the pool."""
@@ -199,7 +291,8 @@ class TestCtxPoolOracle:
             assert list(ctx.pool_in(v)) == naive_pool(sd, pool, avail_ids,
                                                       v, 1)
         vs = rng.integers(sd.n, size=25)
-        tails, eids, heads = ctx.pool_out_edges(vs)
+        at, eids, heads = ctx.pool_out_edges(vs)
+        tails = vs[at]
         want = [(int(v), e, h) for v in vs
                 for e, h in naive_pool(sd, pool, avail_ids, v, 0)]
         assert list(zip(tails.tolist(), eids.tolist(),
@@ -389,15 +482,15 @@ class TestReplay:
 
     def test_touched_cycle_is_opaque(self):
         pd, root = self.make()
-        leaf = cv._Node(parent=root, added=(11, 13, 0), removed=(12, 13),
+        leaf = cv._Node(parent=root, added=(11, 13, 0),
                         segs=root.segs + ((13, 12),),
                         touched=root.touched | {int(pd.cycle_id[13])},
                         path_v=16, end=12)
         # 14 sits on the already-touched 4-cycle: refuse, even though
         # it is not on the path segments
         segs = (leaf.segs[0],)
-        probe = cv._Node(parent=None, added=None, removed=None,
-                         segs=segs, touched=leaf.touched, path_v=12, end=11)
+        probe = cv._Node(parent=None, added=None, segs=segs,
+                         touched=leaf.touched, path_v=12, end=11)
         assert not cv._replay(pd, probe, [(14, 0, 0)], n0=4)
         for at_end in (True, False):
             assert cv._rotate(pd, segs, leaf.touched, 12, 14, 4,
@@ -407,14 +500,16 @@ class TestReplay:
 def npd_of(pd, node, v0):
     """Successor map of node's NPD, following its delta chain from Π.
 
-    The broken edge (v0, u0) and each removed edge leave their tail
-    with no successor (-1) until a later addition sets it.
+    The broken edge (v0, u0) and each removed edge (x, w) leave their
+    tail with no successor (-1) until a later addition sets it; x is the
+    end of the node whose addition removed it.
     """
     succ = pd.succ.copy()
     succ[v0] = -1
-    for (v, w, _eid), (x, _w) in node.chain():
+    for step in node.chain():
+        v, w, _eid = step.added
         succ[v] = w
-        succ[x] = -1
+        succ[step.end] = -1
     return succ
 
 

@@ -71,6 +71,28 @@ class TestRunTrial:
                     "3-select", "3-search", "verify"}
 
 
+def test_covers_built_once_then_spliced(monkeypatch):
+    """Phase 1 builds each of the k covers by pointer doubling; phases
+    2 and 3 only splice them."""
+    built, spliced = [], []
+    init = cv.PermutationDigraph.__init__
+    rewired = cv.PermutationDigraph.rewired
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    def counted_rewired(self, *args, **kwargs):
+        spliced.append(1)
+        return rewired(self, *args, **kwargs)
+
+    monkeypatch.setattr(cv.PermutationDigraph, "__init__", counted_init)
+    monkeypatch.setattr(cv.PermutationDigraph, "rewired", counted_rewired)
+    rec = hn.run_trial(ModelParams.make(600, 30.0, 1), 0)
+    assert rec.outcome == "success" and rec.kappa == [2]
+    assert len(built) == 1 and len(spliced) >= 2
+
+
 class TestInternalFailure:
     @staticmethod
     def broken_pipeline(*args, **kwargs):

@@ -106,6 +106,42 @@ class TestTranslation:
         assert np.array_equal(label[ends[:, 1]], g.indices)
 
 
+class TestBipartiteLayout:
+    """BipartiteGraph against a layout sorted by brute force."""
+
+    @staticmethod
+    def check(n, pairs, eids):
+        a, b = (np.array([p[i] for p in pairs], dtype=np.int64)
+                for i in (0, 1))
+        g = BipartiteGraph(n, a, b, eids)
+        rows = sorted(zip(a.tolist(), b.tolist(), list(eids)))
+        assert g.codes.tolist() == [x * n + y for x, y, _ in rows]
+        assert g.indices.tolist() == [y for _, y, _ in rows]
+        assert g.eids.tolist() == [e for _, _, e in rows]
+        assert g.indptr.tolist() == [sum(x < r for x, _, _ in rows)
+                                     for r in range(n + 1)]
+        for arr in (g.codes, g.indices, g.eids, g.indptr):
+            assert arr.dtype == np.int64
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_pairs_with_isolated_rows(self, seed):
+        rng = rng_stream(seed, 17)
+        n = 12
+        pairs = random_pairs(n, 0.2, rng)
+        pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+        # rows 0 and n - 1 stay isolated
+        pairs = [(x, y) for x, y in pairs if x not in (0, n - 1)]
+        eids = rng.permutation(1000)[:len(pairs)].tolist()
+        self.check(n, pairs, eids)
+
+    def test_empty_edge_set(self):
+        self.check(5, [], [])
+
+    def test_repeated_pair_refused(self):
+        with pytest.raises(ValueError, match="repeated"):
+            BipartiteGraph(3, [1, 0, 1], [2, 2, 2], [0, 1, 2])
+
+
 class TestMaximumMatching:
     def test_disjoint_perfect(self):
         g = graph_of(5, [(v, (v + 2) % 5) for v in range(5)])

@@ -388,6 +388,10 @@ class TestSimpleDigraph:
         assert rev.tolist() == want
         assert sd.edge_lookup(np.array([0, sd.n - 1]),
                               np.array([0, sd.n - 1])).tolist() == [-1, -1]
+        # unsorted queries with repeats keep their order and shape
+        q = rng_stream(19, 1).choice(sd.m, size=(6, 5))
+        assert np.array_equal(sd.edge_lookup(sd.edges[q, 0], sd.edges[q, 1]),
+                              q)
         empty = SimpleDigraph(3, np.empty((0, 2), dtype=np.int64), 1)
         assert empty.edge_lookup(0, 1) == -1
         assert empty.edge_lookup(np.array([0]), np.array([1])).tolist() == [-1]

@@ -99,6 +99,26 @@ class TestComputeSmall:
         small2, _ = compute_small(sd, part2, 8.0, 1)  # threshold 1
         assert not small2.any()
 
+    @pytest.mark.parametrize("k, c", [(1, 30.0), (2, 60.0), (3, 100.0)])
+    def test_matches_pool_by_pool_loop(self, k, c):
+        """One pass over (pool, vertex) keys marks what a mask and two
+        bincounts per pool mark."""
+        params = ModelParams.make(400, c, k)
+        sd, _ = sample_erased_digraph(params, rng_stream(30, k))
+        part = split_edges(sd, k, rng_stream(30, k))
+        small, e_small = compute_small(sd, part, c, k)
+        thr = c / (8.0 * k)
+        want = (sd.out_deg <= thr) | (sd.in_deg <= thr)
+        for t in (1, 2, 3):
+            for i in range(k):
+                ends = sd.edges[part.pool_edges(t, i)]
+                want |= np.bincount(ends[:, 0], minlength=sd.n) <= thr
+                want |= np.bincount(ends[:, 1], minlength=sd.n) <= thr
+        assert 0 < want.sum() < sd.n
+        assert np.array_equal(small, want)
+        assert np.array_equal(e_small,
+                              want[sd.edges[:, 0]] | want[sd.edges[:, 1]])
+
     def test_idempotent(self, tiny_params, tiny_host):
         part = split_edges(tiny_host, 1, rng_stream(26, 0))
         s1, e1 = compute_small(tiny_host, part, tiny_params.c, 1)
