@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PhaseFailure
-from .model import SimpleDigraph, first_copies, pair_csr
+from .model import SimpleDigraph, first_copies, sort_codes
 
 __all__ = [
     "PermutationDigraph", "PhaseTwoBudget", "PhaseTwoStats", "cycles_of",
@@ -162,7 +162,7 @@ class PermutationDigraph:
         # the last write to a tail is its first copy in reverse; what is
         # kept runs by (cycle_id, pos), the order of tails along cycles
         key = self.cycle_id[tails] * n + self.pos[tails]
-        last = len(tails) - 1 - first_copies(key[::-1])
+        last = len(tails) - 1 - first_copies(key[::-1], self.num_cycles * n)
         tails, heads, eids, key = tails[last], heads[last], eids[last], key[last]
         if not np.array_equal(np.sort(heads), np.sort(self.succ[tails])):
             raise ValueError("succ is not a permutation")
@@ -292,6 +292,17 @@ class PhaseTwoStats:
     eliminated: list = field(default_factory=list)
 
 
+class _Burnt(bytearray):
+    """The burnt set W as a byte mask over vertices; size is |W|."""
+
+    size = 0
+
+    def burn(self, *vs: int) -> None:
+        for v in vs:
+            self.size += not self[v]
+            self[v] = 1
+
+
 class _Node:
     """One NPD in a rotation tree, stored as a delta chain.
 
@@ -328,10 +339,10 @@ class _Ctx:
     """Per-cover working context: reserve-pool adjacency and availability.
 
     The pool is a mask over host edges with a CSR of its edge ids by
-    tail (the in-CSR by head is built on the first pool_in call); both
-    rows run ascending by edge id and endpoints are read from sd.edges.
-    Availability (pool member and not sitting in the current cover)
-    refreshes per iteration.
+    tail (the in-CSR by head is built on the first pool_in call); one
+    sort of end << b | id lays out each, so rows ascend by edge id.
+    Endpoints are read from sd.edges.  Availability (pool member and
+    not sitting in the current cover) refreshes per iteration.
     """
 
     def __init__(self, sd: SimpleDigraph, pool_ids: np.ndarray):
@@ -345,9 +356,14 @@ class _Ctx:
     def _csr(self, side: int):
         """(indptr, edge ids) of the pool keyed by sd.edges[:, side]."""
         ids = np.flatnonzero(self.in_pool)
-        order, ptr = pair_csr(self.sd.edges[ids, side], ids, self.sd.m,
-                              self.sd.n)
-        return ptr, ids[order]
+        ends = self.sd.edges[ids, side]
+        ptr = np.r_[0, np.cumsum(np.bincount(ends, minlength=self.sd.n))]
+        shift = max(self.sd.m - 1, 0).bit_length()  # n << b < 2nm
+        key = ends << shift
+        key |= ids
+        key.sort()
+        key &= (1 << shift) - 1
+        return ptr, key
 
     def refresh(self, pd: PermutationDigraph):
         np.copyto(self.avail, self.in_pool)
@@ -446,7 +462,7 @@ def _rotate(pd: PermutationDigraph, segs, touched, path_v: int, w: int,
     return segs, touched, rest, x
 
 
-def out_phase(pd: PermutationDigraph, u0: int, ctx: _Ctx, w_set: bytearray,
+def out_phase(pd: PermutationDigraph, u0: int, ctx: _Ctx, w_set: _Burnt,
               budget: PhaseTwoBudget):
     """Grow the rotation tree for u0's small cycle, broken at (v0, u0).
 
@@ -458,8 +474,7 @@ def out_phase(pd: PermutationDigraph, u0: int, ctx: _Ctx, w_set: bytearray,
     # the broken edge needs no C(ii) clearance: burns from earlier
     # iterations are already materialized into Π, so only this
     # iteration's own surgeries constrain pivot admission
-    w_set[u0] = 1
-    w_set[v0] = 1
+    w_set.burn(u0, v0)
     root = _root_node(pd, u0, v0, int(pd.cycle_id[u0]))
     level = [root]
     for _ in range(MAX_LEVELS):
@@ -485,8 +500,7 @@ def out_phase(pd: PermutationDigraph, u0: int, ctx: _Ctx, w_set: bytearray,
                 segs, touched, pv, x = out
                 if w_set[x]:
                     continue
-                w_set[w] = 1
-                w_set[x] = 1
+                w_set.burn(w, x)
                 nxt.append(_Node(parent=node, added=(v, w, eid),
                                  segs=segs, touched=touched, path_v=pv,
                                  end=x))
@@ -496,7 +510,7 @@ def out_phase(pd: PermutationDigraph, u0: int, ctx: _Ctx, w_set: bytearray,
             if leaves:
                 break
             return ("fail", "tree stalled with no long-path leaf")
-        if w_set.count(1) > budget.w_cap:
+        if w_set.size > budget.w_cap:
             return ("fail", "burnt-vertex cap exceeded")
         level = nxt
     else:
@@ -536,7 +550,7 @@ def _materialize(pd: PermutationDigraph, leaf: _Node, in_steps,
 
 
 def in_phase(pd: PermutationDigraph, u0: int, leaves: list, ctx: _Ctx,
-             w_set: bytearray, budget: PhaseTwoBudget):
+             w_set: _Burnt, budget: PhaseTwoBudget):
     """Close one of the leaf paths into a ≥ n0 cycle by start-side
     rotations shared across every leaf tree.
 
@@ -557,8 +571,7 @@ def in_phase(pd: PermutationDigraph, u0: int, leaves: list, ctx: _Ctx,
         np.array([leaves[j].end for j in rank], dtype=np.int64))
     if not len(heads):
         return None
-    by_head = np.argsort(heads, kind="stable")
-    target_heads = heads[by_head]
+    by_head, target_heads = sort_codes(heads, pd.n)
     target_leaf = np.asarray(rank)[at[by_head]].tolist()
     target_eid = eids[by_head].tolist()
     parent: dict[int, tuple] = {u0: None}  # start -> (prev, w, eid)
@@ -598,7 +611,7 @@ def in_phase(pd: PermutationDigraph, u0: int, leaves: list, ctx: _Ctx,
         return hit
     # each start burns two vertices; never spend more than half the
     # remaining W headroom on one attempt so a retry stays possible
-    headroom = budget.w_cap - w_set.count(1)
+    headroom = budget.w_cap - w_set.size
     if headroom <= 0:
         return None
     max_starts = min(MAX_STARTS, max(16, headroom // 4))
@@ -616,8 +629,7 @@ def in_phase(pd: PermutationDigraph, u0: int, leaves: list, ctx: _Ctx,
                 x = int(pd.succ[w])
                 if w_set[x] or x in parent:
                     continue
-                w_set[w] = 1
-                w_set[x] = 1
+                w_set.burn(w, x)
                 parent[x] = (s, w, eid)
                 admitted += 1
                 starts_seen += 1
@@ -625,7 +637,7 @@ def in_phase(pd: PermutationDigraph, u0: int, leaves: list, ctx: _Ctx,
                 if hit is not None:
                     return hit
                 nxt.append(x)
-        if w_set.count(1) > budget.w_cap:
+        if w_set.size > budget.w_cap:
             return None
         frontier = nxt
     return None
@@ -657,7 +669,7 @@ def eliminate_small_cycles(pd: PermutationDigraph, sd: SimpleDigraph,
     """
     if pd.edge_ids is None:
         raise ValueError("cover lacks edge provenance")
-    w_set = bytearray(sd.n)
+    w_set = _Burnt(sd.n)
     stats = PhaseTwoStats(burnt=np.frombuffer(w_set, dtype=bool))
     ctx = _Ctx(sd, pool_ids)
     while True:
@@ -701,11 +713,11 @@ def eliminate_small_cycles(pd: PermutationDigraph, sd: SimpleDigraph,
         if new_pd is None:
             raise PhaseFailure(
                 "phase2", f"could not remove a {clen}-cycle "
-                f"(|W|={w_set.count(1)}, cap={budget.w_cap})")
+                f"(|W|={w_set.size}, cap={budget.w_cap})")
         _assert_progress(pd, new_pd, budget.n0)
         stats.eliminated.append(clen)
         pd = new_pd
-    stats.w_size = w_set.count(1)
+    stats.w_size = w_set.size
     if pd.cycle_lens.min() < budget.n0:
         raise PhaseFailure("phase2", "postcondition violated")
     return pd, stats

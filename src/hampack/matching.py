@@ -27,7 +27,7 @@ from scipy.sparse.csgraph import (breadth_first_order,
                                   maximum_bipartite_matching)
 
 from .errors import PhaseFailure
-from .model import SimpleDigraph, first_copies
+from .model import SimpleDigraph, first_copies, sort_codes
 from .partition import EdgePartition
 
 __all__ = [
@@ -53,16 +53,13 @@ class BipartiteGraph:
                     np.asarray(eids, dtype=np.int64))
 
     def _build(self, a: np.ndarray, b: np.ndarray, eids: np.ndarray) -> None:
-        """One argsort of the distinct codes; rows are cut by a bincount."""
-        codes = a * self.n + b
-        order = np.argsort(codes)
-        self.codes = codes[order]
+        """One sort_codes of the distinct codes; a bincount cuts rows."""
+        order, self.codes = sort_codes(a * self.n + b, self.n * self.n)
         if np.any(self.codes[1:] == self.codes[:-1]):
             raise ValueError("repeated pair code")
         self.indices = b[order]
         self.eids = eids[order]
-        self.indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(a, minlength=self.n), out=self.indptr[1:])
+        self.indptr = np.r_[0, np.cumsum(np.bincount(a, minlength=self.n))]
 
     @property
     def num_edges(self) -> int:
@@ -126,12 +123,13 @@ def _hall_violator(g: BipartiteGraph,
     n = g.n
     exposed = np.nonzero(mt.pair_a < 0)[0]
     mated = np.nonzero(mt.pair_b >= 0)[0]
-    # one BFS from a root 2n over A = [0, n) and B = [n, 2n): the root
-    # points at each exposed A vertex, A at B along g, B at its mate
-    tail = np.concatenate((g.codes // n, n + mated,
-                           np.full(len(exposed), 2 * n)))
+    # one BFS from a root 2n over A = [0, n) and B = [n, 2n), as CSR
+    # rows in that order: A points at B along g, B at its mate, and the
+    # root at each exposed A vertex
     head = np.concatenate((n + g.indices, mt.pair_b[mated], exposed))
-    arcs = csr_matrix((np.ones(len(tail), dtype=np.int8), (tail, head)),
+    ptr = np.r_[g.indptr, len(g.indices) + np.cumsum(mt.pair_b >= 0),
+                len(head)]
+    arcs = csr_matrix((np.ones(len(head), dtype=np.int8), head, ptr),
                       shape=(2 * n + 1, 2 * n + 1))
     seen = breadth_first_order(arcs, 2 * n, return_predecessors=False)
     seen = np.sort(seen[seen < 2 * n]).astype(np.int64)
@@ -171,7 +169,7 @@ def booster_augment(g: BipartiteGraph, mt: Matching,
         return BoosterReport(matching=mt, consumed=0, witness=None)
     a, b, eids = np.asarray(boosters, dtype=np.int64).reshape(-1, 3).T
     codes = a * n + b
-    first = first_copies(codes)
+    first = first_copies(codes, n * n)
     first = np.sort(first[~np.isin(codes[first], g.codes)])
     a, b, eids = a[first], b[first], eids[first]
     base_a = g.codes // n

@@ -39,9 +39,9 @@ Sampling proceeds in three stages:
    or erase loops and repeated ordered pairs, keeping the first copy of
    each pair in pairing order (near-uniform, and the only practical
    option at the mean degrees where Hamilton packing is interesting).
-   Erasure reads one argsort of the pair codes u*n + v; the host then
-   sorts its codes once more to check them, and once for its lookup
-   index, built on the first edge_lookup.
+   Erasure sorts the pair codes u*n + v once (sort_codes); the host
+   sorts them once more to check them, and once for its lookup index,
+   built on the first edge_lookup.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .errors import (ConditioningFailureError, EdgeListFormatError,
                      InfeasibleDegreeError, PhaseFailure, RejectionStallError,
@@ -61,7 +60,7 @@ __all__ = [
     "DegreeSequence", "degree_vector_path", "conditioned_degree_vector",
     "sample_degree_sequence",
     "ConfigDigraph", "pair_configuration", "duplicate_pair_count",
-    "first_copies", "pair_csr", "SimpleDigraph", "sample_simple_digraph",
+    "sort_codes", "first_copies", "SimpleDigraph", "sample_simple_digraph",
     "sample_erased_digraph",
     "simplicity_exponents", "write_edge_list", "read_edge_list",
 ]
@@ -431,47 +430,67 @@ def pair_configuration(ds: DegreeSequence,
     return ConfigDigraph(n=n, heads=heads, tails=tails)
 
 
-def _run_starts(codes_sorted: np.ndarray) -> np.ndarray:
-    """Positions where a new value begins in an ascending array."""
-    return np.flatnonzero(np.r_[True, codes_sorted[1:] != codes_sorted[:-1]])
+_CHUNK = 1 << 20  # positions ORed or gathered per step, in place
 
 
-def first_copies(codes: np.ndarray) -> np.ndarray:
-    """Index of the first copy of each distinct code, by ascending code.
+def _sort_packed(key: np.ndarray, shift: int) -> np.ndarray:
+    """Sort key << shift | position in place; key is a fresh array."""
+    key <<= shift
+    for lo in range(0, len(key), _CHUNK):
+        key[lo:lo + _CHUNK] |= np.arange(lo, min(lo + _CHUNK, len(key)))
+    key.sort()
+    return key
 
-    One default argsort groups equal codes; the least index in each run
-    is that code's first copy.
+
+def sort_codes(codes, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """(order, codes[order]): the stable ascending order of codes.
+
+    A code outside [0, bound) raises ValueError, as a packed key would
+    misorder it.  One np.sort of code << b | position, b the bit length
+    of len - 1, does a stable argsort's work at a fraction of its cost;
+    when bound << b would pass 63 bits, the low and then the high
+    digits of the codes are sorted so in turn (LSD).  At most three
+    m-long arrays, the input included, live at once, as with an argsort
+    and its gather.
     """
-    order = np.argsort(codes)
-    if not len(order):
-        return order
-    return np.minimum.reduceat(order, _run_starts(codes[order]))
+    codes = np.asarray(codes, dtype=np.int64)
+    if len(codes) and (codes.min() < 0 or codes.max() >= bound):
+        raise ValueError("code outside [0, bound)")
+    shift = max(len(codes) - 1, 0).bit_length()
+    width, mask = 63 - shift, (1 << shift) - 1
+    if max(bound - 1, 0) >> width == 0:
+        key = _sort_packed(codes.copy(), shift)
+        codes = key >> shift
+        key &= mask
+        return key, codes
+    low = _sort_packed(codes & ((1 << width) - 1), shift)
+    low &= mask
+    order = codes[low]
+    order >>= width
+    _sort_packed(order, shift)
+    order &= mask
+    for lo in range(0, len(order), _CHUNK):
+        order[lo:lo + _CHUNK] = low[order[lo:lo + _CHUNK]]
+    del low  # so codes[order] is the third m-long array, not the fourth
+    return order, codes[order]
+
+
+def first_copies(codes: np.ndarray, bound: int) -> np.ndarray:
+    """Index of the first copy of each distinct code in [0, bound), by
+    ascending code: the head of each run in sort_codes' stable order."""
+    order, codes_sorted = sort_codes(codes, bound)
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = codes_sorted[1:] != codes_sorted[:-1]
+    return order[head]
 
 
 def duplicate_pair_count(cfg: ConfigDigraph) -> int:
     """Number of unordered index pairs {j, j'} carrying the same ordered
     pair, loops left out."""
     keep = cfg.heads != cfg.tails
-    codes = np.sort(cfg.heads[keep] * cfg.n + cfg.tails[keep])
-    counts = np.diff(np.r_[_run_starts(codes), len(codes)])
+    _, counts = np.unique(cfg.heads[keep] * cfg.n + cfg.tails[keep],
+                          return_counts=True)
     return int((counts * (counts - 1) // 2).sum())
-
-
-def pair_csr(rows: np.ndarray, cols: np.ndarray, width: int,
-             n: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR layout of pairs keyed by the codes rows*width + cols.
-
-    rows lie in [0, n), cols in [0, width), and no code repeats.
-    Returns (order, indptr): order sorts the codes ascending, so row v
-    is order[indptr[v]:indptr[v + 1]], ascending by col.  Built by
-    scipy's COO-to-CSR bucket pass over rows, then a sort within each
-    row that is skipped when cols already ascend there.
-    """
-    csr = csr_array((np.arange(len(rows)), (rows, cols)), shape=(n, width))
-    csr.sort_indices()
-    if csr.nnz != len(rows):
-        raise ValueError("pair_csr: repeated pair code")
-    return csr.data, csr.indptr.astype(np.int64, copy=False)
 
 
 class SimpleDigraph:
@@ -518,10 +537,8 @@ class SimpleDigraph:
         int64 array with one index (or -1) per pair.
         """
         if self._codes_sorted is None:
-            codes = self.edges[:, 0] * self.n + self.edges[:, 1]
-            # the codes are distinct, so any sort gives the same order
-            self._codes_order = np.argsort(codes)
-            self._codes_sorted = codes[self._codes_order]
+            self._codes_order, self._codes_sorted = sort_codes(
+                self.edges[:, 0] * self.n + self.edges[:, 1], self.n * self.n)
         code = np.asarray(u, dtype=np.int64) * self.n + v
         if self.m == 0:
             return -1 if code.ndim == 0 else np.full(code.shape, -1, np.int64)
@@ -568,8 +585,8 @@ def sample_erased_digraph(params: ModelParams, rng: np.random.Generator,
 
     Loops are dropped and each repeated ordered pair keeps its first
     copy in pairing order; the kept edges stay in pairing order.  One
-    argsort of the pair codes finds every first copy: it is the least
-    pairing index in its run of equal codes.  At the mean degrees where
+    stable sort_codes of the pair codes finds every first copy: it
+    heads its run of equal codes.  At the mean degrees where
     Hamilton packing applies this removes an O(c + c^2) = o(m) sliver
     of edges and the min-degree condition survives; when it does not
     (possible at small c), the draw is repeated up to cap times.
@@ -579,7 +596,7 @@ def sample_erased_digraph(params: ModelParams, rng: np.random.Generator,
         cfg = pair_configuration(ds, rng)
         heads, tails = cfg.heads, cfg.tails
         keep = np.zeros(len(heads), dtype=bool)
-        keep[first_copies(heads * params.n + tails)] = True
+        keep[first_copies(heads * params.n + tails, params.n ** 2)] = True
         keep &= heads != tails
         edges = np.column_stack((heads[keep], tails[keep]))
         sd = SimpleDigraph(n=params.n, edges=edges, k=params.k)

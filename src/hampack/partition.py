@@ -118,12 +118,13 @@ def compute_small(sd: SimpleDigraph, part: EdgePartition,
     tails = sd.edges[:, 0]
     heads = sd.edges[:, 1]
     small = (sd.out_deg <= thr) | (sd.in_deg <= thr)
-    # Ê_{t,i} is row (t-1)k + i of the per-pool degree tables, which two
-    # bincounts over (pool, vertex) keys fill at once
-    work = part.pool_t <= 3
-    row = (part.pool_t[work].astype(np.int64) - 1) * k + part.pool_i[work]
+    # pool (t, i) is row (t-1)k + i of the per-pool degree tables, which
+    # two bincounts over (pool, vertex) keys fill at once; rows 3k and
+    # up hold E_4 and are dropped
+    row = (part.pool_t.astype(np.int64) - 1) * k + part.pool_i
+    row *= n
     for ends in (tails, heads):
-        deg = np.bincount(row * n + ends[work], minlength=3 * k * n)
+        deg = np.bincount(row + ends, minlength=4 * k * n)[:3 * k * n]
         small |= deg.reshape(3 * k, n).min(axis=0) <= thr
     e_small = small[tails] | small[heads]
     part.small = small

@@ -314,6 +314,28 @@ class TestCtxPoolOracle:
         self.check(ctx, sd, pool,
                    set(pool.tolist()) - set(other.edge_ids.tolist()), rng)
 
+    def test_empty_pool(self):
+        sd, pd, _pool, rng = self.instance(0)
+        ctx = cv._Ctx(sd, np.empty(0, dtype=np.int64))
+        ctx.refresh(pd)
+        self.check(ctx, sd, [], set(), rng)
+        assert ctx._out_ptr.tolist() == [0] * (sd.n + 1)
+
+    def test_ids_not_in_tail_order(self):
+        # host edges listed by descending tail, so ascending ids run
+        # against the tails the rows are keyed by
+        rng = rng_stream(5, 4)
+        n = 30
+        codes = rng.choice(n * n, size=240, replace=False)
+        edges = np.column_stack((codes // n, codes % n))
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        edges = edges[np.argsort(-edges[:, 0], kind="stable")]
+        sd = SimpleDigraph(n, edges, k=1)
+        pool = rng.permutation(sd.m)[:150]
+        ctx = cv._Ctx(sd, pool)
+        ctx.avail[:] = ctx.in_pool
+        self.check(ctx, sd, pool, set(pool.tolist()), rng)
+
 
 class TestCyclesOf:
     def test_threshold_at_ten_thousand(self):
@@ -553,7 +575,9 @@ class TestRotateOracle:
         ctx = cv._Ctx(sd, pool)
         ctx.refresh(pd)
         budget = tiny_budget(n0=n0, leaf_target=10 ** 6, leaf_cap=10 ** 6)
-        cv.out_phase(pd, u0, ctx, bytearray(sd.n), budget)
+        w_set = cv._Burnt(sd.n)
+        cv.out_phase(pd, u0, ctx, w_set, budget)
+        assert w_set.size == w_set.count(1) > 0
         old = {frozenset(c.tolist()) for c in pd.cycles}
         kinds = set()
         for node in made:
@@ -589,6 +613,33 @@ class TestRotateOracle:
         if seed == 0:
             assert kinds == {True, False}  # both absorbs and splits
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_running_w_count(self, seed, monkeypatch):
+        # |W| is counted as vertices burn; it must equal the mask's
+        # popcount after every out_phase and in_phase call
+        checked = []
+
+        def counted(phase):
+            def run(*args):
+                out = phase(*args)
+                w_set = args[-2]  # both phases take (..., w_set, budget)
+                assert w_set.size == w_set.count(1)
+                checked.append(w_set.size)
+                return out
+            return run
+
+        monkeypatch.setattr(cv, "out_phase", counted(cv.out_phase))
+        monkeypatch.setattr(cv, "in_phase", counted(cv.in_phase))
+        sd, pd, pool, _u0 = self.instance(seed)
+        try:
+            _, stats = eliminate_small_cycles(pd, sd, pool,
+                                              rng_stream(seed, 3),
+                                              tiny_budget(n0=8))
+            assert stats.w_size == int(stats.burnt.sum()) == checked[-1]
+        except PhaseFailure as exc:
+            assert f"|W|={checked[-1]}," in exc.detail
+        assert checked
+
 
 class TestOutPhase:
     def test_early_closure_single_pass(self):
@@ -599,7 +650,7 @@ class TestOutPhase:
             extra=[(1, 2), (7, 0)])
         ctx = cv._Ctx(sd, pool)
         ctx.refresh(pd)
-        w_set = bytearray(sd.n)
+        w_set = cv._Burnt(sd.n)
         budget = tiny_budget(n0=3)
         res = cv.out_phase(pd, 0, ctx, w_set, budget)
         assert res[0] == "closed"
@@ -616,7 +667,7 @@ class TestOutPhase:
         sd, pd, pool = host_with_cover([0, 1], [2, 3, 4, 5, 6, 7])
         ctx = cv._Ctx(sd, pool)
         ctx.refresh(pd)
-        res = cv.out_phase(pd, 0, ctx, bytearray(sd.n), tiny_budget(n0=3))
+        res = cv.out_phase(pd, 0, ctx, cv._Burnt(sd.n), tiny_budget(n0=3))
         assert res[0] == "fail"
 
     def test_burns_break_edge_endpoints(self):
@@ -624,7 +675,7 @@ class TestOutPhase:
                                        extra=[(1, 2), (7, 0)])
         ctx = cv._Ctx(sd, pool)
         ctx.refresh(pd)
-        w_set = bytearray(sd.n)
+        w_set = cv._Burnt(sd.n)
         cv.out_phase(pd, 0, ctx, w_set, tiny_budget(n0=3))
         assert w_set[0] == 1 and w_set[1] == 1
 

@@ -1,6 +1,7 @@
 """Trial orchestration, sweep determinism, stats, and CLI plumbing."""
 
 import functools
+import hashlib
 import json
 import math
 
@@ -91,6 +92,42 @@ def test_covers_built_once_then_spliced(monkeypatch):
     rec = hn.run_trial(ModelParams.make(600, 30.0, 1), 0)
     assert rec.outcome == "success" and rec.kappa == [2]
     assert len(built) == 1 and len(spliced) >= 2
+
+
+class TestRecordsPinned:
+    """Digests of canonical trial records.  A change that claims to
+    leave the RNG stream and every output alone must keep them."""
+
+    @staticmethod
+    def digest(rec) -> str:
+        return hashlib.sha256(rec.to_json().encode()).hexdigest()
+
+    @pytest.mark.parametrize("seed, want", [
+        (0, "3059156d33bf27778ea76d9723e31094e3b1ec647846cf93c8ef3a028f55d0fa"),
+        (1, "68f37ee8a3b4373b09d7b5f8918e368d91a590fc94083a6d0252cdb087c48f75"),
+        (2, "246750f52522929a585712b2acaa4fd4add961d485e196d910467eb91cfb927d"),
+    ])
+    def test_run_trial(self, seed, want):
+        rec = hn.run_trial(ModelParams.make(2000, 100.0, 2), seed)
+        assert rec.outcome == "success"
+        assert self.digest(rec) == want
+
+    @pytest.mark.parametrize("seed, outcome, want", [
+        (0, "failure:phase2",
+         "7a07c1ca31fbfb3de09f7ca0f9a4d654696540093fe7fd0cd05cf73d6bb9d46f"),
+        (1, "success",
+         "12e7b0bc4c7c0e2f85371854f68603fed92ebd86f7a8c21cc0d863ec30c7c2c1"),
+    ])
+    def test_pack_given_host(self, seed, outcome, want):
+        # the ``pack --in`` path: a fixed host packed with params read
+        # off it; seed 0's failure text quotes |W|
+        host, _ = sample_erased_digraph(ModelParams.make(3000, 20.0, 1),
+                                        np.random.default_rng(1))
+        params = ModelParams.from_nmk(host.n, host.m, 1)
+        sd = SimpleDigraph(host.n, host.edges, 1)
+        rec = hn.run_trial(params, seed, sd=sd)
+        assert rec.outcome == outcome
+        assert self.digest(rec) == want
 
 
 class TestInternalFailure:

@@ -25,7 +25,7 @@ from hampack.errors import (ConditioningFailureError, EdgeListFormatError,
 from hampack.model import (ConfigDigraph, DegreeSequence, ModelParams,
                            SimpleDigraph, TruncatedPoisson,
                            conditioned_degree_vector, duplicate_pair_count,
-                           pair_configuration, pair_csr, read_edge_list, rho,
+                           pair_configuration, read_edge_list, rho,
                            sample_degree_sequence, sample_erased_digraph,
                            sample_simple_digraph, sigma2, simplicity_exponents,
                            solve_z, tail_sum, write_edge_list)
@@ -396,55 +396,75 @@ class TestSimpleDigraph:
         assert empty.edge_lookup(0, 1) == -1
         assert empty.edge_lookup(np.array([0]), np.array([1])).tolist() == [-1]
 
+    def test_lookup_index_built_on_first_lookup(self, tiny_host):
+        sd = SimpleDigraph(tiny_host.n, tiny_host.edges, tiny_host.k)
+        assert sd._codes_order is None and sd._codes_sorted is None
+        assert sd.edge_lookup(int(sd.edges[3, 0]), int(sd.edges[3, 1])) == 3
+        assert np.array_equal(sd.edges[sd._codes_order, 0] * sd.n
+                              + sd.edges[sd._codes_order, 1],
+                              sd._codes_sorted)
+        assert np.all(np.diff(sd._codes_sorted) > 0)
+
     def test_min_degree(self, tiny_params, tiny_host):
         assert tiny_host.min_degree() >= tiny_params.k + 1
 
 
-def argsort_pair_csr(rows, cols, width, n):
-    """Reference layout: comparison sort of the codes, counted rows."""
-    order = np.argsort(rows * width + cols)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return order, indptr
-
-
 @st.composite
-def distinct_pairs(draw):
-    """(rows, cols, width, n): distinct codes in drawn (unsorted) order."""
-    n = draw(st.integers(1, 30))
-    width = draw(st.integers(1, 40))
-    codes = np.array(draw(st.lists(st.integers(0, n * width - 1),
-                                   unique=True, max_size=200)),
-                     dtype=np.int64)
-    return codes // width, codes % width, width, n
+def codes_and_bound(draw):
+    """(codes, bound): repeats likely, bound - 1 sometimes present."""
+    bound = draw(st.one_of(st.integers(1, 20), st.integers(1, 1 << 40)))
+    values = st.one_of(st.integers(0, bound - 1), st.just(bound - 1))
+    return np.array(draw(st.lists(values, max_size=80)), dtype=np.int64), bound
 
 
-class TestPairCsr:
+class TestSortCodes:
+    @staticmethod
+    def check(codes, bound):
+        order, got = md.sort_codes(codes, bound)
+        want = np.argsort(codes, kind="stable")
+        assert order.dtype == np.int64 and got.dtype == np.int64
+        assert order.tolist() == want.tolist()
+        assert got.tolist() == np.sort(codes).tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(codes_and_bound())
+    def test_matches_stable_argsort(self, case):
+        self.check(*case)
+
     @settings(max_examples=200, deadline=None)
-    @given(distinct_pairs())
-    def test_matches_argsort(self, case):
-        rows, cols, width, n = case
-        order, indptr = pair_csr(rows, cols, width, n)
-        want_order, want_ptr = argsort_pair_csr(rows, cols, width, n)
-        assert order.dtype == np.int64 and indptr.dtype == np.int64
-        assert np.array_equal(order, want_order)
-        assert np.array_equal(indptr, want_ptr)
+    @given(st.lists(st.integers(0, (1 << 62) - 1), max_size=40),
+           st.integers(0, 3))
+    def test_two_pass_near_two_to_the_62(self, values, reps):
+        # a bound near 2^62 leaves too few bits for even a short
+        # array's positions, so the low and high digits sort in turn
+        codes = np.array(values * (reps + 1), dtype=np.int64)
+        self.check(codes, 1 << 62)
 
-    def test_empty_rows_and_wide_cols(self):
-        rows = np.array([4, 0, 4, 4, 2], dtype=np.int64)
-        cols = np.array([90, 7, 3, 41, 0], dtype=np.int64)
-        order, indptr = pair_csr(rows, cols, 100, 6)
-        assert order.tolist() == [1, 4, 2, 3, 0]
-        assert indptr.tolist() == [0, 1, 1, 2, 2, 5, 5]
+    def test_two_pass_ties_on_each_digit(self):
+        hi, lo = 1 << 61, 5
+        codes = np.array([hi + lo, lo, hi, hi + lo, 0, lo, hi, 0],
+                         dtype=np.int64)
+        self.check(codes, 1 << 62)
 
-    def test_empty_input(self):
-        empty = np.empty(0, dtype=np.int64)
-        order, indptr = pair_csr(empty, empty, 5, 3)
-        assert len(order) == 0 and indptr.tolist() == [0, 0, 0, 0]
+    def test_chunked_steps(self, monkeypatch):
+        # positions ORed and gathered three at a time, ragged last chunk
+        monkeypatch.setattr(md, "_CHUNK", 3)
+        rng = rng_stream(23, 0)
+        self.check(rng.integers(0, 7, 29), 7)
+        # ties on both digits of the two-pass sort
+        self.check(rng.integers(0, 4, 29) << 58 | rng.integers(0, 3, 29),
+                   1 << 62)
 
-    def test_repeated_code_refused(self):
-        with pytest.raises(ValueError, match="repeated"):
-            pair_csr(np.array([1, 0, 1]), np.array([2, 2, 2]), 3, 2)
+    def test_empty_and_one_element(self):
+        for codes in ([], [0], [6]):
+            self.check(np.array(codes, dtype=np.int64), 7)
+        self.check(np.array([], dtype=np.int64), 0)
+
+    @pytest.mark.parametrize("code, bound",
+                             [(-1, 5), (5, 5), (1 << 62, 1 << 62)])
+    def test_out_of_range_refused(self, code, bound):
+        with pytest.raises(ValueError, match="outside"):
+            md.sort_codes(np.array([0, code, 1], dtype=np.int64), bound)
 
 
 class TestFirstCopies:
@@ -454,7 +474,7 @@ class TestFirstCopies:
         # np.unique's stable sort returns each code's least index
         codes = np.array(values, dtype=np.int64)
         _, want = np.unique(codes, return_index=True)
-        got = md.first_copies(codes)
+        got = md.first_copies(codes, 13)
         assert got.dtype == np.int64
         assert got.tolist() == want.tolist()
 
