@@ -339,8 +339,9 @@ class _Ctx:
     """Per-cover working context: reserve-pool adjacency and availability.
 
     The pool is a mask over host edges with a CSR of its edge ids by
-    tail (the in-CSR by head is built on the first pool_in call); one
-    sort of end << b | id lays out each, so rows ascend by edge id.
+    tail (the in-CSR by head is built on the first pool_in call); rows
+    ascend by id: the ids as they stand when their ends ascend too (tails
+    on a host in pair-code order), else one sort of end << b | id.
     Endpoints are read from sd.edges.  Availability (pool member and
     not sitting in the current cover) refreshes per iteration.
     """
@@ -358,12 +359,13 @@ class _Ctx:
         ids = np.flatnonzero(self.in_pool)
         ends = self.sd.edges[ids, side]
         ptr = np.r_[0, np.cumsum(np.bincount(ends, minlength=self.sd.n))]
-        shift = max(self.sd.m - 1, 0).bit_length()  # n << b < 2nm
-        key = ends << shift
-        key |= ids
-        key.sort()
-        key &= (1 << shift) - 1
-        return ptr, key
+        if np.any(ends[1:] < ends[:-1]):  # else ids is the CSR already
+            shift = max(self.sd.m - 1, 0).bit_length()  # n << b < 2nm
+            ends <<= shift  # a fresh array: the sort key, in place
+            ends |= ids
+            ends.sort()
+            ids = np.bitwise_and(ends, (1 << shift) - 1, out=ends)
+        return ptr, ids
 
     def refresh(self, pd: PermutationDigraph):
         np.copyto(self.avail, self.in_pool)

@@ -31,17 +31,16 @@ Sampling proceeds in three stages:
      the floor almost never holds by chance;
 2. pair degree slots uniformly at random (bipartite configuration
    model): edge j of the multigraph is (heads[j], tails[j]) where heads
-   is a uniform shuffle of the out-degree multiset and tails of the
-   in-degree multiset;
+   lists the out-degree multiset in vertex order and tails is a uniform
+   shuffle of the in-degree multiset;
 3. either reject non-simple pairings outright (exactly uniform over
    simple digraphs, but the acceptance rate decays like
    exp(-rho^2/c - O(c)), which is astronomically small beyond c ~ 5),
-   or erase loops and repeated ordered pairs, keeping the first copy of
-   each pair in pairing order (near-uniform, and the only practical
-   option at the mean degrees where Hamilton packing is interesting).
-   Erasure sorts the pair codes u*n + v once (sort_codes); the host
-   sorts them once more to check them, and once for its lookup index,
-   built on the first edge_lookup.
+   or erase loops and repeated ordered pairs (near-uniform, and the
+   only practical option at the mean degrees where Hamilton packing is
+   interesting).  Erasure is one np.sort of the pair codes u*n + v, so
+   edge id is the code's rank; the host checks that order in O(m) and
+   takes the codes as its lookup index as they stand.
 """
 
 from __future__ import annotations
@@ -383,7 +382,7 @@ def sample_degree_sequence(params: ModelParams,
 class ConfigDigraph:
     """A pairing of degree slots, possibly with loops and repeated pairs.
 
-    Edge j of the multigraph is (heads[j], tails[j]), in pairing order.
+    Edge j of the multigraph is (heads[j], tails[j]), heads ascending.
     Nothing else is stored: loops and degrees are computed when asked
     for, and repeated pairs are counted by duplicate_pair_count.
     """
@@ -417,15 +416,13 @@ def pair_configuration(ds: DegreeSequence,
                        rng: np.random.Generator) -> ConfigDigraph:
     """Uniform pairing of out-slots with in-slots.
 
-    heads is a uniform permutation of the multiset holding vertex v
-    out_deg[v] times, tails likewise for in-degrees; the two shuffles
-    are independent so the pairing is uniform over the configuration
-    space.
+    heads lists vertex v out_deg[v] times in vertex order; tails is a
+    uniform permutation of the multiset holding v in_deg[v] times, so
+    the pairing is a uniform bijection of out-slots to in-slots.
     """
     n = ds.n
     heads = np.repeat(np.arange(n, dtype=np.int64), ds.out_deg)
     tails = np.repeat(np.arange(n, dtype=np.int64), ds.in_deg)
-    rng.shuffle(heads)
     rng.shuffle(tails)
     return ConfigDigraph(n=n, heads=heads, tails=tails)
 
@@ -498,9 +495,9 @@ class SimpleDigraph:
 
     Edges are stored as an (m, 2) array in a canonical order that is
     part of the identity of the instance: every pool label, bitset and
-    certificate refers to positions in this array.  Besides the edges
-    it keeps only the degree vectors and, from the first edge_lookup,
-    the sorted pair codes; CSR views are built by their users.
+    certificate refers to positions in this array.  A host in pair-code
+    order (ascending u*n + v), as sampled, is its own lookup index; any
+    other order is sorted to check it and for the first edge_lookup.
     """
 
     def __init__(self, n: int, edges: np.ndarray, k: int):
@@ -508,11 +505,10 @@ class SimpleDigraph:
         self.n = int(n)
         self.k = int(k)
         self.edges = edges
+        self._codes_sorted = self._codes_order = None  # order None: identity
         self._validate()
         self.out_deg = np.bincount(edges[:, 0], minlength=self.n)
         self.in_deg = np.bincount(edges[:, 1], minlength=self.n)
-        self._codes_sorted = None
-        self._codes_order = None
 
     def _validate(self):
         if len(self.edges):
@@ -520,11 +516,11 @@ class SimpleDigraph:
                 raise ValueError("edge endpoint out of range")
             if np.any(self.edges[:, 0] == self.edges[:, 1]):
                 raise ValueError("loop edge present")
-            # sorted in place: a repeat shows up as equal neighbours
             codes = self.edges[:, 0] * self.n + self.edges[:, 1]
-            codes.sort()
-            if np.any(codes[1:] == codes[:-1]):
-                raise ValueError("duplicate ordered pair present")
+            if np.any(codes[1:] <= codes[:-1]):  # else no repeat can exist
+                codes.sort()  # in place: a repeat shows up as equal neighbours
+                if np.any(codes[1:] == codes[:-1]):
+                    raise ValueError("duplicate ordered pair present")
 
     @property
     def m(self) -> int:
@@ -537,8 +533,11 @@ class SimpleDigraph:
         int64 array with one index (or -1) per pair.
         """
         if self._codes_sorted is None:
-            self._codes_order, self._codes_sorted = sort_codes(
-                self.edges[:, 0] * self.n + self.edges[:, 1], self.n * self.n)
+            codes = self.edges[:, 0] * self.n + self.edges[:, 1]
+            self._codes_sorted = codes  # the index as it stands, in id order
+            if np.any(codes[1:] <= codes[:-1]):
+                self._codes_order, self._codes_sorted = sort_codes(
+                    codes, self.n * self.n)
         code = np.asarray(u, dtype=np.int64) * self.n + v
         if self.m == 0:
             return -1 if code.ndim == 0 else np.full(code.shape, -1, np.int64)
@@ -548,8 +547,8 @@ class SimpleDigraph:
         pos = np.empty(flat.shape, dtype=np.int64)
         pos[order] = np.searchsorted(self._codes_sorted, flat[order])
         pos = np.minimum(pos.reshape(code.shape), self.m - 1)
-        out = np.where(self._codes_sorted[pos] == code,
-                       self._codes_order[pos], -1)
+        ids = pos if self._codes_order is None else self._codes_order[pos]
+        out = np.where(self._codes_sorted[pos] == code, ids, -1)
         return int(out) if out.ndim == 0 else out
 
     def min_degree(self) -> int:
@@ -570,8 +569,7 @@ def sample_simple_digraph(params: ModelParams, rng: np.random.Generator,
     roughly 5 and decays super-exponentially in c afterwards.
     """
     for attempt in range(1, cap + 1):
-        ds = sample_degree_sequence(params, rng)
-        cfg = pair_configuration(ds, rng)
+        cfg = pair_configuration(sample_degree_sequence(params, rng), rng)
         if cfg.is_simple():
             edges = np.column_stack((cfg.heads, cfg.tails))
             return SimpleDigraph(n=cfg.n, edges=edges, k=params.k), attempt
@@ -583,22 +581,23 @@ def sample_erased_digraph(params: ModelParams, rng: np.random.Generator,
                           cap: int = 100) -> tuple[SimpleDigraph, int]:
     """Near-uniform simple digraph by erasing defects from one pairing.
 
-    Loops are dropped and each repeated ordered pair keeps its first
-    copy in pairing order; the kept edges stay in pairing order.  One
-    stable sort_codes of the pair codes finds every first copy: it
-    heads its run of equal codes.  At the mean degrees where
+    Loops are dropped and each repeated ordered pair is kept once, the
+    edges in ascending pair code u*n + v.  The pairing's tails ascend,
+    so one in-place np.sort of the codes only reorders heads within
+    rows and puts repeats side by side.  At the mean degrees where
     Hamilton packing applies this removes an O(c + c^2) = o(m) sliver
     of edges and the min-degree condition survives; when it does not
     (possible at small c), the draw is repeated up to cap times.
     """
     for attempt in range(1, cap + 1):
-        ds = sample_degree_sequence(params, rng)
-        cfg = pair_configuration(ds, rng)
-        heads, tails = cfg.heads, cfg.tails
-        keep = np.zeros(len(heads), dtype=bool)
-        keep[first_copies(heads * params.n + tails, params.n ** 2)] = True
-        keep &= heads != tails
-        edges = np.column_stack((heads[keep], tails[keep]))
+        cfg = pair_configuration(sample_degree_sequence(params, rng), rng)
+        tails = cfg.heads  # nondecreasing: the sorted codes' tails too
+        codes = tails * params.n + cfg.tails
+        codes.sort()
+        heads = np.subtract(codes, tails * params.n, out=cfg.tails)
+        keep = heads != tails
+        keep[1:] &= codes[1:] != codes[:-1]
+        edges = np.column_stack((tails[keep], heads[keep]))
         sd = SimpleDigraph(n=params.n, edges=edges, k=params.k)
         if sd.min_degree() >= params.k + 1:
             return sd, attempt

@@ -21,6 +21,38 @@ from hampack.rng import derive_seed, rng_stream
 from hampack.verify import verify_packing
 
 
+def hall_violator_host() -> SimpleDigraph:
+    """Every degree >= 2, but 0, 1 and 2 send edges only into {3, 4}:
+    no cycle cover exists, so every seed fails in phase 1."""
+    n = 8
+    edges = [(u, w) for u in (0, 1, 2) for w in (3, 4)]
+    edges += [(v, w) for v in range(3, n) for w in range(n)
+              if w != v and w not in (3, 4)]
+    return SimpleDigraph(n, np.array(edges), 1)
+
+
+def tail_ordered_host(n, c, k, seed) -> SimpleDigraph:
+    """A model host drawn without hampack's sampler: degree vectors are
+    floored multinomial counts, tails stay in vertex order and heads are
+    shuffled, and erasure keeps the first copy of each pair."""
+    rng = np.random.default_rng(seed)
+    m = int(c * n)
+    while True:
+        out_deg, in_deg = (np.bincount(rng.integers(0, n, m), minlength=n)
+                           for _ in range(2))
+        if min(out_deg.min(), in_deg.min()) < k + 1:
+            continue
+        tails = np.repeat(np.arange(n), out_deg)
+        heads = rng.permutation(np.repeat(np.arange(n), in_deg))
+        _, first = np.unique(tails * n + heads, return_index=True)
+        keep = np.zeros(m, dtype=bool)
+        keep[first] = True
+        keep &= tails != heads
+        sd = SimpleDigraph(n, np.column_stack((tails[keep], heads[keep])), k)
+        if sd.min_degree() >= k + 1:
+            return sd
+
+
 class TestRunTrial:
     @pytest.fixture(scope="class")
     @staticmethod
@@ -54,10 +86,10 @@ class TestRunTrial:
         assert doc["schema"] == 1
         assert "timings" not in doc and "certificate" not in doc
 
-    def test_failure_is_attributed_not_raised(self, rejection_path):
-        # seed 7 fails on the host the rejection path draws
-        params = ModelParams.make(800, 30.0, 1)
-        rec = hn.run_trial(params, 7)
+    def test_failure_is_attributed_not_raised(self):
+        sd = hall_violator_host()
+        params = ModelParams.from_nmk(sd.n, sd.m, 1)
+        rec = hn.run_trial(params, 7, sd=sd)
         assert rec.outcome.startswith("failure:")
         assert rec.detail
         assert rec.certificate is None and rec.cert_digest is None
@@ -103,10 +135,10 @@ class TestRecordsPinned:
         return hashlib.sha256(rec.to_json().encode()).hexdigest()
 
     @pytest.mark.parametrize("seed, want", [
-        (0, "3059156d33bf27778ea76d9723e31094e3b1ec647846cf93c8ef3a028f55d0fa"),
-        (1, "68f37ee8a3b4373b09d7b5f8918e368d91a590fc94083a6d0252cdb087c48f75"),
-        (2, "246750f52522929a585712b2acaa4fd4add961d485e196d910467eb91cfb927d"),
-    ])
+        (0, "5484b65fbaec7cfee357e7ecf6392cf5c83c575c80844e0950ef757a4ab5eab2"),
+        (1, "b71d266fec1609e0c41428b74ff598650bf1a5f5db7a9f221f5e8e9ee57e99f9"),
+        (2, "81ac5c8bd7fb5d5c1b757d6bb985af0609858751b65eea0678f8da6cf275e746"),
+    ], ids=["seed0", "seed1", "seed2"])
     def test_run_trial(self, seed, want):
         rec = hn.run_trial(ModelParams.make(2000, 100.0, 2), seed)
         assert rec.outcome == "success"
@@ -114,17 +146,16 @@ class TestRecordsPinned:
 
     @pytest.mark.parametrize("seed, outcome, want", [
         (0, "failure:phase2",
-         "7a07c1ca31fbfb3de09f7ca0f9a4d654696540093fe7fd0cd05cf73d6bb9d46f"),
+         "200b10b265d60b5b0506d97110a17f045e4cdc237a14475617fae3d97fb4eac5"),
         (1, "success",
-         "12e7b0bc4c7c0e2f85371854f68603fed92ebd86f7a8c21cc0d863ec30c7c2c1"),
-    ])
+         "ba6fcba936a1dc0ebd7d97c159e723a0c2ed070279ffa60c79cdabd72112ba46"),
+    ], ids=["seed0", "seed1"])
     def test_pack_given_host(self, seed, outcome, want):
-        # the ``pack --in`` path: a fixed host packed with params read
-        # off it; seed 0's failure text quotes |W|
-        host, _ = sample_erased_digraph(ModelParams.make(3000, 20.0, 1),
-                                        np.random.default_rng(1))
-        params = ModelParams.from_nmk(host.n, host.m, 1)
-        sd = SimpleDigraph(host.n, host.edges, 1)
+        # the ``pack --in`` path: a fixed host, drawn apart from the
+        # sampler so a sampler change leaves it alone, packed with
+        # params read off it; seed 0's failure text quotes |W|
+        sd = tail_ordered_host(3000, 20.0, 1, 2)
+        params = ModelParams.from_nmk(sd.n, sd.m, 1)
         rec = hn.run_trial(params, seed, sd=sd)
         assert rec.outcome == outcome
         assert self.digest(rec) == want
@@ -581,10 +612,10 @@ class TestCLI:
         doc = json.loads(cert_file.read_text())
         assert doc["k"] == 1 and doc["cycles"][0] == cycle
 
-    def test_pack_failure_exit_code(self, capsys, rejection_path):
-        # seed 7 fails on the host the rejection path draws
-        code = hn.main(["pack", "--n", "800", "--c", "30", "--k", "1",
-                        "--seed", "7"])
+    def test_pack_failure_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "host.txt"
+        write_edge_list(hall_violator_host(), path)
+        code = hn.main(["pack", "--in", str(path), "--seed", "7"])
         captured = capsys.readouterr()
         assert code == 2
         assert "failure:" in captured.err

@@ -332,13 +332,13 @@ class TestBuildK:
             return reports[-1]
         monkeypatch.setattr(matching, "booster_augment", recorded)
         self._build(*forced_booster_host(1.0))
-        assert [r.consumed for r in reports] == [1072]
+        assert [r.consumed for r in reports] == [1172]
 
     def test_forced_boosters_run_out(self, rejection_path):
         # witness sizes and consumed as augmenting one booster at a time
         # found them on this case
-        with pytest.raises(PhaseFailure, match=r"\|S\|=132 > \|N\(S\)\|=122 "
-                           r"after 1001 boosters"):
+        with pytest.raises(PhaseFailure, match=r"\|S\|=303 > \|N\(S\)\|=288 "
+                           r"after 1006 boosters"):
             build_k_matchings(*forced_booster_host(0.05))
 
     def test_k1_host(self, host_5k):
@@ -357,8 +357,8 @@ class TestBuildK:
         for pm in self._check(params, sd, 2, 37):
             h.update(pm.succ.astype("<i8").tobytes())
             h.update(pm.edge_ids.astype("<i8").tobytes())
-        assert h.hexdigest() == ("54056c994ee6c6bd03aad4defbc54303"
-                                 "e118fcfda930ab10502af4dadc7dc096")
+        assert h.hexdigest() == ("b40b243ecd30d98c4c60af8aef847f20"
+                                 "6a5280b174591e00147fb0c90591bbce")
 
     def test_deterministic(self, host_k2):
         params, sd = host_k2

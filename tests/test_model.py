@@ -8,6 +8,7 @@ are frozen as regression anchors.
 
 import collections
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -408,6 +409,49 @@ class TestSimpleDigraph:
     def test_min_degree(self, tiny_params, tiny_host):
         assert tiny_host.min_degree() >= tiny_params.k + 1
 
+    def test_sampled_host_is_its_own_index(self):
+        sd, _ = sample_erased_digraph(ModelParams.make(300, 8.0, 1),
+                                      rng_stream(19, 2))
+        codes = sd.edges[:, 0] * sd.n + sd.edges[:, 1]
+        assert np.all(np.diff(codes) > 0)
+        assert sd._codes_sorted is None  # built on the first lookup
+        assert np.array_equal(sd.edge_lookup(sd.edges[:, 0], sd.edges[:, 1]),
+                              np.arange(sd.m))
+        # the codes as they stand, with no order array
+        assert sd._codes_order is None
+        assert np.array_equal(sd._codes_sorted, codes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                 max_size=40),
+        st.randoms(use_true_random=False))))
+    def test_sorted_and_shuffled_agree(self, case):
+        n, pairs, rnd = case
+        by_code = sorted(pairs, key=lambda e: e[0] * n + e[1])
+        shuffled = list(pairs)
+        rnd.shuffle(shuffled)
+        verdicts = []
+        for edges in (by_code, shuffled):
+            arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
+            try:
+                sd = SimpleDigraph(n, arr, 1)
+            except ValueError as exc:
+                verdicts.append(str(exc))
+                continue
+            verdicts.append("ok")
+            index = {e: j for j, e in enumerate(edges)}
+            us, vs = np.divmod(np.arange(n * n), n)
+            want = [index.get((u, v), -1) for u, v in zip(us, vs)]
+            assert sd.edge_lookup(us, vs).tolist() == want
+            assert [sd.edge_lookup(int(u), int(v))
+                    for u, v in zip(us, vs)] == want
+        assert verdicts[0] == verdicts[1]
+        has_loop = any(u == v for u, v in pairs)
+        has_repeat = len(set(pairs)) < len(pairs)
+        assert (verdicts[0] == "ok") == (not has_loop and not has_repeat)
+
 
 @st.composite
 def codes_and_bound(draw):
@@ -504,15 +548,15 @@ class TestSamplers:
         b, _ = sample_erased_digraph(params, rng_stream(77, 3))
         assert np.array_equal(a.edges, b.edges)
 
-    # a pairing on 4 vertices in pairing order: loops at 1 and 11, and
-    # (0,1), (1,2), (3,0) repeated at 3, 6 and 16; erasure leaves the
-    # complete digraph, every degree 3
-    PAIRING = [(0, 1), (2, 2), (1, 2), (0, 1), (2, 3), (3, 0), (1, 2),
-               (0, 2), (1, 3), (2, 0), (3, 1), (3, 3), (0, 3), (1, 0),
-               (2, 1), (3, 2), (3, 0)]
-    KEPT = [0, 2, 4, 5, 7, 8, 9, 10, 12, 13, 14, 15]
+    # a pairing on 4 vertices with its out-slots in vertex order, as
+    # pair_configuration leaves them, and heads unsorted within rows:
+    # loops (2,2) and (3,3), and (0,1), (1,2), (3,0) repeated; erasure
+    # leaves the complete digraph, every degree 3
+    PAIRING = [(0, 3), (0, 1), (0, 2), (0, 1), (1, 2), (1, 0), (1, 3),
+               (1, 2), (2, 1), (2, 2), (2, 0), (2, 3), (3, 0), (3, 2),
+               (3, 3), (3, 1), (3, 0)]
 
-    def test_erasure_keeps_first_copies_in_pairing_order(self, monkeypatch):
+    def test_erasure_leaves_distinct_pairs_in_code_order(self, monkeypatch):
         pairs = np.array(self.PAIRING, dtype=np.int64)
 
         def fixed_pairing(ds, rng):
@@ -523,21 +567,45 @@ class TestSamplers:
         sd, attempts = sample_erased_digraph(ModelParams.make(4, 4.0, 1),
                                              rng_stream(21, 0))
         assert attempts == 1
-        # the last copy of (0,1) would sit after (1,2), that of (1,2)
-        # after (3,0), and that of (3,0) at the end
-        assert sd.edges.tolist() == pairs[self.KEPT].tolist()
+        want = sorted({(u, v) for u, v in self.PAIRING if u != v})
+        assert sd.edges.tolist() == [list(e) for e in want]
+        assert np.all(np.diff(sd.edges[:, 0] * 4 + sd.edges[:, 1]) > 0)
         assert sd.min_degree() == 3
+
+    def test_one_shuffle_pairing_law(self):
+        # every bijection of out-slots to in-slots is equally likely, so
+        # a multigraph's probability is its share of the 5! bijections
+        out_deg, in_deg = [2, 2, 1], [1, 2, 2]
+        outs = np.repeat(np.arange(3), out_deg)
+        ins = np.repeat(np.arange(3), in_deg)
+        law = collections.Counter(
+            tuple(sorted(zip(outs.tolist(), ins[list(p)].tolist())))
+            for p in itertools.permutations(range(5)))
+        ds = DegreeSequence(out_deg=out_deg, in_deg=in_deg)
+        rng = rng_stream(31, 0)
+        draws = 12_000
+        seen = collections.Counter()
+        for _ in range(draws):
+            cfg = pair_configuration(ds, rng)
+            assert cfg.heads.tolist() == outs.tolist()
+            seen[tuple(sorted(zip(cfg.heads.tolist(),
+                                  cfg.tails.tolist())))] += 1
+        assert set(seen) == set(law)
+        keys = sorted(law)
+        expected = [draws * law[g] / 120 for g in keys]
+        _, pval = scipy.stats.chisquare([seen[g] for g in keys], expected)
+        assert pval > 1e-3
 
     def test_erased_edges_pinned(self):
         # sha256 of the int64 edge bytes: a change to the sampler's
-        # stream or to which copy erasure keeps shows here
+        # stream or to the host's edge order shows here
         sd, attempts = sample_erased_digraph(ModelParams.make(2000, 100.0, 2),
                                              rng_stream(0))
-        assert attempts == 1 and sd.m == 195023
+        assert attempts == 1 and sd.m == 194878
         digest = hashlib.sha256(
             np.ascontiguousarray(sd.edges, dtype="<i8").tobytes()).hexdigest()
-        assert digest == ("10ff24a1c5610fa5e0da51d8c5829cad"
-                          "b97c5acf6ad3763b022599249b549668")
+        assert digest == ("bc8eef4ce914904c491455dd2a490f02"
+                          "b386694f373c33cb7e1f2eca05760a6c")
 
     def test_defect_rates_match_theory(self):
         # loop count ~ Poisson(rho^2/c); duplicate pairs ~ Poisson(beta^2/2)
