@@ -246,9 +246,8 @@ class PermutationDigraph:
 
 def cycles_of(pd: PermutationDigraph, n0: float) -> tuple[list, list]:
     """Cycle ids split into (small, large): small means length < n0."""
-    small = [c for c in range(pd.num_cycles) if pd.cycle_lens[c] < n0]
-    large = [c for c in range(pd.num_cycles) if pd.cycle_lens[c] >= n0]
-    return small, large
+    small = pd.cycle_lens < n0
+    return np.flatnonzero(small).tolist(), np.flatnonzero(~small).tolist()
 
 
 MAX_LEVELS = 60        # out-phase tree depth
@@ -336,46 +335,35 @@ class _Node:
 
 
 class _Ctx:
-    """Per-cover working context: reserve-pool adjacency and availability.
-
-    The pool is a mask over host edges with a CSR of its edge ids by
-    tail (the in-CSR by head is built on the first pool_in call); rows
-    ascend by id: the ids as they stand when their ends ascend too (tails
-    on a host in pair-code order), else one sort of end << b | id.
-    Endpoints are read from sd.edges.  Availability (pool member and
-    not sitting in the current cover) refreshes per iteration.
+    """Per-cover reserve pool: in_pool marks its host edges, avail the
+    ones a rotation may use now (not in the current cover), refreshed
+    per iteration.  A pool row is the host's CSR row (SimpleDigraph.csr,
+    shared by every context) filtered by avail: host rows ascend by id
+    and avail lies in in_pool, so it lists available pool edges by id.
     """
 
     def __init__(self, sd: SimpleDigraph, pool_ids: np.ndarray):
         self.sd = sd
         self.in_pool = np.zeros(sd.m, dtype=bool)
         self.in_pool[pool_ids] = True
-        self._out_ptr, self._out_ids = self._csr(0)
-        self._in_ptr = self._in_ids = None
         self.avail = np.zeros(sd.m, dtype=bool)
-
-    def _csr(self, side: int):
-        """(indptr, edge ids) of the pool keyed by sd.edges[:, side]."""
-        ids = np.flatnonzero(self.in_pool)
-        ends = self.sd.edges[ids, side]
-        ptr = np.r_[0, np.cumsum(np.bincount(ends, minlength=self.sd.n))]
-        if np.any(ends[1:] < ends[:-1]):  # else ids is the CSR already
-            shift = max(self.sd.m - 1, 0).bit_length()  # n << b < 2nm
-            ends <<= shift  # a fresh array: the sort key, in place
-            ends |= ids
-            ends.sort()
-            ids = np.bitwise_and(ends, (1 << shift) - 1, out=ends)
-        return ptr, ids
 
     def refresh(self, pd: PermutationDigraph):
         np.copyto(self.avail, self.in_pool)
         self.avail[pd.edge_ids] = False
 
+    def _pairs(self, side: int, v: int):
+        """(eid, other end) of available pool edges with end v on side."""
+        ptr, ids = self.sd.csr(side)
+        ids = (np.arange(ptr[v], ptr[v + 1]) if ids is None
+               else ids[ptr[v]:ptr[v + 1]])
+        ids = ids[self.avail[ids]]
+        other = self.sd.tails if side else self.sd.heads
+        return zip(ids.tolist(), other[ids].tolist())
+
     def pool_out(self, v: int):
         """(eid, head) pairs of available pool edges leaving v."""
-        ids = self._out_ids[self._out_ptr[v]:self._out_ptr[v + 1]]
-        ids = ids[self.avail[ids]]
-        return zip(ids.tolist(), self.sd.edges[ids, 1].tolist())
+        return self._pairs(0, v)
 
     def pool_out_edges(self, vs: np.ndarray):
         """Available pool edges leaving the vertices vs, as arrays.
@@ -384,23 +372,20 @@ class _Ctx:
         the pairs pool_out(v) yields, in the same order; the tail of
         each is vs[at].
         """
-        lo = self._out_ptr[vs]
-        cnt = self._out_ptr[vs + 1] - lo
+        ptr, ids = self.sd.csr(0)
+        lo = ptr[vs]
+        cnt = ptr[vs + 1] - lo
         first = np.cumsum(cnt) - cnt
-        idx = np.arange(int(cnt.sum())) + np.repeat(lo - first, cnt)
-        eids = self._out_ids[idx]
+        eids = np.arange(int(cnt.sum())) + np.repeat(lo - first, cnt)
+        eids = eids if ids is None else ids[eids]
         keep = self.avail[eids]
         eids = eids[keep]
         at = np.repeat(np.arange(len(vs)), cnt)[keep]
-        return at, eids, self.sd.edges[eids, 1]
+        return at, eids, self.sd.heads[eids]
 
     def pool_in(self, u: int):
         """(eid, tail) pairs of available pool edges entering u."""
-        if self._in_ptr is None:
-            self._in_ptr, self._in_ids = self._csr(1)
-        ids = self._in_ids[self._in_ptr[u]:self._in_ptr[u + 1]]
-        ids = ids[self.avail[ids]]
-        return zip(ids.tolist(), self.sd.edges[ids, 0].tolist())
+        return self._pairs(1, u)
 
 
 def _root_node(pd: PermutationDigraph, u0: int, v0: int, cid: int) -> _Node:

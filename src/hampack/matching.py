@@ -71,8 +71,8 @@ def digraph_to_bipartite(edge_ids, sd: SimpleDigraph,
     """Translate host edges into the bipartite view: host edge (u, v)
     becomes {a_u, b_label[v]} for the B-side permutation label."""
     ids = np.asarray(edge_ids, dtype=np.int64)
-    return BipartiteGraph(sd.n, sd.edges[ids, 0],
-                          np.asarray(label)[sd.edges[ids, 1]], ids)
+    return BipartiteGraph(sd.n, sd.tails[ids],
+                          np.asarray(label)[sd.heads[ids]], ids)
 
 
 @dataclass
@@ -97,9 +97,9 @@ class Matching:
 
 
 def _matching(n: int, indptr: np.ndarray, indices: np.ndarray) -> Matching:
-    """scipy's Hopcroft-Karp over CSR rows of the A side."""
-    mat = csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr),
-                     shape=(n, n))
+    """scipy's Hopcroft-Karp over int32 CSR rows (scipy copies int64)."""
+    mat = csr_matrix((np.ones(len(indices), dtype=np.int8), indices.astype(
+        np.int32), indptr.astype(np.int32)), shape=(n, n))
     pair_a = maximum_bipartite_matching(mat, perm_type="column")
     pair_a = pair_a.astype(np.int64)
     pair_b = np.full(n, -1, dtype=np.int64)
@@ -250,7 +250,7 @@ def build_k_matchings(sd: SimpleDigraph, part: EdgePartition,
             pool2 = pool2[~used[pool2] & ~part.e_small[pool2]]
             pool2 = pool2[rng.permutation(len(pool2))]
             report = booster_augment(g, mt, np.column_stack(
-                (sd.edges[pool2, 0], label[sd.edges[pool2, 1]], pool2)))
+                (sd.tails[pool2], label[sd.heads[pool2]], pool2)))
             if not report.is_perfect():
                 s, ns = report.witness
                 raise PhaseFailure(

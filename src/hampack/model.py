@@ -32,15 +32,16 @@ Sampling proceeds in three stages:
 2. pair degree slots uniformly at random (bipartite configuration
    model): edge j of the multigraph is (heads[j], tails[j]) where heads
    lists the out-degree multiset in vertex order and tails is a uniform
-   shuffle of the in-degree multiset;
+   arrangement of the in-degree multiset: a shuffle, or the labels the
+   multinomial path counted, whose order given their counts is uniform;
 3. either reject non-simple pairings outright (exactly uniform over
    simple digraphs, but the acceptance rate decays like
    exp(-rho^2/c - O(c)), which is astronomically small beyond c ~ 5),
    or erase loops and repeated ordered pairs (near-uniform, and the
    only practical option at the mean degrees where Hamilton packing is
    interesting).  Erasure is one np.sort of the pair codes u*n + v, so
-   edge id is the code's rank; the host checks that order in O(m) and
-   takes the codes as its lookup index as they stand.
+   edge id is the code's rank; the host takes the kept columns as is,
+   checks their order in O(m) and takes the codes as its lookup index.
 """
 
 from __future__ import annotations
@@ -273,6 +274,7 @@ class DegreeSequence:
 
     out_deg: np.ndarray
     in_deg: np.ndarray
+    in_slots: np.ndarray | None = None  # a uniform in-slot order, used once
 
     def __post_init__(self):
         self.out_deg = np.asarray(self.out_deg, dtype=np.int64)
@@ -316,25 +318,25 @@ def degree_vector_path(n: int, m: int, k: int) -> str:
 
 
 def _multinomial_vector(params: ModelParams, rng: np.random.Generator,
-                        cap: int) -> tuple[np.ndarray, int]:
+                        cap: int) -> tuple[np.ndarray, int, np.ndarray]:
     """Counts of m uniform labels over n vertices, redrawn until every
-    count is >= k+1; returns the vector and the draws consumed."""
+    count is >= k+1; returns the vector, the draws and the labels."""
     floor = params.k + 1
     for attempt in range(1, cap + 1):
-        vec = np.bincount(rng.integers(0, params.n, params.m),
-                          minlength=params.n)
+        labels = rng.integers(0, params.n, params.m)
+        vec = np.bincount(labels, minlength=params.n)
         if vec.min() >= floor:
-            return vec.astype(np.int64, copy=False), attempt
+            return vec.astype(np.int64, copy=False), attempt, labels
     raise ConditioningFailureError(
         f"conditioning failure: no count vector with min >= {floor} "
         f"in {cap} attempts")
 
 
 def _rejection_vector(params: ModelParams, rng: np.random.Generator,
-                      cap: int) -> tuple[np.ndarray, int]:
+                      cap: int) -> tuple[np.ndarray, int, None]:
     """n truncated-Poisson draws, redrawn in blocks of _BATCH_ROWS
-    vectors until one sums to m; returns it and the vectors consumed
-    up to and including it."""
+    vectors until one sums to m; returns it, the vectors consumed up to
+    and including it, and no labels."""
     sampler = TruncatedPoisson(params.require_z(), params.k)
     attempts = 0
     while attempts < cap:
@@ -343,14 +345,14 @@ def _rejection_vector(params: ModelParams, rng: np.random.Generator,
         hits = np.nonzero(sums == params.m)[0]
         if hits.size:
             attempts += int(hits[0]) + 1
-            return block[hits[0]].copy(), attempts
+            return block[hits[0]].copy(), attempts, None
         attempts += _BATCH_ROWS
     raise ConditioningFailureError(
         f"conditioning failure: no sum-{params.m} vector in {cap} attempts")
 
 
-def conditioned_degree_vector(params: ModelParams,
-                              rng: np.random.Generator) -> tuple[np.ndarray, int]:
+def conditioned_degree_vector(params: ModelParams, rng: np.random.Generator,
+                              slots: bool = False) -> tuple:
     """One n-vector of iid truncated-Poisson draws conditioned on sum m.
 
     The law has pmf proportional to prod 1/x_i! on
@@ -362,20 +364,22 @@ def conditioned_degree_vector(params: ModelParams,
     by chance often enough; n truncated-Poisson draws, redrawn until
     they sum to m, otherwise (low c).  Either stops after 1e6*sqrt(n)
     vectors with ConditioningFailureError, a cap that is unreachable in
-    practice.  Returns the vector and the number of vectors drawn.
+    practice.  Returns the vector and the number of vectors drawn, and
+    with slots the multinomial path's labels (None on rejection).
     """
     cap = int(_CAP_PER_ROOT_N * math.sqrt(params.n))
-    if degree_vector_path(params.n, params.m, params.k) == "multinomial":
-        return _multinomial_vector(params, rng, cap)
-    return _rejection_vector(params, rng, cap)
+    name = degree_vector_path(params.n, params.m, params.k)
+    out = {"multinomial": _multinomial_vector,
+           "rejection": _rejection_vector}[name](params, rng, cap)
+    return out if slots else out[:2]
 
 
 def sample_degree_sequence(params: ModelParams,
                            rng: np.random.Generator) -> DegreeSequence:
     """Out- and in-degree vectors, independently conditioned on sum m."""
     out_deg, _ = conditioned_degree_vector(params, rng)
-    in_deg, _ = conditioned_degree_vector(params, rng)
-    return DegreeSequence(out_deg=out_deg, in_deg=in_deg)
+    in_deg, _, in_slots = conditioned_degree_vector(params, rng, slots=True)
+    return DegreeSequence(out_deg=out_deg, in_deg=in_deg, in_slots=in_slots)
 
 
 @dataclass
@@ -416,14 +420,16 @@ def pair_configuration(ds: DegreeSequence,
                        rng: np.random.Generator) -> ConfigDigraph:
     """Uniform pairing of out-slots with in-slots.
 
-    heads lists vertex v out_deg[v] times in vertex order; tails is a
-    uniform permutation of the multiset holding v in_deg[v] times, so
-    the pairing is a uniform bijection of out-slots to in-slots.
+    heads lists vertex v out_deg[v] times in vertex order; tails is
+    ds.in_slots, taken once, or else a shuffle of the in-slots: a uniform
+    arrangement either way, so the pairing is a uniform bijection.
     """
     n = ds.n
     heads = np.repeat(np.arange(n, dtype=np.int64), ds.out_deg)
-    tails = np.repeat(np.arange(n, dtype=np.int64), ds.in_deg)
-    rng.shuffle(tails)
+    tails, ds.in_slots = ds.in_slots, None
+    if tails is None:
+        tails = np.repeat(np.arange(n, dtype=np.int64), ds.in_deg)
+        rng.shuffle(tails)
     return ConfigDigraph(n=n, heads=heads, tails=tails)
 
 
@@ -493,30 +499,35 @@ def duplicate_pair_count(cfg: ConfigDigraph) -> int:
 class SimpleDigraph:
     """Loop-free digraph without repeated ordered pairs.
 
-    Edges are stored as an (m, 2) array in a canonical order that is
-    part of the identity of the instance: every pool label, bitset and
-    certificate refers to positions in this array.  A host in pair-code
-    order (ascending u*n + v), as sampled, is its own lookup index; any
-    other order is sorted to check it and for the first edge_lookup.
+    Edge e runs from tails[e] to heads[e] (edges: a (tails, heads) pair
+    of columns, or an (m, 2) array read through column views), in an
+    order every pool label, bitset and certificate refers to.  A host in
+    pair-code order (ascending u*n + v), as sampled, is its own lookup
+    index; any other is sorted to check it and for the first lookup.
     """
 
-    def __init__(self, n: int, edges: np.ndarray, k: int):
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    def __init__(self, n: int, edges, k: int):
+        if not isinstance(edges, tuple):
+            edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+        self.tails, self.heads = (np.asarray(c, dtype=np.int64) for c in edges)
         self.n = int(n)
         self.k = int(k)
-        self.edges = edges
         self._codes_sorted = self._codes_order = None  # order None: identity
+        self._csrs = [None, None]
         self._validate()
-        self.out_deg = np.bincount(edges[:, 0], minlength=self.n)
-        self.in_deg = np.bincount(edges[:, 1], minlength=self.n)
+        self.out_deg = np.bincount(self.tails, minlength=self.n)
+        self.in_deg = np.bincount(self.heads, minlength=self.n)
 
     def _validate(self):
-        if len(self.edges):
-            if self.edges.min() < 0 or self.edges.max() >= self.n:
+        t, h = self.tails, self.heads
+        if t.ndim != 1 or t.shape != h.shape:
+            raise ValueError("tail and head columns differ in shape")
+        if len(t):
+            if min(t.min(), h.min()) < 0 or max(t.max(), h.max()) >= self.n:
                 raise ValueError("edge endpoint out of range")
-            if np.any(self.edges[:, 0] == self.edges[:, 1]):
+            if np.any(t == h):
                 raise ValueError("loop edge present")
-            codes = self.edges[:, 0] * self.n + self.edges[:, 1]
+            codes = t * self.n + h
             if np.any(codes[1:] <= codes[:-1]):  # else no repeat can exist
                 codes.sort()  # in place: a repeat shows up as equal neighbours
                 if np.any(codes[1:] == codes[:-1]):
@@ -524,7 +535,28 @@ class SimpleDigraph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.tails)
+
+    @property
+    def edges(self) -> np.ndarray:
+        """A fresh (m, 2) array of (tail, head) rows."""
+        return np.column_stack((self.tails, self.heads))
+
+    def csr(self, side: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """(indptr, ids): edge ids by tail (side 0) or head (side 1); row
+        v is ids[indptr[v]:indptr[v + 1]], ascending, or that range when
+        ids is None (a nondecreasing column, as a sampled host's tails).
+        Else ids is one packed sort's, int32 if m < 2^31; built once."""
+        if self._csrs[side] is None:
+            ends, ids = (self.heads if side else self.tails), None
+            if np.any(ends[1:] < ends[:-1]):
+                shift = max(self.m - 1, 0).bit_length()  # n << b < 2nm
+                ids = _sort_packed(ends.copy(), shift)
+                ids &= (1 << shift) - 1
+                ids = ids.astype(np.int32 if self.m < 1 << 31 else np.int64)
+            deg = self.in_deg if side else self.out_deg
+            self._csrs[side] = np.r_[0, np.cumsum(deg)], ids
+        return self._csrs[side]
 
     def edge_lookup(self, u, v):
         """Edge index of the ordered pair (u, v), or -1.
@@ -533,7 +565,7 @@ class SimpleDigraph:
         int64 array with one index (or -1) per pair.
         """
         if self._codes_sorted is None:
-            codes = self.edges[:, 0] * self.n + self.edges[:, 1]
+            codes = self.tails * self.n + self.heads
             self._codes_sorted = codes  # the index as it stands, in id order
             if np.any(codes[1:] <= codes[:-1]):
                 self._codes_order, self._codes_sorted = sort_codes(
@@ -571,8 +603,8 @@ def sample_simple_digraph(params: ModelParams, rng: np.random.Generator,
     for attempt in range(1, cap + 1):
         cfg = pair_configuration(sample_degree_sequence(params, rng), rng)
         if cfg.is_simple():
-            edges = np.column_stack((cfg.heads, cfg.tails))
-            return SimpleDigraph(n=cfg.n, edges=edges, k=params.k), attempt
+            return SimpleDigraph(n=cfg.n, edges=(cfg.heads, cfg.tails),
+                                 k=params.k), attempt
     raise RejectionStallError(
         f"rejection stall: no simple pairing in {cap} attempts", attempts=cap)
 
@@ -591,14 +623,16 @@ def sample_erased_digraph(params: ModelParams, rng: np.random.Generator,
     """
     for attempt in range(1, cap + 1):
         cfg = pair_configuration(sample_degree_sequence(params, rng), rng)
-        tails = cfg.heads  # nondecreasing: the sorted codes' tails too
-        codes = tails * params.n + cfg.tails
-        codes.sort()
-        heads = np.subtract(codes, tails * params.n, out=cfg.tails)
+        tails, heads = cfg.heads, cfg.tails  # heads reuse the in-slot buffer
+        codes = tails * params.n + heads
+        codes.sort()  # tails are nondecreasing, so the sorted codes keep them
+        np.subtract(codes, np.multiply(tails, params.n, out=heads), out=heads)
         keep = heads != tails
         keep[1:] &= codes[1:] != codes[:-1]
-        edges = np.column_stack((tails[keep], heads[keep]))
-        sd = SimpleDigraph(n=params.n, edges=edges, k=params.k)
+        del cfg, codes  # at most four m-long arrays live at once
+        cols = tails[keep], heads[keep]
+        del tails, heads  # and the host's check holds only the kept columns
+        sd = SimpleDigraph(n=params.n, edges=cols, k=params.k)
         if sd.min_degree() >= params.k + 1:
             return sd, attempt
     raise PhaseFailure("sample",

@@ -114,18 +114,19 @@ def compute_small(sd: SimpleDigraph, part: EdgePartition,
     """
     thr = c / (8.0 * k)
     n = sd.n
-    tails = sd.edges[:, 0]
-    heads = sd.edges[:, 1]
     small = (sd.out_deg <= thr) | (sd.in_deg <= thr)
     # pool (t, i) is row (t-1)k + i of the per-pool degree tables, which
     # two bincounts over (pool, vertex) keys fill at once; rows 3k and
     # up hold E_4 and are dropped
     row = (part.pool_t.astype(np.int64) - 1) * k + part.pool_i
     row *= n
-    for ends in (tails, heads):
-        deg = np.bincount(row + ends, minlength=4 * k * n)[:3 * k * n]
+    key = np.empty_like(row)
+    for ends in (sd.tails, sd.heads):
+        deg = np.bincount(np.add(row, ends, out=key),
+                          minlength=4 * k * n)[:3 * k * n]
         small |= deg.reshape(3 * k, n).min(axis=0) <= thr
-    e_small = small[tails] | small[heads]
+    e_small = small[sd.tails]
+    e_small |= small[sd.heads]
     part.small = small
     part.e_small = e_small
     return small, e_small

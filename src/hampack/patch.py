@@ -338,7 +338,7 @@ def merge_patch(pd: PermutationDigraph, sd: SimpleDigraph,
                     f"-cycle ({pd.num_cycles} cycles left)")
             stats.relaxed_merges += 1
         a, b, eid1, eid2 = found
-        merged = pd.rewired((a, b), (sd.edges[eid1, 1], pd.succ[a]),
+        merged = pd.rewired((a, b), (sd.heads[eid1], pd.succ[a]),
                             (eid1, eid2))
         if merged.num_cycles != pd.num_cycles - 1:
             raise PhaseFailure("phase3", "exchange failed to merge")

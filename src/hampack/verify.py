@@ -81,8 +81,8 @@ class PackingCertificate:
     def as_dict(self) -> dict:
         return {
             "k": self.k,
-            "cycles": [[int(v) for v in cyc] for cyc in self.cycles],
-            "edge_ids": [[int(e) for e in ids] for ids in self.edge_ids],
+            "cycles": [np.asarray(c).tolist() for c in self.cycles],
+            "edge_ids": [np.asarray(e).tolist() for e in self.edge_ids],
             "flags": self.flags,
         }
 
@@ -273,7 +273,7 @@ def brute_force_packing(sd: SimpleDigraph, k: int,
         raise OracleSizeError(f"n={n} exceeds the n <= 9 enumeration cap")
     if n < 2 or k < 1:
         return None
-    adj = [sorted(int(h) for h in sd.edges[sd.edges[:, 0] == v, 1])
+    adj = [sorted(int(h) for h in sd.heads[sd.tails == v])
            for v in range(n)]
 
     def ham_cycles(banned):

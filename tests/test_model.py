@@ -260,8 +260,11 @@ class TestExactLaw:
         rng = rng_stream(derive_seed(18, *point), 0)
         draws = []
         for _ in range(self.DRAWS):
-            vec, attempts = path(params, rng, 10_000)
+            vec, attempts, labels = path(params, rng, 10_000)
             assert vec.dtype == np.int64 and attempts >= 1
+            # the multinomial path also hands back the labels it counted
+            assert (labels is None if path is md._rejection_vector else
+                    np.array_equal(np.bincount(labels, minlength=n), vec))
             draws.append(tuple(vec.tolist()))
         assert chi_square_p(draws, pmf) > 1e-4
         counts = collections.Counter(draws)
@@ -298,7 +301,7 @@ class TestPathChoice:
                                 lambda n, m, k, name=name: name)
             a, b = rng_stream(20, 0), rng_stream(20, 0)
             vec, draws = conditioned_degree_vector(params, a)
-            ref, ref_draws = path(params, b, int(1e6 * math.sqrt(200)))
+            ref, ref_draws, _ = path(params, b, int(1e6 * math.sqrt(200)))
             assert np.array_equal(vec, ref) and draws == ref_draws
             assert a.integers(1 << 62) == b.integers(1 << 62)
 
@@ -452,6 +455,79 @@ class TestSimpleDigraph:
         has_repeat = len(set(pairs)) < len(pairs)
         assert (verdicts[0] == "ok") == (not has_loop and not has_repeat)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                 max_size=40),
+        st.sampled_from([None, -1, n]))))
+    def test_columns_and_edges_agree(self, case):
+        # the same pairs handed over as an (m, 2) array and as two
+        # columns: same verdict, and the same host when both pass
+        n, pairs, bad = case
+        arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        if bad is not None and len(arr):
+            arr[-1, 1] = bad
+        hosts = []
+        for edges in (arr, (arr[:, 0].copy(), arr[:, 1].copy())):
+            try:
+                hosts.append(SimpleDigraph(n, edges, 1))
+            except ValueError as exc:
+                hosts.append(str(exc))
+        a, b = hosts
+        rows = [tuple(e) for e in arr.tolist()]
+        if bad is not None and rows:
+            assert a == b == "edge endpoint out of range"
+            return
+        if any(u == v for u, v in rows):
+            assert a == b == "loop edge present"
+            return
+        if len(set(rows)) < len(rows):
+            assert a == b == "duplicate ordered pair present"
+            return
+        assert np.array_equal(a.edges, arr) and np.array_equal(b.edges, arr)
+        for x in (a, b):
+            assert np.array_equal(x.tails, arr[:, 0])
+            assert np.array_equal(x.heads, arr[:, 1])
+        assert np.array_equal(a.out_deg, b.out_deg)
+        assert np.array_equal(a.in_deg, b.in_deg)
+        us, vs = np.divmod(np.arange(n * n), n)
+        assert np.array_equal(a.edge_lookup(us, vs), b.edge_lookup(us, vs))
+
+    def test_edges_are_stacked_on_each_read(self):
+        sd = SimpleDigraph(3, (np.array([0, 1]), np.array([1, 2])), 1)
+        assert sd.edges.tolist() == [[0, 1], [1, 2]]
+        assert sd.edges is not sd.edges  # stacked afresh on each read
+        with pytest.raises(ValueError, match="differ in shape"):
+            SimpleDigraph(3, (np.array([0, 1]), np.array([1])), 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                max_size=50),
+        st.sampled_from(["code", "tail", "shuffled"]),
+        st.randoms(use_true_random=False))))
+    def test_csr_rows_match_naive(self, case):
+        n, pairs, order, rnd = case
+        edges = sorted((u, v) for u, v in pairs if u != v)  # code order
+        if order != "code":
+            rnd.shuffle(edges)
+        if order == "tail":  # heads left unsorted within each row
+            edges.sort(key=lambda e: e[0])
+        arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        sd = SimpleDigraph(n, (arr[:, 0].copy(), arr[:, 1].copy()), 1)
+        for side in (0, 1):
+            ptr, ids = sd.csr(side)
+            assert sd.csr(side)[1] is ids  # built once, kept
+            ends = arr[:, side].tolist()
+            assert (ids is None) == (ends == sorted(ends))
+            assert ids is None or ids.dtype == np.int32
+            for v in range(n):
+                row = (list(range(ptr[v], ptr[v + 1])) if ids is None
+                       else ids[ptr[v]:ptr[v + 1]].tolist())
+                assert row == [e for e, x in enumerate(ends) if x == v]
+
 
 @st.composite
 def codes_and_bound(draw):
@@ -596,16 +672,85 @@ class TestSamplers:
         _, pval = scipy.stats.chisquare([seen[g] for g in keys], expected)
         assert pval > 1e-3
 
+    @staticmethod
+    def tables(rows, cols):
+        """Every nonnegative integer matrix with these row and column
+        sums, flattened row by row."""
+        if not rows:
+            if not any(cols):
+                yield ()
+            return
+        for first in itertools.product(*(range(min(c, rows[0]) + 1)
+                                         for c in cols)):
+            if sum(first) == rows[0]:
+                rest = [c - f for c, f in zip(cols, first)]
+                for more in TestSamplers.tables(rows[1:], rest):
+                    yield first + more
+
+    @staticmethod
+    def bijection_share(out_deg, in_deg, table):
+        """Share of the m! slot bijections that give the pair counts
+        table: prod out_deg! prod in_deg! / (m! prod table!)."""
+        lf = lambda xs: sum(math.lgamma(x + 1) for x in xs)  # noqa: E731
+        return math.exp(lf(out_deg) + lf(in_deg)
+                        - math.lgamma(sum(out_deg) + 1) - lf(table))
+
+    PAIRING_DRAWS = 12_000
+
+    def test_multinomial_path_pairing_law(self):
+        # at (2, 7, 1) the in-slots are the sampler's accepted labels as
+        # drawn; the pair counts must follow the degree law times a
+        # uniform bijection of out-slots to in-slots
+        n, m, k = 2, 7, 1
+        assert md.degree_vector_path(n, m, k) == "multinomial"
+        pmf = conditional_pmf(n, m, k)
+        law = {t: p_out * p_in * self.bijection_share(d_out, d_in, t)
+               for d_out, p_out in pmf.items() for d_in, p_in in pmf.items()
+               for t in self.tables(d_out, d_in)}
+        assert math.isclose(math.fsum(law.values()), 1.0)
+        params = ModelParams.from_nmk(n, m, k)
+        rng = rng_stream(32, 0)
+        draws = []
+        for _ in range(self.PAIRING_DRAWS):
+            ds = sample_degree_sequence(params, rng)
+            slots = ds.in_slots
+            cfg = pair_configuration(ds, rng)
+            assert cfg.tails is slots and ds.in_slots is None
+            draws.append(tuple(np.bincount(cfg.heads * n + cfg.tails,
+                                           minlength=n * n).tolist()))
+        assert chi_square_p(draws, law) > 1e-4
+        uniform = {t: 1 / len(law) for t in law}
+        assert chi_square_p(draws, uniform) < 1e-4
+
+    def test_reused_sequence_is_paired_afresh(self):
+        # the drawn arrangement serves the first pairing only; every
+        # later pairing of the same sequence is a fresh uniform one
+        params = ModelParams.from_nmk(2, 7, 1)
+        rng = rng_stream(33, 0)
+        ds = sample_degree_sequence(params, rng)
+        first = ds.in_slots
+        assert np.array_equal(np.bincount(first, minlength=2), ds.in_deg)
+        d_out, d_in = tuple(ds.out_deg.tolist()), tuple(ds.in_deg.tolist())
+        law = {t: self.bijection_share(d_out, d_in, t)
+               for t in self.tables(d_out, d_in)}
+        draws = []
+        for j in range(self.PAIRING_DRAWS):
+            cfg = pair_configuration(ds, rng)
+            assert ds.in_slots is None and (cfg.tails is first) == (j == 0)
+            draws.append(tuple(np.bincount(cfg.heads * 2 + cfg.tails,
+                                           minlength=4).tolist()))
+        assert len(law) > 1 and chi_square_p(draws, law) > 1e-4
+
     def test_erased_edges_pinned(self):
         # sha256 of the int64 edge bytes: a change to the sampler's
         # stream or to the host's edge order shows here
         sd, attempts = sample_erased_digraph(ModelParams.make(2000, 100.0, 2),
                                              rng_stream(0))
-        assert attempts == 1 and sd.m == 194878
+        assert attempts == 1 and sd.m == 194917
         digest = hashlib.sha256(
             np.ascontiguousarray(sd.edges, dtype="<i8").tobytes()).hexdigest()
-        assert digest == ("bc8eef4ce914904c491455dd2a490f02"
-                          "b386694f373c33cb7e1f2eca05760a6c")
+        assert digest == ("dbcbebf03c60c360849c9d4d29b3f2b8"
+                          "1e85a9773244985356340baa981a1efb")
 
     def test_defect_rates_match_theory(self):
         # loop count ~ Poisson(rho^2/c); duplicate pairs ~ Poisson(beta^2/2)

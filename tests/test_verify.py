@@ -1,10 +1,13 @@
 """Verifier correctness against naive recheckers, plus the diagnostics."""
 
+import json
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hampack import verify as vf
 from hampack.cover import PermutationDigraph
@@ -98,6 +101,33 @@ class TestVerifyHamilton:
             assert got == naive_hamilton(sd, seq)
             agree += 1
         assert agree == 300
+
+
+class TestCertificateDict:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.lists(st.integers(0, 1 << 40), max_size=30),
+        st.lists(st.integers(0, 1 << 40), max_size=30)), max_size=4),
+        st.sampled_from(["ndarray", "ints", "numpy ints"]),
+        st.sampled_from([None, [True, False]]))
+    def test_as_dict_equals_per_element_form(self, rows, form, flags):
+        def as_form(xs):
+            if form == "ndarray":
+                return np.array(xs, dtype=np.int64)
+            return [np.int64(x) for x in xs] if form == "numpy ints" else xs
+        cert = vf.PackingCertificate(
+            cycles=[as_form(c) for c, _ in rows],
+            edge_ids=[as_form(e) for _, e in rows], flags=flags)
+        old = {"k": cert.k,
+               "cycles": [[int(v) for v in cyc] for cyc in cert.cycles],
+               "edge_ids": [[int(e) for e in ids] for ids in cert.edge_ids],
+               "flags": flags}
+        got = cert.as_dict()
+        assert got == old
+        assert all(type(x) is int for part in ("cycles", "edge_ids")
+                   for xs in got[part] for x in xs)
+        assert json.dumps(got, sort_keys=True) == json.dumps(old,
+                                                             sort_keys=True)
 
 
 class TestVerifyPacking:
