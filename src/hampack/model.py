@@ -47,7 +47,7 @@ Sampling proceeds in three stages:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -274,7 +274,8 @@ class DegreeSequence:
 
     out_deg: np.ndarray
     in_deg: np.ndarray
-    in_slots: np.ndarray | None = None  # a uniform in-slot order, used once
+    in_slots: np.ndarray | None = field(  # set by the sampler, used once
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.out_deg = np.asarray(self.out_deg, dtype=np.int64)
@@ -351,8 +352,8 @@ def _rejection_vector(params: ModelParams, rng: np.random.Generator,
         f"conditioning failure: no sum-{params.m} vector in {cap} attempts")
 
 
-def conditioned_degree_vector(params: ModelParams, rng: np.random.Generator,
-                              slots: bool = False) -> tuple:
+def conditioned_degree_vector(params: ModelParams,
+                              rng: np.random.Generator) -> tuple:
     """One n-vector of iid truncated-Poisson draws conditioned on sum m.
 
     The law has pmf proportional to prod 1/x_i! on
@@ -364,22 +365,23 @@ def conditioned_degree_vector(params: ModelParams, rng: np.random.Generator,
     by chance often enough; n truncated-Poisson draws, redrawn until
     they sum to m, otherwise (low c).  Either stops after 1e6*sqrt(n)
     vectors with ConditioningFailureError, a cap that is unreachable in
-    practice.  Returns the vector and the number of vectors drawn, and
-    with slots the multinomial path's labels (None on rejection).
+    practice.  Returns the vector, the number of vectors drawn and the
+    multinomial path's labels (None on the rejection path).
     """
     cap = int(_CAP_PER_ROOT_N * math.sqrt(params.n))
-    name = degree_vector_path(params.n, params.m, params.k)
-    out = {"multinomial": _multinomial_vector,
-           "rejection": _rejection_vector}[name](params, rng, cap)
-    return out if slots else out[:2]
+    if degree_vector_path(params.n, params.m, params.k) == "multinomial":
+        return _multinomial_vector(params, rng, cap)
+    return _rejection_vector(params, rng, cap)
 
 
 def sample_degree_sequence(params: ModelParams,
                            rng: np.random.Generator) -> DegreeSequence:
     """Out- and in-degree vectors, independently conditioned on sum m."""
-    out_deg, _ = conditioned_degree_vector(params, rng)
-    in_deg, _, in_slots = conditioned_degree_vector(params, rng, slots=True)
-    return DegreeSequence(out_deg=out_deg, in_deg=in_deg, in_slots=in_slots)
+    out_deg, _, _ = conditioned_degree_vector(params, rng)
+    in_deg, _, labels = conditioned_degree_vector(params, rng)
+    ds = DegreeSequence(out_deg=out_deg, in_deg=in_deg)
+    ds.in_slots = labels
+    return ds
 
 
 @dataclass
@@ -499,17 +501,19 @@ def duplicate_pair_count(cfg: ConfigDigraph) -> int:
 class SimpleDigraph:
     """Loop-free digraph without repeated ordered pairs.
 
-    Edge e runs from tails[e] to heads[e] (edges: a (tails, heads) pair
-    of columns, or an (m, 2) array read through column views), in an
-    order every pool label, bitset and certificate refers to.  A host in
-    pair-code order (ascending u*n + v), as sampled, is its own lookup
-    index; any other is sorted to check it and for the first lookup.
+    Edge e runs from tails[e] to heads[e] (edges: (tail, head) rows, read
+    through column views; from_columns takes the columns as they are),
+    in an order every pool label, bitset and certificate refers to.  A
+    host in pair-code order (ascending u*n + v), as sampled, is its own
+    lookup index; any other is sorted to check it and for the first one.
     """
 
-    def __init__(self, n: int, edges, k: int):
-        if not isinstance(edges, tuple):
-            edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
-        self.tails, self.heads = (np.asarray(c, dtype=np.int64) for c in edges)
+    def __init__(self, n: int, edges, k: int, *, _columns=None):
+        if _columns is None:
+            edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+            _columns = edges[:, 0], edges[:, 1]
+        self.tails, self.heads = (np.asarray(c, dtype=np.int64)
+                                  for c in _columns)
         self.n = int(n)
         self.k = int(k)
         self._codes_sorted = self._codes_order = None  # order None: identity
@@ -533,13 +537,18 @@ class SimpleDigraph:
                 if np.any(codes[1:] == codes[:-1]):
                     raise ValueError("duplicate ordered pair present")
 
+    @classmethod
+    def from_columns(cls, n: int, tails, heads, k: int) -> "SimpleDigraph":
+        """Edges tails[e] -> heads[e]; int64 columns are kept, not copied."""
+        return cls(n, None, k, _columns=(tails, heads))
+
     @property
     def m(self) -> int:
         return len(self.tails)
 
     @property
     def edges(self) -> np.ndarray:
-        """A fresh (m, 2) array of (tail, head) rows."""
+        """(tail, head) rows, stacked afresh in O(m) on every read."""
         return np.column_stack((self.tails, self.heads))
 
     def csr(self, side: int) -> tuple[np.ndarray, np.ndarray | None]:
@@ -603,8 +612,8 @@ def sample_simple_digraph(params: ModelParams, rng: np.random.Generator,
     for attempt in range(1, cap + 1):
         cfg = pair_configuration(sample_degree_sequence(params, rng), rng)
         if cfg.is_simple():
-            return SimpleDigraph(n=cfg.n, edges=(cfg.heads, cfg.tails),
-                                 k=params.k), attempt
+            return SimpleDigraph.from_columns(cfg.n, cfg.heads, cfg.tails,
+                                              params.k), attempt
     raise RejectionStallError(
         f"rejection stall: no simple pairing in {cap} attempts", attempts=cap)
 
@@ -632,7 +641,7 @@ def sample_erased_digraph(params: ModelParams, rng: np.random.Generator,
         del cfg, codes  # at most four m-long arrays live at once
         cols = tails[keep], heads[keep]
         del tails, heads  # and the host's check holds only the kept columns
-        sd = SimpleDigraph(n=params.n, edges=cols, k=params.k)
+        sd = SimpleDigraph.from_columns(params.n, *cols, params.k)
         if sd.min_degree() >= params.k + 1:
             return sd, attempt
     raise PhaseFailure("sample",

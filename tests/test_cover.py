@@ -260,8 +260,9 @@ class TestRewiredOracle:
 def naive_pool(sd, pool_ids, avail_ids, v, side):
     """(eid, other end) of every available pool edge with end v on
     side (0: tail, 1: head), ascending by eid: a scan of the pool."""
-    return [(e, int(sd.edges[e, 1 - side])) for e in sorted(set(pool_ids))
-            if e in avail_ids and sd.edges[e, side] == v]
+    ends, other = (sd.heads, sd.tails) if side else (sd.tails, sd.heads)
+    return [(e, int(other[e])) for e in sorted(set(pool_ids))
+            if e in avail_ids and ends[e] == v]
 
 
 class TestCtxPoolOracle:

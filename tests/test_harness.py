@@ -341,7 +341,9 @@ class TestFailureTags:
     def host_for(point):
         if point == "no-in-edges":  # b_0 is unmatchable: Hall fails
             sd = failure_host(600, 30.0, 1)
-            return SimpleDigraph(sd.n, sd.edges[sd.edges[:, 1] != 0], sd.k)
+            keep = sd.heads != 0
+            return SimpleDigraph.from_columns(sd.n, sd.tails[keep],
+                                              sd.heads[keep], sd.k)
         return failure_host(*point)
 
     @staticmethod

@@ -311,8 +311,8 @@ class TestBuildK:
         for pm in pms:
             assert np.array_equal(np.sort(pm.succ), np.arange(sd.n))
             # every matched pair is a real host edge
-            assert np.array_equal(sd.edges[pm.edge_ids, 0], np.arange(sd.n))
-            assert np.array_equal(sd.edges[pm.edge_ids, 1], pm.succ)
+            assert np.array_equal(sd.tails[pm.edge_ids], np.arange(sd.n))
+            assert np.array_equal(sd.heads[pm.edge_ids], pm.succ)
         return pms
 
     def _check(self, params, sd, k, seed):

@@ -169,7 +169,7 @@ class TestConditionedVector:
     def test_sum_is_exact(self, tiny_params):
         rng = rng_stream(11, 0)
         for _ in range(5):
-            vec, attempts = conditioned_degree_vector(tiny_params, rng)
+            vec, attempts, _ = conditioned_degree_vector(tiny_params, rng)
             assert int(vec.sum()) == tiny_params.m
             assert vec.min() >= tiny_params.k + 1
             assert attempts >= 1
@@ -185,7 +185,7 @@ class TestConditionedVector:
         counts = {2: 0, 3: 0, 4: 0}
         trials = 4000
         for _ in range(trials):
-            vec, _ = conditioned_degree_vector(params, rng)
+            vec, _, _ = conditioned_degree_vector(params, rng)
             counts[int(vec[0])] += 1
         for j in (2, 3, 4):
             p = weights[j] / norm
@@ -198,7 +198,7 @@ class TestConditionedVector:
         total = 0
         reps = 40
         for _ in range(reps):
-            _, attempts = conditioned_degree_vector(tiny_params, rng)
+            _, attempts, _ = conditioned_degree_vector(tiny_params, rng)
             total += attempts
         predicted = math.sqrt(
             2 * math.pi * sigma2(tiny_params.z, tiny_params.k) * tiny_params.n)
@@ -300,7 +300,7 @@ class TestPathChoice:
             monkeypatch.setattr(md, "degree_vector_path",
                                 lambda n, m, k, name=name: name)
             a, b = rng_stream(20, 0), rng_stream(20, 0)
-            vec, draws = conditioned_degree_vector(params, a)
+            vec, draws, _ = conditioned_degree_vector(params, a)
             ref, ref_draws, _ = path(params, b, int(1e6 * math.sqrt(200)))
             assert np.array_equal(vec, ref) and draws == ref_draws
             assert a.integers(1 << 62) == b.integers(1 << 62)
@@ -335,6 +335,16 @@ class TestPairing:
     def test_degree_sum_mismatch_rejected(self):
         with pytest.raises(ValueError):
             DegreeSequence(out_deg=np.array([2, 2]), in_deg=np.array([2, 3]))
+
+    def test_in_slots_are_sampler_state(self):
+        # slots that disagree with in_deg cannot be handed in, and the
+        # m-long array stays out of repr
+        with pytest.raises(TypeError):
+            DegreeSequence(out_deg=[2, 2], in_deg=[2, 2],
+                           in_slots=[0, 0, 0, 1])
+        ds = DegreeSequence(out_deg=[2, 2], in_deg=[2, 2])
+        ds.in_slots = np.array([1, 0, 1, 0])
+        assert "in_slots" not in repr(ds)
 
 
 class TestSimpleDigraph:
@@ -384,17 +394,17 @@ class TestSimpleDigraph:
     def test_edge_lookup_arrays(self, tiny_host):
         sd = tiny_host
         ids = np.arange(0, sd.m, 7)
-        got = sd.edge_lookup(sd.edges[ids, 0], sd.edges[ids, 1])
+        got = sd.edge_lookup(sd.tails[ids], sd.heads[ids])
         assert got.dtype == np.int64 and np.array_equal(got, ids)
         # reversed pairs: hits only where the reverse edge exists
-        rev = sd.edge_lookup(sd.edges[ids, 1], sd.edges[ids, 0])
+        rev = sd.edge_lookup(sd.heads[ids], sd.tails[ids])
         want = [sd.edge_lookup(int(v), int(u)) for u, v in sd.edges[ids]]
         assert rev.tolist() == want
         assert sd.edge_lookup(np.array([0, sd.n - 1]),
                               np.array([0, sd.n - 1])).tolist() == [-1, -1]
         # unsorted queries with repeats keep their order and shape
         q = rng_stream(19, 1).choice(sd.m, size=(6, 5))
-        assert np.array_equal(sd.edge_lookup(sd.edges[q, 0], sd.edges[q, 1]),
+        assert np.array_equal(sd.edge_lookup(sd.tails[q], sd.heads[q]),
                               q)
         empty = SimpleDigraph(3, np.empty((0, 2), dtype=np.int64), 1)
         assert empty.edge_lookup(0, 1) == -1
@@ -403,9 +413,9 @@ class TestSimpleDigraph:
     def test_lookup_index_built_on_first_lookup(self, tiny_host):
         sd = SimpleDigraph(tiny_host.n, tiny_host.edges, tiny_host.k)
         assert sd._codes_order is None and sd._codes_sorted is None
-        assert sd.edge_lookup(int(sd.edges[3, 0]), int(sd.edges[3, 1])) == 3
-        assert np.array_equal(sd.edges[sd._codes_order, 0] * sd.n
-                              + sd.edges[sd._codes_order, 1],
+        assert sd.edge_lookup(int(sd.tails[3]), int(sd.heads[3])) == 3
+        assert np.array_equal(sd.tails[sd._codes_order] * sd.n
+                              + sd.heads[sd._codes_order],
                               sd._codes_sorted)
         assert np.all(np.diff(sd._codes_sorted) > 0)
 
@@ -415,10 +425,10 @@ class TestSimpleDigraph:
     def test_sampled_host_is_its_own_index(self):
         sd, _ = sample_erased_digraph(ModelParams.make(300, 8.0, 1),
                                       rng_stream(19, 2))
-        codes = sd.edges[:, 0] * sd.n + sd.edges[:, 1]
+        codes = sd.tails * sd.n + sd.heads
         assert np.all(np.diff(codes) > 0)
         assert sd._codes_sorted is None  # built on the first lookup
-        assert np.array_equal(sd.edge_lookup(sd.edges[:, 0], sd.edges[:, 1]),
+        assert np.array_equal(sd.edge_lookup(sd.tails, sd.heads),
                               np.arange(sd.m))
         # the codes as they stand, with no order array
         assert sd._codes_order is None
@@ -469,9 +479,11 @@ class TestSimpleDigraph:
         if bad is not None and len(arr):
             arr[-1, 1] = bad
         hosts = []
-        for edges in (arr, (arr[:, 0].copy(), arr[:, 1].copy())):
+        for make in (lambda: SimpleDigraph(n, arr, 1),
+                     lambda: SimpleDigraph.from_columns(
+                         n, arr[:, 0].copy(), arr[:, 1].copy(), 1)):
             try:
-                hosts.append(SimpleDigraph(n, edges, 1))
+                hosts.append(make())
             except ValueError as exc:
                 hosts.append(str(exc))
         a, b = hosts
@@ -495,11 +507,20 @@ class TestSimpleDigraph:
         assert np.array_equal(a.edge_lookup(us, vs), b.edge_lookup(us, vs))
 
     def test_edges_are_stacked_on_each_read(self):
-        sd = SimpleDigraph(3, (np.array([0, 1]), np.array([1, 2])), 1)
+        tails, heads = np.array([0, 1]), np.array([1, 2])
+        sd = SimpleDigraph.from_columns(3, tails, heads, 1)
+        assert sd.tails is tails and sd.heads is heads  # kept, not copied
         assert sd.edges.tolist() == [[0, 1], [1, 2]]
         assert sd.edges is not sd.edges  # stacked afresh on each read
         with pytest.raises(ValueError, match="differ in shape"):
-            SimpleDigraph(3, (np.array([0, 1]), np.array([1])), 1)
+            SimpleDigraph.from_columns(3, np.array([0, 1]), np.array([1]), 1)
+
+    def test_any_sequence_of_pairs_is_rows(self):
+        # a tuple of two pairs is two edges, not a (tails, heads) pair
+        for edges in (((0, 2), (1, 0)), [(0, 2), (1, 0)],
+                      ((0, 2), (1, 0), (2, 1))):
+            sd = SimpleDigraph(3, edges, 1)
+            assert sd.edges.tolist() == [list(e) for e in edges]
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
@@ -516,7 +537,8 @@ class TestSimpleDigraph:
         if order == "tail":  # heads left unsorted within each row
             edges.sort(key=lambda e: e[0])
         arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
-        sd = SimpleDigraph(n, (arr[:, 0].copy(), arr[:, 1].copy()), 1)
+        sd = SimpleDigraph.from_columns(n, arr[:, 0].copy(),
+                                        arr[:, 1].copy(), 1)
         for side in (0, 1):
             ptr, ids = sd.csr(side)
             assert sd.csr(side)[1] is ids  # built once, kept
@@ -645,7 +667,7 @@ class TestSamplers:
         assert attempts == 1
         want = sorted({(u, v) for u, v in self.PAIRING if u != v})
         assert sd.edges.tolist() == [list(e) for e in want]
-        assert np.all(np.diff(sd.edges[:, 0] * 4 + sd.edges[:, 1]) > 0)
+        assert np.all(np.diff(sd.tails * 4 + sd.heads) > 0)
         assert sd.min_degree() == 3
 
     def test_one_shuffle_pairing_law(self):

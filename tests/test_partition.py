@@ -71,12 +71,12 @@ class TestComputeSmall:
         # vertex 0 keeps only 2 out-edges there
         part.pool_t[:] = 1
         part.pool_i[:] = 0
-        v0_edges = np.nonzero(sd.edges[:, 0] == 0)[0]
+        v0_edges = np.nonzero(sd.tails == 0)[0]
         part.pool_t[v0_edges[2:]] = 2
         small, e_small = compute_small(sd, part, 20.0, 1)
         assert small[0]
-        incident = (sd.edges[:, 0] == 0) | (sd.edges[:, 1] == 0)
-        assert np.array_equal(e_small, small[sd.edges[:, 0]] | small[sd.edges[:, 1]])
+        incident = (sd.tails == 0) | (sd.heads == 0)
+        assert np.array_equal(e_small, small[sd.tails] | small[sd.heads])
         assert np.all(e_small[incident])
 
     def test_no_small_when_degrees_large(self):
@@ -93,7 +93,7 @@ class TestComputeSmall:
         # spread edges so each of the three pools holds 2 per vertex:
         # with threshold below 2 nobody is small
         part2 = split_edges(sd, 1, rng_stream(25, 1))
-        offsets = (sd.edges[:, 1] - sd.edges[:, 0]) % sd.n  # 1..6
+        offsets = (sd.heads - sd.tails) % sd.n  # 1..6
         part2.pool_t[:] = ((offsets - 1) // 2 + 1).astype(np.int8)
         part2.pool_i[:] = 0
         small2, _ = compute_small(sd, part2, 8.0, 1)  # threshold 1
@@ -117,7 +117,7 @@ class TestComputeSmall:
         assert 0 < want.sum() < sd.n
         assert np.array_equal(small, want)
         assert np.array_equal(e_small,
-                              want[sd.edges[:, 0]] | want[sd.edges[:, 1]])
+                              want[sd.tails] | want[sd.heads])
 
     def test_idempotent(self, tiny_params, tiny_host):
         part = split_edges(tiny_host, 1, rng_stream(26, 0))

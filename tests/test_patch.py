@@ -219,8 +219,8 @@ class TestBuildAux:
             want = {b for b in range(ps.kappa) if b != a and usable(a, b)}
             assert got == want
             for b, eid in aux[a]:
-                assert sd.edges[eid, 0] == ps.v[a]
-                assert sd.edges[eid, 1] == starts[b]
+                assert sd.tails[eid] == ps.v[a]
+                assert sd.heads[eid] == starts[b]
 
 
 class TestFindCyclicTau:
