@@ -13,7 +13,7 @@ from .model import (ModelParams, SimpleDigraph, read_edge_list,
                     sample_erased_digraph, sample_simple_digraph, solve_z,
                     write_edge_list)
 from .partition import EdgePartition, compute_small, split_edges
-from .patch import count_r_phi, merge_patch, oneshot_patch
+from .patch import count_r_phi, merge_patch
 from .rng import derive_seed, rng_stream
 from .verify import (PackingCertificate, brute_force_packing,
                      certificate_from_covers, degree_census, expansion_check,
@@ -26,7 +26,7 @@ __all__ = [
     "EdgePartition", "split_edges", "compute_small",
     "maximum_matching", "build_k_matchings", "matching_to_cycle_cover",
     "PermutationDigraph", "PhaseTwoBudget", "eliminate_small_cycles",
-    "merge_patch", "oneshot_patch", "count_r_phi",
+    "merge_patch", "count_r_phi",
     "PackingCertificate", "verify_hamilton", "verify_packing",
     "certificate_from_covers", "degree_census", "expansion_check",
     "brute_force_packing",

@@ -43,8 +43,7 @@ class OracleSizeError(HampackError):
 #: "internal" for a ValueError raised inside the pipeline (a broken
 #: invariant, such as a cover that is not a permutation).
 FAILURE_TAGS = tuple(f"failure:{tag}" for tag in (
-    "sample", "phase1", "phase2", "phase3", "3-select", "3-search",
-    "verify", "internal"))
+    "sample", "phase1", "phase2", "phase3", "verify", "internal"))
 
 
 class PhaseFailure(HampackError):

@@ -46,7 +46,7 @@ from .model import (
     write_edge_list,
 )
 from .partition import compute_small, split_edges
-from .patch import count_r_phi, merge_patch, oneshot_patch
+from .patch import count_r_phi, merge_patch
 from .rng import derive_seed, rng_stream
 from .verify import (
     brute_force_packing,
@@ -58,16 +58,13 @@ from .verify import (
 
 log = logging.getLogger("hampack")
 
-SCHEMA = 1
-
-_TAU_MODES = {"merge": "merge", "any": "any", "rphi": "restrict-rphi"}
+SCHEMA = 2
 
 
 # ---------------------------------------------------------------- pipeline
 
 
-def run_pipeline(params: ModelParams, rng: np.random.Generator,
-                 tau_mode: str = "merge", sd=None):
+def run_pipeline(params: ModelParams, rng: np.random.Generator, sd=None):
     """sample -> partition -> matchings -> per-i repair -> verify.
 
     sd, when given, is packed in place of an erased-model sample.
@@ -75,9 +72,6 @@ def run_pipeline(params: ModelParams, rng: np.random.Generator,
     count, per-i phase stats, and per-phase wall times.  Raises
     PhaseFailure (or a sampler error) when a phase gives up.
     """
-    if tau_mode not in _TAU_MODES:
-        raise ValueError(f"unknown tau_mode {tau_mode!r}")
-    mode = _TAU_MODES[tau_mode]
     info = {"attempts": 0, "phase2": [], "phase3": [], "timings": {}}
     clock = time.perf_counter
 
@@ -117,11 +111,7 @@ def run_pipeline(params: ModelParams, rng: np.random.Generator,
             blocked = p2.burnt | part.small
             pool4 = part.pool_edges(4, i)
             pool4 = pool4[~used[pool4]]
-            if mode == "merge":
-                ham, p3 = merge_patch(pd2, sd, pool4, blocked, rng)
-            else:
-                ham, p3 = oneshot_patch(pd2, sd, pool4, blocked, budget.n0,
-                                        rng, mode=mode)
+            ham, p3 = merge_patch(pd2, sd, pool4, blocked, rng)
             info["phase3"].append(p3)
             used[ham.edge_ids] = True
             covers.append(ham)
@@ -129,8 +119,8 @@ def run_pipeline(params: ModelParams, rng: np.random.Generator,
         except PhaseFailure as exc:
             exc.index = i
             raise
-        log.debug("cover %d repaired: |W|=%d kappa=%d", i, p2.w_size,
-                  p3.kappa)
+        log.debug("cover %d repaired: |W|=%d merges=%d relaxed=%d", i,
+                  p2.w_size, p3.merges, p3.relaxed_merges)
     info["timings"]["phase2"] = t2
     info["timings"]["phase3"] = t3
 
@@ -161,7 +151,6 @@ class TrialRecord:
     attempts: int = 0
     phase2_retries: list = field(default_factory=list)
     kappa: list = field(default_factory=list)
-    search_nodes: list = field(default_factory=list)
     cert_digest: str | None = None
     detail: str = ""
     timings: dict = field(default_factory=dict)
@@ -182,7 +171,6 @@ class TrialRecord:
             "attempts": self.attempts,
             "phase2_retries": self.phase2_retries,
             "kappa": self.kappa,
-            "search_nodes": self.search_nodes,
             "cert_digest": self.cert_digest,
             "detail": self.detail,
         }
@@ -196,15 +184,14 @@ def _cert_digest(cert) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def run_trial(params: ModelParams, seed: int, tau_mode: str = "merge",
-              sd=None) -> TrialRecord:
+def run_trial(params: ModelParams, seed: int, sd=None) -> TrialRecord:
     """Deterministic single trial; failures become outcome tags.  sd,
     when given, is the host to pack in place of a sampled one."""
     rec = TrialRecord(seed=seed, n=params.n, m=params.m, k=params.k,
                       c=params.c, z=params.z, outcome="")
     rng = rng_stream(seed)
     try:
-        sd, cert, info = run_pipeline(params, rng, tau_mode=tau_mode, sd=sd)
+        sd, cert, info = run_pipeline(params, rng, sd=sd)
     except PhaseFailure as exc:
         rec.outcome = f"failure:{exc.phase}"
         rec.detail = exc.detail
@@ -225,10 +212,8 @@ def run_trial(params: ModelParams, seed: int, tau_mode: str = "merge",
     rec.outcome = "success"
     rec.attempts = info["attempts"]
     rec.phase2_retries = [p.second_attempts for p in info["phase2"]]
-    # merge mode runs kappa=2 exchanges; count them in the same unit
-    rec.kappa = [p.kappa if p.kappa else 2 * p.merges
-                 for p in info["phase3"]]
-    rec.search_nodes = [p.search_nodes for p in info["phase3"]]
+    # each merge is a kappa = 2 exchange; count them in that unit
+    rec.kappa = [2 * p.merges for p in info["phase3"]]
     rec.cert_digest = _cert_digest(cert)
     rec.timings = info["timings"]
     rec.certificate = cert
@@ -249,7 +234,6 @@ class SweepRow:
     failures: str  # "tag=count;..." sorted by tag
     attempts_mean: float
     kappa_mean: float
-    nodes_mean: float
 
     @property
     def rate(self) -> float:
@@ -257,8 +241,7 @@ class SweepRow:
 
 
 CSV_COLUMNS = ["schema", "n", "c", "k", "m", "trials", "successes",
-               "rate", "failures", "attempts_mean", "kappa_mean",
-               "nodes_mean"]
+               "rate", "failures", "attempts_mean", "kappa_mean"]
 
 
 @dataclass
@@ -273,27 +256,26 @@ class SweepSummary:
         for r in self.rows:
             w.writerow([SCHEMA, r.n, f"{r.c:g}", r.k, r.m, r.trials,
                         r.successes, f"{r.rate:.4f}", r.failures,
-                        f"{r.attempts_mean:.3f}", f"{r.kappa_mean:.3f}",
-                        f"{r.nodes_mean:.3f}"])
+                        f"{r.attempts_mean:.3f}", f"{r.kappa_mean:.3f}"])
         return buf.getvalue()
 
 
 def _sweep_one(spec):
-    ci, n, c, k, seed, tau_mode = spec
-    rec = run_trial(ModelParams.make(n, c, k), seed, tau_mode)
+    ci, n, c, k, seed = spec
+    rec = run_trial(ModelParams.make(n, c, k), seed)
     rec.certificate = None  # sweeps read the digest: keep n*k ints out of IPC
     return ci, rec
 
 
-def run_sweep(ns, cs, ks, trials: int, seed: int, workers: int = 1,
-              tau_mode: str = "merge") -> SweepSummary:
+def run_sweep(ns, cs, ks, trials: int, seed: int,
+              workers: int = 1) -> SweepSummary:
     """Grid of cells x seeded trials; summary is worker-invariant."""
     cells = list(itertools.product(ns, cs, ks))
     specs = []
     for ci, (n, c, k) in enumerate(cells):
         for t in range(trials):
             specs.append((ci, int(n), float(c), int(k),
-                          derive_seed(seed, ci, t), tau_mode))
+                          derive_seed(seed, ci, t)))
     if workers <= 1:
         results = [_sweep_one(s) for s in specs]
     else:
@@ -321,8 +303,7 @@ def run_sweep(ns, cs, ks, trials: int, seed: int, workers: int = 1,
             n=int(n), c=float(c), k=int(k), m=int(round(c * n)),
             trials=len(recs), successes=len(succ), failures=failures,
             attempts_mean=mean(r.attempts for r in succ),
-            kappa_mean=mean(sum(r.kappa) for r in succ),
-            nodes_mean=mean(sum(r.search_nodes) for r in succ)))
+            kappa_mean=mean(sum(r.kappa) for r in succ)))
         times = [sum(r.timings.values()) for r in recs if r.timings]
         if times:
             qs = np.percentile(times, [50, 90])
@@ -613,8 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--c", type=float)
     pp.add_argument("--k", type=int)
     pp.add_argument("--seed", type=int, default=0)
-    pp.add_argument("--tau-mode", choices=sorted(_TAU_MODES),
-                    default="merge")
     pp.add_argument("--cert-out")
 
     pw = sub.add_parser("sweep", help="trial grid with per-cell summary")
@@ -623,8 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--trials", type=int, required=True)
     pw.add_argument("--seed", type=int, default=0)
     pw.add_argument("--workers", type=int, default=1)
-    pw.add_argument("--tau-mode", choices=sorted(_TAU_MODES),
-                    default="merge")
     pw.add_argument("--out", help="CSV path (default: stdout)")
 
     pt = sub.add_parser("stats", help="model and phase diagnostics")
@@ -699,7 +676,7 @@ def _cmd_pack(args, parser) -> int:
         if args.n is None or args.c is None or args.k is None:
             parser.error("pack needs --in or all of --n --c --k")
         params, sd = ModelParams.make(args.n, args.c, args.k), None
-    rec = run_trial(params, args.seed, tau_mode=args.tau_mode, sd=sd)
+    rec = run_trial(params, args.seed, sd=sd)
     if not rec.success:
         print(f"{rec.outcome}: {rec.detail}", file=sys.stderr)
         return 2
@@ -708,11 +685,9 @@ def _cmd_pack(args, parser) -> int:
         print(" ".join(str(int(v)) for v in cyc))
     meta = {
         "schema": SCHEMA,
-        "mode": args.tau_mode,
         "k": cert.k,
         "seed": args.seed,
         "kappa": rec.kappa,
-        "search_nodes": rec.search_nodes,
         "cert_digest": rec.cert_digest,
     }
     print(json.dumps(meta, sort_keys=True))
@@ -729,7 +704,7 @@ def _cmd_sweep(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     summary = run_sweep(ns, cs, ks, args.trials, args.seed,
-                        workers=args.workers, tau_mode=args.tau_mode)
+                        workers=args.workers)
     text = summary.to_csv()
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:

@@ -1,30 +1,28 @@
 """Final repair: merge the long cycles of a cover into one Hamilton cycle.
 
 A cover that survived the small-cycle sweep consists of at most a few
-cycles, each of length >= n0.  Two drivers turn it into a Hamilton
-cycle using reserve edges from the fourth pool:
+cycles, each of length >= n0.  ``merge_patch`` turns it into a Hamilton
+cycle using reserve edges from the fourth pool: it repeatedly splices
+the smallest cycle into another one with a pairwise edge exchange.
+Break (a, a+) in cycle A and (b, b+) in cycle B, rejoin with reserve
+edges (a, b+) and (b, a+).  An exchange is the kappa = 2 case of the
+paper's reconnection of path sections along a cyclic tau, and it never
+shrinks a cycle, so no new small cycles can appear.
 
-* ``merge_patch`` (pipeline default) repeatedly splices the smallest
-  cycle into another one with a pairwise edge exchange: break (a, a+)
-  in cycle A and (b, b+) in cycle B, rejoin with reserve edges
-  (a, b+) and (b, a+).  Each exchange is the kappa = 2 instance of the
-  section machinery below and never shrinks a cycle, so no new small
-  cycles can appear.
-
-* ``oneshot_patch`` breaks kappa_j = 2*floor(10*c_j/n0) + 1 edges per
-  cycle in one go, labels the resulting path sections, and searches the
-  auxiliary digraph for a cyclic tau whose joining edges all exist.
-  This needs a reserve pool dense enough that the kappa-node auxiliary
-  digraph has a Hamilton cycle, which desk-scale instances rarely
-  provide; it is kept for fidelity experiments at friendlier densities.
+There is no one-shot reconnection.  Joining bare section endpoints
+gives an auxiliary digraph of about kappa^2 * d_4 / n edges, too sparse
+to hold a Hamilton cycle at any n the pipeline runs.  A faithful version
+joins the endpoint sets of rotation trees and belongs on phase 2's
+rotation engine (ROADMAP item 4).  ``find_cyclic_tau`` and
+``count_r_phi`` stay as the counting side of that argument: the tau
+search on a given auxiliary digraph and |R_phi| by enumeration.
 
 Break vertices are drawn from V_j, the cycle's vertices that are
 neither burnt (W) nor of low pool degree (SMALL), while the relaxed
-fallback of ``merge_patch`` drops that filter rather than fail a trial.
+fallback drops that filter rather than fail a trial.
 """
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,99 +35,10 @@ from .model import SimpleDigraph
 class PatchStats:
     merges: int = 0
     relaxed_merges: int = 0
+    # always 0: perfbench/workload.py::_pack reads both, and they go
+    # when ROADMAP item 1 makes _pack call run_trial
     kappa: int = 0
-    kappa_j: list = field(default_factory=list)
     search_nodes: int = 0
-    mode: str = "merge"
-
-
-@dataclass(frozen=True)
-class PathSystem:
-    """Path sections of a cover after deleting the break edges.
-
-    Section s (0-based) runs u[phi[s]] -> v[s] inside the cover; v
-    holds the break vertices in label order, u[s] is the former
-    successor of v[s], and phi is the product of one odd cycle per
-    cover cycle.
-    """
-
-    v: np.ndarray
-    u: np.ndarray
-    phi: np.ndarray
-    break_eids: np.ndarray
-    kappa_j: tuple
-    c_j: tuple
-
-    @property
-    def kappa(self) -> int:
-        return len(self.v)
-
-
-def select_breaks(pd: PermutationDigraph, blocked: np.ndarray, n0: float,
-                  rng: np.random.Generator) -> PathSystem:
-    """Pick kappa_j break vertices per cycle and label the sections.
-
-    blocked marks W ∪ SMALL; eligible vertices per cycle form V_j.
-    Labels start at the lowest-numbered break vertex of each cycle and
-    follow the cycle, cycles in id order, so phi(s) = s - 1 cyclically
-    within each block.
-    """
-    if pd.edge_ids is None:
-        raise ValueError("cover lacks edge provenance")
-    v_parts = []
-    kappa_js = []
-    c_js = []
-    phi_parts = []
-    for cid in range(pd.num_cycles):
-        cyc = pd.cycles[cid]
-        elig = cyc[~blocked[cyc]]
-        c_j = len(elig)
-        if c_j < n0 / 10:
-            raise PhaseFailure(
-                "3-select", f"cycle {cid}: only {c_j} eligible vertices "
-                f"(need >= {n0 / 10:.0f})")
-        kappa_j = 2 * math.floor(10 * c_j / n0) + 1
-        if kappa_j > c_j:  # tiny-instance guard, impossible at scale
-            raise PhaseFailure(
-                "3-select", f"cycle {cid}: kappa_j={kappa_j} exceeds "
-                f"eligible count {c_j}")
-        chosen = rng.choice(elig, size=kappa_j, replace=False)
-        marks = np.zeros(pd.n, dtype=bool)
-        marks[chosen] = True
-        # walk the cycle from the lowest-numbered break vertex
-        start_v = int(chosen.min())
-        offset = int(pd.pos[start_v])
-        order = np.roll(cyc, -offset)
-        block = [int(x) for x in order if marks[x]]
-        base = sum(kappa_js)
-        phi_parts.extend([base + ((s - 1) % kappa_j) for s in range(kappa_j)])
-        v_parts.extend(block)
-        kappa_js.append(kappa_j)
-        c_js.append(c_j)
-    v = np.array(v_parts, dtype=np.int64)
-    u = pd.succ[v]
-    return PathSystem(v=v, u=u, phi=np.array(phi_parts, dtype=np.int64),
-                      break_eids=pd.edge_ids[v],
-                      kappa_j=tuple(kappa_js), c_j=tuple(c_js))
-
-
-def build_aux(ps: PathSystem, ctx: _Ctx) -> list:
-    """Adjacency of the auxiliary digraph.
-
-    aux[a] lists (b, eid) with a reserve edge (v_a, u[phi[b]]); a = b
-    is excluded.
-    """
-    kappa = ps.kappa
-    start_of = {}  # section start vertex -> section label
-    for b in range(kappa):
-        start_of[int(ps.u[ps.phi[b]])] = b
-    aux = [[] for _ in range(kappa)]
-    for a in range(kappa):
-        for eid, h in ctx.pool_out(int(ps.v[a])):
-            b = start_of.get(h)
-            if b is not None and b != a:
-                aux[a].append((b, eid))
-    return aux
 
 
 def find_cyclic_tau(aux: list, phi: np.ndarray | None = None,
@@ -242,42 +151,6 @@ def count_r_phi(phi: np.ndarray) -> int:
     return count
 
 
-def reassemble(pd: PermutationDigraph, ps: PathSystem, tau: np.ndarray,
-               eid_of: np.ndarray) -> PermutationDigraph:
-    """Apply the joins (v_a, u[phi[tau[a]]]) and return the new cover."""
-    out = pd.rewired(ps.v, ps.u[ps.phi[tau]], eid_of)
-    if out.num_cycles != 1:
-        raise PhaseFailure("phase3", "reassembled cover is not one cycle")
-    return out
-
-
-def oneshot_patch(pd: PermutationDigraph, sd: SimpleDigraph,
-                  pool_ids: np.ndarray, blocked: np.ndarray, n0: float,
-                  rng: np.random.Generator, mode: str = "any",
-                  ) -> tuple[PermutationDigraph, PatchStats]:
-    """Break every cycle at once and rejoin along one cyclic tau.
-
-    A second break selection is drawn if the first has no cyclic tau.
-    """
-    stats = PatchStats(mode=f"oneshot-{mode}")
-    if pd.num_cycles == 1:
-        return pd, stats
-    ctx = _Ctx(sd, pool_ids)
-    ctx.refresh(pd)
-    for _ in range(2):
-        ps = select_breaks(pd, blocked, n0, rng)
-        aux = build_aux(ps, ctx)
-        tau, eid_of, nodes = find_cyclic_tau(aux, ps.phi, mode)
-        stats.search_nodes += nodes
-        if tau is not None:
-            stats.kappa = ps.kappa
-            stats.kappa_j = list(ps.kappa_j)
-            return reassemble(pd, ps, tau, eid_of), stats
-    raise PhaseFailure(
-        "3-search", "no cyclic tau after 2 break selections "
-        f"({stats.search_nodes} nodes)")
-
-
 def _find_exchange(pd: PermutationDigraph, cid: int, ctx: _Ctx,
                    blocked: np.ndarray | None,
                    rng: np.random.Generator):
@@ -324,7 +197,7 @@ def merge_patch(pd: PermutationDigraph, sd: SimpleDigraph,
     edge exchange whose break vertices avoid W ∪ SMALL; if no such
     exchange exists the filter is dropped before giving up.
     """
-    stats = PatchStats(mode="merge")
+    stats = PatchStats()
     ctx = _Ctx(sd, pool_ids)
     while pd.num_cycles > 1:
         ctx.refresh(pd)

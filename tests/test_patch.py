@@ -1,4 +1,4 @@
-"""Final repair: section labeling, the tau search, and cycle merging."""
+"""Final repair: the tau search, |R_phi| counts, and cycle merging."""
 
 import copy
 import hashlib
@@ -68,24 +68,6 @@ def phi_of_type(*parts):
     return np.array(out, dtype=np.int64)
 
 
-def perm_sign(p):
-    p = list(p)
-    seen = [False] * len(p)
-    sign = 1
-    for s in range(len(p)):
-        if seen[s]:
-            continue
-        ln = 0
-        x = s
-        while not seen[x]:
-            seen[x] = True
-            x = p[x]
-            ln += 1
-        if ln % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def cycle_type(p):
     seen = [False] * len(p)
     parts = []
@@ -100,127 +82,6 @@ def cycle_type(p):
             ln += 1
         parts.append(ln)
     return sorted(parts)
-
-
-class TestSelectBreaks:
-    def make(self, n0=100.0, blocked=None, seed=3):
-        # cycle lengths 100 and 95: the documented kappa_j examples
-        cyc_a = list(range(100))
-        cyc_b = list(range(100, 195))
-        sd, pd, _ = cover_instance([cyc_a, cyc_b])
-        if blocked is None:
-            blocked = np.zeros(sd.n, dtype=bool)
-        ps = pt.select_breaks(pd, blocked, n0, rng_stream(seed))
-        return pd, ps
-
-    def test_kappa_formula(self):
-        _, ps = self.make()
-        # c_j = n0 -> 21; c_j = 0.95 n0 -> 19
-        assert ps.kappa_j == (21, 19)
-        assert ps.c_j == (100, 95)
-        assert ps.kappa == 40
-
-    def test_phi_shape(self):
-        _, ps = self.make()
-        assert cycle_type(ps.phi) == [19, 21]
-        assert all(kj % 2 == 1 for kj in ps.kappa_j)
-        assert perm_sign(ps.phi) == 1  # product of odd cycles is even
-
-    def test_breaks_are_cover_edges(self):
-        pd, ps = self.make()
-        assert (ps.u == pd.succ[ps.v]).all()
-        assert (ps.break_eids == pd.edge_ids[ps.v]).all()
-        assert len(np.unique(ps.v)) == ps.kappa
-
-    def test_labeling_starts_at_lowest_break(self):
-        pd, ps = self.make()
-        block1 = ps.v[:21]
-        block2 = ps.v[21:]
-        assert block1[0] == block1.min()
-        assert block2[0] == block2.min()
-        # going around the cycle the labels appear in position order
-        pos1 = pd.pos[block1]
-        assert (np.diff((pos1 - pos1[0]) % 100) > 0).all()
-
-    def test_sections_partition_vertices(self):
-        pd, ps = self.make()
-        seen = np.zeros(pd.n, dtype=int)
-        for s in range(ps.kappa):
-            v = int(ps.u[ps.phi[s]])
-            end = int(ps.v[s])
-            while True:
-                seen[v] += 1
-                if v == end:
-                    break
-                v = int(pd.succ[v])
-        assert (seen == 1).all()
-
-    def test_blocked_vertices_excluded(self):
-        blocked = np.zeros(195, dtype=bool)
-        blocked[:50] = True
-        pd, ps = self.make(blocked=blocked)
-        assert not blocked[ps.v].any()
-        assert ps.c_j == (50, 95)
-        assert ps.kappa_j == (2 * math.floor(10 * 50 / 100) + 1, 19)
-
-    def test_too_few_eligible_raises(self):
-        blocked = np.zeros(195, dtype=bool)
-        blocked[:95] = True  # cycle 1 keeps 5 eligible < n0/10
-        with pytest.raises(PhaseFailure, match="3-select"):
-            self.make(blocked=blocked)
-
-    def test_deterministic(self):
-        _, ps1 = self.make(seed=11)
-        _, ps2 = self.make(seed=11)
-        assert (ps1.v == ps2.v).all() and (ps1.phi == ps2.phi).all()
-
-
-class TestBuildAux:
-    def test_single_pool_edge(self):
-        cyc_a = list(range(10))
-        cyc_b = list(range(10, 20))
-        sd0, pd, _ = cover_instance([cyc_a, cyc_b])
-        ps = pt.select_breaks(pd, np.zeros(20, dtype=bool), 25.0,
-                              rng_stream(2))
-        # reserve exactly the edge (v_0, u[phi[2]]): aux must be the
-        # single arrow 0 -> 2.  (0 -> 1 would need the broken cover
-        # edge itself, which a simple digraph cannot also hold in the
-        # reserve pool.)
-        want = (int(ps.v[0]), int(ps.u[ps.phi[2]]))
-        sd, pd, pool = cover_instance([cyc_a, cyc_b], extra=[want])
-        ctx = _Ctx(sd, pool)
-        ctx.refresh(pd)
-        aux = pt.build_aux(ps, ctx)
-        assert aux[0] == [(2, int(pool[0]))]
-        assert all(aux[a] == [] for a in range(1, ps.kappa))
-
-    def test_empty_pool(self):
-        sd, pd, pool = cover_instance([list(range(10)), list(range(10, 20))])
-        ps = pt.select_breaks(pd, np.zeros(20, dtype=bool), 25.0,
-                              rng_stream(2))
-        ctx = _Ctx(sd, pool)
-        ctx.refresh(pd)
-        assert all(ch == [] for ch in pt.build_aux(ps, ctx))
-
-    def test_matches_direct_recount(self):
-        sd, pd, pool, rng = random_instance(17, 1500)
-        ctx = _Ctx(sd, pool)
-        ctx.refresh(pd)
-        ps = pt.select_breaks(pd, np.zeros(sd.n, dtype=bool), 75.0, rng)
-        aux = pt.build_aux(ps, ctx)
-        starts = {b: int(ps.u[ps.phi[b]]) for b in range(ps.kappa)}
-
-        def usable(a, b):
-            eid = sd.edge_lookup(int(ps.v[a]), starts[b])
-            return eid >= 0 and ctx.avail[eid]
-
-        for a in range(ps.kappa):
-            got = {b for b, _ in aux[a]}
-            want = {b for b in range(ps.kappa) if b != a and usable(a, b)}
-            assert got == want
-            for b, eid in aux[a]:
-                assert sd.tails[eid] == ps.v[a]
-                assert sd.heads[eid] == starts[b]
 
 
 class TestFindCyclicTau:
@@ -318,75 +179,6 @@ class TestCountRPhi:
     def test_size_guard(self):
         with pytest.raises(OracleSizeError):
             pt.count_r_phi(phi_of_type(11))
-
-
-class TestReassemble:
-    def test_edge_multiset_identity(self):
-        sd, pd, pool, rng = random_instance(200, 6000)
-        ctx = _Ctx(sd, pool)
-        ctx.refresh(pd)
-        ps = pt.select_breaks(pd, np.zeros(sd.n, dtype=bool), 75.0, rng)
-        aux = pt.build_aux(ps, ctx)
-        tau, eid_of, _ = pt.find_cyclic_tau(aux)
-        assert tau is not None
-        out = pt.reassemble(pd, ps, tau, eid_of)
-        assert out.num_cycles == 1
-        old = set(pd.edge_ids.tolist())
-        new = set(out.edge_ids.tolist())
-        assert old - new == set(ps.break_eids.tolist())
-        assert new - old == set(int(e) for e in eid_of)
-        assert len(new - old) == ps.kappa
-
-    def test_non_cyclic_tau_rejected(self):
-        sd, pd, pool = cover_instance(
-            [[0, 1, 2, 3], [4, 5, 6, 7]],
-            extra=[(0, 5), (4, 1), (2, 7), (6, 3)])
-        ps = pt.PathSystem(
-            v=np.array([0, 4, 2, 6]), u=np.array([1, 5, 3, 7]),
-            phi=np.array([0, 1, 2, 3]),
-            break_eids=pd.edge_ids[np.array([0, 4, 2, 6])],
-            kappa_j=(1, 1, 1, 1), c_j=(4, 4, 4, 4))
-        tau = np.array([1, 0, 3, 2])  # two 2-cycles
-        eid_of = np.array([sd.edge_lookup(0, 5), sd.edge_lookup(4, 1),
-                           sd.edge_lookup(2, 7), sd.edge_lookup(6, 3)])
-        with pytest.raises(PhaseFailure, match="phase3"):
-            pt.reassemble(pd, ps, tau, eid_of)
-
-
-class TestOneshot:
-    def test_closes_two_cycles(self):
-        sd, pd, pool, rng = random_instance(200, 6000)
-        blocked = np.zeros(sd.n, dtype=bool)
-        ham, stats = pt.oneshot_patch(pd, sd, pool, blocked, 75.0, rng)
-        assert ham.num_cycles == 1 and ham.cycle_lens[0] == sd.n
-        rows = sd.edges[ham.edge_ids]
-        assert (rows[:, 0] == np.arange(sd.n)).all()
-        assert (rows[:, 1] == ham.succ).all()
-        assert stats.kappa == sum(stats.kappa_j)
-        assert stats.mode == "oneshot-any"
-
-    def test_restricted_mode(self):
-        sd, pd, pool, _ = random_instance(200, 6000)
-        blocked = np.zeros(sd.n, dtype=bool)
-        ham, stats = pt.oneshot_patch(pd, sd, pool, blocked, 75.0,
-                                      rng_stream(201),
-                                      mode="restrict-rphi")
-        assert ham.num_cycles == 1
-        assert stats.mode == "oneshot-restrict-rphi"
-
-    def test_single_cycle_short_circuits(self):
-        sd, pd, pool = cover_instance([list(range(20))])
-        out, stats = pt.oneshot_patch(pd, sd, pool,
-                                      np.zeros(20, dtype=bool), 5.0,
-                                      rng_stream(1))
-        assert out is pd and stats.kappa == 0
-
-    def test_empty_pool_fails_with_search_tag(self):
-        sd, pd, pool = cover_instance(
-            [list(range(30)), list(range(30, 60))])
-        with pytest.raises(PhaseFailure, match="3-search"):
-            pt.oneshot_patch(pd, sd, pool, np.zeros(60, dtype=bool),
-                             25.0, rng_stream(1))
 
 
 class TestMergePatch:
