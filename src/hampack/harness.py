@@ -10,8 +10,8 @@ Determinism contract: every emitted number is a pure function of
 (command, params, seed).  Sweep trials get their seeds from a
 counter-based derivation of (seed base, cell index, trial index), so
 summaries do not depend on worker count or scheduling.  Wall-clock
-times are collected but kept out of canonical serializations; they go
-to the log instead.
+times stay out of canonical serializations: a sweep times each trial
+as one call, failed trials included, and logs the t50/t90 per cell.
 """
 
 import argparse
@@ -69,34 +69,21 @@ def run_pipeline(params: ModelParams, rng: np.random.Generator, sd=None):
 
     sd, when given, is packed in place of an erased-model sample.
     Returns (sd, certificate, info).  info carries the sampler attempt
-    count, per-i phase stats, and per-phase wall times.  Raises
-    PhaseFailure (or a sampler error) when a phase gives up.
+    count and per-i phase stats.  Raises PhaseFailure (or a sampler
+    error) when a phase gives up.
     """
-    info = {"attempts": 0, "phase2": [], "phase3": [], "timings": {}}
-    clock = time.perf_counter
-
-    t = clock()
+    info = {"attempts": 0, "phase2": [], "phase3": []}
     if sd is None:
-        sd, attempts = sample_erased_digraph(params, rng)
-        info["attempts"] = attempts
-    info["timings"]["sample"] = clock() - t
-
-    t = clock()
+        sd, info["attempts"] = sample_erased_digraph(params, rng)
     part = split_edges(sd, params.k, rng)
     compute_small(sd, part, params.c, params.k)
-    info["timings"]["partition"] = clock() - t
-
-    t = clock()
     used = np.zeros(sd.m, dtype=bool)
     pms = build_k_matchings(sd, part, rng, used=used)
-    info["timings"]["phase1"] = clock() - t
 
     budget = PhaseTwoBudget.for_model(params.n, params.c, params.k)
     covers = []
-    t2 = t3 = 0.0
     for i in range(params.k):
         try:
-            t = clock()
             pd = matching_to_cycle_cover(pms[i])
             # release this matching's reservation: its own edges are fair
             # game for rotations, only other covers' edges stay off-limits
@@ -105,9 +92,7 @@ def run_pipeline(params: ModelParams, rng: np.random.Generator, sd=None):
             pool3 = pool3[~used[pool3]]
             pd2, p2 = eliminate_small_cycles(pd, sd, pool3, rng, budget)
             info["phase2"].append(p2)
-            t2 += clock() - t
 
-            t = clock()
             blocked = p2.burnt | part.small
             pool4 = part.pool_edges(4, i)
             pool4 = pool4[~used[pool4]]
@@ -115,19 +100,14 @@ def run_pipeline(params: ModelParams, rng: np.random.Generator, sd=None):
             info["phase3"].append(p3)
             used[ham.edge_ids] = True
             covers.append(ham)
-            t3 += clock() - t
         except PhaseFailure as exc:
             exc.index = i
             raise
         log.debug("cover %d repaired: |W|=%d merges=%d relaxed=%d", i,
                   p2.w_size, p3.merges, p3.relaxed_merges)
-    info["timings"]["phase2"] = t2
-    info["timings"]["phase3"] = t3
 
-    t = clock()
     cert = certificate_from_covers(sd, covers)
     chk = verify_packing(sd, cert)
-    info["timings"]["verify"] = clock() - t
     if not chk:
         raise PhaseFailure("verify", chk.reason)
     return sd, cert, info
@@ -138,8 +118,8 @@ def run_pipeline(params: ModelParams, rng: np.random.Generator, sd=None):
 
 @dataclass
 class TrialRecord:
-    """One pipeline run.  Canonical serialization omits timings and the
-    certificate body (the digest pins it down)."""
+    """One pipeline run.  Canonical serialization omits the certificate
+    body (the digest pins it down)."""
 
     seed: int
     n: int
@@ -153,9 +133,7 @@ class TrialRecord:
     kappa: list = field(default_factory=list)
     cert_digest: str | None = None
     detail: str = ""
-    timings: dict = field(default_factory=dict)
     certificate: object = None
-    schema: int = SCHEMA
 
     @property
     def success(self) -> bool:
@@ -163,7 +141,7 @@ class TrialRecord:
 
     def canonical(self) -> dict:
         return {
-            "schema": self.schema,
+            "schema": SCHEMA,
             "seed": self.seed,
             "n": self.n, "m": self.m, "k": self.k, "c": self.c,
             "z": self.z,
@@ -215,7 +193,6 @@ def run_trial(params: ModelParams, seed: int, sd=None) -> TrialRecord:
     # each merge is a kappa = 2 exchange; count them in that unit
     rec.kappa = [2 * p.merges for p in info["phase3"]]
     rec.cert_digest = _cert_digest(cert)
-    rec.timings = info["timings"]
     rec.certificate = cert
     return rec
 
@@ -262,9 +239,11 @@ class SweepSummary:
 
 def _sweep_one(spec):
     ci, n, c, k, seed = spec
+    t = time.perf_counter()
     rec = run_trial(ModelParams.make(n, c, k), seed)
+    seconds = time.perf_counter() - t
     rec.certificate = None  # sweeps read the digest: keep n*k ints out of IPC
-    return ci, rec
+    return ci, rec, seconds
 
 
 def run_sweep(ns, cs, ks, trials: int, seed: int,
@@ -282,11 +261,12 @@ def run_sweep(ns, cs, ks, trials: int, seed: int,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_one, specs))
     by_cell = {}
-    for ci, rec in results:
-        by_cell.setdefault(ci, []).append(rec)
+    for ci, rec, seconds in results:
+        by_cell.setdefault(ci, []).append((rec, seconds))
     rows = []
     for ci, (n, c, k) in enumerate(cells):
-        recs = sorted(by_cell.get(ci, []), key=lambda r: r.seed)
+        cell = by_cell.get(ci, [])
+        recs = sorted((r for r, _ in cell), key=lambda r: r.seed)
         succ = [r for r in recs if r.success]
         tags = {}
         for r in recs:
@@ -304,9 +284,8 @@ def run_sweep(ns, cs, ks, trials: int, seed: int,
             trials=len(recs), successes=len(succ), failures=failures,
             attempts_mean=mean(r.attempts for r in succ),
             kappa_mean=mean(sum(r.kappa) for r in succ)))
-        times = [sum(r.timings.values()) for r in recs if r.timings]
-        if times:
-            qs = np.percentile(times, [50, 90])
+        if cell:
+            qs = np.percentile([s for _, s in cell], [50, 90])
             log.info("cell n=%s c=%s k=%s: t50=%.2fs t90=%.2fs",
                      n, c, k, qs[0], qs[1])
     return SweepSummary(seed=seed, rows=rows)

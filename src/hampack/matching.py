@@ -223,19 +223,17 @@ def _finalize(g: BipartiteGraph, mt: Matching,
 
 def build_k_matchings(sd: SimpleDigraph, part: EdgePartition,
                       rng: np.random.Generator,
-                      used: np.ndarray | None = None) -> list[PerfectMatching]:
+                      used: np.ndarray) -> list[PerfectMatching]:
     """k pairwise edge-disjoint perfect matchings, one per pool index.
 
     G_i = (Ê_{1,i} ∪ E_SMALL) minus every edge spent by earlier
     matchings; boosters stream from the unspent part of Ê_{2,i} in
-    uniform random order.  used, when passed in, is the trial-global
-    bitset and is updated in place.
+    uniform random order.  used is the trial-global bitset of spent
+    host edges and is updated in place.
     """
     if part.e_small is None:
         raise ValueError("compute_small has not run")
     n, k = sd.n, part.k
-    if used is None:
-        used = np.zeros(sd.m, dtype=bool)
     out = []
     for i in range(k):
         label = rng.permutation(n).astype(np.int64)

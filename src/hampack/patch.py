@@ -12,16 +12,19 @@ shrinks a cycle, so no new small cycles can appear.
 There is no one-shot reconnection.  Joining bare section endpoints
 gives an auxiliary digraph of about kappa^2 * d_4 / n edges, too sparse
 to hold a Hamilton cycle at any n the pipeline runs.  A faithful version
-joins the endpoint sets of rotation trees and belongs on phase 2's
-rotation engine (ROADMAP item 4).  ``find_cyclic_tau`` and
-``count_r_phi`` stay as the counting side of that argument: the tau
-search on a given auxiliary digraph and |R_phi| by enumeration.
+joins the endpoint sets of rotation trees; ROADMAP item 2 keeps it as a
+last resort behind longer exchanges between two cycles.
+``count_r_phi`` and ``find_cyclic_tau`` stay as the counting side of
+that argument.  Both walk one enumeration of the cyclic tau of [kappa]:
+the first counts those with phi∘tau cyclic (|R_phi|), the second
+returns the first of them that a given auxiliary digraph admits.
 
 Break vertices are drawn from V_j, the cycle's vertices that are
 neither burnt (W) nor of low pool degree (SMALL), while the relaxed
 fallback drops that filter rather than fail a trial.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,114 +44,53 @@ class PatchStats:
     search_nodes: int = 0
 
 
-def find_cyclic_tau(aux: list, phi: np.ndarray | None = None,
-                    mode: str = "any", node_cap: int = 1_000_000):
-    """Hamilton cycle in the auxiliary digraph by backtracking.
+def _is_cyclic(p: np.ndarray) -> bool:
+    """Whether the permutation p of [len(p)] is a single cycle."""
+    x = 0
+    for steps in range(1, len(p) + 1):
+        x = int(p[x])
+        if x == 0:
+            return steps == len(p)
+    return False
 
-    Returns (tau, eid_of, nodes_expanded) or (None, None, nodes).
-    tau[a] = b means section a is joined to section b; in
-    "restrict-rphi" mode phi∘tau must itself be cyclic, matching the
-    class the second-moment analysis works in.
-    """
-    if mode not in ("any", "restrict-rphi"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "restrict-rphi" and phi is None:
-        raise ValueError("restrict-rphi mode needs phi")
-    kappa = len(aux)
+
+def _cyclic_taus(kappa: int):
+    """Every cyclic tau of [kappa]: tau runs 0 -> order[1] -> ... -> 0,
+    with order[1:] taking the permutations of 1..kappa-1 in
+    lexicographic order."""
     if kappa < 2:
         raise ValueError("need at least two sections")
-    visited = np.zeros(kappa, dtype=bool)
-
-    def choices(a):
-        # fewest-options-first over the still-unvisited successors
-        cand = [(b, eid) for b, eid in aux[a] if not visited[b]]
-        cand.sort(key=lambda be: sum(not visited[x] for x, _ in aux[be[0]]))
-        return iter(cand)
-
-    path = [0]
-    eids = [-1]
-    visited[0] = True
-    iters = [choices(0)]
-    nodes = 0
-
-    def accept():
+    if kappa > 10:
+        raise OracleSizeError("enumeration limited to kappa <= 10")
+    for rest in itertools.permutations(range(1, kappa)):
         tau = np.empty(kappa, dtype=np.int64)
-        eid_of = np.empty(kappa, dtype=np.int64)
-        for idx in range(kappa):
-            a = path[idx]
-            b = path[(idx + 1) % kappa]
-            tau[a] = b
-            eid_of[a] = eids[(idx + 1) % kappa]
-        if mode == "restrict-rphi":
-            lam = phi[tau]
-            seen = 0
-            x = 0
-            for _ in range(kappa):
-                x = int(lam[x])
-                seen += 1
-                if x == 0:
-                    break
-            if seen != kappa:
-                return None
-        return tau, eid_of
+        tau[[0, *rest]] = [*rest, 0]
+        yield tau
 
-    while iters:
-        if nodes >= node_cap:
-            return None, None, nodes
-        advanced = False
-        for b, eid in iters[-1]:
-            if visited[b]:
-                continue
-            nodes += 1
-            visited[b] = True
-            path.append(b)
-            eids.append(eid)
-            iters.append(choices(b))
-            advanced = True
-            break
-        if advanced:
-            continue
-        # leaf: either a full tour that closes, or backtrack
-        if len(path) == kappa:
-            back = next((e for b, e in aux[path[-1]] if b == 0), None)
-            if back is not None:
-                eids[0] = back
-                got = accept()
-                if got is not None:
-                    tau, eid_of = got
-                    return tau, eid_of, nodes
-        last = path.pop()
-        visited[last] = False
-        eids.pop()
-        iters.pop()
-    return None, None, nodes
+
+def find_cyclic_tau(aux: list, phi: np.ndarray):
+    """The first cyclic tau over the auxiliary digraph with phi∘tau cyclic.
+
+    aux[a] lists (b, eid): section a may be joined to section b through
+    reserve edge eid.  tau[a] = b joins a to b.  Returns (tau, eid_of)
+    for the first tau in enumeration order whose arcs a -> tau[a] are
+    all in aux and for which phi∘tau is cyclic, the class the
+    second-moment analysis works in; (None, None) when there is none.
+    """
+    arcs = [dict(row) for row in aux]
+    phi = np.asarray(phi, dtype=np.int64)
+    for tau in _cyclic_taus(len(aux)):
+        joins = list(enumerate(tau.tolist()))
+        if all(b in arcs[a] for a, b in joins) and _is_cyclic(phi[tau]):
+            return tau, np.array([arcs[a][b] for a, b in joins],
+                                 dtype=np.int64)
+    return None, None
 
 
 def count_r_phi(phi: np.ndarray) -> int:
     """|R_phi| = #{cyclic tau : phi∘tau is cyclic}, by enumeration."""
     phi = np.asarray(phi, dtype=np.int64)
-    kappa = len(phi)
-    if kappa > 10:
-        raise OracleSizeError("enumeration limited to kappa <= 10")
-    import itertools
-
-    def is_cyclic(p):
-        x = 0
-        for steps in range(1, kappa + 1):
-            x = int(p[x])
-            if x == 0:
-                return steps == kappa
-        return False
-
-    count = 0
-    tau = np.empty(kappa, dtype=np.int64)
-    for rest in itertools.permutations(range(1, kappa)):
-        order = (0,) + rest
-        for idx in range(kappa):
-            tau[order[idx]] = order[(idx + 1) % kappa]
-        if is_cyclic(phi[tau]):
-            count += 1
-    return count
+    return sum(_is_cyclic(phi[tau]) for tau in _cyclic_taus(len(phi)))
 
 
 def _find_exchange(pd: PermutationDigraph, cid: int, ctx: _Ctx,

@@ -139,7 +139,7 @@ def test_criterion_07_reconnection_counts():
     # digraph forces tau = (1 3 2) and lambda = phi tau = (1 2 3)
     phi = np.array([2, 0, 1])
     aux = [[(b, 0) for b in range(3) if b != a] for a in range(3)]
-    tau, _, _ = find_cyclic_tau(aux, phi, "restrict-rphi")
+    tau, _ = find_cyclic_tau(aux, phi)
     example_ok = (tau is not None and list(tau) == [2, 0, 1]
                   and list(phi[np.asarray(tau)]) == [1, 2, 0])
     _gate(7, "reconnection counts inside factorial bounds (kappa 3..9)",

@@ -852,6 +852,7 @@ class TestPipelineIntegration:
         covers = []
         for i in range(params.k):
             pd = matching_to_cycle_cover(pms[i])
+            used[pms[i].edge_ids] = False
             pool = part.working_edges(3, i)
             pool = pool[~used[pool]]
             out, stats = eliminate_small_cycles(pd, sd, pool, rng, budget)
@@ -886,6 +887,7 @@ class TestPipelineIntegration:
             outs = []
             for i in range(params.k):
                 pd = matching_to_cycle_cover(pms[i])
+                used[pms[i].edge_ids] = False
                 pool = part.working_edges(3, i)
                 pool = pool[~used[pool]]
                 out, _ = eliminate_small_cycles(pd, sd, pool, rng, budget)

@@ -337,9 +337,10 @@ class TestBuildK:
     def test_forced_boosters_run_out(self, rejection_path):
         # witness sizes and consumed as augmenting one booster at a time
         # found them on this case
+        sd, part, rng = forced_booster_host(0.05)
         with pytest.raises(PhaseFailure, match=r"\|S\|=303 > \|N\(S\)\|=288 "
                            r"after 1006 boosters"):
-            build_k_matchings(*forced_booster_host(0.05))
+            build_k_matchings(sd, part, rng, used=np.zeros(sd.m, dtype=bool))
 
     def test_k1_host(self, host_5k):
         params, sd = host_5k

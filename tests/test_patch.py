@@ -1,4 +1,4 @@
-"""Final repair: the tau search, |R_phi| counts, and cycle merging."""
+"""Final repair: the tau enumeration, |R_phi| counts, and cycle merging."""
 
 import copy
 import hashlib
@@ -87,28 +87,24 @@ def cycle_type(p):
 class TestFindCyclicTau:
     def test_two_sections(self):
         aux = [[(1, 7)], [(0, 9)]]
-        tau, eid_of, _ = pt.find_cyclic_tau(aux)
+        ident = np.array([0, 1])
+        tau, eid_of = pt.find_cyclic_tau(aux, ident)
         assert list(tau) == [1, 0]
         assert list(eid_of) == [7, 9]
-        tau, _, _ = pt.find_cyclic_tau([[(1, 7)], []])
-        assert tau is None
+        tau, eid_of = pt.find_cyclic_tau([[(1, 7)], []], ident)
+        assert tau is None and eid_of is None
 
     def test_forced_three_section_layout(self):
         # kappa=3 with a complete auxiliary digraph and phi = (1 3 2):
-        # the restricted search lands on tau = (1 3 2), lambda = (1 2 3)
+        # the search lands on tau = (1 3 2), lambda = (1 2 3)
         phi = np.array([2, 0, 1])
         aux = [[(b, 10 * a + b) for b in range(3) if b != a]
                for a in range(3)]
-        tau, eid_of, _ = pt.find_cyclic_tau(aux, phi, "restrict-rphi")
+        tau, eid_of = pt.find_cyclic_tau(aux, phi)
         assert list(tau) == [2, 0, 1]
         assert list(phi[tau]) == [1, 2, 0]
         assert cycle_type(phi[tau]) == [3]
         assert [int(e) for e in eid_of] == [2, 10, 21]
-
-    def test_any_mode_returns_cyclic_tau(self):
-        aux = [[(b, 0) for b in range(5) if b != a] for a in range(5)]
-        tau, _, _ = pt.find_cyclic_tau(aux)
-        assert cycle_type(tau) == [5]
 
     def test_agrees_with_enumeration(self):
         rng = rng_stream(23)
@@ -121,40 +117,33 @@ class TestFindCyclicTau:
                    for a in range(kappa)]
             phi = phi_of_type(kappa) if kappa % 2 else phi_of_type(kappa - 1, 1)
 
-            def feasible(restrict):
+            def first_feasible():
                 for rest in itertools.permutations(range(1, kappa)):
                     order = (0,) + rest
                     if not all(adj[order[i], order[(i + 1) % kappa]]
                                for i in range(kappa)):
                         continue
-                    if restrict:
-                        tau = np.empty(kappa, dtype=np.int64)
-                        for i in range(kappa):
-                            tau[order[i]] = order[(i + 1) % kappa]
-                        if cycle_type(phi[tau]) != [kappa]:
-                            continue
-                    return True
-                return False
+                    tau = np.empty(kappa, dtype=np.int64)
+                    for i in range(kappa):
+                        tau[order[i]] = order[(i + 1) % kappa]
+                    if cycle_type(phi[tau]) == [kappa]:
+                        return list(tau)
+                return None
 
-            got_any, _, _ = pt.find_cyclic_tau(aux)
-            assert (got_any is not None) == feasible(False)
-            got_r, _, _ = pt.find_cyclic_tau(aux, phi, "restrict-rphi")
-            assert (got_r is not None) == feasible(True)
-            if got_any is not None:
-                assert all(adj[a, got_any[a]] for a in range(kappa))
-
-    def test_node_cap(self):
-        aux = [[(b, 0) for b in range(6) if b != a] for a in range(6)]
-        tau, eid_of, nodes = pt.find_cyclic_tau(aux, node_cap=0)
-        assert tau is None and eid_of is None and nodes == 0
+            got, eid_of = pt.find_cyclic_tau(aux, phi)
+            want = first_feasible()
+            if want is None:
+                assert got is None and eid_of is None
+            else:
+                assert list(got) == want
+                assert list(eid_of) == [a * kappa + b
+                                        for a, b in enumerate(want)]
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            pt.find_cyclic_tau([[], []], mode="bogus")
-        with pytest.raises(ValueError):
-            pt.find_cyclic_tau([[], []], mode="restrict-rphi")
-        with pytest.raises(ValueError):
-            pt.find_cyclic_tau([[]])
+            pt.find_cyclic_tau([[]], np.array([0]))
+        with pytest.raises(OracleSizeError):
+            pt.find_cyclic_tau([[]] * 11, phi_of_type(11))
 
 
 class TestCountRPhi:
