@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PhaseFailure
-from .model import SimpleDigraph, first_copies, sort_codes
+from .model import SimpleDigraph, sort_codes
 
 __all__ = [
     "PermutationDigraph", "PhaseTwoBudget", "PhaseTwoStats", "cycles_of",
@@ -137,15 +137,16 @@ class PermutationDigraph:
     def rewired(self, tails, heads, eids) -> "PermutationDigraph":
         """The cover with succ[tails] = heads and edge_ids[tails] = eids.
 
-        Writes apply in order, so a repeated tail keeps its last head;
-        the heads kept must be a permutation of the old succ[tails], or
-        ValueError.  The tables are spliced from this cover's instead of
-        rebuilt by pointer doubling.  Cutting each touched cycle after
-        its rewired tails leaves arcs, each running from an old head to
-        the next rewired tail along its cycle; each new cycle is a ring
-        of such arcs, rotated to start at its smallest vertex.  Cycles
-        with no rewired tail keep their arrays, and cycle ids are
-        renumbered by start.
+        The tails must be distinct and the heads a permutation of the old
+        succ[tails], or ValueError: every caller rewires distinct
+        vertices (each burnt on admission, or one per cycle of an
+        exchange), so a repeat is a broken invariant.  The tables are
+        spliced from this cover's instead of rebuilt by pointer
+        doubling.  Cutting each touched cycle after its rewired tails
+        leaves arcs, each running from an old head to the next rewired
+        tail along its cycle; each new cycle is a ring of such arcs,
+        rotated to start at its smallest vertex.  Cycles with no rewired
+        tail keep their arrays, and cycle ids are renumbered by start.
         """
         if self.edge_ids is None:
             raise ValueError("cover lacks edge provenance")
@@ -159,11 +160,12 @@ class PermutationDigraph:
             return self
         if tails.min() < 0 or tails.max() >= n:
             raise ValueError("tail out of range")
-        # the last write to a tail is its first copy in reverse; what is
-        # kept runs by (cycle_id, pos), the order of tails along cycles
-        key = self.cycle_id[tails] * n + self.pos[tails]
-        last = len(tails) - 1 - first_copies(key[::-1], self.num_cycles * n)
-        tails, heads, eids, key = tails[last], heads[last], eids[last], key[last]
+        # tails run by (cycle_id, pos), their order along cycles
+        order, key = sort_codes(self.cycle_id[tails] * n + self.pos[tails],
+                                self.num_cycles * n)
+        if np.any(key[1:] == key[:-1]):
+            raise ValueError("repeated tail")
+        tails, heads, eids = tails[order], heads[order], eids[order]
         if not np.array_equal(np.sort(heads), np.sort(self.succ[tails])):
             raise ValueError("succ is not a permutation")
         d = len(tails)
@@ -528,8 +530,9 @@ def _materialize(pd: PermutationDigraph, leaf: _Node, in_steps,
     in_steps = [(w, start_before, eid)] start-side surgeries in order;
     closure = (tail, head, eid) the final closing edge.  Each removal
     (x, w) is superseded: x is the next delta's tail (or the final
-    dangling end the closure edge resolves), so writing the additions
-    in order leaves no stale pointer behind.
+    dangling end the closure edge resolves).  No vertex is a tail
+    twice: each out-phase tail is a path end and each in-phase tail a
+    pivot, and both burn on admission, so rewired gets distinct tails.
     """
     steps = [nd.added for nd in leaf.chain()] + list(in_steps) + [closure]
     tails, heads, eids = np.array(steps, dtype=np.int64).T
@@ -561,20 +564,10 @@ def in_phase(pd: PermutationDigraph, u0: int, leaves: list, ctx: _Ctx,
     by_head, target_heads = sort_codes(heads, pd.n)
     target_leaf = np.asarray(rank)[at[by_head]].tolist()
     target_eid = eids[by_head].tolist()
-    parent: dict[int, tuple] = {u0: None}  # start -> (prev, w, eid)
+    # start -> its chain [(w, start_fed, eid)], root-first, built once
+    chains: dict[int, list] = {u0: []}
     frontier = [u0]
-    starts_seen = 1
     validations = 0
-
-    def chain_to(s):
-        steps = []
-        cur = s
-        while parent[cur] is not None:
-            prev, w, eid = parent[cur]
-            steps.append((w, prev, eid))
-            cur = prev
-        steps.reverse()
-        return steps  # [(w, start_fed, eid)] root-first
 
     def try_close(s):
         nonlocal validations
@@ -585,12 +578,9 @@ def in_phase(pd: PermutationDigraph, u0: int, leaves: list, ctx: _Ctx,
                 return None
             validations += 1
             leaf = leaves[j]
-            steps = chain_to(s)
-            if any(e == closure_eid for _, _, e in steps):
-                continue
-            if not _replay(pd, leaf, steps, n0):
-                continue
-            return _materialize(pd, leaf, steps, (leaf.end, s, closure_eid))
+            if _replay(pd, leaf, chains[s], n0):
+                return _materialize(pd, leaf, chains[s],
+                                    (leaf.end, s, closure_eid))
         return None
 
     hit = try_close(u0)
@@ -602,7 +592,7 @@ def in_phase(pd: PermutationDigraph, u0: int, leaves: list, ctx: _Ctx,
     if headroom <= 0:
         return None
     max_starts = min(MAX_STARTS, max(16, headroom // 4))
-    while frontier and starts_seen < max_starts:
+    while frontier and len(chains) < max_starts:
         if validations >= MAX_VALIDATIONS:
             return None  # try_close can no longer accept anything
         nxt = []
@@ -614,12 +604,11 @@ def in_phase(pd: PermutationDigraph, u0: int, leaves: list, ctx: _Ctx,
                 if w_set[w]:
                     continue
                 x = int(pd.succ[w])
-                if w_set[x] or x in parent:
+                if w_set[x] or x in chains:
                     continue
                 w_set.burn(w, x)
-                parent[x] = (s, w, eid)
+                chains[x] = chains[s] + [(w, s, eid)]
                 admitted += 1
-                starts_seen += 1
                 hit = try_close(x)
                 if hit is not None:
                     return hit

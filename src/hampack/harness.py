@@ -238,9 +238,9 @@ class SweepSummary:
 
 
 def _sweep_one(spec):
-    ci, n, c, k, seed = spec
+    ci, params, seed = spec
     t = time.perf_counter()
-    rec = run_trial(ModelParams.make(n, c, k), seed)
+    rec = run_trial(params, seed)
     seconds = time.perf_counter() - t
     rec.certificate = None  # sweeps read the digest: keep n*k ints out of IPC
     return ci, rec, seconds
@@ -248,13 +248,15 @@ def _sweep_one(spec):
 
 def run_sweep(ns, cs, ks, trials: int, seed: int,
               workers: int = 1) -> SweepSummary:
-    """Grid of cells x seeded trials; summary is worker-invariant."""
-    cells = list(itertools.product(ns, cs, ks))
-    specs = []
-    for ci, (n, c, k) in enumerate(cells):
-        for t in range(trials):
-            specs.append((ci, int(n), float(c), int(k),
-                          derive_seed(seed, ci, t)))
+    """Grid of cells x seeded trials; summary is worker-invariant.
+
+    Each cell's ModelParams is built once, before any trial runs, so a
+    cell it refuses raises its ValueError or HampackError up front.
+    """
+    cells = [ModelParams.make(int(n), float(c), int(k))
+             for n, c, k in itertools.product(ns, cs, ks)]
+    specs = [(ci, params, derive_seed(seed, ci, t))
+             for ci, params in enumerate(cells) for t in range(trials)]
     if workers <= 1:
         results = [_sweep_one(s) for s in specs]
     else:
@@ -264,7 +266,7 @@ def run_sweep(ns, cs, ks, trials: int, seed: int,
     for ci, rec, seconds in results:
         by_cell.setdefault(ci, []).append((rec, seconds))
     rows = []
-    for ci, (n, c, k) in enumerate(cells):
+    for ci, params in enumerate(cells):
         cell = by_cell.get(ci, [])
         recs = sorted((r for r, _ in cell), key=lambda r: r.seed)
         succ = [r for r in recs if r.success]
@@ -280,14 +282,14 @@ def run_sweep(ns, cs, ks, trials: int, seed: int,
             return sum(vals) / len(vals) if vals else 0.0
 
         rows.append(SweepRow(
-            n=int(n), c=float(c), k=int(k), m=int(round(c * n)),
+            n=params.n, c=params.c, k=params.k, m=params.m,
             trials=len(recs), successes=len(succ), failures=failures,
             attempts_mean=mean(r.attempts for r in succ),
             kappa_mean=mean(sum(r.kappa) for r in succ)))
         if cell:
             qs = np.percentile([s for _, s in cell], [50, 90])
             log.info("cell n=%s c=%s k=%s: t50=%.2fs t90=%.2fs",
-                     n, c, k, qs[0], qs[1])
+                     params.n, params.c, params.k, qs[0], qs[1])
     return SweepSummary(seed=seed, rows=rows)
 
 
@@ -530,6 +532,33 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
+class _UsageError(Exception):
+    """A bad model parameter or an unreadable file: main prints it and
+    exits 64, as it does for a malformed file and an oversized oracle."""
+
+
+def _at_least(lo: int):
+    """argparse type: an int no smaller than lo."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
+_POSITIVE = _at_least(1)
+
+
+def _model_params(n: int, c: float, k: int) -> ModelParams:
+    """ModelParams.make, with its refusals as usage errors."""
+    try:
+        return ModelParams.make(n, c, k)
+    except (ValueError, HampackError) as exc:
+        raise _UsageError(exc) from exc
+
+
 def _parse_grid(spec: str):
     """'n=1000,2000;c=20,50;k=1' -> (ns, cs, ks)."""
     fields = {}
@@ -547,9 +576,9 @@ def _parse_grid(spec: str):
 
 
 def _add_model_args(p, seed_default=0):
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_POSITIVE, required=True)
     p.add_argument("--c", type=float, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_POSITIVE, required=True)
     p.add_argument("--seed", type=int, default=seed_default)
 
 
@@ -569,16 +598,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     pp = sub.add_parser("pack", help="run the full pipeline once")
     pp.add_argument("--in", dest="infile")
-    pp.add_argument("--n", type=int)
+    pp.add_argument("--n", type=_POSITIVE)
     pp.add_argument("--c", type=float)
-    pp.add_argument("--k", type=int)
+    pp.add_argument("--k", type=_POSITIVE)
     pp.add_argument("--seed", type=int, default=0)
     pp.add_argument("--cert-out")
 
     pw = sub.add_parser("sweep", help="trial grid with per-cell summary")
     pw.add_argument("--grid", required=True,
                     help="e.g. 'n=1000,2000;c=20,50;k=1'")
-    pw.add_argument("--trials", type=int, required=True)
+    pw.add_argument("--trials", type=_POSITIVE, required=True)
     pw.add_argument("--seed", type=int, default=0)
     pw.add_argument("--workers", type=int, default=1)
     pw.add_argument("--out", help="CSV path (default: stdout)")
@@ -589,35 +618,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = st.add_parser("simplicity-rate")
     _add_model_args(s)
-    s.add_argument("--attempts", type=int, default=500)
+    s.add_argument("--attempts", type=_POSITIVE, default=500)
     s.add_argument("--fresh-degrees", action="store_true")
 
     s = st.add_parser("degree-gof")
     _add_model_args(s)
-    s.add_argument("--reseeds", type=int, default=3)
+    s.add_argument("--reseeds", type=_at_least(0), default=3)
 
     s = st.add_parser("partition-sizes")
     _add_model_args(s)
-    s.add_argument("--runs", type=int, default=200)
+    s.add_argument("--runs", type=_POSITIVE, default=200)
 
     s = st.add_parser("small-size")
     _add_model_args(s)
 
     s = st.add_parser("perm-cycles")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--samples", type=int, default=10000)
+    s.add_argument("--n", type=_POSITIVE, required=True)
+    s.add_argument("--samples", type=_POSITIVE, default=10000)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--short", type=int, default=10)
 
     s = st.add_parser("rphi")
-    s.add_argument("--kappa", type=int, required=True)
+    s.add_argument("--kappa", type=_at_least(2), required=True)
 
     s = st.add_parser("census")
     _add_model_args(s)
 
     s = st.add_parser("expansion")
     _add_model_args(s)
-    s.add_argument("--samples", type=int, default=1000)
+    s.add_argument("--samples", type=_POSITIVE, default=1000)
 
     po = sub.add_parser("oracle", help="exhaustive packing on tiny hosts")
     po.add_argument("--in", dest="infile", required=True)
@@ -626,8 +655,8 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _cmd_sample(args) -> int:
-    params = ModelParams.make(args.n, args.c, args.k)
+def _cmd_sample(args, parser) -> int:
+    params = _model_params(args.n, args.c, args.k)
     sampler = (sample_erased_digraph if args.host == "erased"
                else sample_simple_digraph)
     sd, attempts = sampler(params, rng_stream(args.seed))
@@ -636,25 +665,23 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _read_host(path: str, cmd: str):
-    """Read an edge-list host; bad files are usage errors, not crashes."""
+def _read_host(path: str):
+    """read_edge_list, with an unreadable file as a usage error."""
     try:
         return read_edge_list(path)
-    except (EdgeListFormatError, OSError) as exc:
-        print(f"hampack {cmd}: {exc}", file=sys.stderr)
-        return None
+    except OSError as exc:
+        raise _UsageError(exc) from exc
 
 
 def _cmd_pack(args, parser) -> int:
     if args.infile:
-        sd = _read_host(args.infile, "pack")
-        if sd is None:
-            return 64
-        params = ModelParams.from_nmk(sd.n, sd.m, args.k or sd.k)
+        sd = _read_host(args.infile)
+        params = ModelParams.from_nmk(sd.n, sd.m,
+                                      sd.k if args.k is None else args.k)
     else:
         if args.n is None or args.c is None or args.k is None:
             parser.error("pack needs --in or all of --n --c --k")
-        params, sd = ModelParams.make(args.n, args.c, args.k), None
+        params, sd = _model_params(args.n, args.c, args.k), None
     rec = run_trial(params, args.seed, sd=sd)
     if not rec.success:
         print(f"{rec.outcome}: {rec.detail}", file=sys.stderr)
@@ -682,6 +709,8 @@ def _cmd_sweep(args, parser) -> int:
         ns, cs, ks = _parse_grid(args.grid)
     except ValueError as exc:
         parser.error(str(exc))
+    for n, c, k in itertools.product(ns, cs, ks):
+        _model_params(n, c, k)  # refusals are usage errors
     summary = run_sweep(ns, cs, ks, args.trials, args.seed,
                         workers=args.workers)
     text = summary.to_csv()
@@ -693,7 +722,9 @@ def _cmd_sweep(args, parser) -> int:
     return 0
 
 
-def _cmd_stats(args) -> int:
+def _cmd_stats(args, parser) -> int:
+    if args.subcmd not in ("perm-cycles", "rphi"):
+        _model_params(args.n, args.c, args.k)  # refusals are usage errors
     if args.subcmd == "simplicity-rate":
         out = stats_simplicity_rate(args.n, args.c, args.k, args.attempts,
                                     args.seed,
@@ -710,32 +741,19 @@ def _cmd_stats(args) -> int:
         out = stats_perm_cycles(args.n, args.samples, args.seed,
                                 short=args.short)
     elif args.subcmd == "rphi":
-        try:
-            out = stats_rphi(args.kappa)
-        except OracleSizeError as exc:
-            print(f"hampack stats rphi: {exc}", file=sys.stderr)
-            return 64
+        out = stats_rphi(args.kappa)
     elif args.subcmd == "census":
         sys.stdout.write(stats_census(args.n, args.c, args.k, args.seed))
         return 0
-    elif args.subcmd == "expansion":
+    else:  # expansion: argparse admits no other subcommand
         out = stats_expansion(args.n, args.c, args.k, args.samples,
                               args.seed)
-    else:  # pragma: no cover - argparse rejects earlier
-        return 64
     print(json.dumps(out, sort_keys=True))
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    sd = _read_host(args.infile, "oracle")
-    if sd is None:
-        return 64
-    try:
-        cert = brute_force_packing(sd, args.k)
-    except OracleSizeError as exc:
-        print(f"hampack oracle: {exc}", file=sys.stderr)
-        return 64
+def _cmd_oracle(args, parser) -> int:
+    cert = brute_force_packing(_read_host(args.infile), args.k)
     if cert is None:
         print(f"no packing of {args.k} edge-disjoint Hamilton cycles")
         return 2
@@ -751,17 +769,14 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.cmd == "sample":
-        return _cmd_sample(args)
-    if args.cmd == "pack":
-        return _cmd_pack(args, parser)
-    if args.cmd == "sweep":
-        return _cmd_sweep(args, parser)
-    if args.cmd == "stats":
-        return _cmd_stats(args)
-    if args.cmd == "oracle":
-        return _cmd_oracle(args)
-    return 64  # pragma: no cover
+    command = {"sample": _cmd_sample, "pack": _cmd_pack, "sweep": _cmd_sweep,
+               "stats": _cmd_stats, "oracle": _cmd_oracle}[args.cmd]
+    try:
+        return command(args, parser)
+    except (_UsageError, EdgeListFormatError, OracleSizeError) as exc:
+        cmd = " ".join((args.cmd, getattr(args, "subcmd", "")))
+        print(f"hampack {cmd.strip()}: {exc}", file=sys.stderr)
+        return 64
 
 
 if __name__ == "__main__":  # pragma: no cover

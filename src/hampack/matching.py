@@ -7,9 +7,12 @@ G_i is built from Ê_{1,i} plus the unused E_SMALL edges and given a
 maximum matching.  If that falls short of perfect, booster edges from
 Ê_{2,i} join G_i in uniform random order, and G_i takes the shortest
 prefix of them that makes a perfect matching possible, found by a
-search over prefix lengths with one maximum matching per probe.  A
-global used-edge bitset keeps the k matchings edge-disjoint and stops
-E_SMALL edges from being spent twice.
+search over prefix lengths with one maximum matching per probe.
+Ê_{2,i} is disjoint from Ê_{1,i} ∪ E_SMALL, so every booster is a new
+pair.  Each probe builds its own grown graph, and the report carries
+the one its matching belongs to; G_i is left as it was.  A global
+used-edge bitset keeps the k matchings edge-disjoint and stops E_SMALL
+edges from being spent twice.
 
 The B side is relabeled by a uniform random permutation before
 matching and unrelabeled after, so the algorithmic tie-breaking cannot
@@ -27,7 +30,7 @@ from scipy.sparse.csgraph import (breadth_first_order,
                                   maximum_bipartite_matching)
 
 from .errors import PhaseFailure
-from .model import SimpleDigraph, first_copies, sort_codes
+from .model import SimpleDigraph, sort_codes
 from .partition import EdgePartition
 
 __all__ = [
@@ -43,22 +46,20 @@ class BipartiteGraph:
 
     Edges are held as sorted pair codes a*n + b with their host edge
     ids aligned, and the same order read as CSR rows: A vertex a is
-    adjacent to indices[indptr[a]:indptr[a + 1]], ascending.
+    adjacent to indices[indptr[a]:indptr[a + 1]], ascending.  One
+    sort_codes orders the pairs and a bincount cuts the rows; a pair
+    given twice raises ValueError.
     """
 
     def __init__(self, n: int, a, b, eids):
         self.n = int(n)
-        self._build(np.asarray(a, dtype=np.int64),
-                    np.asarray(b, dtype=np.int64),
-                    np.asarray(eids, dtype=np.int64))
-
-    def _build(self, a: np.ndarray, b: np.ndarray, eids: np.ndarray) -> None:
-        """One sort_codes of the distinct codes; a bincount cuts rows."""
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
         order, self.codes = sort_codes(a * self.n + b, self.n * self.n)
         if np.any(self.codes[1:] == self.codes[:-1]):
             raise ValueError("repeated pair code")
         self.indices = b[order]
-        self.eids = eids[order]
+        self.eids = np.asarray(eids, dtype=np.int64)[order]
         self.indptr = np.r_[0, np.cumsum(np.bincount(a, minlength=self.n))]
 
     @property
@@ -139,9 +140,13 @@ def _hall_violator(g: BipartiteGraph,
 
 @dataclass
 class BoosterReport:
+    """graph is g grown by the consumed boosters; matching is a maximum
+    matching of it, and witness its Hall violator when not perfect."""
+
     matching: Matching
     consumed: int
     witness: tuple[np.ndarray, np.ndarray] | None
+    graph: BipartiteGraph
 
     def is_perfect(self) -> bool:
         return self.witness is None
@@ -152,12 +157,13 @@ def booster_augment(g: BipartiteGraph, mt: Matching,
     """Repair a maximum matching mt of g with booster edges.
 
     boosters holds (a, b, host_edge_id) rows in the order they are
-    offered; a row whose pair is already in g or repeats an earlier row
-    is dropped.  consumed is the length of the shortest prefix of the
-    rest whose union with g has a perfect matching, g is rebuilt with
-    that prefix, and the report carries a perfect matching of it.  When
-    no prefix has one, every booster joins g and the report carries the
-    Hall violator certifying that.
+    offered, each a new pair: no two rows share a pair and no row's
+    pair is in g.  consumed is the length of the shortest prefix whose
+    union with g has a perfect matching, and the report carries that
+    graph and a perfect matching of it.  When no prefix has one, the
+    report carries g grown by every booster and the Hall violator
+    certifying that.  g and mt are not modified.  A probed prefix that
+    repeats a pair raises ValueError.
 
     Adding one edge raises the maximum matching by at most one, so a
     prefix of length t that is d short of perfect rules out every
@@ -166,44 +172,36 @@ def booster_augment(g: BipartiteGraph, mt: Matching,
     """
     n = g.n
     if mt.is_perfect():
-        return BoosterReport(matching=mt, consumed=0, witness=None)
+        return BoosterReport(matching=mt, consumed=0, witness=None, graph=g)
     a, b, eids = np.asarray(boosters, dtype=np.int64).reshape(-1, 3).T
-    codes = a * n + b
-    first = first_copies(codes, n * n)
-    first = np.sort(first[~np.isin(codes[first], g.codes)])
-    a, b, eids = a[first], b[first], eids[first]
     base_a = g.codes // n
 
-    def grown(t: int):
-        return (np.concatenate((base_a, a[:t])),
-                np.concatenate((g.indices, b[:t])),
-                np.concatenate((g.eids, eids[:t])))
-
-    def probe(t: int) -> Matching:
-        gt = BipartiteGraph(n, *grown(t))
-        return _matching(n, gt.indptr, gt.indices)
+    def probe(t: int) -> tuple[BipartiteGraph, Matching]:
+        gt = BipartiteGraph(n, np.concatenate((base_a, a[:t])),
+                            np.concatenate((g.indices, b[:t])),
+                            np.concatenate((g.eids, eids[:t])))
+        return gt, _matching(n, gt.indptr, gt.indices)
 
     total = len(a)
     lo = n - mt.size  # no shorter prefix can be perfect
     hi = min(lo, total)
-    found = probe(hi)
+    grown, found = probe(hi)
     while not found.is_perfect() and hi < total:
         lo = hi + n - found.size
         hi = min(2 * hi, total)
-        found = probe(hi)
+        grown, found = probe(hi)
     if not found.is_perfect():
-        g._build(*grown(total))
-        return BoosterReport(matching=found, consumed=total,
-                             witness=_hall_violator(g, found))
+        return BoosterReport(matching=found, consumed=total, graph=grown,
+                             witness=_hall_violator(grown, found))
     while lo < hi:  # the shortest perfect prefix lies in [lo, hi]
         mid = (lo + hi) // 2
-        trial = probe(mid)
+        g_mid, trial = probe(mid)
         if trial.is_perfect():
-            hi, found = mid, trial
+            hi, grown, found = mid, g_mid, trial
         else:
             lo = mid + n - trial.size
-    g._build(*grown(hi))
-    return BoosterReport(matching=found, consumed=hi, witness=None)
+    return BoosterReport(matching=found, consumed=hi, witness=None,
+                         graph=grown)
 
 
 @dataclass
@@ -255,7 +253,7 @@ def build_k_matchings(sd: SimpleDigraph, part: EdgePartition,
                     "phase1", f"deficiency witness |S|={len(s)} > "
                     f"|N(S)|={len(ns)} after {report.consumed} boosters",
                     index=i, witness=report.witness)
-            mt = report.matching
+            g, mt = report.graph, report.matching
         pm = _finalize(g, mt, unlabel)
         if used[pm.edge_ids].any():
             raise PhaseFailure("phase1", "matched an already-used edge",

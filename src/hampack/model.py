@@ -30,10 +30,11 @@ Sampling proceeds in three stages:
      (about sqrt(2 pi sigma^2 n) * n draws), the path for low c where
      the floor almost never holds by chance;
 2. pair degree slots uniformly at random (bipartite configuration
-   model): edge j of the multigraph is (heads[j], tails[j]) where heads
-   lists the out-degree multiset in vertex order and tails is a uniform
-   arrangement of the in-degree multiset: a shuffle, or the labels the
-   multinomial path counted, whose order given their counts is uniform;
+   model): edge j of the multigraph runs from tails[j] to heads[j], where
+   tails lists the out-degree multiset in vertex order and heads is a
+   uniform arrangement of the in-degree multiset: a shuffle, or the
+   labels the multinomial path counted, whose order given their counts
+   is uniform;
 3. either reject non-simple pairings outright (exactly uniform over
    simple digraphs, but the acceptance rate decays like
    exp(-rho^2/c - O(c)), which is astronomically small beyond c ~ 5),
@@ -60,7 +61,7 @@ __all__ = [
     "DegreeSequence", "degree_vector_path", "conditioned_degree_vector",
     "sample_degree_sequence",
     "ConfigDigraph", "pair_configuration", "duplicate_pair_count",
-    "sort_codes", "first_copies", "SimpleDigraph", "sample_simple_digraph",
+    "sort_codes", "SimpleDigraph", "sample_simple_digraph",
     "sample_erased_digraph",
     "simplicity_exponents", "write_edge_list", "read_edge_list",
 ]
@@ -388,31 +389,32 @@ def sample_degree_sequence(params: ModelParams,
 class ConfigDigraph:
     """A pairing of degree slots, possibly with loops and repeated pairs.
 
-    Edge j of the multigraph is (heads[j], tails[j]), heads ascending.
-    Nothing else is stored: loops and degrees are computed when asked
-    for, and repeated pairs are counted by duplicate_pair_count.
+    Edge j of the multigraph runs from tails[j] to heads[j], tails
+    ascending, as in SimpleDigraph.  Nothing else is stored: loops and
+    degrees are computed when asked for, and repeated pairs are counted
+    by duplicate_pair_count.
     """
 
     n: int
-    heads: np.ndarray
     tails: np.ndarray
+    heads: np.ndarray
 
     @property
     def m(self) -> int:
-        return len(self.heads)
+        return len(self.tails)
 
     @property
     def loops(self) -> np.ndarray:
         """Indices of the edges that are loops."""
-        return np.flatnonzero(self.heads == self.tails)
+        return np.flatnonzero(self.tails == self.heads)
 
     @property
     def out_deg(self) -> np.ndarray:
-        return np.bincount(self.heads, minlength=self.n)
+        return np.bincount(self.tails, minlength=self.n)
 
     @property
     def in_deg(self) -> np.ndarray:
-        return np.bincount(self.tails, minlength=self.n)
+        return np.bincount(self.heads, minlength=self.n)
 
     def is_simple(self) -> bool:
         return len(self.loops) == 0 and duplicate_pair_count(self) == 0
@@ -422,17 +424,17 @@ def pair_configuration(ds: DegreeSequence,
                        rng: np.random.Generator) -> ConfigDigraph:
     """Uniform pairing of out-slots with in-slots.
 
-    heads lists vertex v out_deg[v] times in vertex order; tails is
+    tails lists vertex v out_deg[v] times in vertex order; heads is
     ds.in_slots, taken once, or else a shuffle of the in-slots: a uniform
     arrangement either way, so the pairing is a uniform bijection.
     """
     n = ds.n
-    heads = np.repeat(np.arange(n, dtype=np.int64), ds.out_deg)
-    tails, ds.in_slots = ds.in_slots, None
-    if tails is None:
-        tails = np.repeat(np.arange(n, dtype=np.int64), ds.in_deg)
-        rng.shuffle(tails)
-    return ConfigDigraph(n=n, heads=heads, tails=tails)
+    tails = np.repeat(np.arange(n, dtype=np.int64), ds.out_deg)
+    heads, ds.in_slots = ds.in_slots, None
+    if heads is None:
+        heads = np.repeat(np.arange(n, dtype=np.int64), ds.in_deg)
+        rng.shuffle(heads)
+    return ConfigDigraph(n=n, tails=tails, heads=heads)
 
 
 _CHUNK = 1 << 20  # positions ORed or gathered per step, in place
@@ -480,20 +482,11 @@ def sort_codes(codes, bound: int) -> tuple[np.ndarray, np.ndarray]:
     return order, codes[order]
 
 
-def first_copies(codes: np.ndarray, bound: int) -> np.ndarray:
-    """Index of the first copy of each distinct code in [0, bound), by
-    ascending code: the head of each run in sort_codes' stable order."""
-    order, codes_sorted = sort_codes(codes, bound)
-    head = np.ones(len(order), dtype=bool)
-    head[1:] = codes_sorted[1:] != codes_sorted[:-1]
-    return order[head]
-
-
 def duplicate_pair_count(cfg: ConfigDigraph) -> int:
     """Number of unordered index pairs {j, j'} carrying the same ordered
     pair, loops left out."""
-    keep = cfg.heads != cfg.tails
-    _, counts = np.unique(cfg.heads[keep] * cfg.n + cfg.tails[keep],
+    keep = cfg.tails != cfg.heads
+    _, counts = np.unique(cfg.tails[keep] * cfg.n + cfg.heads[keep],
                           return_counts=True)
     return int((counts * (counts - 1) // 2).sum())
 
@@ -612,7 +605,7 @@ def sample_simple_digraph(params: ModelParams, rng: np.random.Generator,
     for attempt in range(1, cap + 1):
         cfg = pair_configuration(sample_degree_sequence(params, rng), rng)
         if cfg.is_simple():
-            return SimpleDigraph.from_columns(cfg.n, cfg.heads, cfg.tails,
+            return SimpleDigraph.from_columns(cfg.n, cfg.tails, cfg.heads,
                                               params.k), attempt
     raise RejectionStallError(
         f"rejection stall: no simple pairing in {cap} attempts", attempts=cap)
@@ -632,7 +625,7 @@ def sample_erased_digraph(params: ModelParams, rng: np.random.Generator,
     """
     for attempt in range(1, cap + 1):
         cfg = pair_configuration(sample_degree_sequence(params, rng), rng)
-        tails, heads = cfg.heads, cfg.tails  # heads reuse the in-slot buffer
+        tails, heads = cfg.tails, cfg.heads  # heads reuse the in-slot buffer
         codes = tails * params.n + heads
         codes.sort()  # tails are nondecreasing, so the sorted codes keep them
         np.subtract(codes, np.multiply(tails, params.n, out=heads), out=heads)
@@ -683,6 +676,8 @@ def read_edge_list(path) -> SimpleDigraph:
             if len(header) != 3:
                 raise EdgeListFormatError("header must be 'n m k'")
             n, m, k = (int(x) for x in header)
+            if n < 1 or k < 1:
+                raise EdgeListFormatError("header needs n >= 1 and k >= 1")
             if m < 0:
                 raise EdgeListFormatError("negative edge count in header")
             edges = np.empty((m, 2), dtype=np.int64)

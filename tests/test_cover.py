@@ -172,20 +172,15 @@ TABLES = ("succ", "pred", "edge_ids", "cycle_id", "pos", "cycle_lens")
 def rewires(draw):
     """(succ, eids, tails, heads, new_eids): a cover and writes to it.
 
-    Tails may repeat; the last write to each tail sends it to a
-    permutation of the old heads, earlier writes anywhere.
+    The tails are distinct and the heads a permutation of their old
+    heads, as every caller of rewired guarantees.
     """
     n = draw(st.integers(1, 40))
     succ = np.array(draw(st.permutations(range(n))), dtype=np.int64)
     eids = np.array(draw(st.lists(st.integers(0, 999), min_size=n,
                                   max_size=n)), dtype=np.int64)
-    tails = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
-    last = {t: i for i, t in enumerate(tails)}
-    lasts = sorted(last.values())
-    moved = draw(st.permutations([int(succ[tails[i]]) for i in lasts]))
-    heads = [draw(st.integers(0, n - 1)) for _ in tails]
-    for i, h in zip(lasts, moved):
-        heads[i] = h
+    tails = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+    heads = draw(st.permutations([int(succ[t]) for t in tails]))
     new_eids = draw(st.lists(st.integers(0, 999), min_size=len(tails),
                              max_size=len(tails)))
     return succ, eids, tails, heads, new_eids
@@ -229,14 +224,27 @@ class TestRewiredOracle:
         if not tails:
             return
         pd = PermutationDigraph(succ, eids)
-        # the last write to the final tail lands on a head that some
-        # other vertex keeps, or outside [0, n)
-        kept = set(range(len(succ))) - set(succ[list(set(tails))].tolist())
+        # the final tail gets a head that some other vertex keeps, or
+        # one outside [0, n)
+        kept = set(range(len(succ))) - set(succ[tails].tolist())
         bad = data.draw(st.sampled_from(sorted(kept | {-1, len(succ)})))
         heads = list(heads)
         heads[-1] = bad
         with pytest.raises(ValueError, match="not a permutation"):
             pd.rewired(tails, heads, new_eids)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rewires(), st.data())
+    def test_repeated_tail_refused(self, case, data):
+        # a tail given twice is refused, even when both writes agree
+        succ, eids, tails, heads, new_eids = case
+        if not tails:
+            return
+        j = data.draw(st.integers(0, len(tails) - 1))
+        with pytest.raises(ValueError, match="repeated tail"):
+            PermutationDigraph(succ, eids).rewired(
+                tails + tails[j:j + 1], heads + heads[j:j + 1],
+                new_eids + new_eids[j:j + 1])
 
     def test_splices_only_touched_cycles(self):
         pd = perm_digraph([0, 3, 1], [2, 4], [5, 6, 7], with_ids=True)
@@ -253,6 +261,8 @@ class TestRewiredOracle:
             pd.rewired([3], [1], [0])
         with pytest.raises(ValueError, match="differ in length"):
             pd.rewired([0, 1], [1], [0])
+        with pytest.raises(ValueError, match="repeated tail"):
+            pd.rewired([0, 0], [1, 1], [0, 0])
         with pytest.raises(ValueError, match="provenance"):
             perm_digraph([0, 1, 2]).rewired([0], [1], [0])
 
@@ -633,6 +643,32 @@ class TestRotateOracle:
         assert len(made) > 1
         if seed == 0:
             assert kinds == {True, False}  # both absorbs and splits
+
+    def test_materialized_tails_distinct(self, monkeypatch):
+        # rewired refuses a repeated tail: each delta chain a closure
+        # materializes, out-phase steps, in-phase steps and the closing
+        # edge, names every tail once
+        real = cv._materialize
+        in_steps_seen = []
+
+        def checked(pd, leaf, in_steps, closure):
+            steps = ([nd.added for nd in leaf.chain()] + list(in_steps)
+                     + [closure])
+            tails = [t for t, _, _ in steps]
+            assert len(set(tails)) == len(tails)
+            in_steps_seen.append(len(in_steps))
+            return real(pd, leaf, in_steps, closure)
+
+        monkeypatch.setattr(cv, "_materialize", checked)
+        for seed in range(8):
+            sd, pd, pool, _u0 = self.instance(seed)
+            try:
+                eliminate_small_cycles(pd, sd, pool, rng_stream(seed, 3),
+                                       tiny_budget(n0=8))
+            except PhaseFailure:
+                pass
+        # chains with and without in-phase steps both ran
+        assert 0 in in_steps_seen and max(in_steps_seen) > 0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_running_w_count(self, seed, monkeypatch):

@@ -196,6 +196,8 @@ class TestInternalFailure:
 # the real functions, kept before any test patches their names
 real_finalize = mt._finalize
 real_certificate = hn.certificate_from_covers
+real_maximum_matching = mt.maximum_matching
+real_booster_augment = mt.booster_augment
 
 
 @functools.lru_cache(maxsize=None)
@@ -230,6 +232,33 @@ def replay_first_matching():
         first.append(real_finalize(g, m, unlabel))
         return first[0]
     return finalize
+
+
+def same_cycle_exchange(pd, cid, ctx, *args):
+    """An "exchange" whose two break vertices share cycle cid: a valid
+    rewiring, but it splits that cycle instead of merging two."""
+    a = int(pd.cycles[cid][0])
+    b = int(pd.succ[pd.succ[a]])
+    into = np.flatnonzero(ctx.sd.heads == pd.succ[b])  # some edge into b+
+    return a, b, int(into[0]), int(pd.edge_ids[a])
+
+
+def short_by_two(g):
+    """A maximum matching with two A vertices unmatched: boosters run."""
+    m = real_maximum_matching(g)
+    a = np.flatnonzero(m.pair_a >= 0)[:2]
+    m.pair_b[m.pair_a[a]] = -1
+    m.pair_a[a] = -1
+    return m
+
+
+def boosters_led_by(lead):
+    """booster_augment with the rows lead(g, boosters) put first; both
+    fall in its first probe, of deficiency length 2."""
+    def augment(g, m, boosters):
+        return real_booster_augment(g, m, np.vstack((lead(g, boosters),
+                                                     boosters)))
+    return augment
 
 
 def swap_two_steps(sd, covers):
@@ -275,9 +304,7 @@ FAILURE_CASES = {
                     "phase3", "no exchange"),
     "no-merge": ((600, 30.0, 1),
                  [(hn, "eliminate_small_cycles", two_cycles),
-                  (pt, "_find_exchange",
-                   lambda pd, *a: (0, 0, int(pd.edge_ids[0]),
-                                   int(pd.edge_ids[0])))],
+                  (pt, "_find_exchange", same_cycle_exchange)],
                  "phase3", "failed to merge"),
     "verify": ((600, 30.0, 1),
                [(hn, "certificate_from_covers", swap_two_steps)],
@@ -286,6 +313,26 @@ FAILURE_CASES = {
                  [(hn, "matching_to_cycle_cover",
                    lambda pm: cv.PermutationDigraph(0 * pm.succ))],
                  "internal", "not a permutation"),
+    # broken invariants the pipeline no longer repairs: an exchange
+    # that names one tail twice, a booster pair offered twice, and a
+    # booster already in G_i
+    "repeated-tail": ((600, 30.0, 1),
+                      [(hn, "eliminate_small_cycles", two_cycles),
+                       (pt, "_find_exchange",
+                        lambda pd, *a: (0, 0, int(pd.edge_ids[0]),
+                                        int(pd.edge_ids[0])))],
+                      "internal", "repeated tail"),
+    "repeated-booster": ((600, 30.0, 1),
+                         [(mt, "maximum_matching", short_by_two),
+                          (mt, "booster_augment",
+                           boosters_led_by(lambda g, rows: rows[:1]))],
+                         "internal", "repeated pair"),
+    "booster-in-g": ((600, 30.0, 1),
+                     [(mt, "maximum_matching", short_by_two),
+                      (mt, "booster_augment", boosters_led_by(
+                          lambda g, rows: [[g.codes[0] // g.n, g.indices[0],
+                                            g.eids[0]]]))],
+                     "internal", "repeated pair"),
 }
 
 
@@ -639,7 +686,15 @@ class TestCLI:
         big.write_text("10 10 1\n" + "\n".join(rows) + "\n")
         assert hn.main(["oracle", "--in", str(big), "--k", "1"]) == 64
 
-    def test_usage_errors_exit_64(self):
+    @staticmethod
+    def exit_code(argv) -> int:
+        """main's exit status, whether returned or raised by argparse."""
+        try:
+            return hn.main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+    def test_usage_errors_exit_64(self, capsys, tmp_path):
         # phase 3 has one driver, so its old mode flag is a usage error
         for argv in ([], ["bogus"], ["stats", "bogus"],
                      ["sweep", "--grid", "n=10;c=4", "--trials", "1"],
@@ -650,18 +705,57 @@ class TestCLI:
             with pytest.raises(SystemExit) as exc:
                 hn.main(argv)
             assert exc.value.code == 64
+        # model parameters ModelParams refuses, and counts below their
+        # floor: a message naming the command and the reason, no traceback
+        model = ["--n", "10", "--c", "0.5", "--k", "1"]
+        for argv, fragment in (
+                (["pack", *model], "requires c > k+1"),
+                (["sample", *model, "--out", str(tmp_path / "h.txt")],
+                 "requires c > k+1"),
+                (["stats", "small-size", "--n", "100", "--c", "1.5",
+                  "--k", "1"], "requires c > k+1"),
+                (["stats", "census", *model], "requires c > k+1"),
+                (["pack", "--n", "10", "--c", "4.05", "--k", "1"],
+                 "not an integer"),
+                (["sweep", "--grid", "n=0;c=4;k=1", "--trials", "1"],
+                 "n must be >= 1"),
+                (["sweep", "--grid", "n=100;c=4,1.5;k=1", "--trials", "1"],
+                 "requires c > k+1"),
+                (["pack", "--n", "0", "--c", "4", "--k", "1"], "--n"),
+                (["pack", "--n", "10", "--c", "4", "--k", "0"], "--k"),
+                (["stats", "rphi", "--kappa", "1"], "--kappa"),
+                (["stats", "perm-cycles", "--n", "10", "--samples", "0"],
+                 "--samples"),
+                (["stats", "simplicity-rate", "--n", "100", "--c", "4",
+                  "--k", "1", "--attempts", "0"], "--attempts"),
+                (["stats", "degree-gof", "--n", "100", "--c", "4", "--k",
+                  "1", "--reseeds", "-1"], "--reseeds")):
+            assert self.exit_code(argv) == 64, argv
+            err = capsys.readouterr().err
+            cmd = " ".join(argv[:2] if argv[0] == "stats" else argv[:1])
+            assert f"hampack {cmd}:" in err and fragment in err, argv
+            assert "Traceback" not in err
 
     def test_bad_host_file_exits_64(self, capsys, tmp_path):
         headerless = tmp_path / "bad.txt"
         headerless.write_text("0 1\n1 2\n2 0\n")
         letter = tmp_path / "letter.txt"
         letter.write_text("3 1 1\n1 x\n")
+        no_vertex = tmp_path / "n0.txt"
+        no_vertex.write_text("0 0 1\n")
+        no_cycle = tmp_path / "k0.txt"
+        no_cycle.write_text("3 3 0\n0 1\n1 2\n2 0\n")
+        ring = tmp_path / "ring.txt"
+        ring.write_text("3 3 1\n0 1\n1 2\n2 0\n")
         for argv in (["oracle", "--in", str(headerless), "--k", "1"],
                      ["pack", "--in", str(headerless), "--seed", "1"],
                      ["pack", "--in", str(letter), "--seed", "1"],
+                     ["pack", "--in", str(no_vertex), "--seed", "1"],
+                     ["pack", "--in", str(no_cycle), "--seed", "1"],
+                     ["pack", "--in", str(ring), "--k", "0"],
                      ["oracle", "--in", str(tmp_path / "absent.txt"),
                       "--k", "1"]):
-            assert hn.main(argv) == 64
+            assert self.exit_code(argv) == 64, argv
             assert "hampack" in capsys.readouterr().err
 
     def test_stats_cli_json(self, capsys):

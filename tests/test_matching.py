@@ -52,10 +52,6 @@ def graph_of(n: int, pairs) -> BipartiteGraph:
     return BipartiteGraph(n, ends[:, 0], ends[:, 1], np.arange(len(ends)))
 
 
-def random_bipartite(n: int, p: float, rng) -> BipartiteGraph:
-    return graph_of(n, random_pairs(n, p, rng))
-
-
 def row(g: BipartiteGraph, a: int) -> list[int]:
     return g.indices[g.indptr[a]:g.indptr[a + 1]].tolist()
 
@@ -179,19 +175,13 @@ class TestMaximumMatching:
 
 
 def booster_stream(n, pairs, length, rng):
-    """Random boosters with repeats and pairs already in the graph mixed
-    in, each with a distinct host edge id."""
-    out = []
-    for j in range(length):
-        pick = rng.random()
-        if pick < 0.2 and pairs:
-            a, b = pairs[int(rng.integers(len(pairs)))]
-        elif pick < 0.4 and out:
-            a, b, _ = out[int(rng.integers(len(out)))]
-        else:
-            a, b = int(rng.integers(n)), int(rng.integers(n))
-        out.append((a, b, 1000 + j))
-    return out
+    """Up to length boosters in random order, each a distinct pair not
+    in the graph with a distinct host edge id, as build_k_matchings
+    offers them."""
+    taken = set(pairs)
+    new = [(a, b) for a in range(n) for b in range(n) if (a, b) not in taken]
+    pick = rng.permutation(len(new))[:length].tolist()
+    return [(*new[i], 1000 + j) for j, i in enumerate(pick)]
 
 
 def nx_matching_size(n, pairs) -> int:
@@ -208,7 +198,7 @@ class TestBoosterAugment:
         mt = maximum_matching(g)
         report = booster_augment(g, mt, [(0, 1, 99)])
         assert report.is_perfect()
-        assert report.consumed == 0
+        assert report.consumed == 0 and report.graph is g
 
     def test_forced_augmentation(self):
         # a1-b1-a2 path matched at {a1 b1}; booster {a2, b2} completes it
@@ -218,7 +208,21 @@ class TestBoosterAugment:
         report = booster_augment(g, mt, [(1, 1, 2)])
         assert report.is_perfect()
         assert report.consumed == 1
-        assert report.matching.check_consistent(g)
+        assert report.graph.num_edges == 3 and g.num_edges == 2
+        assert edge_id(report.graph, 1, 1) == 2
+        assert report.matching.check_consistent(report.graph)
+
+    def test_repeated_booster_refused(self):
+        # two A vertices short, so the first probe holds both copies
+        g = graph_of(3, [(0, 0)])
+        with pytest.raises(ValueError, match="repeated pair"):
+            booster_augment(g, maximum_matching(g),
+                            [(1, 1, 5), (1, 1, 6), (2, 2, 7)])
+
+    def test_booster_already_in_graph_refused(self):
+        g = graph_of(3, [(0, 0), (1, 1)])
+        with pytest.raises(ValueError, match="repeated pair"):
+            booster_augment(g, maximum_matching(g), [(0, 0, 5), (2, 2, 6)])
 
     def test_witness_on_failure(self):
         # three A vertices contending for one B vertex
@@ -235,41 +239,45 @@ class TestBoosterAugment:
 
     def test_incremental_equals_batch(self):
         # the report's matching has the size a from-scratch maximum
-        # matching finds on the graph booster_augment leaves behind
+        # matching finds on the graph the report carries
         rng = rng_stream(34, 0)
         for trial in range(30):
             n = int(rng.integers(4, 16))
-            g = random_bipartite(n, 0.15, rng)
+            pairs = random_pairs(n, 0.15, rng)
+            g = graph_of(n, pairs)
             mt = maximum_matching(g)
-            boosters = [(int(a), int(b), 1000 + j) for j, (a, b) in enumerate(
-                zip(rng.integers(0, n, 25), rng.integers(0, n, 25)))]
-            report = booster_augment(g, mt, boosters)
-            fresh = maximum_matching(g)
+            report = booster_augment(g, mt, booster_stream(n, pairs, 25, rng))
+            fresh = maximum_matching(report.graph)
             assert report.matching.size == fresh.size
-            assert report.matching.check_consistent(g)
+            assert report.matching.check_consistent(report.graph)
 
     def test_minimal_prefix(self):
-        # consumed is the shortest prefix of the new, distinct boosters
-        # whose graph networkx finds perfect; on failure the witness is
-        # a Hall violator as large as the deficiency
+        # consumed is the shortest prefix of the boosters whose graph
+        # networkx finds perfect, and the report carries that graph; on
+        # failure the witness is a Hall violator as large as the
+        # deficiency.  Neither g nor the matching given changes.
         rng = rng_stream(35, 0)
         outcomes = set()
         for trial in range(40):
             n = int(rng.integers(4, 14))
             pairs = random_pairs(n, 0.15, rng)
             g = graph_of(n, pairs)
+            mt = maximum_matching(g)
+            given = [a.copy() for a in (g.codes, g.indices, g.eids,
+                                        g.indptr, mt.pair_a, mt.pair_b)]
             stream = booster_stream(n, pairs, 30, rng)
-            report = booster_augment(g, maximum_matching(g), stream)
-            kept = []
-            for a, b, _ in stream:
-                if (a, b) not in pairs and (a, b) not in kept:
-                    kept.append((a, b))
+            report = booster_augment(g, mt, stream)
+            for old, now in zip(given, (g.codes, g.indices, g.eids,
+                                        g.indptr, mt.pair_a, mt.pair_b)):
+                assert np.array_equal(old, now)
+            kept = [(a, b) for a, b, _ in stream]
             want = next((t for t in range(len(kept) + 1)
                          if nx_matching_size(n, pairs + kept[:t]) == n),
                         len(kept))
             assert report.consumed == want
-            assert g.num_edges == len(pairs) + want
-            assert report.matching.check_consistent(g)
+            grown = graph_of(n, pairs + kept[:want])
+            assert report.graph.codes.tolist() == grown.codes.tolist()
+            assert report.matching.check_consistent(report.graph)
             outcomes.add(report.is_perfect())
             if report.is_perfect():
                 assert report.matching.is_perfect()
@@ -333,6 +341,22 @@ class TestBuildK:
         monkeypatch.setattr(matching, "booster_augment", recorded)
         self._build(*forced_booster_host(1.0))
         assert [r.consumed for r in reports] == [1172]
+
+    def test_boosters_are_new_pairs(self, monkeypatch, rejection_path):
+        # booster_augment takes its rows as given: those build_k_matchings
+        # hands it are distinct pairs, none of them already in G_i
+        offered = []
+        real = matching.booster_augment
+
+        def checked(g, mt, boosters):
+            codes = boosters[:, 0] * g.n + boosters[:, 1]
+            assert len(np.unique(codes)) == len(codes)
+            assert not np.isin(codes, g.codes).any()
+            offered.append(len(codes))
+            return real(g, mt, boosters)
+        monkeypatch.setattr(matching, "booster_augment", checked)
+        self._build(*forced_booster_host(1.0))
+        assert len(offered) == 1 and offered[0] > 1172
 
     def test_forced_boosters_run_out(self, rejection_path):
         # witness sizes and consumed as augmenting one booster at a time

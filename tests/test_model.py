@@ -321,15 +321,15 @@ class TestPairing:
 
     def test_defect_detection_on_fixed_slots(self):
         # edges: (0,0) loop, (1,2), (1,2) duplicated, (2,1)
-        cfg = ConfigDigraph(n=3, heads=np.array([0, 1, 1, 2]),
-                            tails=np.array([0, 2, 2, 1]))
+        cfg = ConfigDigraph(n=3, tails=np.array([0, 1, 1, 2]),
+                            heads=np.array([0, 2, 2, 1]))
         assert list(cfg.loops) == [0]
         assert not cfg.is_simple()
         assert duplicate_pair_count(cfg) == 1
 
     def test_triple_pair_counts_three(self):
-        cfg = ConfigDigraph(n=3, heads=np.array([0, 0, 0, 2]),
-                            tails=np.array([1, 1, 1, 0]))
+        cfg = ConfigDigraph(n=3, tails=np.array([0, 0, 0, 2]),
+                            heads=np.array([1, 1, 1, 0]))
         assert duplicate_pair_count(cfg) == 3  # C(3,2)
 
     def test_degree_sum_mismatch_rejected(self):
@@ -609,18 +609,6 @@ class TestSortCodes:
             md.sort_codes(np.array([0, code, 1], dtype=np.int64), bound)
 
 
-class TestFirstCopies:
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.integers(0, 12), max_size=60))
-    def test_matches_unique_return_index(self, values):
-        # np.unique's stable sort returns each code's least index
-        codes = np.array(values, dtype=np.int64)
-        _, want = np.unique(codes, return_index=True)
-        got = md.first_copies(codes, 13)
-        assert got.dtype == np.int64
-        assert got.tolist() == want.tolist()
-
-
 class TestSamplers:
     def test_strict_rejection_is_simple(self, tiny_params, tiny_host):
         assert tiny_host.n == tiny_params.n
@@ -658,8 +646,8 @@ class TestSamplers:
         pairs = np.array(self.PAIRING, dtype=np.int64)
 
         def fixed_pairing(ds, rng):
-            return ConfigDigraph(n=4, heads=pairs[:, 0].copy(),
-                                 tails=pairs[:, 1].copy())
+            return ConfigDigraph(n=4, tails=pairs[:, 0].copy(),
+                                 heads=pairs[:, 1].copy())
 
         monkeypatch.setattr(md, "pair_configuration", fixed_pairing)
         sd, attempts = sample_erased_digraph(ModelParams.make(4, 4.0, 1),
@@ -685,9 +673,9 @@ class TestSamplers:
         seen = collections.Counter()
         for _ in range(draws):
             cfg = pair_configuration(ds, rng)
-            assert cfg.heads.tolist() == outs.tolist()
-            seen[tuple(sorted(zip(cfg.heads.tolist(),
-                                  cfg.tails.tolist())))] += 1
+            assert cfg.tails.tolist() == outs.tolist()
+            seen[tuple(sorted(zip(cfg.tails.tolist(),
+                                  cfg.heads.tolist())))] += 1
         assert set(seen) == set(law)
         keys = sorted(law)
         expected = [draws * law[g] / 120 for g in keys]
@@ -737,8 +725,8 @@ class TestSamplers:
             ds = sample_degree_sequence(params, rng)
             slots = ds.in_slots
             cfg = pair_configuration(ds, rng)
-            assert cfg.tails is slots and ds.in_slots is None
-            draws.append(tuple(np.bincount(cfg.heads * n + cfg.tails,
+            assert cfg.heads is slots and ds.in_slots is None
+            draws.append(tuple(np.bincount(cfg.tails * n + cfg.heads,
                                            minlength=n * n).tolist()))
         assert chi_square_p(draws, law) > 1e-4
         uniform = {t: 1 / len(law) for t in law}
@@ -758,8 +746,8 @@ class TestSamplers:
         draws = []
         for j in range(self.PAIRING_DRAWS):
             cfg = pair_configuration(ds, rng)
-            assert ds.in_slots is None and (cfg.tails is first) == (j == 0)
-            draws.append(tuple(np.bincount(cfg.heads * 2 + cfg.tails,
+            assert ds.in_slots is None and (cfg.heads is first) == (j == 0)
+            draws.append(tuple(np.bincount(cfg.tails * 2 + cfg.heads,
                                            minlength=4).tolist()))
         assert len(law) > 1 and chi_square_p(draws, law) > 1e-4
 
@@ -825,6 +813,11 @@ class TestEdgeListIO:
                      b"3 1 1\n0 99999999999999999999\n"):
             bad.write_bytes(text)
             with pytest.raises(EdgeListFormatError):
+                read_edge_list(bad)
+        # no vertex, or no cycle to pack: the header itself is refused
+        for text in (b"0 0 1\n", b"-2 0 1\n", b"3 0 0\n"):
+            bad.write_bytes(text)
+            with pytest.raises(EdgeListFormatError, match="header needs"):
                 read_edge_list(bad)
 
 
