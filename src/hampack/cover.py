@@ -339,9 +339,10 @@ class _Node:
 class _Ctx:
     """Per-cover reserve pool: in_pool marks its host edges, avail the
     ones a rotation may use now (not in the current cover), refreshed
-    per iteration.  A pool row is the host's CSR row (SimpleDigraph.csr,
-    shared by every context) filtered by avail: host rows ascend by id
-    and avail lies in in_pool, so it lists available pool edges by id.
+    per iteration.  rows is the one reader of pool rows.  A pool row is
+    the host's CSR row (SimpleDigraph.csr, shared by every context)
+    filtered by avail: host rows ascend by id and avail lies in
+    in_pool, so it lists available pool edges by id.
     """
 
     def __init__(self, sd: SimpleDigraph, pool_ids: np.ndarray):
@@ -354,27 +355,15 @@ class _Ctx:
         np.copyto(self.avail, self.in_pool)
         self.avail[pd.edge_ids] = False
 
-    def _pairs(self, side: int, v: int):
-        """(eid, other end) of available pool edges with end v on side."""
-        ptr, ids = self.sd.csr(side)
-        ids = (np.arange(ptr[v], ptr[v + 1]) if ids is None
-               else ids[ptr[v]:ptr[v + 1]])
-        ids = ids[self.avail[ids]]
-        other = self.sd.tails if side else self.sd.heads
-        return zip(ids.tolist(), other[ids].tolist())
+    def rows(self, side: int, vs: np.ndarray):
+        """Available pool edges with an end in vs, on side 0 (leaving)
+        or 1 (entering), as arrays.
 
-    def pool_out(self, v: int):
-        """(eid, head) pairs of available pool edges leaving v."""
-        return self._pairs(0, v)
-
-    def pool_out_edges(self, vs: np.ndarray):
-        """Available pool edges leaving the vertices vs, as arrays.
-
-        Returns (at, eids, heads) listing, for each v of vs in turn,
-        the pairs pool_out(v) yields, in the same order; the tail of
-        each is vs[at].
+        Returns (at, eids, ends): for each v of vs in turn, its row's
+        edges ascending by id, each with end vs[at] on side and its
+        other end in ends.  at is nondecreasing.
         """
-        ptr, ids = self.sd.csr(0)
+        ptr, ids = self.sd.csr(side)
         lo = ptr[vs]
         cnt = ptr[vs + 1] - lo
         first = np.cumsum(cnt) - cnt
@@ -383,11 +372,7 @@ class _Ctx:
         keep = self.avail[eids]
         eids = eids[keep]
         at = np.repeat(np.arange(len(vs)), cnt)[keep]
-        return at, eids, self.sd.heads[eids]
-
-    def pool_in(self, u: int):
-        """(eid, tail) pairs of available pool edges entering u."""
-        return self._pairs(1, u)
+        return at, eids, (self.sd.tails if side else self.sd.heads)[eids]
 
 
 def _root_node(pd: PermutationDigraph, u0: int, v0: int, cid: int) -> _Node:
@@ -470,10 +455,16 @@ def out_phase(pd: PermutationDigraph, u0: int, ctx: _Ctx, w_set: _Burnt,
         leaves = [nd for nd in level if nd.path_v >= n0]
         if len(leaves) >= budget.leaf_target:
             break
+        at, eids, heads = ctx.rows(
+            0, np.array([nd.end for nd in level], dtype=np.int64))
+        # node j's row is entries cuts[j]:cuts[j + 1]
+        cuts = np.searchsorted(at, np.arange(len(level) + 1)).tolist()
+        eids, heads = eids.tolist(), heads.tolist()
         nxt = []
-        for node in level:
+        for j, node in enumerate(level):
             v = node.end
-            row = list(ctx.pool_out(v))
+            row = list(zip(eids[cuts[j]:cuts[j + 1]],
+                           heads[cuts[j]:cuts[j + 1]]))
             if node.path_v >= n0:
                 for eid, w in row:
                     if w == u0:
@@ -557,8 +548,8 @@ def in_phase(pd: PermutationDigraph, u0: int, leaves: list, ctx: _Ctx,
     # refuse most pivots as opaque created-cycle vertices), so each
     # head lists them first, by leaf rank and then by row.
     rank = sorted(range(len(leaves)), key=lambda i: -leaves[i].path_v)
-    at, eids, heads = ctx.pool_out_edges(
-        np.array([leaves[j].end for j in rank], dtype=np.int64))
+    at, eids, heads = ctx.rows(
+        0, np.array([leaves[j].end for j in rank], dtype=np.int64))
     if not len(heads):
         return None
     by_head, target_heads = sort_codes(heads, pd.n)
@@ -595,10 +586,14 @@ def in_phase(pd: PermutationDigraph, u0: int, leaves: list, ctx: _Ctx,
     while frontier and len(chains) < max_starts:
         if validations >= MAX_VALIDATIONS:
             return None  # try_close can no longer accept anything
+        at, eids, tails = ctx.rows(1, np.array(frontier, dtype=np.int64))
+        cuts = np.searchsorted(at, np.arange(len(frontier) + 1)).tolist()
+        eids, tails = eids.tolist(), tails.tolist()
         nxt = []
-        for s in frontier:
+        for j, s in enumerate(frontier):
             admitted = 0
-            for eid, w in ctx.pool_in(s):
+            for eid, w in zip(eids[cuts[j]:cuts[j + 1]],
+                              tails[cuts[j]:cuts[j + 1]]):
                 if admitted >= budget.in_branch:
                     break
                 if w_set[w]:

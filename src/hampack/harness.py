@@ -46,7 +46,7 @@ from .model import (
     write_edge_list,
 )
 from .partition import compute_small, split_edges
-from .patch import count_r_phi, merge_patch
+from .patch import _cyclic_taus, count_r_phi, merge_patch
 from .rng import derive_seed, rng_stream
 from .verify import (
     brute_force_packing,
@@ -257,6 +257,8 @@ def run_sweep(ns, cs, ks, trials: int, seed: int,
              for n, c, k in itertools.product(ns, cs, ks)]
     specs = [(ci, params, derive_seed(seed, ci, t))
              for ci, params in enumerate(cells) for t in range(trials)]
+    # a pool starts all its processes at the first submit: cap their count
+    workers = min(workers, len(specs), os.cpu_count() or 1)
     if workers <= 1:
         results = [_sweep_one(s) for s in specs]
     else:
@@ -486,6 +488,7 @@ def _odd_partitions(total: int, largest: int | None = None):
 def stats_rphi(kappa: int) -> dict:
     """|R_phi| per odd cycle type of a given kappa, with the factorial
     bracket (kappa-2)! <= |R_phi| <= (kappa-1)!."""
+    next(_cyclic_taus(kappa))  # refuses kappa < 2 or > 10 before factorials
     lo = math.factorial(kappa - 2)
     hi = math.factorial(kappa - 1)
     rows = []
@@ -609,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="e.g. 'n=1000,2000;c=20,50;k=1'")
     pw.add_argument("--trials", type=_POSITIVE, required=True)
     pw.add_argument("--seed", type=int, default=0)
-    pw.add_argument("--workers", type=int, default=1)
+    pw.add_argument("--workers", type=_POSITIVE, default=1)
     pw.add_argument("--out", help="CSV path (default: stdout)")
 
     pt = sub.add_parser("stats", help="model and phase diagnostics")

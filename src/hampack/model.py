@@ -511,16 +511,20 @@ class SimpleDigraph:
         self.k = int(k)
         self._codes_sorted = self._codes_order = None  # order None: identity
         self._csrs = [None, None]
-        self._validate()
+        self._validate((self.tails, self.heads) if edges is None
+                       else (edges,))
         self.out_deg = np.bincount(self.tails, minlength=self.n)
         self.in_deg = np.bincount(self.heads, minlength=self.n)
 
-    def _validate(self):
+    def _validate(self, blocks):
+        """blocks hold every endpoint: the (m, 2) rows, range-checked
+        in one contiguous pass, or else the two columns."""
         t, h = self.tails, self.heads
         if t.ndim != 1 or t.shape != h.shape:
             raise ValueError("tail and head columns differ in shape")
         if len(t):
-            if min(t.min(), h.min()) < 0 or max(t.max(), h.max()) >= self.n:
+            lo, hi = min(b.min() for b in blocks), max(b.max() for b in blocks)
+            if lo < 0 or hi >= self.n:
                 raise ValueError("edge endpoint out of range")
             if np.any(t == h):
                 raise ValueError("loop edge present")

@@ -13,8 +13,9 @@ every host edge touching SMALL; later phases work on
 E_{t,i} = Ê_{t,i} ∪ E_SMALL so that low-degree vertices always have
 their full edge supply available.
 
-Pool membership is stored as two label arrays over the canonical edge
-ids, never as copied edge lists.
+Pool membership is one label per canonical edge id, never a copied
+edge list: edge e lies in pool[e] = (t-1)k + i, which names Ê_{t,i}
+for t <= 3 and the part E_{4,i} of E_4 for t = 4.
 """
 
 from __future__ import annotations
@@ -33,22 +34,22 @@ __all__ = ["EdgePartition", "split_edges", "compute_small"]
 class EdgePartition:
     """Pool labels over edge ids plus the SMALL marks.
 
-    pool_t[e] in {1,2,3,4} and pool_i[e] in [0,k) name the pool of edge
-    e.  small/e_small are boolean marks over vertices/edges; both stay
-    None until compute_small fills them.
+    pool[e] = (t-1)k + i, in [0, 4k), names the pool of edge e: Ê_{t,i}
+    for t <= 3, E_{4,i} for t = 4, with i in [0, k).  small/e_small are
+    boolean marks over vertices/edges; both stay None until
+    compute_small fills them.
     """
 
     n: int
     m: int
     k: int
-    pool_t: np.ndarray
-    pool_i: np.ndarray
+    pool: np.ndarray
     small: np.ndarray | None = None
     e_small: np.ndarray | None = None
 
     def pool_edges(self, t: int, i: int) -> np.ndarray:
         """Edge ids of Ê_{t,i} (t <= 3) or E_{4,i} (t = 4), ascending."""
-        return np.nonzero((self.pool_t == t) & (self.pool_i == i))[0]
+        return np.flatnonzero(self.pool == (t - 1) * self.k + i)
 
     def working_edges(self, t: int, i: int) -> np.ndarray:
         """E_{t,i} = Ê_{t,i} ∪ E_SMALL for t <= 3."""
@@ -56,15 +57,14 @@ class EdgePartition:
             raise ValueError("compute_small has not run")
         if t not in (1, 2, 3):
             raise ValueError("working sets exist only for t in {1,2,3}")
-        mask = (self.pool_t == t) & (self.pool_i == i)
-        return np.nonzero(mask | self.e_small)[0]
+        mask = self.pool == (t - 1) * self.k + i
+        return np.flatnonzero(mask | self.e_small)
 
     def check_cover(self) -> bool:
-        """Pools are disjoint and cover all m edges (label arrays make
-        disjointness structural; this checks the label ranges)."""
-        return (len(self.pool_t) == self.m
-                and bool(np.all((self.pool_t >= 1) & (self.pool_t <= 4)))
-                and bool(np.all((self.pool_i >= 0) & (self.pool_i < self.k))))
+        """Pools are disjoint and cover all m edges (one label per edge
+        makes disjointness structural; this checks the label range)."""
+        return (len(self.pool) == self.m
+                and bool(np.all((self.pool >= 0) & (self.pool < 4 * self.k))))
 
     def to_json(self) -> str:
         obj = {}
@@ -86,22 +86,17 @@ def split_edges(sd: SimpleDigraph, k: int, rng: np.random.Generator) -> EdgePart
     the k parts differ in size by at most one.
     """
     m = sd.m
-    pool_t = np.zeros(m, dtype=np.int8)
-    pool_i = np.full(m, -1, dtype=np.int16)
+    pool = np.zeros(m, dtype=np.min_scalar_type(4 * k - 1))
     unassigned = np.arange(m)
-    for j in range(3 * k):
+    for j in range(3 * k):  # round j fills pool j = Ê_{j//k+1, j%k}
         p = 1.0 / (4 * k - j)
         hit = rng.random(len(unassigned)) < p
-        chosen = unassigned.compress(hit)  # on a random mask, beats [hit]
-        pool_t[chosen] = j // k + 1
-        pool_i[chosen] = j % k
+        pool[unassigned.compress(hit)] = j  # on a random mask, beats [hit]
         unassigned = unassigned.compress(~hit)
     rng.shuffle(unassigned)  # compress made it a fresh array
     for i in range(k):
-        part = unassigned[i::k]
-        pool_t[part] = 4
-        pool_i[part] = i
-    return EdgePartition(n=sd.n, m=m, k=k, pool_t=pool_t, pool_i=pool_i)
+        pool[unassigned[i::k]] = 3 * k + i
+    return EdgePartition(n=sd.n, m=m, k=k, pool=pool)
 
 
 def compute_small(sd: SimpleDigraph, part: EdgePartition,
@@ -115,10 +110,10 @@ def compute_small(sd: SimpleDigraph, part: EdgePartition,
     thr = c / (8.0 * k)
     n = sd.n
     small = (sd.out_deg <= thr) | (sd.in_deg <= thr)
-    # pool (t, i) is row (t-1)k + i of the per-pool degree tables, which
-    # two bincounts over (pool, vertex) keys fill at once; rows 3k and
-    # up hold E_4 and are dropped
-    row = (part.pool_t.astype(np.int64) - 1) * k + part.pool_i
+    # each pool label is a row of the per-pool degree tables, which two
+    # bincounts over (pool, vertex) keys fill at once; rows 3k and up
+    # hold E_4 and are dropped
+    row = part.pool.astype(np.int64)
     row *= n
     key = np.empty_like(row)
     for ends in (sd.tails, sd.heads):

@@ -111,7 +111,7 @@ def _find_exchange(pd: PermutationDigraph, cid: int, ctx: _Ctx,
     lo, size = 0, 256
     while lo < len(order):
         chunk = order[lo:lo + size]
-        at, eid1, h = ctx.pool_out_edges(chunk)
+        at, eid1, h = ctx.rows(0, chunk)
         a = chunk[at]
         lo, size = lo + size, 4 * size
         keep = pd.cycle_id[h] != cid

@@ -296,18 +296,19 @@ class TestCtxPoolOracle:
         return sd, pd, pool, rng
 
     def check(self, ctx, sd, pool, avail_ids, rng):
-        for v in range(sd.n):
-            assert list(ctx.pool_out(v)) == naive_pool(sd, pool, avail_ids,
-                                                       v, 0)
-            assert list(ctx.pool_in(v)) == naive_pool(sd, pool, avail_ids,
-                                                      v, 1)
-        vs = rng.integers(sd.n, size=25)
-        at, eids, heads = ctx.pool_out_edges(vs)
-        tails = vs[at]
-        want = [(int(v), e, h) for v in vs
-                for e, h in naive_pool(sd, pool, avail_ids, v, 0)]
-        assert list(zip(tails.tolist(), eids.tolist(),
-                        heads.tolist())) == want
+        """rows on both sides lists what the naive scan lists, for every
+        vertex in turn, a random draw, one vertex read twice around
+        another, and no vertex at all."""
+        draws = [np.arange(sd.n), rng.integers(sd.n, size=25),
+                 np.array([sd.n - 1, 0, sd.n - 1]),
+                 np.empty(0, dtype=np.int64)]
+        for side in (0, 1):
+            for vs in draws:
+                at, eids, ends = ctx.rows(side, vs)
+                want = [(j, e, o) for j, v in enumerate(vs.tolist())
+                        for e, o in naive_pool(sd, pool, avail_ids, v, side)]
+                assert list(zip(at.tolist(), eids.tolist(),
+                                ends.tolist())) == want
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_naive_scan(self, seed):
@@ -333,35 +334,40 @@ class TestCtxPoolOracle:
         # the host's rows hold every edge; only the pool filter empties them
         assert sd.csr(0)[0][-1] == sd.csr(1)[0][-1] == sd.m > 0
 
-    @pytest.mark.parametrize("order", ["tail", "shuffled"])
-    def test_host_orders(self, order):
-        # tails ascending with the ids, heads unsorted within each row,
-        # the order perfbench's generated host comes in; or no order
-        rng = rng_stream(6, 4)
+    @staticmethod
+    def random_host(seed, order):
+        """30 vertices in random pairs plus vertex 30, which has no edge,
+        so its rows are empty on both sides."""
+        rng = rng_stream(seed, 4)
         n = 30
         codes = rng.choice(n * n, size=240, replace=False)
+        if order == "code":
+            codes = np.sort(codes)
         edges = np.column_stack((codes // n, codes % n))
         edges = edges[edges[:, 0] != edges[:, 1]]
         if order == "tail":
             edges = edges[np.argsort(edges[:, 0], kind="stable")]
-        sd = SimpleDigraph(n, edges, k=1)
+        elif order == "descending":
+            edges = edges[np.argsort(-edges[:, 0], kind="stable")]
+        return SimpleDigraph(n + 1, edges, k=1), rng
+
+    @pytest.mark.parametrize("order", ["code", "tail", "shuffled"])
+    def test_host_orders(self, order):
+        # pair-code order, as sampled; tails ascending with the ids and
+        # heads unsorted within each row, the order perfbench's
+        # generated host comes in; or no order
+        sd, rng = self.random_host(6, order)
         pool = rng.permutation(sd.m)[:150]
         ctx = cv._Ctx(sd, pool)
         # the host's out-rows are its ids as they stand when tails ascend
-        assert (sd.csr(0)[1] is None) == (order == "tail")
+        assert (sd.csr(0)[1] is None) == (order != "shuffled")
         ctx.avail[:] = ctx.in_pool
         self.check(ctx, sd, pool, set(pool.tolist()), rng)
 
     def test_ids_not_in_tail_order(self):
         # host edges listed by descending tail, so ascending ids run
         # against the tails the rows are keyed by
-        rng = rng_stream(5, 4)
-        n = 30
-        codes = rng.choice(n * n, size=240, replace=False)
-        edges = np.column_stack((codes // n, codes % n))
-        edges = edges[edges[:, 0] != edges[:, 1]]
-        edges = edges[np.argsort(-edges[:, 0], kind="stable")]
-        sd = SimpleDigraph(n, edges, k=1)
+        sd, rng = self.random_host(5, "descending")
         pool = rng.permutation(sd.m)[:150]
         ctx = cv._Ctx(sd, pool)
         ctx.avail[:] = ctx.in_pool

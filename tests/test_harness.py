@@ -451,6 +451,35 @@ class TestRunSweep:
         b = hn.run_sweep(**self.GRID).to_csv()
         assert a == b
 
+    def test_pool_capped_by_trials_and_cpus(self, monkeypatch):
+        # a pool launches every worker at its first submit, so the cap
+        # is what keeps a large --workers from forking that many; the
+        # stand-in pool records its size and maps in this process
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(hn, "ProcessPoolExecutor", SerialPool)
+        grid = dict(ns=[300], cs=[4.0], ks=[1], trials=4, seed=17)
+        serial = hn.run_sweep(**grid).to_csv()
+        for cpus, workers, size in ((3, 5000, 3), (64, 5000, 4),
+                                    (64, 2, 2), (None, 5000, None)):
+            monkeypatch.setattr(hn.os, "cpu_count", lambda: cpus)
+            sizes.clear()
+            assert hn.run_sweep(**grid, workers=workers).to_csv() == serial
+            assert sizes == ([] if size is None else [size])
+
     def test_trial_seeds_derived_per_cell(self):
         s00 = derive_seed(17, 0, 0)
         s01 = derive_seed(17, 0, 1)
@@ -547,6 +576,11 @@ class TestStats:
     def test_rphi_size_guard(self):
         with pytest.raises(OracleSizeError):
             hn.stats_rphi(11)
+
+    @pytest.mark.parametrize("kappa", [0, 1])
+    def test_rphi_needs_two_sections(self, kappa):
+        with pytest.raises(ValueError, match="need at least two sections"):
+            hn.stats_rphi(kappa)
 
     def test_odd_partitions(self):
         parts = list(hn._odd_partitions(9))
@@ -724,6 +758,8 @@ class TestCLI:
                 (["pack", "--n", "0", "--c", "4", "--k", "1"], "--n"),
                 (["pack", "--n", "10", "--c", "4", "--k", "0"], "--k"),
                 (["stats", "rphi", "--kappa", "1"], "--kappa"),
+                (["sweep", "--grid", "n=300;c=4;k=1", "--trials", "1",
+                  "--workers", "0"], "--workers"),
                 (["stats", "perm-cycles", "--n", "10", "--samples", "0"],
                  "--samples"),
                 (["stats", "simplicity-rate", "--n", "100", "--c", "4",

@@ -301,10 +301,10 @@ def forced_booster_host(keep2: float):
     part = split_edges(sd, 1, rng)
     compute_small(sd, part, params.c, 1)
     side = np.random.default_rng(1)
-    p1 = np.nonzero((part.pool_t == 1) & ~part.e_small)[0]
-    part.pool_t[p1[side.random(len(p1)) < 0.97]] = 2
-    p2 = np.nonzero((part.pool_t == 2) & ~part.e_small)[0]
-    part.pool_t[p2[side.random(len(p2)) >= keep2]] = 3
+    p1 = np.nonzero((part.pool == 0) & ~part.e_small)[0]
+    part.pool[p1[side.random(len(p1)) < 0.97]] = 1
+    p2 = np.nonzero((part.pool == 1) & ~part.e_small)[0]
+    part.pool[p2[side.random(len(p2)) >= keep2]] = 2
     return sd, part, rng
 
 

@@ -18,6 +18,28 @@ def grid_digraph(n_side: int, k: int = 1) -> SimpleDigraph:
     return SimpleDigraph(n, np.array(edges), k)
 
 
+def two_array_split(sd: SimpleDigraph, k: int, rng):
+    """The split over two label arrays, pool_t in {1,2,3,4} and pool_i
+    in [0, k): the reference for the one-label split, draw for draw."""
+    m = sd.m
+    pool_t = np.zeros(m, dtype=np.int8)
+    pool_i = np.full(m, -1, dtype=np.int16)
+    unassigned = np.arange(m)
+    for j in range(3 * k):
+        p = 1.0 / (4 * k - j)
+        hit = rng.random(len(unassigned)) < p
+        chosen = unassigned.compress(hit)
+        pool_t[chosen] = j // k + 1
+        pool_i[chosen] = j % k
+        unassigned = unassigned.compress(~hit)
+    rng.shuffle(unassigned)
+    for i in range(k):
+        part = unassigned[i::k]
+        pool_t[part] = 4
+        pool_i[part] = i
+    return pool_t, pool_i
+
+
 class TestSplitEdges:
     def test_partition_covers_disjointly(self, tiny_host):
         part = split_edges(tiny_host, 2, rng_stream(20, 0))
@@ -58,8 +80,22 @@ class TestSplitEdges:
     def test_deterministic(self, tiny_host):
         a = split_edges(tiny_host, 2, rng_stream(23, 0))
         b = split_edges(tiny_host, 2, rng_stream(23, 0))
-        assert np.array_equal(a.pool_t, b.pool_t)
-        assert np.array_equal(a.pool_i, b.pool_i)
+        assert np.array_equal(a.pool, b.pool)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("m", [0, 1, 1000])
+    def test_matches_two_array_split(self, k, m):
+        n = 50
+        codes = np.arange(n * n)
+        codes = codes[codes // n != codes % n][:m]
+        sd = SimpleDigraph(n, np.column_stack((codes // n, codes % n)), k)
+        ref, new = rng_stream(31, k), rng_stream(31, k)
+        pool_t, pool_i = two_array_split(sd, k, ref)
+        part = split_edges(sd, k, new)
+        assert part.pool.dtype == np.min_scalar_type(4 * k - 1)
+        assert np.array_equal((pool_t.astype(np.int64) - 1) * k + pool_i,
+                              part.pool)
+        assert ref.random() == new.random()  # the same draws were taken
 
 
 class TestComputeSmall:
@@ -69,10 +105,9 @@ class TestComputeSmall:
         part = split_edges(sd, 1, rng_stream(24, 0))
         # force a known pool structure: all edges to pool (1,1) except
         # vertex 0 keeps only 2 out-edges there
-        part.pool_t[:] = 1
-        part.pool_i[:] = 0
+        part.pool[:] = 0
         v0_edges = np.nonzero(sd.tails == 0)[0]
-        part.pool_t[v0_edges[2:]] = 2
+        part.pool[v0_edges[2:]] = 1
         small, e_small = compute_small(sd, part, 20.0, 1)
         assert small[0]
         incident = (sd.tails == 0) | (sd.heads == 0)
@@ -84,8 +119,7 @@ class TestComputeSmall:
         # are ignored; with all edges in one pool and threshold < 6
         sd = grid_digraph(60)
         part = split_edges(sd, 1, rng_stream(25, 0))
-        part.pool_t[:] = 1
-        part.pool_i[:] = 0
+        part.pool[:] = 0
         small, e_small = compute_small(sd, part, 40.0, 1)
         # threshold 5: every degree is 6 in host and in pool (1,1), but
         # pools (2,1), (3,1) are empty so every vertex is small there
@@ -94,8 +128,7 @@ class TestComputeSmall:
         # with threshold below 2 nobody is small
         part2 = split_edges(sd, 1, rng_stream(25, 1))
         offsets = (sd.heads - sd.tails) % sd.n  # 1..6
-        part2.pool_t[:] = ((offsets - 1) // 2 + 1).astype(np.int8)
-        part2.pool_i[:] = 0
+        part2.pool[:] = (offsets - 1) // 2
         small2, _ = compute_small(sd, part2, 8.0, 1)  # threshold 1
         assert not small2.any()
 

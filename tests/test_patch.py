@@ -241,7 +241,8 @@ def loop_find_exchange(pd, cid, ctx, blocked, rng):
         if blocked is not None and blocked[a]:
             continue
         a_next = int(pd.succ[a])
-        for eid1, h in ctx.pool_out(a):
+        _at, eids, heads = ctx.rows(0, np.array([a]))
+        for eid1, h in zip(eids.tolist(), heads.tolist()):
             if pd.cycle_id[h] == cid:
                 continue
             b = int(pd.pred[h])
