@@ -76,8 +76,11 @@ class PermutationDigraph:
     splices them for a cover that differs in a few arcs.
     """
 
-    def __init__(self, succ: np.ndarray, edge_ids: np.ndarray | None = None):
+    def __init__(self, succ: np.ndarray, edge_ids: np.ndarray):
         succ = np.asarray(succ, dtype=np.int64)
+        edge_ids = np.asarray(edge_ids, dtype=np.int64)
+        if edge_ids.shape != succ.shape:
+            raise ValueError("edge_ids and succ differ in shape")
         n = len(succ)
         if n == 0 or succ.min() < 0 or succ.max() >= n:
             raise ValueError("succ is not a permutation")
@@ -86,8 +89,7 @@ class PermutationDigraph:
         self.pred[succ] = np.arange(n)
         if (self.pred < 0).any():  # some vertex has no predecessor
             raise ValueError("succ is not a permutation")
-        self.edge_ids = (None if edge_ids is None
-                         else np.asarray(edge_ids, dtype=np.int64))
+        self.edge_ids = edge_ids
         self._extract_cycles()
 
     @property
@@ -148,8 +150,6 @@ class PermutationDigraph:
         rotated to start at its smallest vertex.  Cycles with no rewired
         tail keep their arrays, and cycle ids are renumbered by start.
         """
-        if self.edge_ids is None:
-            raise ValueError("cover lacks edge provenance")
         n = self.n
         tails = np.asarray(tails, dtype=np.int64).ravel()
         heads = np.asarray(heads, dtype=np.int64).ravel()
@@ -337,18 +337,18 @@ class _Node:
 
 
 class _Ctx:
-    """Per-cover reserve pool: in_pool marks its host edges, avail the
-    ones a rotation may use now (not in the current cover), refreshed
-    per iteration.  rows is the one reader of pool rows.  A pool row is
-    the host's CSR row (SimpleDigraph.csr, shared by every context)
-    filtered by avail: host rows ascend by id and avail lies in
-    in_pool, so it lists available pool edges by id.
+    """Per-cover reserve pool: in_pool is the phase's bool mask over
+    edge ids, kept and never written; avail marks the ones a rotation
+    may use now (not in the current cover), refreshed per iteration.
+    rows is the one reader of pool rows.  A pool row is the host's CSR
+    row (SimpleDigraph.csr, shared by every context) filtered by avail:
+    host rows ascend by id and avail lies in in_pool, so it lists
+    available pool edges by id.
     """
 
-    def __init__(self, sd: SimpleDigraph, pool_ids: np.ndarray):
+    def __init__(self, sd: SimpleDigraph, in_pool: np.ndarray):
         self.sd = sd
-        self.in_pool = np.zeros(sd.m, dtype=bool)
-        self.in_pool[pool_ids] = True
+        self.in_pool = in_pool
         self.avail = np.zeros(sd.m, dtype=bool)
 
     def refresh(self, pd: PermutationDigraph):
@@ -628,21 +628,20 @@ def _assert_progress(old: PermutationDigraph, new: PermutationDigraph,
 
 
 def eliminate_small_cycles(pd: PermutationDigraph, sd: SimpleDigraph,
-                           pool_ids: np.ndarray, rng: np.random.Generator,
+                           in_pool: np.ndarray, rng: np.random.Generator,
                            budget: PhaseTwoBudget,
                            ) -> tuple[PermutationDigraph, PhaseTwoStats]:
     """Drive rotations until every cycle has ≥ n0 vertices.
 
-    Small cycles are processed largest first; a cycle of length ≥ 4
-    may use two attempts with vertex-disjoint broken edges, shorter
-    ones get one.  W persists across the whole phase and is returned
-    as stats.burnt.
+    in_pool, the reserve pool as a bool mask over edge ids, is never
+    written.  Small cycles go largest first; a cycle of length ≥ 4 may
+    use two attempts with vertex-disjoint broken edges, shorter ones
+    get one.  W persists across the phase and is returned as
+    stats.burnt.
     """
-    if pd.edge_ids is None:
-        raise ValueError("cover lacks edge provenance")
     w_set = _Burnt(sd.n)
     stats = PhaseTwoStats(burnt=np.frombuffer(w_set, dtype=bool))
-    ctx = _Ctx(sd, pool_ids)
+    ctx = _Ctx(sd, in_pool)
     while True:
         small, _large = cycles_of(pd, budget.n0)
         if not small:

@@ -88,15 +88,13 @@ def run_pipeline(params: ModelParams, rng: np.random.Generator, sd=None):
             # release this matching's reservation: its own edges are fair
             # game for rotations, only other covers' edges stay off-limits
             used[pms[i].edge_ids] = False
-            pool3 = part.working_edges(3, i)
-            pool3 = pool3[~used[pool3]]
-            pd2, p2 = eliminate_small_cycles(pd, sd, pool3, rng, budget)
+            pd2, p2 = eliminate_small_cycles(
+                pd, sd, part.reserve(3, i, used), rng, budget)
             info["phase2"].append(p2)
 
             blocked = p2.burnt | part.small
-            pool4 = part.pool_edges(4, i)
-            pool4 = pool4[~used[pool4]]
-            ham, p3 = merge_patch(pd2, sd, pool4, blocked, rng)
+            ham, p3 = merge_patch(pd2, sd, part.reserve(4, i, used),
+                                  blocked, rng)
             info["phase3"].append(p3)
             used[ham.edge_ids] = True
             covers.append(ham)
@@ -349,8 +347,8 @@ def stats_perm_cycles(n: int, samples: int, seed: int,
     }
 
 
-def stats_simplicity_rate(n: int, c: float, k: int, attempts: int,
-                          seed: int, fresh_degrees: bool = False) -> dict:
+def stats_simplicity_rate(params: ModelParams, attempts: int, seed: int,
+                          fresh_degrees: bool = False) -> dict:
     """Observed simple-pairing rate vs the two analytic exponents.
 
     By default one typical degree sequence backs all pairings: the
@@ -359,7 +357,6 @@ def stats_simplicity_rate(n: int, c: float, k: int, attempts: int,
     sequence.  fresh_degrees redraws it per attempt (the whole-sampler
     acceptance rate), at the cost of two degree vectors per attempt.
     """
-    params = ModelParams.make(n, c, k)
     rng = rng_stream(seed, 61)
     simple = 0
     ds = None
@@ -370,8 +367,8 @@ def stats_simplicity_rate(n: int, c: float, k: int, attempts: int,
         simple += cd.is_simple()
     loop_exp, beta, beta2 = simplicity_exponents(params)
     return {
-        "schema": SCHEMA, "n": n, "c": c, "k": k, "attempts": attempts,
-        "observed_rate": simple / attempts,
+        "schema": SCHEMA, "n": params.n, "c": params.c, "k": params.k,
+        "attempts": attempts, "observed_rate": simple / attempts,
         "predicted_rate": math.exp(-(loop_exp + beta)),
         "predicted_rate_second_order": math.exp(-(loop_exp + beta2)),
         "loop_exponent": loop_exp,
@@ -387,7 +384,7 @@ def _chi_square_p(observed: np.ndarray, expected: np.ndarray) -> float:
     return float(chi2.sf(stat, dof))
 
 
-def stats_degree_gof(n: int, c: float, k: int, seed: int,
+def stats_degree_gof(params: ModelParams, seed: int,
                      reseeds: int = 3) -> dict:
     """Chi-square fit of sampled out-degrees to the truncated law.
 
@@ -395,7 +392,7 @@ def stats_degree_gof(n: int, c: float, k: int, seed: int,
     with derived seeds are budgeted: a uniform sampler still fails a
     fixed-level test at its stated rate.
     """
-    params = ModelParams.make(n, c, k)
+    n, k = params.n, params.k
     tp = TruncatedPoisson(params.require_z(), k)
     p_values = []
     for attempt in range(1 + reseeds):
@@ -416,14 +413,14 @@ def stats_degree_gof(n: int, c: float, k: int, seed: int,
         if p > 0.01:
             break
     return {
-        "schema": SCHEMA, "n": n, "c": c, "k": k, "seed": seed,
+        "schema": SCHEMA, "n": n, "c": params.c, "k": k, "seed": seed,
         "p_values": p_values,
         "passed": any(p > 0.01 for p in p_values),
         "bins": len(obs),
     }
 
 
-def stats_partition_sizes(n: int, c: float, k: int, runs: int,
+def stats_partition_sizes(params: ModelParams, runs: int,
                           seed: int) -> dict:
     """Pool-size concentration and exactness of the edge split.
 
@@ -431,7 +428,7 @@ def stats_partition_sizes(n: int, c: float, k: int, runs: int,
     units over all pools and runs, plus overlap/coverage violations
     (always zero by construction; counted anyway).
     """
-    params = ModelParams.make(n, c, k)
+    k = params.k
     sd, _ = sample_erased_digraph(params, rng_stream(seed, 63))
     m = sd.m
     target = m / (4 * k)
@@ -448,16 +445,16 @@ def stats_partition_sizes(n: int, c: float, k: int, runs: int,
         if (seen != 1).any():
             violations += 1
     return {
-        "schema": SCHEMA, "n": n, "c": c, "k": k, "runs": runs, "m": m,
-        "target": target, "sigma": sigma,
+        "schema": SCHEMA, "n": params.n, "c": params.c, "k": k,
+        "runs": runs, "m": m, "target": target, "sigma": sigma,
         "worst_abs_deviation_sigmas": worst,
         "overlap_or_coverage_violations": violations,
     }
 
 
-def stats_small_size(n: int, c: float, k: int, seed: int) -> dict:
+def stats_small_size(params: ModelParams, seed: int) -> dict:
     """Size of the low-degree exception set and its incident edges."""
-    params = ModelParams.make(n, c, k)
+    n, c, k = params.n, params.c, params.k
     rng = rng_stream(seed, 65)
     sd, _ = sample_erased_digraph(params, rng)
     part = split_edges(sd, k, rng)
@@ -505,20 +502,17 @@ def stats_rphi(kappa: int) -> dict:
     return {"schema": SCHEMA, "kappa": kappa, "rows": rows}
 
 
-def stats_census(n: int, c: float, k: int, seed: int) -> str:
-    params = ModelParams.make(n, c, k)
+def stats_census(params: ModelParams, seed: int) -> str:
     sd, _ = sample_erased_digraph(params, rng_stream(seed, 66))
     return degree_census(sd, params).to_csv()
 
 
-def stats_expansion(n: int, c: float, k: int, samples: int,
-                    seed: int) -> dict:
-    params = ModelParams.make(n, c, k)
+def stats_expansion(params: ModelParams, samples: int, seed: int) -> dict:
     sd, _ = sample_erased_digraph(params, rng_stream(seed, 67))
     rep = expansion_check(sd, params, samples, rng_stream(seed, 68))
     return {
-        "schema": SCHEMA, "n": n, "c": c, "k": k, "samples": rep.checked,
-        "eta": rep.eta, "max_ratio": rep.max_ratio,
+        "schema": SCHEMA, "n": params.n, "c": params.c, "k": params.k,
+        "samples": rep.checked, "eta": rep.eta, "max_ratio": rep.max_ratio,
         "violations": [
             {"size": v.size, "side": v.side, "degree": v.degree,
              "bound": v.bound, "vertices": list(v.vertices)}
@@ -726,31 +720,27 @@ def _cmd_sweep(args, parser) -> int:
 
 
 def _cmd_stats(args, parser) -> int:
-    if args.subcmd not in ("perm-cycles", "rphi"):
-        _model_params(args.n, args.c, args.k)  # refusals are usage errors
+    params = (None if args.subcmd in ("perm-cycles", "rphi")
+              else _model_params(args.n, args.c, args.k))
     if args.subcmd == "simplicity-rate":
-        out = stats_simplicity_rate(args.n, args.c, args.k, args.attempts,
-                                    args.seed,
+        out = stats_simplicity_rate(params, args.attempts, args.seed,
                                     fresh_degrees=args.fresh_degrees)
     elif args.subcmd == "degree-gof":
-        out = stats_degree_gof(args.n, args.c, args.k, args.seed,
-                               reseeds=args.reseeds)
+        out = stats_degree_gof(params, args.seed, reseeds=args.reseeds)
     elif args.subcmd == "partition-sizes":
-        out = stats_partition_sizes(args.n, args.c, args.k, args.runs,
-                                    args.seed)
+        out = stats_partition_sizes(params, args.runs, args.seed)
     elif args.subcmd == "small-size":
-        out = stats_small_size(args.n, args.c, args.k, args.seed)
+        out = stats_small_size(params, args.seed)
     elif args.subcmd == "perm-cycles":
         out = stats_perm_cycles(args.n, args.samples, args.seed,
                                 short=args.short)
     elif args.subcmd == "rphi":
         out = stats_rphi(args.kappa)
     elif args.subcmd == "census":
-        sys.stdout.write(stats_census(args.n, args.c, args.k, args.seed))
+        sys.stdout.write(stats_census(params, args.seed))
         return 0
     else:  # expansion: argparse admits no other subcommand
-        out = stats_expansion(args.n, args.c, args.k, args.samples,
-                              args.seed)
+        out = stats_expansion(params, args.samples, args.seed)
     print(json.dumps(out, sort_keys=True))
     return 0
 

@@ -224,26 +224,22 @@ def build_k_matchings(sd: SimpleDigraph, part: EdgePartition,
                       used: np.ndarray) -> list[PerfectMatching]:
     """k pairwise edge-disjoint perfect matchings, one per pool index.
 
-    G_i = (Ê_{1,i} ∪ E_SMALL) minus every edge spent by earlier
-    matchings; boosters stream from the unspent part of Ê_{2,i} in
-    uniform random order.  used is the trial-global bitset of spent
-    host edges and is updated in place.
+    G_i is part.reserve(1, i, used): Ê_{1,i} ∪ E_SMALL minus every
+    edge spent by earlier matchings; boosters stream from
+    part.reserve(2, i, used) in uniform random order.  used is the
+    trial-global bitset of spent host edges and is updated in place.
     """
-    if part.e_small is None:
-        raise ValueError("compute_small has not run")
     n, k = sd.n, part.k
     out = []
     for i in range(k):
         label = rng.permutation(n).astype(np.int64)
         unlabel = np.empty(n, dtype=np.int64)
         unlabel[label] = np.arange(n)
-        base = part.working_edges(1, i)
-        base = base[~used[base]]
+        base = np.flatnonzero(part.reserve(1, i, used))
         g = digraph_to_bipartite(base, sd, label)
         mt = maximum_matching(g)
         if not mt.is_perfect():
-            pool2 = part.pool_edges(2, i)
-            pool2 = pool2[~used[pool2] & ~part.e_small[pool2]]
+            pool2 = np.flatnonzero(part.reserve(2, i, used))
             pool2 = pool2[rng.permutation(len(pool2))]
             report = booster_augment(g, mt, np.column_stack(
                 (sd.tails[pool2], label[sd.heads[pool2]], pool2)))

@@ -9,13 +9,14 @@ pool's expected size exactly m/4k.
 
 A vertex is SMALL when its in- or out-degree is at most c/8k either in
 the host or inside any single pool Ê_{t,i} with t <= 3.  E_SMALL is
-every host edge touching SMALL; later phases work on
-E_{t,i} = Ê_{t,i} ∪ E_SMALL so that low-degree vertices always have
-their full edge supply available.
+every host edge touching SMALL.
 
 Pool membership is one label per canonical edge id, never a copied
 edge list: edge e lies in pool[e] = (t-1)k + i, which names Ê_{t,i}
 for t <= 3 and the part E_{4,i} of E_4 for t = 4.
+
+EdgePartition.reserve is the one place the recipe for cover i's edge
+supply E_{t,i} lives; every phase takes its pool from it.
 """
 
 from __future__ import annotations
@@ -51,14 +52,21 @@ class EdgePartition:
         """Edge ids of Ê_{t,i} (t <= 3) or E_{4,i} (t = 4), ascending."""
         return np.flatnonzero(self.pool == (t - 1) * self.k + i)
 
-    def working_edges(self, t: int, i: int) -> np.ndarray:
-        """E_{t,i} = Ê_{t,i} ∪ E_SMALL for t <= 3."""
+    def reserve(self, t: int, i: int, used: np.ndarray) -> np.ndarray:
+        """Cover i's supply t as a fresh bool mask over edge ids, with no
+        edge marked in used: Ê_{t,i} ∪ E_SMALL for t = 1 (matching) and
+        t = 3 (rotations), so low-degree vertices keep their full supply;
+        Ê_{2,i} minus E_SMALL for t = 2, the boosters, which must be new
+        pairs to G_i; E_{4,i} for t = 4, the merges."""
         if self.e_small is None:
             raise ValueError("compute_small has not run")
-        if t not in (1, 2, 3):
-            raise ValueError("working sets exist only for t in {1,2,3}")
         mask = self.pool == (t - 1) * self.k + i
-        return np.flatnonzero(mask | self.e_small)
+        if t in (1, 3):
+            mask |= self.e_small
+        elif t == 2:
+            mask &= ~self.e_small
+        mask &= ~used
+        return mask
 
     def check_cover(self) -> bool:
         """Pools are disjoint and cover all m edges (one label per edge

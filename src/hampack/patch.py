@@ -130,17 +130,18 @@ def _find_exchange(pd: PermutationDigraph, cid: int, ctx: _Ctx,
 
 
 def merge_patch(pd: PermutationDigraph, sd: SimpleDigraph,
-                pool_ids: np.ndarray, blocked: np.ndarray,
+                in_pool: np.ndarray, blocked: np.ndarray,
                 rng: np.random.Generator,
                 ) -> tuple[PermutationDigraph, PatchStats]:
     """Merge cycles pairwise until the cover is one Hamilton cycle.
 
-    Each round splices the smallest cycle into some other cycle via an
-    edge exchange whose break vertices avoid W ∪ SMALL; if no such
+    in_pool, the reserve pool as a bool mask over edge ids, is never
+    written.  Each round splices the smallest cycle into another via
+    an edge exchange whose break vertices avoid W ∪ SMALL; if no such
     exchange exists the filter is dropped before giving up.
     """
     stats = PatchStats()
-    ctx = _Ctx(sd, pool_ids)
+    ctx = _Ctx(sd, in_pool)
     while pd.num_cycles > 1:
         ctx.refresh(pd)
         cid = int(np.argmin(pd.cycle_lens))

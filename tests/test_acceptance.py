@@ -91,14 +91,15 @@ def test_criterion_02_packing_k2_n2000():
 
 
 def test_criterion_03_degree_marginals():
-    out = stats_degree_gof(100_000, 20.0, 1, seed=BASE)
+    out = stats_degree_gof(ModelParams.make(100_000, 20.0, 1), seed=BASE)
     shown = ", ".join(f"{p:.3f}" for p in out["p_values"])
     _gate(3, "out-degree chi-square fit (n=1e5, c=20)", out["passed"],
           f"p values [{shown}] against level 0.01, {out['bins']} bins")
 
 
 def test_criterion_04_simplicity_rate():
-    out = stats_simplicity_rate(10_000, 20.0, 1, attempts=500, seed=BASE)
+    out = stats_simplicity_rate(ModelParams.make(10_000, 20.0, 1),
+                                attempts=500, seed=BASE)
     gap = abs(out["observed_rate"] - out["predicted_rate"])
     _gate(4, "pairing simplicity rate (n=1e4, c=20, 500 attempts)",
           gap <= 0.05,
@@ -107,7 +108,8 @@ def test_criterion_04_simplicity_rate():
 
 
 def test_criterion_05_partition_sizes():
-    out = stats_partition_sizes(10_000, 20.0, 2, runs=200, seed=BASE)
+    out = stats_partition_sizes(ModelParams.make(10_000, 20.0, 2),
+                                runs=200, seed=BASE)
     ok = (out["worst_abs_deviation_sigmas"] <= 4.0
           and out["overlap_or_coverage_violations"] == 0)
     _gate(5, "pool sizes within 4 sigma, split exact (200 runs)", ok,
@@ -160,9 +162,8 @@ def _phase2_floors(params, sd, seed):
     for i in range(params.k):
         pd = matching_to_cycle_cover(pms[i])
         used[pms[i].edge_ids] = False
-        pool3 = part.working_edges(3, i)
-        pool3 = pool3[~used[pool3]]
-        pd2, _ = eliminate_small_cycles(pd, sd, pool3, rng, budget)
+        pd2, _ = eliminate_small_cycles(pd, sd, part.reserve(3, i, used),
+                                        rng, budget)
         floors.append(int(pd2.cycle_lens.min()))
         used[pd2.edge_ids] = True
     return floors

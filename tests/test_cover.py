@@ -23,8 +23,9 @@ from hampack.partition import compute_small, split_edges
 from hampack.rng import rng_stream
 
 
-def perm_digraph(*cycles, n=None, with_ids=False):
-    """Build a PermutationDigraph from explicit vertex cycles."""
+def perm_digraph(*cycles, n=None):
+    """Build a PermutationDigraph from explicit vertex cycles; vertex v's
+    arc has edge id v."""
     if n is None:
         n = max(v for cyc in cycles for v in cyc) + 1
     succ = np.full(n, -1, dtype=np.int64)
@@ -32,15 +33,14 @@ def perm_digraph(*cycles, n=None, with_ids=False):
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             succ[a] = b
     assert (succ >= 0).all(), "cycles must cover all vertices"
-    ids = np.arange(n, dtype=np.int64) if with_ids else None
-    return PermutationDigraph(succ, ids)
+    return PermutationDigraph(succ, np.arange(n))
 
 
 def host_with_cover(*cycles, extra=()):
     """SimpleDigraph whose first edges realise the given cover.
 
-    Returns (sd, pd, pool_ids) where pool_ids are the ids of the
-    extra (reserve) edges.
+    Returns (sd, pd, in_pool) where in_pool is the bool mask over edge
+    ids that marks the extra (reserve) edges.
     """
     n = max(v for cyc in cycles for v in cyc) + 1
     cover_edges = []
@@ -55,8 +55,15 @@ def host_with_cover(*cycles, extra=()):
         succ[a] = b
         eids[a] = i
     pd = PermutationDigraph(succ, eids)
-    pool_ids = np.arange(len(cover_edges), len(edges), dtype=np.int64)
-    return sd, pd, pool_ids
+    in_pool = np.arange(sd.m) >= len(cover_edges)
+    return sd, pd, in_pool
+
+
+def mask_of(sd, ids):
+    """The bool mask over sd's edge ids that marks ids."""
+    mask = np.zeros(sd.m, dtype=bool)
+    mask[ids] = True
+    return mask
 
 
 def tiny_budget(n0, **kw):
@@ -86,12 +93,21 @@ class TestPermutationDigraph:
 
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
-            PermutationDigraph(np.array([0, 0, 2]))
+            PermutationDigraph(np.array([0, 0, 2]), np.arange(3))
         with pytest.raises(ValueError):
-            PermutationDigraph(np.array([], dtype=np.int64))
+            PermutationDigraph(np.array([], dtype=np.int64), np.arange(0))
         for succ in ([1, 3, 0], [1, -1, 0]):  # successor out of range
             with pytest.raises(ValueError):
-                PermutationDigraph(np.array(succ))
+                PermutationDigraph(np.array(succ), np.arange(3))
+
+    def test_requires_edge_ids(self):
+        # a cover always carries one host edge id per vertex
+        succ = np.array([1, 2, 0])
+        for ids in (np.arange(2), np.arange(4), np.arange(6).reshape(3, 2)):
+            with pytest.raises(ValueError, match="differ in shape"):
+                PermutationDigraph(succ, ids)
+        with pytest.raises(TypeError):
+            PermutationDigraph(succ)
 
     def test_arc_edges(self):
         pd = perm_digraph([0, 1, 2, 3, 4, 5])
@@ -132,7 +148,7 @@ def walk_cycles(succ):
 class TestExtractCyclesOracle:
     @staticmethod
     def check(succ):
-        pd = PermutationDigraph(np.asarray(succ, dtype=np.int64))
+        pd = PermutationDigraph(succ, np.arange(len(succ)))
         cycle_id, pos, cycles, lens = walk_cycles(succ)
         assert np.array_equal(pd.cycle_id, cycle_id)
         assert np.array_equal(pd.pos, pos)
@@ -247,7 +263,7 @@ class TestRewiredOracle:
                 new_eids + new_eids[j:j + 1])
 
     def test_splices_only_touched_cycles(self):
-        pd = perm_digraph([0, 3, 1], [2, 4], [5, 6, 7], with_ids=True)
+        pd = perm_digraph([0, 3, 1], [2, 4], [5, 6, 7])
         out = pd.rewired([0, 2], [4, 3], [10, 11])
         # 0 -> 4 -> 2 -> 3 -> 1 -> 0 joins the first two cycles
         assert out.cycles[0].tolist() == [0, 4, 2, 3, 1]
@@ -256,15 +272,13 @@ class TestRewiredOracle:
         assert out.pred[4] == 0 and out.pred[3] == 2
 
     def test_refusals(self):
-        pd = perm_digraph([0, 1, 2], with_ids=True)
+        pd = perm_digraph([0, 1, 2])
         with pytest.raises(ValueError, match="out of range"):
             pd.rewired([3], [1], [0])
         with pytest.raises(ValueError, match="differ in length"):
             pd.rewired([0, 1], [1], [0])
         with pytest.raises(ValueError, match="repeated tail"):
             pd.rewired([0, 0], [1, 1], [0, 0])
-        with pytest.raises(ValueError, match="provenance"):
-            perm_digraph([0, 1, 2]).rewired([0], [1], [0])
 
 
 def naive_pool(sd, pool_ids, avail_ids, v, side):
@@ -313,8 +327,9 @@ class TestCtxPoolOracle:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_naive_scan(self, seed):
         sd, pd, pool, rng = self.instance(seed)
-        ctx = cv._Ctx(sd, pool)
-        assert ctx.in_pool.sum() == len(pool)
+        in_pool = mask_of(sd, pool)
+        ctx = cv._Ctx(sd, in_pool)
+        assert ctx.in_pool is in_pool
         self.check(ctx, sd, pool, set(), rng)  # nothing available yet
         ctx.refresh(pd)
         self.check(ctx, sd, pool,
@@ -325,10 +340,12 @@ class TestCtxPoolOracle:
         ctx.refresh(other)
         self.check(ctx, sd, pool,
                    set(pool.tolist()) - set(other.edge_ids.tolist()), rng)
+        # the context keeps the mask it was given and never writes it
+        assert np.array_equal(in_pool, mask_of(sd, pool))
 
     def test_empty_pool(self):
         sd, pd, _pool, rng = self.instance(0)
-        ctx = cv._Ctx(sd, np.empty(0, dtype=np.int64))
+        ctx = cv._Ctx(sd, np.zeros(sd.m, dtype=bool))
         ctx.refresh(pd)
         self.check(ctx, sd, [], set(), rng)
         # the host's rows hold every edge; only the pool filter empties them
@@ -358,7 +375,7 @@ class TestCtxPoolOracle:
         # generated host comes in; or no order
         sd, rng = self.random_host(6, order)
         pool = rng.permutation(sd.m)[:150]
-        ctx = cv._Ctx(sd, pool)
+        ctx = cv._Ctx(sd, mask_of(sd, pool))
         # the host's out-rows are its ids as they stand when tails ascend
         assert (sd.csr(0)[1] is None) == (order != "shuffled")
         ctx.avail[:] = ctx.in_pool
@@ -369,7 +386,7 @@ class TestCtxPoolOracle:
         # against the tails the rows are keyed by
         sd, rng = self.random_host(5, "descending")
         pool = rng.permutation(sd.m)[:150]
-        ctx = cv._Ctx(sd, pool)
+        ctx = cv._Ctx(sd, mask_of(sd, pool))
         ctx.avail[:] = ctx.in_pool
         self.check(ctx, sd, pool, set(pool.tolist()), rng)
 
@@ -385,7 +402,7 @@ class TestCyclesOf:
             block = np.arange(start, start + ln)
             succ[block] = np.roll(block, -1)
             start += ln
-        pd = PermutationDigraph(succ)
+        pd = PermutationDigraph(succ, np.arange(n))
         small, large = cycles_of(pd, n / math.log(n))
         small_lens = sorted(int(pd.cycle_lens[c]) for c in small)
         large_lens = sorted(int(pd.cycle_lens[c]) for c in large)
@@ -406,7 +423,7 @@ class TestUniformCycleLaw:
         totals = {s: 0 for s in (1, 2, 3)}
         count = 0
         for p in itertools.permutations(range(n)):
-            pd = PermutationDigraph(np.array(p, dtype=np.int64))
+            pd = PermutationDigraph(np.array(p), np.arange(n))
             count += 1
             for s in totals:
                 totals[s] += int(
@@ -418,7 +435,7 @@ class TestUniformCycleLaw:
     def test_expected_cycle_count_is_harmonic(self):
         n = 6
         tot = sum(
-            PermutationDigraph(np.array(p, dtype=np.int64)).num_cycles
+            PermutationDigraph(np.array(p), np.arange(n)).num_cycles
             for p in itertools.permutations(range(n)))
         harmonic = sum(1.0 / j for j in range(1, n + 1))
         assert tot / math.factorial(n) == pytest.approx(harmonic)
@@ -767,13 +784,6 @@ class TestEliminate:
         assert stats.early_closures + stats.in_phase_closures == 1
         assert stats.burnt.sum() == stats.w_size
 
-    def test_requires_edge_provenance(self):
-        pd = perm_digraph([0, 1], [2, 3, 4, 5])
-        sd, _, pool = host_with_cover([0, 1], [2, 3, 4, 5])
-        with pytest.raises(ValueError):
-            eliminate_small_cycles(pd, sd, pool, rng_stream(7),
-                                   tiny_budget(n0=3))
-
     def test_unremovable_cycle_raises(self):
         sd, pd, pool = host_with_cover([0, 1], [2, 3, 4, 5, 6, 7])
         with pytest.raises(PhaseFailure, match="phase2"):
@@ -833,9 +843,8 @@ class TestEliminate:
         budget = PhaseTwoBudget.for_model(params.n, params.c, params.k)
         pd = matching_to_cycle_cover(pms[0])
         used[pms[0].edge_ids] = False
-        pool = part.working_edges(3, 0)
-        pool = pool[~used[pool]]
-        out, stats = eliminate_small_cycles(pd, sd, pool, rng, budget)
+        out, stats = eliminate_small_cycles(
+            pd, sd, part.reserve(3, 0, used), rng, budget)
         counts = (stats.iterations, stats.early_closures,
                   stats.in_phase_closures, stats.second_attempts,
                   stats.w_size, stats.eliminated)
@@ -895,9 +904,8 @@ class TestPipelineIntegration:
         for i in range(params.k):
             pd = matching_to_cycle_cover(pms[i])
             used[pms[i].edge_ids] = False
-            pool = part.working_edges(3, i)
-            pool = pool[~used[pool]]
-            out, stats = eliminate_small_cycles(pd, sd, pool, rng, budget)
+            out, stats = eliminate_small_cycles(
+                pd, sd, part.reserve(3, i, used), rng, budget)
             used[out.edge_ids] = True
             covers.append((out, stats))
         return params, sd, budget, covers
@@ -930,9 +938,8 @@ class TestPipelineIntegration:
             for i in range(params.k):
                 pd = matching_to_cycle_cover(pms[i])
                 used[pms[i].edge_ids] = False
-                pool = part.working_edges(3, i)
-                pool = pool[~used[pool]]
-                out, _ = eliminate_small_cycles(pd, sd, pool, rng, budget)
+                out, _ = eliminate_small_cycles(
+                    pd, sd, part.reserve(3, i, used), rng, budget)
                 used[out.edge_ids] = True
                 outs.append(out)
             return outs

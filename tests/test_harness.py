@@ -126,6 +126,36 @@ def test_covers_built_once_then_spliced(monkeypatch):
     assert len(built) == 1 and len(spliced) >= 2
 
 
+@pytest.mark.parametrize("point", [(2000, 100.0, 2), (600, 30.0, 1),
+                                   (2000, 60.0, 3)],
+                         ids=["k2", "k1", "k3"])
+def test_cycles_use_own_pools(monkeypatch, point):
+    """Every edge of Hamilton cycle i lies in one of cover i's own
+    pools, Ê_{t,i} or E_{4,i} (pool label = i mod k), or in E_SMALL: no
+    phase reaches into another cover's pools.  At k = 1 every label
+    qualifies, so that point checks only that trials get this far."""
+    parts = []
+    split = hn.split_edges
+
+    def kept(*args, **kwargs):
+        parts.append(split(*args, **kwargs))
+        return parts[-1]
+
+    monkeypatch.setattr(hn, "split_edges", kept)
+    params = ModelParams.make(*point)
+    wins = 0
+    for seed in range(4):
+        rec = hn.run_trial(params, seed)
+        if not rec.success:
+            continue
+        wins += 1
+        part = parts[-1]
+        for i, eids in enumerate(rec.certificate.edge_ids):
+            own = (part.pool[eids] % part.k == i) | part.e_small[eids]
+            assert own.all(), (seed, i, np.flatnonzero(~own))
+    assert len(parts) == 4 and wins >= 3
+
+
 class TestRecordsPinned:
     """Digests of canonical trial records.  A change that claims to
     leave the RNG stream and every output alone must keep them."""
@@ -311,7 +341,8 @@ FAILURE_CASES = {
                "verify", "cycle 0"),
     "internal": ((600, 30.0, 1),
                  [(hn, "matching_to_cycle_cover",
-                   lambda pm: cv.PermutationDigraph(0 * pm.succ))],
+                   lambda pm: cv.PermutationDigraph(0 * pm.succ,
+                                                    pm.edge_ids))],
                  "internal", "not a permutation"),
     # broken invariants the pipeline no longer repairs: an exchange
     # that names one tail twice, a booster pair offered twice, and a
@@ -590,7 +621,8 @@ class TestStats:
         assert (9,) in parts and (3, 3, 3) in parts
 
     def test_simplicity_rate_fields(self):
-        out = hn.stats_simplicity_rate(2000, 4.0, 1, attempts=50, seed=5)
+        out = hn.stats_simplicity_rate(ModelParams.make(2000, 4.0, 1),
+                                       attempts=50, seed=5)
         assert 0.0 <= out["observed_rate"] <= 1.0
         assert out["predicted_rate"] == pytest.approx(
             math.exp(-(out["loop_exponent"]
@@ -599,27 +631,29 @@ class TestStats:
             > out["duplicate_exponent"]
 
     def test_degree_gof_passes(self):
-        out = hn.stats_degree_gof(20000, 10.0, 1, seed=3)
+        out = hn.stats_degree_gof(ModelParams.make(20000, 10.0, 1), seed=3)
         assert out["passed"]
         assert out["p_values"][0] > 0.01
 
     def test_partition_sizes_clean(self):
-        out = hn.stats_partition_sizes(2000, 10.0, 2, runs=20, seed=3)
+        out = hn.stats_partition_sizes(ModelParams.make(2000, 10.0, 2),
+                                       runs=20, seed=3)
         assert out["overlap_or_coverage_violations"] == 0
         assert out["worst_abs_deviation_sigmas"] < 4.0
 
     def test_small_size_report(self):
-        out = hn.stats_small_size(2000, 20.0, 1, seed=3)
+        out = hn.stats_small_size(ModelParams.make(2000, 20.0, 1), seed=3)
         assert out["threshold"] == 2.5
         assert 0 <= out["small_vertices"] <= 2000
         assert out["small_fraction"] == out["small_vertices"] / 2000
 
     def test_census_csv(self):
-        text = hn.stats_census(1000, 8.0, 1, seed=3)
+        text = hn.stats_census(ModelParams.make(1000, 8.0, 1), seed=3)
         assert text.splitlines()[0] == "r,s,observed,expected,normalized"
 
     def test_expansion_clean(self):
-        out = hn.stats_expansion(2000, 10.0, 1, samples=100, seed=3)
+        out = hn.stats_expansion(ModelParams.make(2000, 10.0, 1),
+                                 samples=100, seed=3)
         assert out["violations"] == []
         assert 0 < out["max_ratio"] < 1
 

@@ -169,15 +169,6 @@ class TestComputeSmall:
             small, _ = compute_small(sd, part, params.c, 1)
             assert small.sum() <= params.n * math.exp(-params.c / 100.0)
 
-    def test_working_edges_contains_pool_and_small(self, tiny_params, tiny_host):
-        part = split_edges(tiny_host, 1, rng_stream(28, 0))
-        compute_small(tiny_host, part, tiny_params.c, 1)
-        w = set(part.working_edges(2, 0).tolist())
-        assert set(part.pool_edges(2, 0).tolist()) <= w
-        assert set(np.nonzero(part.e_small)[0].tolist()) <= w
-        with pytest.raises(ValueError):
-            part.working_edges(4, 0)
-
     def test_json_dump_shape(self, tiny_params, tiny_host):
         part = split_edges(tiny_host, 2, rng_stream(29, 0))
         compute_small(tiny_host, part, tiny_params.c, 2)
@@ -188,3 +179,39 @@ class TestComputeSmall:
         total = sum(len(obj[f"Ehat{t}_{i}"]) for t in (1, 2, 3) for i in (1, 2))
         total += len(obj["E4_1"]) + len(obj["E4_2"])
         assert total == tiny_host.m
+
+
+class TestReserve:
+    @pytest.mark.parametrize("k, c", [(1, 30.0), (2, 60.0), (3, 100.0)])
+    def test_matches_set_formula(self, k, c):
+        """reserve(t, i, used) is E_{t,i} built from the pool's ids,
+        E_SMALL and used: Ê_{t,i} ∪ E_SMALL for t in {1, 3}, Ê_{2,i}
+        without E_SMALL, E_{4,i} as it is, minus the used edges."""
+        params = ModelParams.make(400, c, k)
+        sd, _ = sample_erased_digraph(params, rng_stream(30, k))
+        part = split_edges(sd, k, rng_stream(30, k))
+        compute_small(sd, part, c, k)
+        used = rng_stream(31, k).random(sd.m) < 0.3
+        before = used.copy()
+        e_small = set(np.flatnonzero(part.e_small).tolist())
+        spent = set(np.flatnonzero(used).tolist())
+        assert e_small and spent
+        for t in (1, 2, 3, 4):
+            for i in range(k):
+                pool = set(part.pool_edges(t, i).tolist())
+                want = {1: pool | e_small, 2: pool - e_small,
+                        3: pool | e_small, 4: pool}[t] - spent
+                got = part.reserve(t, i, used)
+                assert got.dtype == bool and got.shape == (sd.m,)
+                assert set(np.flatnonzero(got).tolist()) == want
+        for i in range(k):
+            # boosters are new pairs to G_i: no E_SMALL edge, used or not
+            for mask in (used, np.zeros(sd.m, dtype=bool)):
+                assert not (part.reserve(2, i, mask) & part.e_small).any()
+        assert np.array_equal(used, before)
+
+    def test_refuses_before_compute_small(self, tiny_host):
+        part = split_edges(tiny_host, 1, rng_stream(28, 0))
+        for t in (1, 2, 3, 4):
+            with pytest.raises(ValueError, match="compute_small has not run"):
+                part.reserve(t, 0, np.zeros(tiny_host.m, dtype=bool))

@@ -23,7 +23,8 @@ from hampack.rng import rng_stream
 
 
 def cover_instance(cycle_lists, extra=()):
-    """Host digraph + cover + reserve pool from explicit cycles."""
+    """Host digraph + cover + reserve pool from explicit cycles; the
+    pool is the bool mask over edge ids that marks the extra edges."""
     n = max(v for cyc in cycle_lists for v in cyc) + 1
     cover_edges = []
     for cyc in cycle_lists:
@@ -36,7 +37,7 @@ def cover_instance(cycle_lists, extra=()):
         succ[a] = b
         eids[a] = i
     pd = PermutationDigraph(succ, eids)
-    pool = np.arange(len(cover_edges), len(edges), dtype=np.int64)
+    pool = np.arange(sd.m) >= len(cover_edges)
     return sd, pd, pool
 
 
@@ -210,7 +211,7 @@ class TestMergePatch:
         ham, _ = pt.merge_patch(pd, sd, pool, np.zeros(sd.n, dtype=bool),
                                 rng)
         new = set(ham.edge_ids.tolist()) - set(pd.edge_ids.tolist())
-        assert new <= set(pool.tolist())
+        assert new <= set(np.flatnonzero(pool).tolist())
 
     def test_output_pinned(self):
         # digest of what the per-vertex exchange loop produced: five
@@ -265,8 +266,8 @@ class TestFindExchangeOracle:
             sd, pd, pool, _ = random_instance(seed, extra, n=n, parts=parts)
             # the whole host as the pool puts the cover's own edges in
             # the CSR, where only the availability mask keeps them out
-            for pool_ids in (pool, np.arange(sd.m)):
-                ctx = _Ctx(sd, pool_ids)
+            for in_pool in (pool, np.ones(sd.m, dtype=bool)):
+                ctx = _Ctx(sd, in_pool)
                 ctx.refresh(pd)
                 for frac in (None, 0.0, 0.3, 0.8):
                     blocked = None if frac is None else rng0.random(n) < frac
@@ -341,13 +342,11 @@ class TestPipelinePhaseThree:
             for i in range(params.k):
                 pd = matching_to_cycle_cover(pms[i])
                 used[pms[i].edge_ids] = False
-                pool3 = part.working_edges(3, i)
-                pool3 = pool3[~used[pool3]]
-                pd2, p2 = eliminate_small_cycles(pd, sd, pool3, rng, budget)
+                pd2, p2 = eliminate_small_cycles(
+                    pd, sd, part.reserve(3, i, used), rng, budget)
                 blocked = p2.burnt | part.small
-                pool4 = part.pool_edges(4, i)
-                pool4 = pool4[~used[pool4]]
-                ham, _ = pt.merge_patch(pd2, sd, pool4, blocked, rng)
+                ham, _ = pt.merge_patch(pd2, sd, part.reserve(4, i, used),
+                                        blocked, rng)
                 used[ham.edge_ids] = True
                 hams.append(ham)
             return hams
