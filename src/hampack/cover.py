@@ -44,8 +44,7 @@ budget here keeps the same shape at bench scale: ν ≈ √(n/α) leaves
 with α = ⌈c/8k⌉, and a W cap of max(n^{3/4}, 0.85n).  Unlike the
 construction, the out-phase has no per-node cap of α children: a node
 admits every available pivot, and only the level's leaf cap stops it.
-W leaves the phase as PhaseTwoStats.burnt; phase 3 must not break
-cycles at its vertices.
+W leaves the phase as PhaseTwoStats.burnt.
 """
 
 from __future__ import annotations

@@ -92,17 +92,15 @@ def run_pipeline(params: ModelParams, rng: np.random.Generator, sd=None):
                 pd, sd, part.reserve(3, i, used), rng, budget)
             info["phase2"].append(p2)
 
-            blocked = p2.burnt | part.small
-            ham, p3 = merge_patch(pd2, sd, part.reserve(4, i, used),
-                                  blocked, rng)
+            ham, p3 = merge_patch(pd2, sd, part.reserve(4, i, used), rng)
             info["phase3"].append(p3)
             used[ham.edge_ids] = True
             covers.append(ham)
         except PhaseFailure as exc:
             exc.index = i
             raise
-        log.debug("cover %d repaired: |W|=%d merges=%d relaxed=%d", i,
-                  p2.w_size, p3.merges, p3.relaxed_merges)
+        log.debug("cover %d repaired: |W|=%d merges=%d", i,
+                  p2.w_size, p3.merges)
 
     cert = certificate_from_covers(sd, covers)
     chk = verify_packing(sd, cert)
@@ -244,15 +242,13 @@ def _sweep_one(spec):
     return ci, rec, seconds
 
 
-def run_sweep(ns, cs, ks, trials: int, seed: int,
+def run_sweep(cells: list, trials: int, seed: int,
               workers: int = 1) -> SweepSummary:
-    """Grid of cells x seeded trials; summary is worker-invariant.
+    """Cells x seeded trials; summary is worker-invariant.
 
-    Each cell's ModelParams is built once, before any trial runs, so a
-    cell it refuses raises its ValueError or HampackError up front.
+    cells are ModelParams in grid order: cell ci's trial seeds derive
+    from (seed, ci), and the summary has one row per cell in that order.
     """
-    cells = [ModelParams.make(int(n), float(c), int(k))
-             for n, c, k in itertools.product(ns, cs, ks)]
     specs = [(ci, params, derive_seed(seed, ci, t))
              for ci, params in enumerate(cells) for t in range(trials)]
     # a pool starts all its processes at the first submit: cap their count
@@ -706,10 +702,9 @@ def _cmd_sweep(args, parser) -> int:
         ns, cs, ks = _parse_grid(args.grid)
     except ValueError as exc:
         parser.error(str(exc))
-    for n, c, k in itertools.product(ns, cs, ks):
-        _model_params(n, c, k)  # refusals are usage errors
-    summary = run_sweep(ns, cs, ks, args.trials, args.seed,
-                        workers=args.workers)
+    cells = [_model_params(n, c, k)  # refusals are usage errors
+             for n, c, k in itertools.product(ns, cs, ks)]
+    summary = run_sweep(cells, args.trials, args.seed, workers=args.workers)
     text = summary.to_csv()
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:

@@ -21,7 +21,6 @@ supply E_{t,i} lives; every phase takes its pool from it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,19 +32,17 @@ __all__ = ["EdgePartition", "split_edges", "compute_small"]
 
 @dataclass
 class EdgePartition:
-    """Pool labels over edge ids plus the SMALL marks.
+    """Pool labels over edge ids plus the E_SMALL mark.
 
     pool[e] = (t-1)k + i, in [0, 4k), names the pool of edge e: Ê_{t,i}
-    for t <= 3, E_{4,i} for t = 4, with i in [0, k).  small/e_small are
-    boolean marks over vertices/edges; both stay None until
-    compute_small fills them.
+    for t <= 3, E_{4,i} for t = 4, with i in [0, k).  e_small is a
+    boolean mark over edges; it stays None until compute_small fills it.
     """
 
     n: int
     m: int
     k: int
     pool: np.ndarray
-    small: np.ndarray | None = None
     e_small: np.ndarray | None = None
 
     def pool_edges(self, t: int, i: int) -> np.ndarray:
@@ -67,23 +64,6 @@ class EdgePartition:
             mask &= ~self.e_small
         mask &= ~used
         return mask
-
-    def check_cover(self) -> bool:
-        """Pools are disjoint and cover all m edges (one label per edge
-        makes disjointness structural; this checks the label range)."""
-        return (len(self.pool) == self.m
-                and bool(np.all((self.pool >= 0) & (self.pool < 4 * self.k))))
-
-    def to_json(self) -> str:
-        obj = {}
-        for t in (1, 2, 3, 4):
-            for i in range(self.k):
-                name = f"E{t}_{i + 1}" if t == 4 else f"Ehat{t}_{i + 1}"
-                obj[name] = [int(e) for e in self.pool_edges(t, i)]
-        if self.small is not None:
-            obj["SMALL"] = [int(v) for v in np.nonzero(self.small)[0]]
-            obj["E_SMALL"] = [int(e) for e in np.nonzero(self.e_small)[0]]
-        return json.dumps(obj, sort_keys=True)
 
 
 def split_edges(sd: SimpleDigraph, k: int, rng: np.random.Generator) -> EdgePartition:
@@ -109,7 +89,8 @@ def split_edges(sd: SimpleDigraph, k: int, rng: np.random.Generator) -> EdgePart
 
 def compute_small(sd: SimpleDigraph, part: EdgePartition,
                   c: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mark SMALL vertices and their incident edges.
+    """SMALL vertices and E_SMALL, their incident edges, as bool masks;
+    part.e_small is set to the latter.
 
     The threshold is the real value c/8k compared with <=; on integer
     degrees this equals floor(c/8k).  Pools with t = 4 do not count:
@@ -130,6 +111,5 @@ def compute_small(sd: SimpleDigraph, part: EdgePartition,
         small |= deg.reshape(3 * k, n).min(axis=0) <= thr
     e_small = small[sd.tails]
     e_small |= small[sd.heads]
-    part.small = small
     part.e_small = e_small
     return small, e_small

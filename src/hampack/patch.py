@@ -18,10 +18,6 @@ last resort behind longer exchanges between two cycles.
 that argument.  Both walk one enumeration of the cyclic tau of [kappa]:
 the first counts those with phi∘tau cyclic (|R_phi|), the second
 returns the first of them that a given auxiliary digraph admits.
-
-Break vertices are drawn from V_j, the cycle's vertices that are
-neither burnt (W) nor of low pool degree (SMALL), while the relaxed
-fallback drops that filter rather than fail a trial.
 """
 
 import itertools
@@ -37,9 +33,10 @@ from .model import SimpleDigraph
 @dataclass
 class PatchStats:
     merges: int = 0
+    # always 0: perfbench reads all three (tracer.py reads relaxed_merges,
+    # workload.py::_pack reads kappa and search_nodes); each goes with
+    # the benchmark change that stops reading it (ROADMAP items 1 and 4)
     relaxed_merges: int = 0
-    # always 0: perfbench/workload.py::_pack reads both, and they go
-    # when ROADMAP item 1 makes _pack call run_trial
     kappa: int = 0
     search_nodes: int = 0
 
@@ -94,20 +91,17 @@ def count_r_phi(phi: np.ndarray) -> int:
 
 
 def _find_exchange(pd: PermutationDigraph, cid: int, ctx: _Ctx,
-                   blocked: np.ndarray | None,
                    rng: np.random.Generator):
     """A feasible 2-exchange splicing cycle cid into another cycle.
 
     Returns (a, b, eid_ab+, eid_ba+) where both joins are available
-    reserve edges, or None.  blocked filters the two break vertices.
-    Candidates a are tried in a random order and, per a, along its
-    available pool edges (a, b+); they are checked in chunks of that
-    order growing 4x from 256, and the first feasible one wins.
+    reserve edges, or None.  Candidates a are tried in a random order
+    and, per a, along its available pool edges (a, b+); they are
+    checked in chunks of that order growing 4x from 256, and the first
+    feasible one wins.
     """
     cyc = pd.cycles[cid]
     order = cyc[rng.permutation(len(cyc))]
-    if blocked is not None:
-        order = order[~blocked[order]]
     lo, size = 0, 256
     while lo < len(order):
         chunk = order[lo:lo + size]
@@ -115,10 +109,7 @@ def _find_exchange(pd: PermutationDigraph, cid: int, ctx: _Ctx,
         a = chunk[at]
         lo, size = lo + size, 4 * size
         keep = pd.cycle_id[h] != cid
-        b = pd.pred[h]
-        if blocked is not None:
-            keep &= ~blocked[b]
-        a, b, eid1 = a[keep], b[keep], eid1[keep]
+        a, b, eid1 = a[keep], pd.pred[h[keep]], eid1[keep]
         eid2 = ctx.sd.edge_lookup(b, pd.succ[a])
         ok = eid2 >= 0
         ok[ok] = ctx.avail[eid2[ok]]
@@ -130,29 +121,24 @@ def _find_exchange(pd: PermutationDigraph, cid: int, ctx: _Ctx,
 
 
 def merge_patch(pd: PermutationDigraph, sd: SimpleDigraph,
-                in_pool: np.ndarray, blocked: np.ndarray,
-                rng: np.random.Generator,
+                in_pool: np.ndarray, rng: np.random.Generator,
                 ) -> tuple[PermutationDigraph, PatchStats]:
     """Merge cycles pairwise until the cover is one Hamilton cycle.
 
     in_pool, the reserve pool as a bool mask over edge ids, is never
     written.  Each round splices the smallest cycle into another via
-    an edge exchange whose break vertices avoid W ∪ SMALL; if no such
-    exchange exists the filter is dropped before giving up.
+    an edge exchange; PhaseFailure when the smallest cycle has none.
     """
     stats = PatchStats()
     ctx = _Ctx(sd, in_pool)
     while pd.num_cycles > 1:
         ctx.refresh(pd)
         cid = int(np.argmin(pd.cycle_lens))
-        found = _find_exchange(pd, cid, ctx, blocked, rng)
+        found = _find_exchange(pd, cid, ctx, rng)
         if found is None:
-            found = _find_exchange(pd, cid, ctx, None, rng)
-            if found is None:
-                raise PhaseFailure(
-                    "phase3", f"no exchange merges the {int(pd.cycle_lens[cid])}"
-                    f"-cycle ({pd.num_cycles} cycles left)")
-            stats.relaxed_merges += 1
+            raise PhaseFailure(
+                "phase3", f"no exchange merges the {int(pd.cycle_lens[cid])}"
+                f"-cycle ({pd.num_cycles} cycles left)")
         a, b, eid1, eid2 = found
         merged = pd.rewired((a, b), (sd.heads[eid1], pd.succ[a]),
                             (eid1, eid2))

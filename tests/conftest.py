@@ -1,10 +1,22 @@
 """Shared fixtures: session-scoped hosts so the slow sampling runs once."""
 
+import itertools
+
 import pytest
 
 from hampack import model
 from hampack.model import ModelParams, sample_erased_digraph, sample_simple_digraph
 from hampack.rng import rng_stream
+
+
+@pytest.fixture(scope="session")
+def sweep_cells():
+    """Builds a sweep grid's cells, as run_sweep takes them: one
+    ModelParams per (n, c, k) of ns x cs x ks, in grid order."""
+    def cells(ns, cs, ks):
+        return [ModelParams.make(n, c, k)
+                for n, c, k in itertools.product(ns, cs, ks)]
+    return cells
 
 
 def _rejection(n, m, k):

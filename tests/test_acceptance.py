@@ -238,12 +238,13 @@ def test_criterion_09_small_graph_oracles():
           f"naive-recheck agreement {agree}/{trials}")
 
 
-def test_criterion_10_determinism():
+def test_criterion_10_determinism(sweep_cells):
     params = ModelParams.make(2000, 50.0, 1)
     seed = derive_seed(BASE, 10, 0)
     trial_ok = run_trial(params, seed).to_json() == \
         run_trial(params, seed).to_json()
-    grid = dict(ns=[400, 500], cs=[5.0], ks=[1], trials=3, seed=BASE)
+    grid = dict(cells=sweep_cells([400, 500], [5.0], [1]), trials=3,
+                seed=BASE)
     csv_one = run_sweep(workers=1, **grid).to_csv()
     csv_rerun = run_sweep(workers=1, **grid).to_csv()
     csv_eight = run_sweep(workers=8, **grid).to_csv()

@@ -156,6 +156,24 @@ def test_cycles_use_own_pools(monkeypatch, point):
     assert len(parts) == 4 and wins >= 3
 
 
+def test_phase_three_ignores_w(monkeypatch):
+    """Phase 3 reads nothing of phase 2 but the cover: records are the
+    same when phase 2 reports every vertex burnt."""
+    params = ModelParams.make(2000, 100.0, 2)
+    plain = [hn.run_trial(params, seed) for seed in range(3)]
+    assert all(rec.success and sum(rec.kappa) > 0 for rec in plain)
+    eliminate = hn.eliminate_small_cycles
+
+    def all_burnt(*args, **kwargs):
+        pd, stats = eliminate(*args, **kwargs)
+        stats.burnt = np.ones_like(stats.burnt)
+        return pd, stats
+
+    monkeypatch.setattr(hn, "eliminate_small_cycles", all_burnt)
+    for seed, rec in enumerate(plain):
+        assert hn.run_trial(params, seed).to_json() == rec.to_json()
+
+
 class TestRecordsPinned:
     """Digests of canonical trial records.  A change that claims to
     leave the RNG stream and every output alone must keep them."""
@@ -165,9 +183,9 @@ class TestRecordsPinned:
         return hashlib.sha256(rec.to_json().encode()).hexdigest()
 
     @pytest.mark.parametrize("seed, want", [
-        (0, "20a7bca2802301aea283ed22a22d5db0015c6e3a663a105906ef2b57174b18a6"),
-        (1, "423cff481f861aed35df85cafa9a79ba5d51322b3e58b2665feb7be99d74441e"),
-        (2, "481582c5222cf09c32a3ea1cced86ded6bfb8e1da516ddfc8d9216ad5d3e1a1c"),
+        (0, "192b7314d3940eb17886aa6862d1dcc0c3bd2d98faff8cfb889bb41d95ed8cb0"),
+        (1, "b046fcddf7f50e65f52a72395379c52870b422c7845934cc3692c80101ae6e50"),
+        (2, "f078e1a7c13c6086d86053e5e7f62bd8663c79f13f10ea9262787b4e420aa547"),
     ], ids=["seed0", "seed1", "seed2"])
     def test_run_trial(self, seed, want):
         rec = hn.run_trial(ModelParams.make(2000, 100.0, 2), seed)
@@ -178,7 +196,7 @@ class TestRecordsPinned:
         (0, "failure:phase2",
          "7e650733bcac376e374321263630b147bc7ec35d3e1bd8ea3a55a770cd04ae28"),
         (1, "success",
-         "93da676adb06078d9724cf232fd5aca2c18777af40947b5c0dda7b76469fd0cd"),
+         "b13a5e32ef96c8c8a373a26ba6e6dbc84c97f9fb9f54206af183edac560871ea"),
     ], ids=["seed0", "seed1"])
     def test_pack_given_host(self, seed, outcome, want):
         # the ``pack --in`` path: a fixed host, drawn apart from the
@@ -204,9 +222,9 @@ class TestInternalFailure:
         assert rec.seed == 41 and not rec.success
         assert rec.cert_digest is None
 
-    def test_sweep_completes(self, monkeypatch):
+    def test_sweep_completes(self, monkeypatch, sweep_cells):
         monkeypatch.setattr(hn, "run_pipeline", self.broken_pipeline)
-        summary = hn.run_sweep(ns=[60, 80], cs=[4.0], ks=[1], trials=2,
+        summary = hn.run_sweep(sweep_cells([60, 80], [4.0], [1]), trials=2,
                                seed=29)
         assert [(r.trials, r.successes, r.failures)
                 for r in summary.rows] == [(2, 0, "internal=2")] * 2
@@ -458,10 +476,13 @@ class TestFailureTags:
 
 
 class TestRunSweep:
-    GRID = dict(ns=[300, 400], cs=[4.0], ks=[1], trials=3, seed=17)
+    @pytest.fixture
+    def grid(self, sweep_cells):
+        return dict(cells=sweep_cells([300, 400], [4.0], [1]), trials=3,
+                    seed=17)
 
-    def test_summary_shape(self):
-        summary = hn.run_sweep(**self.GRID)
+    def test_summary_shape(self, grid):
+        summary = hn.run_sweep(**grid)
         assert len(summary.rows) == 2
         text = summary.to_csv()
         lines = text.strip().splitlines()
@@ -472,17 +493,17 @@ class TestRunSweep:
             assert 0 <= row.successes <= 3
             assert row.rate == row.successes / 3
 
-    def test_worker_invariance(self):
-        a = hn.run_sweep(**self.GRID, workers=1).to_csv()
-        b = hn.run_sweep(**self.GRID, workers=2).to_csv()
+    def test_worker_invariance(self, grid):
+        a = hn.run_sweep(**grid, workers=1).to_csv()
+        b = hn.run_sweep(**grid, workers=2).to_csv()
         assert a == b
 
-    def test_repeat_identical(self):
-        a = hn.run_sweep(**self.GRID).to_csv()
-        b = hn.run_sweep(**self.GRID).to_csv()
+    def test_repeat_identical(self, grid):
+        a = hn.run_sweep(**grid).to_csv()
+        b = hn.run_sweep(**grid).to_csv()
         assert a == b
 
-    def test_pool_capped_by_trials_and_cpus(self, monkeypatch):
+    def test_pool_capped_by_trials_and_cpus(self, monkeypatch, sweep_cells):
         # a pool launches every worker at its first submit, so the cap
         # is what keeps a large --workers from forking that many; the
         # stand-in pool records its size and maps in this process
@@ -502,7 +523,7 @@ class TestRunSweep:
                 return map(fn, items)
 
         monkeypatch.setattr(hn, "ProcessPoolExecutor", SerialPool)
-        grid = dict(ns=[300], cs=[4.0], ks=[1], trials=4, seed=17)
+        grid = dict(cells=sweep_cells([300], [4.0], [1]), trials=4, seed=17)
         serial = hn.run_sweep(**grid).to_csv()
         for cpus, workers, size in ((3, 5000, 3), (64, 5000, 4),
                                     (64, 2, 2), (None, 5000, None)):
@@ -517,19 +538,19 @@ class TestRunSweep:
         s10 = derive_seed(17, 1, 0)
         assert len({s00, s01, s10}) == 3
 
-    def test_failure_histogram_totals(self):
-        summary = hn.run_sweep(ns=[60], cs=[4.0], ks=[1], trials=4,
+    def test_failure_histogram_totals(self, sweep_cells):
+        summary = hn.run_sweep(sweep_cells([60], [4.0], [1]), trials=4,
                                seed=23)
         row = summary.rows[0]
         counted = sum(int(part.split("=")[1])
                       for part in row.failures.split(";") if part)
         assert row.successes + counted == row.trials
 
-    def test_times_every_trial(self, caplog):
+    def test_times_every_trial(self, caplog, sweep_cells):
         # every trial of this cell fails in phase 2, and the cell's
         # t50/t90 line still reads their times
         with caplog.at_level("INFO", logger="hampack"):
-            summary = hn.run_sweep([40], [3.0], [1], 4, 0)
+            summary = hn.run_sweep(sweep_cells([40], [3.0], [1]), 4, 0)
         assert summary.rows[0].failures == "phase2=4"
         lines = [r.getMessage() for r in caplog.records
                  if "t50=" in r.getMessage()]
@@ -734,13 +755,13 @@ class TestCLI:
             hn.main(["pack", "--seed", "1"])
         assert exc.value.code == 64
 
-    def test_sweep_to_file(self, tmp_path):
+    def test_sweep_to_file(self, tmp_path, sweep_cells):
         out = tmp_path / "sweep.csv"
         code = hn.main(["sweep", "--grid", "n=300;c=4;k=1",
                         "--trials", "2", "--seed", "17",
                         "--out", str(out)])
         assert code == 0
-        direct = hn.run_sweep([300], [4.0], [1], 2, 17).to_csv()
+        direct = hn.run_sweep(sweep_cells([300], [4.0], [1]), 2, 17).to_csv()
         assert out.read_text() == direct
 
     def test_oracle_paths(self, capsys, tmp_path):

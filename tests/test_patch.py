@@ -176,60 +176,45 @@ class TestMergePatch:
         sd, pd, pool = cover_instance(
             [[0, 1, 2, 3], [4, 5, 6, 7]],
             extra=[(0, 5), (4, 1)])
-        ham, stats = pt.merge_patch(pd, sd, pool,
-                                    np.zeros(8, dtype=bool), rng_stream(4))
+        ham, stats = pt.merge_patch(pd, sd, pool, rng_stream(4))
         assert ham.num_cycles == 1 and stats.merges == 1
         assert stats.relaxed_merges == 0
         assert int(ham.succ[0]) == 5 and int(ham.succ[4]) == 1
-
-    def test_blocked_falls_back_to_relaxed(self):
-        blocked = np.zeros(8, dtype=bool)
-        blocked[0] = True
-        sd, pd, pool = cover_instance(
-            [[0, 1, 2, 3], [4, 5, 6, 7]],
-            extra=[(0, 5), (4, 1)])
-        ham, stats = pt.merge_patch(pd, sd, pool, blocked, rng_stream(4))
-        assert ham.num_cycles == 1
-        assert stats.relaxed_merges == 1
 
     def test_no_exchange_raises(self):
         sd, pd, pool = cover_instance(
             [[0, 1, 2, 3], [4, 5, 6, 7]],
             extra=[(0, 5)])  # no return edge
         with pytest.raises(PhaseFailure, match="phase3"):
-            pt.merge_patch(pd, sd, pool, np.zeros(8, dtype=bool),
-                           rng_stream(4))
+            pt.merge_patch(pd, sd, pool, rng_stream(4))
 
     def test_three_cycles_two_merges(self):
         sd, pd, pool, rng = random_instance(77, 4000, n=150, parts=3)
-        ham, stats = pt.merge_patch(pd, sd, pool,
-                                    np.zeros(sd.n, dtype=bool), rng)
+        ham, stats = pt.merge_patch(pd, sd, pool, rng)
         assert ham.num_cycles == 1 and stats.merges == 2
 
     def test_never_consumes_cover_edges(self):
         sd, pd, pool, rng = random_instance(78, 4000)
-        ham, _ = pt.merge_patch(pd, sd, pool, np.zeros(sd.n, dtype=bool),
-                                rng)
+        ham, _ = pt.merge_patch(pd, sd, pool, rng)
         new = set(ham.edge_ids.tolist()) - set(pd.edge_ids.tolist())
         assert new <= set(np.flatnonzero(pool).tolist())
 
     def test_output_pinned(self):
-        # digest of what the per-vertex exchange loop produced: five
-        # merges, three of them relaxed; the batched search must
-        # reproduce them and leave the stream where the loop left it
+        # digest of what merge_patch produced with loop_find_exchange
+        # as its search: five merges; the batched search must reproduce
+        # them and leave the stream where the loop left it
         sd, pd, pool, rng = random_instance(81, 8000, n=600, parts=6)
-        blocked = rng.random(sd.n) < 0.93
-        ham, stats = pt.merge_patch(pd, sd, pool, blocked, rng)
-        assert (stats.merges, stats.relaxed_merges) == (5, 3)
+        ham, stats = pt.merge_patch(pd, sd, pool, rng)
+        assert (stats.merges, stats.relaxed_merges) == (5, 0)
         h = hashlib.sha256()
         h.update(ham.succ.astype("<i8").tobytes())
         h.update(ham.edge_ids.astype("<i8").tobytes())
-        assert h.hexdigest() == ("77326eac9a7ceff235f02c80898d7ccf"
-                                 "2cca18ab9ff4efdb4096ee42e03331cc")
-        assert int(rng.integers(1 << 62)) == 3348483245973653063
+        assert h.hexdigest() == ("3c8a63ae6eeab04e10bc376f28b8889d"
+                                 "9f6c0e41c55aa7cf12e81f52f0cf6c09")
+        assert int(rng.integers(1 << 62)) == 4188567748077616332
 
 
-def loop_find_exchange(pd, cid, ctx, blocked, rng):
+def loop_find_exchange(pd, cid, ctx, rng):
     """Reference exchange search: one a at a time, scalar lookups.
 
     The loop _find_exchange ran before it was batched; kept as the
@@ -239,16 +224,12 @@ def loop_find_exchange(pd, cid, ctx, blocked, rng):
     sd = ctx.sd
     for idx in rng.permutation(len(cyc)):
         a = int(cyc[idx])
-        if blocked is not None and blocked[a]:
-            continue
         a_next = int(pd.succ[a])
         _at, eids, heads = ctx.rows(0, np.array([a]))
         for eid1, h in zip(eids.tolist(), heads.tolist()):
             if pd.cycle_id[h] == cid:
                 continue
             b = int(pd.pred[h])
-            if blocked is not None and blocked[b]:
-                continue
             eid2 = sd.edge_lookup(b, a_next)
             if eid2 >= 0 and ctx.avail[eid2]:
                 return a, b, eid1, eid2
@@ -259,7 +240,7 @@ class TestFindExchangeOracle:
     def test_matches_loop(self):
         rng0 = rng_stream(0, 9)
         outcomes = {True: 0, False: 0}
-        for seed in range(12):
+        for seed in range(48):
             parts = int(rng0.integers(2, 6))
             n = parts * int(rng0.integers(5, 60))
             extra = int(rng0.integers(0, min(20 * n, n * (n - 1) // 4)))
@@ -269,19 +250,17 @@ class TestFindExchangeOracle:
             for in_pool in (pool, np.ones(sd.m, dtype=bool)):
                 ctx = _Ctx(sd, in_pool)
                 ctx.refresh(pd)
-                for frac in (None, 0.0, 0.3, 0.8):
-                    blocked = None if frac is None else rng0.random(n) < frac
-                    for cid in range(pd.num_cycles):
-                        twin = copy.deepcopy(rng0)
-                        want = loop_find_exchange(pd, cid, ctx, blocked, twin)
-                        got = pt._find_exchange(pd, cid, ctx, blocked, rng0)
-                        assert got == want
-                        # both searches leave the stream at the same place
-                        assert np.array_equal(twin.integers(1 << 62, size=4),
-                                              rng0.integers(1 << 62, size=4))
-                        if got is not None:
-                            assert all(type(x) is int for x in got)
-                        outcomes[got is not None] += 1
+                for cid in range(pd.num_cycles):
+                    twin = copy.deepcopy(rng0)
+                    want = loop_find_exchange(pd, cid, ctx, twin)
+                    got = pt._find_exchange(pd, cid, ctx, rng0)
+                    assert got == want
+                    # both searches leave the stream at the same place
+                    assert np.array_equal(twin.integers(1 << 62, size=4),
+                                          rng0.integers(1 << 62, size=4))
+                    if got is not None:
+                        assert all(type(x) is int for x in got)
+                    outcomes[got is not None] += 1
         assert outcomes[True] > 20 and outcomes[False] > 20
 
 
@@ -312,8 +291,8 @@ class TestFindExchangeOracle:
         sd, pd, ctx, order = self.long_cycle_case(8, hits)
         rng = rng_stream(8, 6)
         twin = copy.deepcopy(rng)
-        got = pt._find_exchange(pd, 0, ctx, None, rng)
-        assert got == loop_find_exchange(pd, 0, ctx, None, twin)
+        got = pt._find_exchange(pd, 0, ctx, rng)
+        assert got == loop_find_exchange(pd, 0, ctx, twin)
         assert np.array_equal(twin.integers(1 << 62, size=4),
                               rng.integers(1 << 62, size=4))
         if not hits:
@@ -344,9 +323,8 @@ class TestPipelinePhaseThree:
                 used[pms[i].edge_ids] = False
                 pd2, p2 = eliminate_small_cycles(
                     pd, sd, part.reserve(3, i, used), rng, budget)
-                blocked = p2.burnt | part.small
                 ham, _ = pt.merge_patch(pd2, sd, part.reserve(4, i, used),
-                                        blocked, rng)
+                                        rng)
                 used[ham.edge_ids] = True
                 hams.append(ham)
             return hams
