@@ -51,13 +51,19 @@ class PhaseFailure(HampackError):
 
     phase names the tag "failure:<phase>" the trial records, with the
     detail and the trial's seed; the closed set of tags is FAILURE_TAGS.
+    The message is built when printed, so an index set after the raise
+    still shows in it.
     """
 
     def __init__(self, phase: str, detail: str = "", index: int | None = None,
                  witness=None):
+        super().__init__(phase, detail)
         self.phase = phase
         self.detail = detail
         self.index = index
         self.witness = witness
-        tag = phase if index is None else f"{phase}[i={index}]"
-        super().__init__(f"{tag}: {detail}" if detail else tag)
+
+    def __str__(self) -> str:
+        tag = (self.phase if self.index is None
+               else f"{self.phase}[i={self.index}]")
+        return f"{tag}: {self.detail}" if self.detail else tag

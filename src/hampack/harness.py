@@ -627,9 +627,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = st.add_parser("perm-cycles")
     s.add_argument("--n", type=_POSITIVE, required=True)
-    s.add_argument("--samples", type=_POSITIVE, default=10000)
+    # a standard error needs two samples
+    s.add_argument("--samples", type=_at_least(2), default=10000)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--short", type=int, default=10)
+    s.add_argument("--short", type=_POSITIVE, default=10)
 
     s = st.add_parser("rphi")
     s.add_argument("--kappa", type=_at_least(2), required=True)

@@ -4,13 +4,12 @@ A digraph on [n] maps to a bipartite graph on A ∪ B (two copies of
 [n]) with an edge {a_u, b_v} per digraph edge (u, v); perfect
 matchings correspond to cycle covers.  For each i the working graph
 G_i is built from Ê_{1,i} plus the unused E_SMALL edges and given a
-maximum matching.  If that falls short of perfect, booster edges from
-Ê_{2,i} join G_i in uniform random order, and G_i takes the shortest
-prefix of them that makes a perfect matching possible, found by a
-search over prefix lengths with one maximum matching per probe.
-Ê_{2,i} is disjoint from Ê_{1,i} ∪ E_SMALL, so every booster is a new
-pair.  Each probe builds its own grown graph, and the report carries
-the one its matching belongs to; G_i is left as it was.  A global
+maximum matching.  If that falls short of perfect, every booster edge
+from Ê_{2,i} joins a copy of G_i at once and the grown graph gets one
+more maximum matching; it has a perfect one exactly when some subset of
+the boosters would give one.  Ê_{2,i} is disjoint from Ê_{1,i} ∪
+E_SMALL, so every booster is a new pair.  The report carries the grown
+graph its matching belongs to; G_i is left as it was.  A global
 used-edge bitset keeps the k matchings edge-disjoint and stops E_SMALL
 edges from being spent twice.
 
@@ -140,8 +139,9 @@ def _hall_violator(g: BipartiteGraph,
 
 @dataclass
 class BoosterReport:
-    """graph is g grown by the consumed boosters; matching is a maximum
-    matching of it, and witness its Hall violator when not perfect."""
+    """graph is g grown by every booster offered (g itself when mt was
+    already perfect, with consumed 0); matching is a maximum matching of
+    it, and witness its Hall violator when not perfect."""
 
     matching: Matching
     consumed: int
@@ -156,51 +156,24 @@ def booster_augment(g: BipartiteGraph, mt: Matching,
                     boosters) -> BoosterReport:
     """Repair a maximum matching mt of g with booster edges.
 
-    boosters holds (a, b, host_edge_id) rows in the order they are
-    offered, each a new pair: no two rows share a pair and no row's
-    pair is in g.  consumed is the length of the shortest prefix whose
-    union with g has a perfect matching, and the report carries that
-    graph and a perfect matching of it.  When no prefix has one, the
-    report carries g grown by every booster and the Hall violator
-    certifying that.  g and mt are not modified.  A probed prefix that
-    repeats a pair raises ValueError.
-
-    Adding one edge raises the maximum matching by at most one, so a
-    prefix of length t that is d short of perfect rules out every
-    prefix shorter than t + d.  The search gallops from the deficiency
-    of mt, then bisects; each probe is one maximum matching.
+    boosters holds (a, b, host_edge_id) rows, each a new pair: no two
+    rows share a pair and no row's pair is in g; a repeat raises
+    ValueError.  Every row joins g at once and the grown graph gets one
+    maximum matching, so consumed is the number of rows.  Adding edges
+    never removes a perfect matching, so the grown graph has one exactly
+    when some prefix of the rows does; when it has none, the report
+    carries the Hall violator certifying that.  g and mt are not
+    modified.
     """
-    n = g.n
     if mt.is_perfect():
         return BoosterReport(matching=mt, consumed=0, witness=None, graph=g)
     a, b, eids = np.asarray(boosters, dtype=np.int64).reshape(-1, 3).T
-    base_a = g.codes // n
-
-    def probe(t: int) -> tuple[BipartiteGraph, Matching]:
-        gt = BipartiteGraph(n, np.concatenate((base_a, a[:t])),
-                            np.concatenate((g.indices, b[:t])),
-                            np.concatenate((g.eids, eids[:t])))
-        return gt, _matching(n, gt.indptr, gt.indices)
-
-    total = len(a)
-    lo = n - mt.size  # no shorter prefix can be perfect
-    hi = min(lo, total)
-    grown, found = probe(hi)
-    while not found.is_perfect() and hi < total:
-        lo = hi + n - found.size
-        hi = min(2 * hi, total)
-        grown, found = probe(hi)
-    if not found.is_perfect():
-        return BoosterReport(matching=found, consumed=total, graph=grown,
-                             witness=_hall_violator(grown, found))
-    while lo < hi:  # the shortest perfect prefix lies in [lo, hi]
-        mid = (lo + hi) // 2
-        g_mid, trial = probe(mid)
-        if trial.is_perfect():
-            hi, grown, found = mid, g_mid, trial
-        else:
-            lo = mid + n - trial.size
-    return BoosterReport(matching=found, consumed=hi, witness=None,
+    grown = BipartiteGraph(g.n, np.concatenate((g.codes // g.n, a)),
+                           np.concatenate((g.indices, b)),
+                           np.concatenate((g.eids, eids)))
+    found = _matching(g.n, grown.indptr, grown.indices)
+    witness = None if found.is_perfect() else _hall_violator(grown, found)
+    return BoosterReport(matching=found, consumed=len(a), witness=witness,
                          graph=grown)
 
 
@@ -225,8 +198,8 @@ def build_k_matchings(sd: SimpleDigraph, part: EdgePartition,
     """k pairwise edge-disjoint perfect matchings, one per pool index.
 
     G_i is part.reserve(1, i, used): Ê_{1,i} ∪ E_SMALL minus every
-    edge spent by earlier matchings; boosters stream from
-    part.reserve(2, i, used) in uniform random order.  used is the
+    edge spent by earlier matchings; when its matching is short, every
+    edge of part.reserve(2, i, used) joins it as a booster.  used is the
     trial-global bitset of spent host edges and is updated in place.
     """
     n, k = sd.n, part.k
@@ -240,7 +213,6 @@ def build_k_matchings(sd: SimpleDigraph, part: EdgePartition,
         mt = maximum_matching(g)
         if not mt.is_perfect():
             pool2 = np.flatnonzero(part.reserve(2, i, used))
-            pool2 = pool2[rng.permutation(len(pool2))]
             report = booster_augment(g, mt, np.column_stack(
                 (sd.tails[pool2], label[sd.heads[pool2]], pool2)))
             if not report.is_perfect():

@@ -4,7 +4,10 @@ import functools
 import hashlib
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -301,8 +304,8 @@ def short_by_two(g):
 
 
 def boosters_led_by(lead):
-    """booster_augment with the rows lead(g, boosters) put first; both
-    fall in its first probe, of deficiency length 2."""
+    """booster_augment with the rows lead(g, boosters) put first, so
+    they join G_i along with every other booster."""
     def augment(g, m, boosters):
         return real_booster_augment(g, m, np.vstack((lead(g, boosters),
                                                      boosters)))
@@ -468,11 +471,45 @@ class TestFailureTags:
         with pytest.raises(PhaseFailure) as info:
             hn.run_pipeline(params, rng_stream(0), sd=sd)
         assert len(calls) == 2 and info.value.index == 1
+        assert f"{phase}[i=1]" in str(info.value)
 
     def test_every_tag_is_driven(self):
         assert {f"failure:{spec[2]}" for spec in FAILURE_CASES.values()} \
             == set(FAILURE_TAGS)
         assert len(set(FAILURE_TAGS)) == len(FAILURE_TAGS)
+
+
+def test_booster_built_cover(monkeypatch):
+    # at the booster failure cases' host point, with the first matching
+    # two short, boosters build the cover: one report, perfect, that
+    # consumed every row offered; the cover's edges come from G_i and
+    # Ê_{2,i}, and the trial gets past phase 1 without breaking an
+    # invariant
+    sd = failure_host(600, 30.0, 1)
+    params = ModelParams.from_nmk(sd.n, sd.m, sd.k)
+    offered, reports, supply, pms = [], [], [], []
+    real_build = hn.build_k_matchings
+
+    def recorded(g, m, boosters):
+        offered.append(len(boosters))
+        reports.append(real_booster_augment(g, m, boosters))
+        return reports[-1]
+
+    def build(sd, part, rng, used):
+        supply.append(part.reserve(1, 0, used) | part.reserve(2, 0, used))
+        pms.extend(real_build(sd, part, rng, used=used))
+        return pms
+
+    monkeypatch.setattr(hn, "sample_erased_digraph",
+                        lambda params, rng: (sd, 1))
+    monkeypatch.setattr(hn, "build_k_matchings", build)
+    monkeypatch.setattr(mt, "maximum_matching", short_by_two)
+    monkeypatch.setattr(mt, "booster_augment", recorded)
+    rec = hn.run_trial(params, 0)
+    assert len(reports) == 1 and reports[0].is_perfect()
+    assert reports[0].consumed == offered[0] > 0
+    assert len(pms) == 1 and supply[0][pms[0].edge_ids].all()
+    assert rec.outcome not in ("failure:phase1", "failure:internal")
 
 
 class TestRunSweep:
@@ -783,6 +820,17 @@ class TestCLI:
         except SystemExit as exc:
             return exc.code
 
+    def test_module_entry_point(self):
+        # `python -m hampack` runs the CLI from a checkout, without the
+        # runpy warning `python -m hampack.harness` prints
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-m", "hampack", "--help"],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 0 and "usage: hampack" in done.stdout
+        assert "RuntimeWarning" not in done.stderr
+
     def test_usage_errors_exit_64(self, capsys, tmp_path):
         # phase 3 has one driver, so its old mode flag is a usage error
         for argv in ([], ["bogus"], ["stats", "bogus"],
@@ -817,6 +865,10 @@ class TestCLI:
                   "--workers", "0"], "--workers"),
                 (["stats", "perm-cycles", "--n", "10", "--samples", "0"],
                  "--samples"),
+                (["stats", "perm-cycles", "--n", "10", "--samples", "1"],
+                 "--samples"),
+                (["stats", "perm-cycles", "--n", "10", "--short", "0"],
+                 "--short"),
                 (["stats", "simplicity-rate", "--n", "100", "--c", "4",
                   "--k", "1", "--attempts", "0"], "--attempts"),
                 (["stats", "degree-gof", "--n", "100", "--c", "4", "--k",

@@ -213,7 +213,7 @@ class TestBoosterAugment:
         assert report.matching.check_consistent(report.graph)
 
     def test_repeated_booster_refused(self):
-        # two A vertices short, so the first probe holds both copies
+        # two A vertices short, so boosters run and meet both copies
         g = graph_of(3, [(0, 0)])
         with pytest.raises(ValueError, match="repeated pair"):
             booster_augment(g, maximum_matching(g),
@@ -251,11 +251,12 @@ class TestBoosterAugment:
             assert report.matching.size == fresh.size
             assert report.matching.check_consistent(report.graph)
 
-    def test_minimal_prefix(self):
-        # consumed is the shortest prefix of the boosters whose graph
-        # networkx finds perfect, and the report carries that graph; on
-        # failure the witness is a Hall violator as large as the
-        # deficiency.  Neither g nor the matching given changes.
+    def test_equals_some_prefix(self):
+        # the report is perfect exactly when networkx finds a perfect
+        # matching for some prefix of the boosters, and its graph is g
+        # plus every booster; on failure the witness is a Hall violator
+        # as large as the deficiency.  Neither g nor the matching given
+        # changes.
         rng = rng_stream(35, 0)
         outcomes = set()
         for trial in range(40):
@@ -271,11 +272,14 @@ class TestBoosterAugment:
                                         g.indptr, mt.pair_a, mt.pair_b)):
                 assert np.array_equal(old, now)
             kept = [(a, b) for a, b, _ in stream]
-            want = next((t for t in range(len(kept) + 1)
-                         if nx_matching_size(n, pairs + kept[:t]) == n),
-                        len(kept))
-            assert report.consumed == want
-            grown = graph_of(n, pairs + kept[:want])
+            some_prefix = any(nx_matching_size(n, pairs + kept[:t]) == n
+                              for t in range(len(kept) + 1))
+            assert report.is_perfect() == some_prefix
+            if mt.is_perfect():
+                assert report.consumed == 0 and report.graph is g
+                continue
+            assert report.consumed == len(kept)
+            grown = graph_of(n, pairs + kept)
             assert report.graph.codes.tolist() == grown.codes.tolist()
             assert report.matching.check_consistent(report.graph)
             outcomes.add(report.is_perfect())
@@ -330,17 +334,19 @@ class TestBuildK:
         return self._build(sd, part, rng)
 
     def test_forced_boosters(self, monkeypatch, rejection_path):
-        # consumed is pinned to the count that augmenting one booster
-        # at a time found on this case
-        reports = []
+        # one booster run repairs the matching, and consumed counts
+        # every row it was offered
+        reports, offered = [], []
         real = matching.booster_augment
 
-        def recorded(*args):
-            reports.append(real(*args))
+        def recorded(g, mt, boosters):
+            offered.append(len(boosters))
+            reports.append(real(g, mt, boosters))
             return reports[-1]
         monkeypatch.setattr(matching, "booster_augment", recorded)
         self._build(*forced_booster_host(1.0))
-        assert [r.consumed for r in reports] == [1172]
+        assert len(reports) == 1 and reports[0].is_perfect()
+        assert reports[0].consumed == offered[0]
 
     def test_boosters_are_new_pairs(self, monkeypatch, rejection_path):
         # booster_augment takes its rows as given: those build_k_matchings
