@@ -644,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     po = sub.add_parser("oracle", help="exhaustive packing on tiny hosts")
     po.add_argument("--in", dest="infile", required=True)
-    po.add_argument("--k", type=int, required=True)
+    po.add_argument("--k", type=_POSITIVE, required=True)
 
     return p
 
@@ -760,12 +760,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     command = {"sample": _cmd_sample, "pack": _cmd_pack, "sweep": _cmd_sweep,
                "stats": _cmd_stats, "oracle": _cmd_oracle}[args.cmd]
+    cmd = " ".join((args.cmd, getattr(args, "subcmd", ""))).strip()
     try:
         return command(args, parser)
     except (_UsageError, EdgeListFormatError, OracleSizeError) as exc:
-        cmd = " ".join((args.cmd, getattr(args, "subcmd", "")))
-        print(f"hampack {cmd.strip()}: {exc}", file=sys.stderr)
+        print(f"hampack {cmd}: {exc}", file=sys.stderr)
         return 64
+    except HampackError as exc:  # a sampler that gave up, say
+        print(f"hampack {cmd}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

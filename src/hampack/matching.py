@@ -8,10 +8,11 @@ maximum matching.  If that falls short of perfect, every booster edge
 from Ê_{2,i} joins a copy of G_i at once and the grown graph gets one
 more maximum matching; it has a perfect one exactly when some subset of
 the boosters would give one.  Ê_{2,i} is disjoint from Ê_{1,i} ∪
-E_SMALL, so every booster is a new pair.  The report carries the grown
-graph its matching belongs to; G_i is left as it was.  A global
-used-edge bitset keeps the k matchings edge-disjoint and stops E_SMALL
-edges from being spent twice.
+E_SMALL, so every booster is a new pair.  The bipartite graphs hold
+pairs only: each matched pair (v, succ v) is read back to its edge id
+through the host's one pair-code index, SimpleDigraph.edge_lookup.  A
+global used-edge bitset keeps the k matchings edge-disjoint and stops
+E_SMALL edges from being spent twice.
 
 The B side is relabeled by a uniform random permutation before
 matching and unrelabeled after, so the algorithmic tie-breaking cannot
@@ -40,17 +41,17 @@ __all__ = [
 
 
 class BipartiteGraph:
-    """Side A and side B are both [n); every edge remembers the host
-    edge id it came from.
+    """Side A and side B are both [n); edge {a_a, b_b} is the pair
+    (a, b), with no host edge id: the host's index holds those.
 
-    Edges are held as sorted pair codes a*n + b with their host edge
-    ids aligned, and the same order read as CSR rows: A vertex a is
-    adjacent to indices[indptr[a]:indptr[a + 1]], ascending.  One
-    sort_codes orders the pairs and a bincount cuts the rows; a pair
-    given twice raises ValueError.
+    Edges are held as sorted pair codes a*n + b, and the same order
+    read as CSR rows: A vertex a is adjacent to
+    indices[indptr[a]:indptr[a + 1]], ascending.  One sort_codes orders
+    the pairs and a bincount cuts the rows; a pair given twice raises
+    ValueError.
     """
 
-    def __init__(self, n: int, a, b, eids):
+    def __init__(self, n: int, a, b):
         self.n = int(n)
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
@@ -58,7 +59,6 @@ class BipartiteGraph:
         if np.any(self.codes[1:] == self.codes[:-1]):
             raise ValueError("repeated pair code")
         self.indices = b[order]
-        self.eids = np.asarray(eids, dtype=np.int64)[order]
         self.indptr = np.r_[0, np.cumsum(np.bincount(a, minlength=self.n))]
 
     @property
@@ -66,13 +66,13 @@ class BipartiteGraph:
         return len(self.codes)
 
 
-def digraph_to_bipartite(edge_ids, sd: SimpleDigraph,
+def digraph_to_bipartite(edges, sd: SimpleDigraph,
                          label: np.ndarray) -> BipartiteGraph:
-    """Translate host edges into the bipartite view: host edge (u, v)
+    """Translate the host edges that edges selects (a bool mask over
+    edge ids, or the ids) into the bipartite view: host edge (u, v)
     becomes {a_u, b_label[v]} for the B-side permutation label."""
-    ids = np.asarray(edge_ids, dtype=np.int64)
-    return BipartiteGraph(sd.n, sd.tails[ids],
-                          np.asarray(label)[sd.heads[ids]], ids)
+    return BipartiteGraph(sd.n, sd.tails[edges],
+                          np.asarray(label)[sd.heads[edges]])
 
 
 @dataclass
@@ -139,14 +139,13 @@ def _hall_violator(g: BipartiteGraph,
 
 @dataclass
 class BoosterReport:
-    """graph is g grown by every booster offered (g itself when mt was
-    already perfect, with consumed 0); matching is a maximum matching of
-    it, and witness its Hall violator when not perfect."""
+    """matching is a maximum matching of g grown by every booster
+    offered (mt itself when it was already perfect, with consumed 0),
+    and witness its Hall violator when not perfect."""
 
     matching: Matching
     consumed: int
     witness: tuple[np.ndarray, np.ndarray] | None
-    graph: BipartiteGraph
 
     def is_perfect(self) -> bool:
         return self.witness is None
@@ -156,25 +155,22 @@ def booster_augment(g: BipartiteGraph, mt: Matching,
                     boosters) -> BoosterReport:
     """Repair a maximum matching mt of g with booster edges.
 
-    boosters holds (a, b, host_edge_id) rows, each a new pair: no two
-    rows share a pair and no row's pair is in g; a repeat raises
-    ValueError.  Every row joins g at once and the grown graph gets one
-    maximum matching, so consumed is the number of rows.  Adding edges
-    never removes a perfect matching, so the grown graph has one exactly
-    when some prefix of the rows does; when it has none, the report
-    carries the Hall violator certifying that.  g and mt are not
-    modified.
+    boosters holds (a, b) rows, each a new pair: no two rows share a
+    pair and no row's pair is in g; a repeat raises ValueError.  Every
+    row joins g at once and the grown graph gets one maximum matching,
+    so consumed is the number of rows.  Adding edges never removes a
+    perfect matching, so the grown graph has one exactly when some
+    prefix of the rows does; when it has none, the report carries the
+    Hall violator certifying that.  g and mt are not modified.
     """
     if mt.is_perfect():
-        return BoosterReport(matching=mt, consumed=0, witness=None, graph=g)
-    a, b, eids = np.asarray(boosters, dtype=np.int64).reshape(-1, 3).T
+        return BoosterReport(matching=mt, consumed=0, witness=None)
+    a, b = np.asarray(boosters, dtype=np.int64).reshape(-1, 2).T
     grown = BipartiteGraph(g.n, np.concatenate((g.codes // g.n, a)),
-                           np.concatenate((g.indices, b)),
-                           np.concatenate((g.eids, eids)))
+                           np.concatenate((g.indices, b)))
     found = _matching(g.n, grown.indptr, grown.indices)
     witness = None if found.is_perfect() else _hall_violator(grown, found)
-    return BoosterReport(matching=found, consumed=len(a), witness=witness,
-                         graph=grown)
+    return BoosterReport(matching=found, consumed=len(a), witness=witness)
 
 
 @dataclass
@@ -186,10 +182,12 @@ class PerfectMatching:
     edge_ids: np.ndarray
 
 
-def _finalize(g: BipartiteGraph, mt: Matching,
+def _finalize(sd: SimpleDigraph, mt: Matching,
               unlabel: np.ndarray) -> PerfectMatching:
-    pos = np.searchsorted(g.codes, np.arange(g.n) * g.n + mt.pair_a)
-    return PerfectMatching(succ=unlabel[mt.pair_a], edge_ids=g.eids[pos])
+    """succ unlabelled, and each pair's edge id read off the host."""
+    succ = unlabel[mt.pair_a]
+    return PerfectMatching(succ=succ,
+                           edge_ids=sd.edge_lookup(np.arange(sd.n), succ))
 
 
 def build_k_matchings(sd: SimpleDigraph, part: EdgePartition,
@@ -208,21 +206,20 @@ def build_k_matchings(sd: SimpleDigraph, part: EdgePartition,
         label = rng.permutation(n).astype(np.int64)
         unlabel = np.empty(n, dtype=np.int64)
         unlabel[label] = np.arange(n)
-        base = np.flatnonzero(part.reserve(1, i, used))
-        g = digraph_to_bipartite(base, sd, label)
+        g = digraph_to_bipartite(part.reserve(1, i, used), sd, label)
         mt = maximum_matching(g)
         if not mt.is_perfect():
-            pool2 = np.flatnonzero(part.reserve(2, i, used))
+            pool2 = part.reserve(2, i, used)
             report = booster_augment(g, mt, np.column_stack(
-                (sd.tails[pool2], label[sd.heads[pool2]], pool2)))
+                (sd.tails[pool2], label[sd.heads[pool2]])))
             if not report.is_perfect():
                 s, ns = report.witness
                 raise PhaseFailure(
                     "phase1", f"deficiency witness |S|={len(s)} > "
                     f"|N(S)|={len(ns)} after {report.consumed} boosters",
                     index=i, witness=report.witness)
-            g, mt = report.graph, report.matching
-        pm = _finalize(g, mt, unlabel)
+            mt = report.matching
+        pm = _finalize(sd, mt, unlabel)
         if used[pm.edge_ids].any():
             raise PhaseFailure("phase1", "matched an already-used edge",
                                index=i)

@@ -496,9 +496,10 @@ class SimpleDigraph:
 
     Edge e runs from tails[e] to heads[e] (edges: (tail, head) rows, read
     through column views; from_columns takes the columns as they are),
-    in an order every pool label, bitset and certificate refers to.  A
-    host in pair-code order (ascending u*n + v), as sampled, is its own
-    lookup index; any other is sorted to check it and for the first one.
+    in an order every pool label, bitset and certificate refers to.
+    edge_lookup answers from the pair codes u*n + v, sorted once, at
+    construction, by the check for repeats: a host in pair-code order,
+    as sampled, is its own index and keeps no order array.
     """
 
     def __init__(self, n: int, edges, k: int, *, _columns=None):
@@ -509,7 +510,6 @@ class SimpleDigraph:
                                   for c in _columns)
         self.n = int(n)
         self.k = int(k)
-        self._codes_sorted = self._codes_order = None  # order None: identity
         self._csrs = [None, None]
         self._validate((self.tails, self.heads) if edges is None
                        else (edges,))
@@ -518,7 +518,10 @@ class SimpleDigraph:
 
     def _validate(self, blocks):
         """blocks hold every endpoint: the (m, 2) rows, range-checked
-        in one contiguous pass, or else the two columns."""
+        in one contiguous pass, or else the two columns.  Builds the
+        index: sorted codes, and their ids (int32 if m < 2^31) or None."""
+        if self.n * self.n > 1 << 63:  # before any n-long array is made
+            raise ValueError(f"n = {self.n}: pair codes overflow int64")
         t, h = self.tails, self.heads
         if t.ndim != 1 or t.shape != h.shape:
             raise ValueError("tail and head columns differ in shape")
@@ -528,11 +531,13 @@ class SimpleDigraph:
                 raise ValueError("edge endpoint out of range")
             if np.any(t == h):
                 raise ValueError("loop edge present")
-            codes = t * self.n + h
-            if np.any(codes[1:] <= codes[:-1]):  # else no repeat can exist
-                codes.sort()  # in place: a repeat shows up as equal neighbours
-                if np.any(codes[1:] == codes[:-1]):
-                    raise ValueError("duplicate ordered pair present")
+        codes, order = t * self.n + h, None
+        if np.any(codes[1:] <= codes[:-1]):  # else no repeat can exist
+            order, codes = sort_codes(codes, self.n * self.n)
+            if np.any(codes[1:] == codes[:-1]):  # repeats are neighbours
+                raise ValueError("duplicate ordered pair present")
+            order = order.astype(np.int32 if self.m < 1 << 31 else np.int64)
+        self._codes_sorted, self._codes_order = codes, order
 
     @classmethod
     def from_columns(cls, n: int, tails, heads, k: int) -> "SimpleDigraph":
@@ -570,12 +575,6 @@ class SimpleDigraph:
         u and v may also be equal-length arrays; the answer is then an
         int64 array with one index (or -1) per pair.
         """
-        if self._codes_sorted is None:
-            codes = self.tails * self.n + self.heads
-            self._codes_sorted = codes  # the index as it stands, in id order
-            if np.any(codes[1:] <= codes[:-1]):
-                self._codes_order, self._codes_sorted = sort_codes(
-                    codes, self.n * self.n)
         code = np.asarray(u, dtype=np.int64) * self.n + v
         if self.m == 0:
             return -1 if code.ndim == 0 else np.full(code.shape, -1, np.int64)
@@ -586,7 +585,8 @@ class SimpleDigraph:
         pos[order] = np.searchsorted(self._codes_sorted, flat[order])
         pos = np.minimum(pos.reshape(code.shape), self.m - 1)
         ids = pos if self._codes_order is None else self._codes_order[pos]
-        out = np.where(self._codes_sorted[pos] == code, ids, -1)
+        # an int64 -1 keeps the answer int64 when the order is int32
+        out = np.where(self._codes_sorted[pos] == code, ids, np.int64(-1))
         return int(out) if out.ndim == 0 else out
 
     def min_degree(self) -> int:

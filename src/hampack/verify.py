@@ -311,8 +311,5 @@ def brute_force_packing(sd: SimpleDigraph, k: int,
     if found is None:
         return None
     cycles = [np.array(cyc, dtype=np.int64) for cyc in found]
-    edge_ids = [np.array([sd.edge_lookup(int(a), int(b))
-                          for a, b in zip(cyc, np.roll(cyc, -1))],
-                         dtype=np.int64)
-                for cyc in cycles]
+    edge_ids = [sd.edge_lookup(cyc, np.roll(cyc, -1)) for cyc in cycles]
     return PackingCertificate(cycles=cycles, edge_ids=edge_ids)

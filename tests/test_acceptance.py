@@ -286,7 +286,7 @@ def test_criterion_11_matching_oracle_agreement():
         adj = [[b for a2, b in pairs if a2 == a] for a in range(n)]
         want = _oracle_max_matching(adj, n)
         ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-        g = BipartiteGraph(n, ends[:, 0], ends[:, 1], np.arange(len(ends)))
+        g = BipartiteGraph(n, ends[:, 0], ends[:, 1])
         got = maximum_matching(g).size
         assert got == want, f"{got} != {want}"
     _gate(11, "maximum matching equals exhaustive optimum",

@@ -211,6 +211,21 @@ class TestRecordsPinned:
         assert rec.outcome == outcome
         assert self.digest(rec) == want
 
+    @pytest.mark.parametrize("seed, outcome, want", [
+        (0, "success",
+         "df781b25de73ca6d9a961977b1d7c39b390fbced0f27ff069fa6146e36986ed3"),
+        (1, "failure:phase3",
+         "6cb6e7daaa3de0116eee0aaff0fd02ad57a2f6a9542ffc97105f4be5dd51219e"),
+    ], ids=["seed0", "seed1"])
+    def test_pack_given_host_k2(self, seed, outcome, want):
+        # k = 2 on a host out of pair-code order, so both covers' matched
+        # edges and phase 3's exchanges read a sorted index of the host
+        sd = tail_ordered_host(600, 40.0, 2, 0)
+        params = ModelParams.from_nmk(sd.n, sd.m, 2)
+        rec = hn.run_trial(params, seed, sd=sd)
+        assert rec.outcome == outcome
+        assert self.digest(rec) == want
+
 
 class TestInternalFailure:
     @staticmethod
@@ -279,8 +294,8 @@ def replay_first_matching():
     """_finalize that hands every cover the first matching's edges."""
     first = []
 
-    def finalize(g, m, unlabel):
-        first.append(real_finalize(g, m, unlabel))
+    def finalize(sd, m, unlabel):
+        first.append(real_finalize(sd, m, unlabel))
         return first[0]
     return finalize
 
@@ -382,8 +397,8 @@ FAILURE_CASES = {
     "booster-in-g": ((600, 30.0, 1),
                      [(mt, "maximum_matching", short_by_two),
                       (mt, "booster_augment", boosters_led_by(
-                          lambda g, rows: [[g.codes[0] // g.n, g.indices[0],
-                                            g.eids[0]]]))],
+                          lambda g, rows: [[g.codes[0] // g.n,
+                                            g.indices[0]]]))],
                      "internal", "repeated pair"),
 }
 
@@ -872,7 +887,11 @@ class TestCLI:
                 (["stats", "simplicity-rate", "--n", "100", "--c", "4",
                   "--k", "1", "--attempts", "0"], "--attempts"),
                 (["stats", "degree-gof", "--n", "100", "--c", "4", "--k",
-                  "1", "--reseeds", "-1"], "--reseeds")):
+                  "1", "--reseeds", "-1"], "--reseeds"),
+                (["oracle", "--in", str(tmp_path / "h.txt"), "--k", "0"],
+                 "--k"),
+                (["oracle", "--in", str(tmp_path / "h.txt"), "--k", "-1"],
+                 "--k")):
             assert self.exit_code(argv) == 64, argv
             err = capsys.readouterr().err
             cmd = " ".join(argv[:2] if argv[0] == "stats" else argv[:1])
@@ -900,6 +919,37 @@ class TestCLI:
                       "--k", "1"]):
             assert self.exit_code(argv) == 64, argv
             assert "hampack" in capsys.readouterr().err
+
+    def test_huge_n_header_exits_64(self, capsys, tmp_path):
+        # pair codes u*n + v would overflow int64: refused before any
+        # n-long array is made
+        path = tmp_path / "huge.txt"
+        path.write_text("3037000500 1 1\n0 1\n")
+        assert self.exit_code(["pack", "--in", str(path), "--seed", "1"]) \
+            == 64
+        err = capsys.readouterr().err
+        assert "hampack pack:" in err and "overflow int64" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--n", "20", "--c", "15", "--k", "1", "--host", "exact"],
+        ["stats", "census", "--n", "200", "--c", "2.5", "--k", "1"]],
+        ids=["sample", "stats"])
+    def test_sampler_failure_exits_2(self, argv, capsys, tmp_path,
+                                     monkeypatch):
+        # the real samplers, with caps small enough to give up at once:
+        # a message naming the command, exit 2, no traceback
+        monkeypatch.setattr(hn, "sample_simple_digraph", functools.partial(
+            md.sample_simple_digraph, cap=20))
+        monkeypatch.setattr(hn, "sample_erased_digraph", functools.partial(
+            md.sample_erased_digraph, cap=1))
+        if argv[0] == "sample":
+            argv = [*argv, "--out", str(tmp_path / "h.txt")]
+        assert hn.main(argv) == 2
+        err = capsys.readouterr().err
+        cmd = " ".join(argv[:2] if argv[0] == "stats" else argv[:1])
+        assert f"hampack {cmd}:" in err and "Traceback" not in err
+        assert ("rejection stall" if argv[0] == "sample"
+                else "erasure broke") in err
 
     def test_stats_cli_json(self, capsys):
         code = hn.main(["stats", "rphi", "--kappa", "3"])

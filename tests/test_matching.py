@@ -49,18 +49,11 @@ def random_pairs(n: int, p: float, rng) -> list[tuple[int, int]]:
 
 def graph_of(n: int, pairs) -> BipartiteGraph:
     ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    return BipartiteGraph(n, ends[:, 0], ends[:, 1], np.arange(len(ends)))
+    return BipartiteGraph(n, ends[:, 0], ends[:, 1])
 
 
 def row(g: BipartiteGraph, a: int) -> list[int]:
     return g.indices[g.indptr[a]:g.indptr[a + 1]].tolist()
-
-
-def edge_id(g: BipartiteGraph, a: int, b: int) -> int:
-    """Host edge id of {a, b}, read off the sorted pair codes."""
-    pos = int(np.searchsorted(g.codes, a * g.n + b))
-    assert g.codes[pos] == a * g.n + b
-    return int(g.eids[pos])
 
 
 class TestTranslation:
@@ -68,7 +61,7 @@ class TestTranslation:
         sd = SimpleDigraph(8, np.array([[3, 7]]), 1)
         g = digraph_to_bipartite([0], sd, np.arange(8))
         assert row(g, 3) == [7]
-        assert edge_id(g, 3, 7) == 0
+        assert g.codes.tolist() == [3 * 8 + 7]
         assert g.num_edges == 1
 
     def test_min_degree_preserved(self, tiny_host):
@@ -87,9 +80,17 @@ class TestTranslation:
         rng = rng_stream(31, 0)
         label = rng.permutation(tiny_host.n)
         g = digraph_to_bipartite([0, 1, 2], tiny_host, label)
-        for e in (0, 1, 2):
-            u, v = tiny_host.edges[e]
-            assert edge_id(g, int(u), int(label[v])) == e
+        want = [u * g.n + label[v] for u, v in tiny_host.edges[:3]]
+        assert g.codes.tolist() == sorted(want)
+
+    def test_mask_selects_as_ids(self, tiny_host):
+        mask = rng_stream(31, 2).random(tiny_host.m) < 0.5
+        label = rng_stream(31, 3).permutation(tiny_host.n)
+        by_mask = digraph_to_bipartite(mask, tiny_host, label)
+        by_ids = digraph_to_bipartite(np.flatnonzero(mask), tiny_host, label)
+        for name in ("codes", "indices", "indptr"):
+            assert np.array_equal(getattr(by_mask, name),
+                                  getattr(by_ids, name))
 
     def test_codes_sorted_and_rows_aligned(self, tiny_host):
         label = rng_stream(31, 1).permutation(tiny_host.n)
@@ -97,26 +98,25 @@ class TestTranslation:
         assert np.all(np.diff(g.codes) > 0)
         rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
         assert np.array_equal(g.codes, rows * g.n + g.indices)
-        ends = tiny_host.edges[g.eids]
-        assert np.array_equal(ends[:, 0], rows)
-        assert np.array_equal(label[ends[:, 1]], g.indices)
+        # unlabelled, the pairs are the host's edges, each once
+        ids = tiny_host.edge_lookup(rows, np.argsort(label)[g.indices])
+        assert np.array_equal(np.sort(ids), np.arange(tiny_host.m))
 
 
 class TestBipartiteLayout:
     """BipartiteGraph against a layout sorted by brute force."""
 
     @staticmethod
-    def check(n, pairs, eids):
+    def check(n, pairs):
         a, b = (np.array([p[i] for p in pairs], dtype=np.int64)
                 for i in (0, 1))
-        g = BipartiteGraph(n, a, b, eids)
-        rows = sorted(zip(a.tolist(), b.tolist(), list(eids)))
-        assert g.codes.tolist() == [x * n + y for x, y, _ in rows]
-        assert g.indices.tolist() == [y for _, y, _ in rows]
-        assert g.eids.tolist() == [e for _, _, e in rows]
-        assert g.indptr.tolist() == [sum(x < r for x, _, _ in rows)
+        g = BipartiteGraph(n, a, b)
+        rows = sorted(zip(a.tolist(), b.tolist()))
+        assert g.codes.tolist() == [x * n + y for x, y in rows]
+        assert g.indices.tolist() == [y for _, y in rows]
+        assert g.indptr.tolist() == [sum(x < r for x, _ in rows)
                                      for r in range(n + 1)]
-        for arr in (g.codes, g.indices, g.eids, g.indptr):
+        for arr in (g.codes, g.indices, g.indptr):
             assert arr.dtype == np.int64
 
     @pytest.mark.parametrize("seed", range(6))
@@ -127,15 +127,14 @@ class TestBipartiteLayout:
         pairs = [pairs[i] for i in rng.permutation(len(pairs))]
         # rows 0 and n - 1 stay isolated
         pairs = [(x, y) for x, y in pairs if x not in (0, n - 1)]
-        eids = rng.permutation(1000)[:len(pairs)].tolist()
-        self.check(n, pairs, eids)
+        self.check(n, pairs)
 
     def test_empty_edge_set(self):
-        self.check(5, [], [])
+        self.check(5, [])
 
     def test_repeated_pair_refused(self):
         with pytest.raises(ValueError, match="repeated"):
-            BipartiteGraph(3, [1, 0, 1], [2, 2, 2], [0, 1, 2])
+            BipartiteGraph(3, [1, 0, 1], [2, 2, 2])
 
 
 class TestMaximumMatching:
@@ -176,12 +175,10 @@ class TestMaximumMatching:
 
 def booster_stream(n, pairs, length, rng):
     """Up to length boosters in random order, each a distinct pair not
-    in the graph with a distinct host edge id, as build_k_matchings
-    offers them."""
+    in the graph, as build_k_matchings offers them."""
     taken = set(pairs)
     new = [(a, b) for a in range(n) for b in range(n) if (a, b) not in taken]
-    pick = rng.permutation(len(new))[:length].tolist()
-    return [(*new[i], 1000 + j) for j, i in enumerate(pick)]
+    return [new[i] for i in rng.permutation(len(new))[:length].tolist()]
 
 
 def nx_matching_size(n, pairs) -> int:
@@ -196,33 +193,33 @@ class TestBoosterAugment:
     def test_perfect_input_untouched(self):
         g = graph_of(3, [(v, v) for v in range(3)])
         mt = maximum_matching(g)
-        report = booster_augment(g, mt, [(0, 1, 99)])
+        report = booster_augment(g, mt, [(0, 1)])
         assert report.is_perfect()
-        assert report.consumed == 0 and report.graph is g
+        assert report.consumed == 0 and report.matching is mt
 
     def test_forced_augmentation(self):
         # a1-b1-a2 path matched at {a1 b1}; booster {a2, b2} completes it
         g = graph_of(2, [(0, 0), (1, 0)])
         mt = maximum_matching(g)
         assert mt.size == 1
-        report = booster_augment(g, mt, [(1, 1, 2)])
+        report = booster_augment(g, mt, [(1, 1)])
         assert report.is_perfect()
-        assert report.consumed == 1
-        assert report.graph.num_edges == 3 and g.num_edges == 2
-        assert edge_id(report.graph, 1, 1) == 2
-        assert report.matching.check_consistent(report.graph)
+        assert report.consumed == 1 and g.num_edges == 2
+        grown = graph_of(2, [(0, 0), (1, 0), (1, 1)])
+        assert report.matching.check_consistent(grown)
+        assert not report.matching.check_consistent(g)
 
     def test_repeated_booster_refused(self):
         # two A vertices short, so boosters run and meet both copies
         g = graph_of(3, [(0, 0)])
         with pytest.raises(ValueError, match="repeated pair"):
             booster_augment(g, maximum_matching(g),
-                            [(1, 1, 5), (1, 1, 6), (2, 2, 7)])
+                            [(1, 1), (1, 1), (2, 2)])
 
     def test_booster_already_in_graph_refused(self):
         g = graph_of(3, [(0, 0), (1, 1)])
         with pytest.raises(ValueError, match="repeated pair"):
-            booster_augment(g, maximum_matching(g), [(0, 0, 5), (2, 2, 6)])
+            booster_augment(g, maximum_matching(g), [(0, 0), (2, 2)])
 
     def test_witness_on_failure(self):
         # three A vertices contending for one B vertex
@@ -239,24 +236,25 @@ class TestBoosterAugment:
 
     def test_incremental_equals_batch(self):
         # the report's matching has the size a from-scratch maximum
-        # matching finds on the graph the report carries
+        # matching finds on g grown by every booster
         rng = rng_stream(34, 0)
         for trial in range(30):
             n = int(rng.integers(4, 16))
             pairs = random_pairs(n, 0.15, rng)
             g = graph_of(n, pairs)
             mt = maximum_matching(g)
-            report = booster_augment(g, mt, booster_stream(n, pairs, 25, rng))
-            fresh = maximum_matching(report.graph)
-            assert report.matching.size == fresh.size
-            assert report.matching.check_consistent(report.graph)
+            stream = booster_stream(n, pairs, 25, rng)
+            report = booster_augment(g, mt, stream)
+            grown = graph_of(n, pairs + stream)
+            assert report.matching.size == maximum_matching(grown).size
+            assert report.matching.check_consistent(grown)
 
     def test_equals_some_prefix(self):
         # the report is perfect exactly when networkx finds a perfect
-        # matching for some prefix of the boosters, and its graph is g
-        # plus every booster; on failure the witness is a Hall violator
-        # as large as the deficiency.  Neither g nor the matching given
-        # changes.
+        # matching for some prefix of the boosters, and its matching
+        # lies in g plus every booster; on failure the witness is a Hall
+        # violator as large as the deficiency.  Neither g nor the
+        # matching given changes.
         rng = rng_stream(35, 0)
         outcomes = set()
         for trial in range(40):
@@ -264,24 +262,22 @@ class TestBoosterAugment:
             pairs = random_pairs(n, 0.15, rng)
             g = graph_of(n, pairs)
             mt = maximum_matching(g)
-            given = [a.copy() for a in (g.codes, g.indices, g.eids,
-                                        g.indptr, mt.pair_a, mt.pair_b)]
-            stream = booster_stream(n, pairs, 30, rng)
-            report = booster_augment(g, mt, stream)
-            for old, now in zip(given, (g.codes, g.indices, g.eids,
-                                        g.indptr, mt.pair_a, mt.pair_b)):
+            given = [a.copy() for a in (g.codes, g.indices, g.indptr,
+                                        mt.pair_a, mt.pair_b)]
+            kept = booster_stream(n, pairs, 30, rng)
+            report = booster_augment(g, mt, kept)
+            for old, now in zip(given, (g.codes, g.indices, g.indptr,
+                                        mt.pair_a, mt.pair_b)):
                 assert np.array_equal(old, now)
-            kept = [(a, b) for a, b, _ in stream]
             some_prefix = any(nx_matching_size(n, pairs + kept[:t]) == n
                               for t in range(len(kept) + 1))
             assert report.is_perfect() == some_prefix
             if mt.is_perfect():
-                assert report.consumed == 0 and report.graph is g
+                assert report.consumed == 0 and report.matching is mt
                 continue
             assert report.consumed == len(kept)
             grown = graph_of(n, pairs + kept)
-            assert report.graph.codes.tolist() == grown.codes.tolist()
-            assert report.matching.check_consistent(report.graph)
+            assert report.matching.check_consistent(grown)
             outcomes.add(report.is_perfect())
             if report.is_perfect():
                 assert report.matching.is_perfect()
@@ -390,6 +386,38 @@ class TestBuildK:
             h.update(pm.edge_ids.astype("<i8").tobytes())
         assert h.hexdigest() == ("b40b243ecd30d98c4c60af8aef847f20"
                                  "6a5280b174591e00147fb0c90591bbce")
+
+    @pytest.mark.parametrize("short", [False, True],
+                             ids=["first-matching", "boosters"])
+    def test_edges_read_off_shuffled_host(self, host_k2, short, monkeypatch):
+        # on a host out of pair-code order, each matched pair (v, succ v)
+        # resolves to its host edge, one from cover i's own pools; with
+        # the first matching cut two short, boosters build the cover
+        params, sampled = host_k2
+        perm = rng_stream(39, 0).permutation(sampled.m)
+        sd = SimpleDigraph(sampled.n, sampled.edges[perm], sampled.k)
+        assert sd._codes_order is not None
+        if short:
+            real = matching.maximum_matching
+
+            def short_by_two(g):
+                mt = real(g)
+                a = np.flatnonzero(mt.pair_a >= 0)[:2]
+                mt.pair_b[mt.pair_a[a]] = -1
+                mt.pair_a[a] = -1
+                return mt
+            monkeypatch.setattr(matching, "maximum_matching", short_by_two)
+        rng = rng_stream(37, 0)
+        part = split_edges(sd, 2, rng)
+        compute_small(sd, part, params.c, 2)
+        pms = self._build(sd, part, rng)
+        used = np.zeros(sd.m, dtype=bool)
+        for i, pm in enumerate(pms):
+            assert np.array_equal(sd.edges[pm.edge_ids],
+                                  np.column_stack((np.arange(sd.n), pm.succ)))
+            pools = part.reserve(1, i, used) | part.reserve(2, i, used)
+            assert pools[pm.edge_ids].all()
+            used[pm.edge_ids] = True
 
     def test_deterministic(self, host_k2):
         params, sd = host_k2

@@ -23,6 +23,7 @@ from hampack import model as md
 from hampack.errors import (ConditioningFailureError, EdgeListFormatError,
                             InfeasibleDegreeError, PhaseFailure,
                             RejectionStallError, TailUnderflowError)
+from hampack.harness import run_pipeline
 from hampack.model import (ConfigDigraph, DegreeSequence, ModelParams,
                            SimpleDigraph, TruncatedPoisson,
                            conditioned_degree_vector, duplicate_pair_count,
@@ -368,6 +369,9 @@ class TestSimpleDigraph:
             SimpleDigraph(3, np.array([[0, 1], [0, 1]]), 1)
         with pytest.raises(ValueError):
             SimpleDigraph(3, np.array([[0, 3]]), 1)
+        # (n-1)^2 < 2^63 < n^2: refused before any n-long array is made
+        with pytest.raises(ValueError, match="overflow int64"):
+            SimpleDigraph(3_037_000_500, np.array([[0, 1]]), 1)
 
     def test_validation_non_adjacent_duplicate(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -410,29 +414,63 @@ class TestSimpleDigraph:
         assert empty.edge_lookup(0, 1) == -1
         assert empty.edge_lookup(np.array([0]), np.array([1])).tolist() == [-1]
 
-    def test_lookup_index_built_on_first_lookup(self, tiny_host):
-        sd = SimpleDigraph(tiny_host.n, tiny_host.edges, tiny_host.k)
-        assert sd._codes_order is None and sd._codes_sorted is None
-        assert sd.edge_lookup(int(sd.tails[3]), int(sd.heads[3])) == 3
+    @staticmethod
+    def counted_sorts(monkeypatch) -> list:
+        """Lengths of the codes each model.sort_codes call sorts."""
+        calls, real = [], md.sort_codes
+
+        def counted(codes, bound):
+            calls.append(len(codes))
+            return real(codes, bound)
+        monkeypatch.setattr(md, "sort_codes", counted)
+        return calls
+
+    @staticmethod
+    def packed(sd):
+        """run_pipeline on sd at a (300, 20, 1) point where the sampled
+        host and a shuffle of it both pack, phase 3 and verify included."""
+        run_pipeline(ModelParams.from_nmk(sd.n, sd.m, sd.k), rng_stream(1),
+                     sd=sd)
+
+    @staticmethod
+    def small_host():
+        return sample_erased_digraph(ModelParams.make(300, 20.0, 1),
+                                     rng_stream(19, 2))[0]
+
+    def test_lookup_index_built_at_construction(self, monkeypatch):
+        # a host out of pair-code order is sorted once, by its check
+        # for repeats, and phase 1's matched edges and every later
+        # lookup read that index
+        host = self.small_host()
+        edges = host.edges[rng_stream(19, 3).permutation(host.m)]
+        calls = self.counted_sorts(monkeypatch)
+        sd = SimpleDigraph(host.n, edges, host.k)
+        assert calls == [sd.m]
+        assert sd._codes_order.dtype == np.int32
         assert np.array_equal(sd.tails[sd._codes_order] * sd.n
                               + sd.heads[sd._codes_order],
                               sd._codes_sorted)
         assert np.all(np.diff(sd._codes_sorted) > 0)
+        assert sd.edge_lookup(int(sd.tails[3]), int(sd.heads[3])) == 3
+        self.packed(sd)
+        assert calls == [sd.m]
 
     def test_min_degree(self, tiny_params, tiny_host):
         assert tiny_host.min_degree() >= tiny_params.k + 1
 
-    def test_sampled_host_is_its_own_index(self):
-        sd, _ = sample_erased_digraph(ModelParams.make(300, 8.0, 1),
-                                      rng_stream(19, 2))
+    def test_sampled_host_is_its_own_index(self, monkeypatch):
+        # the codes as they stand, with no order array, and no sort
+        # from the sampler to the end of a trial
+        calls = self.counted_sorts(monkeypatch)
+        sd = self.small_host()
         codes = sd.tails * sd.n + sd.heads
         assert np.all(np.diff(codes) > 0)
-        assert sd._codes_sorted is None  # built on the first lookup
-        assert np.array_equal(sd.edge_lookup(sd.tails, sd.heads),
-                              np.arange(sd.m))
-        # the codes as they stand, with no order array
         assert sd._codes_order is None
         assert np.array_equal(sd._codes_sorted, codes)
+        assert np.array_equal(sd.edge_lookup(sd.tails, sd.heads),
+                              np.arange(sd.m))
+        self.packed(sd)
+        assert calls == []
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
