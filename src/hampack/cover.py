@@ -50,6 +50,7 @@ W leaves the phase as PhaseTwoStats.burnt.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -552,6 +553,7 @@ def in_phase(pd: PermutationDigraph, u0: int, leaves: list, ctx: _Ctx,
     if not len(heads):
         return None
     by_head, target_heads = sort_codes(heads, pd.n)
+    target_heads = target_heads.tolist()  # bisect beats a numpy scalar call
     target_leaf = np.asarray(rank)[at[by_head]].tolist()
     target_eid = eids[by_head].tolist()
     # start -> its chain [(w, start_fed, eid)], root-first, built once
@@ -561,8 +563,8 @@ def in_phase(pd: PermutationDigraph, u0: int, leaves: list, ctx: _Ctx,
 
     def try_close(s):
         nonlocal validations
-        lo = int(np.searchsorted(target_heads, s))
-        hi = int(np.searchsorted(target_heads, s, side="right"))
+        lo = bisect_left(target_heads, s)
+        hi = bisect_right(target_heads, s, lo)
         for j, closure_eid in zip(target_leaf[lo:hi], target_eid[lo:hi]):
             if validations >= MAX_VALIDATIONS:
                 return None

@@ -9,10 +9,10 @@ from Ê_{2,i} joins a copy of G_i at once and the grown graph gets one
 more maximum matching; it has a perfect one exactly when some subset of
 the boosters would give one.  Ê_{2,i} is disjoint from Ê_{1,i} ∪
 E_SMALL, so every booster is a new pair.  The bipartite graphs hold
-pairs only: each matched pair (v, succ v) is read back to its edge id
-through the host's one pair-code index, SimpleDigraph.edge_lookup.  A
-global used-edge bitset keeps the k matchings edge-disjoint and stops
-E_SMALL edges from being spent twice.
+int32 CSR rows of pairs only: each matched pair (v, succ v) is read
+back to its edge id through the host's one pair-code index,
+SimpleDigraph.edge_lookup.  A global used-edge bitset keeps the k
+matchings edge-disjoint and stops E_SMALL edges from being spent twice.
 
 The B side is relabeled by a uniform random permutation before
 matching and unrelabeled after, so the algorithmic tie-breaking cannot
@@ -30,7 +30,7 @@ from scipy.sparse.csgraph import (breadth_first_order,
                                   maximum_bipartite_matching)
 
 from .errors import PhaseFailure
-from .model import SimpleDigraph, sort_codes
+from .model import SimpleDigraph, key_dtype
 from .partition import EdgePartition
 
 __all__ = [
@@ -44,35 +44,39 @@ class BipartiteGraph:
     """Side A and side B are both [n); edge {a_a, b_b} is the pair
     (a, b), with no host edge id: the host's index holds those.
 
-    Edges are held as sorted pair codes a*n + b, and the same order
-    read as CSR rows: A vertex a is adjacent to
-    indices[indptr[a]:indptr[a + 1]], ascending.  One sort_codes orders
-    the pairs and a bincount cuts the rows; a pair given twice raises
-    ValueError.
+    Edges are held as int32 CSR rows only: A vertex a is adjacent to
+    indices[indptr[a]:indptr[a + 1]], ascending.  One plain np.sort of
+    the pair codes a*n + b (int32 words when n^2 < 2^31) orders them,
+    a pair given twice raises ValueError, searchsorted of the row
+    starts a*n cuts the rows, and each index is its code minus a*n.
     """
 
     def __init__(self, n: int, a, b):
-        self.n = int(n)
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        order, self.codes = sort_codes(a * self.n + b, self.n * self.n)
-        if np.any(self.codes[1:] == self.codes[:-1]):
+        self.n = n = int(n)
+        codes = np.multiply(a, n, dtype=key_dtype(n * n))
+        codes += b
+        codes.sort()
+        if np.any(codes[1:] == codes[:-1]):
             raise ValueError("repeated pair code")
-        self.indices = b[order]
-        self.indptr = np.r_[0, np.cumsum(np.bincount(a, minlength=self.n))]
+        starts = np.arange(n + 1, dtype=codes.dtype) * n
+        self.indptr = np.searchsorted(codes, starts).astype(np.int32)
+        codes -= np.repeat(starts[:-1], np.diff(self.indptr))
+        self.indices = codes.astype(np.int32, copy=False)
 
     @property
     def num_edges(self) -> int:
-        return len(self.codes)
+        return len(self.indices)
 
 
 def digraph_to_bipartite(edges, sd: SimpleDigraph,
                          label: np.ndarray) -> BipartiteGraph:
     """Translate the host edges that edges selects (a bool mask over
-    edge ids, or the ids) into the bipartite view: host edge (u, v)
+    edge ids, or a set of ids) into the bipartite view: host edge (u, v)
     becomes {a_u, b_label[v]} for the B-side permutation label."""
-    return BipartiteGraph(sd.n, sd.tails[edges],
-                          np.asarray(label)[sd.heads[edges]])
+    if np.asarray(edges).dtype != bool:  # as a mask: compress beats [mask]
+        edges = np.isin(np.arange(sd.m), edges)
+    return BipartiteGraph(sd.n, sd.tails.compress(edges),
+                          label[sd.heads.compress(edges)])
 
 
 @dataclass
@@ -92,14 +96,15 @@ class Matching:
     def check_consistent(self, g: BipartiteGraph) -> bool:
         a = np.nonzero(self.pair_a >= 0)[0]
         b = self.pair_a[a]
+        rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
         return bool((self.pair_b[b] == a).all()
-                    and np.isin(a * g.n + b, g.codes).all())
+                    and np.isin(a * g.n + b, rows * g.n + g.indices).all())
 
 
 def _matching(n: int, indptr: np.ndarray, indices: np.ndarray) -> Matching:
-    """scipy's Hopcroft-Karp over int32 CSR rows (scipy copies int64)."""
-    mat = csr_matrix((np.ones(len(indices), dtype=np.int8), indices.astype(
-        np.int32), indptr.astype(np.int32)), shape=(n, n))
+    """scipy's Hopcroft-Karp over int32 CSR rows, handed over uncopied."""
+    mat = csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr),
+                     shape=(n, n), copy=False)
     pair_a = maximum_bipartite_matching(mat, perm_type="column")
     pair_a = pair_a.astype(np.int64)
     pair_b = np.full(n, -1, dtype=np.int64)
@@ -166,7 +171,8 @@ def booster_augment(g: BipartiteGraph, mt: Matching,
     if mt.is_perfect():
         return BoosterReport(matching=mt, consumed=0, witness=None)
     a, b = np.asarray(boosters, dtype=np.int64).reshape(-1, 2).T
-    grown = BipartiteGraph(g.n, np.concatenate((g.codes // g.n, a)),
+    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    grown = BipartiteGraph(g.n, np.concatenate((rows, a)),
                            np.concatenate((g.indices, b)))
     found = _matching(g.n, grown.indptr, grown.indices)
     witness = None if found.is_perfect() else _hall_violator(grown, found)
@@ -203,7 +209,7 @@ def build_k_matchings(sd: SimpleDigraph, part: EdgePartition,
     n, k = sd.n, part.k
     out = []
     for i in range(k):
-        label = rng.permutation(n).astype(np.int64)
+        label = rng.permutation(n).astype(key_dtype(n))
         unlabel = np.empty(n, dtype=np.int64)
         unlabel[label] = np.arange(n)
         g = digraph_to_bipartite(part.reserve(1, i, used), sd, label)

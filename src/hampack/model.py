@@ -61,7 +61,7 @@ __all__ = [
     "DegreeSequence", "degree_vector_path", "conditioned_degree_vector",
     "sample_degree_sequence",
     "ConfigDigraph", "pair_configuration", "duplicate_pair_count",
-    "sort_codes", "SimpleDigraph", "sample_simple_digraph",
+    "key_dtype", "sort_codes", "SimpleDigraph", "sample_simple_digraph",
     "sample_erased_digraph",
     "simplicity_exponents", "write_edge_list", "read_edge_list",
 ]
@@ -440,11 +440,17 @@ def pair_configuration(ds: DegreeSequence,
 _CHUNK = 1 << 20  # positions ORed or gathered per step, in place
 
 
+def key_dtype(bound: int, shift: int = 0):
+    """int32 when every (key < bound) << shift fits in 31 bits, else int64."""
+    return np.int32 if max(int(bound) - 1, 0) << shift < 1 << 31 else np.int64
+
+
 def _sort_packed(key: np.ndarray, shift: int) -> np.ndarray:
     """Sort key << shift | position in place; key is a fresh array."""
     key <<= shift
     for lo in range(0, len(key), _CHUNK):
-        key[lo:lo + _CHUNK] |= np.arange(lo, min(lo + _CHUNK, len(key)))
+        hi = min(lo + _CHUNK, len(key))
+        key[lo:hi] |= np.arange(lo, hi, dtype=key.dtype)
     key.sort()
     return key
 
@@ -454,11 +460,11 @@ def sort_codes(codes, bound: int) -> tuple[np.ndarray, np.ndarray]:
 
     A code outside [0, bound) raises ValueError, as a packed key would
     misorder it.  One np.sort of code << b | position, b the bit length
-    of len - 1, does a stable argsort's work at a fraction of its cost;
-    when bound << b would pass 63 bits, the low and then the high
-    digits of the codes are sorted so in turn (LSD).  At most three
-    m-long arrays, the input included, live at once, as with an argsort
-    and its gather.
+    of len - 1, in an int32 word when (bound - 1) << b < 2^31, does a
+    stable argsort's work at a fraction of its cost; when bound << b
+    would pass 63 bits, the low and then the high digits are sorted so
+    in turn (LSD).  Both results are int64.  At most three m-long int64
+    arrays, the input included, live at once, plus the word if int32.
     """
     codes = np.asarray(codes, dtype=np.int64)
     if len(codes) and (codes.min() < 0 or codes.max() >= bound):
@@ -466,10 +472,10 @@ def sort_codes(codes, bound: int) -> tuple[np.ndarray, np.ndarray]:
     shift = max(len(codes) - 1, 0).bit_length()
     width, mask = 63 - shift, (1 << shift) - 1
     if max(bound - 1, 0) >> width == 0:
-        key = _sort_packed(codes.copy(), shift)
-        codes = key >> shift
+        key = _sort_packed(codes.astype(key_dtype(bound, shift)), shift)
+        codes = (key >> shift).astype(np.int64, copy=False)
         key &= mask
-        return key, codes
+        return key.astype(np.int64, copy=False), codes
     low = _sort_packed(codes & ((1 << width) - 1), shift)
     low &= mask
     order = codes[low]
@@ -519,7 +525,7 @@ class SimpleDigraph:
     def _validate(self, blocks):
         """blocks hold every endpoint: the (m, 2) rows, range-checked
         in one contiguous pass, or else the two columns.  Builds the
-        index: sorted codes, and their ids (int32 if m < 2^31) or None."""
+        index: sorted codes, and their ids (int32 if m <= 2^31) or None."""
         if self.n * self.n > 1 << 63:  # before any n-long array is made
             raise ValueError(f"n = {self.n}: pair codes overflow int64")
         t, h = self.tails, self.heads
@@ -536,7 +542,7 @@ class SimpleDigraph:
             order, codes = sort_codes(codes, self.n * self.n)
             if np.any(codes[1:] == codes[:-1]):  # repeats are neighbours
                 raise ValueError("duplicate ordered pair present")
-            order = order.astype(np.int32 if self.m < 1 << 31 else np.int64)
+            order = order.astype(key_dtype(self.m))
         self._codes_sorted, self._codes_order = codes, order
 
     @classmethod
@@ -557,14 +563,14 @@ class SimpleDigraph:
         """(indptr, ids): edge ids by tail (side 0) or head (side 1); row
         v is ids[indptr[v]:indptr[v + 1]], ascending, or that range when
         ids is None (a nondecreasing column, as a sampled host's tails).
-        Else ids is one packed sort's, int32 if m < 2^31; built once."""
+        Else ids is one packed sort's, int32 if m <= 2^31; built once."""
         if self._csrs[side] is None:
             ends, ids = (self.heads if side else self.tails), None
             if np.any(ends[1:] < ends[:-1]):
-                shift = max(self.m - 1, 0).bit_length()  # n << b < 2nm
-                ids = _sort_packed(ends.copy(), shift)
-                ids &= (1 << shift) - 1
-                ids = ids.astype(np.int32 if self.m < 1 << 31 else np.int64)
+                b = max(self.m - 1, 0).bit_length()  # n << b < 2nm
+                ids = _sort_packed(ends.astype(key_dtype(self.n, b)), b)
+                ids &= (1 << b) - 1
+                ids = ids.astype(key_dtype(self.m), copy=False)
             deg = self.in_deg if side else self.out_deg
             self._csrs[side] = np.r_[0, np.cumsum(deg)], ids
         return self._csrs[side]
@@ -630,7 +636,8 @@ def sample_erased_digraph(params: ModelParams, rng: np.random.Generator,
     for attempt in range(1, cap + 1):
         cfg = pair_configuration(sample_degree_sequence(params, rng), rng)
         tails, heads = cfg.tails, cfg.heads  # heads reuse the in-slot buffer
-        codes = tails * params.n + heads
+        codes = np.multiply(tails, params.n, dtype=key_dtype(params.n ** 2))
+        codes += heads
         codes.sort()  # tails are nondecreasing, so the sorted codes keep them
         np.subtract(codes, np.multiply(tails, params.n, out=heads), out=heads)
         keep = heads != tails

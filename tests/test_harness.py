@@ -397,8 +397,8 @@ FAILURE_CASES = {
     "booster-in-g": ((600, 30.0, 1),
                      [(mt, "maximum_matching", short_by_two),
                       (mt, "booster_augment", boosters_led_by(
-                          lambda g, rows: [[g.codes[0] // g.n,
-                                            g.indices[0]]]))],
+                          lambda g, rows: [[np.flatnonzero(
+                              np.diff(g.indptr))[0], g.indices[0]]]))],
                      "internal", "repeated pair"),
 }
 

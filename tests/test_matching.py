@@ -17,7 +17,8 @@ from hampack.errors import PhaseFailure
 from hampack.matching import (BipartiteGraph, Matching, booster_augment,
                               build_k_matchings, digraph_to_bipartite,
                               matching_to_cycle_cover, maximum_matching)
-from hampack.model import ModelParams, SimpleDigraph, sample_erased_digraph
+from hampack.model import (ModelParams, SimpleDigraph, key_dtype,
+                           sample_erased_digraph)
 from hampack.partition import compute_small, split_edges
 from hampack.rng import rng_stream
 
@@ -56,12 +57,18 @@ def row(g: BipartiteGraph, a: int) -> list[int]:
     return g.indices[g.indptr[a]:g.indptr[a + 1]].tolist()
 
 
+def codes_of(g: BipartiteGraph) -> np.ndarray:
+    """g's pair codes a*n + b in CSR order, derived from its rows."""
+    rows = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
+    return rows * g.n + g.indices
+
+
 class TestTranslation:
     def test_single_edge(self):
         sd = SimpleDigraph(8, np.array([[3, 7]]), 1)
         g = digraph_to_bipartite([0], sd, np.arange(8))
         assert row(g, 3) == [7]
-        assert g.codes.tolist() == [3 * 8 + 7]
+        assert codes_of(g).tolist() == [3 * 8 + 7]
         assert g.num_edges == 1
 
     def test_min_degree_preserved(self, tiny_host):
@@ -81,23 +88,22 @@ class TestTranslation:
         label = rng.permutation(tiny_host.n)
         g = digraph_to_bipartite([0, 1, 2], tiny_host, label)
         want = [u * g.n + label[v] for u, v in tiny_host.edges[:3]]
-        assert g.codes.tolist() == sorted(want)
+        assert codes_of(g).tolist() == sorted(want)
 
     def test_mask_selects_as_ids(self, tiny_host):
         mask = rng_stream(31, 2).random(tiny_host.m) < 0.5
         label = rng_stream(31, 3).permutation(tiny_host.n)
         by_mask = digraph_to_bipartite(mask, tiny_host, label)
         by_ids = digraph_to_bipartite(np.flatnonzero(mask), tiny_host, label)
-        for name in ("codes", "indices", "indptr"):
+        for name in ("indices", "indptr"):
             assert np.array_equal(getattr(by_mask, name),
                                   getattr(by_ids, name))
 
     def test_codes_sorted_and_rows_aligned(self, tiny_host):
         label = rng_stream(31, 1).permutation(tiny_host.n)
         g = digraph_to_bipartite(np.arange(tiny_host.m), tiny_host, label)
-        assert np.all(np.diff(g.codes) > 0)
+        assert np.all(np.diff(codes_of(g)) > 0)
         rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
-        assert np.array_equal(g.codes, rows * g.n + g.indices)
         # unlabelled, the pairs are the host's edges, each once
         ids = tiny_host.edge_lookup(rows, np.argsort(label)[g.indices])
         assert np.array_equal(np.sort(ids), np.arange(tiny_host.m))
@@ -112,12 +118,12 @@ class TestBipartiteLayout:
                 for i in (0, 1))
         g = BipartiteGraph(n, a, b)
         rows = sorted(zip(a.tolist(), b.tolist()))
-        assert g.codes.tolist() == [x * n + y for x, y in rows]
         assert g.indices.tolist() == [y for _, y in rows]
         assert g.indptr.tolist() == [sum(x < r for x, _ in rows)
                                      for r in range(n + 1)]
-        for arr in (g.codes, g.indices, g.indptr):
-            assert arr.dtype == np.int64
+        for arr in (g.indices, g.indptr):
+            assert arr.dtype == np.int32
+        assert not hasattr(g, "codes")
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_pairs_with_isolated_rows(self, seed):
@@ -131,6 +137,19 @@ class TestBipartiteLayout:
 
     def test_empty_edge_set(self):
         self.check(5, [])
+
+    @pytest.mark.parametrize("n", [46_340, 46_341])
+    def test_pair_codes_either_side_of_2_to_the_31(self, n):
+        # n^2 is just under 2^31 at 46 340, so the codes sort as int32
+        # words, and just over it at 46 341, so they sort as int64 words;
+        # the largest code (n - 1) * n + n - 1 is among the pairs
+        assert key_dtype(n * n) == (np.int32 if n == 46_340 else np.int64)
+        rng = rng_stream(n, 18)
+        pairs = {(0, 0), (0, n - 1), (n - 1, 0), (n - 1, n - 1)}
+        pairs |= set(zip(rng.integers(0, n, 40).tolist(),
+                         rng.integers(0, n, 40).tolist()))
+        pairs = sorted(pairs)
+        self.check(n, [pairs[i] for i in rng.permutation(len(pairs))])
 
     def test_repeated_pair_refused(self):
         with pytest.raises(ValueError, match="repeated"):
@@ -262,11 +281,11 @@ class TestBoosterAugment:
             pairs = random_pairs(n, 0.15, rng)
             g = graph_of(n, pairs)
             mt = maximum_matching(g)
-            given = [a.copy() for a in (g.codes, g.indices, g.indptr,
+            given = [a.copy() for a in (g.indices, g.indptr,
                                         mt.pair_a, mt.pair_b)]
             kept = booster_stream(n, pairs, 30, rng)
             report = booster_augment(g, mt, kept)
-            for old, now in zip(given, (g.codes, g.indices, g.indptr,
+            for old, now in zip(given, (g.indices, g.indptr,
                                         mt.pair_a, mt.pair_b)):
                 assert np.array_equal(old, now)
             some_prefix = any(nx_matching_size(n, pairs + kept[:t]) == n
@@ -353,7 +372,7 @@ class TestBuildK:
         def checked(g, mt, boosters):
             codes = boosters[:, 0] * g.n + boosters[:, 1]
             assert len(np.unique(codes)) == len(codes)
-            assert not np.isin(codes, g.codes).any()
+            assert not np.isin(codes, codes_of(g)).any()
             offered.append(len(codes))
             return real(g, mt, boosters)
         monkeypatch.setattr(matching, "booster_augment", checked)

@@ -588,6 +588,25 @@ class TestSimpleDigraph:
                        else ids[ptr[v]:ptr[v + 1]].tolist())
                 assert row == [e for e, x in enumerate(ends) if x == v]
 
+    @pytest.mark.parametrize("n, m", [(2000, 4096), (70_000, 32_768)])
+    def test_in_csr_is_a_stable_argsort_of_heads(self, n, m):
+        # (n - 1) << b, b = 12 or 15 the bit length of m - 1, is under
+        # 2^31 on the first host and over it on the second: the in-CSR
+        # sorts int32 words on one and int64 words on the other
+        shift = (m - 1).bit_length()
+        assert md.key_dtype(n, shift) == (np.int32 if n < 1 << 16
+                                          else np.int64)
+        rng = rng_stream(19, 3)
+        codes = rng.choice(n * (n - 1), size=m, replace=False)
+        tails, heads = codes // (n - 1), codes % (n - 1)
+        heads += heads >= tails  # no loops
+        sd = SimpleDigraph.from_columns(n, tails, heads, 1)
+        ptr, ids = sd.csr(1)
+        assert ids.dtype == np.int32
+        assert ids.tolist() == np.argsort(heads, kind="stable").tolist()
+        assert ptr.tolist() == np.r_[0, np.cumsum(
+            np.bincount(heads, minlength=n))].tolist()
+
 
 @st.composite
 def codes_and_bound(draw):
@@ -619,6 +638,28 @@ class TestSortCodes:
         # array's positions, so the low and high digits sort in turn
         codes = np.array(values * (reps + 1), dtype=np.int64)
         self.check(codes, 1 << 62)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 300), st.sampled_from(["int32", "int64", "lsd"]),
+           st.integers(0, 1), st.randoms(use_true_random=False))
+    def test_word_width_either_side_of_2_to_the_31(self, size, side, off,
+                                                     rnd):
+        # b, the bit length of size - 1, stays below 32 here (it reaches
+        # 32 only past 2^31 keys), so 31 - b is never a negative shift.
+        # top = bound - 1 sits at or just under the last int32 word,
+        # just over it, or at or one under the first two-pass (LSD)
+        # bound; at b = 0 no int64 code passes that bound
+        size = max(size, 2) if side == "lsd" else size
+        b = (size - 1).bit_length()
+        top = {"int32": (1 << 31 - b) - 1 - off, "int64": (1 << 31 - b) + off,
+               "lsd": (1 << 63 - b) - off}[side]
+        assert md.key_dtype(top + 1, b) == (np.int32 if side == "int32"
+                                            else np.int64)
+        assert (top >> 63 - b != 0) == (side == "lsd" and off == 0)
+        values = [top, 0] + [rnd.randint(0, top) for _ in range(size)]
+        codes = np.array([rnd.choice(values) for _ in range(size)],
+                         dtype=np.int64)
+        self.check(codes, top + 1)
 
     def test_two_pass_ties_on_each_digit(self):
         hi, lo = 1 << 61, 5
