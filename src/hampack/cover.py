@@ -41,7 +41,7 @@ The textbook asymptotic budgets (ν = √n·ln n leaves, |W| ≤ n^{3/4})
 only separate at astronomical n: already 2αν > n^{3/4} for every n
 below ~10⁹, so a literal reading can never finish a single tree.  The
 budget here keeps the same shape at bench scale: ν ≈ √(n/α) leaves
-with α = ⌈c/8k⌉, and a W cap of max(n^{3/4}, 0.85n).  Unlike the
+with α = ⌈c/8k⌉, and a W cap of ⌈0.85n⌉.  Unlike the
 construction, the out-phase has no per-node cap of α children: a node
 admits every available pivot, and only the level's leaf cap stops it.
 W leaves the phase as PhaseTwoStats.burnt.
@@ -270,19 +270,20 @@ class PhaseTwoBudget:
     @classmethod
     def for_model(cls, n: int, c: float, k: int) -> "PhaseTwoBudget":
         alpha = max(2, math.ceil(c / (8 * k)))
-        nu = max(8, min(math.ceil(math.sqrt(n / alpha)),
-                        math.ceil(math.sqrt(n) * math.log(n))))
+        nu = max(8, math.ceil(math.sqrt(n / alpha)))
         # a wide shallow start tree burns the same two vertices per
         # start but keeps the delta chains short, which is what closure
         # validation odds hinge on
         return cls(n0=n / math.log(n), leaf_target=nu, leaf_cap=3 * nu,
-                   w_cap=max(math.ceil(n ** 0.75), math.ceil(0.85 * n)),
+                   w_cap=math.ceil(0.85 * n),
                    in_branch=3 * alpha)
 
 
 @dataclass
 class PhaseTwoStats:
-    """Counters of one phase-2 run; burnt is the vertex mask of W."""
+    """Counters of one phase-2 run; burnt is the vertex mask of W.
+    second_attempts counts each start after a cycle's first; trial
+    records (phase2_retries) and the benchmark read it by that name."""
 
     burnt: np.ndarray
     iterations: int = 0
@@ -579,7 +580,7 @@ def in_phase(pd: PermutationDigraph, u0: int, leaves: list, ctx: _Ctx,
     if hit is not None:
         return hit
     # each start burns two vertices; never spend more than half the
-    # remaining W headroom on one attempt so a retry stays possible
+    # remaining W headroom on one start so a later start stays possible
     headroom = budget.w_cap - w_set.size
     if headroom <= 0:
         return None
@@ -635,10 +636,11 @@ def eliminate_small_cycles(pd: PermutationDigraph, sd: SimpleDigraph,
     """Drive rotations until every cycle has ≥ n0 vertices.
 
     in_pool, the reserve pool as a bool mask over edge ids, is never
-    written.  Small cycles go largest first; a cycle of length ≥ 4 may
-    use two attempts with vertex-disjoint broken edges, shorter ones
-    get one.  W persists across the phase and is returned as
-    stats.burnt.
+    written.  Small cycles go largest first.  u0 runs over the cycle in
+    one random order and starts an out-phase (then, on leaves, an
+    in-phase) when (pred u0, u0) shares no vertex with an edge broken
+    before it, until a start closes: at most ⌊len/2⌋ starts, and one
+    for a 2- or 3-cycle.  W persists and is returned as stats.burnt.
     """
     w_set = _Burnt(sd.n)
     stats = PhaseTwoStats(burnt=np.frombuffer(w_set, dtype=bool))
@@ -647,44 +649,39 @@ def eliminate_small_cycles(pd: PermutationDigraph, sd: SimpleDigraph,
         small, _large = cycles_of(pd, budget.n0)
         if not small:
             break
-        small.sort(key=lambda c: -int(pd.cycle_lens[c]))
-        cid = small[0]
+        cid = max(small, key=lambda c: pd.cycle_lens[c])
         clen = int(pd.cycle_lens[cid])
         ctx.refresh(pd)
         stats.iterations += 1
-        attempts = 2 if clen >= 4 else 1
         cyc = pd.cycles[cid]
-        order = rng.permutation(len(cyc))
-        tried: list[tuple[int, int]] = []
+        broken: set[int] = set()  # ends of the edges broken so far
+        starts = 0
         new_pd = None
-        for a in range(attempts):
-            u0 = None
-            for idx in order:
-                cand = int(cyc[idx])
-                pair = (cand, int(pd.pred[cand]))
-                if all(pair[0] not in t and pair[1] not in t for t in tried):
-                    u0 = cand
-                    break
-            if u0 is None:
-                break
-            tried.append((u0, int(pd.pred[u0])))
-            if a == 1:
-                stats.second_attempts += 1
+        for u0 in cyc[rng.permutation(clen)].tolist():
+            v0 = int(pd.pred[u0])
+            if u0 in broken or v0 in broken:
+                continue
+            broken.update((u0, v0))
+            starts += 1
             res = out_phase(pd, u0, ctx, w_set, budget)
             if res[0] == "closed":
                 stats.early_closures += 1
                 new_pd = res[1]
                 break
-            if res[0] == "leaves":
-                closed = in_phase(pd, u0, res[1], ctx, w_set, budget)
-                if closed is not None:
-                    stats.in_phase_closures += 1
-                    new_pd = closed
-                    break
+            if res[0] == "fail":
+                reason = res[1]
+                continue
+            new_pd = in_phase(pd, u0, res[1], ctx, w_set, budget)
+            if new_pd is not None:
+                stats.in_phase_closures += 1
+                break
+            reason = "no in-phase closure"
+        stats.second_attempts += starts - 1
         if new_pd is None:
             raise PhaseFailure(
-                "phase2", f"could not remove a {clen}-cycle "
-                f"(|W|={w_set.size}, cap={budget.w_cap})")
+                "phase2", f"could not remove a {clen}-cycle after "
+                f"{starts} starts (last: {reason}; "
+                f"|W|={w_set.size}, cap={budget.w_cap})")
         _assert_progress(pd, new_pd, budget.n0)
         stats.eliminated.append(clen)
         pd = new_pd

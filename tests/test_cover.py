@@ -790,9 +790,10 @@ class TestEliminate:
             eliminate_small_cycles(pd, sd, pool, rng_stream(7),
                                    tiny_budget(n0=3))
 
-    def test_attempt_budget_by_cycle_length(self, monkeypatch):
-        # a >= 4 cycle gets two shots with vertex-disjoint break
-        # edges, a shorter one only one
+    def test_starts_cover_every_disjoint_broken_edge(self, monkeypatch):
+        # with out_phase always failing, a cycle gets one start per broken
+        # edge that is vertex-disjoint from the edges broken before it,
+        # in the order of the iteration's one permutation draw
         calls = []
 
         def failing_out_phase(pd, u0, ctx, w_set, budget):
@@ -800,21 +801,57 @@ class TestEliminate:
             return ("fail", "forced")
 
         monkeypatch.setattr(cv, "out_phase", failing_out_phase)
-        sd, pd, pool = host_with_cover([0, 1, 2, 3, 4],
-                                       [5, 6, 7, 8, 9, 10, 11])
-        with pytest.raises(PhaseFailure):
+        sd, pd, pool = host_with_cover([0, 1, 2, 3, 4, 5, 6],
+                                       [7, 8, 9, 10, 11, 12, 13, 14])
+        with pytest.raises(PhaseFailure, match=r"could not remove a "
+                           r"7-cycle after 3 starts \(last: forced;"):
             eliminate_small_cycles(pd, sd, pool, rng_stream(7),
-                                   tiny_budget(n0=6))
-        assert len(calls) == 2
-        (a1, b1), (a2, b2) = calls
-        assert {a1, b1}.isdisjoint({a2, b2})
+                                   tiny_budget(n0=8))
+        assert len(calls) == 3
 
-        calls.clear()
-        sd, pd, pool = host_with_cover([0, 1, 2], [3, 4, 5, 6, 7, 8])
-        with pytest.raises(PhaseFailure):
-            eliminate_small_cycles(pd, sd, pool, rng_stream(7),
-                                   tiny_budget(n0=4))
-        assert len(calls) == 1
+        for clen in range(2, 13):
+            calls.clear()
+            sd, pd, pool = host_with_cover(
+                list(range(clen)), list(range(clen, 2 * clen + 1)))
+            with pytest.raises(PhaseFailure):
+                eliminate_small_cycles(pd, sd, pool, rng_stream(7),
+                                       tiny_budget(n0=clen + 1))
+            ends = [v for pair in calls for v in pair]
+            assert len(set(ends)) == len(ends)  # pairwise disjoint
+            order = rng_stream(7).permutation(clen).tolist()
+            assert calls[0][0] == order[0]
+            assert [order.index(u) for u, _ in calls] == sorted(
+                order.index(u) for u, _ in calls)
+            # cycle vertex u is its own offset, so pred u = u - 1 mod clen
+            untried = [u for u in range(clen)
+                       if {u, (u - 1) % clen}.isdisjoint(ends)]
+            assert untried == []
+            if clen <= 3:
+                assert len(calls) == 1
+
+    def test_later_start_closes(self, monkeypatch):
+        # two forced failures, then the real out_phase closes the cycle
+        # from the third vertex-disjoint broken edge
+        real_out_phase = cv.out_phase
+        calls = []
+
+        def flaky_out_phase(pd, u0, ctx, w_set, budget):
+            calls.append(u0)
+            if len(calls) <= 2:
+                return ("fail", "forced")
+            return real_out_phase(pd, u0, ctx, w_set, budget)
+
+        monkeypatch.setattr(cv, "out_phase", flaky_out_phase)
+        small, long = list(range(7)), list(range(7, 15))
+        cross = [(a, b) for a in small for b in long]
+        sd, pd, pool = host_with_cover(
+            small, long, extra=cross + [(b, a) for a, b in cross])
+        out, stats = eliminate_small_cycles(pd, sd, pool, rng_stream(7),
+                                            tiny_budget(n0=8))
+        assert len(calls) == 3
+        assert out.num_cycles == 1
+        assert stats.eliminated == [7]
+        assert stats.second_attempts == 2
 
     def test_largest_small_cycle_first(self, monkeypatch):
         seen = []

@@ -197,14 +197,15 @@ class TestRecordsPinned:
 
     @pytest.mark.parametrize("seed, outcome, want", [
         (0, "failure:phase2",
-         "7e650733bcac376e374321263630b147bc7ec35d3e1bd8ea3a55a770cd04ae28"),
+         "ae2943e742e426aa62f93a36c950db92d81eb316676c441464a523859c91df00"),
         (1, "success",
          "b13a5e32ef96c8c8a373a26ba6e6dbc84c97f9fb9f54206af183edac560871ea"),
     ], ids=["seed0", "seed1"])
     def test_pack_given_host(self, seed, outcome, want):
         # the ``pack --in`` path: a fixed host, drawn apart from the
         # sampler so a sampler change leaves it alone, packed with
-        # params read off it; seed 0's failure text quotes |W|
+        # params read off it; seed 0's failure text quotes its starts,
+        # the last start's reason and |W|
         sd = tail_ordered_host(3000, 20.0, 1, 2)
         params = ModelParams.from_nmk(sd.n, sd.m, 1)
         rec = hn.run_trial(params, seed, sd=sd)
