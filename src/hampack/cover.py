@@ -44,7 +44,16 @@ budget here keeps the same shape at bench scale: ν ≈ √(n/α) leaves
 with α = ⌈c/8k⌉, and a W cap of ⌈0.85n⌉.  Unlike the
 construction, the out-phase has no per-node cap of α children: a node
 admits every available pivot, and only the level's leaf cap stops it.
-W leaves the phase as PhaseTwoStats.burnt.
+
+Those are all the limits: the leaf target and leaf cap, the W cap, the
+in-phase's in_branch = 3α children per start, and MAX_STARTS in-phase
+starts.  Every loop ends without a cap of its own.  Each node an
+out-phase level admits burns its pivot w, which was unburnt, so the
+levels stop once nothing is left to burn; the W cap is checked after
+every level.  Each in-phase start is a vertex not seen before, so each
+closure target is validated at most once, and starts stop at
+MAX_STARTS.  A small cycle gets at most ⌊len/2⌋ starts, and each
+elimination removes a small cycle.
 """
 
 from __future__ import annotations
@@ -252,9 +261,7 @@ def cycles_of(pd: PermutationDigraph, n0: float) -> tuple[list, list]:
     return np.flatnonzero(small).tolist(), np.flatnonzero(~small).tolist()
 
 
-MAX_LEVELS = 60        # out-phase tree depth
-MAX_STARTS = 384       # in-phase path starts per attempt
-MAX_VALIDATIONS = 512  # in-phase closure replays per attempt
+MAX_STARTS = 384  # in-phase path starts per attempt
 
 
 @dataclass(frozen=True)
@@ -281,11 +288,10 @@ class PhaseTwoBudget:
 
 @dataclass
 class PhaseTwoStats:
-    """Counters of one phase-2 run; burnt is the vertex mask of W.
+    """Counters of one phase-2 run; w_size is |W| at its end.
     second_attempts counts each start after a cycle's first; trial
     records (phase2_retries) and the benchmark read it by that name."""
 
-    burnt: np.ndarray
     iterations: int = 0
     early_closures: int = 0
     in_phase_closures: int = 0
@@ -452,7 +458,7 @@ def out_phase(pd: PermutationDigraph, u0: int, ctx: _Ctx, w_set: _Burnt,
     w_set.burn(u0, v0)
     root = _root_node(pd, u0, v0, int(pd.cycle_id[u0]))
     level = [root]
-    for _ in range(MAX_LEVELS):
+    while True:
         leaves = [nd for nd in level if nd.path_v >= n0]
         if len(leaves) >= budget.leaf_target:
             break
@@ -494,8 +500,6 @@ def out_phase(pd: PermutationDigraph, u0: int, ctx: _Ctx, w_set: _Burnt,
         if w_set.size > budget.w_cap:
             return ("fail", "burnt-vertex cap exceeded")
         level = nxt
-    else:
-        return ("fail", "level budget exhausted")
     leaves.sort(key=lambda nd: -nd.path_v)
     return ("leaves", leaves[:budget.leaf_cap])
 
@@ -560,16 +564,11 @@ def in_phase(pd: PermutationDigraph, u0: int, leaves: list, ctx: _Ctx,
     # start -> its chain [(w, start_fed, eid)], root-first, built once
     chains: dict[int, list] = {u0: []}
     frontier = [u0]
-    validations = 0
 
     def try_close(s):
-        nonlocal validations
         lo = bisect_left(target_heads, s)
         hi = bisect_right(target_heads, s, lo)
         for j, closure_eid in zip(target_leaf[lo:hi], target_eid[lo:hi]):
-            if validations >= MAX_VALIDATIONS:
-                return None
-            validations += 1
             leaf = leaves[j]
             if _replay(pd, leaf, chains[s], n0):
                 return _materialize(pd, leaf, chains[s],
@@ -579,15 +578,7 @@ def in_phase(pd: PermutationDigraph, u0: int, leaves: list, ctx: _Ctx,
     hit = try_close(u0)
     if hit is not None:
         return hit
-    # each start burns two vertices; never spend more than half the
-    # remaining W headroom on one start so a later start stays possible
-    headroom = budget.w_cap - w_set.size
-    if headroom <= 0:
-        return None
-    max_starts = min(MAX_STARTS, max(16, headroom // 4))
-    while frontier and len(chains) < max_starts:
-        if validations >= MAX_VALIDATIONS:
-            return None  # try_close can no longer accept anything
+    while frontier and len(chains) < MAX_STARTS:
         at, eids, tails = ctx.rows(1, np.array(frontier, dtype=np.int64))
         cuts = np.searchsorted(at, np.arange(len(frontier) + 1)).tolist()
         eids, tails = eids.tolist(), tails.tolist()
@@ -640,10 +631,10 @@ def eliminate_small_cycles(pd: PermutationDigraph, sd: SimpleDigraph,
     one random order and starts an out-phase (then, on leaves, an
     in-phase) when (pred u0, u0) shares no vertex with an edge broken
     before it, until a start closes: at most ⌊len/2⌋ starts, and one
-    for a 2- or 3-cycle.  W persists and is returned as stats.burnt.
+    for a 2- or 3-cycle.  W persists across iterations.
     """
     w_set = _Burnt(sd.n)
-    stats = PhaseTwoStats(burnt=np.frombuffer(w_set, dtype=bool))
+    stats = PhaseTwoStats()
     ctx = _Ctx(sd, in_pool)
     while True:
         small, _large = cycles_of(pd, budget.n0)

@@ -343,22 +343,18 @@ def stats_perm_cycles(n: int, samples: int, seed: int,
     }
 
 
-def stats_simplicity_rate(params: ModelParams, attempts: int, seed: int,
-                          fresh_degrees: bool = False) -> dict:
+def stats_simplicity_rate(params: ModelParams, attempts: int,
+                          seed: int) -> dict:
     """Observed simple-pairing rate vs the two analytic exponents.
 
-    By default one typical degree sequence backs all pairings: the
-    loop/duplicate moments are functions of the sequence only through
-    sums that concentrate, and the analysis itself conditions on the
-    sequence.  fresh_degrees redraws it per attempt (the whole-sampler
-    acceptance rate), at the cost of two degree vectors per attempt.
+    One typical degree sequence backs all pairings: the loop/duplicate
+    moments are functions of the sequence only through sums that
+    concentrate, and the analysis itself conditions on the sequence.
     """
     rng = rng_stream(seed, 61)
     simple = 0
-    ds = None
+    ds = sample_degree_sequence(params, rng)
     for _ in range(attempts):
-        if ds is None or fresh_degrees:
-            ds = sample_degree_sequence(params, rng)
         cd = pair_configuration(ds, rng)
         simple += cd.is_simple()
     loop_exp, beta, beta2 = simplicity_exponents(params)
@@ -612,7 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = st.add_parser("simplicity-rate")
     _add_model_args(s)
     s.add_argument("--attempts", type=_POSITIVE, default=500)
-    s.add_argument("--fresh-degrees", action="store_true")
 
     s = st.add_parser("degree-gof")
     _add_model_args(s)
@@ -719,8 +714,7 @@ def _cmd_stats(args, parser) -> int:
     params = (None if args.subcmd in ("perm-cycles", "rphi")
               else _model_params(args.n, args.c, args.k))
     if args.subcmd == "simplicity-rate":
-        out = stats_simplicity_rate(params, args.attempts, args.seed,
-                                    fresh_degrees=args.fresh_degrees)
+        out = stats_simplicity_rate(params, args.attempts, args.seed)
     elif args.subcmd == "degree-gof":
         out = stats_degree_gof(params, args.seed, reseeds=args.reseeds)
     elif args.subcmd == "partition-sizes":
