@@ -50,10 +50,10 @@ in-phase's in_branch = 3α children per start, and MAX_STARTS in-phase
 starts.  Every loop ends without a cap of its own.  Each node an
 out-phase level admits burns its pivot w, which was unburnt, so the
 levels stop once nothing is left to burn; the W cap is checked after
-every level.  Each in-phase start is a vertex not seen before, so each
-closure target is validated at most once, and starts stop at
-MAX_STARTS.  A small cycle gets at most ⌊len/2⌋ starts, and each
-elimination removes a small cycle.
+every level and before every start.  Each in-phase start is a vertex
+not seen before, so each closure target is validated at most once,
+and starts stop at MAX_STARTS.  A small cycle gets at most ⌊len/2⌋
+starts, and each elimination removes a small cycle.
 """
 
 from __future__ import annotations
@@ -631,7 +631,8 @@ def eliminate_small_cycles(pd: PermutationDigraph, sd: SimpleDigraph,
     one random order and starts an out-phase (then, on leaves, an
     in-phase) when (pred u0, u0) shares no vertex with an edge broken
     before it, until a start closes: at most ⌊len/2⌋ starts, and one
-    for a 2- or 3-cycle.  W persists across iterations.
+    for a 2- or 3-cycle.  W persists across iterations, and no start
+    runs once |W| is past the cap, since it could only fail.
     """
     w_set = _Burnt(sd.n)
     stats = PhaseTwoStats()
@@ -652,6 +653,10 @@ def eliminate_small_cycles(pd: PermutationDigraph, sd: SimpleDigraph,
             v0 = int(pd.pred[u0])
             if u0 in broken or v0 in broken:
                 continue
+            if w_set.size > budget.w_cap:
+                # W only grows, so this start would fail at its root level
+                reason = "stopped: burnt-vertex cap exceeded"
+                break
             broken.update((u0, v0))
             starts += 1
             res = out_phase(pd, u0, ctx, w_set, budget)
@@ -660,19 +665,19 @@ def eliminate_small_cycles(pd: PermutationDigraph, sd: SimpleDigraph,
                 new_pd = res[1]
                 break
             if res[0] == "fail":
-                reason = res[1]
+                reason = f"last: {res[1]}"
                 continue
             new_pd = in_phase(pd, u0, res[1], ctx, w_set, budget)
             if new_pd is not None:
                 stats.in_phase_closures += 1
                 break
-            reason = "no in-phase closure"
-        stats.second_attempts += starts - 1
+            reason = "last: no in-phase closure"
         if new_pd is None:
             raise PhaseFailure(
                 "phase2", f"could not remove a {clen}-cycle after "
-                f"{starts} starts (last: {reason}; "
+                f"{starts} starts ({reason}; "
                 f"|W|={w_set.size}, cap={budget.w_cap})")
+        stats.second_attempts += starts - 1
         _assert_progress(pd, new_pd, budget.n0)
         stats.eliminated.append(clen)
         pd = new_pd

@@ -16,6 +16,7 @@ as one call, failed trials included, and logs the t50/t90 per cell.
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import itertools
@@ -92,7 +93,8 @@ def run_pipeline(params: ModelParams, rng: np.random.Generator, sd=None):
                 pd, sd, part.reserve(3, i, used), rng, budget)
             info["phase2"].append(p2)
 
-            ham, p3 = merge_patch(pd2, sd, part.reserve(4, i, used), rng)
+            ham, p3 = merge_patch(pd2, sd, part.reserve(4, i, used), rng,
+                                  functools.partial(part.own_pool, i, used))
             info["phase3"].append(p3)
             used[ham.edge_ids] = True
             covers.append(ham)

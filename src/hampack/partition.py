@@ -1,11 +1,11 @@
 """Edge-pool partition and the SMALL vertex set.
 
-The m host edges are split into 3k+1 pools: for pool j = 1..3k (taken
-in order Ê_{1,1}..Ê_{1,k}, Ê_{2,1}..Ê_{2,k}, Ê_{3,1}..Ê_{3,k}) every
-still-unassigned edge joins independently with probability
-p_j = 1/(4k-j+1); what remains is E_4, shuffled and dealt round-robin
-into k parts of near-equal size.  The telescoping product makes every
-pool's expected size exactly m/4k.
+The m host edges are split into 3k+1 pools, Ê_{t,i} for t <= 3 and
+i < k, and E_4.  Each edge draws one of 4k labels uniformly and
+independently, so it lies in each Ê_{t,i} with probability 1/4k, as
+in the paper, and in E_4 with probability 1/4.  E_4 comes as k parts
+E_{4,i}, one label each: their sizes are independent multinomial
+cells of mean m/4k, not near-equal deals.
 
 A vertex is SMALL when its in- or out-degree is at most c/8k either in
 the host or inside any single pool Ê_{t,i} with t <= 3.  E_SMALL is
@@ -65,26 +65,23 @@ class EdgePartition:
         mask &= ~used
         return mask
 
+    def own_pool(self, i: int, used: np.ndarray) -> np.ndarray:
+        """Every edge labelled for cover i, Ê_{1,i} ∪ Ê_{2,i} ∪ Ê_{3,i}
+        ∪ E_{4,i}, with no edge marked in used, as a fresh bool mask:
+        phase 3's last rung when E_{4,i} alone cannot merge."""
+        mask = self.pool % self.k == i
+        mask &= ~used
+        return mask
+
 
 def split_edges(sd: SimpleDigraph, k: int, rng: np.random.Generator) -> EdgePartition:
-    """Assign every edge to one of the 3k+1 pools.
+    """Assign every edge to one of the 4k pool labels.
 
-    Sequential independent thinning with p_j = 1/(4k-j+1); leftovers
-    become E_4 and are dealt round-robin after a uniform shuffle, so
-    the k parts differ in size by at most one.
+    One uniform draw per edge: each edge lies in each Ê_{t,i} and each
+    E_{4,i} with probability 1/4k, independently of every other edge.
     """
-    m = sd.m
-    pool = np.zeros(m, dtype=np.min_scalar_type(4 * k - 1))
-    unassigned = np.arange(m)
-    for j in range(3 * k):  # round j fills pool j = Ê_{j//k+1, j%k}
-        p = 1.0 / (4 * k - j)
-        hit = rng.random(len(unassigned)) < p
-        pool[unassigned.compress(hit)] = j  # on a random mask, beats [hit]
-        unassigned = unassigned.compress(~hit)
-    rng.shuffle(unassigned)  # compress made it a fresh array
-    for i in range(k):
-        pool[unassigned[i::k]] = 3 * k + i
-    return EdgePartition(n=sd.n, m=m, k=k, pool=pool)
+    pool = rng.integers(0, 4 * k, sd.m, dtype=np.min_scalar_type(4 * k - 1))
+    return EdgePartition(n=sd.n, m=sd.m, k=k, pool=pool)
 
 
 def compute_small(sd: SimpleDigraph, part: EdgePartition,

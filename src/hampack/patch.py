@@ -4,6 +4,9 @@ A cover that survived the small-cycle sweep consists of at most a few
 cycles, each of length >= n0.  ``merge_patch`` turns it into a Hamilton
 cycle using reserve edges from the fourth pool: it repeatedly splices
 the smallest cycle into another one with a pairwise edge exchange.
+When E_{4,i} holds no exchange for the smallest cycle, the search runs
+once more over cover i's own unused edges (every pool label ≡ i mod
+k); these are not fresh, a departure the README lists.
 Break (a, a+) in cycle A and (b, b+) in cycle B, rejoin with reserve
 edges (a, b+) and (b, a+).  An exchange is the kappa = 2 case of the
 paper's reconnection of path sections along a cyclic tau, and it never
@@ -33,6 +36,8 @@ from .model import SimpleDigraph
 @dataclass
 class PatchStats:
     merges: int = 0
+    # how many of the merges the own-pool rung made
+    own_pool_merges: int = 0
     # always 0: perfbench reads all three (tracer.py reads relaxed_merges,
     # workload.py::_pack reads kappa and search_nodes); each goes with
     # the benchmark change that stops reading it (ROADMAP items 1 and 4)
@@ -122,12 +127,14 @@ def _find_exchange(pd: PermutationDigraph, cid: int, ctx: _Ctx,
 
 def merge_patch(pd: PermutationDigraph, sd: SimpleDigraph,
                 in_pool: np.ndarray, rng: np.random.Generator,
-                ) -> tuple[PermutationDigraph, PatchStats]:
+                own_pool=None) -> tuple[PermutationDigraph, PatchStats]:
     """Merge cycles pairwise until the cover is one Hamilton cycle.
 
     in_pool, the reserve pool as a bool mask over edge ids, is never
     written.  Each round splices the smallest cycle into another via
-    an edge exchange; PhaseFailure when the smallest cycle has none.
+    an edge exchange.  When in_pool has none, own_pool, a callable
+    returning a second mask (cover i's own unused edges), is called and
+    searched too; PhaseFailure when neither has an exchange.
     """
     stats = PatchStats()
     ctx = _Ctx(sd, in_pool)
@@ -135,6 +142,11 @@ def merge_patch(pd: PermutationDigraph, sd: SimpleDigraph,
         ctx.refresh(pd)
         cid = int(np.argmin(pd.cycle_lens))
         found = _find_exchange(pd, cid, ctx, rng)
+        if found is None and own_pool is not None:
+            own = _Ctx(sd, own_pool())
+            own.refresh(pd)
+            found = _find_exchange(pd, cid, own, rng)
+            stats.own_pool_merges += found is not None
         if found is None:
             raise PhaseFailure(
                 "phase3", f"no exchange merges the {int(pd.cycle_lens[cid])}"

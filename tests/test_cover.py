@@ -794,6 +794,38 @@ class TestOutPhase:
         assert res == ("fail", "burnt-vertex cap exceeded")
         assert w_set.size == 22
 
+    def test_no_start_once_w_passes_the_cap(self, monkeypatch):
+        # a 4-cycle {0..3} ahead of the chain, each vertex with a reserve
+        # edge into it: the first start burns |W| to 22 > 20, so the
+        # cycle's second disjoint start does not run
+        head = [0, 1, 2, 3]
+        chain = [[4 + 2 * i, 5 + 2 * i] for i in range(70)]
+        extra = [(v, 4) for v in head]
+        extra += [(5 + 2 * i, 6 + 2 * i) for i in range(69)]
+        sd, pd, pool = host_with_cover(head, *chain, extra=extra)
+        seen = []
+        real = cv.out_phase
+
+        def spy(pd, u0, ctx, w_set, budget):
+            seen.append(w_set.size)
+            return real(pd, u0, ctx, w_set, budget)
+
+        monkeypatch.setattr(cv, "out_phase", spy)
+        with pytest.raises(PhaseFailure) as exc:
+            eliminate_small_cycles(pd, sd, pool, rng_stream(7),
+                                   tiny_budget(n0=100, w_cap=20))
+        assert seen == [0]
+        assert exc.value.detail == (
+            "could not remove a 4-cycle after 1 starts (stopped: "
+            "burnt-vertex cap exceeded; |W|=22, cap=20)")
+        # the detail names the cap even when no start ran
+        seen.clear()
+        with pytest.raises(PhaseFailure, match=r"after 0 starts \(stopped: "
+                           r"burnt-vertex cap exceeded; \|W\|=0, cap=-1\)"):
+            eliminate_small_cycles(pd, sd, pool, rng_stream(7),
+                                   tiny_budget(n0=100, w_cap=-1))
+        assert seen == []
+
 
 class TestEliminate:
     def test_clean_cover_untouched(self):
@@ -904,7 +936,7 @@ class TestEliminate:
 
     def test_output_pinned(self, host_k2):
         # cover 0 of host_k2 after the pipeline's own split, SMALL and
-        # matchings: six eliminations, all closed in the in-phase
+        # matchings: seven eliminations, all closed in the in-phase
         params, sd = host_k2
         rng = rng_stream(58, 4)
         part = split_edges(sd, params.k, rng)
@@ -919,14 +951,14 @@ class TestEliminate:
         counts = (stats.iterations, stats.early_closures,
                   stats.in_phase_closures, stats.second_attempts,
                   stats.w_size, stats.eliminated)
-        assert counts[:3] == (6, 0, 6)
+        assert counts[:3] == (7, 0, 7)
         h = hashlib.sha256()
         h.update(out.succ.astype("<i8").tobytes())
         h.update(out.edge_ids.astype("<i8").tobytes())
         h.update(repr(counts).encode())
-        assert h.hexdigest() == ("9bbd4a3f6b78c72b3ba24fcef9b7b13d"
-                                 "39a4121aa395c152d862de156cc6193d")
-        assert int(rng.integers(1 << 62)) == 590560728197216951
+        assert h.hexdigest() == ("d2fce1c6ab85fe8b06b04ab4fe2b32e2"
+                                 "b7a414363b20b55affc2578ccb1733d4")
+        assert int(rng.integers(1 << 62)) == 4277912237676510138
 
 
 class TestAssertProgress:

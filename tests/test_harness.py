@@ -129,14 +129,15 @@ def test_covers_built_once_then_spliced(monkeypatch):
     assert len(built) == 1 and len(spliced) >= 2
 
 
-@pytest.mark.parametrize("point", [(2000, 100.0, 2), (600, 30.0, 1),
-                                   (2000, 60.0, 3)],
-                         ids=["k2", "k1", "k3"])
-def test_cycles_use_own_pools(monkeypatch, point):
+@pytest.mark.parametrize("point, want_wins", [
+    ((2000, 100.0, 2), 4), ((600, 30.0, 1), 2), ((2000, 60.0, 3), 4),
+], ids=["k2", "k1", "k3"])
+def test_cycles_use_own_pools(monkeypatch, point, want_wins):
     """Every edge of Hamilton cycle i lies in one of cover i's own
     pools, Ê_{t,i} or E_{4,i} (pool label = i mod k), or in E_SMALL: no
     phase reaches into another cover's pools.  At k = 1 every label
-    qualifies, so that point checks only that trials get this far."""
+    qualifies, so that point checks only that trials get this far; two
+    of its four seeds fail in phase 2 (25 of 200 seeds do there)."""
     parts = []
     split = hn.split_edges
 
@@ -156,7 +157,7 @@ def test_cycles_use_own_pools(monkeypatch, point):
         for i, eids in enumerate(rec.certificate.edge_ids):
             own = (part.pool[eids] % part.k == i) | part.e_small[eids]
             assert own.all(), (seed, i, np.flatnonzero(~own))
-    assert len(parts) == 4 and wins >= 3
+    assert len(parts) == 4 and wins == want_wins
 
 
 class TestRecordsPinned:
@@ -168,9 +169,9 @@ class TestRecordsPinned:
         return hashlib.sha256(rec.to_json().encode()).hexdigest()
 
     @pytest.mark.parametrize("seed, want", [
-        (0, "192b7314d3940eb17886aa6862d1dcc0c3bd2d98faff8cfb889bb41d95ed8cb0"),
-        (1, "b046fcddf7f50e65f52a72395379c52870b422c7845934cc3692c80101ae6e50"),
-        (2, "f078e1a7c13c6086d86053e5e7f62bd8663c79f13f10ea9262787b4e420aa547"),
+        (0, "36d2ddd47f9482af5df27957ffc7006d73c94c1bfda3f0497d35750fb0f0c2d4"),
+        (1, "e215aee5721a2b66bada0d8940c19897cf7f6717f5995d8957e84905040f99d6"),
+        (2, "a1dee5f396f3a4cea8c26b8d9e1f09caf7e198de3f57b09105420a5a18da1510"),
     ], ids=["seed0", "seed1", "seed2"])
     def test_run_trial(self, seed, want):
         rec = hn.run_trial(ModelParams.make(2000, 100.0, 2), seed)
@@ -179,9 +180,9 @@ class TestRecordsPinned:
 
     @pytest.mark.parametrize("seed, outcome, want", [
         (0, "failure:phase2",
-         "ae2943e742e426aa62f93a36c950db92d81eb316676c441464a523859c91df00"),
+         "f2d8b20e4d3170db24590339da1d063e9aae1cd6137e62bb8c47e13c3f9b1054"),
         (1, "success",
-         "b13a5e32ef96c8c8a373a26ba6e6dbc84c97f9fb9f54206af183edac560871ea"),
+         "348224bb3f8c0aa19190e434b25358640f4f79b0a5c278d6d0568dba9dda25d4"),
     ], ids=["seed0", "seed1"])
     def test_pack_given_host(self, seed, outcome, want):
         # the ``pack --in`` path: a fixed host, drawn apart from the
@@ -196,9 +197,9 @@ class TestRecordsPinned:
 
     @pytest.mark.parametrize("seed, outcome, want", [
         (0, "success",
-         "df781b25de73ca6d9a961977b1d7c39b390fbced0f27ff069fa6146e36986ed3"),
-        (1, "failure:phase3",
-         "6cb6e7daaa3de0116eee0aaff0fd02ad57a2f6a9542ffc97105f4be5dd51219e"),
+         "6e7c896a2d526f33c79ff236fd2c9d91887744fdd0e8795bafc2bce6b3f0dbfb"),
+        (1, "success",
+         "468039094f4b015117e59254f0dc3c3997e9449ec4e65382bb1d4a0c466c3ac7"),
     ], ids=["seed0", "seed1"])
     def test_pack_given_host_k2(self, seed, outcome, want):
         # k = 2 on a host out of pair-code order, so both covers' matched
@@ -582,11 +583,11 @@ class TestRunSweep:
         assert row.successes + counted == row.trials
 
     def test_times_every_trial(self, caplog, sweep_cells):
-        # every trial of this cell fails in phase 2, and the cell's
-        # t50/t90 line still reads their times
+        # three of this cell's four trials fail in phase 2, and the
+        # cell's t50/t90 line reads the times of all four
         with caplog.at_level("INFO", logger="hampack"):
             summary = hn.run_sweep(sweep_cells([40], [3.0], [1]), 4, 0)
-        assert summary.rows[0].failures == "phase2=4"
+        assert summary.rows[0].failures == "phase2=3"
         lines = [r.getMessage() for r in caplog.records
                  if "t50=" in r.getMessage()]
         assert len(lines) == 1

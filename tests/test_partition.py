@@ -17,28 +17,6 @@ def grid_digraph(n_side: int, k: int = 1) -> SimpleDigraph:
     return SimpleDigraph(n, np.array(edges), k)
 
 
-def two_array_split(sd: SimpleDigraph, k: int, rng):
-    """The split over two label arrays, pool_t in {1,2,3,4} and pool_i
-    in [0, k): the reference for the one-label split, draw for draw."""
-    m = sd.m
-    pool_t = np.zeros(m, dtype=np.int8)
-    pool_i = np.full(m, -1, dtype=np.int16)
-    unassigned = np.arange(m)
-    for j in range(3 * k):
-        p = 1.0 / (4 * k - j)
-        hit = rng.random(len(unassigned)) < p
-        chosen = unassigned.compress(hit)
-        pool_t[chosen] = j // k + 1
-        pool_i[chosen] = j % k
-        unassigned = unassigned.compress(~hit)
-    rng.shuffle(unassigned)
-    for i in range(k):
-        part = unassigned[i::k]
-        pool_t[part] = 4
-        pool_i[part] = i
-    return pool_t, pool_i
-
-
 class TestSplitEdges:
     def test_partition_covers_disjointly(self, tiny_host):
         part = split_edges(tiny_host, 2, rng_stream(20, 0))
@@ -69,11 +47,19 @@ class TestSplitEdges:
         for col in range(3 * k + k):
             assert abs(sizes[:, col].mean() - m * p) < 4 * sigma
 
-    def test_e4_parts_near_equal(self, tiny_host):
+    def test_label_sizes_binomial(self):
+        # each of the 4k labels, E_4's k parts included, is a
+        # Binomial(m, 1/4k) count: within 4 sigma on every seed
+        sd = grid_digraph(500)
+        m = sd.m
         for k in (1, 2, 3):
-            part = split_edges(tiny_host, k, rng_stream(22, k))
-            counts = [len(part.pool_edges(4, i)) for i in range(k)]
-            assert max(counts) - min(counts) <= 1
+            p = 1.0 / (4 * k)
+            sigma = math.sqrt(m * p * (1 - p))
+            for seed in range(5):
+                part = split_edges(sd, k, rng_stream(22, k, seed))
+                sizes = np.bincount(part.pool, minlength=4 * k)
+                assert len(sizes) == 4 * k
+                assert np.all(np.abs(sizes - m * p) < 4 * sigma), (k, seed)
 
     def test_deterministic(self, tiny_host):
         a = split_edges(tiny_host, 2, rng_stream(23, 0))
@@ -82,17 +68,18 @@ class TestSplitEdges:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("m", [0, 1, 1000])
-    def test_matches_two_array_split(self, k, m):
+    def test_one_draw(self, k, m):
+        """The labels are one rng.integers draw over the 4k labels, in
+        the narrowest dtype that holds them, and nothing else is drawn."""
         n = 50
         codes = np.arange(n * n)
         codes = codes[codes // n != codes % n][:m]
         sd = SimpleDigraph(n, np.column_stack((codes // n, codes % n)), k)
         ref, new = rng_stream(31, k), rng_stream(31, k)
-        pool_t, pool_i = two_array_split(sd, k, ref)
+        dtype = np.min_scalar_type(4 * k - 1)
         part = split_edges(sd, k, new)
-        assert part.pool.dtype == np.min_scalar_type(4 * k - 1)
-        assert np.array_equal((pool_t.astype(np.int64) - 1) * k + pool_i,
-                              part.pool)
+        assert part.pool.dtype == dtype
+        assert np.array_equal(part.pool, ref.integers(0, 4 * k, m, dtype=dtype))
         assert ref.random() == new.random()  # the same draws were taken
 
 
