@@ -68,15 +68,13 @@ class BipartiteGraph:
         return len(self.indices)
 
 
-def digraph_to_bipartite(edges, sd: SimpleDigraph,
+def digraph_to_bipartite(mask: np.ndarray, sd: SimpleDigraph,
                          label: np.ndarray) -> BipartiteGraph:
-    """Translate the host edges that edges selects (a bool mask over
-    edge ids, or a set of ids) into the bipartite view: host edge (u, v)
-    becomes {a_u, b_label[v]} for the B-side permutation label."""
-    if np.asarray(edges).dtype != bool:  # as a mask: compress beats [mask]
-        edges = np.isin(np.arange(sd.m), edges)
-    return BipartiteGraph(sd.n, sd.tails.compress(edges),
-                          label[sd.heads.compress(edges)])
+    """Translate the host edges that mask (a bool mask over edge ids)
+    selects into the bipartite view: host edge (u, v) becomes
+    {a_u, b_label[v]} for the B-side permutation label."""
+    return BipartiteGraph(sd.n, sd.tails.compress(mask),
+                          label[sd.heads.compress(mask)])
 
 
 @dataclass

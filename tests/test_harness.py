@@ -108,8 +108,8 @@ class TestRunTrial:
 
 
 def test_covers_built_once_then_spliced(monkeypatch):
-    """Phase 1 builds each of the k covers by pointer doubling; phases
-    2 and 3 only splice them."""
+    """Phase 1 builds each of the k covers from scratch; phases 2 and 3
+    only splice them."""
     built, spliced = [], []
     init = cv.PermutationDigraph.__init__
     rewired = cv.PermutationDigraph.rewired
