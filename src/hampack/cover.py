@@ -50,10 +50,10 @@ in-phase's in_branch = 3α children per start, and MAX_STARTS in-phase
 starts.  Every loop ends without a cap of its own.  Each node an
 out-phase level admits burns its pivot w, which was unburnt, so the
 levels stop once nothing is left to burn; the W cap is checked after
-every level and before every start.  Each in-phase start is a vertex
-not seen before, so each closure target is validated at most once,
-and starts stop at MAX_STARTS.  A small cycle gets at most ⌊len/2⌋
-starts, and each elimination removes a small cycle.
+every level of either phase.  Each in-phase start is a vertex not seen
+before, so each closure target is validated at most once, and starts
+stop at MAX_STARTS.  A small cycle gets at most one start per vertex,
+each with a fresh W, and each elimination removes a small cycle.
 """
 
 from __future__ import annotations
@@ -134,12 +134,14 @@ class PermutationDigraph:
         lo = np.r_[0, cut]
         if order[0] != 0 or np.any(np.diff(order[lo]) <= 0):
             raise ValueError("the walk did not list cycles in start order")
-        self.cycle_lens = np.diff(np.r_[lo, n])
+        ends = np.r_[lo, n]
+        self.cycle_lens = np.diff(ends)
         self.cycle_id = np.empty(n, dtype=np.int64)
         self.cycle_id[order] = np.repeat(np.arange(len(lo)), self.cycle_lens)
         self.pos = np.empty(n, dtype=np.int64)
         self.pos[order] = np.arange(n) - np.repeat(lo, self.cycle_lens)
-        self.cycles = np.split(order, cut)
+        self.cycles = [order[a:b]
+                       for a, b in zip(lo.tolist(), ends[1:].tolist())]
 
     def rewired(self, tails, heads, eids) -> "PermutationDigraph":
         """The cover with succ[tails] = heads and edge_ids[tails] = eids.
@@ -287,9 +289,10 @@ class PhaseTwoBudget:
 
 @dataclass
 class PhaseTwoStats:
-    """Counters of one phase-2 run; w_size is |W| at its end.
-    second_attempts counts each start after a cycle's first; trial
-    records (phase2_retries) and the benchmark read it by that name."""
+    """Counters of one phase-2 run; w_size is the largest |W| of any
+    start, since each start burns a fresh W.  second_attempts counts
+    each start after a cycle's first; trial records (phase2_retries)
+    and the benchmark read it by that name."""
 
     iterations: int = 0
     early_closures: int = 0
@@ -451,9 +454,8 @@ def out_phase(pd: PermutationDigraph, u0: int, ctx: _Ctx, w_set: _Burnt,
     """
     n0 = budget.n0
     v0 = int(pd.pred[u0])
-    # the broken edge needs no C(ii) clearance: burns from earlier
-    # iterations are already materialized into Π, so only this
-    # iteration's own surgeries constrain pivot admission
+    # the broken edge needs no C(ii) clearance: W is this start's own,
+    # and burns from earlier closures are already materialized into Π
     w_set.burn(u0, v0)
     root = _root_node(pd, u0, v0, int(pd.cycle_id[u0]))
     level = [root]
@@ -627,13 +629,12 @@ def eliminate_small_cycles(pd: PermutationDigraph, sd: SimpleDigraph,
 
     in_pool, the reserve pool as a bool mask over edge ids, is never
     written.  Small cycles go largest first.  u0 runs over the cycle in
-    one random order and starts an out-phase (then, on leaves, an
-    in-phase) when (pred u0, u0) shares no vertex with an edge broken
-    before it, until a start closes: at most ⌊len/2⌋ starts, and one
-    for a 2- or 3-cycle.  W persists across iterations, and no start
-    runs once |W| is past the cap, since it could only fail.
+    one random order, and each u0 starts an out-phase (then, on leaves,
+    an in-phase) from the broken edge (pred u0, u0), until a start
+    closes: at most len starts, so a 2-cycle is tried both ways round.
+    Each start burns a fresh W.  A failed start materializes nothing,
+    so the next one begins from the same Π.
     """
-    w_set = _Burnt(sd.n)
     stats = PhaseTwoStats()
     ctx = _Ctx(sd, in_pool)
     while True:
@@ -644,33 +645,23 @@ def eliminate_small_cycles(pd: PermutationDigraph, sd: SimpleDigraph,
         clen = int(pd.cycle_lens[cid])
         ctx.refresh(pd)
         stats.iterations += 1
-        cyc = pd.cycles[cid]
-        broken: set[int] = set()  # ends of the edges broken so far
-        starts = 0
         new_pd = None
-        for u0 in cyc[rng.permutation(clen)].tolist():
-            v0 = int(pd.pred[u0])
-            if u0 in broken or v0 in broken:
-                continue
-            if w_set.size > budget.w_cap:
-                # W only grows, so this start would fail at its root level
-                reason = "stopped: burnt-vertex cap exceeded"
-                break
-            broken.update((u0, v0))
-            starts += 1
+        order = pd.cycles[cid][rng.permutation(clen)].tolist()
+        for starts, u0 in enumerate(order, 1):
+            w_set = _Burnt(sd.n)
             res = out_phase(pd, u0, ctx, w_set, budget)
+            if res[0] == "leaves":
+                new_pd = in_phase(pd, u0, res[1], ctx, w_set, budget)
+            stats.w_size = max(stats.w_size, w_set.size)
             if res[0] == "closed":
                 stats.early_closures += 1
                 new_pd = res[1]
                 break
-            if res[0] == "fail":
-                reason = f"last: {res[1]}"
-                continue
-            new_pd = in_phase(pd, u0, res[1], ctx, w_set, budget)
             if new_pd is not None:
                 stats.in_phase_closures += 1
                 break
-            reason = "last: no in-phase closure"
+            reason = "last: " + (res[1] if res[0] == "fail"
+                                 else "no in-phase closure")
         if new_pd is None:
             raise PhaseFailure(
                 "phase2", f"could not remove a {clen}-cycle after "
@@ -680,7 +671,6 @@ def eliminate_small_cycles(pd: PermutationDigraph, sd: SimpleDigraph,
         _assert_progress(pd, new_pd, budget.n0)
         stats.eliminated.append(clen)
         pd = new_pd
-    stats.w_size = w_set.size
     if pd.cycle_lens.min() < budget.n0:
         raise PhaseFailure("phase2", "postcondition violated")
     return pd, stats

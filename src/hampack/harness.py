@@ -101,7 +101,7 @@ def run_pipeline(params: ModelParams, rng: np.random.Generator, sd=None):
         except PhaseFailure as exc:
             exc.index = i
             raise
-        log.debug("cover %d repaired: |W|=%d merges=%d", i,
+        log.debug("cover %d repaired: max |W|=%d merges=%d", i,
                   p2.w_size, p3.merges)
 
     cert = certificate_from_covers(sd, covers)

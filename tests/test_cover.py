@@ -738,7 +738,9 @@ class TestRotateOracle:
             _, stats = eliminate_small_cycles(pd, sd, pool,
                                               rng_stream(seed, 3),
                                               tiny_budget(n0=8))
-            assert stats.w_size == checked[-1]
+            # W only grows within a start, so the largest count seen is
+            # the largest start's
+            assert stats.w_size == max(checked)
         except PhaseFailure as exc:
             assert f"|W|={checked[-1]}," in exc.detail
         assert checked
@@ -817,38 +819,6 @@ class TestOutPhase:
         assert res == ("fail", "burnt-vertex cap exceeded")
         assert w_set.size == 22
 
-    def test_no_start_once_w_passes_the_cap(self, monkeypatch):
-        # a 4-cycle {0..3} ahead of the chain, each vertex with a reserve
-        # edge into it: the first start burns |W| to 22 > 20, so the
-        # cycle's second disjoint start does not run
-        head = [0, 1, 2, 3]
-        chain = [[4 + 2 * i, 5 + 2 * i] for i in range(70)]
-        extra = [(v, 4) for v in head]
-        extra += [(5 + 2 * i, 6 + 2 * i) for i in range(69)]
-        sd, pd, pool = host_with_cover(head, *chain, extra=extra)
-        seen = []
-        real = cv.out_phase
-
-        def spy(pd, u0, ctx, w_set, budget):
-            seen.append(w_set.size)
-            return real(pd, u0, ctx, w_set, budget)
-
-        monkeypatch.setattr(cv, "out_phase", spy)
-        with pytest.raises(PhaseFailure) as exc:
-            eliminate_small_cycles(pd, sd, pool, rng_stream(7),
-                                   tiny_budget(n0=100, w_cap=20))
-        assert seen == [0]
-        assert exc.value.detail == (
-            "could not remove a 4-cycle after 1 starts (stopped: "
-            "burnt-vertex cap exceeded; |W|=22, cap=20)")
-        # the detail names the cap even when no start ran
-        seen.clear()
-        with pytest.raises(PhaseFailure, match=r"after 0 starts \(stopped: "
-                           r"burnt-vertex cap exceeded; \|W\|=0, cap=-1\)"):
-            eliminate_small_cycles(pd, sd, pool, rng_stream(7),
-                                   tiny_budget(n0=100, w_cap=-1))
-        assert seen == []
-
 
 class TestEliminate:
     def test_clean_cover_untouched(self):
@@ -879,48 +849,35 @@ class TestEliminate:
             eliminate_small_cycles(pd, sd, pool, rng_stream(7),
                                    tiny_budget(n0=3))
 
-    def test_starts_cover_every_disjoint_broken_edge(self, monkeypatch):
-        # with out_phase always failing, a cycle gets one start per broken
-        # edge that is vertex-disjoint from the edges broken before it,
-        # in the order of the iteration's one permutation draw
+    def test_every_vertex_starts_with_a_fresh_w(self, monkeypatch):
+        # with out_phase always failing, an L-cycle gets L starts, one
+        # from each of its vertices, in the order of the iteration's one
+        # permutation draw, and each start enters with an empty W
         calls = []
 
         def failing_out_phase(pd, u0, ctx, w_set, budget):
-            calls.append((u0, int(pd.pred[u0])))
+            calls.append((u0, w_set.size))
+            w_set.burn(u0, int(pd.pred[u0]))
             return ("fail", "forced")
 
         monkeypatch.setattr(cv, "out_phase", failing_out_phase)
-        sd, pd, pool = host_with_cover([0, 1, 2, 3, 4, 5, 6],
-                                       [7, 8, 9, 10, 11, 12, 13, 14])
-        with pytest.raises(PhaseFailure, match=r"could not remove a "
-                           r"7-cycle after 3 starts \(last: forced;"):
-            eliminate_small_cycles(pd, sd, pool, rng_stream(7),
-                                   tiny_budget(n0=8))
-        assert len(calls) == 3
-
         for clen in range(2, 13):
             calls.clear()
             sd, pd, pool = host_with_cover(
                 list(range(clen)), list(range(clen, 2 * clen + 1)))
-            with pytest.raises(PhaseFailure):
+            with pytest.raises(PhaseFailure) as exc:
                 eliminate_small_cycles(pd, sd, pool, rng_stream(7),
-                                       tiny_budget(n0=clen + 1))
-            ends = [v for pair in calls for v in pair]
-            assert len(set(ends)) == len(ends)  # pairwise disjoint
-            order = rng_stream(7).permutation(clen).tolist()
-            assert calls[0][0] == order[0]
-            assert [order.index(u) for u, _ in calls] == sorted(
-                order.index(u) for u, _ in calls)
-            # cycle vertex u is its own offset, so pred u = u - 1 mod clen
-            untried = [u for u in range(clen)
-                       if {u, (u - 1) % clen}.isdisjoint(ends)]
-            assert untried == []
-            if clen <= 3:
-                assert len(calls) == 1
+                                       tiny_budget(n0=clen + 1, w_cap=20))
+            # cycle vertex u is its own offset, so u0 = u
+            assert calls == [(u, 0) for u in
+                             rng_stream(7).permutation(clen).tolist()]
+            assert exc.value.detail == (
+                f"could not remove a {clen}-cycle after {clen} starts "
+                f"(last: forced; |W|=2, cap=20)")
 
     def test_later_start_closes(self, monkeypatch):
         # two forced failures, then the real out_phase closes the cycle
-        # from the third vertex-disjoint broken edge
+        # from the third start
         real_out_phase = cv.out_phase
         calls = []
 
@@ -979,8 +936,8 @@ class TestEliminate:
         h.update(out.succ.astype("<i8").tobytes())
         h.update(out.edge_ids.astype("<i8").tobytes())
         h.update(repr(counts).encode())
-        assert h.hexdigest() == ("d2fce1c6ab85fe8b06b04ab4fe2b32e2"
-                                 "b7a414363b20b55affc2578ccb1733d4")
+        assert h.hexdigest() == ("e16a15b308c6aa0da8aaaaac3eb3e81c"
+                                 "831f6644ae8dbf284bee6e00775b98f8")
         assert int(rng.integers(1 << 62)) == 4277912237676510138
 
 
@@ -1008,7 +965,7 @@ class TestBudget:
         b = PhaseTwoBudget.for_model(5000, 50.0, 1)
         alpha = math.ceil(50 / 8)
         assert b.n0 == pytest.approx(5000 / math.log(5000))
-        assert b.w_cap == max(math.ceil(5000 ** 0.75), math.ceil(0.85 * 5000))
+        assert b.w_cap == math.ceil(0.85 * 5000)
         assert b.in_branch == 3 * alpha
         assert b.leaf_target == math.ceil(math.sqrt(5000 / alpha))
         assert b.leaf_cap == 3 * b.leaf_target
