@@ -351,8 +351,8 @@ class _Ctx:
     may use now (not in the current cover), refreshed per iteration.
     rows is the one reader of pool rows.  A pool row is the host's CSR
     row (SimpleDigraph.csr, shared by every context) filtered by avail:
-    host rows ascend by id and avail lies in in_pool, so it lists
-    available pool edges by id.
+    host out-rows ascend by id and in-rows by tail, and avail lies in
+    in_pool, so it lists available pool edges in that order.
     """
 
     def __init__(self, sd: SimpleDigraph, in_pool: np.ndarray):
@@ -369,8 +369,8 @@ class _Ctx:
         or 1 (entering), as arrays.
 
         Returns (at, eids, ends): for each v of vs in turn, its row's
-        edges ascending by id, each with end vs[at] on side and its
-        other end in ends.  at is nondecreasing.
+        edges (by id on side 0, by tail on side 1), each with end vs[at]
+        on side and its other end in ends.  at is nondecreasing.
         """
         ptr, ids = self.sd.csr(side)
         lo = ptr[vs]

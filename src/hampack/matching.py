@@ -30,7 +30,7 @@ from scipy.sparse.csgraph import (breadth_first_order,
                                   maximum_bipartite_matching)
 
 from .errors import PhaseFailure
-from .model import SimpleDigraph, key_dtype
+from .model import SimpleDigraph, key_dtype, row_starts
 from .partition import EdgePartition
 
 __all__ = [
@@ -47,8 +47,8 @@ class BipartiteGraph:
     Edges are held as int32 CSR rows only: A vertex a is adjacent to
     indices[indptr[a]:indptr[a + 1]], ascending.  One plain np.sort of
     the pair codes a*n + b (int32 words when n^2 < 2^31) orders them,
-    a pair given twice raises ValueError, searchsorted of the row
-    starts a*n cuts the rows, and each index is its code minus a*n.
+    a pair given twice raises ValueError, row_starts cuts the rows (as
+    it cuts the host's), and each index is its code minus a*n.
     """
 
     def __init__(self, n: int, a, b):
@@ -58,9 +58,9 @@ class BipartiteGraph:
         codes.sort()
         if np.any(codes[1:] == codes[:-1]):
             raise ValueError("repeated pair code")
-        starts = np.arange(n + 1, dtype=codes.dtype) * n
-        self.indptr = np.searchsorted(codes, starts).astype(np.int32)
-        codes -= np.repeat(starts[:-1], np.diff(self.indptr))
+        self.indptr = row_starts(codes, n).astype(np.int32)
+        codes -= np.repeat(np.arange(n, dtype=codes.dtype) * n,
+                           np.diff(self.indptr))
         self.indices = codes.astype(np.int32, copy=False)
 
     @property

@@ -42,7 +42,7 @@ Sampling proceeds in three stages:
    only practical option at the mean degrees where Hamilton packing is
    interesting).  Erasure is one np.sort of the pair codes u*n + v, so
    edge id is the code's rank; the host takes the kept columns as is,
-   checks their order in O(m) and takes the codes as its lookup index.
+   and as their tails ascend, one stable sort of the heads is its index.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ __all__ = [
     "DegreeSequence", "degree_vector_path", "conditioned_degree_vector",
     "sample_degree_sequence",
     "ConfigDigraph", "pair_configuration", "duplicate_pair_count",
-    "key_dtype", "sort_codes", "SimpleDigraph", "sample_simple_digraph",
-    "sample_erased_digraph",
+    "key_dtype", "sort_codes", "row_starts", "SimpleDigraph",
+    "sample_simple_digraph", "sample_erased_digraph",
     "simplicity_exponents", "write_edge_list", "read_edge_list",
 ]
 
@@ -488,6 +488,11 @@ def sort_codes(codes, bound: int) -> tuple[np.ndarray, np.ndarray]:
     return order, codes[order]
 
 
+def row_starts(codes: np.ndarray, n: int) -> np.ndarray:
+    """indptr of ascending codes r*n + c, one row per r in [0, n)."""
+    return np.searchsorted(codes, np.arange(n + 1, dtype=codes.dtype) * n)
+
+
 def duplicate_pair_count(cfg: ConfigDigraph) -> int:
     """Number of unordered index pairs {j, j'} carrying the same ordered
     pair, loops left out."""
@@ -503,47 +508,43 @@ class SimpleDigraph:
     Edge e runs from tails[e] to heads[e] (edges: (tail, head) rows, read
     through column views; from_columns takes the columns as they are),
     in an order every pool label, bitset and certificate refers to.
-    edge_lookup answers from the pair codes u*n + v, sorted once, at
-    construction, by the check for repeats: a host in pair-code order,
-    as sampled, is its own index and keeps no order array.
+    Its one index serves edge_lookup, csr(1) and in_deg: the codes
+    v*n + u, sorted once at construction by the check for repeats, and
+    their edge ids.  When tails ascend with the ids, as sampled, one
+    stable sort of the heads alone gives that order.
     """
 
     def __init__(self, n: int, edges, k: int, *, _columns=None):
         if _columns is None:
             edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
             _columns = edges[:, 0], edges[:, 1]
-        self.tails, self.heads = (np.asarray(c, dtype=np.int64)
-                                  for c in _columns)
-        self.n = int(n)
-        self.k = int(k)
-        self._csrs = [None, None]
-        self._validate((self.tails, self.heads) if edges is None
-                       else (edges,))
-        self.out_deg = np.bincount(self.tails, minlength=self.n)
-        self.in_deg = np.bincount(self.heads, minlength=self.n)
-
-    def _validate(self, blocks):
-        """blocks hold every endpoint: the (m, 2) rows, range-checked
-        in one contiguous pass, or else the two columns.  Builds the
-        index: sorted codes, and their ids (int32 if m <= 2^31) or None."""
-        if self.n * self.n > 1 << 63:  # before any n-long array is made
-            raise ValueError(f"n = {self.n}: pair codes overflow int64")
-        t, h = self.tails, self.heads
+        t, h = self.tails, self.heads = [np.asarray(c, dtype=np.int64)
+                                         for c in _columns]
+        self.n, self.k = n, k = int(n), int(k)
+        if n * n > 1 << 63:  # before any n-long array is made
+            raise ValueError(f"n = {n}: pair codes overflow int64")
         if t.ndim != 1 or t.shape != h.shape:
             raise ValueError("tail and head columns differ in shape")
-        if len(t):
+        if len(t):  # (m, 2) rows are range-checked in one contiguous pass
+            blocks = (t, h) if edges is None else (edges,)
             lo, hi = min(b.min() for b in blocks), max(b.max() for b in blocks)
-            if lo < 0 or hi >= self.n:
+            if lo < 0 or hi >= n:
                 raise ValueError("edge endpoint out of range")
             if np.any(t == h):
                 raise ValueError("loop edge present")
-        codes, order = t * self.n + h, None
-        if np.any(codes[1:] <= codes[:-1]):  # else no repeat can exist
-            order, codes = sort_codes(codes, self.n * self.n)
-            if np.any(codes[1:] == codes[:-1]):  # repeats are neighbours
-                raise ValueError("duplicate ordered pair present")
-            order = order.astype(key_dtype(self.m))
-        self._codes_sorted, self._codes_order = codes, order
+        if np.any(t[1:] < t[:-1]):
+            order, codes = sort_codes(h * n + t, n * n)
+        else:  # stable, so each row keeps its tails in id order
+            order, codes = sort_codes(h, n)
+            codes *= n
+            codes += t[order]
+        if np.any(codes[1:] == codes[:-1]):  # repeats are neighbours
+            raise ValueError("duplicate ordered pair present")
+        self._codes = codes
+        self._csrs = [None, (row_starts(codes, n),
+                             order.astype(key_dtype(len(t))))]
+        self.out_deg = np.bincount(t, minlength=n)
+        self.in_deg = np.diff(self._csrs[1][0])
 
     @classmethod
     def from_columns(cls, n: int, tails, heads, k: int) -> "SimpleDigraph":
@@ -561,18 +562,15 @@ class SimpleDigraph:
 
     def csr(self, side: int) -> tuple[np.ndarray, np.ndarray | None]:
         """(indptr, ids): edge ids by tail (side 0) or head (side 1); row
-        v is ids[indptr[v]:indptr[v + 1]], ascending, or that range when
-        ids is None (a nondecreasing column, as a sampled host's tails).
-        Else ids is one packed sort's, int32 if m <= 2^31; built once."""
+        v is ids[indptr[v]:indptr[v + 1]], or that range when ids is None
+        (tails that ascend).  Out-rows ascend by id and in-rows by tail;
+        the in-CSR is the index, the out-CSR is built on first use."""
         if self._csrs[side] is None:
-            ends, ids = (self.heads if side else self.tails), None
-            if np.any(ends[1:] < ends[:-1]):
-                b = max(self.m - 1, 0).bit_length()  # n << b < 2nm
-                ids = _sort_packed(ends.astype(key_dtype(self.n, b)), b)
-                ids &= (1 << b) - 1
-                ids = ids.astype(key_dtype(self.m), copy=False)
-            deg = self.in_deg if side else self.out_deg
-            self._csrs[side] = np.r_[0, np.cumsum(deg)], ids
+            ids = None
+            if np.any(self.tails[1:] < self.tails[:-1]):
+                ids = sort_codes(self.tails, self.n)[0]
+                ids = ids.astype(key_dtype(self.m))
+            self._csrs[0] = np.r_[0, np.cumsum(self.out_deg)], ids
         return self._csrs[side]
 
     def edge_lookup(self, u, v):
@@ -581,18 +579,18 @@ class SimpleDigraph:
         u and v may also be equal-length arrays; the answer is then an
         int64 array with one index (or -1) per pair.
         """
-        code = np.asarray(u, dtype=np.int64) * self.n + v
+        code = np.asarray(v, dtype=np.int64) * self.n + u
         if self.m == 0:
             return -1 if code.ndim == 0 else np.full(code.shape, -1, np.int64)
         # queries in ascending order walk the index once, in cache order
         flat = code.ravel()
         order = np.argsort(flat)
         pos = np.empty(flat.shape, dtype=np.int64)
-        pos[order] = np.searchsorted(self._codes_sorted, flat[order])
+        pos[order] = np.searchsorted(self._codes, flat[order])
         pos = np.minimum(pos.reshape(code.shape), self.m - 1)
-        ids = pos if self._codes_order is None else self._codes_order[pos]
-        # an int64 -1 keeps the answer int64 when the order is int32
-        out = np.where(self._codes_sorted[pos] == code, ids, np.int64(-1))
+        # an int64 -1 keeps the answer int64 when the ids are int32
+        out = np.where(self._codes[pos] == code, self.csr(1)[1][pos],
+                       np.int64(-1))
         return int(out) if out.ndim == 0 else out
 
     def min_degree(self) -> int:
@@ -691,13 +689,15 @@ def read_edge_list(path) -> SimpleDigraph:
                 raise EdgeListFormatError("header needs n >= 1 and k >= 1")
             if m < 0:
                 raise EdgeListFormatError("negative edge count in header")
-            edges = np.empty((m, 2), dtype=np.int64)
+            # grown as lines arrive: the header's m is not trusted
+            edges = np.empty((min(m, _CHUNK), 2), dtype=np.int64)
             for j in range(m):
                 line = fh.readline().split()
                 if len(line) != 2:
                     raise EdgeListFormatError(f"edge line {j} malformed")
-                edges[j, 0] = int(line[0])
-                edges[j, 1] = int(line[1])
+                if j == len(edges):
+                    edges = np.resize(edges, (min(2 * j, m), 2))
+                edges[j] = int(line[0]), int(line[1])
             if fh.readline().strip():
                 raise EdgeListFormatError("trailing content after edge list")
         return SimpleDigraph(n=n, edges=edges, k=k)

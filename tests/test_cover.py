@@ -306,9 +306,11 @@ class TestRewiredOracle:
 
 def naive_pool(sd, pool_ids, avail_ids, v, side):
     """(eid, other end) of every available pool edge with end v on
-    side (0: tail, 1: head), ascending by eid: a scan of the pool."""
+    side (0: tail, 1: head), by eid on side 0 and by tail on side 1: a
+    scan of the pool."""
     ends, other = (sd.heads, sd.tails) if side else (sd.tails, sd.heads)
-    return [(e, int(other[e])) for e in sorted(set(pool_ids))
+    return [(e, int(other[e])) for e in sorted(
+        set(pool_ids), key=lambda e: (int(other[e]) * side, e))
             if e in avail_ids and ends[e] == v]
 
 
@@ -391,25 +393,18 @@ class TestCtxPoolOracle:
             edges = edges[np.argsort(-edges[:, 0], kind="stable")]
         return SimpleDigraph(n + 1, edges, k=1), rng
 
-    @pytest.mark.parametrize("order", ["code", "tail", "shuffled"])
+    @pytest.mark.parametrize("order",
+                             ["code", "tail", "shuffled", "descending"])
     def test_host_orders(self, order):
         # pair-code order, as sampled; tails ascending with the ids and
         # heads unsorted within each row, the order perfbench's
-        # generated host comes in; or no order
+        # generated host comes in; no order; or by descending tail, so
+        # ascending ids run against the tails the out-rows are keyed by
         sd, rng = self.random_host(6, order)
         pool = rng.permutation(sd.m)[:150]
         ctx = cv._Ctx(sd, mask_of(sd, pool))
         # the host's out-rows are its ids as they stand when tails ascend
-        assert (sd.csr(0)[1] is None) == (order != "shuffled")
-        ctx.avail[:] = ctx.in_pool
-        self.check(ctx, sd, pool, set(pool.tolist()), rng)
-
-    def test_ids_not_in_tail_order(self):
-        # host edges listed by descending tail, so ascending ids run
-        # against the tails the rows are keyed by
-        sd, rng = self.random_host(5, "descending")
-        pool = rng.permutation(sd.m)[:150]
-        ctx = cv._Ctx(sd, mask_of(sd, pool))
+        assert (sd.csr(0)[1] is None) == (order in ("code", "tail"))
         ctx.avail[:] = ctx.in_pool
         self.check(ctx, sd, pool, set(pool.tolist()), rng)
 
@@ -818,6 +813,34 @@ class TestOutPhase:
                            tiny_budget(n0=100, w_cap=20))
         assert res == ("fail", "burnt-vertex cap exceeded")
         assert w_set.size == 22
+
+
+class TestInPhase:
+    @staticmethod
+    def start_chain(length):
+        """length 2-cycles {2i, 2i+1}, the first broken at (1, 0) into a
+        leaf path 0 -> 1: reserve edge (2, 0) makes 3 the next start,
+        (4, 3) then makes 5, and so on, one start and two burnt vertices
+        per level.  The leaf's one closure target, (1, 2), enters a
+        vertex that never starts."""
+        cycles = [[2 * i, 2 * i + 1] for i in range(length)]
+        extra = [(1, 2), (2, 0)] + [(2 * i + 2, 2 * i + 1)
+                                    for i in range(1, length - 1)]
+        sd, pd, pool = host_with_cover(*cycles, extra=extra)
+        ctx = cv._Ctx(sd, pool)
+        ctx.refresh(pd)
+        w_set = cv._Burnt(sd.n)
+        w_set.burn(0, 1)  # as the out-phase burns the broken edge
+        return pd, ctx, w_set, cv._root_node(pd, 0, 1, int(pd.cycle_id[0]))
+
+    @pytest.mark.parametrize("w_cap, burnt", [(10, 12), (10 ** 9, 40)])
+    def test_w_cap_stops_the_starts(self, w_cap, burnt):
+        # |W| = 12 > 10 after level 5 stops the starts; with no cap
+        # they run to the chain's end, every vertex burnt
+        pd, ctx, w_set, leaf = self.start_chain(20)
+        assert cv.in_phase(pd, 0, [leaf], ctx, w_set,
+                           tiny_budget(n0=100, w_cap=w_cap)) is None
+        assert w_set.size == burnt
 
 
 class TestEliminate:

@@ -893,7 +893,11 @@ class TestCLI:
         no_cycle.write_text("3 3 0\n0 1\n1 2\n2 0\n")
         ring = tmp_path / "ring.txt"
         ring.write_text("3 3 1\n0 1\n1 2\n2 0\n")
+        huge_m = tmp_path / "huge_m.txt"  # m no memory could hold
+        huge_m.write_text("5 10000000000000 1\n0 1\n")
         for argv in (["oracle", "--in", str(headerless), "--k", "1"],
+                     ["oracle", "--in", str(huge_m), "--k", "1"],
+                     ["pack", "--in", str(huge_m), "--seed", "1"],
                      ["pack", "--in", str(headerless), "--seed", "1"],
                      ["pack", "--in", str(letter), "--seed", "1"],
                      ["pack", "--in", str(no_vertex), "--seed", "1"],

@@ -374,8 +374,10 @@ class TestSimpleDigraph:
             SimpleDigraph(3_037_000_500, np.array([[0, 1]]), 1)
 
     def test_validation_non_adjacent_duplicate(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            SimpleDigraph(3, np.array([[0, 1], [1, 2], [0, 1]]), 1)
+        # tails out of order, or ascending with the copies apart
+        for edges in ([[0, 1], [1, 2], [0, 1]], [[0, 1], [0, 2], [0, 1]]):
+            with pytest.raises(ValueError, match="duplicate"):
+                SimpleDigraph(3, np.array(edges), 1)
 
     def test_validation_duplicate_in_shuffled_large_host(self):
         rng = rng_stream(19, 0)
@@ -438,39 +440,50 @@ class TestSimpleDigraph:
                                      rng_stream(19, 2))[0]
 
     def test_lookup_index_built_at_construction(self, monkeypatch):
-        # a host out of pair-code order is sorted once, by its check
-        # for repeats, and phase 1's matched edges and every later
-        # lookup read that index
+        # a host whose tails do not ascend sorts its codes once, by its
+        # check for repeats; phase 1's matched edges, every later lookup
+        # and the in-rows read that index, and only the out-rows sort
+        # again, once, on first use
         host = self.small_host()
         edges = host.edges[rng_stream(19, 3).permutation(host.m)]
         calls = self.counted_sorts(monkeypatch)
         sd = SimpleDigraph(host.n, edges, host.k)
         assert calls == [sd.m]
-        assert sd._codes_order.dtype == np.int32
-        assert np.array_equal(sd.tails[sd._codes_order] * sd.n
-                              + sd.heads[sd._codes_order],
-                              sd._codes_sorted)
-        assert np.all(np.diff(sd._codes_sorted) > 0)
+        ids = sd.csr(1)[1]
+        assert ids.dtype == np.int32
+        assert np.array_equal(sd.heads[ids] * sd.n + sd.tails[ids],
+                              sd._codes)
+        assert np.all(np.diff(sd._codes) > 0)
         assert sd.edge_lookup(int(sd.tails[3]), int(sd.heads[3])) == 3
+        assert sd.csr(0)[1] is not None and calls == [sd.m] * 2
         self.packed(sd)
-        assert calls == [sd.m]
+        assert calls == [sd.m] * 2
 
     def test_min_degree(self, tiny_params, tiny_host):
         assert tiny_host.min_degree() >= tiny_params.k + 1
 
-    def test_sampled_host_is_its_own_index(self, monkeypatch):
-        # the codes as they stand, with no order array, and no sort
-        # from the sampler to the end of a trial
+    @pytest.mark.parametrize("order", ["code", "tail"])
+    def test_ascending_tails_sort_heads_once(self, monkeypatch, order):
+        # a sampled host, or one whose heads are shuffled within each
+        # row, as perfbench's generated host comes: its index is one
+        # sort of the heads, its in-CSR a stable argsort of them and its
+        # out-CSR the ids as they stand, and nothing is sorted again to
+        # the end of a trial
+        host = self.small_host()
+        edges = host.edges
+        if order == "tail":
+            edges = edges[np.lexsort((rng_stream(19, 4).random(host.m),
+                                      host.tails))]
         calls = self.counted_sorts(monkeypatch)
-        sd = self.small_host()
-        codes = sd.tails * sd.n + sd.heads
-        assert np.all(np.diff(codes) > 0)
-        assert sd._codes_order is None
-        assert np.array_equal(sd._codes_sorted, codes)
+        sd = SimpleDigraph(host.n, edges, host.k)
+        assert calls == [sd.m]
+        assert np.array_equal(sd.csr(1)[1],
+                              np.argsort(sd.heads, kind="stable"))
+        assert sd.csr(0)[1] is None
         assert np.array_equal(sd.edge_lookup(sd.tails, sd.heads),
                               np.arange(sd.m))
         self.packed(sd)
-        assert calls == []
+        assert calls == [sd.m]
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
@@ -560,33 +573,60 @@ class TestSimpleDigraph:
             sd = SimpleDigraph(3, edges, 1)
             assert sd.edges.tolist() == [list(e) for e in edges]
 
+    @staticmethod
+    def arranged(edges, order, rnd):
+        """edges in pair-code order, in no order, by tail with heads
+        unsorted within each row, or by descending tail."""
+        edges = sorted(edges)
+        if order != "code":
+            rnd.shuffle(edges)
+        if order in ("tail", "descending"):
+            edges.sort(key=lambda e: e[0], reverse=order == "descending")
+        return edges
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
         st.just(n),
         st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                 max_size=50),
-        st.sampled_from(["code", "tail", "shuffled"]),
+        st.sampled_from(["code", "tail", "shuffled", "descending"]),
         st.randoms(use_true_random=False))))
     def test_csr_rows_match_naive(self, case):
+        # the one index against naive scans: lookups, rows, in-degrees
+        # and repeats, on a host in each order
         n, pairs, order, rnd = case
-        edges = sorted((u, v) for u, v in pairs if u != v)  # code order
-        if order != "code":
-            rnd.shuffle(edges)
-        if order == "tail":  # heads left unsorted within each row
-            edges.sort(key=lambda e: e[0])
+        edges = self.arranged([(u, v) for u, v in pairs if u != v],
+                              order, rnd)
         arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
         sd = SimpleDigraph.from_columns(n, arr[:, 0].copy(),
                                         arr[:, 1].copy(), 1)
+        index = {e: j for j, e in enumerate(edges)}
+        us, vs = np.divmod(np.arange(n * n), n)
+        assert sd.edge_lookup(us, vs).tolist() == [
+            index.get((u, v), -1) for u, v in zip(us.tolist(), vs.tolist())]
+        assert np.array_equal(sd.in_deg, np.bincount(arr[:, 1], minlength=n))
+        tails = arr[:, 0].tolist()
+        ascend = tails == sorted(tails)
         for side in (0, 1):
             ptr, ids = sd.csr(side)
             assert sd.csr(side)[1] is ids  # built once, kept
-            ends = arr[:, side].tolist()
-            assert (ids is None) == (ends == sorted(ends))
+            assert (ids is None) == (side == 0 and ascend)
             assert ids is None or ids.dtype == np.int32
+            if side and ascend:
+                assert ids.tolist() == np.argsort(arr[:, 1],
+                                                  kind="stable").tolist()
             for v in range(n):
                 row = (list(range(ptr[v], ptr[v + 1])) if ids is None
                        else ids[ptr[v]:ptr[v + 1]].tolist())
-                assert row == [e for e, x in enumerate(ends) if x == v]
+                # out-rows by id, in-rows by tail
+                want = sorted((tails[e] * side, e) for e, x
+                              in enumerate(arr[:, side].tolist()) if x == v)
+                assert row == [e for _, e in want]
+        # a repeated edge is refused, its copies adjacent or apart
+        if edges:
+            dup = self.arranged(edges + [rnd.choice(edges)], order, rnd)
+            with pytest.raises(ValueError, match="duplicate"):
+                SimpleDigraph(n, dup, 1)
 
     @pytest.mark.parametrize("n, m", [(2000, 4096), (70_000, 32_768)])
     def test_in_csr_is_a_stable_argsort_of_heads(self, n, m):
@@ -600,6 +640,9 @@ class TestSimpleDigraph:
         codes = rng.choice(n * (n - 1), size=m, replace=False)
         tails, heads = codes // (n - 1), codes % (n - 1)
         heads += heads >= tails  # no loops
+        # tails ascend with the ids, heads stay unsorted within each row
+        by_tail = np.argsort(tails, kind="stable")
+        tails, heads = tails[by_tail], heads[by_tail]
         sd = SimpleDigraph.from_columns(n, tails, heads, 1)
         ptr, ids = sd.csr(1)
         assert ids.dtype == np.int32
@@ -862,7 +905,8 @@ class TestSamplers:
 
 
 class TestEdgeListIO:
-    def test_round_trip_bit_exact(self, tiny_host, tmp_path):
+    def test_round_trip_bit_exact(self, tiny_host, tmp_path, monkeypatch):
+        monkeypatch.setattr(md, "_CHUNK", 7)  # the read grows its array
         p1 = tmp_path / "a.txt"
         p2 = tmp_path / "b.txt"
         write_edge_list(tiny_host, p1)
@@ -887,9 +931,10 @@ class TestEdgeListIO:
         with pytest.raises(EdgeListFormatError, match="duplicate"):
             read_edge_list(bad)
         # a non-integer endpoint, a negative edge count, a non-ASCII
-        # byte, an endpoint beyond int64
+        # byte, an endpoint beyond int64, an edge count no memory holds
         for text in (b"3 1 1\n1 x\n", b"3 -1 1\n", b"3 1 1\n0 \xe9\n",
-                     b"3 1 1\n0 99999999999999999999\n"):
+                     b"3 1 1\n0 99999999999999999999\n",
+                     b"5 10000000000000 1\n0 1\n"):
             bad.write_bytes(text)
             with pytest.raises(EdgeListFormatError):
                 read_edge_list(bad)
