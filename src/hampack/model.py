@@ -42,7 +42,7 @@ Sampling proceeds in three stages:
    only practical option at the mean degrees where Hamilton packing is
    interesting).  Erasure is one np.sort of the pair codes u*n + v, so
    edge id is the code's rank; the host takes the kept columns as is,
-   and as their tails ascend, one stable sort of the heads is its index.
+   and one sort of the codes v*n + u is its index.
 """
 
 from __future__ import annotations
@@ -510,8 +510,7 @@ class SimpleDigraph:
     in an order every pool label, bitset and certificate refers to.
     Its one index serves edge_lookup, csr(1) and in_deg: the codes
     v*n + u, sorted once at construction by the check for repeats, and
-    their edge ids.  When tails ascend with the ids, as sampled, one
-    stable sort of the heads alone gives that order.
+    their edge ids.
     """
 
     def __init__(self, n: int, edges, k: int, *, _columns=None):
@@ -532,12 +531,7 @@ class SimpleDigraph:
                 raise ValueError("edge endpoint out of range")
             if np.any(t == h):
                 raise ValueError("loop edge present")
-        if np.any(t[1:] < t[:-1]):
-            order, codes = sort_codes(h * n + t, n * n)
-        else:  # stable, so each row keeps its tails in id order
-            order, codes = sort_codes(h, n)
-            codes *= n
-            codes += t[order]
+        order, codes = sort_codes(h * n + t, n * n)
         if np.any(codes[1:] == codes[:-1]):  # repeats are neighbours
             raise ValueError("duplicate ordered pair present")
         self._codes = codes
@@ -564,12 +558,15 @@ class SimpleDigraph:
         """(indptr, ids): edge ids by tail (side 0) or head (side 1); row
         v is ids[indptr[v]:indptr[v + 1]], or that range when ids is None
         (tails that ascend).  Out-rows ascend by id and in-rows by tail;
-        the in-CSR is the index, the out-CSR is built on first use."""
+        the in-CSR is the index, the out-CSR one packed sort of the
+        tails, int32 if m <= 2^31, made on first use."""
         if self._csrs[side] is None:
             ids = None
             if np.any(self.tails[1:] < self.tails[:-1]):
-                ids = sort_codes(self.tails, self.n)[0]
-                ids = ids.astype(key_dtype(self.m))
+                b = max(self.m - 1, 0).bit_length()  # n << b < 2nm
+                ids = _sort_packed(self.tails.astype(key_dtype(self.n, b)), b)
+                ids &= (1 << b) - 1
+                ids = ids.astype(key_dtype(self.m), copy=False)
             self._csrs[0] = np.r_[0, np.cumsum(self.out_deg)], ids
         return self._csrs[side]
 

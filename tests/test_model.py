@@ -443,7 +443,7 @@ class TestSimpleDigraph:
         # a host whose tails do not ascend sorts its codes once, by its
         # check for repeats; phase 1's matched edges, every later lookup
         # and the in-rows read that index, and only the out-rows sort
-        # again, once, on first use
+        # again, once, on first use, by a packed sort of the tails
         host = self.small_host()
         edges = host.edges[rng_stream(19, 3).permutation(host.m)]
         calls = self.counted_sorts(monkeypatch)
@@ -455,20 +455,22 @@ class TestSimpleDigraph:
                               sd._codes)
         assert np.all(np.diff(sd._codes) > 0)
         assert sd.edge_lookup(int(sd.tails[3]), int(sd.heads[3])) == 3
-        assert sd.csr(0)[1] is not None and calls == [sd.m] * 2
+        out_ids = sd.csr(0)[1]
+        assert out_ids.dtype == np.int32 and np.array_equal(
+            out_ids, np.argsort(sd.tails, kind="stable"))
         self.packed(sd)
-        assert calls == [sd.m] * 2
+        assert calls == [sd.m] and sd.csr(0)[1] is out_ids
 
     def test_min_degree(self, tiny_params, tiny_host):
         assert tiny_host.min_degree() >= tiny_params.k + 1
 
     @pytest.mark.parametrize("order", ["code", "tail"])
-    def test_ascending_tails_sort_heads_once(self, monkeypatch, order):
+    def test_ascending_tails_sort_codes_once(self, monkeypatch, order):
         # a sampled host, or one whose heads are shuffled within each
         # row, as perfbench's generated host comes: its index is one
-        # sort of the heads, its in-CSR a stable argsort of them and its
-        # out-CSR the ids as they stand, and nothing is sorted again to
-        # the end of a trial
+        # sort of its codes, its in-CSR a stable argsort of the heads and
+        # its out-CSR the ids as they stand, and nothing is sorted again
+        # to the end of a trial
         host = self.small_host()
         edges = host.edges
         if order == "tail":
@@ -628,14 +630,15 @@ class TestSimpleDigraph:
             with pytest.raises(ValueError, match="duplicate"):
                 SimpleDigraph(n, dup, 1)
 
-    @pytest.mark.parametrize("n, m", [(2000, 4096), (70_000, 32_768)])
+    @pytest.mark.parametrize("n, m", [(300, 4096), (2000, 4096),
+                                      (70_000, 32_768)])
     def test_in_csr_is_a_stable_argsort_of_heads(self, n, m):
-        # (n - 1) << b, b = 12 or 15 the bit length of m - 1, is under
-        # 2^31 on the first host and over it on the second: the in-CSR
-        # sorts int32 words on one and int64 words on the other
+        # (n^2 - 1) << b, b = 12 or 15 the bit length of m - 1, is under
+        # 2^31 on the first host and over it on the others: the index
+        # sorts int32 words on one and int64 words on the others
         shift = (m - 1).bit_length()
-        assert md.key_dtype(n, shift) == (np.int32 if n < 1 << 16
-                                          else np.int64)
+        assert md.key_dtype(n * n, shift) == (np.int32 if n == 300
+                                              else np.int64)
         rng = rng_stream(19, 3)
         codes = rng.choice(n * (n - 1), size=m, replace=False)
         tails, heads = codes // (n - 1), codes % (n - 1)
