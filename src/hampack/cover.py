@@ -35,7 +35,9 @@ Covers are spliced, never rebuilt: one depth-first walk builds the
 cycle tables once, for phase 1's cover, and each closure (like each
 merge in phase 3) hands its rewired tails to PermutationDigraph.rewired,
 which reuses the tables of every cycle the closure leaves alone and
-joins the arcs of the rest.
+joins the arcs of the rest.  Reserve pools are read against the cover
+itself: pool_rows drops Π's one arc at each vertex from the host's CSR
+row, so no per-cover copy of a pool is made.
 
 The textbook asymptotic budgets (ν = √n·ln n leaves, |W| ≤ n^{3/4})
 only separate at astronomical n: already 2αν > n^{3/4} for every n
@@ -43,17 +45,21 @@ below ~10⁹, so a literal reading can never finish a single tree.  The
 budget here keeps the same shape at bench scale: ν ≈ √(n/α) leaves
 with α = ⌈c/8k⌉, and a W cap of ⌈0.85n⌉.  Unlike the
 construction, the out-phase has no per-node cap of α children: a node
-admits every available pivot, and only the level's leaf cap stops it.
+admits every pivot its pool row offers, and only the level's leaf cap
+stops it.
 
 Those are all the limits: the leaf target and leaf cap, the W cap, the
-in-phase's in_branch = 3α children per start, and MAX_STARTS in-phase
-starts.  Every loop ends without a cap of its own.  Each node an
-out-phase level admits burns its pivot w, which was unburnt, so the
+in-phase's in_branch = 3α children per start, and the MAX_STARTS cap on
+in-phase starts.  Every loop ends without a cap of its own.  Each node
+an out-phase level admits burns its pivot w, which was unburnt, so the
 levels stop once nothing is left to burn; the W cap is checked after
 every level of either phase.  Each in-phase start is a vertex not seen
-before, so each closure target is validated at most once, and starts
-stop at MAX_STARTS.  A small cycle gets at most one start per vertex,
-each with a fresh W, and each elimination removes a small cycle.
+before, so each closure target is validated at most once.  The start cap
+is checked once per breadth-first level, before the level runs, so the
+level that crosses it still admits all its starts, up to in_branch per
+frontier start: at n = 10⁵ an in-phase admitted about 800 starts against
+MAX_STARTS = 384.  A small cycle gets at most one start per vertex, each
+with a fresh W, and each elimination removes a small cycle.
 """
 
 from __future__ import annotations
@@ -71,7 +77,7 @@ from .model import SimpleDigraph, sort_codes
 
 __all__ = [
     "PermutationDigraph", "PhaseTwoBudget", "PhaseTwoStats", "cycles_of",
-    "out_phase", "in_phase", "eliminate_small_cycles",
+    "pool_rows", "out_phase", "in_phase", "eliminate_small_cycles",
 ]
 
 
@@ -262,7 +268,8 @@ def cycles_of(pd: PermutationDigraph, n0: float) -> tuple[list, list]:
     return np.flatnonzero(small).tolist(), np.flatnonzero(~small).tolist()
 
 
-MAX_STARTS = 384  # in-phase path starts per attempt
+# no further in-phase level runs once this many starts are admitted
+MAX_STARTS = 384
 
 
 @dataclass(frozen=True)
@@ -345,43 +352,30 @@ class _Node:
         return nodes
 
 
-class _Ctx:
-    """Per-cover reserve pool: in_pool is the phase's bool mask over
-    edge ids, kept and never written; avail marks the ones a rotation
-    may use now (not in the current cover), refreshed per iteration.
-    rows is the one reader of pool rows.  A pool row is the host's CSR
-    row (SimpleDigraph.csr, shared by every context) filtered by avail:
-    host out-rows ascend by id and in-rows by tail, and avail lies in
-    in_pool, so it lists available pool edges in that order.
+def pool_rows(sd: SimpleDigraph, pool: np.ndarray, pd: PermutationDigraph,
+              side: int, vs: np.ndarray):
+    """Pool edges off Π with an end in vs, on side 0 (leaving) or 1
+    (entering), as arrays.
+
+    A rotation or exchange may use only the edges of pool (a bool mask
+    over edge ids) that are not arcs of Π.  Each row is the host's CSR
+    row (SimpleDigraph.csr) filtered by pool, less the one arc of Π at
+    v on that side: pd.edge_ids[v] leaving v, pd.edge_ids[pd.pred[v]]
+    entering it.  Returns (at, eids, ends): for each v of vs in turn,
+    its row's edges (by id on side 0, by tail on side 1), each with end
+    vs[at] on side and its other end in ends.  at is nondecreasing.
     """
-
-    def __init__(self, sd: SimpleDigraph, in_pool: np.ndarray):
-        self.sd = sd
-        self.in_pool = in_pool
-        self.avail = np.zeros(sd.m, dtype=bool)
-
-    def refresh(self, pd: PermutationDigraph):
-        np.copyto(self.avail, self.in_pool)
-        self.avail[pd.edge_ids] = False
-
-    def rows(self, side: int, vs: np.ndarray):
-        """Available pool edges with an end in vs, on side 0 (leaving)
-        or 1 (entering), as arrays.
-
-        Returns (at, eids, ends): for each v of vs in turn, its row's
-        edges (by id on side 0, by tail on side 1), each with end vs[at]
-        on side and its other end in ends.  at is nondecreasing.
-        """
-        ptr, ids = self.sd.csr(side)
-        lo = ptr[vs]
-        cnt = ptr[vs + 1] - lo
-        first = np.cumsum(cnt) - cnt
-        eids = np.arange(int(cnt.sum())) + np.repeat(lo - first, cnt)
-        eids = eids if ids is None else ids[eids]
-        keep = self.avail[eids]
-        eids = eids[keep]
-        at = np.repeat(np.arange(len(vs)), cnt)[keep]
-        return at, eids, (self.sd.tails if side else self.sd.heads)[eids]
+    ptr, ids = sd.csr(side)
+    lo = ptr[vs]
+    cnt = ptr[vs + 1] - lo
+    first = np.cumsum(cnt) - cnt
+    eids = np.arange(int(cnt.sum())) + np.repeat(lo - first, cnt)
+    eids = eids if ids is None else ids[eids]
+    at = np.repeat(np.arange(len(vs)), cnt)
+    arc = pd.edge_ids[pd.pred[vs] if side else vs]
+    keep = pool[eids] & (eids != arc[at])
+    eids = eids[keep]
+    return at[keep], eids, (sd.tails if side else sd.heads)[eids]
 
 
 def _root_node(pd: PermutationDigraph, u0: int, v0: int, cid: int) -> _Node:
@@ -445,8 +439,8 @@ def _rotate(pd: PermutationDigraph, segs, touched, path_v: int, w: int,
     return segs, touched, rest, x
 
 
-def out_phase(pd: PermutationDigraph, u0: int, ctx: _Ctx, w_set: _Burnt,
-              budget: PhaseTwoBudget):
+def out_phase(pd: PermutationDigraph, u0: int, sd: SimpleDigraph,
+              pool: np.ndarray, w_set: _Burnt, budget: PhaseTwoBudget):
     """Grow the rotation tree for u0's small cycle, broken at (v0, u0).
 
     Returns ("closed", Π') on early closure, ("leaves", [nodes]) once
@@ -463,8 +457,8 @@ def out_phase(pd: PermutationDigraph, u0: int, ctx: _Ctx, w_set: _Burnt,
         leaves = [nd for nd in level if nd.path_v >= n0]
         if len(leaves) >= budget.leaf_target:
             break
-        at, eids, heads = ctx.rows(
-            0, np.array([nd.end for nd in level], dtype=np.int64))
+        ends = np.array([nd.end for nd in level], dtype=np.int64)
+        at, eids, heads = pool_rows(sd, pool, pd, 0, ends)
         # node j's row is entries cuts[j]:cuts[j + 1]
         cuts = np.searchsorted(at, np.arange(len(level) + 1)).tolist()
         eids, heads = eids.tolist(), heads.tolist()
@@ -536,8 +530,9 @@ def _materialize(pd: PermutationDigraph, leaf: _Node, in_steps,
     return pd.rewired(tails, heads, eids)
 
 
-def in_phase(pd: PermutationDigraph, u0: int, leaves: list, ctx: _Ctx,
-             w_set: _Burnt, budget: PhaseTwoBudget):
+def in_phase(pd: PermutationDigraph, u0: int, leaves: list,
+             sd: SimpleDigraph, pool: np.ndarray, w_set: _Burnt,
+             budget: PhaseTwoBudget):
     """Close one of the leaf paths into a ≥ n0 cycle by start-side
     rotations shared across every leaf tree.
 
@@ -554,8 +549,8 @@ def in_phase(pd: PermutationDigraph, u0: int, leaves: list, ctx: _Ctx,
     # refuse most pivots as opaque created-cycle vertices), so each
     # head lists them first, by leaf rank and then by row.
     rank = sorted(range(len(leaves)), key=lambda i: -leaves[i].path_v)
-    at, eids, heads = ctx.rows(
-        0, np.array([leaves[j].end for j in rank], dtype=np.int64))
+    ends = np.array([leaves[j].end for j in rank], dtype=np.int64)
+    at, eids, heads = pool_rows(sd, pool, pd, 0, ends)
     if not len(heads):
         return None
     by_head, target_heads = sort_codes(heads, pd.n)
@@ -580,7 +575,8 @@ def in_phase(pd: PermutationDigraph, u0: int, leaves: list, ctx: _Ctx,
     if hit is not None:
         return hit
     while frontier and len(chains) < MAX_STARTS:
-        at, eids, tails = ctx.rows(1, np.array(frontier, dtype=np.int64))
+        at, eids, tails = pool_rows(sd, pool, pd, 1,
+                                    np.array(frontier, dtype=np.int64))
         cuts = np.searchsorted(at, np.arange(len(frontier) + 1)).tolist()
         eids, tails = eids.tolist(), tails.tolist()
         nxt = []
@@ -636,22 +632,20 @@ def eliminate_small_cycles(pd: PermutationDigraph, sd: SimpleDigraph,
     so the next one begins from the same Π.
     """
     stats = PhaseTwoStats()
-    ctx = _Ctx(sd, in_pool)
     while True:
         small, _large = cycles_of(pd, budget.n0)
         if not small:
             break
         cid = max(small, key=lambda c: pd.cycle_lens[c])
         clen = int(pd.cycle_lens[cid])
-        ctx.refresh(pd)
         stats.iterations += 1
         new_pd = None
         order = pd.cycles[cid][rng.permutation(clen)].tolist()
         for starts, u0 in enumerate(order, 1):
             w_set = _Burnt(sd.n)
-            res = out_phase(pd, u0, ctx, w_set, budget)
+            res = out_phase(pd, u0, sd, in_pool, w_set, budget)
             if res[0] == "leaves":
-                new_pd = in_phase(pd, u0, res[1], ctx, w_set, budget)
+                new_pd = in_phase(pd, u0, res[1], sd, in_pool, w_set, budget)
             stats.w_size = max(stats.w_size, w_set.size)
             if res[0] == "closed":
                 stats.early_closures += 1

@@ -48,7 +48,7 @@ class BipartiteGraph:
     indices[indptr[a]:indptr[a + 1]], ascending.  One plain np.sort of
     the pair codes a*n + b (int32 words when n^2 < 2^31) orders them,
     a pair given twice raises ValueError, row_starts cuts the rows (as
-    it cuts the host's), and each index is its code minus a*n.
+    it cuts the host's), and each index is its code mod n, taken in place.
     """
 
     def __init__(self, n: int, a, b):
@@ -59,8 +59,7 @@ class BipartiteGraph:
         if np.any(codes[1:] == codes[:-1]):
             raise ValueError("repeated pair code")
         self.indptr = row_starts(codes, n).astype(np.int32)
-        codes -= np.repeat(np.arange(n, dtype=codes.dtype) * n,
-                           np.diff(self.indptr))
+        np.remainder(codes, n, out=codes)
         self.indices = codes.astype(np.int32, copy=False)
 
     @property

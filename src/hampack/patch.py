@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cover import PermutationDigraph, _Ctx
+from .cover import PermutationDigraph, pool_rows
 from .errors import OracleSizeError, PhaseFailure
 from .model import SimpleDigraph
 
@@ -95,29 +95,30 @@ def count_r_phi(phi: np.ndarray) -> int:
     return sum(_is_cyclic(phi[tau]) for tau in _cyclic_taus(len(phi)))
 
 
-def _find_exchange(pd: PermutationDigraph, cid: int, ctx: _Ctx,
-                   rng: np.random.Generator):
+def _find_exchange(pd: PermutationDigraph, cid: int, sd: SimpleDigraph,
+                   pool: np.ndarray, rng: np.random.Generator):
     """A feasible 2-exchange splicing cycle cid into another cycle.
 
-    Returns (a, b, eid_ab+, eid_ba+) where both joins are available
-    reserve edges, or None.  Candidates a are tried in a random order
-    and, per a, along its available pool edges (a, b+); they are
-    checked in chunks of that order growing 4x from 256, and the first
-    feasible one wins.
+    Returns (a, b, eid_ab+, eid_ba+) where both joins are pool edges off
+    Π, or None.  Candidates a are tried in a random order and, per a,
+    along its pool row (a, b+); they are checked in chunks of that order
+    growing 4x from 256, and the first feasible one wins.
     """
     cyc = pd.cycles[cid]
     order = cyc[rng.permutation(len(cyc))]
     lo, size = 0, 256
     while lo < len(order):
         chunk = order[lo:lo + size]
-        at, eid1, h = ctx.rows(0, chunk)
+        at, eid1, h = pool_rows(sd, pool, pd, 0, chunk)
         a = chunk[at]
         lo, size = lo + size, 4 * size
         keep = pd.cycle_id[h] != cid
         a, b, eid1 = a[keep], pd.pred[h[keep]], eid1[keep]
-        eid2 = ctx.sd.edge_lookup(b, pd.succ[a])
+        eid2 = sd.edge_lookup(b, pd.succ[a])
         ok = eid2 >= 0
-        ok[ok] = ctx.avail[eid2[ok]]
+        # (b, a+) is never an arc of Π: succ(b) = h lies off cycle cid,
+        # while a+ lies on it
+        ok[ok] = pool[eid2[ok]]
         hit = np.flatnonzero(ok)
         if len(hit):
             j = hit[0]
@@ -137,15 +138,11 @@ def merge_patch(pd: PermutationDigraph, sd: SimpleDigraph,
     searched too; PhaseFailure when neither has an exchange.
     """
     stats = PatchStats()
-    ctx = _Ctx(sd, in_pool)
     while pd.num_cycles > 1:
-        ctx.refresh(pd)
         cid = int(np.argmin(pd.cycle_lens))
-        found = _find_exchange(pd, cid, ctx, rng)
+        found = _find_exchange(pd, cid, sd, in_pool, rng)
         if found is None and own_pool is not None:
-            own = _Ctx(sd, own_pool())
-            own.refresh(pd)
-            found = _find_exchange(pd, cid, own, rng)
+            found = _find_exchange(pd, cid, sd, own_pool(), rng)
             stats.own_pool_merges += found is not None
         if found is None:
             raise PhaseFailure(

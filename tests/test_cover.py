@@ -304,94 +304,118 @@ class TestRewiredOracle:
             pd.rewired([0, 0], [1, 1], [0, 0])
 
 
-def naive_pool(sd, pool_ids, avail_ids, v, side):
-    """(eid, other end) of every available pool edge with end v on
-    side (0: tail, 1: head), by eid on side 0 and by tail on side 1: a
-    scan of the pool."""
+def naive_pool(sd, pool_ids, cover_ids, v, side):
+    """(eid, other end) of every pool edge that is not one of the
+    cover's edge ids, with end v on side (0: tail, 1: head), by eid on
+    side 0 and by tail on side 1: a scan of the pool."""
     ends, other = (sd.heads, sd.tails) if side else (sd.tails, sd.heads)
     return [(e, int(other[e])) for e in sorted(
         set(pool_ids), key=lambda e: (int(other[e]) * side, e))
-            if e in avail_ids and ends[e] == v]
+            if e not in cover_ids and ends[e] == v]
+
+
+def cover_on(sd, succ):
+    """The PermutationDigraph succ names, with the host's edge ids."""
+    succ = np.asarray(succ, dtype=np.int64)
+    eids = sd.edge_lookup(np.arange(sd.n), succ)
+    assert (eids >= 0).all(), "every arc must be a host edge"
+    return PermutationDigraph(succ, eids)
+
+
+def succ_of(*cycles):
+    succ = {a: b for cyc in cycles for a, b in zip(cyc, cyc[1:] + cyc[:1])}
+    return [succ[v] for v in range(len(succ))]
 
 
 class TestCtxPoolOracle:
+    """pool_rows, the one reader of reserve pools, against a scan."""
+
     @staticmethod
     def instance(seed):
+        """A host holding two covers: pd, whose edges come first, and
+        other; the pool holds some of each cover's own edges."""
         rng = rng_stream(seed, 4)
         n = 40
         perm = rng.permutation(n).tolist()
         cycles = [perm[:13], perm[13:]]
         cover = {(a, b) for cyc in cycles
                  for a, b in zip(cyc, cyc[1:] + cyc[:1])}
-        extra = set()
+        perm = rng.permutation(n).tolist()
+        succ = succ_of(perm[:17], perm[17:])
+        extra = set(enumerate(succ)) - cover
         while len(extra) < 300:
             u, v = (int(x) for x in rng.integers(n, size=2))
             if u != v and (u, v) not in cover:
                 extra.add((u, v))
         sd, pd, reserve = host_with_cover(*cycles, extra=sorted(extra))
-        # unsorted pool ids that also hold some of the cover's own edges
+        other = cover_on(sd, succ)
+        # unsorted pool ids that also hold some of both covers' edges
         pool = rng.permutation(np.concatenate(
-            (reserve[rng.random(len(reserve)) < 0.7], pd.edge_ids[::3])))
-        return sd, pd, pool, rng
+            (reserve[rng.random(len(reserve)) < 0.7], pd.edge_ids[::3],
+             other.edge_ids[1::3])))
+        return sd, pd, other, pool, rng
 
-    def check(self, ctx, sd, pool, avail_ids, rng):
-        """rows on both sides lists what the naive scan lists, for every
-        vertex in turn, a random draw, one vertex read twice around
-        another, and no vertex at all."""
+    @staticmethod
+    def check(sd, pool, pd, rng):
+        """pool_rows on both sides lists what the naive scan lists, for
+        every vertex in turn, a random draw, one vertex read twice
+        around another, and no vertex at all."""
+        in_pool = mask_of(sd, pool)
+        cover_ids = set(pd.edge_ids.tolist())
         draws = [np.arange(sd.n), rng.integers(sd.n, size=25),
                  np.array([sd.n - 1, 0, sd.n - 1]),
                  np.empty(0, dtype=np.int64)]
         for side in (0, 1):
             for vs in draws:
-                at, eids, ends = ctx.rows(side, vs)
+                at, eids, ends = cv.pool_rows(sd, in_pool, pd, side, vs)
                 want = [(j, e, o) for j, v in enumerate(vs.tolist())
-                        for e, o in naive_pool(sd, pool, avail_ids, v, side)]
+                        for e, o in naive_pool(sd, pool, cover_ids, v, side)]
                 assert list(zip(at.tolist(), eids.tolist(),
                                 ends.tolist())) == want
+        # the reader never writes the mask it is given
+        assert np.array_equal(in_pool, mask_of(sd, pool))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_naive_scan(self, seed):
-        sd, pd, pool, rng = self.instance(seed)
-        in_pool = mask_of(sd, pool)
-        ctx = cv._Ctx(sd, in_pool)
-        assert ctx.in_pool is in_pool
-        self.check(ctx, sd, pool, set(), rng)  # nothing available yet
-        ctx.refresh(pd)
-        self.check(ctx, sd, pool,
-                   set(pool.tolist()) - set(pd.edge_ids.tolist()), rng)
-        # a second refresh frees the old cover's edges, holds the new one's
-        other = PermutationDigraph(pd.succ, rng.choice(sd.m, sd.n,
-                                                       replace=False))
-        ctx.refresh(other)
-        self.check(ctx, sd, pool,
-                   set(pool.tolist()) - set(other.edge_ids.tolist()), rng)
-        # the context keeps the mask it was given and never writes it
-        assert np.array_equal(in_pool, mask_of(sd, pool))
+        sd, pd, other, pool, rng = self.instance(seed)
+        # each cover holds pool edges that are arcs of it and not of
+        # the other, so the two reads differ
+        for held, free in ((pd, other), (other, pd)):
+            own = np.intersect1d(held.edge_ids, pool)
+            assert np.isin(own, free.edge_ids, invert=True).any()
+        self.check(sd, pool, pd, rng)
+        self.check(sd, pool, other, rng)
 
     def test_empty_pool(self):
-        sd, pd, _pool, rng = self.instance(0)
-        ctx = cv._Ctx(sd, np.zeros(sd.m, dtype=bool))
-        ctx.refresh(pd)
-        self.check(ctx, sd, [], set(), rng)
+        sd, pd, _other, _pool, rng = self.instance(0)
+        self.check(sd, [], pd, rng)
         # the host's rows hold every edge; only the pool filter empties them
         assert sd.csr(0)[0][-1] == sd.csr(1)[0][-1] == sd.m > 0
 
     @staticmethod
     def random_host(seed, order):
-        """30 vertices in random pairs plus vertex 30, which has no edge,
-        so its rows are empty on both sides."""
+        """30 vertices in random pairs plus vertex 30, and a cover of all
+        31: vertex 30's only edges are its two cover arcs, so its pool
+        rows are empty on both sides although the pool holds them."""
         rng = rng_stream(seed, 4)
         n = 30
         codes = rng.choice(n * n, size=240, replace=False)
-        if order == "code":
-            codes = np.sort(codes)
         edges = np.column_stack((codes // n, codes % n))
         edges = edges[edges[:, 0] != edges[:, 1]]
-        if order == "tail":
+        perm = rng.permutation(n + 1).tolist()
+        succ = succ_of(perm[:11], perm[11:])
+        have = set(map(tuple, edges.tolist()))
+        arcs = [e for e in enumerate(succ) if e not in have]
+        edges = np.concatenate((edges, np.array(arcs, dtype=np.int64)))
+        edges = edges[rng.permutation(len(edges))]
+        if order == "code":
+            edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+        elif order == "tail":
             edges = edges[np.argsort(edges[:, 0], kind="stable")]
         elif order == "descending":
             edges = edges[np.argsort(-edges[:, 0], kind="stable")]
-        return SimpleDigraph(n + 1, edges, k=1), rng
+        sd = SimpleDigraph(n + 1, edges, k=1)
+        return sd, cover_on(sd, succ), rng
 
     @pytest.mark.parametrize("order",
                              ["code", "tail", "shuffled", "descending"])
@@ -400,13 +424,17 @@ class TestCtxPoolOracle:
         # heads unsorted within each row, the order perfbench's
         # generated host comes in; no order; or by descending tail, so
         # ascending ids run against the tails the out-rows are keyed by
-        sd, rng = self.random_host(6, order)
-        pool = rng.permutation(sd.m)[:150]
-        ctx = cv._Ctx(sd, mask_of(sd, pool))
+        sd, pd, rng = self.random_host(6, order)
+        pool = np.union1d(rng.permutation(sd.m)[:150], pd.edge_ids)
         # the host's out-rows are its ids as they stand when tails ascend
         assert (sd.csr(0)[1] is None) == (order in ("code", "tail"))
-        ctx.avail[:] = ctx.in_pool
-        self.check(ctx, sd, pool, set(pool.tolist()), rng)
+        v = sd.n - 1
+        assert sd.out_deg[v] == sd.in_deg[v] == 1
+        for side in (0, 1):
+            at, _eids, _ends = cv.pool_rows(sd, mask_of(sd, pool), pd,
+                                            side, np.array([v]))
+            assert len(at) == 0
+        self.check(sd, pool, pd, rng)
 
 
 class TestCyclesOf:
@@ -644,11 +672,9 @@ class TestRotateOracle:
         sd, pd, pool, u0 = self.instance(seed)
         v0 = int(pd.pred[u0])
         n0 = 8
-        ctx = cv._Ctx(sd, pool)
-        ctx.refresh(pd)
         budget = tiny_budget(n0=n0, leaf_target=10 ** 6, leaf_cap=10 ** 6)
         w_set = cv._Burnt(sd.n)
-        cv.out_phase(pd, u0, ctx, w_set, budget)
+        cv.out_phase(pd, u0, sd, pool, w_set, budget)
         assert w_set.size == w_set.count(1) > 0
         old = {frozenset(c.tolist()) for c in pd.cycles}
         kinds = set()
@@ -748,11 +774,9 @@ class TestOutPhase:
         sd, pd, pool = host_with_cover(
             [0, 1], [2, 3, 4, 5, 6, 7],
             extra=[(1, 2), (7, 0)])
-        ctx = cv._Ctx(sd, pool)
-        ctx.refresh(pd)
         w_set = cv._Burnt(sd.n)
         budget = tiny_budget(n0=3)
-        res = cv.out_phase(pd, 0, ctx, w_set, budget)
+        res = cv.out_phase(pd, 0, sd, pool, w_set, budget)
         assert res[0] == "closed"
         closed = res[1]
         assert closed.num_cycles == 1
@@ -765,18 +789,15 @@ class TestOutPhase:
 
     def test_stalls_without_reserve_edges(self):
         sd, pd, pool = host_with_cover([0, 1], [2, 3, 4, 5, 6, 7])
-        ctx = cv._Ctx(sd, pool)
-        ctx.refresh(pd)
-        res = cv.out_phase(pd, 0, ctx, cv._Burnt(sd.n), tiny_budget(n0=3))
+        res = cv.out_phase(pd, 0, sd, pool, cv._Burnt(sd.n),
+                           tiny_budget(n0=3))
         assert res[0] == "fail"
 
     def test_burns_break_edge_endpoints(self):
         sd, pd, pool = host_with_cover([0, 1], [2, 3, 4, 5, 6, 7],
                                        extra=[(1, 2), (7, 0)])
-        ctx = cv._Ctx(sd, pool)
-        ctx.refresh(pd)
         w_set = cv._Burnt(sd.n)
-        cv.out_phase(pd, 0, ctx, w_set, tiny_budget(n0=3))
+        cv.out_phase(pd, 0, sd, pool, w_set, tiny_budget(n0=3))
         assert w_set[0] == 1 and w_set[1] == 1
 
     @staticmethod
@@ -793,10 +814,8 @@ class TestOutPhase:
         # the first leaf (path ≥ n0) comes at level 49, and only the
         # stall at the chain's end stops the tree
         sd, pd, pool = self.two_cycle_chain(70)
-        ctx = cv._Ctx(sd, pool)
-        ctx.refresh(pd)
         w_set = cv._Burnt(sd.n)
-        res = cv.out_phase(pd, 0, ctx, w_set, tiny_budget(n0=100))
+        res = cv.out_phase(pd, 0, sd, pool, w_set, tiny_budget(n0=100))
         assert res[0] == "leaves"
         (leaf,) = res[1]
         assert leaf.path_v == 140 and leaf.end == 139
@@ -806,10 +825,8 @@ class TestOutPhase:
     def test_w_cap_stops_the_tree(self):
         # each level burns two vertices: |W| = 22 > 20 after level 10
         sd, pd, pool = self.two_cycle_chain(70)
-        ctx = cv._Ctx(sd, pool)
-        ctx.refresh(pd)
         w_set = cv._Burnt(sd.n)
-        res = cv.out_phase(pd, 0, ctx, w_set,
+        res = cv.out_phase(pd, 0, sd, pool, w_set,
                            tiny_budget(n0=100, w_cap=20))
         assert res == ("fail", "burnt-vertex cap exceeded")
         assert w_set.size == 22
@@ -827,18 +844,17 @@ class TestInPhase:
         extra = [(1, 2), (2, 0)] + [(2 * i + 2, 2 * i + 1)
                                     for i in range(1, length - 1)]
         sd, pd, pool = host_with_cover(*cycles, extra=extra)
-        ctx = cv._Ctx(sd, pool)
-        ctx.refresh(pd)
         w_set = cv._Burnt(sd.n)
         w_set.burn(0, 1)  # as the out-phase burns the broken edge
-        return pd, ctx, w_set, cv._root_node(pd, 0, 1, int(pd.cycle_id[0]))
+        leaf = cv._root_node(pd, 0, 1, int(pd.cycle_id[0]))
+        return sd, pd, pool, w_set, leaf
 
     @pytest.mark.parametrize("w_cap, burnt", [(10, 12), (10 ** 9, 40)])
     def test_w_cap_stops_the_starts(self, w_cap, burnt):
         # |W| = 12 > 10 after level 5 stops the starts; with no cap
         # they run to the chain's end, every vertex burnt
-        pd, ctx, w_set, leaf = self.start_chain(20)
-        assert cv.in_phase(pd, 0, [leaf], ctx, w_set,
+        sd, pd, pool, w_set, leaf = self.start_chain(20)
+        assert cv.in_phase(pd, 0, [leaf], sd, pool, w_set,
                            tiny_budget(n0=100, w_cap=w_cap)) is None
         assert w_set.size == burnt
 
@@ -878,7 +894,7 @@ class TestEliminate:
         # permutation draw, and each start enters with an empty W
         calls = []
 
-        def failing_out_phase(pd, u0, ctx, w_set, budget):
+        def failing_out_phase(pd, u0, sd, pool, w_set, budget):
             calls.append((u0, w_set.size))
             w_set.burn(u0, int(pd.pred[u0]))
             return ("fail", "forced")
@@ -904,11 +920,11 @@ class TestEliminate:
         real_out_phase = cv.out_phase
         calls = []
 
-        def flaky_out_phase(pd, u0, ctx, w_set, budget):
+        def flaky_out_phase(pd, u0, sd, pool, w_set, budget):
             calls.append(u0)
             if len(calls) <= 2:
                 return ("fail", "forced")
-            return real_out_phase(pd, u0, ctx, w_set, budget)
+            return real_out_phase(pd, u0, sd, pool, w_set, budget)
 
         monkeypatch.setattr(cv, "out_phase", flaky_out_phase)
         small, long = list(range(7)), list(range(7, 15))
@@ -925,7 +941,7 @@ class TestEliminate:
     def test_largest_small_cycle_first(self, monkeypatch):
         seen = []
 
-        def failing_out_phase(pd, u0, ctx, w_set, budget):
+        def failing_out_phase(pd, u0, sd, pool, w_set, budget):
             seen.append(pd.cycle_len_of(u0))
             return ("fail", "forced")
 

@@ -284,12 +284,12 @@ def replay_first_matching():
     return finalize
 
 
-def same_cycle_exchange(pd, cid, ctx, *args):
+def same_cycle_exchange(pd, cid, sd, *args):
     """An "exchange" whose two break vertices share cycle cid: a valid
     rewiring, but it splits that cycle instead of merging two."""
     a = int(pd.cycles[cid][0])
     b = int(pd.succ[pd.succ[a]])
-    into = np.flatnonzero(ctx.sd.heads == pd.succ[b])  # some edge into b+
+    into = np.flatnonzero(sd.heads == pd.succ[b])  # some edge into b+
     return a, b, int(into[0]), int(pd.edge_ids[a])
 
 

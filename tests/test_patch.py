@@ -13,7 +13,6 @@ from hampack import patch as pt
 from hampack.cover import (
     PermutationDigraph,
     PhaseTwoBudget,
-    _Ctx,
     eliminate_small_cycles,
 )
 from hampack.errors import OracleSizeError, PhaseFailure
@@ -259,24 +258,30 @@ class TestMergePatch:
         assert int(rng.integers(1 << 62)) == 4188567748077616332
 
 
-def loop_find_exchange(pd, cid, ctx, rng):
+def loop_find_exchange(pd, cid, sd, pool, rng):
     """Reference exchange search: one a at a time, scalar lookups.
 
     The loop _find_exchange ran before it was batched; kept as the
-    oracle for its return value and its draw from rng.
+    oracle for its return value and its draw from rng.  Both joins must
+    be in the pool and not arcs of Π, and a's edges are found by a scan
+    of the tails, in id order.
     """
     cyc = pd.cycles[cid]
-    sd = ctx.sd
+    cover = set(pd.edge_ids.tolist())
+
+    def usable(eid):
+        return eid >= 0 and pool[eid] and eid not in cover
+
     for idx in rng.permutation(len(cyc)):
         a = int(cyc[idx])
         a_next = int(pd.succ[a])
-        _at, eids, heads = ctx.rows(0, np.array([a]))
-        for eid1, h in zip(eids.tolist(), heads.tolist()):
-            if pd.cycle_id[h] == cid:
+        for eid1 in np.flatnonzero(sd.tails == a).tolist():
+            h = int(sd.heads[eid1])
+            if not usable(eid1) or pd.cycle_id[h] == cid:
                 continue
             b = int(pd.pred[h])
             eid2 = sd.edge_lookup(b, a_next)
-            if eid2 >= 0 and ctx.avail[eid2]:
+            if usable(eid2):
                 return a, b, eid1, eid2
     return None
 
@@ -291,14 +296,14 @@ class TestFindExchangeOracle:
             extra = int(rng0.integers(0, min(20 * n, n * (n - 1) // 4)))
             sd, pd, pool, _ = random_instance(seed, extra, n=n, parts=parts)
             # the whole host as the pool puts the cover's own edges in
-            # the CSR, where only the availability mask keeps them out
-            for in_pool in (pool, np.ones(sd.m, dtype=bool)):
-                ctx = _Ctx(sd, in_pool)
-                ctx.refresh(pd)
+            # the pool, where only their being arcs of Π keeps them out;
+            # half the reserve leaves host edges off Π out of the pool
+            half = pool & (rng_stream(seed, 7).random(sd.m) < 0.5)
+            for in_pool in (pool, np.ones(sd.m, dtype=bool), half):
                 for cid in range(pd.num_cycles):
                     twin = copy.deepcopy(rng0)
-                    want = loop_find_exchange(pd, cid, ctx, twin)
-                    got = pt._find_exchange(pd, cid, ctx, rng0)
+                    want = loop_find_exchange(pd, cid, sd, in_pool, twin)
+                    got = pt._find_exchange(pd, cid, sd, in_pool, rng0)
                     assert got == want
                     # both searches leave the stream at the same place
                     assert np.array_equal(twin.integers(1 << 62, size=4),
@@ -327,17 +332,15 @@ class TestFindExchangeOracle:
             extra.append((int(order[p]), L + 5))
         sd, pd, pool = cover_instance(
             [list(range(L)), list(range(L, L + 10))], extra=extra)
-        ctx = _Ctx(sd, pool)
-        ctx.refresh(pd)
-        return sd, pd, ctx, order
+        return sd, pd, pool, order
 
     @pytest.mark.parametrize("hits", [(256, 1000), (1279, 1450), (1280,), ()])
     def test_hit_past_first_chunk(self, hits):
-        sd, pd, ctx, order = self.long_cycle_case(8, hits)
+        sd, pd, pool, order = self.long_cycle_case(8, hits)
         rng = rng_stream(8, 6)
         twin = copy.deepcopy(rng)
-        got = pt._find_exchange(pd, 0, ctx, rng)
-        assert got == loop_find_exchange(pd, 0, ctx, twin)
+        got = pt._find_exchange(pd, 0, sd, pool, rng)
+        assert got == loop_find_exchange(pd, 0, sd, pool, twin)
         assert np.array_equal(twin.integers(1 << 62, size=4),
                               rng.integers(1 << 62, size=4))
         if not hits:
