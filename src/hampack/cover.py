@@ -25,11 +25,13 @@ admission, which freezes their successor pointers and is exactly what
 lets all in-phase trees share one layer structure: for any unburnt w,
 succ(w) agrees with Π across every NPD in play.
 
-Tree nodes never copy the digraph.  A node stores its surgery delta
-plus the current path as a tuple of Π-arcs (first, last); lengths and
-membership come from Π's cycle tables in O(arcs).  Cycles created by
-earlier splits are opaque: a pivot on one is refused, not absorbed,
-although such cycles are ≥ n₀ by admission.
+Tree nodes never copy the digraph.  A node stores its steps from the
+root, the reserve edges (tail, head, eid) its rotations added, as does
+each in-phase chain, so a closure's delta chain is one concatenation.
+It also stores the current path as a tuple of Π-arcs (first, last);
+lengths and membership come from Π's cycle tables in O(arcs).  Cycles
+created by earlier splits are opaque: a pivot on one is refused, not
+absorbed, although such cycles are ≥ n₀ by admission.
 
 Covers are spliced, never rebuilt: one depth-first walk builds the
 cycle tables once, for phase 1's cover, and each closure (like each
@@ -156,15 +158,15 @@ class PermutationDigraph:
         succ[tails], or ValueError: every caller rewires distinct
         vertices (each burnt on admission, or one per cycle of an
         exchange), so a repeat is a broken invariant.  The tables are
-        spliced from this cover's, not rebuilt: on a 2-vCPU box at
-        n = 10^5 a two-arc splice takes about 4 ms and a rebuild about
-        12 ms, and rebuilding on every splice made the pack-host-large
-        median trial about 15 % slower.  Cutting each touched cycle
-        after its rewired tails leaves arcs, each running from an old
-        head to the next rewired tail along its cycle; each new cycle is
-        a ring of such arcs, rotated to start at its smallest vertex.
-        Cycles with no rewired tail keep their arrays, and cycle ids are
-        renumbered by start.
+        spliced from this cover's, not rebuilt: in pack-host-large
+        trials (n = 10^5, a 2-vCPU Xeon box) a two-arc splice took
+        1.2 ms and a rebuild 6.1 ms (medians), and rebuilding on every
+        splice made the median trial 20 % slower.  Cutting each touched
+        cycle after its rewired tails leaves arcs, each running from an
+        old head to the next rewired tail along its cycle; each new
+        cycle is a ring of such arcs, rotated to start at its smallest
+        vertex.  Cycles with no rewired tail keep their arrays, and
+        cycle ids are renumbered by start.
         """
         n = self.n
         tails = np.asarray(tails, dtype=np.int64).ravel()
@@ -288,8 +290,10 @@ class PhaseTwoBudget:
         nu = max(8, math.ceil(math.sqrt(n / alpha)))
         # a wide shallow start tree burns the same two vertices per
         # start but keeps the delta chains short, which is what closure
-        # validation odds hinge on
-        return cls(n0=n / math.log(n), leaf_target=nu, leaf_cap=3 * nu,
+        # validation odds hinge on.  Below n = 3, n/ln n exceeds n (or
+        # divides by ln 1 = 0) and would make a Hamilton cycle small.
+        n0 = n / math.log(n) if n >= 3 else n
+        return cls(n0=n0, leaf_target=nu, leaf_cap=3 * nu,
                    w_cap=math.ceil(0.85 * n),
                    in_branch=3 * alpha)
 
@@ -323,33 +327,22 @@ class _Burnt(bytearray):
 class _Node:
     """One NPD in a rotation tree, stored as a delta chain.
 
-    added is the reserve edge (v, w, eid) whose rotation made this node
-    from its parent; the Π-edge it displaced, (end, w), is implied.
+    steps are the reserve edges (tail, head, eid) the rotations from
+    the root added, in order; each displaced the Π-edge into its head.
     segs is the path u0 -> ... -> end as consecutive Π-arcs (first,
     last); touched is the set of Π-cycle ids that ever contributed an
     arc (their leftovers may live on created cycles, which are opaque
     to further surgery).
     """
 
-    __slots__ = ("parent", "added", "segs", "touched", "path_v", "end")
+    __slots__ = ("steps", "segs", "touched", "path_v", "end")
 
-    def __init__(self, parent, added, segs, touched, path_v, end):
-        self.parent = parent
-        self.added = added      # (v, w, eid) or None at the root
+    def __init__(self, steps, segs, touched, path_v, end):
+        self.steps = steps
         self.segs = segs
         self.touched = touched
         self.path_v = path_v
         self.end = end
-
-    def chain(self):
-        """The nodes from the root's child down to this one."""
-        nodes = []
-        node = self
-        while node.added is not None:
-            nodes.append(node)
-            node = node.parent
-        nodes.reverse()
-        return nodes
 
 
 def pool_rows(sd: SimpleDigraph, pool: np.ndarray, pd: PermutationDigraph,
@@ -379,7 +372,7 @@ def pool_rows(sd: SimpleDigraph, pool: np.ndarray, pd: PermutationDigraph,
 
 
 def _root_node(pd: PermutationDigraph, u0: int, v0: int, cid: int) -> _Node:
-    return _Node(parent=None, added=None, segs=((u0, v0),),
+    return _Node(steps=(), segs=((u0, v0),),
                  touched=frozenset((cid,)), path_v=int(pd.cycle_lens[cid]),
                  end=v0)
 
@@ -470,10 +463,10 @@ def out_phase(pd: PermutationDigraph, u0: int, sd: SimpleDigraph,
             if node.path_v >= n0:
                 for eid, w in row:
                     if w == u0:
-                        return ("closed",
-                                _materialize(pd, node, [], (v, u0, eid)))
+                        return ("closed", _materialize(
+                            pd, node.steps + ((v, u0, eid),)))
             for eid, w in row:
-                if w_set[w] or w == u0:
+                if w_set[w]:  # u0 among them, burnt at the root
                     continue
                 out = _rotate(pd, node.segs, node.touched, node.path_v, w,
                               n0, at_end=True)
@@ -483,7 +476,7 @@ def out_phase(pd: PermutationDigraph, u0: int, sd: SimpleDigraph,
                 if w_set[x]:
                     continue
                 w_set.burn(w, x)
-                nxt.append(_Node(parent=node, added=(v, w, eid),
+                nxt.append(_Node(steps=node.steps + ((v, w, eid),),
                                  segs=segs, touched=touched, path_v=pv,
                                  end=x))
             if len(nxt) >= budget.leaf_cap:
@@ -502,7 +495,7 @@ def out_phase(pd: PermutationDigraph, u0: int, sd: SimpleDigraph,
 def _replay(pd: PermutationDigraph, leaf: _Node, steps, n0: float) -> bool:
     """Whether an in-phase chain is admissible against one leaf.
 
-    steps is [(w, start_fed, eid), ...] in application order (pivot w
+    steps is ((w, start_fed, eid), ...) in application order (pivot w
     feeds the current start); the final path must keep ≥ n0 vertices.
     """
     segs, touched, path_v = leaf.segs, leaf.touched, leaf.path_v
@@ -514,18 +507,17 @@ def _replay(pd: PermutationDigraph, leaf: _Node, steps, n0: float) -> bool:
     return path_v >= n0
 
 
-def _materialize(pd: PermutationDigraph, leaf: _Node, in_steps,
-                 closure) -> PermutationDigraph:
+def _materialize(pd: PermutationDigraph, steps) -> PermutationDigraph:
     """Apply a full delta chain to Π by splicing its cycles.
 
-    in_steps = [(w, start_before, eid)] start-side surgeries in order;
-    closure = (tail, head, eid) the final closing edge.  Each removal
-    (x, w) is superseded: x is the next delta's tail (or the final
-    dangling end the closure edge resolves).  No vertex is a tail
-    twice: each out-phase tail is a path end and each in-phase tail a
-    pivot, and both burn on admission, so rewired gets distinct tails.
+    steps = [(tail, head, eid)] are the added edges in order: a leaf's
+    out-phase steps, then the in-phase's start-side ones, then the
+    closing edge.  Each removal is superseded: the tail it leaves
+    dangling is the next step's tail (or the final dangling end the
+    closing edge resolves).  No vertex is a tail twice: each out-phase
+    tail is a path end and each in-phase tail a pivot, and both burn on
+    admission, so rewired gets distinct tails.
     """
-    steps = [nd.added for nd in leaf.chain()] + list(in_steps) + [closure]
     tails, heads, eids = np.array(steps, dtype=np.int64).T
     return pd.rewired(tails, heads, eids)
 
@@ -541,24 +533,24 @@ def in_phase(pd: PermutationDigraph, u0: int, leaves: list,
     reachable path starts serves every tree.  A reserve edge from a
     leaf's end to the current start is a closure candidate; candidates
     are validated against that leaf by replaying the chain (C(i) may
-    hold for one leaf and fail for another).
+    hold for one leaf and fail for another).  leaves come longest path
+    first, as out_phase returns them.
     """
     n0 = budget.n0
     # closure targets: reserve edges out of each leaf end, sorted
     # stably by head.  Long paths validate far more often (short ones
     # refuse most pivots as opaque created-cycle vertices), so each
-    # head lists them first, by leaf rank and then by row.
-    rank = sorted(range(len(leaves)), key=lambda i: -leaves[i].path_v)
-    ends = np.array([leaves[j].end for j in rank], dtype=np.int64)
+    # head lists them first, by leaf order and then by row.
+    ends = np.array([leaf.end for leaf in leaves], dtype=np.int64)
     at, eids, heads = pool_rows(sd, pool, pd, 0, ends)
     if not len(heads):
         return None
     by_head, target_heads = sort_codes(heads, pd.n)
     target_heads = target_heads.tolist()  # bisect beats a numpy scalar call
-    target_leaf = np.asarray(rank)[at[by_head]].tolist()
+    target_leaf = at[by_head].tolist()
     target_eid = eids[by_head].tolist()
-    # start -> its chain [(w, start_fed, eid)], root-first, built once
-    chains: dict[int, list] = {u0: []}
+    # start -> its chain ((w, start_fed, eid), ...), root-first, built once
+    chains: dict[int, tuple] = {u0: ()}
     frontier = [u0]
 
     def try_close(s):
@@ -567,8 +559,8 @@ def in_phase(pd: PermutationDigraph, u0: int, leaves: list,
         for j, closure_eid in zip(target_leaf[lo:hi], target_eid[lo:hi]):
             leaf = leaves[j]
             if _replay(pd, leaf, chains[s], n0):
-                return _materialize(pd, leaf, chains[s],
-                                    (leaf.end, s, closure_eid))
+                return _materialize(pd, leaf.steps + chains[s]
+                                    + ((leaf.end, s, closure_eid),))
         return None
 
     hit = try_close(u0)
@@ -592,7 +584,7 @@ def in_phase(pd: PermutationDigraph, u0: int, leaves: list,
                 if w_set[x] or x in chains:
                     continue
                 w_set.burn(w, x)
-                chains[x] = chains[s] + [(w, s, eid)]
+                chains[x] = chains[s] + ((w, s, eid),)
                 admitted += 1
                 hit = try_close(x)
                 if hit is not None:

@@ -604,14 +604,14 @@ class TestReplay:
 
     def test_touched_cycle_is_opaque(self):
         pd, root = self.make()
-        leaf = cv._Node(parent=root, added=(11, 13, 0),
+        leaf = cv._Node(steps=root.steps + ((11, 13, 0),),
                         segs=root.segs + ((13, 12),),
                         touched=root.touched | {int(pd.cycle_id[13])},
                         path_v=16, end=12)
         # 14 sits on the already-touched 4-cycle: refuse, even though
         # it is not on the path segments
         segs = (leaf.segs[0],)
-        probe = cv._Node(parent=None, added=None, segs=segs,
+        probe = cv._Node(steps=(), segs=segs,
                          touched=leaf.touched, path_v=12, end=11)
         assert not cv._replay(pd, probe, [(14, 0, 0)], n0=4)
         for at_end in (True, False):
@@ -620,18 +620,20 @@ class TestReplay:
 
 
 def npd_of(pd, node, v0):
-    """Successor map of node's NPD, following its delta chain from Π.
+    """Successor map of node's NPD, following its steps from Π.
 
     The broken edge (v0, u0) and each removed edge (x, w) leave their
-    tail with no successor (-1) until a later addition sets it; x is the
-    end of the node whose addition removed it.
+    tail with no successor (-1) until a later addition sets it; x is
+    whichever vertex fed w before the step added (v, w), and v must be
+    the tail left dangling so far.
     """
     succ = pd.succ.copy()
     succ[v0] = -1
-    for step in node.chain():
-        v, w, _eid = step.added
+    for v, w, _eid in node.steps:
+        assert succ[v] == -1
+        (x,) = np.flatnonzero(succ == w)
+        succ[x] = -1
         succ[v] = w
-        succ[step.end] = -1
     return succ
 
 
@@ -677,6 +679,8 @@ class TestRotateOracle:
         cv.out_phase(pd, u0, sd, pool, w_set, budget)
         assert w_set.size == w_set.count(1) > 0
         old = {frozenset(c.tolist()) for c in pd.cycles}
+        by_steps = {node.steps: node for node in made}
+        assert len(by_steps) == len(made)
         kinds = set()
         for node in made:
             succ = npd_of(pd, node, v0)
@@ -705,8 +709,10 @@ class TestRotateOracle:
                 seen.update(cyc)
                 if frozenset(cyc) not in old:
                     assert len(cyc) >= n0
-            if node.parent is not None:
-                kinds.add(node.path_v > node.parent.path_v)
+            # a node's parent is the admitted node one step shorter
+            if node.steps:
+                parent = by_steps[node.steps[:-1]]
+                kinds.add(node.path_v > parent.path_v)
         assert len(made) > 1
         if seed == 0:
             assert kinds == {True, False}  # both absorbs and splits
@@ -715,17 +721,33 @@ class TestRotateOracle:
         # rewired refuses a repeated tail: each delta chain a closure
         # materializes, out-phase steps, in-phase steps and the closing
         # edge, names every tail once
-        real = cv._materialize
+        real, real_replay = cv._materialize, cv._replay
         in_steps_seen = []
+        replayed = []
 
-        def checked(pd, leaf, in_steps, closure):
-            steps = ([nd.added for nd in leaf.chain()] + list(in_steps)
-                     + [closure])
+        def replay(pd, leaf, steps, n0):
+            ok = real_replay(pd, leaf, steps, n0)
+            replayed.append((ok, leaf, tuple(steps)))
+            return ok
+
+        def checked(pd, steps):
             tails = [t for t, _, _ in steps]
             assert len(set(tails)) == len(tails)
+            # an in-phase closure splices the chain it just replayed:
+            # the leaf's steps, the in-phase steps, then the closing
+            # edge from the leaf's end into the chain's last start
+            in_steps = ()
+            if replayed and replayed[-1][0]:
+                _, leaf, in_steps = replayed[-1]
+                cut = len(leaf.steps)
+                assert tuple(steps[:cut]) == leaf.steps
+                assert tuple(steps[cut:-1]) == in_steps
+                assert steps[-1][0] == leaf.end
+            replayed.clear()
             in_steps_seen.append(len(in_steps))
-            return real(pd, leaf, in_steps, closure)
+            return real(pd, steps)
 
+        monkeypatch.setattr(cv, "_replay", replay)
         monkeypatch.setattr(cv, "_materialize", checked)
         for seed in range(8):
             sd, pd, pool, _u0 = self.instance(seed)
@@ -819,8 +841,30 @@ class TestOutPhase:
         assert res[0] == "leaves"
         (leaf,) = res[1]
         assert leaf.path_v == 140 and leaf.end == 139
-        assert len(leaf.chain()) == 69
+        assert [(t, h) for t, h, _ in leaf.steps] == [
+            (2 * i + 1, 2 * i + 2) for i in range(69)]
+        assert all(sd.edge_lookup(t, h) == eid for t, h, eid in leaf.steps)
         assert w_set.size == 140
+
+    def test_leaves_longest_first(self):
+        # in_phase ranks closure targets by leaf order, so out_phase
+        # must hand its leaves over longest path first, at most leaf_cap
+        runs = []
+        for seed in range(8):
+            for leaf_target, leaf_cap in ((4, 16), (8, 3)):
+                sd, pd, pool, u0 = TestRotateOracle.instance(seed)
+                budget = tiny_budget(n0=8, leaf_target=leaf_target,
+                                     leaf_cap=leaf_cap)
+                res = cv.out_phase(pd, u0, sd, pool, cv._Burnt(sd.n), budget)
+                if res[0] != "leaves":
+                    continue
+                lens = [leaf.path_v for leaf in res[1]]
+                assert lens == sorted(lens, reverse=True)
+                assert 0 < len(lens) <= leaf_cap and min(lens) >= 8
+                runs.append((len(lens) == leaf_cap, len(set(lens)) > 1))
+        # the cap cut some level, and some leaves differ in length
+        assert any(cut for cut, _ in runs)
+        assert any(mixed for _, mixed in runs)
 
     def test_w_cap_stops_the_tree(self):
         # each level burns two vertices: |W| = 22 > 20 after level 10

@@ -98,6 +98,16 @@ class TestRunTrial:
         assert rec.detail
         assert rec.certificate is None and rec.cert_digest is None
 
+    def test_two_vertex_hamilton_host_packs(self):
+        # the cover's one cycle, 0 -> 1 -> 0, is already Hamilton: phase 2
+        # must not count it small and try to remove it
+        sd = SimpleDigraph(2, np.array([(0, 1), (1, 0)]), 1)
+        rec = hn.run_trial(ModelParams.from_nmk(2, 2, 1), 1, sd=sd)
+        assert rec.outcome == "success", rec.detail
+        assert [sorted(cyc.tolist()) for cyc in rec.certificate.cycles] \
+            == [[0, 1]]
+        assert verify_packing(sd, rec.certificate)
+
     def test_tiny_params_never_crash(self):
         params = ModelParams.make(40, 3.0, 1)
         for seed in range(4):
