@@ -16,7 +16,6 @@ as one call, failed trials included, and logs the t50/t90 per cell.
 
 import argparse
 import csv
-import functools
 import hashlib
 import io
 import itertools
@@ -94,7 +93,7 @@ def run_pipeline(params: ModelParams, rng: np.random.Generator, sd=None):
             info["phase2"].append(p2)
 
             ham, p3 = merge_patch(pd2, sd, part.reserve(4, i, used), rng,
-                                  functools.partial(part.own_pool, i, used))
+                                  ~used)
             info["phase3"].append(p3)
             used[ham.edge_ids] = True
             covers.append(ham)

@@ -673,8 +673,9 @@ def write_edge_list(sd: SimpleDigraph, path) -> None:
 def read_edge_list(path) -> SimpleDigraph:
     """Inverse of write_edge_list; round-trips bit-exactly.
 
-    Malformed content, whether a bad header or edge line, a non-ASCII
-    byte or a digraph SimpleDigraph refuses, raises EdgeListFormatError.
+    Malformed content, whether a bad header or edge line, a file that
+    ends before its m edge lines, a non-ASCII byte or a digraph
+    SimpleDigraph refuses, raises EdgeListFormatError.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -689,7 +690,11 @@ def read_edge_list(path) -> SimpleDigraph:
             # grown as lines arrive: the header's m is not trusted
             edges = np.empty((min(m, _CHUNK), 2), dtype=np.int64)
             for j in range(m):
-                line = fh.readline().split()
+                line = fh.readline()
+                if not line:
+                    raise EdgeListFormatError(
+                        f"file ends after {j} of {m} edge lines")
+                line = line.split()
                 if len(line) != 2:
                     raise EdgeListFormatError(f"edge line {j} malformed")
                 if j == len(edges):

@@ -65,14 +65,6 @@ class EdgePartition:
         mask &= ~used
         return mask
 
-    def own_pool(self, i: int, used: np.ndarray) -> np.ndarray:
-        """Every edge labelled for cover i, Ê_{1,i} ∪ Ê_{2,i} ∪ Ê_{3,i}
-        ∪ E_{4,i}, with no edge marked in used, as a fresh bool mask:
-        phase 3's last rung when E_{4,i} alone cannot merge."""
-        mask = self.pool % self.k == i
-        mask &= ~used
-        return mask
-
 
 def split_edges(sd: SimpleDigraph, k: int, rng: np.random.Generator) -> EdgePartition:
     """Assign every edge to one of the 4k pool labels.

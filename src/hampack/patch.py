@@ -5,8 +5,8 @@ cycles, each of length >= n0.  ``merge_patch`` turns it into a Hamilton
 cycle using reserve edges from the fourth pool: it repeatedly splices
 the smallest cycle into another one with a pairwise edge exchange.
 When E_{4,i} holds no exchange for the smallest cycle, the search runs
-once more over cover i's own unused edges (every pool label ≡ i mod
-k); these are not fresh, a departure the README lists.
+once more over every edge no cover has spent; these are not fresh and
+may be labelled for a later cover, a departure the README lists.
 Break (a, a+) in cycle A and (b, b+) in cycle B, rejoin with reserve
 edges (a, b+) and (b, a+).  An exchange is the kappa = 2 case of the
 paper's reconnection of path sections along a cyclic tau, and it never
@@ -15,8 +15,7 @@ shrinks a cycle, so no new small cycles can appear.
 There is no one-shot reconnection.  Joining bare section endpoints
 gives an auxiliary digraph of about kappa^2 * d_4 / n edges, too sparse
 to hold a Hamilton cycle at any n the pipeline runs.  A faithful version
-joins the endpoint sets of rotation trees; ROADMAP item 2 keeps it as a
-last resort behind longer exchanges between two cycles.
+would join the endpoint sets of rotation trees.
 ``count_r_phi`` and ``find_cyclic_tau`` stay as the counting side of
 that argument.  Both walk one enumeration of the cyclic tau of [kappa]:
 the first counts those with phi∘tau cyclic (|R_phi|), the second
@@ -36,8 +35,8 @@ from .model import SimpleDigraph
 @dataclass
 class PatchStats:
     merges: int = 0
-    # how many of the merges the own-pool rung made
-    own_pool_merges: int = 0
+    # how many of the merges the spare-mask rung made
+    rung_merges: int = 0
     # always 0: perfbench reads all three (tracer.py reads relaxed_merges,
     # workload.py::_pack reads kappa and search_nodes); each goes with
     # the benchmark change that stops reading it (ROADMAP items 1 and 4)
@@ -128,22 +127,22 @@ def _find_exchange(pd: PermutationDigraph, cid: int, sd: SimpleDigraph,
 
 def merge_patch(pd: PermutationDigraph, sd: SimpleDigraph,
                 in_pool: np.ndarray, rng: np.random.Generator,
-                own_pool=None) -> tuple[PermutationDigraph, PatchStats]:
+                spare=None) -> tuple[PermutationDigraph, PatchStats]:
     """Merge cycles pairwise until the cover is one Hamilton cycle.
 
-    in_pool, the reserve pool as a bool mask over edge ids, is never
-    written.  Each round splices the smallest cycle into another via
-    an edge exchange.  When in_pool has none, own_pool, a callable
-    returning a second mask (cover i's own unused edges), is called and
-    searched too; PhaseFailure when neither has an exchange.
+    in_pool, the reserve pool as a bool mask over edge ids, and spare,
+    a second such mask or None, are never written.  Each round splices
+    the smallest cycle into another via an edge exchange from in_pool,
+    or from spare when in_pool has none; PhaseFailure when neither has
+    an exchange.
     """
     stats = PatchStats()
     while pd.num_cycles > 1:
         cid = int(np.argmin(pd.cycle_lens))
         found = _find_exchange(pd, cid, sd, in_pool, rng)
-        if found is None and own_pool is not None:
-            found = _find_exchange(pd, cid, sd, own_pool(), rng)
-            stats.own_pool_merges += found is not None
+        if found is None and spare is not None:
+            found = _find_exchange(pd, cid, sd, spare, rng)
+            stats.rung_merges += found is not None
         if found is None:
             raise PhaseFailure(
                 "phase3", f"no exchange merges the {int(pd.cycle_lens[cid])}"

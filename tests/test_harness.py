@@ -140,26 +140,36 @@ def test_covers_built_once_then_spliced(monkeypatch):
     assert len(built) == 1 and len(spliced) >= 2
 
 
-@pytest.mark.parametrize("point, want_wins", [
-    ((2000, 100.0, 2), 4), ((600, 30.0, 1), 4), ((2000, 60.0, 3), 4),
-], ids=["k2", "k1", "k3"])
-def test_cycles_use_own_pools(monkeypatch, point, want_wins):
+@pytest.mark.parametrize("point, want_wins, fires", [
+    ((2000, 100.0, 2), 4, False), ((600, 30.0, 1), 4, False),
+    ((2000, 60.0, 3), 4, False), ((2000, 12.0, 2), 4, True),
+], ids=["k2", "k1", "k3", "k2-low-c"])
+def test_cycles_use_own_pools(monkeypatch, point, want_wins, fires):
     """Every edge of Hamilton cycle i lies in one of cover i's own
-    pools, Ê_{t,i} or E_{4,i} (pool label = i mod k), or in E_SMALL: no
-    phase reaches into another cover's pools.  At k = 1 every label
-    qualifies, so that point checks only that trials get this far; all
-    four of its seeds pack (200 of 200 seeds do there)."""
-    parts = []
-    split = hn.split_edges
+    pools, Ê_{t,i} or E_{4,i} (pool label = i mod k), or in E_SMALL,
+    except the two edges each of phase 3's rung merges adds: those may
+    carry any label.  At k = 1 every label qualifies, so that point
+    checks only that trials get this far; all four of its seeds pack
+    (200 of 200 seeds do there).  The rung fires on the low-c point
+    only, so there the exception is exercised."""
+    parts, stats = [], []
+    split, merge = hn.split_edges, hn.merge_patch
 
     def kept(*args, **kwargs):
         parts.append(split(*args, **kwargs))
         return parts[-1]
 
+    def merged(*args, **kwargs):
+        ham, st = merge(*args, **kwargs)
+        stats.append(st)
+        return ham, st
+
     monkeypatch.setattr(hn, "split_edges", kept)
+    monkeypatch.setattr(hn, "merge_patch", merged)
     params = ModelParams.make(*point)
-    wins = 0
+    wins = rungs = 0
     for seed in range(4):
+        stats.clear()
         rec = hn.run_trial(params, seed)
         if not rec.success:
             continue
@@ -167,8 +177,11 @@ def test_cycles_use_own_pools(monkeypatch, point, want_wins):
         part = parts[-1]
         for i, eids in enumerate(rec.certificate.edge_ids):
             own = (part.pool[eids] % part.k == i) | part.e_small[eids]
-            assert own.all(), (seed, i, np.flatnonzero(~own))
+            assert (~own).sum() <= 2 * stats[i].rung_merges, (
+                seed, i, np.flatnonzero(~own))
+            rungs += stats[i].rung_merges
     assert len(parts) == 4 and wins == want_wins
+    assert (rungs > 0) == fires
 
 
 class TestRecordsPinned:

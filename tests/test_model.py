@@ -947,6 +947,18 @@ class TestEdgeListIO:
             with pytest.raises(EdgeListFormatError, match="header needs"):
                 read_edge_list(bad)
 
+    def test_early_end_named(self, tmp_path):
+        # a missing edge line is an early end, not a malformed line; a
+        # present but wrong line is still called malformed
+        bad = tmp_path / "bad.txt"
+        for text, want in ((b"5 10000000000000 1\n0 1\n",
+                            "file ends after 1 of 10000000000000 edge lines"),
+                           (b"3 2 1\n", "file ends after 0 of 2 edge lines"),
+                           (b"3 2 1\n0 1\n\n", "edge line 1 malformed")):
+            bad.write_bytes(text)
+            with pytest.raises(EdgeListFormatError, match=want):
+                read_edge_list(bad)
+
 
 class TestParams:
     def test_non_integer_m_rejected(self):

@@ -1,7 +1,6 @@
 """Final repair: the tau enumeration, |R_phi| counts, and cycle merging."""
 
 import copy
-import functools
 import hashlib
 import itertools
 import math
@@ -199,14 +198,16 @@ class TestMergePatch:
         new = set(ham.edge_ids.tolist()) - set(pd.edge_ids.tolist())
         assert new <= set(np.flatnonzero(pool).tolist())
 
+    # two 4-cycles, cover 0 of k = 2.  E_{4,0} holds (0, 6) alone, which
+    # has no return edge.  Three exchanges exist: (0, 5)/(4, 1) in cover
+    # 0's Ê_{2,0} and Ê_{3,0}, (2, 7)/(6, 3) in cover 1's pools, and
+    # (1, 6)/(5, 2) with label 0 but already used
+    RUNG_PAIRS = {(0, 6): 6, (0, 5): 2, (4, 1): 4, (2, 7): 7, (6, 3): 1,
+                  (1, 6): 0, (5, 2): 0}
+
     @staticmethod
-    def own_pool_case():
-        """Two 4-cycles, cover 0 of k = 2.  E_{4,0} holds (0, 6) alone,
-        which has no return edge.  Three exchanges exist: (0, 5)/(4, 1)
-        in cover 0's Ê_{2,0} and Ê_{3,0}, (2, 7)/(6, 3) in cover 1's
-        pools, and (1, 6)/(5, 2) with label 0 but already used."""
-        pairs = {(0, 6): 6, (0, 5): 2, (4, 1): 4, (2, 7): 7, (6, 3): 1,
-                 (1, 6): 0, (5, 2): 0}
+    def rung_case(pairs):
+        """Host, cover, E_{4,0} and the unused mask for the given labels."""
         sd, pd, _ = cover_instance([[0, 1, 2, 3], [4, 5, 6, 7]],
                                    extra=list(pairs))
         part = EdgePartition(n=sd.n, m=sd.m, k=2,
@@ -216,32 +217,42 @@ class TestMergePatch:
             part.pool[sd.edge_lookup(u, v)] = label
         used = np.zeros(sd.m, dtype=bool)
         used[[sd.edge_lookup(1, 6), sd.edge_lookup(5, 2)]] = True
-        return sd, pd, part, used
+        return sd, pd, part.reserve(4, 0, used), ~used
 
-    def test_own_pool_rung_merges(self):
-        sd, pd, part, used = self.own_pool_case()
-        e4 = part.reserve(4, 0, used)
+    def test_rung_merges(self):
+        sd, pd, e4, unused = self.rung_case(self.RUNG_PAIRS)
         with pytest.raises(PhaseFailure, match="no exchange merges"):
             pt.merge_patch(pd, sd, e4, rng_stream(5))
-        ham, stats = pt.merge_patch(pd, sd, e4, rng_stream(5),
-                                    functools.partial(part.own_pool, 0, used))
-        assert ham.num_cycles == 1
-        assert (stats.merges, stats.own_pool_merges) == (1, 1)
-        new = np.setdiff1d(ham.edge_ids, pd.edge_ids)
-        assert sorted(sd.edges[new].tolist()) == [[0, 5], [4, 1]]
-        assert (part.pool[new] % part.k == 0).all()
+        taken = set()
+        for seed in range(8):
+            ham, stats = pt.merge_patch(pd, sd, e4, rng_stream(seed), unused)
+            assert ham.num_cycles == 1
+            assert (stats.merges, stats.rung_merges) == (1, 1)
+            new = np.setdiff1d(ham.edge_ids, pd.edge_ids)
+            taken.add(tuple(sorted(map(tuple, sd.edges[new].tolist()))))
+        # both unused exchanges, never the used pair (1, 6)/(5, 2)
+        assert taken == {((0, 5), (4, 1)), ((2, 7), (6, 3))}
 
-    def test_own_pool_built_only_on_a_miss(self):
+    def test_rung_takes_a_later_covers_edges(self):
+        # only cover 1's labels hold an exchange: cover 0's own edges
+        # cannot merge, every unused edge can, and the used pair stays out
+        pairs = {e: t for e, t in self.RUNG_PAIRS.items()
+                 if e not in ((0, 5), (4, 1))}
+        sd, pd, e4, unused = self.rung_case(pairs)
+        ham, stats = pt.merge_patch(pd, sd, e4, rng_stream(5), unused)
+        assert ham.num_cycles == 1
+        assert (stats.merges, stats.rung_merges) == (1, 1)
+        new = np.setdiff1d(ham.edge_ids, pd.edge_ids)
+        assert sorted(sd.edges[new].tolist()) == [[2, 7], [6, 3]]
+
+    def test_rung_idle_when_e4_merges(self):
         sd, pd, pool = cover_instance(
             [[0, 1, 2, 3], [4, 5, 6, 7]],
             extra=[(0, 5), (4, 1)])
-
-        def own_pool():
-            raise AssertionError("own pool built although E_4 merged")
-
-        ham, stats = pt.merge_patch(pd, sd, pool, rng_stream(4), own_pool)
+        ham, stats = pt.merge_patch(pd, sd, pool, rng_stream(4),
+                                    np.ones(sd.m, dtype=bool))
         assert ham.num_cycles == 1
-        assert (stats.merges, stats.own_pool_merges) == (1, 0)
+        assert (stats.merges, stats.rung_merges) == (1, 0)
 
     def test_output_pinned(self):
         # digest of what merge_patch produced with loop_find_exchange
