@@ -44,24 +44,24 @@ row, so no per-cover copy of a pool is made.
 The textbook asymptotic budgets (ν = √n·ln n leaves, |W| ≤ n^{3/4})
 only separate at astronomical n: already 2αν > n^{3/4} for every n
 below ~10⁹, so a literal reading can never finish a single tree.  The
-budget here keeps the same shape at bench scale: ν ≈ √(n/α) leaves
-with α = ⌈c/8k⌉, and a W cap of ⌈0.85n⌉.  Unlike the
-construction, the out-phase has no per-node cap of α children: a node
-admits every pivot its pool row offers, and only the level's leaf cap
-stops it.
+leaf budget here keeps its shape at bench scale: ν ≈ √(n/α) leaves
+with α = ⌈c/8k⌉.  W is not capped.  Unlike the construction, the
+out-phase has no per-node cap of α children: a node admits every pivot
+its pool row offers, and only the level's leaf cap stops it.
 
-Those are all the limits: the leaf target and leaf cap, the W cap, the
-in-phase's in_branch = 3α children per start, and the MAX_STARTS cap on
-in-phase starts.  Every loop ends without a cap of its own.  Each node
-an out-phase level admits burns its pivot w, which was unburnt, so the
-levels stop once nothing is left to burn; the W cap is checked after
-every level of either phase.  Each in-phase start is a vertex not seen
-before, so each closure target is validated at most once.  The start cap
-is checked once per breadth-first level, before the level runs, so the
-level that crosses it still admits all its starts, up to in_branch per
-frontier start: at n = 10⁵ an in-phase admitted about 800 starts against
-MAX_STARTS = 384.  A small cycle gets at most one start per vertex, each
-with a fresh W, and each elimination removes a small cycle.
+Those are all the limits: the leaf target and leaf cap, the in-phase's
+in_branch = 3α children per start, and the MAX_STARTS cap on in-phase
+starts.  Every loop ends without a cap of its own.  Each node an
+out-phase level admits, like each in-phase start, burns its pivot w,
+which was unburnt, so the levels of either phase stop once nothing is
+left to burn, and a start burns at most n vertices.  Each in-phase
+start is a vertex not seen before, so each closure target is validated
+at most once.  The start cap is checked once per breadth-first level,
+before the level runs, so the level that crosses it still admits all
+its starts, up to in_branch per frontier start: at n = 10⁵ an in-phase
+admitted about 800 starts against MAX_STARTS = 384.  A small cycle gets
+at most one start per vertex, each with a fresh W, and each elimination
+removes a small cycle.
 """
 
 from __future__ import annotations
@@ -160,13 +160,13 @@ class PermutationDigraph:
         exchange), so a repeat is a broken invariant.  The tables are
         spliced from this cover's, not rebuilt: in pack-host-large
         trials (n = 10^5, a 2-vCPU Xeon box) a two-arc splice took
-        1.2 ms and a rebuild 6.1 ms (medians), and rebuilding on every
-        splice made the median trial 20 % slower.  Cutting each touched
-        cycle after its rewired tails leaves arcs, each running from an
-        old head to the next rewired tail along its cycle; each new
-        cycle is a ring of such arcs, rotated to start at its smallest
-        vertex.  Cycles with no rewired tail keep their arrays, and
-        cycle ids are renumbered by start.
+        1.2 ms and the constructor's rebuild 4.6 ms (medians over 101
+        calls), 9 against 39 ms per trial of a 224 ms median.  Cutting
+        each touched cycle after its rewired tails leaves arcs, each
+        running from an old head to the next rewired tail along its
+        cycle; each new cycle is a ring of such arcs, rotated to start
+        at its smallest vertex.  Cycles with no rewired tail keep their
+        arrays, and cycle ids are renumbered by start.
         """
         n = self.n
         tails = np.asarray(tails, dtype=np.int64).ravel()
@@ -281,7 +281,6 @@ class PhaseTwoBudget:
     n0: float
     leaf_target: int
     leaf_cap: int
-    w_cap: int
     in_branch: int
 
     @classmethod
@@ -294,7 +293,6 @@ class PhaseTwoBudget:
         # divides by ln 1 = 0) and would make a Hamilton cycle small.
         n0 = n / math.log(n) if n >= 3 else n
         return cls(n0=n0, leaf_target=nu, leaf_cap=3 * nu,
-                   w_cap=math.ceil(0.85 * n),
                    in_branch=3 * alpha)
 
 
@@ -311,17 +309,6 @@ class PhaseTwoStats:
     second_attempts: int = 0
     w_size: int = 0
     eliminated: list = field(default_factory=list)
-
-
-class _Burnt(bytearray):
-    """The burnt set W as a byte mask over vertices; size is |W|."""
-
-    size = 0
-
-    def burn(self, *vs: int) -> None:
-        for v in vs:
-            self.size += not self[v]
-            self[v] = 1
 
 
 class _Node:
@@ -433,8 +420,10 @@ def _rotate(pd: PermutationDigraph, segs, touched, path_v: int, w: int,
 
 
 def out_phase(pd: PermutationDigraph, u0: int, sd: SimpleDigraph,
-              pool: np.ndarray, w_set: _Burnt, budget: PhaseTwoBudget):
+              pool: np.ndarray, w_set: bytearray, budget: PhaseTwoBudget):
     """Grow the rotation tree for u0's small cycle, broken at (v0, u0).
+
+    w_set is the burnt set W, one byte per vertex, 1 once burnt.
 
     Returns ("closed", Π') on early closure, ("leaves", [nodes]) once
     enough long-path leaves exist, or ("fail", reason).
@@ -443,7 +432,7 @@ def out_phase(pd: PermutationDigraph, u0: int, sd: SimpleDigraph,
     v0 = int(pd.pred[u0])
     # the broken edge needs no C(ii) clearance: W is this start's own,
     # and burns from earlier closures are already materialized into Π
-    w_set.burn(u0, v0)
+    w_set[u0] = w_set[v0] = 1
     root = _root_node(pd, u0, v0, int(pd.cycle_id[u0]))
     level = [root]
     while True:
@@ -475,7 +464,7 @@ def out_phase(pd: PermutationDigraph, u0: int, sd: SimpleDigraph,
                 segs, touched, pv, x = out
                 if w_set[x]:
                     continue
-                w_set.burn(w, x)
+                w_set[w] = w_set[x] = 1
                 nxt.append(_Node(steps=node.steps + ((v, w, eid),),
                                  segs=segs, touched=touched, path_v=pv,
                                  end=x))
@@ -485,8 +474,6 @@ def out_phase(pd: PermutationDigraph, u0: int, sd: SimpleDigraph,
             if leaves:
                 break
             return ("fail", "tree stalled with no long-path leaf")
-        if w_set.size > budget.w_cap:
-            return ("fail", "burnt-vertex cap exceeded")
         level = nxt
     leaves.sort(key=lambda nd: -nd.path_v)
     return ("leaves", leaves[:budget.leaf_cap])
@@ -523,7 +510,7 @@ def _materialize(pd: PermutationDigraph, steps) -> PermutationDigraph:
 
 
 def in_phase(pd: PermutationDigraph, u0: int, leaves: list,
-             sd: SimpleDigraph, pool: np.ndarray, w_set: _Burnt,
+             sd: SimpleDigraph, pool: np.ndarray, w_set: bytearray,
              budget: PhaseTwoBudget):
     """Close one of the leaf paths into a ≥ n0 cycle by start-side
     rotations shared across every leaf tree.
@@ -583,15 +570,13 @@ def in_phase(pd: PermutationDigraph, u0: int, leaves: list,
                 x = int(pd.succ[w])
                 if w_set[x] or x in chains:
                     continue
-                w_set.burn(w, x)
+                w_set[w] = w_set[x] = 1
                 chains[x] = chains[s] + ((w, s, eid),)
                 admitted += 1
                 hit = try_close(x)
                 if hit is not None:
                     return hit
                 nxt.append(x)
-        if w_set.size > budget.w_cap:
-            return None
         frontier = nxt
     return None
 
@@ -634,11 +619,12 @@ def eliminate_small_cycles(pd: PermutationDigraph, sd: SimpleDigraph,
         new_pd = None
         order = pd.cycles[cid][rng.permutation(clen)].tolist()
         for starts, u0 in enumerate(order, 1):
-            w_set = _Burnt(sd.n)
+            w_set = bytearray(sd.n)
             res = out_phase(pd, u0, sd, in_pool, w_set, budget)
             if res[0] == "leaves":
                 new_pd = in_phase(pd, u0, res[1], sd, in_pool, w_set, budget)
-            stats.w_size = max(stats.w_size, w_set.size)
+            w_size = w_set.count(1)
+            stats.w_size = max(stats.w_size, w_size)
             if res[0] == "closed":
                 stats.early_closures += 1
                 new_pd = res[1]
@@ -652,7 +638,7 @@ def eliminate_small_cycles(pd: PermutationDigraph, sd: SimpleDigraph,
             raise PhaseFailure(
                 "phase2", f"could not remove a {clen}-cycle after "
                 f"{starts} starts ({reason}; "
-                f"|W|={w_set.size}, cap={budget.w_cap})")
+                f"|W|={w_size})")
         stats.second_attempts += starts - 1
         _assert_progress(pd, new_pd, budget.n0)
         stats.eliminated.append(clen)

@@ -548,13 +548,20 @@ def _model_params(n: int, c: float, k: int) -> ModelParams:
 
 
 def _parse_grid(spec: str):
-    """'n=1000,2000;c=20,50;k=1' -> (ns, cs, ks)."""
+    """'n=1000,2000;c=20,50;k=1' -> (ns, cs, ks), each field once."""
     fields = {}
     for chunk in spec.split(";"):
         if "=" not in chunk:
             raise ValueError(f"bad grid chunk {chunk!r}")
         key, vals = chunk.split("=", 1)
-        fields[key.strip()] = [v for v in vals.split(",") if v]
+        key = key.strip()
+        if key not in ("n", "c", "k"):
+            raise ValueError(f"unknown grid field {key!r}")
+        if key in fields:
+            raise ValueError(f"grid field {key!r} given twice")
+        fields[key] = [v for v in vals.split(",") if v]
+        if not fields[key]:
+            raise ValueError(f"grid field {key!r} has no values")
     missing = {"n", "c", "k"} - set(fields)
     if missing:
         raise ValueError(f"grid is missing {sorted(missing)}")
@@ -663,6 +670,8 @@ def _read_host(path: str):
 
 def _cmd_pack(args, parser) -> int:
     if args.infile:
+        if args.n is not None or args.c is not None:
+            parser.error("--in takes n and c from the file: drop --n, --c")
         sd = _read_host(args.infile)
         params = ModelParams.from_nmk(sd.n, sd.m,
                                       sd.k if args.k is None else args.k)

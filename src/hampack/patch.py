@@ -127,11 +127,11 @@ def _find_exchange(pd: PermutationDigraph, cid: int, sd: SimpleDigraph,
 
 def merge_patch(pd: PermutationDigraph, sd: SimpleDigraph,
                 in_pool: np.ndarray, rng: np.random.Generator,
-                spare=None) -> tuple[PermutationDigraph, PatchStats]:
+                spare: np.ndarray) -> tuple[PermutationDigraph, PatchStats]:
     """Merge cycles pairwise until the cover is one Hamilton cycle.
 
     in_pool, the reserve pool as a bool mask over edge ids, and spare,
-    a second such mask or None, are never written.  Each round splices
+    a second such mask, are never written.  Each round splices
     the smallest cycle into another via an edge exchange from in_pool,
     or from spare when in_pool has none; PhaseFailure when neither has
     an exchange.
@@ -140,7 +140,7 @@ def merge_patch(pd: PermutationDigraph, sd: SimpleDigraph,
     while pd.num_cycles > 1:
         cid = int(np.argmin(pd.cycle_lens))
         found = _find_exchange(pd, cid, sd, in_pool, rng)
-        if found is None and spare is not None:
+        if found is None:
             found = _find_exchange(pd, cid, sd, spare, rng)
             stats.rung_merges += found is not None
         if found is None:

@@ -67,8 +67,7 @@ def mask_of(sd, ids):
 
 
 def tiny_budget(n0, **kw):
-    base = dict(n0=n0, leaf_target=4, leaf_cap=16, w_cap=10 ** 9,
-                in_branch=4)
+    base = dict(n0=n0, leaf_target=4, leaf_cap=16, in_branch=4)
     base.update(kw)
     return PhaseTwoBudget(**base)
 
@@ -675,9 +674,9 @@ class TestRotateOracle:
         v0 = int(pd.pred[u0])
         n0 = 8
         budget = tiny_budget(n0=n0, leaf_target=10 ** 6, leaf_cap=10 ** 6)
-        w_set = cv._Burnt(sd.n)
+        w_set = bytearray(sd.n)
         cv.out_phase(pd, u0, sd, pool, w_set, budget)
-        assert w_set.size == w_set.count(1) > 0
+        assert w_set.count(1) > 0
         old = {frozenset(c.tolist()) for c in pd.cycles}
         by_steps = {node.steps: node for node in made}
         assert len(by_steps) == len(made)
@@ -761,16 +760,15 @@ class TestRotateOracle:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_running_w_count(self, seed, monkeypatch):
-        # |W| is counted as vertices burn; it must equal the mask's
-        # popcount after every out_phase and in_phase call
+        # the |W| that stats and failure details report is the mask's
+        # popcount after a start's out_phase and in_phase calls
         checked = []
 
         def counted(phase):
             def run(*args):
                 out = phase(*args)
                 w_set = args[-2]  # both phases take (..., w_set, budget)
-                assert w_set.size == w_set.count(1)
-                checked.append(w_set.size)
+                checked.append(w_set.count(1))
                 return out
             return run
 
@@ -785,7 +783,7 @@ class TestRotateOracle:
             # the largest start's
             assert stats.w_size == max(checked)
         except PhaseFailure as exc:
-            assert f"|W|={checked[-1]}," in exc.detail
+            assert exc.detail.endswith(f"|W|={checked[-1]})")
         assert checked
 
 
@@ -796,7 +794,7 @@ class TestOutPhase:
         sd, pd, pool = host_with_cover(
             [0, 1], [2, 3, 4, 5, 6, 7],
             extra=[(1, 2), (7, 0)])
-        w_set = cv._Burnt(sd.n)
+        w_set = bytearray(sd.n)
         budget = tiny_budget(n0=3)
         res = cv.out_phase(pd, 0, sd, pool, w_set, budget)
         assert res[0] == "closed"
@@ -811,24 +809,27 @@ class TestOutPhase:
 
     def test_stalls_without_reserve_edges(self):
         sd, pd, pool = host_with_cover([0, 1], [2, 3, 4, 5, 6, 7])
-        res = cv.out_phase(pd, 0, sd, pool, cv._Burnt(sd.n),
+        res = cv.out_phase(pd, 0, sd, pool, bytearray(sd.n),
                            tiny_budget(n0=3))
         assert res[0] == "fail"
 
     def test_burns_break_edge_endpoints(self):
         sd, pd, pool = host_with_cover([0, 1], [2, 3, 4, 5, 6, 7],
                                        extra=[(1, 2), (7, 0)])
-        w_set = cv._Burnt(sd.n)
+        w_set = bytearray(sd.n)
         cv.out_phase(pd, 0, sd, pool, w_set, tiny_budget(n0=3))
         assert w_set[0] == 1 and w_set[1] == 1
 
     @staticmethod
-    def two_cycle_chain(length):
+    def two_cycle_chain(length, closing=False):
         """length 2-cycles {2i, 2i+1}, with one reserve edge from each
         cycle's odd vertex to the next cycle's even one: broken at
-        (1, 0), the path can absorb only the next cycle, one per level."""
+        (1, 0), the path can absorb only the next cycle, one per level.
+        closing adds the reserve edge from the last vertex back to 0."""
         cycles = [[2 * i, 2 * i + 1] for i in range(length)]
         extra = [(2 * i + 1, 2 * i + 2) for i in range(length - 1)]
+        if closing:
+            extra.append((2 * length - 1, 0))
         return host_with_cover(*cycles, extra=extra)
 
     def test_levels_run_until_the_tree_stalls(self):
@@ -836,7 +837,7 @@ class TestOutPhase:
         # the first leaf (path ≥ n0) comes at level 49, and only the
         # stall at the chain's end stops the tree
         sd, pd, pool = self.two_cycle_chain(70)
-        w_set = cv._Burnt(sd.n)
+        w_set = bytearray(sd.n)
         res = cv.out_phase(pd, 0, sd, pool, w_set, tiny_budget(n0=100))
         assert res[0] == "leaves"
         (leaf,) = res[1]
@@ -844,7 +845,7 @@ class TestOutPhase:
         assert [(t, h) for t, h, _ in leaf.steps] == [
             (2 * i + 1, 2 * i + 2) for i in range(69)]
         assert all(sd.edge_lookup(t, h) == eid for t, h, eid in leaf.steps)
-        assert w_set.size == 140
+        assert w_set.count(1) == 140
 
     def test_leaves_longest_first(self):
         # in_phase ranks closure targets by leaf order, so out_phase
@@ -855,7 +856,7 @@ class TestOutPhase:
                 sd, pd, pool, u0 = TestRotateOracle.instance(seed)
                 budget = tiny_budget(n0=8, leaf_target=leaf_target,
                                      leaf_cap=leaf_cap)
-                res = cv.out_phase(pd, u0, sd, pool, cv._Burnt(sd.n), budget)
+                res = cv.out_phase(pd, u0, sd, pool, bytearray(sd.n), budget)
                 if res[0] != "leaves":
                     continue
                 lens = [leaf.path_v for leaf in res[1]]
@@ -866,14 +867,15 @@ class TestOutPhase:
         assert any(cut for cut, _ in runs)
         assert any(mixed for _, mixed in runs)
 
-    def test_w_cap_stops_the_tree(self):
-        # each level burns two vertices: |W| = 22 > 20 after level 10
-        sd, pd, pool = self.two_cycle_chain(70)
-        w_set = cv._Burnt(sd.n)
-        res = cv.out_phase(pd, 0, sd, pool, w_set,
-                           tiny_budget(n0=100, w_cap=20))
-        assert res == ("fail", "burnt-vertex cap exceeded")
-        assert w_set.size == 22
+    def test_tree_stops_when_nothing_is_left_to_burn(self):
+        # with n0 past n no leaf ever comes and no closure is tried:
+        # each level burns two more vertices, and the tree stalls only
+        # at 139, whose one reserve edge leads to 0, burnt at the root
+        sd, pd, pool = self.two_cycle_chain(70, closing=True)
+        w_set = bytearray(sd.n)
+        res = cv.out_phase(pd, 0, sd, pool, w_set, tiny_budget(n0=1000))
+        assert res == ("fail", "tree stalled with no long-path leaf")
+        assert w_set.count(1) == 140
 
 
 class TestInPhase:
@@ -888,22 +890,32 @@ class TestInPhase:
         extra = [(1, 2), (2, 0)] + [(2 * i + 2, 2 * i + 1)
                                     for i in range(1, length - 1)]
         sd, pd, pool = host_with_cover(*cycles, extra=extra)
-        w_set = cv._Burnt(sd.n)
-        w_set.burn(0, 1)  # as the out-phase burns the broken edge
+        w_set = bytearray(sd.n)
+        w_set[0] = w_set[1] = 1  # as the out-phase burns the broken edge
         leaf = cv._root_node(pd, 0, 1, int(pd.cycle_id[0]))
         return sd, pd, pool, w_set, leaf
 
-    @pytest.mark.parametrize("w_cap, burnt", [(10, 12), (10 ** 9, 40)])
-    def test_w_cap_stops_the_starts(self, w_cap, burnt):
-        # |W| = 12 > 10 after level 5 stops the starts; with no cap
-        # they run to the chain's end, every vertex burnt
+    def test_starts_run_until_nothing_is_left_to_burn(self):
+        # no start closes, so the starts run to the chain's end, one
+        # level each, and stop with every vertex burnt
         sd, pd, pool, w_set, leaf = self.start_chain(20)
         assert cv.in_phase(pd, 0, [leaf], sd, pool, w_set,
-                           tiny_budget(n0=100, w_cap=w_cap)) is None
-        assert w_set.size == burnt
+                           tiny_budget(n0=100)) is None
+        assert w_set.count(1) == 40
 
 
 class TestEliminate:
+    def test_a_start_may_burn_every_vertex(self):
+        # the start from u0 = 0 absorbs the chain one 2-cycle a level,
+        # burning all 140 vertices, and closes back onto 0 by the edge
+        # (139, 0); the start from u0 = 1 stalls at once
+        sd, pd, pool = TestOutPhase.two_cycle_chain(70, closing=True)
+        out, stats = eliminate_small_cycles(
+            pd, sd, pool, rng_stream(7), PhaseTwoBudget.for_model(140, 8, 1))
+        assert out.num_cycles == 1 and out.cycle_lens[0] == 140
+        assert stats.eliminated == [2] and stats.early_closures == 1
+        assert stats.w_size == 140
+
     def test_clean_cover_untouched(self):
         sd, pd, pool = host_with_cover(list(range(30)))
         budget = tiny_budget(n0=5)
@@ -939,8 +951,8 @@ class TestEliminate:
         calls = []
 
         def failing_out_phase(pd, u0, sd, pool, w_set, budget):
-            calls.append((u0, w_set.size))
-            w_set.burn(u0, int(pd.pred[u0]))
+            calls.append((u0, w_set.count(1)))
+            w_set[u0] = w_set[int(pd.pred[u0])] = 1
             return ("fail", "forced")
 
         monkeypatch.setattr(cv, "out_phase", failing_out_phase)
@@ -950,13 +962,13 @@ class TestEliminate:
                 list(range(clen)), list(range(clen, 2 * clen + 1)))
             with pytest.raises(PhaseFailure) as exc:
                 eliminate_small_cycles(pd, sd, pool, rng_stream(7),
-                                       tiny_budget(n0=clen + 1, w_cap=20))
+                                       tiny_budget(n0=clen + 1))
             # cycle vertex u is its own offset, so u0 = u
             assert calls == [(u, 0) for u in
                              rng_stream(7).permutation(clen).tolist()]
             assert exc.value.detail == (
                 f"could not remove a {clen}-cycle after {clen} starts "
-                f"(last: forced; |W|=2, cap=20)")
+                f"(last: forced; |W|=2)")
 
     def test_later_start_closes(self, monkeypatch):
         # two forced failures, then the real out_phase closes the cycle
@@ -1048,7 +1060,6 @@ class TestBudget:
         b = PhaseTwoBudget.for_model(5000, 50.0, 1)
         alpha = math.ceil(50 / 8)
         assert b.n0 == pytest.approx(5000 / math.log(5000))
-        assert b.w_cap == math.ceil(0.85 * 5000)
         assert b.in_branch == 3 * alpha
         assert b.leaf_target == math.ceil(math.sqrt(5000 / alpha))
         assert b.leaf_cap == 3 * b.leaf_target

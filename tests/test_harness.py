@@ -751,6 +751,19 @@ class TestGridParsing:
         with pytest.raises(ValueError, match="bad grid chunk"):
             hn._parse_grid("n=10;nonsense;k=1")
 
+    @pytest.mark.parametrize("spec, fault", [
+        ("n=200;c=8;k=1;q=3", "unknown grid field 'q'"),
+        ("n=200;n=300;c=8;k=1", "grid field 'n' given twice"),
+        ("n=;c=8;k=1", "grid field 'n' has no values")])
+    def test_ignores_no_input(self, spec, fault, capsys):
+        # each once ran a grid without the field's input, and exited 0
+        with pytest.raises(ValueError, match=fault):
+            hn._parse_grid(spec)
+        with pytest.raises(SystemExit) as exc:
+            hn.main(["sweep", "--grid", spec, "--trials", "1"])
+        assert exc.value.code == 64
+        assert fault in capsys.readouterr().err
+
 
 def readme_commands() -> list:
     """Every `hampack ...` line in README's fenced blocks, with backslash
@@ -813,6 +826,19 @@ class TestCLI:
         with pytest.raises(SystemExit) as exc:
             hn.main(["pack", "--seed", "1"])
         assert exc.value.code == 64
+
+    def test_pack_in_refuses_n_and_c(self, capsys, tmp_path):
+        # the file sets n and c, so --n and --c would be ignored; --k is
+        # the documented override and stays
+        path = tmp_path / "ring.txt"
+        path.write_text("3 3 1\n0 1\n1 2\n2 0\n")
+        for extra in (["--n", "999", "--c", "50"], ["--n", "3"],
+                      ["--c", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                hn.main(["pack", "--in", str(path), *extra])
+            assert exc.value.code == 64
+            assert "drop --n, --c" in capsys.readouterr().err
+        assert hn.main(["pack", "--in", str(path), "--k", "1"]) == 0
 
     def test_sweep_to_file(self, tmp_path, sweep_cells):
         out = tmp_path / "sweep.csv"

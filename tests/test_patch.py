@@ -59,6 +59,12 @@ def random_instance(seed, extra_count, n=150, parts=2):
     return sd, pd, pool, rng
 
 
+def none_of(sd):
+    """The all-false mask over sd's edge ids: a spare pool for
+    merge_patch that holds no exchange, so E_4 alone must merge."""
+    return np.zeros(sd.m, dtype=bool)
+
+
 def phi_of_type(*parts):
     out = []
     base = 0
@@ -175,7 +181,8 @@ class TestMergePatch:
         sd, pd, pool = cover_instance(
             [[0, 1, 2, 3], [4, 5, 6, 7]],
             extra=[(0, 5), (4, 1)])
-        ham, stats = pt.merge_patch(pd, sd, pool, rng_stream(4))
+        ham, stats = pt.merge_patch(pd, sd, pool, rng_stream(4),
+                                    none_of(sd))
         assert ham.num_cycles == 1 and stats.merges == 1
         assert stats.relaxed_merges == 0
         assert int(ham.succ[0]) == 5 and int(ham.succ[4]) == 1
@@ -185,16 +192,16 @@ class TestMergePatch:
             [[0, 1, 2, 3], [4, 5, 6, 7]],
             extra=[(0, 5)])  # no return edge
         with pytest.raises(PhaseFailure, match="phase3"):
-            pt.merge_patch(pd, sd, pool, rng_stream(4))
+            pt.merge_patch(pd, sd, pool, rng_stream(4), none_of(sd))
 
     def test_three_cycles_two_merges(self):
         sd, pd, pool, rng = random_instance(77, 4000, n=150, parts=3)
-        ham, stats = pt.merge_patch(pd, sd, pool, rng)
+        ham, stats = pt.merge_patch(pd, sd, pool, rng, none_of(sd))
         assert ham.num_cycles == 1 and stats.merges == 2
 
     def test_never_consumes_cover_edges(self):
         sd, pd, pool, rng = random_instance(78, 4000)
-        ham, _ = pt.merge_patch(pd, sd, pool, rng)
+        ham, _ = pt.merge_patch(pd, sd, pool, rng, none_of(sd))
         new = set(ham.edge_ids.tolist()) - set(pd.edge_ids.tolist())
         assert new <= set(np.flatnonzero(pool).tolist())
 
@@ -222,7 +229,7 @@ class TestMergePatch:
     def test_rung_merges(self):
         sd, pd, e4, unused = self.rung_case(self.RUNG_PAIRS)
         with pytest.raises(PhaseFailure, match="no exchange merges"):
-            pt.merge_patch(pd, sd, e4, rng_stream(5))
+            pt.merge_patch(pd, sd, e4, rng_stream(5), none_of(sd))
         taken = set()
         for seed in range(8):
             ham, stats = pt.merge_patch(pd, sd, e4, rng_stream(seed), unused)
@@ -259,7 +266,7 @@ class TestMergePatch:
         # as its search: five merges; the batched search must reproduce
         # them and leave the stream where the loop left it
         sd, pd, pool, rng = random_instance(81, 8000, n=600, parts=6)
-        ham, stats = pt.merge_patch(pd, sd, pool, rng)
+        ham, stats = pt.merge_patch(pd, sd, pool, rng, none_of(sd))
         assert (stats.merges, stats.relaxed_merges) == (5, 0)
         h = hashlib.sha256()
         h.update(ham.succ.astype("<i8").tobytes())
@@ -383,7 +390,7 @@ class TestPipelinePhaseThree:
                 pd2, p2 = eliminate_small_cycles(
                     pd, sd, part.reserve(3, i, used), rng, budget)
                 ham, _ = pt.merge_patch(pd2, sd, part.reserve(4, i, used),
-                                        rng)
+                                        rng, none_of(sd))
                 used[ham.edge_ids] = True
                 hams.append(ham)
             return hams
