@@ -586,12 +586,12 @@ def _assert_progress(old: PermutationDigraph, new: PermutationDigraph,
     old_small, _ = cycles_of(old, n0)
     new_small, _ = cycles_of(new, n0)
     if len(new_small) >= len(old_small):
-        raise PhaseFailure("phase2", "small-cycle count failed to drop")
+        raise ValueError("phase 2: small-cycle count failed to drop")
     old_sets = {frozenset(old.cycles[c].tolist()) for c in old_small}
     for c in new_small:
         members = frozenset(new.cycles[c].tolist())
         if members not in old_sets:
-            raise PhaseFailure("phase2", "a new small cycle appeared")
+            raise ValueError("phase 2: a new small cycle appeared")
 
 
 def eliminate_small_cycles(pd: PermutationDigraph, sd: SimpleDigraph,
@@ -644,5 +644,5 @@ def eliminate_small_cycles(pd: PermutationDigraph, sd: SimpleDigraph,
         stats.eliminated.append(clen)
         pd = new_pd
     if pd.cycle_lens.min() < budget.n0:
-        raise PhaseFailure("phase2", "postcondition violated")
+        raise ValueError("phase 2: postcondition violated")
     return pd, stats

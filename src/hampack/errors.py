@@ -40,14 +40,17 @@ class OracleSizeError(HampackError):
 
 #: Every outcome tag of a failed trial, from run_trial or `pack --in`:
 #: a PhaseFailure's phase, "sample" for any other HampackError, and
-#: "internal" for a ValueError raised inside the pipeline (a broken
-#: invariant, such as a cover that is not a permutation).
+#: "internal" for a ValueError raised inside the pipeline: a broken
+#: invariant (a cover that is not a permutation, a repeated tail or pair,
+#: a matched edge already spent, a phase-2 step that made a new small
+#: cycle or removed none, an exchange that did not merge).
 FAILURE_TAGS = tuple(f"failure:{tag}" for tag in (
     "sample", "phase1", "phase2", "phase3", "verify", "internal"))
 
 
 class PhaseFailure(HampackError):
-    """A pipeline phase gave up; trials treat this as an attributed failure.
+    """A phase's search gave up, or the verifier refused the packing;
+    trials treat this as an attributed failure.
 
     phase names the tag "failure:<phase>" the trial records, with the
     detail and the trial's seed; the closed set of tags is FAILURE_TAGS.
@@ -55,13 +58,11 @@ class PhaseFailure(HampackError):
     still shows in it.
     """
 
-    def __init__(self, phase: str, detail: str = "", index: int | None = None,
-                 witness=None):
+    def __init__(self, phase: str, detail: str = "", index: int | None = None):
         super().__init__(phase, detail)
         self.phase = phase
         self.detail = detail
         self.index = index
-        self.witness = witness
 
     def __str__(self) -> str:
         tag = (self.phase if self.index is None

@@ -15,6 +15,7 @@ as one call, failed trials included, and logs the t50/t90 per cell.
 """
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -220,7 +221,6 @@ CSV_COLUMNS = ["schema", "n", "c", "k", "m", "trials", "successes",
 
 @dataclass
 class SweepSummary:
-    seed: int
     rows: list = field(default_factory=list)
 
     def to_csv(self) -> str:
@@ -287,7 +287,7 @@ def run_sweep(cells: list, trials: int, seed: int,
             qs = np.percentile([s for _, s in cell], [50, 90])
             log.info("cell n=%s c=%s k=%s: t50=%.2fs t90=%.2fs",
                      params.n, params.c, params.k, qs[0], qs[1])
-    return SweepSummary(seed=seed, rows=rows)
+    return SweepSummary(rows=rows)
 
 
 # -------------------------------------------------------------- statistics
@@ -521,8 +521,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _UsageError(Exception):
-    """A bad model parameter or an unreadable file: main prints it and
-    exits 64, as it does for a malformed file and an oversized oracle."""
+    """A bad model parameter, grid or option mix: main prints it and
+    exits 64, as it does for a malformed or unopenable file and an
+    oversized oracle."""
 
 
 def _at_least(lo: int):
@@ -650,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _cmd_sample(args, parser) -> int:
+def _cmd_sample(args) -> int:
     params = _model_params(args.n, args.c, args.k)
     sampler = (sample_erased_digraph if args.host == "erased"
                else sample_simple_digraph)
@@ -660,30 +661,27 @@ def _cmd_sample(args, parser) -> int:
     return 0
 
 
-def _read_host(path: str):
-    """read_edge_list, with an unreadable file as a usage error."""
-    try:
-        return read_edge_list(path)
-    except OSError as exc:
-        raise _UsageError(exc) from exc
-
-
-def _cmd_pack(args, parser) -> int:
+def _cmd_pack(args) -> int:
     if args.infile:
         if args.n is not None or args.c is not None:
-            parser.error("--in takes n and c from the file: drop --n, --c")
-        sd = _read_host(args.infile)
+            raise _UsageError(
+                "--in takes n and c from the file: drop --n, --c")
+        sd = read_edge_list(args.infile)
         params = ModelParams.from_nmk(sd.n, sd.m,
                                       sd.k if args.k is None else args.k)
     else:
         if args.n is None or args.c is None or args.k is None:
-            parser.error("pack needs --in or all of --n --c --k")
+            raise _UsageError("pack needs --in or all of --n --c --k")
         params, sd = _model_params(args.n, args.c, args.k), None
     rec = run_trial(params, args.seed, sd=sd)
     if not rec.success:
         print(f"{rec.outcome}: {rec.detail}", file=sys.stderr)
         return 2
     cert = rec.certificate
+    if args.cert_out:  # first: a path that cannot be written prints nothing
+        with open(args.cert_out, "w", encoding="ascii") as fh:
+            json.dump(cert.as_dict(), fh, sort_keys=True)
+            fh.write("\n")
     for cyc in cert.cycles:
         print(" ".join(str(int(v)) for v in cyc))
     meta = {
@@ -694,31 +692,25 @@ def _cmd_pack(args, parser) -> int:
         "cert_digest": rec.cert_digest,
     }
     print(json.dumps(meta, sort_keys=True))
-    if args.cert_out:
-        with open(args.cert_out, "w", encoding="ascii") as fh:
-            json.dump(cert.as_dict(), fh, sort_keys=True)
-            fh.write("\n")
     return 0
 
 
-def _cmd_sweep(args, parser) -> int:
+def _cmd_sweep(args) -> int:
     try:
         ns, cs, ks = _parse_grid(args.grid)
     except ValueError as exc:
-        parser.error(str(exc))
+        raise _UsageError(exc) from exc
     cells = [_model_params(n, c, k)  # refusals are usage errors
              for n, c, k in itertools.product(ns, cs, ks)]
-    summary = run_sweep(cells, args.trials, args.seed, workers=args.workers)
-    text = summary.to_csv()
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # opened before the first trial: a path that cannot be written costs none
+    with (open(args.out, "w", encoding="ascii") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.write(run_sweep(cells, args.trials, args.seed,
+                           workers=args.workers).to_csv())
     return 0
 
 
-def _cmd_stats(args, parser) -> int:
+def _cmd_stats(args) -> int:
     params = (None if args.subcmd in ("perm-cycles", "rphi")
               else _model_params(args.n, args.c, args.k))
     if args.subcmd == "simplicity-rate":
@@ -743,8 +735,8 @@ def _cmd_stats(args, parser) -> int:
     return 0
 
 
-def _cmd_oracle(args, parser) -> int:
-    cert = brute_force_packing(_read_host(args.infile), args.k)
+def _cmd_oracle(args) -> int:
+    cert = brute_force_packing(read_edge_list(args.infile), args.k)
     if cert is None:
         print(f"no packing of {args.k} edge-disjoint Hamilton cycles")
         return 2
@@ -758,14 +750,15 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     command = {"sample": _cmd_sample, "pack": _cmd_pack, "sweep": _cmd_sweep,
                "stats": _cmd_stats, "oracle": _cmd_oracle}[args.cmd]
     cmd = " ".join((args.cmd, getattr(args, "subcmd", ""))).strip()
     try:
-        return command(args, parser)
-    except (_UsageError, EdgeListFormatError, OracleSizeError) as exc:
+        return command(args)
+    except (_UsageError, EdgeListFormatError, OracleSizeError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename is None:
+            raise  # not a file argument: a failed fork, say
         print(f"hampack {cmd}: {exc}", file=sys.stderr)
         return 64
     except HampackError as exc:  # a sampler that gave up, say

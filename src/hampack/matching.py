@@ -220,12 +220,11 @@ def build_k_matchings(sd: SimpleDigraph, part: EdgePartition,
                 raise PhaseFailure(
                     "phase1", f"deficiency witness |S|={len(s)} > "
                     f"|N(S)|={len(ns)} after {report.consumed} boosters",
-                    index=i, witness=report.witness)
+                    index=i)
             mt = report.matching
         pm = _finalize(sd, mt, unlabel)
         if used[pm.edge_ids].any():
-            raise PhaseFailure("phase1", "matched an already-used edge",
-                               index=i)
+            raise ValueError("phase 1: matched an already-used edge")
         used[pm.edge_ids] = True
         out.append(pm)
     return out

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConditioningFailureError, EdgeListFormatError,
-                     InfeasibleDegreeError, PhaseFailure, RejectionStallError,
+                     InfeasibleDegreeError, RejectionStallError,
                      TailUnderflowError)
 
 __all__ = [
@@ -145,8 +145,6 @@ def solve_z(c: float, k: int) -> float:
             f"mean degree c={c} requires c > k+1 = {k + 1}")
     lo = c - (k + 1)
     hi = float(c)
-    if lo <= 0.0:  # pragma: no cover - impossible given the check above
-        lo = 1e-12
     flo = rho(lo, k) - c
     fhi = rho(hi, k) - c
     # for large c the root hugs c so tightly that rho(c) rounds to c
@@ -643,8 +641,8 @@ def sample_erased_digraph(params: ModelParams, rng: np.random.Generator,
         sd = SimpleDigraph.from_columns(params.n, *cols, params.k)
         if sd.min_degree() >= params.k + 1:
             return sd, attempt
-    raise PhaseFailure("sample",
-                       f"erasure broke the degree condition {cap} times")
+    raise ConditioningFailureError(
+        f"erasure broke the degree condition {cap} times")
 
 
 def simplicity_exponents(params: ModelParams) -> tuple[float, float, float]:

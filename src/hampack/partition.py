@@ -39,8 +39,6 @@ class EdgePartition:
     boolean mark over edges; it stays None until compute_small fills it.
     """
 
-    n: int
-    m: int
     k: int
     pool: np.ndarray
     e_small: np.ndarray | None = None
@@ -73,7 +71,7 @@ def split_edges(sd: SimpleDigraph, k: int, rng: np.random.Generator) -> EdgePart
     E_{4,i} with probability 1/4k, independently of every other edge.
     """
     pool = rng.integers(0, 4 * k, sd.m, dtype=np.min_scalar_type(4 * k - 1))
-    return EdgePartition(n=sd.n, m=sd.m, k=k, pool=pool)
+    return EdgePartition(k=k, pool=pool)
 
 
 def compute_small(sd: SimpleDigraph, part: EdgePartition,

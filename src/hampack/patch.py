@@ -151,7 +151,7 @@ def merge_patch(pd: PermutationDigraph, sd: SimpleDigraph,
         merged = pd.rewired((a, b), (sd.heads[eid1], pd.succ[a]),
                             (eid1, eid2))
         if merged.num_cycles != pd.num_cycles - 1:
-            raise PhaseFailure("phase3", "exchange failed to merge")
+            raise ValueError("phase 3: exchange failed to merge")
         pd = merged
         stats.merges += 1
     return pd, stats

@@ -1039,14 +1039,14 @@ class TestEliminate:
 class TestAssertProgress:
     def test_count_must_drop(self):
         old = perm_digraph([0, 1], [2, 3], [4, 5, 6, 7, 8, 9])
-        with pytest.raises(PhaseFailure):
+        with pytest.raises(ValueError, match="phase 2: small-cycle count"):
             cv._assert_progress(old, old, n0=3)
 
     def test_no_new_small_cycles(self):
         old = perm_digraph([0, 1], [2, 3], [4, 5, 6, 7, 8, 9])
         # drops to one small cycle, but it is a brand new one
         new = perm_digraph([0, 2], [1, 3, 4, 5, 6, 7, 8, 9])
-        with pytest.raises(PhaseFailure):
+        with pytest.raises(ValueError, match="phase 2: a new small cycle"):
             cv._assert_progress(old, new, n0=3)
 
     def test_surviving_old_cycle_is_fine(self):

@@ -357,20 +357,20 @@ FAILURE_CASES = {
                      "sample", "stub"),
     "deficiency": ("no-in-edges", [], "phase1", "deficiency"),
     "used-edge": ((600, 40.0, 2),
-                  [(mt, "_finalize", replay_first_matching)], "phase1",
-                  "already-used"),
+                  [(mt, "_finalize", replay_first_matching)], "internal",
+                  "phase 1: matched an already-used"),
     "rotation-fails": ((600, 30.0, 1),
                        [(cv, "out_phase", lambda *a, **kw: ("fail", "x"))],
                        "phase2", "could not remove"),
     "no-drop": ((600, 30.0, 1),
                 [(cv, "out_phase", lambda pd, *a, **kw: ("closed", pd))],
-                "phase2", "failed to drop"),
+                "internal", "phase 2: small-cycle count failed to drop"),
     "new-small": ((600, 30.0, 1),
                   [(cv, "out_phase", new_small_cycle)],
-                  "phase2", "new small cycle"),
+                  "internal", "phase 2: a new small cycle"),
     "postcondition": ((600, 30.0, 1),
                       [(cv, "cycles_of", lambda pd, n0: ([], []))],
-                      "phase2", "postcondition"),
+                      "internal", "phase 2: postcondition"),
     "no-exchange": ((600, 30.0, 1),
                     [(hn, "eliminate_small_cycles", two_cycles),
                      (pt, "_find_exchange", lambda *a: None)],
@@ -378,7 +378,7 @@ FAILURE_CASES = {
     "no-merge": ((600, 30.0, 1),
                  [(hn, "eliminate_small_cycles", two_cycles),
                   (pt, "_find_exchange", same_cycle_exchange)],
-                 "phase3", "failed to merge"),
+                 "internal", "phase 3: exchange failed to merge"),
     "verify": ((600, 30.0, 1),
                [(hn, "certificate_from_covers", swap_two_steps)],
                "verify", "cycle 0"),
@@ -756,13 +756,13 @@ class TestGridParsing:
         ("n=200;n=300;c=8;k=1", "grid field 'n' given twice"),
         ("n=;c=8;k=1", "grid field 'n' has no values")])
     def test_ignores_no_input(self, spec, fault, capsys):
-        # each once ran a grid without the field's input, and exited 0
+        # each once ran a grid without the field's input, and exited 0;
+        # the message names the subcommand, with no usage line before it
         with pytest.raises(ValueError, match=fault):
             hn._parse_grid(spec)
-        with pytest.raises(SystemExit) as exc:
-            hn.main(["sweep", "--grid", spec, "--trials", "1"])
-        assert exc.value.code == 64
-        assert fault in capsys.readouterr().err
+        assert hn.main(["sweep", "--grid", spec, "--trials", "1"]) == 64
+        err = capsys.readouterr().err
+        assert err == f"hampack sweep: {fault}\n"
 
 
 def readme_commands() -> list:
@@ -822,10 +822,10 @@ class TestCLI:
         assert code == 2
         assert "failure:" in captured.err
 
-    def test_pack_needs_model_or_file(self):
-        with pytest.raises(SystemExit) as exc:
-            hn.main(["pack", "--seed", "1"])
-        assert exc.value.code == 64
+    def test_pack_needs_model_or_file(self, capsys):
+        assert hn.main(["pack", "--seed", "1"]) == 64
+        assert capsys.readouterr().err == \
+            "hampack pack: pack needs --in or all of --n --c --k\n"
 
     def test_pack_in_refuses_n_and_c(self, capsys, tmp_path):
         # the file sets n and c, so --n and --c would be ignored; --k is
@@ -834,10 +834,9 @@ class TestCLI:
         path.write_text("3 3 1\n0 1\n1 2\n2 0\n")
         for extra in (["--n", "999", "--c", "50"], ["--n", "3"],
                       ["--c", "1"]):
-            with pytest.raises(SystemExit) as exc:
-                hn.main(["pack", "--in", str(path), *extra])
-            assert exc.value.code == 64
-            assert "drop --n, --c" in capsys.readouterr().err
+            assert hn.main(["pack", "--in", str(path), *extra]) == 64
+            assert capsys.readouterr().err == "hampack pack: --in takes " \
+                "n and c from the file: drop --n, --c\n"
         assert hn.main(["pack", "--in", str(path), "--k", "1"]) == 0
 
     def test_sweep_to_file(self, tmp_path, sweep_cells):
@@ -882,7 +881,6 @@ class TestCLI:
     def test_usage_errors_exit_64(self, capsys, tmp_path):
         # phase 3 has one driver, so its old mode flag is a usage error
         for argv in ([], ["bogus"], ["stats", "bogus"],
-                     ["sweep", "--grid", "n=10;c=4", "--trials", "1"],
                      ["pack", "--n", "300", "--c", "4", "--k", "1",
                       "--tau-mode", "merge"],
                      ["sweep", "--grid", "n=300;c=4;k=1", "--trials", "1",
@@ -902,6 +900,8 @@ class TestCLI:
                 (["stats", "census", *model], "requires c > k+1"),
                 (["pack", "--n", "10", "--c", "4.05", "--k", "1"],
                  "not an integer"),
+                (["sweep", "--grid", "n=10;c=4", "--trials", "1"],
+                 "grid is missing ['k']"),
                 (["sweep", "--grid", "n=0;c=4;k=1", "--trials", "1"],
                  "n must be >= 1"),
                 (["sweep", "--grid", "n=100;c=4,1.5;k=1", "--trials", "1"],
@@ -956,6 +956,31 @@ class TestCLI:
                       "--k", "1"]):
             assert self.exit_code(argv) == 64, argv
             assert "hampack" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--n", "300", "--c", "4", "--k", "1", "--out"],
+        ["sweep", "--grid", "n=300;c=4;k=1", "--trials", "2", "--out"],
+        ["pack", "--n", "600", "--c", "30", "--k", "1", "--seed",
+         str(derive_seed(11, 0, 0)), "--cert-out"]],
+        ids=["sample", "sweep", "pack"])
+    def test_unwritable_output_exits_64(self, argv, capsys, tmp_path,
+                                        monkeypatch):
+        # an output in a missing directory is a usage error, as an
+        # unreadable input is: sweep opens it before its first trial, and
+        # pack (whose trial packs) before it prints a cycle
+        trials = []
+        real = hn.run_trial
+
+        def counted(*args, **kwargs):
+            trials.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hn, "run_trial", counted)
+        path = str(tmp_path / "missing" / "out.txt")
+        assert hn.main([*argv, path]) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"hampack {argv[0]}: ")
+        assert path in err and len(trials) == (argv[0] == "pack")
 
     def test_huge_n_header_exits_64(self, capsys, tmp_path):
         # pair codes u*n + v would overflow int64: refused before any

@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 
 from hampack import model as md
 from hampack.errors import (ConditioningFailureError, EdgeListFormatError,
-                            InfeasibleDegreeError, PhaseFailure,
-                            RejectionStallError, TailUnderflowError)
+                            InfeasibleDegreeError, RejectionStallError,
+                            TailUnderflowError)
 from hampack.harness import run_pipeline
 from hampack.model import (ConfigDigraph, DegreeSequence, ModelParams,
                            SimpleDigraph, TruncatedPoisson,
@@ -752,6 +752,14 @@ class TestSamplers:
         assert sd.m <= params.m
         # erasure removes an O(c^2) sliver, far below 1 percent here
         assert params.m - sd.m < 0.01 * params.m
+
+    def test_erasure_below_the_floor_is_a_conditioning_failure(self):
+        # at c = 2.5 erasure leaves a vertex below k+1 in each of these
+        # three draws: the sampler gives up as a sampler, not as a phase
+        with pytest.raises(ConditioningFailureError,
+                           match="erasure broke the degree condition 3 "):
+            sample_erased_digraph(ModelParams.make(200, 2.5, 1),
+                                  rng_stream(0, 0), cap=3)
 
     def test_erased_deterministic(self):
         params = ModelParams.make(500, 8.0, 1)

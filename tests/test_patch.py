@@ -217,8 +217,7 @@ class TestMergePatch:
         """Host, cover, E_{4,0} and the unused mask for the given labels."""
         sd, pd, _ = cover_instance([[0, 1, 2, 3], [4, 5, 6, 7]],
                                    extra=list(pairs))
-        part = EdgePartition(n=sd.n, m=sd.m, k=2,
-                             pool=np.zeros(sd.m, dtype=np.uint8),
+        part = EdgePartition(k=2, pool=np.zeros(sd.m, dtype=np.uint8),
                              e_small=np.zeros(sd.m, dtype=bool))
         for (u, v), label in pairs.items():
             part.pool[sd.edge_lookup(u, v)] = label
