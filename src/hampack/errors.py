@@ -8,7 +8,9 @@ class HampackError(Exception):
 
 
 class TailUnderflowError(HampackError):
-    """Raised when a Poisson tail sum underflows to zero in float64."""
+    """A Poisson quantity left float64: model.poisson_tail's forward sum
+    starts at a term that underflows to zero, or TruncatedPoisson's
+    inverse-CDF table would pass 200000 entries (z above about 2e5)."""
 
 
 class InfeasibleDegreeError(HampackError):

@@ -6,12 +6,14 @@ truncated Poisson law
 
     P(Z = j) = z^j / (j! * f_{k+1}(z)),        j >= k+1,
 
-where f_l(z) = sum_{j>=l} z^j / j! and z is calibrated so that the mean
+where f_l(z) = sum_{j>=l} z^j / j! = e^z P_l(z), P_l(z) = P(Pois(z) >= l),
+and z is calibrated so that the mean
 
-    rho(z) = z * f_k(z) / f_{k+1}(z)
+    rho(z) = z * f_k(z) / f_{k+1}(z) = z * P_k(z) / P_{k+1}(z)
 
 equals c.  Such z exists and is unique for c > k+1 and lies strictly
-inside (c-(k+1), c).
+inside (c-(k+1), c).  e^z cancels from every such ratio, so the code
+forms only the terms P(Pois(z) = j), in logs, and the tails P_l.
 
 Sampling proceeds in three stages:
 
@@ -57,80 +59,62 @@ from .errors import (ConditioningFailureError, EdgeListFormatError,
                      TailUnderflowError)
 
 __all__ = [
-    "tail_sum", "rho", "sigma2", "solve_z", "ModelParams", "TruncatedPoisson",
-    "DegreeSequence", "degree_vector_path", "conditioned_degree_vector",
-    "sample_degree_sequence",
+    "poisson_term", "poisson_tail", "rho", "sigma2", "solve_z", "ModelParams",
+    "TruncatedPoisson", "DegreeSequence", "degree_vector_path",
+    "conditioned_degree_vector", "sample_degree_sequence",
     "ConfigDigraph", "pair_configuration", "duplicate_pair_count",
     "key_dtype", "sort_codes", "row_starts", "SimpleDigraph",
     "sample_simple_digraph", "sample_erased_digraph",
     "simplicity_exponents", "write_edge_list", "read_edge_list",
 ]
 
-# largest x with exp(x) finite in float64
-_EXP_MAX = 709.0
+
+def poisson_term(j: int, z: float) -> float:
+    """P(Pois(z) = j) = e^-z z^j / j!, formed in logs."""
+    return math.exp(j * math.log(z) - z - math.lgamma(j + 1))
 
 
-def tail_sum(ell: int, z: float) -> float:
-    """Poisson tail sum f_ell(z) = sum_{j >= ell} z^j / j!.
+def poisson_tail(ell: int, z: float) -> float:
+    """P_ell(z) = P(Pois(z) >= ell), relative error well below 1e-12.
 
-    Relative error is a few ulps (well below 1e-12).  For ell <= z the
-    tail dominates e^z, so it is computed as e^z minus the short head;
-    for ell > z the head would cancel catastrophically and the tail is
-    summed forward instead.
+    For ell <= z the tail is at least about 1/2, so it is one minus the
+    short head; for ell > z the head would cancel catastrophically and
+    the tail is summed forward instead, which raises TailUnderflowError
+    when its first term underflows.
     """
     if z <= 0.0:
         raise ValueError("z must be positive")
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    if ell == 0:
-        if z > _EXP_MAX:
-            raise TailUnderflowError("tail overflow: e^z not representable")
-        return math.exp(z)
     if ell <= z:
-        if z > _EXP_MAX:
-            raise TailUnderflowError("tail overflow: e^z not representable")
-        head = []
-        t = 1.0
-        for j in range(ell):
-            head.append(t)
-            t *= z / (j + 1)
-        return math.exp(z) - math.fsum(head)
-    # forward summation from j = ell
-    log_t = ell * math.log(z) - math.lgamma(ell + 1)
-    if log_t < -745.0:
+        return 1.0 - math.fsum(poisson_term(j, z) for j in range(ell))
+    t = poisson_term(ell, z)
+    if t == 0.0:
         raise TailUnderflowError("tail underflow")
-    t = math.exp(log_t)
-    total = 0.0
-    j = ell
-    while True:
+    total, j = 0.0, ell
+    while t >= total * 1e-18:
         total += t
         j += 1
         t *= z / j
-        if t < total * 1e-18:
-            break
-        if j > ell + 100000:  # pragma: no cover - unreachable for sane input
-            break
-    if total == 0.0:
-        raise TailUnderflowError("tail underflow")
     return total
 
 
 def rho(z: float, k: int) -> float:
-    """Mean of the truncated Poisson: z * f_k(z) / f_{k+1}(z)."""
-    return z * tail_sum(k, z) / tail_sum(k + 1, z)
+    """Mean of the truncated Poisson: z * P_k(z) / P_{k+1}(z)."""
+    return z * poisson_tail(k, z) / poisson_tail(k + 1, z)
 
 
 def sigma2(z: float, k: int) -> float:
     """Variance of the truncated Poisson.
 
-    z^2 f_{k-1}/f_{k+1} + z f_k/f_{k+1} - (z f_k/f_{k+1})^2, with
-    f_{-1} read as f_0 + nothing extra needed since k >= 1 here.
+    z^2 P_{k-1}/P_{k+1} + z P_k/P_{k+1} - (z P_k/P_{k+1})^2, which reads
+    P_{k-1} and so needs k >= 1.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    f_k1 = tail_sum(k + 1, z)
-    mean = z * tail_sum(k, z) / f_k1
-    second_fact = z * z * tail_sum(k - 1, z) / f_k1
+    p_k1 = poisson_tail(k + 1, z)
+    mean = z * poisson_tail(k, z) / p_k1
+    second_fact = z * z * poisson_tail(k - 1, z) / p_k1
     return second_fact + mean - mean * mean
 
 
@@ -230,33 +214,23 @@ class TruncatedPoisson:
         self.z = float(z)
         self.k = int(k)
         self.lo = k + 1
-        self._norm = tail_sum(k + 1, z)
-        probs = []
-        t = math.exp((k + 1) * math.log(z) - math.lgamma(k + 2)) / self._norm
-        j = self.lo
-        acc = 0.0
-        while True:
-            probs.append(t)
-            acc += t
-            j += 1
-            t *= z / j
+        self._norm = poisson_tail(k + 1, z)
+        probs, acc = [], 0.0
+        for j in range(self.lo, self.lo + 200000):
+            t = self.pmf(j)
             if t < 1e-17 and acc > 0.5:
                 break
-            if len(probs) > 200000:  # pragma: no cover
-                raise TailUnderflowError("pmf table blow-up")
+            probs.append(t)
+            acc += t
+        else:  # pragma: no cover - z above about 2e5
+            raise TailUnderflowError("pmf table blow-up")
         self._cdf = np.cumsum(np.asarray(probs))
 
     def pmf(self, j: int) -> float:
-        """P(Z = j) = z^j / (j! f_{k+1}(z)), zero below the truncation."""
+        """P(Z = j) = P(Pois(z) = j) / P_{k+1}(z), zero below k+1."""
         if j < self.lo:
             return 0.0
-        return math.exp(j * math.log(self.z) - math.lgamma(j + 1)) / self._norm
-
-    def mean(self) -> float:
-        return rho(self.z, self.k)
-
-    def variance(self) -> float:
-        return sigma2(self.z, self.k)
+        return poisson_term(j, self.z) / self._norm
 
     def sample(self, rng: np.random.Generator, size=None):
         u = rng.random(size)
@@ -310,8 +284,7 @@ def degree_vector_path(n: int, m: int, k: int) -> str:
     """
     c = m / n
     z = solve_z(c, k)
-    lam = n * math.fsum(math.exp(j * math.log(c) - c - math.lgamma(j + 1))
-                        for j in range(k + 1))
+    lam = n * math.fsum(poisson_term(j, c) for j in range(k + 1))
     multinomial = lam + math.log(m)
     rejection = 0.5 * math.log(2 * math.pi * sigma2(z, k) * n) + math.log(n)
     return "multinomial" if multinomial < rejection else "rejection"
@@ -656,16 +629,16 @@ def simplicity_exponents(params: ModelParams) -> tuple[float, float, float]:
     z = params.require_z()
     k = params.k
     loop_mean = rho(z, k) ** 2 / params.c
-    beta = z * z * tail_sum(k - 1, z) / (params.c * tail_sum(k + 1, z))
+    beta = (z * z * poisson_tail(k - 1, z)
+            / (params.c * poisson_tail(k + 1, z)))
     return loop_mean, beta, 0.5 * beta * beta
 
 
-def write_edge_list(sd: SimpleDigraph, path) -> None:
-    """Plain text: header "n m k", then m lines "u v" (0-indexed)."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{sd.n} {sd.m} {sd.k}\n")
-        for u, v in sd.edges:
-            fh.write(f"{u} {v}\n")
+def write_edge_list(sd: SimpleDigraph, fh) -> None:
+    """To text handle fh: header "n m k", then m lines "u v" (0-indexed)."""
+    fh.write(f"{sd.n} {sd.m} {sd.k}\n")
+    for u, v in sd.edges:
+        fh.write(f"{u} {v}\n")
 
 
 def read_edge_list(path) -> SimpleDigraph:

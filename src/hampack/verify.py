@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OracleSizeError
-from .model import ModelParams, SimpleDigraph, tail_sum
+from .model import ModelParams, SimpleDigraph, TruncatedPoisson
 
 __all__ = [
     "Check", "PackingCertificate",
@@ -154,7 +154,7 @@ class CensusReport:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        w = csv.writer(buf)
+        w = csv.writer(buf, lineterminator="\n")
         w.writerow(["r", "s", "observed", "expected", "normalized"])
         for row in self.rows:
             w.writerow([row.r, row.s, row.observed,
@@ -166,8 +166,8 @@ def degree_census(x, params: ModelParams, k_const: float = 20.0,
                   ) -> CensusReport:
     """Count vertices by (in, out) degree against the calibrated law.
 
-    Expected cell mass is n z^{r+s} / (r! s! f_{k+1}(z)^2) for
-    r, s >= k+1 and zero below; the deviation is normalized by
+    Expected cell mass is n pmf(r) pmf(s) under the truncated law, zero
+    unless r, s >= k+1; the deviation is normalized by
     (1 + sqrt(expected)) log n so cells are comparable.  k_const only
     sets the violation threshold; raw deviations stay in the rows.
     """
@@ -175,21 +175,17 @@ def degree_census(x, params: ModelParams, k_const: float = 20.0,
     n = len(out)
     z = params.require_z()
     k = params.k
-    f2 = tail_sum(k + 1, z) ** 2
     logn = math.log(max(n, 2))
     rmax = int(inn.max()) if n else 0
     smax = int(out.max()) if n else 0
     counts = np.zeros((rmax + 1, smax + 1), dtype=np.int64)
     np.add.at(counts, (inn, out), 1)
+    pmf = list(map(TruncatedPoisson(z, k).pmf, range(max(rmax, smax) + 1)))
     rows = []
     for r in range(rmax + 1):
         for s in range(smax + 1):
             obs = int(counts[r, s])
-            if r >= k + 1 and s >= k + 1:
-                exp = (n * z ** (r + s)
-                       / (math.factorial(r) * math.factorial(s) * f2))
-            else:
-                exp = 0.0
+            exp = n * pmf[r] * pmf[s]
             if obs == 0 and exp < 1e-12:
                 continue
             dev = abs(obs - exp) / ((1.0 + math.sqrt(exp)) * logn)

@@ -259,7 +259,8 @@ class TestInternalFailure:
         params = ModelParams.make(60, 4.0, 1)
         sd, _ = sample_erased_digraph(params, rng_stream(3))
         path = tmp_path / "host.txt"
-        write_edge_list(sd, path)
+        with path.open("w") as fh:
+            write_edge_list(sd, fh)
         monkeypatch.setattr(hn, "run_pipeline", self.broken_pipeline)
         assert hn.main(["pack", "--in", str(path), "--seed", "1"]) == 2
         assert "failure:internal: succ is not a permutation" in \
@@ -452,7 +453,8 @@ class TestFailureTags:
     def test_pack_in_tag(self, case, monkeypatch, tmp_path, capsys):
         point, patches, tag, fragment = FAILURE_CASES[case]
         path = tmp_path / "host.txt"
-        write_edge_list(self.host_for(point), path)
+        with path.open("w") as fh:
+            write_edge_list(self.host_for(point), fh)
         self.apply(monkeypatch, patches)
         code = hn.main(["pack", "--in", str(path), "--seed", "0"])
         err = capsys.readouterr().err
@@ -715,6 +717,31 @@ class TestStats:
         assert out["passed"]
         assert out["p_values"][0] > 0.01
 
+    def test_degree_gof_bins_expect_five(self, monkeypatch):
+        # both ends fold: at trial-dense-k2's point most of the raw bins
+        # expect far fewer than 5 vertices
+        seen = []
+        real = hn._chi_square_p
+
+        def capture(observed, expected):
+            seen.append(expected)
+            return real(observed, expected)
+
+        monkeypatch.setattr(hn, "_chi_square_p", capture)
+        out = hn.stats_degree_gof(ModelParams.make(2000, 100.0, 2), seed=3)
+        assert seen and all(e.min() >= 5.0 for e in seen)
+        assert out["bins"] == len(seen[-1])
+        assert sum(seen[-1]) == pytest.approx(2000)
+
+    @pytest.mark.parametrize("point", [(2000, 800.0, 1), (15, 3.0, 1)],
+                             ids=["c800", "n15"])
+    def test_degree_gof_is_finite(self, point):
+        # e^z overflows float64 at z = 800; at n = 15 one bin expects 5
+        # or more, and folding into it alone would leave no dof
+        out = hn.stats_degree_gof(ModelParams.make(*point), seed=1)
+        assert out["bins"] >= 2
+        assert all(math.isfinite(p) for p in out["p_values"])
+
     def test_partition_sizes_clean(self):
         out = hn.stats_partition_sizes(ModelParams.make(2000, 10.0, 2),
                                        runs=20, seed=3)
@@ -816,7 +843,8 @@ class TestCLI:
 
     def test_pack_failure_exit_code(self, capsys, tmp_path):
         path = tmp_path / "host.txt"
-        write_edge_list(hall_violator_host(), path)
+        with path.open("w") as fh:
+            write_edge_list(hall_violator_host(), fh)
         code = hn.main(["pack", "--in", str(path), "--seed", "7"])
         captured = capsys.readouterr()
         assert code == 2
@@ -981,6 +1009,16 @@ class TestCLI:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"hampack {argv[0]}: ")
         assert path in err and len(trials) == (argv[0] == "pack")
+
+    def test_sample_opens_out_before_sampling(self, monkeypatch, tmp_path):
+        # a path that cannot be written costs no sample
+        calls = []
+        monkeypatch.setattr(hn, "sample_erased_digraph",
+                            lambda *args: calls.append(args))
+        path = str(tmp_path / "missing" / "h.txt")
+        assert hn.main(["sample", "--n", "300", "--c", "4", "--k", "1",
+                        "--out", path]) == 64
+        assert calls == []
 
     def test_huge_n_header_exits_64(self, capsys, tmp_path):
         # pair codes u*n + v would overflow int64: refused before any

@@ -6,6 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,6 @@ from hampack.model import (
     pair_configuration,
     sample_degree_sequence,
     sample_erased_digraph,
-    tail_sum,
 )
 from hampack.rng import rng_stream
 
@@ -244,10 +244,23 @@ class TestDegreeCensus:
         sd = complete_digraph(4)  # degrees (3,3) everywhere
         rep = vf.degree_census(sd, params)
         cell = {(r.r, r.s): r for r in rep.rows}[(3, 3)]
-        want = 4 * z ** 6 / (36 * tail_sum(2, z) ** 2)
+        pmf3 = scipy.stats.poisson.pmf(3, z) / scipy.stats.poisson.sf(1, z)
+        want = 4 * pmf3 ** 2
         assert cell.expected == pytest.approx(want)
         assert cell.normalized == pytest.approx(
             abs(4 - want) / ((1 + math.sqrt(want)) * math.log(4)))
+
+    def test_dense_point(self):
+        # trial-dense-k2's point: z^(r+s) and r! s! overflow a float
+        # here, the product of two pmfs does not
+        params = ModelParams.make(2000, 100.0, 2)
+        sd, _ = sample_erased_digraph(params, rng_stream(614))
+        rep = vf.degree_census(sd, params)
+        assert sum(row.observed for row in rep.rows) == sd.n
+        # cells past the largest degrees seen hold the rest of n
+        assert sum(row.expected for row in rep.rows) == pytest.approx(
+            sd.n, rel=0.01)
+        assert rep.violations == []
 
     def test_conditioned_host_within_band(self, census_host):
         params, sd = census_host
@@ -268,6 +281,12 @@ class TestDegreeCensus:
         lines = text.strip().splitlines()
         assert lines[0] == "r,s,observed,expected,normalized"
         assert len(lines) >= 2
+
+    def test_csv_lines_end_in_newline(self):
+        # as the sweep CSV's do: no "\r" before them
+        rep = vf.degree_census(complete_digraph(4), self.fake_params())
+        text = rep.to_csv()
+        assert "\r" not in text and text.endswith("\n")
 
 
 class TestExpansionCheck:
