@@ -27,7 +27,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -116,8 +116,10 @@ def run_pipeline(params: ModelParams, rng: np.random.Generator, sd=None):
 
 @dataclass
 class TrialRecord:
-    """One pipeline run.  Canonical serialization omits the certificate
-    body (the digest pins it down)."""
+    """One pipeline run, and its one serialized form: canonical() holds
+    every field but the certificate body (the digest pins it down), plus
+    the schema number.  Adding or dropping a field here changes the
+    record."""
 
     seed: int
     n: int
@@ -138,18 +140,9 @@ class TrialRecord:
         return self.outcome == "success"
 
     def canonical(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "seed": self.seed,
-            "n": self.n, "m": self.m, "k": self.k, "c": self.c,
-            "z": self.z,
-            "outcome": self.outcome,
-            "attempts": self.attempts,
-            "phase2_retries": self.phase2_retries,
-            "kappa": self.kappa,
-            "cert_digest": self.cert_digest,
-            "detail": self.detail,
-        }
+        return {"schema": SCHEMA} | {f.name: getattr(self, f.name)
+                                     for f in fields(self)
+                                     if f.name != "certificate"}
 
     def to_json(self) -> str:
         return json.dumps(self.canonical(), sort_keys=True)
@@ -331,7 +324,7 @@ def stats_perm_cycles(n: int, samples: int, seed: int,
         if len(lens) <= limit:
             few += 1
     return {
-        "schema": SCHEMA, "n": n, "samples": samples, "short": short,
+        "n": n, "samples": samples, "short": short,
         "vertices_on_short_mean": float(on_short.mean()),
         "vertices_on_short_se": float(on_short.std(ddof=1)
                                       / math.sqrt(samples)),
@@ -360,7 +353,7 @@ def stats_simplicity_rate(params: ModelParams, attempts: int,
         simple += cd.is_simple()
     loop_exp, beta, beta2 = simplicity_exponents(params)
     return {
-        "schema": SCHEMA, "n": params.n, "c": params.c, "k": params.k,
+        "n": params.n, "c": params.c, "k": params.k,
         "attempts": attempts, "observed_rate": simple / attempts,
         "predicted_rate": math.exp(-(loop_exp + beta)),
         "predicted_rate_second_order": math.exp(-(loop_exp + beta2)),
@@ -406,7 +399,7 @@ def stats_degree_gof(params: ModelParams, seed: int,
         if p > 0.01:
             break
     return {
-        "schema": SCHEMA, "n": n, "c": params.c, "k": k, "seed": seed,
+        "n": n, "c": params.c, "k": k, "seed": seed,
         "p_values": p_values,
         "passed": any(p > 0.01 for p in p_values),
         "bins": len(obs),
@@ -436,7 +429,7 @@ def stats_partition_sizes(params: ModelParams, runs: int,
                                  / sigma))
         violations += len(sizes) != 4 * k
     return {
-        "schema": SCHEMA, "n": params.n, "c": params.c, "k": k,
+        "n": params.n, "c": params.c, "k": k,
         "runs": runs, "m": m, "target": target, "sigma": sigma,
         "worst_abs_deviation_sigmas": worst,
         "overlap_or_coverage_violations": violations,
@@ -451,7 +444,7 @@ def stats_small_size(params: ModelParams, seed: int) -> dict:
     part = split_edges(sd, k, rng)
     small, e_small = compute_small(sd, part, c, k)
     return {
-        "schema": SCHEMA, "n": n, "c": c, "k": k,
+        "n": n, "c": c, "k": k,
         "threshold": c / (8 * k),
         "small_vertices": int(small.sum()),
         "small_edges": int(e_small.sum()),
@@ -490,7 +483,7 @@ def stats_rphi(kappa: int) -> dict:
         rows.append({"type": list(parts), "r_phi": size,
                      "lower": lo, "upper": hi,
                      "within": lo <= size <= hi})
-    return {"schema": SCHEMA, "kappa": kappa, "rows": rows}
+    return {"kappa": kappa, "rows": rows}
 
 
 def stats_census(params: ModelParams, seed: int) -> str:
@@ -502,7 +495,7 @@ def stats_expansion(params: ModelParams, samples: int, seed: int) -> dict:
     sd, _ = sample_erased_digraph(params, rng_stream(seed, 67))
     rep = expansion_check(sd, params, samples, rng_stream(seed, 68))
     return {
-        "schema": SCHEMA, "n": params.n, "c": params.c, "k": params.k,
+        "n": params.n, "c": params.c, "k": params.k,
         "samples": rep.checked, "eta": rep.eta, "max_ratio": rep.max_ratio,
         "violations": [
             {"size": v.size, "side": v.side, "degree": v.degree,
@@ -686,14 +679,7 @@ def _cmd_pack(args) -> int:
             fh.write("\n")
     for cyc in cert.cycles:
         print(" ".join(str(int(v)) for v in cyc))
-    meta = {
-        "schema": SCHEMA,
-        "k": cert.k,
-        "seed": args.seed,
-        "kappa": rec.kappa,
-        "cert_digest": rec.cert_digest,
-    }
-    print(json.dumps(meta, sort_keys=True))
+    print(rec.to_json())
     return 0
 
 

@@ -141,35 +141,26 @@ class CensusReport:
     n: int
     k: int
     z: float
-    k_const: float
     rows: list = field(default_factory=list)
 
-    @property
-    def max_normalized(self) -> float:
-        return max((row.normalized for row in self.rows), default=0.0)
-
-    @property
-    def violations(self) -> list:
-        return [row for row in self.rows if row.normalized > self.k_const]
-
     def to_csv(self) -> str:
+        """One line per row; floats in their shortest round-trip form, so
+        a cell expecting 1e-9 vertices reads back as that, not as 0."""
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["r", "s", "observed", "expected", "normalized"])
         for row in self.rows:
-            w.writerow([row.r, row.s, row.observed,
-                        f"{row.expected:.6f}", f"{row.normalized:.6f}"])
+            w.writerow([row.r, row.s, row.observed, row.expected,
+                        row.normalized])
         return buf.getvalue()
 
 
-def degree_census(x, params: ModelParams, k_const: float = 20.0,
-                  ) -> CensusReport:
+def degree_census(x, params: ModelParams) -> CensusReport:
     """Count vertices by (in, out) degree against the calibrated law.
 
     Expected cell mass is n pmf(r) pmf(s) under the truncated law, zero
     unless r, s >= k+1; the deviation is normalized by
-    (1 + sqrt(expected)) log n so cells are comparable.  k_const only
-    sets the violation threshold; raw deviations stay in the rows.
+    (1 + sqrt(expected)) log n so cells are comparable.
     """
     out, inn = x.out_deg, x.in_deg
     n = len(out)
@@ -191,8 +182,7 @@ def degree_census(x, params: ModelParams, k_const: float = 20.0,
             dev = abs(obs - exp) / ((1.0 + math.sqrt(exp)) * logn)
             rows.append(CensusRow(r=r, s=s, observed=obs, expected=exp,
                                   normalized=dev))
-    report = CensusReport(n=n, k=k, z=z, k_const=k_const, rows=rows)
-    return report
+    return CensusReport(n=n, k=k, z=z, rows=rows)
 
 
 @dataclass(frozen=True)
@@ -211,10 +201,6 @@ class ExpansionReport:
     checked: int
     max_ratio: float
     violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def expansion_check(sd: SimpleDigraph, params: ModelParams, samples: int,

@@ -1,7 +1,9 @@
 """Trial orchestration, sweep determinism, stats, and CLI plumbing."""
 
+import csv
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -671,7 +673,7 @@ class TestPermCycles:
 
     def test_stats_perm_cycles(self):
         out = hn.stats_perm_cycles(10000, 2000, seed=3)
-        assert out["schema"] == 2
+        assert "schema" not in out  # SCHEMA versions trial data only
         assert abs(out["vertices_on_short_mean"] - 10.0) \
             < 5 * out["vertices_on_short_se"]
         assert abs(out["tricycle_mean"] - 11 / 6) \
@@ -834,11 +836,21 @@ class TestCLI:
         lines = captured.out.strip().splitlines()
         cycle = [int(v) for v in lines[0].split()]
         assert len(cycle) == 600 and cycle[0] == 0
+        # the last line is the trial record, byte for byte
+        params = ModelParams.make(600, 30.0, 1)
+        assert lines[-1] == hn.run_trial(params, seed).to_json()
         meta = json.loads(lines[-1])
-        assert set(meta) == {"schema", "k", "seed", "kappa", "cert_digest"}
+        assert set(meta) == {"schema", "k", "seed", "kappa", "cert_digest",
+                             "n", "m", "c", "z", "outcome", "attempts",
+                             "phase2_retries", "detail"}
         assert meta["schema"] == 2 and meta["k"] == 1
         assert meta["seed"] == seed and meta["kappa"][0] >= 2
-        doc = json.loads(cert_file.read_text())
+        assert meta["outcome"] == "success" and meta["n"] == 600
+        # the digest is of the certificate file, less its final newline
+        blob = cert_file.read_bytes()
+        assert blob.endswith(b"\n")
+        assert hashlib.sha256(blob[:-1]).hexdigest() == meta["cert_digest"]
+        doc = json.loads(blob)
         assert doc["k"] == 1 and doc["cycles"][0] == cycle
 
     def test_pack_failure_exit_code(self, capsys, tmp_path):
@@ -1059,3 +1071,34 @@ class TestCLI:
 
     def test_stats_rphi_oversize_exit(self, capsys):
         assert hn.main(["stats", "rphi", "--kappa", "12"]) == 64
+
+    @pytest.mark.parametrize("argv", [
+        ["simplicity-rate", "--n", "200", "--c", "4", "--k", "1",
+         "--attempts", "5", "--seed", "1"],
+        ["degree-gof", "--n", "500", "--c", "8", "--k", "1",
+         "--reseeds", "0", "--seed", "1"],
+        ["partition-sizes", "--n", "200", "--c", "8", "--k", "2",
+         "--runs", "3", "--seed", "1"],
+        ["small-size", "--n", "200", "--c", "8", "--k", "1", "--seed", "1"],
+        ["perm-cycles", "--n", "100", "--samples", "20", "--seed", "1"],
+        ["rphi", "--kappa", "4"],
+        ["expansion", "--n", "200", "--c", "8", "--k", "1",
+         "--samples", "10", "--seed", "1"]], ids=lambda argv: argv[0])
+    def test_stats_json_subcommands(self, argv, capsys):
+        # one JSON object per run; SCHEMA versions trial data, not these
+        assert hn.main(["stats", *argv]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert isinstance(doc, dict) and "schema" not in doc
+
+    def test_stats_census_floats(self, capsys):
+        assert hn.main(["stats", "census", "--n", "200", "--c", "20",
+                        "--k", "1", "--seed", "1"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert rows and list(rows[0]) == ["r", "s", "observed", "expected",
+                                          "normalized"]
+        # every host degree is >= k+1, so every cell expects some mass,
+        # however small: none may print as 0
+        assert all(float(r["expected"]) > 0 for r in rows)
+        assert all(float(r["normalized"]) >= 0 for r in rows)
