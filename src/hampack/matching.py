@@ -7,12 +7,13 @@ G_i is built from Ê_{1,i} plus the unused E_SMALL edges and given a
 maximum matching.  If that falls short of perfect, every booster edge
 from Ê_{2,i} joins a copy of G_i at once and the grown graph gets one
 more maximum matching; it has a perfect one exactly when some subset of
-the boosters would give one.  Ê_{2,i} is disjoint from Ê_{1,i} ∪
-E_SMALL, so every booster is a new pair.  The bipartite graphs hold
-int32 CSR rows of pairs only: each matched pair (v, succ v) is read
-back to its edge id through the host's one pair-code index,
-SimpleDigraph.edge_lookup.  A global used-edge bitset keeps the k
-matchings edge-disjoint and stops E_SMALL edges from being spent twice.
+the boosters would give one, and when it has none phase 1 fails naming
+its deficiency n - |M|.  Ê_{2,i} is disjoint from Ê_{1,i} ∪ E_SMALL, so
+every booster is a new pair.  The bipartite graphs hold int32 CSR rows
+of pairs only: each matched pair (v, succ v) is read back to its edge
+id through the host's one pair-code index, SimpleDigraph.edge_lookup.
+A global used-edge bitset keeps the k matchings edge-disjoint and stops
+E_SMALL edges from being spent twice.
 
 The B side is relabeled by a uniform random permutation before
 matching and unrelabeled after, so the algorithmic tie-breaking cannot
@@ -26,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import (breadth_first_order,
-                                  maximum_bipartite_matching)
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import PhaseFailure
 from .model import SimpleDigraph, key_dtype, row_starts
@@ -62,10 +62,6 @@ class BipartiteGraph:
         np.remainder(codes, n, out=codes)
         self.indices = codes.astype(np.int32, copy=False)
 
-    @property
-    def num_edges(self) -> int:
-        return len(self.indices)
-
 
 def digraph_to_bipartite(mask: np.ndarray, sd: SimpleDigraph,
                          label: np.ndarray) -> BipartiteGraph:
@@ -78,10 +74,10 @@ def digraph_to_bipartite(mask: np.ndarray, sd: SimpleDigraph,
 
 @dataclass
 class Matching:
-    """Partial injective pairing between the two sides; -1 = exposed."""
+    """Partial injective pairing between the two sides: pair_a[a] is
+    the B partner of a, or -1 when a is exposed."""
 
     pair_a: np.ndarray
-    pair_b: np.ndarray
 
     @property
     def size(self) -> int:
@@ -90,24 +86,13 @@ class Matching:
     def is_perfect(self) -> bool:
         return bool((self.pair_a >= 0).all())
 
-    def check_consistent(self, g: BipartiteGraph) -> bool:
-        a = np.nonzero(self.pair_a >= 0)[0]
-        b = self.pair_a[a]
-        rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
-        return bool((self.pair_b[b] == a).all()
-                    and np.isin(a * g.n + b, rows * g.n + g.indices).all())
-
 
 def _matching(n: int, indptr: np.ndarray, indices: np.ndarray) -> Matching:
     """scipy's Hopcroft-Karp over int32 CSR rows, handed over uncopied."""
     mat = csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr),
                      shape=(n, n), copy=False)
     pair_a = maximum_bipartite_matching(mat, perm_type="column")
-    pair_a = pair_a.astype(np.int64)
-    pair_b = np.full(n, -1, dtype=np.int64)
-    hit = np.nonzero(pair_a >= 0)[0]
-    pair_b[pair_a[hit]] = hit
-    return Matching(pair_a, pair_b)
+    return Matching(pair_a.astype(np.int64))
 
 
 def maximum_matching(g: BipartiteGraph) -> Matching:
@@ -116,41 +101,13 @@ def maximum_matching(g: BipartiteGraph) -> Matching:
     return _matching(g.n, g.indptr, g.indices)
 
 
-def _hall_violator(g: BipartiteGraph,
-                   mt: Matching) -> tuple[np.ndarray, np.ndarray]:
-    """Hall violator from a maximum matching mt of g: S and N(S) are the
-    A and B vertices that alternating paths from the exposed A vertices
-    reach, so |S| - |N(S)| is the deficiency.  S does not depend on
-    which maximum matching mt is (Dulmage-Mendelsohn)."""
-    n = g.n
-    exposed = np.nonzero(mt.pair_a < 0)[0]
-    mated = np.nonzero(mt.pair_b >= 0)[0]
-    # one BFS from a root 2n over A = [0, n) and B = [n, 2n), as CSR
-    # rows in that order: A points at B along g, B at its mate, and the
-    # root at each exposed A vertex
-    head = np.concatenate((n + g.indices, mt.pair_b[mated], exposed))
-    ptr = np.r_[g.indptr, len(g.indices) + np.cumsum(mt.pair_b >= 0),
-                len(head)]
-    arcs = csr_matrix((np.ones(len(head), dtype=np.int8), head, ptr),
-                      shape=(2 * n + 1, 2 * n + 1))
-    seen = breadth_first_order(arcs, 2 * n, return_predecessors=False)
-    seen = np.sort(seen[seen < 2 * n]).astype(np.int64)
-    split = np.searchsorted(seen, n)
-    return seen[:split], seen[split:] - n
-
-
 @dataclass
 class BoosterReport:
     """matching is a maximum matching of g grown by every booster
-    offered (mt itself when it was already perfect, with consumed 0),
-    and witness its Hall violator when not perfect."""
+    offered (mt itself when it was already perfect, with consumed 0)."""
 
     matching: Matching
     consumed: int
-    witness: tuple[np.ndarray, np.ndarray] | None
-
-    def is_perfect(self) -> bool:
-        return self.witness is None
 
 
 def booster_augment(g: BipartiteGraph, mt: Matching,
@@ -162,18 +119,18 @@ def booster_augment(g: BipartiteGraph, mt: Matching,
     row joins g at once and the grown graph gets one maximum matching,
     so consumed is the number of rows.  Adding edges never removes a
     perfect matching, so the grown graph has one exactly when some
-    prefix of the rows does; when it has none, the report carries the
-    Hall violator certifying that.  g and mt are not modified.
+    prefix of the rows does; when it has none, the report's matching
+    falls short by the grown graph's deficiency.  g and mt are not
+    modified.
     """
     if mt.is_perfect():
-        return BoosterReport(matching=mt, consumed=0, witness=None)
+        return BoosterReport(matching=mt, consumed=0)
     a, b = np.asarray(boosters, dtype=np.int64).reshape(-1, 2).T
     rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
     grown = BipartiteGraph(g.n, np.concatenate((rows, a)),
                            np.concatenate((g.indices, b)))
     found = _matching(g.n, grown.indptr, grown.indices)
-    witness = None if found.is_perfect() else _hall_violator(grown, found)
-    return BoosterReport(matching=found, consumed=len(a), witness=witness)
+    return BoosterReport(matching=found, consumed=len(a))
 
 
 @dataclass
@@ -215,13 +172,11 @@ def build_k_matchings(sd: SimpleDigraph, part: EdgePartition,
             pool2 = part.reserve(2, i, used)
             report = booster_augment(g, mt, np.column_stack(
                 (sd.tails[pool2], label[sd.heads[pool2]])))
-            if not report.is_perfect():
-                s, ns = report.witness
-                raise PhaseFailure(
-                    "phase1", f"deficiency witness |S|={len(s)} > "
-                    f"|N(S)|={len(ns)} after {report.consumed} boosters",
-                    index=i)
             mt = report.matching
+            if not mt.is_perfect():
+                raise PhaseFailure(
+                    "phase1", f"deficiency {n - mt.size} after "
+                    f"{report.consumed} boosters", index=i)
         pm = _finalize(sd, mt, unlabel)
         if used[pm.edge_ids].any():
             raise ValueError("phase 1: matched an already-used edge")

@@ -637,16 +637,18 @@ def simplicity_exponents(params: ModelParams) -> tuple[float, float, float]:
 def write_edge_list(sd: SimpleDigraph, fh) -> None:
     """To text handle fh: header "n m k", then m lines "u v" (0-indexed)."""
     fh.write(f"{sd.n} {sd.m} {sd.k}\n")
-    for u, v in sd.edges:
-        fh.write(f"{u} {v}\n")
+    for lo in range(0, sd.m, _CHUNK):
+        fh.writelines(f"{u} {v}\n" for u, v in zip(
+            sd.tails[lo:lo + _CHUNK].tolist(),
+            sd.heads[lo:lo + _CHUNK].tolist()))
 
 
 def read_edge_list(path) -> SimpleDigraph:
     """Inverse of write_edge_list; round-trips bit-exactly.
 
     Malformed content, whether a bad header or edge line, a file that
-    ends before its m edge lines, a non-ASCII byte or a digraph
-    SimpleDigraph refuses, raises EdgeListFormatError.
+    ends before its m edge lines, n > m (no Hamilton cycle), a non-ASCII
+    byte or a digraph SimpleDigraph refuses, raises EdgeListFormatError.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -673,6 +675,9 @@ def read_edge_list(path) -> SimpleDigraph:
                 edges[j] = int(line[0]), int(line[1])
             if fh.readline().strip():
                 raise EdgeListFormatError("trailing content after edge list")
+            if n > m:
+                raise EdgeListFormatError(
+                    f"{n} vertices but only {m} edge lines")
         return SimpleDigraph(n=n, edges=edges, k=k)
     except (ValueError, OverflowError) as exc:
         raise EdgeListFormatError(str(exc)) from exc

@@ -323,7 +323,6 @@ def short_by_two(g):
     """A maximum matching with two A vertices unmatched: boosters run."""
     m = real_maximum_matching(g)
     a = np.flatnonzero(m.pair_a >= 0)[:2]
-    m.pair_b[m.pair_a[a]] = -1
     m.pair_a[a] = -1
     return m
 
@@ -532,7 +531,7 @@ def test_booster_built_cover(monkeypatch):
     monkeypatch.setattr(mt, "maximum_matching", short_by_two)
     monkeypatch.setattr(mt, "booster_augment", recorded)
     rec = hn.run_trial(params, 0)
-    assert len(reports) == 1 and reports[0].is_perfect()
+    assert len(reports) == 1 and reports[0].matching.is_perfect()
     assert reports[0].consumed == offered[0] > 0
     assert len(pms) == 1 and supply[0][pms[0].edge_ids].all()
     assert rec.outcome not in ("failure:phase1", "failure:internal")
@@ -1033,14 +1032,23 @@ class TestCLI:
         assert calls == []
 
     def test_huge_n_header_exits_64(self, capsys, tmp_path):
-        # pair codes u*n + v would overflow int64: refused before any
-        # n-long array is made
+        # more vertices than edge lines: refused before any n-long array
+        # is made
         path = tmp_path / "huge.txt"
         path.write_text("3037000500 1 1\n0 1\n")
         assert self.exit_code(["pack", "--in", str(path), "--seed", "1"]) \
             == 64
-        err = capsys.readouterr().err
-        assert "hampack pack:" in err and "overflow int64" in err
+        assert capsys.readouterr().err == "hampack pack: 3037000500 " \
+            "vertices but only 1 edge lines\n"
+
+    def test_thin_host_names_its_deficiency(self, capsys, tmp_path):
+        # vertices 1 and 2 each send their one edge into 0, so matchings
+        # fall one short; every edge is small, so none is a booster
+        path = tmp_path / "thin.txt"
+        path.write_text("3 3 1\n0 1\n1 0\n2 0\n")
+        assert hn.main(["pack", "--in", str(path), "--k", "1"]) == 2
+        assert capsys.readouterr().err == \
+            "failure:phase1: deficiency 1 after 0 boosters\n"
 
     @pytest.mark.parametrize("argv", [
         ["sample", "--n", "20", "--c", "15", "--k", "1", "--host", "exact"],

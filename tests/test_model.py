@@ -939,6 +939,25 @@ class TestEdgeListIO:
         assert np.array_equal(tiny_host.edges, sd2.edges)
         assert sd2.k == tiny_host.k
 
+    def test_written_text_pinned(self, tmp_path, monkeypatch):
+        # slices of 2 rows, so lines cross slice boundaries; the text is
+        # pinned, not compared with a second run of the same writer
+        monkeypatch.setattr(md, "_CHUNK", 2)
+        sd = SimpleDigraph(4, np.array([[0, 1], [1, 2], [2, 3], [3, 0],
+                                        [0, 2]]), 1)
+        path = tmp_path / "h.txt"
+        with path.open("w") as fh:
+            write_edge_list(sd, fh)
+        assert path.read_bytes() == b"4 5 1\n0 1\n1 2\n2 3\n3 0\n0 2\n"
+
+    def test_more_vertices_than_edges_refused(self, tmp_path):
+        # no Hamilton cycle, and no n-long array is made for it
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"4 2 1\n0 1\n1 0\n")
+        with pytest.raises(EdgeListFormatError,
+                           match="4 vertices but only 2 edge lines"):
+            read_edge_list(bad)
+
     def test_malformed(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("3 1\n0 1\n")
