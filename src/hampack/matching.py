@@ -3,17 +3,16 @@
 A digraph on [n] maps to a bipartite graph on A ∪ B (two copies of
 [n]) with an edge {a_u, b_v} per digraph edge (u, v); perfect
 matchings correspond to cycle covers.  For each i the working graph
-G_i is built from Ê_{1,i} plus the unused E_SMALL edges and given a
-maximum matching.  If that falls short of perfect, every booster edge
-from Ê_{2,i} joins a copy of G_i at once and the grown graph gets one
-more maximum matching; it has a perfect one exactly when some subset of
-the boosters would give one, and when it has none phase 1 fails naming
-its deficiency n - |M|.  Ê_{2,i} is disjoint from Ê_{1,i} ∪ E_SMALL, so
-every booster is a new pair.  The bipartite graphs hold int32 CSR rows
-of pairs only: each matched pair (v, succ v) is read back to its edge
-id through the host's one pair-code index, SimpleDigraph.edge_lookup.
-A global used-edge bitset keeps the k matchings edge-disjoint and stops
-E_SMALL edges from being spent twice.
+G_i, the mask EdgePartition.reserve(1, i, used) of Ê_{1,i} plus the
+unused E_SMALL edges, gets a maximum matching.  If that falls short,
+the booster mask reserve(2, i, used), Ê_{2,i} less E_SMALL, joins it
+at once and the union gets one more maximum matching; when that has
+no perfect one, phase 1 fails naming its deficiency n - |M|.  The
+bipartite graphs hold int32 CSR rows of pairs only: each matched pair
+(v, succ v) is read back to its edge id through the host's one
+pair-code index, SimpleDigraph.edge_lookup.  A global used-edge bitset
+keeps the k matchings edge-disjoint and stops E_SMALL edges from
+being spent twice.
 
 The B side is relabeled by a uniform random permutation before
 matching and unrelabeled after, so the algorithmic tie-breaking cannot
@@ -103,34 +102,27 @@ def maximum_matching(g: BipartiteGraph) -> Matching:
 
 @dataclass
 class BoosterReport:
-    """matching is a maximum matching of g grown by every booster
-    offered (mt itself when it was already perfect, with consumed 0)."""
+    """matching is a maximum matching of G_i grown by every booster;
+    consumed is the number of boosters."""
 
     matching: Matching
     consumed: int
 
 
-def booster_augment(g: BipartiteGraph, mt: Matching,
-                    boosters) -> BoosterReport:
-    """Repair a maximum matching mt of g with booster edges.
+def booster_augment(sd: SimpleDigraph, mask: np.ndarray,
+                    boosters: np.ndarray, label: np.ndarray) -> BoosterReport:
+    """A maximum matching of the view of mask | boosters under label:
+    G_i, the host edges mask selects, grown by every booster at once.
 
-    boosters holds (a, b) rows, each a new pair: no two rows share a
-    pair and no row's pair is in g; a repeat raises ValueError.  Every
-    row joins g at once and the grown graph gets one maximum matching,
-    so consumed is the number of rows.  Adding edges never removes a
-    perfect matching, so the grown graph has one exactly when some
-    prefix of the rows does; when it has none, the report's matching
-    falls short by the grown graph's deficiency.  g and mt are not
-    modified.
+    The bool masks over edge ids are disjoint, as EdgePartition.reserve
+    makes them, so every booster is a new pair.  Adding edges never
+    removes a perfect matching, so the grown graph has one exactly when
+    some prefix of the boosters does; when it has none, the matching
+    falls short by its deficiency.  Neither mask is modified.
     """
-    if mt.is_perfect():
-        return BoosterReport(matching=mt, consumed=0)
-    a, b = np.asarray(boosters, dtype=np.int64).reshape(-1, 2).T
-    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
-    grown = BipartiteGraph(g.n, np.concatenate((rows, a)),
-                           np.concatenate((g.indices, b)))
-    found = _matching(g.n, grown.indptr, grown.indices)
-    return BoosterReport(matching=found, consumed=len(a))
+    grown = digraph_to_bipartite(mask | boosters, sd, label)
+    return BoosterReport(matching=_matching(sd.n, grown.indptr, grown.indices),
+                         consumed=int(np.count_nonzero(boosters)))
 
 
 @dataclass
@@ -166,12 +158,11 @@ def build_k_matchings(sd: SimpleDigraph, part: EdgePartition,
         label = rng.permutation(n).astype(key_dtype(n))
         unlabel = np.empty(n, dtype=np.int64)
         unlabel[label] = np.arange(n)
-        g = digraph_to_bipartite(part.reserve(1, i, used), sd, label)
-        mt = maximum_matching(g)
+        mask = part.reserve(1, i, used)
+        mt = maximum_matching(digraph_to_bipartite(mask, sd, label))
         if not mt.is_perfect():
-            pool2 = part.reserve(2, i, used)
-            report = booster_augment(g, mt, np.column_stack(
-                (sd.tails[pool2], label[sd.heads[pool2]])))
+            report = booster_augment(sd, mask, part.reserve(2, i, used),
+                                     label)
             mt = report.matching
             if not mt.is_perfect():
                 raise PhaseFailure(

@@ -643,12 +643,25 @@ def write_edge_list(sd: SimpleDigraph, fh) -> None:
             sd.heads[lo:lo + _CHUNK].tolist()))
 
 
+def _edge_lines(fh, m: int):
+    """The next m lines of fh, for np.loadtxt, which would skip a blank
+    line: one is refused as malformed, and so is an early end."""
+    j = -1
+    for j, line in zip(range(m), fh):
+        if line.isspace():
+            raise EdgeListFormatError(f"edge line {j} malformed")
+        yield line
+    if j + 1 < m:
+        raise EdgeListFormatError(f"file ends after {j + 1} of {m} edge lines")
+
+
 def read_edge_list(path) -> SimpleDigraph:
     """Inverse of write_edge_list; round-trips bit-exactly.
 
     Malformed content, whether a bad header or edge line, a file that
-    ends before its m edge lines, n > m (no Hamilton cycle), a non-ASCII
-    byte or a digraph SimpleDigraph refuses, raises EdgeListFormatError.
+    ends before its m edge lines, a non-blank line after them, n > m
+    (no Hamilton cycle), a non-ASCII byte or a digraph SimpleDigraph
+    refuses, raises EdgeListFormatError.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -660,20 +673,15 @@ def read_edge_list(path) -> SimpleDigraph:
                 raise EdgeListFormatError("header needs n >= 1 and k >= 1")
             if m < 0:
                 raise EdgeListFormatError("negative edge count in header")
-            # grown as lines arrive: the header's m is not trusted
-            edges = np.empty((min(m, _CHUNK), 2), dtype=np.int64)
-            for j in range(m):
-                line = fh.readline()
-                if not line:
-                    raise EdgeListFormatError(
-                        f"file ends after {j} of {m} edge lines")
-                line = line.split()
-                if len(line) != 2:
-                    raise EdgeListFormatError(f"edge line {j} malformed")
-                if j == len(edges):
-                    edges = np.resize(edges, (min(2 * j, m), 2))
-                edges[j] = int(line[0]), int(line[1])
-            if fh.readline().strip():
+            # loadtxt grows its array as lines arrive, so the header's m
+            # is not trusted; it warns on no lines at all
+            edges = np.empty((0, 2), dtype=np.int64)
+            if m:
+                edges = np.loadtxt(_edge_lines(fh, m), dtype=np.int64,
+                                   comments=None, ndmin=2)
+            if edges.shape[1] != 2:
+                raise EdgeListFormatError("edge line 0 malformed")
+            if not all(line.isspace() for line in fh):
                 raise EdgeListFormatError("trailing content after edge list")
             if n > m:
                 raise EdgeListFormatError(

@@ -327,15 +327,6 @@ def short_by_two(g):
     return m
 
 
-def boosters_led_by(lead):
-    """booster_augment with the rows lead(g, boosters) put first, so
-    they join G_i along with every other booster."""
-    def augment(g, m, boosters):
-        return real_booster_augment(g, m, np.vstack((lead(g, boosters),
-                                                     boosters)))
-    return augment
-
-
 def swap_two_steps(sd, covers):
     cert = real_certificate(sd, covers)
     cyc = cert.cycles[0].copy()
@@ -389,26 +380,14 @@ FAILURE_CASES = {
                    lambda pm: cv.PermutationDigraph(0 * pm.succ,
                                                     pm.edge_ids))],
                  "internal", "not a permutation"),
-    # broken invariants the pipeline no longer repairs: an exchange
-    # that names one tail twice, a booster pair offered twice, and a
-    # booster already in G_i
+    # a broken invariant the pipeline no longer repairs: an exchange
+    # that names one tail twice
     "repeated-tail": ((600, 30.0, 1),
                       [(hn, "eliminate_small_cycles", two_cycles),
                        (pt, "_find_exchange",
                         lambda pd, *a: (0, 0, int(pd.edge_ids[0]),
                                         int(pd.edge_ids[0])))],
                       "internal", "repeated tail"),
-    "repeated-booster": ((600, 30.0, 1),
-                         [(mt, "maximum_matching", short_by_two),
-                          (mt, "booster_augment",
-                           boosters_led_by(lambda g, rows: rows[:1]))],
-                         "internal", "repeated pair"),
-    "booster-in-g": ((600, 30.0, 1),
-                     [(mt, "maximum_matching", short_by_two),
-                      (mt, "booster_augment", boosters_led_by(
-                          lambda g, rows: [[np.flatnonzero(
-                              np.diff(g.indptr))[0], g.indices[0]]]))],
-                     "internal", "repeated pair"),
 }
 
 
@@ -505,19 +484,19 @@ class TestFailureTags:
 
 
 def test_booster_built_cover(monkeypatch):
-    # at the booster failure cases' host point, with the first matching
-    # two short, boosters build the cover: one report, perfect, that
-    # consumed every row offered; the cover's edges come from G_i and
-    # Ê_{2,i}, and the trial gets past phase 1 without breaking an
-    # invariant
+    # at the phase-2 and phase-3 failure cases' host point, with the
+    # first matching two short, boosters build the cover: one report,
+    # perfect, that consumed every booster offered; the cover's edges
+    # come from G_i and Ê_{2,i}, and the trial gets past phase 1
+    # without breaking an invariant
     sd = failure_host(600, 30.0, 1)
     params = ModelParams.from_nmk(sd.n, sd.m, sd.k)
     offered, reports, supply, pms = [], [], [], []
     real_build = hn.build_k_matchings
 
-    def recorded(g, m, boosters):
-        offered.append(len(boosters))
-        reports.append(real_booster_augment(g, m, boosters))
+    def recorded(sd, mask, boosters, label):
+        offered.append(np.count_nonzero(boosters))
+        reports.append(real_booster_augment(sd, mask, boosters, label))
         return reports[-1]
 
     def build(sd, part, rng, used):

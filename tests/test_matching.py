@@ -194,12 +194,31 @@ class TestMaximumMatching:
         assert in_graph(mt, g)
 
 
-def booster_stream(n, pairs, length, rng):
-    """Up to length boosters in random order, each a distinct pair not
-    in the graph, as build_k_matchings offers them."""
+def booster_host(n, pairs, boosters, rng=None):
+    """A loop-free host on [n] holding pairs and boosters, in random
+    order when rng is given, with the masks that select each part."""
+    edges = np.array(pairs + boosters, dtype=np.int64).reshape(-1, 2)
+    is_booster = np.arange(len(edges)) >= len(pairs)
+    if rng is not None:
+        order = rng.permutation(len(edges))
+        edges, is_booster = edges[order], is_booster[order]
+    return SimpleDigraph(n, edges, 1), ~is_booster, is_booster
+
+
+def random_host_pairs(n, p, length, rng):
+    """Loop-free pairs on [n], each present with probability p, and up
+    to length boosters in random order: distinct pairs, none of them
+    among the first."""
+    pairs = [(u, v) for u, v in random_pairs(n, p, rng) if u != v]
     taken = set(pairs)
-    new = [(a, b) for a in range(n) for b in range(n) if (a, b) not in taken]
-    return [new[i] for i in rng.permutation(len(new))[:length].tolist()]
+    new = [(u, v) for u in range(n) for v in range(n)
+           if u != v and (u, v) not in taken]
+    return pairs, [new[i] for i in rng.permutation(len(new))[:length].tolist()]
+
+
+def labelled(pairs, label):
+    """The bipartite pairs (u, label[v]) of digraph pairs (u, v)."""
+    return [(u, int(label[v])) for u, v in pairs]
 
 
 def nx_matching_size(n, pairs) -> int:
@@ -211,89 +230,65 @@ def nx_matching_size(n, pairs) -> int:
 
 
 class TestBoosterAugment:
-    def test_perfect_input_untouched(self):
-        g = graph_of(3, [(v, v) for v in range(3)])
-        mt = maximum_matching(g)
-        report = booster_augment(g, mt, [(0, 1)])
-        assert report.matching.is_perfect()
-        assert report.consumed == 0 and report.matching is mt
-
     def test_forced_augmentation(self):
-        # a1-b1-a2 path matched at {a1 b1}; booster {a2, b2} completes it
-        g = graph_of(2, [(0, 0), (1, 0)])
-        mt = maximum_matching(g)
-        assert mt.size == 1
-        report = booster_augment(g, mt, [(1, 1)])
-        assert report.matching.is_perfect()
-        assert report.consumed == 1 and len(g.indices) == 2
-        grown = graph_of(2, [(0, 0), (1, 0), (1, 1)])
-        assert in_graph(report.matching, grown)
-        assert not in_graph(report.matching, g)
-
-    def test_repeated_booster_refused(self):
-        # two A vertices short, so boosters run and meet both copies
-        g = graph_of(3, [(0, 0)])
-        with pytest.raises(ValueError, match="repeated pair"):
-            booster_augment(g, maximum_matching(g),
-                            [(1, 1), (1, 1), (2, 2)])
-
-    def test_booster_already_in_graph_refused(self):
-        g = graph_of(3, [(0, 0), (1, 1)])
-        with pytest.raises(ValueError, match="repeated pair"):
-            booster_augment(g, maximum_matching(g), [(0, 0), (2, 2)])
+        # b_0 is in no G_i pair, so G_i matches two of three; booster
+        # {a_1, b_0} completes it, with a_0 moved onto b_2
+        pairs = [(0, 1), (0, 2), (1, 2), (2, 1)]
+        sd, mask, boosters = booster_host(3, pairs, [(1, 0)])
+        label = np.arange(3)
+        assert maximum_matching(digraph_to_bipartite(mask, sd, label)).size == 2
+        report = booster_augment(sd, mask, boosters, label)
+        assert report.matching.is_perfect() and report.consumed == 1
+        assert report.matching.pair_a.tolist() == [2, 0, 1]
 
     def test_deficiency_on_failure(self):
-        # three A vertices contending for one B vertex: one is matched
-        g = graph_of(3, [(a, 0) for a in range(3)])
-        mt = maximum_matching(g)
-        report = booster_augment(g, mt, [])
-        assert not report.matching.is_perfect()
-        assert report.matching.size == 1 and len(report.matching.pair_a) == 3
+        # three A vertices contending for one B vertex, and no booster:
+        # one is matched
+        sd, mask, boosters = booster_host(4, [(a, 3) for a in range(3)], [])
+        report = booster_augment(sd, mask, boosters, np.arange(4))
+        assert not report.matching.is_perfect() and report.consumed == 0
+        assert report.matching.size == 1 and len(report.matching.pair_a) == 4
 
     def test_incremental_equals_batch(self):
         # the report's matching has the size a from-scratch maximum
-        # matching finds on g grown by every booster
+        # matching finds on G_i grown by every booster
         rng = rng_stream(34, 0)
         for trial in range(30):
             n = int(rng.integers(4, 16))
-            pairs = random_pairs(n, 0.15, rng)
-            g = graph_of(n, pairs)
-            mt = maximum_matching(g)
-            stream = booster_stream(n, pairs, 25, rng)
-            report = booster_augment(g, mt, stream)
-            grown = graph_of(n, pairs + stream)
+            pairs, kept = random_host_pairs(n, 0.15, 25, rng)
+            sd, mask, boosters = booster_host(n, pairs, kept, rng)
+            label = rng.permutation(n)
+            report = booster_augment(sd, mask, boosters, label)
+            grown = graph_of(n, labelled(pairs + kept, label))
+            assert report.consumed == len(kept)
             assert report.matching.size == maximum_matching(grown).size
             assert in_graph(report.matching, grown)
 
     def test_equals_some_prefix(self):
         # the report is perfect exactly when networkx finds a perfect
         # matching for some prefix of the boosters, and its matching
-        # lies in g plus every booster; on failure it is a maximum one
-        # there, short by the deficiency.  Neither g nor the matching
-        # given changes.
+        # lies in G_i plus every booster; on failure it is a maximum one
+        # there, short by the deficiency.  Neither mask changes.
         rng = rng_stream(35, 0)
         outcomes = set()
         for trial in range(40):
             n = int(rng.integers(4, 14))
-            pairs = random_pairs(n, 0.15, rng)
-            g = graph_of(n, pairs)
-            mt = maximum_matching(g)
-            given = [a.copy() for a in (g.indices, g.indptr, mt.pair_a)]
-            kept = booster_stream(n, pairs, 30, rng)
-            report = booster_augment(g, mt, kept)
-            for old, now in zip(given, (g.indices, g.indptr, mt.pair_a)):
-                assert np.array_equal(old, now)
-            some_prefix = any(nx_matching_size(n, pairs + kept[:t]) == n
+            pairs, kept = random_host_pairs(n, 0.15, 30, rng)
+            sd, mask, boosters = booster_host(n, pairs, kept, rng)
+            label = rng.permutation(n)
+            given = mask.copy(), boosters.copy()
+            report = booster_augment(sd, mask, boosters, label)
+            assert np.array_equal(given[0], mask)
+            assert np.array_equal(given[1], boosters)
+            bip = labelled(pairs, label), labelled(kept, label)
+            some_prefix = any(nx_matching_size(n, bip[0] + bip[1][:t]) == n
                               for t in range(len(kept) + 1))
             assert report.matching.is_perfect() == some_prefix
-            if mt.is_perfect():
-                assert report.consumed == 0 and report.matching is mt
-                continue
             assert report.consumed == len(kept)
-            grown = graph_of(n, pairs + kept)
+            grown = graph_of(n, bip[0] + bip[1])
             assert in_graph(report.matching, grown)
             outcomes.add(report.matching.is_perfect())
-            assert report.matching.size == nx_matching_size(n, pairs + kept)
+            assert report.matching.size == nx_matching_size(n, bip[0] + bip[1])
         assert outcomes == {True, False}
 
 
@@ -342,9 +337,9 @@ class TestBuildK:
         reports, offered = [], []
         real = matching.booster_augment
 
-        def recorded(g, mt, boosters):
-            offered.append(len(boosters))
-            reports.append(real(g, mt, boosters))
+        def recorded(sd, mask, boosters, label):
+            offered.append(np.count_nonzero(boosters))
+            reports.append(real(sd, mask, boosters, label))
             return reports[-1]
         monkeypatch.setattr(matching, "booster_augment", recorded)
         self._build(*forced_booster_host(1.0))
@@ -352,17 +347,16 @@ class TestBuildK:
         assert reports[0].consumed == offered[0]
 
     def test_boosters_are_new_pairs(self, monkeypatch, rejection_path):
-        # booster_augment takes its rows as given: those build_k_matchings
-        # hands it are distinct pairs, none of them already in G_i
+        # booster_augment takes its masks as given: those
+        # build_k_matchings hands it share no edge, so on a host with no
+        # repeated pair every booster is a new pair to G_i
         offered = []
         real = matching.booster_augment
 
-        def checked(g, mt, boosters):
-            codes = boosters[:, 0] * g.n + boosters[:, 1]
-            assert len(np.unique(codes)) == len(codes)
-            assert not np.isin(codes, codes_of(g)).any()
-            offered.append(len(codes))
-            return real(g, mt, boosters)
+        def checked(sd, mask, boosters, label):
+            assert not (mask & boosters).any()
+            offered.append(np.count_nonzero(boosters))
+            return real(sd, mask, boosters, label)
         monkeypatch.setattr(matching, "booster_augment", checked)
         self._build(*forced_booster_host(1.0))
         assert len(offered) == 1 and offered[0] > 1172
@@ -378,9 +372,22 @@ class TestBuildK:
         params, sd = host_5k
         self._check(params, sd, 1, 36)
 
-    def test_k2_host(self, host_k2):
+    def test_k2_host(self, host_k2, monkeypatch):
+        # boosters run only after a short first matching: here none is
+        # short, so booster_augment is never called
         params, sd = host_k2
+        short, boosted = [], []
+        real = matching.maximum_matching
+
+        def recorded(g):
+            mt = real(g)
+            short.append(not mt.is_perfect())
+            return mt
+        monkeypatch.setattr(matching, "maximum_matching", recorded)
+        monkeypatch.setattr(matching, "booster_augment",
+                            lambda *args: boosted.append(args))
         self._check(params, sd, 2, 37)
+        assert short == [False, False] and boosted == []
 
     def test_output_pinned(self, host_k2):
         # digest of both matchings on host_k2's split: a change to the

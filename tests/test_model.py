@@ -927,7 +927,7 @@ class TestSamplers:
 
 class TestEdgeListIO:
     def test_round_trip_bit_exact(self, tiny_host, tmp_path, monkeypatch):
-        monkeypatch.setattr(md, "_CHUNK", 7)  # the read grows its array
+        monkeypatch.setattr(md, "_CHUNK", 7)  # the write slices its rows
         p1 = tmp_path / "a.txt"
         p2 = tmp_path / "b.txt"
         with p1.open("w") as fh:
@@ -950,22 +950,33 @@ class TestEdgeListIO:
             write_edge_list(sd, fh)
         assert path.read_bytes() == b"4 5 1\n0 1\n1 2\n2 3\n3 0\n0 2\n"
 
+    @pytest.mark.filterwarnings("error")
     def test_more_vertices_than_edges_refused(self, tmp_path):
-        # no Hamilton cycle, and no n-long array is made for it
+        # no Hamilton cycle, and no n-long array is made for it; m = 0,
+        # blank lines after the header or not, reads no edge line (the
+        # parser warns on an input with none)
         bad = tmp_path / "bad.txt"
-        bad.write_bytes(b"4 2 1\n0 1\n1 0\n")
-        with pytest.raises(EdgeListFormatError,
-                           match="4 vertices but only 2 edge lines"):
-            read_edge_list(bad)
+        for text, want in ((b"4 2 1\n0 1\n1 0\n", "4 vertices but only 2"),
+                           (b"3 0 1\n", "3 vertices but only 0 edge lines"),
+                           (b"3 0 1\n\n \n", "3 vertices but only 0")):
+            bad.write_bytes(text)
+            with pytest.raises(EdgeListFormatError, match=want):
+                read_edge_list(bad)
 
     def test_malformed(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("3 1\n0 1\n")
         with pytest.raises(EdgeListFormatError):
             read_edge_list(bad)
-        bad.write_text("3 1 1\n0 1\nextra\n")
-        with pytest.raises(EdgeListFormatError):
-            read_edge_list(bad)
+        # content after the edge lines, straight after or past a blank
+        # line, or after a header with m = 0
+        for text in (b"3 1 1\n0 1\nextra\n",
+                     b"3 3 1\n0 1\n1 2\n2 0\n\nextra junk\n",
+                     b"3 0 1\n0 1\n"):
+            bad.write_bytes(text)
+            with pytest.raises(EdgeListFormatError,
+                               match="trailing content after edge list"):
+                read_edge_list(bad)
         bad.write_text("3 1 1\n0 0\n")
         with pytest.raises(EdgeListFormatError):
             read_edge_list(bad)
@@ -973,10 +984,17 @@ class TestEdgeListIO:
         with pytest.raises(EdgeListFormatError, match="duplicate"):
             read_edge_list(bad)
         # a non-integer endpoint, a negative edge count, a non-ASCII
-        # byte, an endpoint beyond int64, an edge count no memory holds
+        # byte, an endpoint beyond int64, an edge count no memory holds;
+        # edge lines of one or three fields, first or later (the first
+        # line fixes the parsed width; all-1 and all-3 lines parse whole,
+        # into values that would pair up as a valid edge list)
         for text in (b"3 1 1\n1 x\n", b"3 -1 1\n", b"3 1 1\n0 \xe9\n",
                      b"3 1 1\n0 99999999999999999999\n",
-                     b"5 10000000000000 1\n0 1\n"):
+                     b"5 10000000000000 1\n0 1\n",
+                     b"3 4 1\n0\n1\n1\n2\n",
+                     b"3 4 1\n0 1 1\n2 2 0\n0 2 2\n1 1 0\n",
+                     b"3 1 1\n0 1 2\n", b"3 3 1\n0 1 2\n1 2\n2 0\n",
+                     b"3 3 1\n0\n1 2\n2 0\n", b"3 3 1\n0 1\n1\n2 0\n"):
             bad.write_bytes(text)
             with pytest.raises(EdgeListFormatError):
                 read_edge_list(bad)

@@ -179,9 +179,12 @@ class TestReserve:
                 assert got.dtype == bool and got.shape == (sd.m,)
                 assert set(np.flatnonzero(got).tolist()) == want
         for i in range(k):
-            # boosters are new pairs to G_i: no E_SMALL edge, used or not
+            # boosters are new pairs to G_i: no E_SMALL edge and no edge
+            # of reserve(1, i, .), used or not
             for mask in (used, np.zeros(sd.m, dtype=bool)):
-                assert not (part.reserve(2, i, mask) & part.e_small).any()
+                boosters = part.reserve(2, i, mask)
+                assert not (boosters & part.e_small).any()
+                assert not (boosters & part.reserve(1, i, mask)).any()
         assert np.array_equal(used, before)
 
     def test_refuses_before_compute_small(self, tiny_host):
