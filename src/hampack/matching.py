@@ -111,14 +111,12 @@ class BoosterReport:
 
 def booster_augment(sd: SimpleDigraph, mask: np.ndarray,
                     boosters: np.ndarray, label: np.ndarray) -> BoosterReport:
-    """A maximum matching of the view of mask | boosters under label:
-    G_i, the host edges mask selects, grown by every booster at once.
+    """A maximum matching of the view under label of G_i, the host
+    edges mask selects, grown at once by the disjoint booster mask.
 
-    The bool masks over edge ids are disjoint, as EdgePartition.reserve
-    makes them, so every booster is a new pair.  Adding edges never
-    removes a perfect matching, so the grown graph has one exactly when
-    some prefix of the boosters does; when it has none, the matching
-    falls short by its deficiency.  Neither mask is modified.
+    Adding edges never removes a perfect matching, so the grown graph
+    has one exactly when some prefix of the boosters does; when it has
+    none, the matching falls short by its deficiency.
     """
     grown = digraph_to_bipartite(mask | boosters, sd, label)
     return BoosterReport(matching=_matching(sd.n, grown.indptr, grown.indices),
@@ -161,8 +159,7 @@ def build_k_matchings(sd: SimpleDigraph, part: EdgePartition,
         mask = part.reserve(1, i, used)
         mt = maximum_matching(digraph_to_bipartite(mask, sd, label))
         if not mt.is_perfect():
-            report = booster_augment(sd, mask, part.reserve(2, i, used),
-                                     label)
+            report = booster_augment(sd, mask, part.reserve(2, i, used), label)
             mt = report.matching
             if not mt.is_perfect():
                 raise PhaseFailure(

@@ -50,6 +50,7 @@ Sampling proceeds in three stages:
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -658,13 +659,13 @@ def _edge_lines(fh, m: int):
 def read_edge_list(path) -> SimpleDigraph:
     """Inverse of write_edge_list; round-trips bit-exactly.
 
-    Malformed content, whether a bad header or edge line, a file that
-    ends before its m edge lines, a non-blank line after them, n > m
-    (no Hamilton cycle), a non-ASCII byte or a digraph SimpleDigraph
-    refuses, raises EdgeListFormatError.
+    A bad header or edge line, an early end, a non-blank line after the
+    edge lines, n > m (no Hamilton cycle), a non-ASCII byte or a
+    digraph SimpleDigraph refuses raises EdgeListFormatError.
     """
     try:
-        with open(path, "r", encoding="ascii") as fh:
+        with open(path, encoding="ascii") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
             header = fh.readline().split()
             if len(header) != 3:
                 raise EdgeListFormatError("header must be 'n m k'")
@@ -673,19 +674,21 @@ def read_edge_list(path) -> SimpleDigraph:
                 raise EdgeListFormatError("header needs n >= 1 and k >= 1")
             if m < 0:
                 raise EdgeListFormatError("negative edge count in header")
-            # loadtxt grows its array as lines arrive, so the header's m
-            # is not trusted; it warns on no lines at all
-            edges = np.empty((0, 2), dtype=np.int64)
-            if m:
-                edges = np.loadtxt(_edge_lines(fh, m), dtype=np.int64,
-                                   comments=None, ndmin=2)
-            if edges.shape[1] != 2:
-                raise EdgeListFormatError("edge line 0 malformed")
+            # loadtxt grows its array as lines arrive (m is not trusted),
+            # warns on no lines, refuses a line not of two int64 fields and
+            # in older numpy truncates "1.9" with only a DeprecationWarning
+            edges = np.empty(0, dtype=np.int64)
+            try:
+                if m:
+                    edges = np.loadtxt(_edge_lines(fh, m), dtype="i8,i8",
+                                       comments=None, ndmin=1)
+            except (ValueError, DeprecationWarning) as exc:
+                raise EdgeListFormatError("edge line malformed") from exc
             if not all(line.isspace() for line in fh):
                 raise EdgeListFormatError("trailing content after edge list")
             if n > m:
                 raise EdgeListFormatError(
                     f"{n} vertices but only {m} edge lines")
-        return SimpleDigraph(n=n, edges=edges, k=k)
+        return SimpleDigraph(n=n, edges=edges.view(np.int64), k=k)
     except (ValueError, OverflowError) as exc:
         raise EdgeListFormatError(str(exc)) from exc

@@ -10,6 +10,7 @@ import collections
 import hashlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -963,6 +964,9 @@ class TestEdgeListIO:
             with pytest.raises(EdgeListFormatError, match=want):
                 read_edge_list(bad)
 
+    # under the default filters too, so a numpy that only warns on a
+    # float field cannot hide behind a run that makes warnings errors
+    @pytest.mark.filterwarnings("default")
     def test_malformed(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("3 1\n0 1\n")
@@ -983,18 +987,25 @@ class TestEdgeListIO:
         bad.write_text("3 3 1\n0 1\n1 2\n0 1\n")
         with pytest.raises(EdgeListFormatError, match="duplicate"):
             read_edge_list(bad)
-        # a non-integer endpoint, a negative edge count, a non-ASCII
-        # byte, an endpoint beyond int64, an edge count no memory holds;
-        # edge lines of one or three fields, first or later (the first
-        # line fixes the parsed width; all-1 and all-3 lines parse whole,
-        # into values that would pair up as a valid edge list)
-        for text in (b"3 1 1\n1 x\n", b"3 -1 1\n", b"3 1 1\n0 \xe9\n",
+        # an endpoint that is not an integer or is beyond int64, and edge
+        # lines of one or three fields, first or later (all-1 and all-3
+        # lines would pair up into a valid edge list if reshaped), are
+        # named in the file's terms, not the parser's
+        for text in (b"3 1 1\n1 x\n", b"3 3 1\n0 1.5\n1 2\n2 0\n",
+                     b"3 3 1\n0 1e0\n1 2\n2 0\n",
                      b"3 1 1\n0 99999999999999999999\n",
-                     b"5 10000000000000 1\n0 1\n",
                      b"3 4 1\n0\n1\n1\n2\n",
                      b"3 4 1\n0 1 1\n2 2 0\n0 2 2\n1 1 0\n",
                      b"3 1 1\n0 1 2\n", b"3 3 1\n0 1 2\n1 2\n2 0\n",
                      b"3 3 1\n0\n1 2\n2 0\n", b"3 3 1\n0 1\n1\n2 0\n"):
+            bad.write_bytes(text)
+            with pytest.raises(EdgeListFormatError,
+                               match="^edge line malformed$"):
+                read_edge_list(bad)
+        # a negative edge count, a non-ASCII byte, an edge count no
+        # memory holds
+        for text in (b"3 -1 1\n", b"3 1 1\n0 \xe9\n",
+                     b"5 10000000000000 1\n0 1\n"):
             bad.write_bytes(text)
             with pytest.raises(EdgeListFormatError):
                 read_edge_list(bad)
@@ -1003,6 +1014,23 @@ class TestEdgeListIO:
             bad.write_bytes(text)
             with pytest.raises(EdgeListFormatError, match="header needs"):
                 read_edge_list(bad)
+
+    @pytest.mark.filterwarnings("default")
+    def test_float_field_refused_by_a_warning_parser(self, tmp_path,
+                                                     monkeypatch):
+        # numpy releases that parse "1.9" as the integer 1 with only a
+        # DeprecationWarning: the read must still refuse the file
+        real = np.loadtxt
+
+        def truncating(lines, dtype, **kwargs):
+            warnings.warn("integer parsed via a float", DeprecationWarning)
+            return real(lines, dtype="f8,f8", **kwargs).astype(dtype)
+
+        monkeypatch.setattr(np, "loadtxt", truncating)
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"3 3 1\n0 1.9\n1 2\n2 0\n")
+        with pytest.raises(EdgeListFormatError, match="edge line malformed"):
+            read_edge_list(bad)
 
     def test_early_end_named(self, tmp_path):
         # a missing edge line is an early end, not a malformed line; a
