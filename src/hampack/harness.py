@@ -191,40 +191,8 @@ def run_trial(params: ModelParams, seed: int, sd=None) -> TrialRecord:
 # ------------------------------------------------------------------ sweeps
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    n: int
-    c: float
-    k: int
-    m: int
-    trials: int
-    successes: int
-    failures: str  # "tag=count;..." sorted by tag
-    attempts_mean: float
-    kappa_mean: float
-
-    @property
-    def rate(self) -> float:
-        return self.successes / self.trials if self.trials else 0.0
-
-
 CSV_COLUMNS = ["schema", "n", "c", "k", "m", "trials", "successes",
                "rate", "failures", "attempts_mean", "kappa_mean"]
-
-
-@dataclass
-class SweepSummary:
-    rows: list = field(default_factory=list)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(CSV_COLUMNS)
-        for r in self.rows:
-            w.writerow([SCHEMA, r.n, f"{r.c:g}", r.k, r.m, r.trials,
-                        r.successes, f"{r.rate:.4f}", r.failures,
-                        f"{r.attempts_mean:.3f}", f"{r.kappa_mean:.3f}"])
-        return buf.getvalue()
 
 
 def _sweep_one(spec):
@@ -236,12 +204,18 @@ def _sweep_one(spec):
     return ci, rec, seconds
 
 
-def run_sweep(cells: list, trials: int, seed: int,
-              workers: int = 1) -> SweepSummary:
-    """Cells x seeded trials; summary is worker-invariant.
+def _mean(vals) -> float:
+    vals = list(vals)
+    return sum(vals) / len(vals) if vals else 0.0
+
+
+def run_sweep(cells: list, trials: int, seed: int, workers: int = 1) -> str:
+    """Cells x seeded trials -> the sweep CSV, worker-invariant.
 
     cells are ModelParams in grid order: cell ci's trial seeds derive
-    from (seed, ci), and the summary has one row per cell in that order.
+    from (seed, ci), and the CSV has one line per cell in that order,
+    under a CSV_COLUMNS header.  failures reads "tag=count;..." sorted
+    by tag; rate is 0 for a cell without trials.
     """
     specs = [(ci, params, derive_seed(seed, ci, t))
              for ci, params in enumerate(cells) for t in range(trials)]
@@ -255,7 +229,9 @@ def run_sweep(cells: list, trials: int, seed: int,
     by_cell = {}
     for ci, rec, seconds in results:
         by_cell.setdefault(ci, []).append((rec, seconds))
-    rows = []
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(CSV_COLUMNS)
     for ci, params in enumerate(cells):
         cell = by_cell.get(ci, [])
         recs = sorted((r for r, _ in cell), key=lambda r: r.seed)
@@ -265,22 +241,17 @@ def run_sweep(cells: list, trials: int, seed: int,
             if not r.success:
                 tag = r.outcome.split(":", 1)[1]
                 tags[tag] = tags.get(tag, 0) + 1
-        failures = ";".join(f"{t}={tags[t]}" for t in sorted(tags))
-
-        def mean(vals):
-            vals = list(vals)
-            return sum(vals) / len(vals) if vals else 0.0
-
-        rows.append(SweepRow(
-            n=params.n, c=params.c, k=params.k, m=params.m,
-            trials=len(recs), successes=len(succ), failures=failures,
-            attempts_mean=mean(r.attempts for r in succ),
-            kappa_mean=mean(sum(r.kappa) for r in succ)))
+        rate = len(succ) / len(recs) if recs else 0.0
+        w.writerow([SCHEMA, params.n, f"{params.c:g}", params.k, params.m,
+                    len(recs), len(succ), f"{rate:.4f}",
+                    ";".join(f"{t}={tags[t]}" for t in sorted(tags)),
+                    f"{_mean(r.attempts for r in succ):.3f}",
+                    f"{_mean(sum(r.kappa) for r in succ):.3f}"])
         if cell:
             qs = np.percentile([s for _, s in cell], [50, 90])
             log.info("cell n=%s c=%s k=%s: t50=%.2fs t90=%.2fs",
                      params.n, params.c, params.k, qs[0], qs[1])
-    return SweepSummary(rows=rows)
+    return buf.getvalue()
 
 
 # -------------------------------------------------------------- statistics
@@ -488,20 +459,12 @@ def stats_rphi(kappa: int) -> dict:
 
 def stats_census(params: ModelParams, seed: int) -> str:
     sd, _ = sample_erased_digraph(params, rng_stream(seed, 66))
-    return degree_census(sd, params).to_csv()
+    return degree_census(sd, params)
 
 
 def stats_expansion(params: ModelParams, samples: int, seed: int) -> dict:
     sd, _ = sample_erased_digraph(params, rng_stream(seed, 67))
-    rep = expansion_check(sd, params, samples, rng_stream(seed, 68))
-    return {
-        "n": params.n, "c": params.c, "k": params.k,
-        "samples": rep.checked, "eta": rep.eta, "max_ratio": rep.max_ratio,
-        "violations": [
-            {"size": v.size, "side": v.side, "degree": v.degree,
-             "bound": v.bound, "vertices": list(v.vertices)}
-            for v in rep.violations],
-    }
+    return expansion_check(sd, params, samples, rng_stream(seed, 68))
 
 
 # --------------------------------------------------------------------- CLI
@@ -533,10 +496,11 @@ def _at_least(lo: int):
 _POSITIVE = _at_least(1)
 
 
-def _model_params(n: int, c: float, k: int) -> ModelParams:
-    """ModelParams.make, with its refusals as usage errors."""
+def _model_params(make, *args) -> ModelParams:
+    """make(*args), a ModelParams constructor, with its refusals as usage
+    errors."""
     try:
-        return ModelParams.make(n, c, k)
+        return make(*args)
     except (ValueError, HampackError) as exc:
         raise _UsageError(exc) from exc
 
@@ -645,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sample(args) -> int:
-    params = _model_params(args.n, args.c, args.k)
+    params = _model_params(ModelParams.make, args.n, args.c, args.k)
     sampler = (sample_erased_digraph if args.host == "erased"
                else sample_simple_digraph)
     # opened before sampling: a path that cannot be written costs no sample
@@ -662,12 +626,13 @@ def _cmd_pack(args) -> int:
             raise _UsageError(
                 "--in takes n and c from the file: drop --n, --c")
         sd = read_edge_list(args.infile)
-        params = ModelParams.from_nmk(sd.n, sd.m,
-                                      sd.k if args.k is None else args.k)
+        params = _model_params(ModelParams.from_nmk, sd.n, sd.m,
+                               sd.k if args.k is None else args.k)
     else:
         if args.n is None or args.c is None or args.k is None:
             raise _UsageError("pack needs --in or all of --n --c --k")
-        params, sd = _model_params(args.n, args.c, args.k), None
+        params = _model_params(ModelParams.make, args.n, args.c, args.k)
+        sd = None
     rec = run_trial(params, args.seed, sd=sd)
     if not rec.success:
         print(f"{rec.outcome}: {rec.detail}", file=sys.stderr)
@@ -688,19 +653,19 @@ def _cmd_sweep(args) -> int:
         ns, cs, ks = _parse_grid(args.grid)
     except ValueError as exc:
         raise _UsageError(exc) from exc
-    cells = [_model_params(n, c, k)  # refusals are usage errors
+    cells = [_model_params(ModelParams.make, n, c, k)
              for n, c, k in itertools.product(ns, cs, ks)]
     # opened before the first trial: a path that cannot be written costs none
     with (open(args.out, "w", encoding="ascii") if args.out
           else contextlib.nullcontext(sys.stdout)) as fh:
         fh.write(run_sweep(cells, args.trials, args.seed,
-                           workers=args.workers).to_csv())
+                           workers=args.workers))
     return 0
 
 
 def _cmd_stats(args) -> int:
-    params = (None if args.subcmd in ("perm-cycles", "rphi")
-              else _model_params(args.n, args.c, args.k))
+    params = (None if args.subcmd in ("perm-cycles", "rphi") else
+              _model_params(ModelParams.make, args.n, args.c, args.k))
     if args.subcmd == "simplicity-rate":
         out = stats_simplicity_rate(params, args.attempts, args.seed)
     elif args.subcmd == "degree-gof":

@@ -189,6 +189,9 @@ class ModelParams:
 
     @classmethod
     def from_nmk(cls, n: int, m: int, k: int) -> "ModelParams":
+        if k * n > m:  # k edge-disjoint Hamilton cycles hold k*n edges
+            raise ValueError(f"k={k} edge-disjoint Hamilton cycles on n={n} "
+                             f"vertices need k*n={k * n} edges, but m={m}")
         c = m / n
         z = solve_z(c, k) if c > k + 1 else None
         return cls(n=n, c=c, k=k, m=m, z=z)
@@ -667,9 +670,10 @@ def read_edge_list(path) -> SimpleDigraph:
         with open(path, encoding="ascii") as fh, warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             header = fh.readline().split()
-            if len(header) != 3:
-                raise EdgeListFormatError("header must be 'n m k'")
-            n, m, k = (int(x) for x in header)
+            try:
+                n, m, k = map(int, header)
+            except ValueError:  # a field count other than 3, or "3.0"
+                raise EdgeListFormatError("header must be 'n m k'") from None
             if n < 1 or k < 1:
                 raise EdgeListFormatError("header needs n >= 1 and k >= 1")
             if m < 0:

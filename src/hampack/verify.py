@@ -4,14 +4,16 @@ The two verifiers trust nothing: Hamiltonicity is rechecked against the
 host's ordered-pair set and disjointness against the pairs themselves,
 not the edge-id bookkeeping of the pipeline.  The diagnostics compare a
 host against the calibrated degree law (census cell by cell) and the
-set-degree growth bound d(S) <= eta |S| log(n/|S|) with eta = e*z.
+set-degree growth bound d(S) <= eta |S| log(n/|S|) with eta = e*z, and
+return what `hampack stats census` and `stats expansion` print: the
+census CSV text and the expansion report's JSON-ready dict.
 An exhaustive oracle handles instances small enough to enumerate.
 """
 
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,8 +23,7 @@ from .model import ModelParams, SimpleDigraph, TruncatedPoisson
 __all__ = [
     "Check", "PackingCertificate",
     "verify_hamilton", "verify_packing", "certificate_from_covers",
-    "CensusReport", "degree_census",
-    "ExpansionReport", "expansion_check",
+    "degree_census", "expansion_check",
     "brute_force_packing",
 ]
 
@@ -127,52 +128,29 @@ def verify_packing(sd: SimpleDigraph, cert: PackingCertificate) -> Check:
     return Check(True)
 
 
-@dataclass(frozen=True)
-class CensusRow:
-    r: int
-    s: int
-    observed: int
-    expected: float
-    normalized: float
-
-
-@dataclass
-class CensusReport:
-    n: int
-    k: int
-    z: float
-    rows: list = field(default_factory=list)
-
-    def to_csv(self) -> str:
-        """One line per row; floats in their shortest round-trip form, so
-        a cell expecting 1e-9 vertices reads back as that, not as 0."""
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["r", "s", "observed", "expected", "normalized"])
-        for row in self.rows:
-            w.writerow([row.r, row.s, row.observed, row.expected,
-                        row.normalized])
-        return buf.getvalue()
-
-
-def degree_census(x, params: ModelParams) -> CensusReport:
-    """Count vertices by (in, out) degree against the calibrated law.
+def degree_census(x, params: ModelParams) -> str:
+    """Count vertices by (in, out) degree against the calibrated law, as
+    CSV lines r,s,observed,expected,normalized.
 
     Expected cell mass is n pmf(r) pmf(s) under the truncated law, zero
     unless r, s >= k+1; the deviation is normalized by
-    (1 + sqrt(expected)) log n so cells are comparable.
+    (1 + sqrt(expected)) log n so cells are comparable.  Floats are
+    printed in their shortest round-trip form, so a cell expecting 1e-9
+    vertices reads back as that, not as 0.
     """
     out, inn = x.out_deg, x.in_deg
     n = len(out)
     z = params.require_z()
-    k = params.k
     logn = math.log(max(n, 2))
     rmax = int(inn.max()) if n else 0
     smax = int(out.max()) if n else 0
     counts = np.zeros((rmax + 1, smax + 1), dtype=np.int64)
     np.add.at(counts, (inn, out), 1)
-    pmf = list(map(TruncatedPoisson(z, k).pmf, range(max(rmax, smax) + 1)))
-    rows = []
+    pmf = list(map(TruncatedPoisson(z, params.k).pmf,
+                   range(max(rmax, smax) + 1)))
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["r", "s", "observed", "expected", "normalized"])
     for r in range(rmax + 1):
         for s in range(smax + 1):
             obs = int(counts[r, s])
@@ -180,48 +158,29 @@ def degree_census(x, params: ModelParams) -> CensusReport:
             if obs == 0 and exp < 1e-12:
                 continue
             dev = abs(obs - exp) / ((1.0 + math.sqrt(exp)) * logn)
-            rows.append(CensusRow(r=r, s=s, observed=obs, expected=exp,
-                                  normalized=dev))
-    return CensusReport(n=n, k=k, z=z, rows=rows)
-
-
-@dataclass(frozen=True)
-class ExpansionViolation:
-    size: int
-    side: str
-    degree: int
-    bound: float
-    vertices: tuple
-
-
-@dataclass
-class ExpansionReport:
-    n: int
-    eta: float
-    checked: int
-    max_ratio: float
-    violations: list = field(default_factory=list)
+            w.writerow([r, s, obs, exp, dev])
+    return buf.getvalue()
 
 
 def expansion_check(sd: SimpleDigraph, params: ModelParams, samples: int,
-                    rng: np.random.Generator) -> ExpansionReport:
+                    rng: np.random.Generator) -> dict:
     """Sample vertex sets against d(S) <= eta |S| log(n/|S|), eta = e z.
 
     Sizes run over a log-spaced grid from k to n/2; in- and out-degree
     sums are checked separately (the bound is one-sided, violations
     only when a sum exceeds it).  Violating sets are kept verbatim so
-    a recheck can reproduce them.
+    a recheck can reproduce them.  Returns the report `stats expansion`
+    prints; it reads samples 0 when no set size fits between k and n/2.
     """
     n = sd.n
-    z = params.require_z()
-    eta = math.e * z
+    eta = math.e * params.require_z()
     lo, hi = params.k, n // 2
     if hi < lo or samples <= 0:
-        return ExpansionReport(n=n, eta=eta, checked=0, max_ratio=0.0)
-    grid = np.unique(np.round(np.exp(np.linspace(
-        math.log(lo), math.log(hi), 24))).astype(np.int64))
-    grid = grid[(grid >= lo) & (grid <= hi)]
-    checked = 0
+        samples = 0
+    else:
+        grid = np.unique(np.round(np.exp(np.linspace(
+            math.log(lo), math.log(hi), 24))).astype(np.int64))
+        grid = grid[(grid >= lo) & (grid <= hi)]
     max_ratio = 0.0
     violations = []
     for i in range(samples):
@@ -230,16 +189,13 @@ def expansion_check(sd: SimpleDigraph, params: ModelParams, samples: int,
         bound = eta * size * math.log(n / size)
         for side, deg in (("out", int(sd.out_deg[s_set].sum())),
                           ("in", int(sd.in_deg[s_set].sum()))):
-            ratio = deg / bound
-            if ratio > max_ratio:
-                max_ratio = ratio
+            max_ratio = max(max_ratio, deg / bound)
             if deg > bound:
-                violations.append(ExpansionViolation(
-                    size=size, side=side, degree=deg, bound=bound,
-                    vertices=tuple(int(v) for v in np.sort(s_set))))
-        checked += 1
-    return ExpansionReport(n=n, eta=eta, checked=checked,
-                           max_ratio=max_ratio, violations=violations)
+                violations.append({
+                    "size": size, "side": side, "degree": deg,
+                    "bound": bound, "vertices": np.sort(s_set).tolist()})
+    return {"n": n, "c": params.c, "k": params.k, "samples": samples,
+            "eta": eta, "max_ratio": max_ratio, "violations": violations}
 
 
 def brute_force_packing(sd: SimpleDigraph, k: int,

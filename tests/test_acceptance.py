@@ -245,9 +245,9 @@ def test_criterion_10_determinism(sweep_cells):
         run_trial(params, seed).to_json()
     grid = dict(cells=sweep_cells([400, 500], [5.0], [1]), trials=3,
                 seed=BASE)
-    csv_one = run_sweep(workers=1, **grid).to_csv()
-    csv_rerun = run_sweep(workers=1, **grid).to_csv()
-    csv_eight = run_sweep(workers=8, **grid).to_csv()
+    csv_one = run_sweep(workers=1, **grid)
+    csv_rerun = run_sweep(workers=1, **grid)
+    csv_eight = run_sweep(workers=8, **grid)
     sweep_ok = csv_one == csv_rerun == csv_eight
     _gate(10, "byte-identical reruns, worker counts {1, 8}",
           trial_ok and sweep_ok,

@@ -38,6 +38,11 @@ def hall_violator_host() -> SimpleDigraph:
     return SimpleDigraph(n, np.array(edges), 1)
 
 
+def sweep_rows(text) -> list:
+    """The sweep CSV's lines, one dict per cell."""
+    return list(csv.DictReader(io.StringIO(text)))
+
+
 def tail_ordered_host(n, c, k, seed) -> SimpleDigraph:
     """A model host drawn without hampack's sampler: degree vectors are
     floored multinomial counts, tails stay in vertex order and heads are
@@ -251,10 +256,10 @@ class TestInternalFailure:
 
     def test_sweep_completes(self, monkeypatch, sweep_cells):
         monkeypatch.setattr(hn, "run_pipeline", self.broken_pipeline)
-        summary = hn.run_sweep(sweep_cells([60, 80], [4.0], [1]), trials=2,
-                               seed=29)
-        assert [(r.trials, r.successes, r.failures)
-                for r in summary.rows] == [(2, 0, "internal=2")] * 2
+        text = hn.run_sweep(sweep_cells([60, 80], [4.0], [1]), trials=2,
+                            seed=29)
+        assert [(r["trials"], r["successes"], r["failures"])
+                for r in sweep_rows(text)] == [("2", "0", "internal=2")] * 2
 
     def test_pack_in_reports_internal_tag(self, monkeypatch, tmp_path,
                                           capsys):
@@ -523,25 +528,25 @@ class TestRunSweep:
                     seed=17)
 
     def test_summary_shape(self, grid):
-        summary = hn.run_sweep(**grid)
-        assert len(summary.rows) == 2
-        text = summary.to_csv()
+        text = hn.run_sweep(**grid)
+        rows = sweep_rows(text)
+        assert len(rows) == 2
         lines = text.strip().splitlines()
         assert lines[0] == ",".join(hn.CSV_COLUMNS)
         assert len(lines) == 3
-        for row in summary.rows:
-            assert row.trials == 3
-            assert 0 <= row.successes <= 3
-            assert row.rate == row.successes / 3
+        for row in rows:
+            assert row["trials"] == "3"
+            assert 0 <= int(row["successes"]) <= 3
+            assert row["rate"] == f"{int(row['successes']) / 3:.4f}"
 
     def test_worker_invariance(self, grid):
-        a = hn.run_sweep(**grid, workers=1).to_csv()
-        b = hn.run_sweep(**grid, workers=2).to_csv()
+        a = hn.run_sweep(**grid, workers=1)
+        b = hn.run_sweep(**grid, workers=2)
         assert a == b
 
     def test_repeat_identical(self, grid):
-        a = hn.run_sweep(**grid).to_csv()
-        b = hn.run_sweep(**grid).to_csv()
+        a = hn.run_sweep(**grid)
+        b = hn.run_sweep(**grid)
         assert a == b
 
     def test_pool_capped_by_trials_and_cpus(self, monkeypatch, sweep_cells):
@@ -565,12 +570,12 @@ class TestRunSweep:
 
         monkeypatch.setattr(hn, "ProcessPoolExecutor", SerialPool)
         grid = dict(cells=sweep_cells([300], [4.0], [1]), trials=4, seed=17)
-        serial = hn.run_sweep(**grid).to_csv()
+        serial = hn.run_sweep(**grid)
         for cpus, workers, size in ((3, 5000, 3), (64, 5000, 4),
                                     (64, 2, 2), (None, 5000, None)):
             monkeypatch.setattr(hn.os, "cpu_count", lambda: cpus)
             sizes.clear()
-            assert hn.run_sweep(**grid, workers=workers).to_csv() == serial
+            assert hn.run_sweep(**grid, workers=workers) == serial
             assert sizes == ([] if size is None else [size])
 
     def test_trial_seeds_derived_per_cell(self):
@@ -580,19 +585,18 @@ class TestRunSweep:
         assert len({s00, s01, s10}) == 3
 
     def test_failure_histogram_totals(self, sweep_cells):
-        summary = hn.run_sweep(sweep_cells([60], [4.0], [1]), trials=4,
-                               seed=23)
-        row = summary.rows[0]
+        [row] = sweep_rows(hn.run_sweep(sweep_cells([60], [4.0], [1]),
+                                        trials=4, seed=23))
         counted = sum(int(part.split("=")[1])
-                      for part in row.failures.split(";") if part)
-        assert row.successes + counted == row.trials
+                      for part in row["failures"].split(";") if part)
+        assert int(row["successes"]) + counted == int(row["trials"])
 
     def test_times_every_trial(self, caplog, sweep_cells):
         # one of this cell's four trials fails in phase 2, and the
         # cell's t50/t90 line reads the times of all four
         with caplog.at_level("INFO", logger="hampack"):
-            summary = hn.run_sweep(sweep_cells([40], [3.0], [1]), 4, 0)
-        assert summary.rows[0].failures == "phase2=1"
+            text = hn.run_sweep(sweep_cells([40], [3.0], [1]), 4, 0)
+        assert sweep_rows(text)[0]["failures"] == "phase2=1"
         lines = [r.getMessage() for r in caplog.records
                  if "t50=" in r.getMessage()]
         assert len(lines) == 1
@@ -863,7 +867,7 @@ class TestCLI:
                         "--trials", "2", "--seed", "17",
                         "--out", str(out)])
         assert code == 0
-        direct = hn.run_sweep(sweep_cells([300], [4.0], [1]), 2, 17).to_csv()
+        direct = hn.run_sweep(sweep_cells([300], [4.0], [1]), 2, 17)
         assert out.read_text() == direct
 
     def test_oracle_paths(self, capsys, tmp_path):
@@ -1019,6 +1023,22 @@ class TestCLI:
             == 64
         assert capsys.readouterr().err == "hampack pack: 3037000500 " \
             "vertices but only 1 edge lines\n"
+
+    @pytest.mark.parametrize("header_k, argv, k", [
+        ("99999999999999999999999", [], "99999999999999999999999"),
+        ("1", ["--k", "4611686018427387904"], "4611686018427387904"),
+        ("1", ["--k", "2"], "2")],
+        ids=["header-k", "huge-k", "k2-triangle"])
+    def test_k_above_m_over_n_exits_64(self, header_k, argv, k, capsys,
+                                       tmp_path):
+        # k edge-disjoint Hamilton cycles need k*n edges: a larger k is
+        # refused before the pools are labelled or any array is sized by it
+        path = tmp_path / "triangle.txt"
+        path.write_text(f"3 3 {header_k}\n0 1\n1 2\n2 0\n")
+        assert hn.main(["pack", "--in", str(path), *argv]) == 64
+        assert capsys.readouterr().err == (
+            f"hampack pack: k={k} edge-disjoint Hamilton cycles on n=3 "
+            f"vertices need k*n={3 * int(k)} edges, but m=3\n")
 
     def test_thin_host_names_its_deficiency(self, capsys, tmp_path):
         # vertices 1 and 2 each send their one edge into 0, so matchings

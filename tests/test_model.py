@@ -969,9 +969,12 @@ class TestEdgeListIO:
     @pytest.mark.filterwarnings("default")
     def test_malformed(self, tmp_path):
         bad = tmp_path / "bad.txt"
-        bad.write_text("3 1\n0 1\n")
-        with pytest.raises(EdgeListFormatError):
-            read_edge_list(bad)
+        # a header of two fields, or with a field that is not an integer
+        for text in (b"3 1\n0 1\n", b"3.0 3 1\n0 1\n1 2\n2 0\n"):
+            bad.write_bytes(text)
+            with pytest.raises(EdgeListFormatError,
+                               match="^header must be 'n m k'$"):
+                read_edge_list(bad)
         # content after the edge lines, straight after or past a blank
         # line, or after a header with m = 0
         for text in (b"3 1 1\n0 1\nextra\n",
