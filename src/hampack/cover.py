@@ -14,24 +14,27 @@ digraphs (NPDs):
   in-phase:    from every leaf, the same surgery at the path START:
                add (w,u') into the current start u', removing (w,x) so
                x starts the path; success when a reserve edge runs
-               from a leaf's fixed end v_j to the current start,
-               closing everything into one cycle of length ≥ n₀.
+               from a leaf's fixed end v_j to the current start and
+               every cycle the closure leaves has ≥ n₀ vertices.
 
-Admission of a rotation needs C(i): any cycle it creates has ≥ n₀
-vertices and the surviving path keeps ≥ n₀ vertices; and C(ii): the
-touched pair {w, x} avoids the burnt set W.  _rotate is the one place
-C(i) and the arc surgery live, for both path ends.  Vertices burn on
-admission, which freezes their successor pointers and is exactly what
-lets all in-phase trees share one layer structure: for any unburnt w,
-succ(w) agrees with Π across every NPD in play.
+Admission of a rotation needs C(ii): the touched pair {w, x} avoids the
+burnt set W.  An out-phase admission also needs C(i): any cycle it
+creates has ≥ n₀ vertices and the surviving path keeps ≥ n₀ vertices;
+_rotate is where C(i) and the arc surgery live.  The in-phase checks no
+single rotation: a closure is decided by the cycles its whole delta
+chain leaves (PermutationDigraph.rings), so a pivot on a cycle an
+earlier split created counts like any other, as in Frieze's rotations.
+Vertices burn on admission, which freezes their successor pointers and
+is exactly what lets all in-phase trees share one layer structure: for
+any unburnt w, succ(w) agrees with Π across every NPD in play.
 
 Tree nodes never copy the digraph.  A node stores its steps from the
 root, the reserve edges (tail, head, eid) its rotations added, as does
 each in-phase chain, so a closure's delta chain is one concatenation.
-It also stores the current path as a tuple of Π-arcs (first, last);
-lengths and membership come from Π's cycle tables in O(arcs).  Cycles
-created by earlier splits are opaque: a pivot on one is refused, not
-absorbed, although such cycles are ≥ n₀ by admission.
+An out-phase node also stores its path as a tuple of Π-arcs (first,
+last); lengths and membership come from Π's cycle tables in O(arcs).
+There, cycles created by earlier splits are opaque: a pivot on one is
+refused, not absorbed, although such cycles are ≥ n₀ by admission.
 
 Covers are spliced, never rebuilt: one depth-first walk builds the
 cycle tables once, for phase 1's cover, and each closure (like each
@@ -55,7 +58,7 @@ starts.  Every loop ends without a cap of its own.  Each node an
 out-phase level admits, like each in-phase start, burns its pivot w,
 which was unburnt, so the levels of either phase stop once nothing is
 left to burn, and a start burns at most n vertices.  Each in-phase
-start is a vertex not seen before, so each closure target is validated
+start is a vertex not seen before, so each closure target is checked
 at most once.  The start cap is checked once per breadth-first level,
 before the level runs, so the level that crosses it still admits all
 its starts, up to in_branch per frontier start: at n = 10⁵ an in-phase
@@ -151,31 +154,23 @@ class PermutationDigraph:
         self.cycles = [order[a:b]
                        for a, b in zip(lo.tolist(), ends[1:].tolist())]
 
-    def rewired(self, tails, heads, eids) -> "PermutationDigraph":
-        """The cover with succ[tails] = heads and edge_ids[tails] = eids.
+    def rings(self, tails, heads):
+        """The cycles that succ[tails] = heads makes of the ones it cuts.
 
         The tails must be distinct and the heads a permutation of the old
         succ[tails], or ValueError: every caller rewires distinct
         vertices (each burnt on admission, or one per cycle of an
-        exchange), so a repeat is a broken invariant.  The tables are
-        spliced from this cover's, not rebuilt: in pack-host-large
-        trials (n = 10^5, a 2-vCPU Xeon box) a two-arc splice took
-        1.2 ms and the constructor's rebuild 4.6 ms (medians over 101
-        calls), 9 against 39 ms per trial of a 224 ms median.  Cutting
-        each touched cycle after its rewired tails leaves arcs, each
-        running from an old head to the next rewired tail along its
-        cycle; each new cycle is a ring of such arcs, rotated to start
-        at its smallest vertex.  Cycles with no rewired tail keep their
-        arrays, and cycle ids are renumbered by start.
+        exchange), so a repeat is a broken invariant.  Cutting each
+        touched cycle after its rewired tails leaves arcs, each running
+        from an old head to the next rewired tail along its cycle; each
+        new cycle is a ring of such arcs.  Returns (rings, lens): each
+        ring lists its arcs in path order as (cycle id, offset of the
+        arc's first vertex, vertex count), and lens[r] is ring r's vertex
+        count.  O(d log d) for d tails, with no n-long array.
         """
         n = self.n
         tails = np.asarray(tails, dtype=np.int64).ravel()
         heads = np.asarray(heads, dtype=np.int64).ravel()
-        eids = np.asarray(eids, dtype=np.int64).ravel()
-        if not len(tails) == len(heads) == len(eids):
-            raise ValueError("tails, heads and eids differ in length")
-        if len(tails) == 0:
-            return self
         if tails.min() < 0 or tails.max() >= n:
             raise ValueError("tail out of range")
         # tails run by (cycle_id, pos), their order along cycles
@@ -183,7 +178,7 @@ class PermutationDigraph:
                                 self.num_cycles * n)
         if np.any(key[1:] == key[:-1]):
             raise ValueError("repeated tail")
-        tails, heads, eids = tails[order], heads[order], eids[order]
+        tails, heads = tails[order], heads[order]
         if not np.array_equal(np.sort(heads), np.sort(self.succ[tails])):
             raise ValueError("succ is not a permutation")
         d = len(tails)
@@ -193,38 +188,61 @@ class PermutationDigraph:
         # next rewired tail along its cycle
         nxt = np.arange(1, d + 1)
         nxt[np.r_[lead[1:], d] - 1] = lead
-        lens = self.cycle_lens[cid]
-        from_pos = (self.pos[tails] + 1) % lens
-        arc_lens = (self.pos[tails[nxt]] - from_pos) % lens + 1
+        clen = self.cycle_lens[cid]
+        from_pos = (self.pos[tails] + 1) % clen
+        arc_lens = (self.pos[tails[nxt]] - from_pos) % clen + 1
         # the arc after arc j starts at the new head of tails[nxt[j]],
         # which is the old head of tails[link[j]]
         fed = self.pred[heads[nxt]]
         link = np.searchsorted(key, self.cycle_id[fed] * n
                                + self.pos[fed]).tolist()
-        cid_l, lo_l, len_l = cid.tolist(), from_pos.tolist(), arc_lens.tolist()
+        arcs = list(zip(cid.tolist(), from_pos.tolist(), arc_lens.tolist()))
         rings = []
         seen = [False] * d
         for j in range(d):
-            parts = []
+            ring = []
             while not seen[j]:
                 seen[j] = True
-                cyc = self.cycles[cid_l[j]]
-                lo, hi = lo_l[j], lo_l[j] + len_l[j]
-                parts.append(cyc[lo:hi])
-                if hi > len(cyc):  # the arc wraps past the cycle's start
-                    parts.append(cyc[:hi - len(cyc)])
+                ring.append(arcs[j])
                 j = link[j]
-            if parts:
-                ring = np.concatenate(parts)
-                at = int(ring.argmin())
-                rings.append(np.concatenate((ring[at:], ring[:at])))
-        ring_lens = np.array([len(r) for r in rings], dtype=np.int64)
+            if ring:
+                rings.append(ring)
+        return rings, [sum(a[2] for a in ring) for ring in rings]
+
+    def rewired(self, tails, heads, eids) -> "PermutationDigraph":
+        """The cover with succ[tails] = heads and edge_ids[tails] = eids.
+
+        The tables are spliced from this cover's, not rebuilt: each new
+        cycle is one of rings' rings, its arcs joined and rotated to
+        start at its smallest vertex.  Cycles with no rewired tail keep
+        their arrays, and cycle ids are renumbered by start.
+        """
+        tails = np.asarray(tails, dtype=np.int64).ravel()
+        heads = np.asarray(heads, dtype=np.int64).ravel()
+        eids = np.asarray(eids, dtype=np.int64).ravel()
+        if not len(tails) == len(heads) == len(eids):
+            raise ValueError("tails, heads and eids differ in length")
+        if len(tails) == 0:
+            return self
+        arc_rings, ring_lens = self.rings(tails, heads)
+        rings = []
+        for arcs in arc_rings:
+            parts = []
+            for c, lo, length in arcs:
+                cyc = self.cycles[c]
+                parts.append(cyc[lo:lo + length])
+                if lo + length > len(cyc):  # the arc wraps past the start
+                    parts.append(cyc[:lo + length - len(cyc)])
+            ring = np.concatenate(parts)
+            at = int(ring.argmin())
+            rings.append(np.concatenate((ring[at:], ring[:at])))
+        ring_lens = np.array(ring_lens, dtype=np.int64)
         ring_at = np.cumsum(ring_lens) - ring_lens
         rid = np.repeat(np.arange(len(rings)), ring_lens)
         flat = np.concatenate(rings)
         # renumber: kept cycles and new rings, in order of their starts
         kept = np.ones(self.num_cycles, dtype=bool)
-        kept[cid] = False
+        kept[self.cycle_id[tails]] = False
         kept = np.flatnonzero(kept)
         order = np.argsort(np.r_[np.flatnonzero(self.pos == 0)[kept],
                                  flat[ring_at]])
@@ -319,7 +337,7 @@ class _Node:
     segs is the path u0 -> ... -> end as consecutive Π-arcs (first,
     last); touched is the set of Π-cycle ids that ever contributed an
     arc (their leftovers may live on created cycles, which are opaque
-    to further surgery).
+    to further out-phase surgery).
     """
 
     __slots__ = ("steps", "segs", "touched", "path_v", "end")
@@ -385,38 +403,29 @@ def _locate(pd: PermutationDigraph, segs, w: int):
 
 
 def _rotate(pd: PermutationDigraph, segs, touched, path_v: int, w: int,
-            n0: float, at_end: bool):
-    """One rotation on pivot w, at the path end or at its start.
+            n0: float):
+    """One rotation at the path end on pivot w.
 
-    At the end the reserve edge (end, w) replaces (x, w) with
-    x = pred(w), and x becomes the end; at the start (w, start)
-    replaces (w, x) with x = succ(w), and x becomes the start.  A w off
-    the path brings its whole Π-cycle into the path (absorb), unless an
-    earlier rotation touched that cycle (opaque).  A w on the path
-    closes the piece between w and the pivot end into a cycle (split).
-    C(i): the closed piece and the path left over both keep ≥ n0
-    vertices.  Returns (segs, touched, path_v, x), or None if refused.
+    The reserve edge (end, w) replaces (x, w) with x = pred(w), and x
+    becomes the end.  A w off the path brings its whole Π-cycle into
+    the path (absorb), unless an earlier rotation touched that cycle
+    (opaque).  A w on the path closes the piece from w to the end into
+    a cycle (split).  C(i): the closed piece and the path left over both
+    keep ≥ n0 vertices.  Returns (segs, touched, path_v, x), or None if
+    refused.
     """
     hit = _locate(pd, segs, w)
-    x = int(pd.pred[w] if at_end else pd.succ[w])
+    x = int(pd.pred[w])
     if hit is None:
         cid = int(pd.cycle_id[w])
         if cid in touched:
             return None  # lives on a created cycle: opaque
-        segs = segs + ((w, x),) if at_end else ((x, w),) + segs
-        return segs, touched | {cid}, path_v + pd.cycle_len_of(w), x
+        return (segs + ((w, x),), touched | {cid},
+                path_v + pd.cycle_len_of(w), x)
     idx, before = hit
-    if at_end:
-        closed, rest = path_v - before, before
-    else:
-        closed, rest = before + 1, path_v - before - 1
-    if closed < n0 or rest < n0:
+    if path_v - before < n0 or before < n0:
         return None
-    if at_end:
-        segs = segs[:idx] + ((segs[idx][0], x),)
-    else:
-        segs = ((x, segs[idx][1]),) + segs[idx + 1:]
-    return segs, touched, rest, x
+    return segs[:idx] + ((segs[idx][0], x),), touched, before, x
 
 
 def out_phase(pd: PermutationDigraph, u0: int, sd: SimpleDigraph,
@@ -457,8 +466,7 @@ def out_phase(pd: PermutationDigraph, u0: int, sd: SimpleDigraph,
             for eid, w in row:
                 if w_set[w]:  # u0 among them, burnt at the root
                     continue
-                out = _rotate(pd, node.segs, node.touched, node.path_v, w,
-                              n0, at_end=True)
+                out = _rotate(pd, node.segs, node.touched, node.path_v, w, n0)
                 if out is None:
                     continue
                 segs, touched, pv, x = out
@@ -477,21 +485,6 @@ def out_phase(pd: PermutationDigraph, u0: int, sd: SimpleDigraph,
         level = nxt
     leaves.sort(key=lambda nd: -nd.path_v)
     return ("leaves", leaves[:budget.leaf_cap])
-
-
-def _replay(pd: PermutationDigraph, leaf: _Node, steps, n0: float) -> bool:
-    """Whether an in-phase chain is admissible against one leaf.
-
-    steps is ((w, start_fed, eid), ...) in application order (pivot w
-    feeds the current start); the final path must keep ≥ n0 vertices.
-    """
-    segs, touched, path_v = leaf.segs, leaf.touched, leaf.path_v
-    for w, _fed, _eid in steps:
-        out = _rotate(pd, segs, touched, path_v, w, n0, at_end=False)
-        if out is None:
-            return False
-        segs, touched, path_v, _x = out
-    return path_v >= n0
 
 
 def _materialize(pd: PermutationDigraph, steps) -> PermutationDigraph:
@@ -518,16 +511,19 @@ def in_phase(pd: PermutationDigraph, u0: int, leaves: list,
     Every leaf path starts at u0, and all vertices whose successor
     differs from Π are burnt, so one breadth-first layer structure of
     reachable path starts serves every tree.  A reserve edge from a
-    leaf's end to the current start is a closure candidate; candidates
-    are validated against that leaf by replaying the chain (C(i) may
-    hold for one leaf and fail for another).  leaves come longest path
-    first, as out_phase returns them.
+    leaf's end to the current start is a closure candidate.  The leaf's
+    steps, the chain and that edge rewire Π, and the candidate closes
+    when every cycle the rewiring makes (PermutationDigraph.rings) has
+    ≥ n0 vertices: the chain may hold for one leaf and fail for another.
+    A pivot on a cycle an earlier split created is judged like any
+    other.  leaves come longest path first, as out_phase returns them.
     """
     n0 = budget.n0
     # closure targets: reserve edges out of each leaf end, sorted
-    # stably by head.  Long paths validate far more often (short ones
-    # refuse most pivots as opaque created-cycle vertices), so each
-    # head lists them first, by leaf order and then by row.
+    # stably by head.  The closing cycle keeps what the chain's splits
+    # leave of the leaf's path, so a long path has the most to spare;
+    # each head lists long paths first, by leaf order and then by row,
+    # which also fixes which of several valid closures a start takes.
     ends = np.array([leaf.end for leaf in leaves], dtype=np.int64)
     at, eids, heads = pool_rows(sd, pool, pd, 0, ends)
     if not len(heads):
@@ -545,9 +541,10 @@ def in_phase(pd: PermutationDigraph, u0: int, leaves: list,
         hi = bisect_right(target_heads, s, lo)
         for j, closure_eid in zip(target_leaf[lo:hi], target_eid[lo:hi]):
             leaf = leaves[j]
-            if _replay(pd, leaf, chains[s], n0):
-                return _materialize(pd, leaf.steps + chains[s]
-                                    + ((leaf.end, s, closure_eid),))
+            steps = leaf.steps + chains[s] + ((leaf.end, s, closure_eid),)
+            tails, heads, _eids = zip(*steps)
+            if min(pd.rings(tails, heads)[1]) >= n0:
+                return _materialize(pd, steps)
         return None
 
     hit = try_close(u0)

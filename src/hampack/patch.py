@@ -101,16 +101,17 @@ def _find_exchange(pd: PermutationDigraph, cid: int, sd: SimpleDigraph,
     Returns (a, b, eid_ab+, eid_ba+) where both joins are pool edges off
     Π, or None.  Candidates a are tried in a random order and, per a,
     along its pool row (a, b+); they are checked in chunks of that order
-    growing 4x from 256, and the first feasible one wins.
+    doubling from 64, and the first feasible one wins, however the
+    chunks fall.
     """
     cyc = pd.cycles[cid]
     order = cyc[rng.permutation(len(cyc))]
-    lo, size = 0, 256
+    lo, size = 0, 64
     while lo < len(order):
         chunk = order[lo:lo + size]
         at, eid1, h = pool_rows(sd, pool, pd, 0, chunk)
         a = chunk[at]
-        lo, size = lo + size, 4 * size
+        lo, size = lo + size, 2 * size
         keep = pd.cycle_id[h] != cid
         a, b, eid1 = a[keep], pd.pred[h[keep]], eid1[keep]
         eid2 = sd.edge_lookup(b, pd.succ[a])

@@ -240,6 +240,11 @@ class TestRewiredOracle:
         assert len(got.cycles) == len(want.cycles)
         for a, b in zip(got.cycles, want.cycles):
             assert np.array_equal(a, b)
+        if len(tails):
+            # the rings are the rebuilt cover's cycles through a tail
+            _, lens = pd.rings(tails, heads)
+            made = np.unique(want.cycle_id[list(tails)])
+            assert sorted(lens) == sorted(want.cycle_lens[made].tolist())
 
     @settings(max_examples=300, deadline=None)
     @given(rewires())
@@ -525,97 +530,84 @@ class TestPathSegments:
         pd, root = self.make()
         cid = int(pd.cycle_id[9])
         segs, touched, pv, x = cv._rotate(
-            pd, root.segs, root.touched, root.path_v, 9, n0=3, at_end=True)
+            pd, root.segs, root.touched, root.path_v, 9, n0=3)
         assert segs == ((0, 7), (9, 8))  # enters at 9, runs to pred 8
         assert pv == 8 + 3
         assert x == 8
-        assert touched == root.touched | {cid}
-        # at the start the cycle runs from succ 10 round to 9, then u0
-        segs, touched, pv, x = cv._rotate(
-            pd, root.segs, root.touched, root.path_v, 9, n0=3, at_end=False)
-        assert segs == ((10, 9), (0, 7))
-        assert (pv, x) == (8 + 3, 10)
         assert touched == root.touched | {cid}
 
     def test_split_tail_keeps_prefix(self):
         pd, root = self.make()
         segs, touched, pv, x = cv._rotate(
-            pd, root.segs, root.touched, root.path_v, 5, n0=3, at_end=True)
+            pd, root.segs, root.touched, root.path_v, 5, n0=3)
         assert segs == ((0, 4),)
         assert x == 4
         assert pv == 5 and touched == root.touched  # 5 6 7 closes off
         # C(i) at the end: the closed piece 5 6 7 is 3 < 4
         assert cv._rotate(pd, root.segs, root.touched, root.path_v, 5,
-                          n0=4, at_end=True) is None
-
-    def test_split_head_keeps_suffix(self):
-        pd, root = self.make()
-        segs, touched, pv, x = cv._rotate(
-            pd, root.segs, root.touched, root.path_v, 2, n0=3, at_end=False)
-        assert segs == ((3, 7),)
-        assert x == 3
-        assert pv == 5 and touched == root.touched  # 0 1 2 closes off
-        # C(i) at the start: the closed piece 0 1 2 is 3 < 4
-        assert cv._rotate(pd, root.segs, root.touched, root.path_v, 2,
-                          n0=4, at_end=False) is None
+                          n0=4) is None
 
 
 class TestReplay:
+    """An in-phase closure, replayed on Π as the rings it leaves."""
+
     def make(self):
         pd = perm_digraph(list(range(12)), [12, 13, 14, 15])
         root = cv._root_node(pd, 0, 11, int(pd.cycle_id[0]))
         return pd, root
 
     @staticmethod
-    def start(pd, node, w, n0):
-        """_rotate at the path start from node's path."""
-        return cv._rotate(pd, node.segs, node.touched, node.path_v, w, n0,
-                          at_end=False)
+    def rings(pd, leaf, chain, u0=0):
+        """Sorted ring lengths of the closure of leaf's path after the
+        in-phase chain ((w, start_fed, eid), ...), as try_close reads
+        them; they are the lengths of the cycles rewired makes."""
+        start = int(pd.succ[chain[-1][0]]) if chain else u0
+        steps = leaf.steps + tuple(chain) + ((leaf.end, start, 0),)
+        tails, heads, eids = zip(*steps)
+        _, lens = pd.rings(tails, heads)
+        new = pd.rewired(tails, heads, eids)
+        made = np.unique(new.cycle_id[list(tails)])
+        assert sorted(lens) == sorted(new.cycle_lens[made].tolist())
+        return sorted(lens)
 
     def test_empty_chain_needs_long_path(self):
         pd, root = self.make()
-        assert cv._replay(pd, root, [], n0=4)
+        # the closing edge 11 -> u0 makes the whole path one 12-cycle
+        assert self.rings(pd, root, []) == [12]
         assert root.path_v == 12 and root.segs == ((0, 11),)
-        assert not cv._replay(pd, root, [], n0=13)
 
     def test_split_boundaries(self):
         pd, root = self.make()
-        # front = before + 1 vertices close into a cycle, rest stays
-        assert cv._replay(pd, root, [(3, 0, 0)], n0=4)
-        assert self.start(pd, root, 3, n0=4)[2] == 8
-        assert not cv._replay(pd, root, [(2, 0, 0)], n0=4)
-        assert self.start(pd, root, 2, n0=4) is None  # front 3 < 4
-        assert not cv._replay(pd, root, [(8, 0, 0)], n0=4)
-        assert self.start(pd, root, 8, n0=4) is None  # rest 3 < 4
+        # pivot w feeding u0 closes 0..w off; the rest w+1..11 closes
+        # through the closing edge
+        assert self.rings(pd, root, [(3, 0, 0)]) == [4, 8]
+        assert self.rings(pd, root, [(2, 0, 0)]) == [3, 9]  # front 3 < 4
+        assert self.rings(pd, root, [(8, 0, 0)]) == [3, 9]  # rest 3 < 4
 
     def test_absorb_then_split(self):
         pd, root = self.make()
-        # 13 feeds u0, so the start moves to succ(13) = 14; 5 feeds 14
-        assert cv._replay(pd, root, [(13, 0, 0), (5, 14, 1)], n0=4)
-        segs, touched, pv, x = self.start(pd, root, 13, n0=4)
-        assert (segs, pv, x) == (((14, 13), (0, 11)), 16, 14)
-        segs, _, pv, x = cv._rotate(pd, segs, touched, pv, 5, 4,
-                                    at_end=False)
-        # absorb the 4-cycle at 13 (path grows to 16, prepended), then
-        # split: front 14 15 12 13 0..5 closes off, rest is 6..11
-        assert pv == 6 and x == 6
-        assert segs == ((6, 11),)
+        # 13 feeds u0, so the start moves to succ(13) = 14 and the 4-cycle
+        # joins the path; 5 feeds 14: front 14 15 12 13 0..5 closes off,
+        # the rest 6..11 closes through the closing edge 11 -> 6
+        assert self.rings(pd, root, [(13, 0, 0), (5, 14, 1)]) == [6, 10]
 
-    def test_touched_cycle_is_opaque(self):
+    def test_created_cycle_pivot_closes(self):
         pd, root = self.make()
-        leaf = cv._Node(steps=root.steps + ((11, 13, 0),),
-                        segs=root.segs + ((13, 12),),
-                        touched=root.touched | {int(pd.cycle_id[13])},
-                        path_v=16, end=12)
-        # 14 sits on the already-touched 4-cycle: refuse, even though
-        # it is not on the path segments
-        segs = (leaf.segs[0],)
-        probe = cv._Node(steps=(), segs=segs,
-                         touched=leaf.touched, path_v=12, end=11)
-        assert not cv._replay(pd, probe, [(14, 0, 0)], n0=4)
-        for at_end in (True, False):
-            assert cv._rotate(pd, segs, leaf.touched, 12, 14, 4,
-                              at_end) is None
+        # a leaf that absorbed the 4-cycle at its end: 11 -> 13, end 12,
+        # path 0..11 13 14 15 12; pivot 14 feeds u0, so 15 12 closes
+        # through the closing edge and 0..11 13 14 is the other ring
+        absorbed = cv._Node(steps=((11, 13, 0),), segs=((0, 11), (13, 12)),
+                            touched=root.touched | {int(pd.cycle_id[13])},
+                            path_v=16, end=12)
+        assert self.rings(pd, absorbed, [(14, 0, 0)]) == [2, 14]  # n0 <= 2
+        # a leaf whose end split 4..11 off (11 -> 4, end 3): pivot 7 on
+        # that created cycle feeds u0 and brings all of it into the one
+        # ring 8..11 4..7 0..3, which the out-phase refuses as opaque
+        split = cv._Node(steps=((11, 4, 0),), segs=((0, 3),),
+                         touched=root.touched, path_v=4, end=3)
+        assert cv._rotate(pd, split.segs, split.touched, split.path_v, 7,
+                          n0=4) is None
+        assert self.rings(pd, split, [(7, 0, 0)]) == [12]
 
 
 def npd_of(pd, node, v0):
@@ -720,39 +712,56 @@ class TestRotateOracle:
         # rewired refuses a repeated tail: each delta chain a closure
         # materializes, out-phase steps, in-phase steps and the closing
         # edge, names every tail once
-        real, real_replay = cv._materialize, cv._replay
+        real, real_out = cv._materialize, cv.out_phase
+        real_rings = cv.PermutationDigraph.rings
+        n0 = 8
         in_steps_seen = []
-        replayed = []
+        checked_rings = []
+        started = []
 
-        def replay(pd, leaf, steps, n0):
-            ok = real_replay(pd, leaf, steps, n0)
-            replayed.append((ok, leaf, tuple(steps)))
-            return ok
+        def rings(pd, tails, heads):
+            out = real_rings(pd, tails, heads)
+            checked_rings.append((list(tails), list(heads), out[1]))
+            return out
+
+        def out_phase(pd, u0, *args):
+            res = real_out(pd, u0, *args)
+            started.append((u0, res[1] if res[0] == "leaves" else []))
+            return res
 
         def checked(pd, steps):
             tails = [t for t, _, _ in steps]
             assert len(set(tails)) == len(tails)
-            # an in-phase closure splices the chain it just replayed:
-            # the leaf's steps, the in-phase steps, then the closing
-            # edge from the leaf's end into the chain's last start
+            # an in-phase closure splices the chain whose rings it just
+            # checked: the leaf's steps, the in-phase steps, each feeding
+            # the start the one before it left, then the closing edge
+            # from the leaf's end into the chain's last start
             in_steps = ()
-            if replayed and replayed[-1][0]:
-                _, leaf, in_steps = replayed[-1]
-                cut = len(leaf.steps)
-                assert tuple(steps[:cut]) == leaf.steps
-                assert tuple(steps[cut:-1]) == in_steps
-                assert steps[-1][0] == leaf.end
-            replayed.clear()
+            if checked_rings and min(checked_rings[-1][2]) >= n0:
+                assert checked_rings[-1][:2] == (
+                    tails, [h for _, h, _ in steps])
+                u0, leaves = started[-1]
+                (leaf,) = {nd for nd in leaves if nd.end == steps[-1][0]
+                           and tuple(steps[:len(nd.steps)]) == nd.steps}
+                in_steps = tuple(steps[len(leaf.steps):-1])
+                start = u0
+                for w, fed, _eid in in_steps:
+                    assert fed == start
+                    start = int(pd.succ[w])
+                assert steps[-1][1] == start
             in_steps_seen.append(len(in_steps))
-            return real(pd, steps)
+            out = real(pd, steps)
+            checked_rings.clear()  # rewired's own call included
+            return out
 
-        monkeypatch.setattr(cv, "_replay", replay)
+        monkeypatch.setattr(cv.PermutationDigraph, "rings", rings)
+        monkeypatch.setattr(cv, "out_phase", out_phase)
         monkeypatch.setattr(cv, "_materialize", checked)
         for seed in range(8):
             sd, pd, pool, _u0 = self.instance(seed)
             try:
                 eliminate_small_cycles(pd, sd, pool, rng_stream(seed, 3),
-                                       tiny_budget(n0=8))
+                                       tiny_budget(n0=n0))
             except PhaseFailure:
                 pass
         # chains with and without in-phase steps both ran
@@ -902,6 +911,24 @@ class TestInPhase:
         assert cv.in_phase(pd, 0, [leaf], sd, pool, w_set,
                            tiny_budget(n0=100)) is None
         assert w_set.count(1) == 40
+
+    def test_closes_through_a_created_cycle(self):
+        # the leaf's end split 4..11 off (11 -> 4, end 3); reserve edge
+        # (7, 0) pivots on that created cycle and makes 8 the start, and
+        # (3, 8) closes 8..11 4..7 0..3 into one 12-cycle
+        sd, pd, pool = host_with_cover(list(range(12)), [12, 13, 14, 15],
+                                       extra=[(11, 4), (7, 0), (3, 8)])
+        leaf = cv._Node(steps=((11, 4, sd.edge_lookup(11, 4)),),
+                        segs=((0, 3),), touched=frozenset({0}), path_v=4,
+                        end=3)
+        w_set = bytearray(sd.n)
+        for v in (0, 11, 4, 3):  # the broken edge and the split's pair
+            w_set[v] = 1
+        out = cv.in_phase(pd, 0, [leaf], sd, pool, w_set, tiny_budget(n0=4))
+        assert out is not None
+        assert out.cycles[0].tolist() == [0, 1, 2, 3, 8, 9, 10, 11, 4, 5,
+                                          6, 7]
+        assert out.cycle_lens.tolist() == [12, 4]
 
 
 class TestEliminate:

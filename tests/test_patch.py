@@ -351,7 +351,8 @@ class TestFindExchangeOracle:
             [list(range(L)), list(range(L, L + 10))], extra=extra)
         return sd, pd, pool, order
 
-    @pytest.mark.parametrize("hits", [(256, 1000), (1279, 1450), (1280,), ()])
+    @pytest.mark.parametrize("hits", [(256, 1000), (1279, 1450), (1280,), (),
+                                      (447, 448), (960,)])
     def test_hit_past_first_chunk(self, hits):
         sd, pd, pool, order = self.long_cycle_case(8, hits)
         rng = rng_stream(8, 6)
@@ -367,6 +368,39 @@ class TestFindExchangeOracle:
         assert a == order[hits[0]] and b == self.LONG + 9
         assert sd.edges[eid1].tolist() == [a, self.LONG]
         assert sd.edges[eid2].tolist() == [b, (a + 1) % self.LONG]
+
+    @staticmethod
+    def one_chunk_scan(pd, cid, sd, pool, order):
+        """_find_exchange's batched test over the whole order at once."""
+        at, eid1, h = pt.pool_rows(sd, pool, pd, 0, order)
+        keep = pd.cycle_id[h] != cid
+        a, b, eid1 = order[at][keep], pd.pred[h[keep]], eid1[keep]
+        eid2 = sd.edge_lookup(b, pd.succ[a])
+        ok = eid2 >= 0
+        ok[ok] = pool[eid2[ok]]
+        hit = np.flatnonzero(ok)
+        if not len(hit):
+            return None
+        j = hit[0]
+        return int(a[j]), int(b[j]), int(eid1[j]), int(eid2[j])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_hit_ignores_chunk_bounds(self, seed):
+        # the growing chunks find the first feasible candidate of the
+        # permuted order, as one chunk of the whole cycle does
+        rng0 = rng_stream(seed, 11)
+        hits = sorted(rng0.choice(self.LONG, size=int(rng0.integers(0, 4)),
+                                  replace=False).tolist())
+        sd, pd, pool, _ = self.long_cycle_case(seed, hits)
+        sd2, pd2, pool2, _ = random_instance(seed, 400, n=700, parts=2)
+        for sd, pd, pool in ((sd, pd, pool), (sd2, pd2, pool2)):
+            for cid in range(pd.num_cycles):
+                # the long case's feasible starts sit at hits in this order
+                rng = rng_stream(seed, 6)
+                order = pd.cycles[cid][copy.deepcopy(rng).permutation(
+                    len(pd.cycles[cid]))]
+                assert pt._find_exchange(pd, cid, sd, pool, rng) == \
+                    self.one_chunk_scan(pd, cid, sd, pool, order)
 
 
 class TestPipelinePhaseThree:
