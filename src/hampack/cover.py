@@ -19,11 +19,13 @@ digraphs (NPDs):
 
 Admission of a rotation needs C(ii): the touched pair {w, x} avoids the
 burnt set W.  An out-phase admission also needs C(i): any cycle it
-creates has ≥ n₀ vertices and the surviving path keeps ≥ n₀ vertices;
-_rotate is where C(i) and the arc surgery live.  The in-phase checks no
-single rotation: a closure is decided by the cycles its whole delta
-chain leaves (PermutationDigraph.rings), so a pivot on a cycle an
-earlier split created counts like any other, as in Frieze's rotations.
+creates has ≥ n₀ vertices and the surviving path keeps ≥ n₀ vertices.
+Both phases read C(i) off PermutationDigraph.rings, the cycles a delta
+chain makes of the Π-cycles it cuts, so a pivot on a cycle an earlier
+split created counts like any other, as in Frieze's rotations.  The
+out-phase places each pivot on its node's rings (_path_rings, _rotate);
+the in-phase checks no single rotation, only the cycles a closure's
+whole delta chain leaves.
 Vertices burn on admission, which freezes their successor pointers and
 is exactly what lets all in-phase trees share one layer structure: for
 any unburnt w, succ(w) agrees with Π across every NPD in play.
@@ -31,10 +33,8 @@ any unburnt w, succ(w) agrees with Π across every NPD in play.
 Tree nodes never copy the digraph.  A node stores its steps from the
 root, the reserve edges (tail, head, eid) its rotations added, as does
 each in-phase chain, so a closure's delta chain is one concatenation.
-An out-phase node also stores its path as a tuple of Π-arcs (first,
-last); lengths and membership come from Π's cycle tables in O(arcs).
-There, cycles created by earlier splits are opaque: a pivot on one is
-refused, not absorbed, although such cycles are ≥ n₀ by admission.
+An out-phase node adds only its path's vertex count and end; its rings
+come from its steps, once per node that has a pivot to place.
 
 Covers are spliced, never rebuilt: one depth-first walk builds the
 cycle tables once, for phase 1's cover, and each closure (like each
@@ -271,16 +271,6 @@ class PermutationDigraph:
     def num_cycles(self) -> int:
         return len(self.cycles)
 
-    def cycle_len_of(self, v: int) -> int:
-        return int(self.cycle_lens[self.cycle_id[v]])
-
-    def arc_edges(self, first: int, last: int) -> int:
-        """Edge count of the cycle arc first -> ... -> last."""
-        if self.cycle_id[first] != self.cycle_id[last]:
-            raise ValueError("arc endpoints on different cycles")
-        length = self.cycle_lens[self.cycle_id[first]]
-        return int((self.pos[last] - self.pos[first]) % length)
-
 
 def cycles_of(pd: PermutationDigraph, n0: float) -> tuple[list, list]:
     """Cycle ids split into (small, large): small means length < n0."""
@@ -334,18 +324,13 @@ class _Node:
 
     steps are the reserve edges (tail, head, eid) the rotations from
     the root added, in order; each displaced the Π-edge into its head.
-    segs is the path u0 -> ... -> end as consecutive Π-arcs (first,
-    last); touched is the set of Π-cycle ids that ever contributed an
-    arc (their leftovers may live on created cycles, which are opaque
-    to further out-phase surgery).
+    The path runs u0 -> ... -> end and holds path_v vertices.
     """
 
-    __slots__ = ("steps", "segs", "touched", "path_v", "end")
+    __slots__ = ("steps", "path_v", "end")
 
-    def __init__(self, steps, segs, touched, path_v, end):
+    def __init__(self, steps, path_v, end):
         self.steps = steps
-        self.segs = segs
-        self.touched = touched
         self.path_v = path_v
         self.end = end
 
@@ -376,63 +361,66 @@ def pool_rows(sd: SimpleDigraph, pool: np.ndarray, pd: PermutationDigraph,
     return at[keep], eids, (sd.tails if side else sd.heads)[eids]
 
 
-def _root_node(pd: PermutationDigraph, u0: int, v0: int, cid: int) -> _Node:
-    return _Node(steps=(), segs=((u0, v0),),
-                 touched=frozenset((cid,)), path_v=int(pd.cycle_lens[cid]),
-                 end=v0)
+def _path_rings(pd: PermutationDigraph, steps, end: int, u0: int):
+    """A node's NPD as rings, to place its pivots on.
 
-
-def _locate(pd: PermutationDigraph, segs, w: int):
-    """Position of w along the path, or None.
-
-    Returns (arc index, vertices strictly before w on the path).
+    A virtual edge from the path's end to u0 closes the path, for
+    counting only, so the steps and that edge rewire Π: the tails are
+    v0 and each later end, the heads their Π-successors.  rings cuts
+    every Π-cycle a step touched into arcs.  Returns (arcs, lens):
+    arcs maps each such cycle id to its arcs (first pos, vertex count,
+    ring, vertices before the arc along its ring), and lens[r] is ring
+    r's vertex count.  Ring 0 is the path's, rotated to start at u0, so
+    lens[0] is the path's vertex count.
     """
-    before = 0
-    wc = pd.cycle_id[w]
-    wp = pd.pos[w]
-    for idx, (f, l) in enumerate(segs):
-        fc = pd.cycle_id[f]
-        if fc == wc:
-            length = pd.cycle_lens[fc]
-            off_w = (wp - pd.pos[f]) % length
-            off_l = (pd.pos[l] - pd.pos[f]) % length
-            if off_w <= off_l:
-                return idx, before + int(off_w)
-        before += pd.arc_edges(f, l) + 1
-    return None
+    tails = [t for t, _, _ in steps] + [end]
+    heads = [h for _, h, _ in steps] + [u0]
+    rings, lens = pd.rings(tails, heads)
+    first = (int(pd.cycle_id[u0]), int(pd.pos[u0]))
+    ((r, j),) = [(r, j) for r, ring in enumerate(rings)
+                 for j, arc in enumerate(ring) if arc[:2] == first]
+    path = rings.pop(r)
+    rings.insert(0, path[j:] + path[:j])
+    lens.insert(0, lens.pop(r))
+    arcs = {}
+    for r, ring in enumerate(rings):
+        before = 0
+        for c, lo, count in ring:
+            arcs.setdefault(c, []).append((lo, count, r, before))
+            before += count
+    return arcs, lens
 
 
-def _rotate(pd: PermutationDigraph, segs, touched, path_v: int, w: int,
-            n0: float):
-    """One rotation at the path end on pivot w.
+def _rotate(pd: PermutationDigraph, arcs, lens, w: int, n0: float):
+    """The path's vertex count after a rotation on pivot w, or None.
 
     The reserve edge (end, w) replaces (x, w) with x = pred(w), and x
-    becomes the end.  A w off the path brings its whole Π-cycle into
-    the path (absorb), unless an earlier rotation touched that cycle
-    (opaque).  A w on the path closes the piece from w to the end into
-    a cycle (split).  C(i): the closed piece and the path left over both
-    keep ≥ n0 vertices.  Returns (segs, touched, path_v, x), or None if
-    refused.
+    becomes the end; arcs and lens are the node's _path_rings.  A w on
+    a cycle off the path, one an earlier split created or a Π-cycle no
+    step cut, brings that whole cycle into the path (absorb).  A w on
+    the path closes the piece from w to the end into a cycle (split),
+    refused unless C(i) holds: the closed piece and the path left over
+    both keep ≥ n0 vertices.
     """
-    hit = _locate(pd, segs, w)
-    x = int(pd.pred[w])
-    if hit is None:
-        cid = int(pd.cycle_id[w])
-        if cid in touched:
-            return None  # lives on a created cycle: opaque
-        return (segs + ((w, x),), touched | {cid},
-                path_v + pd.cycle_len_of(w), x)
-    idx, before = hit
-    if path_v - before < n0 or before < n0:
-        return None
-    return segs[:idx] + ((segs[idx][0], x),), touched, before, x
+    c = int(pd.cycle_id[w])
+    for lo, count, ring, before in arcs.get(c, ()):
+        into = (int(pd.pos[w]) - lo) % int(pd.cycle_lens[c])
+        if into < count:
+            if ring:
+                return lens[0] + lens[ring]
+            before += into
+            return before if n0 <= before <= lens[0] - n0 else None
+    return lens[0] + int(pd.cycle_lens[c])
 
 
 def out_phase(pd: PermutationDigraph, u0: int, sd: SimpleDigraph,
               pool: np.ndarray, w_set: bytearray, budget: PhaseTwoBudget):
     """Grow the rotation tree for u0's small cycle, broken at (v0, u0).
 
-    w_set is the burnt set W, one byte per vertex, 1 once burnt.
+    w_set is the burnt set W, one byte per vertex, 1 once burnt.  A
+    node's rings are built on its first pivot past W, and every pivot
+    it places is read off them (_rotate): one off the path absorbs its
+    whole cycle, one on the path splits under C(i).
 
     Returns ("closed", Π') on early closure, ("leaves", [nodes]) once
     enough long-path leaves exist, or ("fail", reason).
@@ -442,8 +430,7 @@ def out_phase(pd: PermutationDigraph, u0: int, sd: SimpleDigraph,
     # the broken edge needs no C(ii) clearance: W is this start's own,
     # and burns from earlier closures are already materialized into Π
     w_set[u0] = w_set[v0] = 1
-    root = _root_node(pd, u0, v0, int(pd.cycle_id[u0]))
-    level = [root]
+    level = [_Node((), int(pd.cycle_lens[pd.cycle_id[u0]]), v0)]
     while True:
         leaves = [nd for nd in level if nd.path_v >= n0]
         if len(leaves) >= budget.leaf_target:
@@ -463,19 +450,20 @@ def out_phase(pd: PermutationDigraph, u0: int, sd: SimpleDigraph,
                     if w == u0:
                         return ("closed", _materialize(
                             pd, node.steps + ((v, u0, eid),)))
+            node_rings = None  # built on the first pivot past W
             for eid, w in row:
                 if w_set[w]:  # u0 among them, burnt at the root
                     continue
-                out = _rotate(pd, node.segs, node.touched, node.path_v, w, n0)
-                if out is None:
-                    continue
-                segs, touched, pv, x = out
+                x = int(pd.pred[w])
                 if w_set[x]:
                     continue
+                if node_rings is None:
+                    node_rings = _path_rings(pd, node.steps, v, u0)
+                pv = _rotate(pd, *node_rings, w, n0)
+                if pv is None:
+                    continue
                 w_set[w] = w_set[x] = 1
-                nxt.append(_Node(steps=node.steps + ((v, w, eid),),
-                                 segs=segs, touched=touched, path_v=pv,
-                                 end=x))
+                nxt.append(_Node(node.steps + ((v, w, eid),), pv, x))
             if len(nxt) >= budget.leaf_cap:
                 break
         if not nxt:

@@ -79,7 +79,7 @@ class TestPermutationDigraph:
         assert sorted(pd.cycle_lens.tolist()) == [1, 2, 3]
         for v in (0, 3, 1):
             assert pd.cycle_id[v] == pd.cycle_id[0]
-        assert pd.cycle_len_of(4) == 2
+        assert pd.cycle_lens[pd.cycle_id[4]] == 2
         # pos is the offset from the cycle's canonical start
         walk = pd.cycles[pd.cycle_id[0]]
         for off, v in enumerate(walk):
@@ -107,15 +107,6 @@ class TestPermutationDigraph:
                 PermutationDigraph(succ, ids)
         with pytest.raises(TypeError):
             PermutationDigraph(succ)
-
-    def test_arc_edges(self):
-        pd = perm_digraph([0, 1, 2, 3, 4, 5])
-        assert pd.arc_edges(1, 4) == 3
-        assert pd.arc_edges(4, 1) == 3  # wraps around
-        assert pd.arc_edges(2, 2) == 0
-        pd2 = perm_digraph([0, 1], [2, 3])
-        with pytest.raises(ValueError):
-            pd2.arc_edges(0, 2)
 
 
 def walk_cycles(succ):
@@ -491,61 +482,68 @@ class TestUniformCycleLaw:
         assert tot / math.factorial(n) == pytest.approx(harmonic)
 
 
-class TestPathSegments:
+class TestRotate:
+    """Pivots placed on a node's rings: splits, absorbs and C(i)."""
+
     def make(self):
         # one 8-cycle broken at (7 -> 0): path 0 1 2 3 4 5 6 7
         pd = perm_digraph([0, 1, 2, 3, 4, 5, 6, 7], [8, 9, 10])
-        root = cv._root_node(pd, 0, 7, int(pd.cycle_id[0]))
-        return pd, root
+        return pd, cv._Node((), 8, 7)
 
-    def test_root_segment(self):
+    @staticmethod
+    def rotate(pd, node, w, n0, u0=0):
+        rings = cv._path_rings(pd, node.steps, node.end, u0)
+        return cv._rotate(pd, *rings, w, n0)
+
+    def test_root_is_one_ring(self):
         pd, root = self.make()
-        assert root.segs == ((0, 7),)
-        assert root.path_v == 8
-        assert root.end == 7
+        arcs, lens = cv._path_rings(pd, root.steps, root.end, 0)
+        assert lens == [8]
+        assert arcs == {int(pd.cycle_id[0]): [(0, 8, 0, 0)]}
 
-    def test_locate_on_single_arc(self):
+    def test_split_offsets_on_the_root(self):
         pd, root = self.make()
-        for v in range(8):
-            assert cv._locate(pd, root.segs, v) == (0, v)
-        assert cv._locate(pd, root.segs, 9) is None
+        # a split on pivot v keeps the v path vertices before it
+        for v in range(1, 8):
+            assert self.rotate(pd, root, v, n0=1) == v
+        assert self.rotate(pd, root, 9, n0=1) == 11  # off the path
 
-    def test_locate_respects_arc_bounds(self):
-        pd = perm_digraph([0, 1, 2, 3, 4, 5, 6, 7])
-        segs = ((2, 5),)  # sub-arc 2 3 4 5 only
-        assert cv._locate(pd, segs, 3) == (0, 1)
-        assert cv._locate(pd, segs, 5) == (0, 3)
-        assert cv._locate(pd, segs, 7) is None
-        assert cv._locate(pd, segs, 0) is None
+    def test_split_piece_is_a_created_ring(self):
+        pd, root = self.make()
+        # 7 -> 5 split 5 6 7 off, end 4: a pivot on that created cycle
+        # absorbs all 3 of it, as a pivot on a Π-cycle absorbs its own
+        split = cv._Node(((7, 5, 0),), 5, 4)
+        assert self.rotate(pd, split, 6, n0=1) == 5 + 3
+        assert self.rotate(pd, split, 7, n0=1) == 5 + 3
+        assert self.rotate(pd, split, 9, n0=1) == 5 + 3
+        assert self.rotate(pd, split, 2, n0=1) == 2
 
-    def test_locate_across_segments(self):
+    def test_split_after_absorb(self):
         pd = perm_digraph([0, 1, 2, 3], [4, 5, 6, 7])
-        segs = ((0, 2), (5, 7))  # path 0 1 2 | 5 6 7
-        assert cv._locate(pd, segs, 1) == (0, 1)
-        assert cv._locate(pd, segs, 5) == (1, 3)
-        assert cv._locate(pd, segs, 7) == (1, 5)
-        assert cv._locate(pd, segs, 4) is None
+        # 3 -> 5 absorbed the second cycle: path 0 1 2 3 5 6 7 4, end 4
+        node = cv._Node(((3, 5, 0),), 8, 4)
+        assert self.rotate(pd, node, 1, n0=1) == 1
+        assert self.rotate(pd, node, 5, n0=1) == 4
+        assert self.rotate(pd, node, 7, n0=1) == 6
+        # C(i): 6 7 4 closes off as 3 < 4 vertices; 5 6 7 4 keeps 4
+        assert self.rotate(pd, node, 6, n0=4) is None
+        assert self.rotate(pd, node, 5, n0=4) == 4
 
     def test_absorb_appends_full_cycle(self):
         pd, root = self.make()
-        cid = int(pd.cycle_id[9])
-        segs, touched, pv, x = cv._rotate(
-            pd, root.segs, root.touched, root.path_v, 9, n0=3)
-        assert segs == ((0, 7), (9, 8))  # enters at 9, runs to pred 8
-        assert pv == 8 + 3
-        assert x == 8
-        assert touched == root.touched | {cid}
+        assert self.rotate(pd, root, 9, n0=3) == 8 + 3
+        # enters at 9 and runs to pred 8, the new end: 8 + 3 vertices
+        node = cv._Node(((7, 9, 0),), 11, 8)
+        assert cv._path_rings(pd, node.steps, node.end, 0)[1] == [11]
 
     def test_split_tail_keeps_prefix(self):
         pd, root = self.make()
-        segs, touched, pv, x = cv._rotate(
-            pd, root.segs, root.touched, root.path_v, 5, n0=3)
-        assert segs == ((0, 4),)
-        assert x == 4
-        assert pv == 5 and touched == root.touched  # 5 6 7 closes off
+        assert self.rotate(pd, root, 5, n0=3) == 5  # 5 6 7 closes off
         # C(i) at the end: the closed piece 5 6 7 is 3 < 4
-        assert cv._rotate(pd, root.segs, root.touched, root.path_v, 5,
-                          n0=4) is None
+        assert self.rotate(pd, root, 5, n0=4) is None
+        # and at the front: the path left over, 0 1 2, is 3 < 4
+        assert self.rotate(pd, root, 3, n0=4) is None
+        assert self.rotate(pd, root, 4, n0=4) == 4
 
 
 class TestReplay:
@@ -553,7 +551,7 @@ class TestReplay:
 
     def make(self):
         pd = perm_digraph(list(range(12)), [12, 13, 14, 15])
-        root = cv._root_node(pd, 0, 11, int(pd.cycle_id[0]))
+        root = cv._Node((), 12, 11)
         return pd, root
 
     @staticmethod
@@ -574,7 +572,7 @@ class TestReplay:
         pd, root = self.make()
         # the closing edge 11 -> u0 makes the whole path one 12-cycle
         assert self.rings(pd, root, []) == [12]
-        assert root.path_v == 12 and root.segs == ((0, 11),)
+        assert root.path_v == 12
 
     def test_split_boundaries(self):
         pd, root = self.make()
@@ -596,17 +594,14 @@ class TestReplay:
         # a leaf that absorbed the 4-cycle at its end: 11 -> 13, end 12,
         # path 0..11 13 14 15 12; pivot 14 feeds u0, so 15 12 closes
         # through the closing edge and 0..11 13 14 is the other ring
-        absorbed = cv._Node(steps=((11, 13, 0),), segs=((0, 11), (13, 12)),
-                            touched=root.touched | {int(pd.cycle_id[13])},
-                            path_v=16, end=12)
+        absorbed = cv._Node(((11, 13, 0),), 16, 12)
         assert self.rings(pd, absorbed, [(14, 0, 0)]) == [2, 14]  # n0 <= 2
         # a leaf whose end split 4..11 off (11 -> 4, end 3): pivot 7 on
         # that created cycle feeds u0 and brings all of it into the one
-        # ring 8..11 4..7 0..3, which the out-phase refuses as opaque
-        split = cv._Node(steps=((11, 4, 0),), segs=((0, 3),),
-                         touched=root.touched, path_v=4, end=3)
-        assert cv._rotate(pd, split.segs, split.touched, split.path_v, 7,
-                          n0=4) is None
+        # ring 8..11 4..7 0..3; at the end, the out-phase absorbs it too
+        split = cv._Node(((11, 4, 0),), 4, 3)
+        rings = cv._path_rings(pd, split.steps, split.end, 0)
+        assert cv._rotate(pd, *rings, 7, n0=4) == 12
         assert self.rings(pd, split, [(7, 0, 0)]) == [12]
 
 
@@ -672,7 +667,7 @@ class TestRotateOracle:
         old = {frozenset(c.tolist()) for c in pd.cycles}
         by_steps = {node.steps: node for node in made}
         assert len(by_steps) == len(made)
-        kinds = set()
+        kinds = []
         for node in made:
             succ = npd_of(pd, node, v0)
             path = [u0]
@@ -680,12 +675,6 @@ class TestRotateOracle:
                 path.append(int(succ[path[-1]]))
             assert path[-1] == node.end
             assert len(path) == node.path_v
-            want = []
-            for f, l in node.segs:
-                want.append(f)
-                while want[-1] != l:
-                    want.append(int(pd.succ[want[-1]]))
-            assert path == want
             # off the path succ is a permutation: Π's cycles and the
             # cycles rotations closed off, each of ≥ n0 vertices
             rest = np.setdiff1d(np.arange(sd.n), path)
@@ -700,29 +689,49 @@ class TestRotateOracle:
                 seen.update(cyc)
                 if frozenset(cyc) not in old:
                     assert len(cyc) >= n0
-            # a node's parent is the admitted node one step shorter
+            # a node's parent is the admitted node one step shorter; a
+            # pivot off the parent's path brings its whole cycle in
             if node.steps:
                 parent = by_steps[node.steps[:-1]]
-                kinds.add(node.path_v > parent.path_v)
+                if node.path_v < parent.path_v:
+                    kinds.append("split")
+                    continue
+                succ = npd_of(pd, parent, v0)
+                cyc = [node.steps[-1][1]]
+                while int(succ[cyc[-1]]) != cyc[0]:
+                    cyc.append(int(succ[cyc[-1]]))
+                assert node.path_v == parent.path_v + len(cyc)
+                kinds.append("Π-cycle" if frozenset(cyc) in old
+                             else "created cycle")
         assert len(made) > 1
         if seed == 0:
-            assert kinds == {True, False}  # both absorbs and splits
+            # splits, and absorbs of Π-cycles and of created cycles
+            assert set(kinds) == {"split", "Π-cycle", "created cycle"}
 
     def test_materialized_tails_distinct(self, monkeypatch):
         # rewired refuses a repeated tail: each delta chain a closure
         # materializes, out-phase steps, in-phase steps and the closing
         # edge, names every tail once
-        real, real_out = cv._materialize, cv.out_phase
+        real, real_out, real_in = cv._materialize, cv.out_phase, cv.in_phase
         real_rings = cv.PermutationDigraph.rings
         n0 = 8
         in_steps_seen = []
         checked_rings = []
         started = []
+        closing = []
 
         def rings(pd, tails, heads):
             out = real_rings(pd, tails, heads)
-            checked_rings.append((list(tails), list(heads), out[1]))
+            if closing:  # the out-phase's own calls place pivots
+                checked_rings.append((list(tails), list(heads), out[1]))
             return out
+
+        def in_phase(*args):
+            closing.append(True)
+            try:
+                return real_in(*args)
+            finally:
+                closing.pop()
 
         def out_phase(pd, u0, *args):
             res = real_out(pd, u0, *args)
@@ -756,6 +765,7 @@ class TestRotateOracle:
 
         monkeypatch.setattr(cv.PermutationDigraph, "rings", rings)
         monkeypatch.setattr(cv, "out_phase", out_phase)
+        monkeypatch.setattr(cv, "in_phase", in_phase)
         monkeypatch.setattr(cv, "_materialize", checked)
         for seed in range(8):
             sd, pd, pool, _u0 = self.instance(seed)
@@ -829,6 +839,19 @@ class TestOutPhase:
         cv.out_phase(pd, 0, sd, pool, w_set, tiny_budget(n0=3))
         assert w_set[0] == 1 and w_set[1] == 1
 
+    def test_absorbs_a_created_cycle(self):
+        # the root splits 4..11 off by (11, 4), end 3; pivot 7 lies on
+        # that created cycle, and (3, 7) absorbs it: path 0..3 7..11
+        # 4..6, end 6, which (6, 0) closes
+        sd, pd, pool = host_with_cover(list(range(12)),
+                                       extra=[(11, 4), (3, 7), (6, 0)])
+        w_set = bytearray(sd.n)
+        res = cv.out_phase(pd, 0, sd, pool, w_set, tiny_budget(n0=4))
+        assert res[0] == "closed"
+        assert res[1].cycles[0].tolist() == [0, 1, 2, 3, 7, 8, 9, 10, 11,
+                                             4, 5, 6]
+        assert w_set.count(1) == 6
+
     @staticmethod
     def two_cycle_chain(length, closing=False):
         """length 2-cycles {2i, 2i+1}, with one reserve edge from each
@@ -901,7 +924,7 @@ class TestInPhase:
         sd, pd, pool = host_with_cover(*cycles, extra=extra)
         w_set = bytearray(sd.n)
         w_set[0] = w_set[1] = 1  # as the out-phase burns the broken edge
-        leaf = cv._root_node(pd, 0, 1, int(pd.cycle_id[0]))
+        leaf = cv._Node((), 2, 1)
         return sd, pd, pool, w_set, leaf
 
     def test_starts_run_until_nothing_is_left_to_burn(self):
@@ -918,9 +941,7 @@ class TestInPhase:
         # (3, 8) closes 8..11 4..7 0..3 into one 12-cycle
         sd, pd, pool = host_with_cover(list(range(12)), [12, 13, 14, 15],
                                        extra=[(11, 4), (7, 0), (3, 8)])
-        leaf = cv._Node(steps=((11, 4, sd.edge_lookup(11, 4)),),
-                        segs=((0, 3),), touched=frozenset({0}), path_v=4,
-                        end=3)
+        leaf = cv._Node(((11, 4, sd.edge_lookup(11, 4)),), 4, 3)
         w_set = bytearray(sd.n)
         for v in (0, 11, 4, 3):  # the broken edge and the split's pair
             w_set[v] = 1
@@ -1025,7 +1046,7 @@ class TestEliminate:
         seen = []
 
         def failing_out_phase(pd, u0, sd, pool, w_set, budget):
-            seen.append(pd.cycle_len_of(u0))
+            seen.append(pd.cycle_lens[pd.cycle_id[u0]])
             return ("fail", "forced")
 
         monkeypatch.setattr(cv, "out_phase", failing_out_phase)

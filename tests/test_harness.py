@@ -107,6 +107,16 @@ class TestRunTrial:
         sd, _ = sample_erased_digraph(params, rng_stream(rec.seed))
         assert verify_packing(sd, rec.certificate)
 
+    def test_out_phase_absorbs_a_created_cycle(self):
+        # an out-phase that refused every pivot on a cycle an earlier
+        # split created failed this seed in phase 2, with no in-phase
+        # closure for a 2-cycle after 2 starts
+        params = ModelParams.make(2000, 5.0, 1)
+        rec = hn.run_trial(params, 180032)
+        assert rec.outcome == "success", rec.detail
+        sd, _ = sample_erased_digraph(params, rng_stream(rec.seed))
+        assert verify_packing(sd, rec.certificate)
+
     def test_failure_is_attributed_not_raised(self):
         sd = hall_violator_host()
         params = ModelParams.from_nmk(sd.n, sd.m, 1)
