@@ -166,37 +166,37 @@ class PermutationDigraph:
         new cycle is a ring of such arcs.  Returns (rings, lens): each
         ring lists its arcs in path order as (cycle id, offset of the
         arc's first vertex, vertex count), and lens[r] is ring r's vertex
-        count.  O(d log d) for d tails, with no n-long array.
+        count.  O(d log d) for d tails, with no n-long array, in plain
+        Python: d is a delta chain's length, never n, and numpy's fixed
+        cost per call would outweigh the work on so few ints.
         """
-        n = self.n
         tails = np.asarray(tails, dtype=np.int64).ravel()
-        heads = np.asarray(heads, dtype=np.int64).ravel()
-        if tails.min() < 0 or tails.max() >= n:
+        heads = np.asarray(heads, dtype=np.int64).ravel().tolist()
+        listed = tails.tolist()
+        if min(listed) < 0 or max(listed) >= self.n:
             raise ValueError("tail out of range")
-        # tails run by (cycle_id, pos), their order along cycles
-        order, key = sort_codes(self.cycle_id[tails] * n + self.pos[tails],
-                                self.num_cycles * n)
-        if np.any(key[1:] == key[:-1]):
+        if len(set(listed)) < len(listed):
             raise ValueError("repeated tail")
-        tails, heads = tails[order], heads[order]
-        if not np.array_equal(np.sort(heads), np.sort(self.succ[tails])):
+        old = self.succ[tails].tolist()
+        if sorted(heads) != sorted(old):
             raise ValueError("succ is not a permutation")
-        d = len(tails)
         cid = self.cycle_id[tails]
-        lead = np.flatnonzero(np.r_[True, cid[1:] != cid[:-1]])
-        # arc j runs from the old head of tails[j] to tails[nxt[j]], the
-        # next rewired tail along its cycle
-        nxt = np.arange(1, d + 1)
-        nxt[np.r_[lead[1:], d] - 1] = lead
-        clen = self.cycle_lens[cid]
-        from_pos = (self.pos[tails] + 1) % clen
-        arc_lens = (self.pos[tails[nxt]] - from_pos) % clen + 1
-        # the arc after arc j starts at the new head of tails[nxt[j]],
-        # which is the old head of tails[link[j]]
-        fed = self.pred[heads[nxt]]
-        link = np.searchsorted(key, self.cycle_id[fed] * n
-                               + self.pos[fed]).tolist()
-        arcs = list(zip(cid.tolist(), from_pos.tolist(), arc_lens.tolist()))
+        # tails run by (cycle_id, pos), their order along cycles
+        runs = sorted(zip(cid.tolist(), self.pos[tails].tolist(),
+                          self.cycle_lens[cid].tolist(), old, heads))
+        d = len(runs)
+        rank = {r[3]: j for j, r in enumerate(runs)}  # by old head
+        # arc j runs from the old head of tail j to tail k, the next
+        # rewired tail along its cycle; the arc after it starts at the
+        # new head of tail k, which is the old head of tail link[j]
+        arcs, link, lead = [], [], 0
+        for j, (c, p, clen, _, _) in enumerate(runs):
+            k = j + 1
+            if k == d or runs[k][0] != c:
+                k, lead = lead, k  # the last tail wraps to its run's first
+            first = (p + 1) % clen
+            arcs.append((c, first, (runs[k][1] - first) % clen + 1))
+            link.append(rank[runs[k][4]])
         rings = []
         seen = [False] * d
         for j in range(d):

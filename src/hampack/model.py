@@ -546,12 +546,15 @@ class SimpleDigraph:
         return self._csrs[side]
 
     def edge_lookup(self, u, v):
-        """Edge index of the ordered pair (u, v), or -1.
+        """Edge index of the ordered pair (u, v), or -1: no such edge, or
+        an end outside [0, n).
 
         u and v may also be equal-length arrays; the answer is then an
         int64 array with one index (or -1) per pair.
         """
-        code = np.asarray(v, dtype=np.int64) * self.n + u
+        u, v, n = np.asarray(u, np.int64), np.asarray(v, np.int64), self.n
+        # code -1, which no edge has, for a pair with an end off [0, n)
+        code = np.where((u >= 0) & (u < n) & (v >= 0) & (v < n), v * n + u, -1)
         if self.m == 0:
             return -1 if code.ndim == 0 else np.full(code.shape, -1, np.int64)
         # queries in ascending order walk the index once, in cache order

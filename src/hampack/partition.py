@@ -43,10 +43,6 @@ class EdgePartition:
     pool: np.ndarray
     e_small: np.ndarray | None = None
 
-    def pool_edges(self, t: int, i: int) -> np.ndarray:
-        """Edge ids of Ê_{t,i} (t <= 3) or E_{4,i} (t = 4), ascending."""
-        return np.flatnonzero(self.pool == (t - 1) * self.k + i)
-
     def reserve(self, t: int, i: int, used: np.ndarray) -> np.ndarray:
         """Cover i's supply t as a fresh bool mask over edge ids, with no
         edge marked in used: Ê_{t,i} ∪ E_SMALL for t = 1 (matching) and

@@ -299,6 +299,80 @@ class TestRewiredOracle:
             pd.rewired([0, 0], [1, 1], [0, 0])
 
 
+class TestRings:
+    """rings' arcs, walked over Π's old cycles, are the rewired cover's
+    cycles through a rewired tail."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rewires())
+    def test_arcs_walk_the_rebuilt_cycles(self, case):
+        succ, eids, tails, heads, _ = case
+        if not tails:
+            return
+        pd = PermutationDigraph(succ, eids)
+        new = succ.copy()
+        new[tails] = heads
+        want = PermutationDigraph(new, eids)
+        rings, lens = pd.rings(tails, heads)
+        assert len(lens) == len(rings)
+        made, firsts = set(), []
+        for ring, length in zip(rings, lens):
+            walk, keys = [], []
+            for c, lo, count in ring:
+                cyc = pd.cycles[c].tolist()
+                assert 0 <= lo < len(cyc) and 1 <= count <= len(cyc)
+                # an arc runs from an old head to the next rewired tail,
+                # wrapping past its cycle's start
+                arc = [cyc[(lo + j) % len(cyc)] for j in range(count)]
+                assert arc[0] in heads and arc[-1] in tails
+                assert not set(arc[:-1]) & set(tails)
+                walk += arc
+                keys.append((c, (lo - 1) % len(cyc)))  # the feeding tail
+            # one whole cycle of the rewired cover, in successor order
+            cid = int(want.cycle_id[walk[0]])
+            assert len(walk) == length == want.cycle_lens[cid]
+            assert all(new[a] == b for a, b in zip(walk, walk[1:] + walk[:1]))
+            assert cid not in made
+            made.add(cid)
+            # each ring starts at its first tail by (cycle id, pos)
+            assert keys[0] == min(keys)
+            firsts.append(keys[0])
+        assert made == set(want.cycle_id[tails].tolist())
+        assert firsts == sorted(firsts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rewires(), st.data())
+    def test_refusals(self, case, data):
+        succ, eids, tails, heads, _ = case
+        if not tails:
+            return
+        pd = PermutationDigraph(succ, eids)
+        n = len(succ)
+        j = data.draw(st.integers(0, len(tails) - 1))
+        with pytest.raises(ValueError, match="repeated tail"):
+            pd.rings(tails + tails[j:j + 1], heads + heads[j:j + 1])
+        bad = list(tails)
+        bad[j] = data.draw(st.sampled_from([-1, n]))
+        with pytest.raises(ValueError, match="tail out of range"):
+            pd.rings(bad, heads)
+        bad = list(heads)
+        bad[j] = data.draw(st.sampled_from([-1, n]))
+        with pytest.raises(ValueError, match="not a permutation"):
+            pd.rings(tails, bad)
+
+    def test_refusals_in_order(self):
+        pd = perm_digraph([0, 1, 2], [3, 4])
+        for tails, heads, match in (
+                ([5, 5], [1, 1], "tail out of range"),
+                ([0, 0], [-1, 1], "repeated tail"),
+                ([0, 3], [4, 5], "not a permutation"),
+                ([0, 3], [1, 2], "not a permutation"),  # 1 keeps 2
+                ([0, 3], [4], "not a permutation"),
+                ([0, 3], [4, 1, 2], "not a permutation")):
+            with pytest.raises(ValueError, match=match):
+                pd.rings(tails, heads)
+
+
 def naive_pool(sd, pool_ids, cover_ids, v, side):
     """(eid, other end) of every pool edge that is not one of the
     cover's edge ids, with end v on side (0: tail, 1: head), by eid on

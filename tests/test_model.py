@@ -427,6 +427,18 @@ class TestSimpleDigraph:
         assert empty.edge_lookup(0, 1) == -1
         assert empty.edge_lookup(np.array([0]), np.array([1])).tolist() == [-1]
 
+    def test_edge_lookup_out_of_range_is_no_edge(self):
+        # v * n + u of (-1, 1) is edge 3 -> 0's code, and of (4, 0) edge
+        # 0 -> 1's: an end outside [0, n) must not alias a real edge
+        sd = SimpleDigraph(4, [(3, 0), (0, 1), (1, 2), (2, 3)], 1)
+        assert sd.edge_lookup(-1, 1) == -1
+        assert sd.edge_lookup(4, 0) == -1
+        assert sd.edge_lookup(1, -4) == -1 and sd.edge_lookup(0, 4) == -1
+        got = sd.edge_lookup([-1, 2], [1, 3])
+        assert got.dtype == np.int64 and got.tolist() == [-1, 3]
+        got = sd.edge_lookup(np.array([4, 0, 3, 5]), np.array([0, 1, 0, -1]))
+        assert got.tolist() == [-1, 1, 0, -1]
+
     @staticmethod
     def counted_sorts(monkeypatch) -> list:
         """Lengths of the codes each model.sort_codes call sorts."""

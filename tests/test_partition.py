@@ -19,11 +19,12 @@ def grid_digraph(n_side: int, k: int = 1) -> SimpleDigraph:
 
 class TestSplitEdges:
     def test_partition_covers_disjointly(self, tiny_host):
-        part = split_edges(tiny_host, 2, rng_stream(20, 0))
+        k = 2
+        part = split_edges(tiny_host, k, rng_stream(20, 0))
         seen = np.zeros(tiny_host.m, dtype=int)
         for t in (1, 2, 3, 4):
-            for i in range(2):
-                seen[part.pool_edges(t, i)] += 1
+            for i in range(k):
+                seen[np.flatnonzero(part.pool == (t - 1) * k + i)] += 1
         assert np.all(seen == 1)
 
     def test_expected_pool_size(self):
@@ -41,7 +42,8 @@ class TestSplitEdges:
             col = 0
             for t in (1, 2, 3, 4):
                 for i in range(k):
-                    sizes[r, col] = len(part.pool_edges(t, i))
+                    ids = np.flatnonzero(part.pool == (t - 1) * k + i)
+                    sizes[r, col] = len(ids)
                     col += 1
         sigma = math.sqrt(m * p * (1 - p))
         for col in range(3 * k + k):
@@ -129,7 +131,7 @@ class TestComputeSmall:
         want = (sd.out_deg <= thr) | (sd.in_deg <= thr)
         for t in (1, 2, 3):
             for i in range(k):
-                ends = sd.edges[part.pool_edges(t, i)]
+                ends = sd.edges[np.flatnonzero(part.pool == (t - 1) * k + i)]
                 want |= np.bincount(ends[:, 0], minlength=sd.n) <= thr
                 want |= np.bincount(ends[:, 1], minlength=sd.n) <= thr
         assert 0 < want.sum() < sd.n
@@ -172,7 +174,8 @@ class TestReserve:
         assert e_small and spent
         for t in (1, 2, 3, 4):
             for i in range(k):
-                pool = set(part.pool_edges(t, i).tolist())
+                ids = np.flatnonzero(part.pool == (t - 1) * k + i)
+                pool = set(ids.tolist())
                 want = {1: pool | e_small, 2: pool - e_small,
                         3: pool | e_small, 4: pool}[t] - spent
                 got = part.reserve(t, i, used)
