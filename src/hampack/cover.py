@@ -38,9 +38,10 @@ come from its steps, once per node that has a pivot to place.
 
 Covers are spliced, never rebuilt: one depth-first walk builds the
 cycle tables once, for phase 1's cover, and each closure (like each
-merge in phase 3) hands its rewired tails to PermutationDigraph.rewired,
-which reuses the tables of every cycle the closure leaves alone and
-joins the arcs of the rest.  Reserve pools are read against the cover
+merge in phase 3) hands its rewired tails to PermutationDigraph.rewired.
+A cycle is named by its smallest vertex, so every cycle the closure
+leaves alone keeps its name and its array, and only the arcs of the
+rest are joined and written.  Reserve pools are read against the cover
 itself: pool_rows drops Π's one arc at each vertex from the host's CSR
 row, so no per-cover copy of a pool is made.
 
@@ -61,10 +62,11 @@ left to burn, and a start burns at most n vertices.  Each in-phase
 start is a vertex not seen before, so each closure target is checked
 at most once.  The start cap is checked once per breadth-first level,
 before the level runs, so the level that crosses it still admits all
-its starts, up to in_branch per frontier start: at n = 10⁵ an in-phase
-admitted about 800 starts against MAX_STARTS = 384.  A small cycle gets
-at most one start per vertex, each with a fresh W, and each elimination
-removes a small cycle.
+its starts, up to in_branch per frontier start.  It binds only on an
+in-phase that never closes: measured from n = 2·10³ to 10⁵, every
+in-phase past its root check closed within 115 starts.  A small cycle
+gets at most one start per vertex, each with a fresh W, and each
+elimination removes a small cycle.
 """
 
 from __future__ import annotations
@@ -90,12 +92,13 @@ class PermutationDigraph:
     """A cycle cover of [n]: a permutation successor map with provenance.
 
     succ[v] is the next vertex after v; edge_ids[v] is the host edge id
-    of (v, succ[v]).  Cycles are extracted eagerly: cycles are numbered
-    by their smallest vertex, which is also their canonical start;
-    cycle_id[v] names the cycle of v, pos[v] is v's offset along its
-    cycle from that start, and cycles[c] lists cycle c from its start.
-    The constructor builds these tables with one depth-first walk;
-    rewired splices them for a cover that differs in a few arcs.
+    of (v, succ[v]).  Cycles are extracted eagerly: each cycle is named
+    by its smallest vertex, which is also its canonical start;
+    cycle_id[v] is the name of v's cycle, pos[v] is v's offset along it
+    from that start, and cycles maps each name to the cycle's vertices
+    from its start, so a cycle's length is len(cycles[c]).  The
+    constructor builds these tables with one depth-first walk; rewired
+    splices them for a cover that differs in a few arcs.
     """
 
     def __init__(self, succ: np.ndarray, edge_ids: np.ndarray):
@@ -146,13 +149,13 @@ class PermutationDigraph:
         if order[0] != 0 or np.any(np.diff(order[lo]) <= 0):
             raise ValueError("the walk did not list cycles in start order")
         ends = np.r_[lo, n]
-        self.cycle_lens = np.diff(ends)
+        lens = np.diff(ends)
         self.cycle_id = np.empty(n, dtype=np.int64)
-        self.cycle_id[order] = np.repeat(np.arange(len(lo)), self.cycle_lens)
+        self.cycle_id[order] = np.repeat(order[lo], lens)
         self.pos = np.empty(n, dtype=np.int64)
-        self.pos[order] = np.arange(n) - np.repeat(lo, self.cycle_lens)
-        self.cycles = [order[a:b]
-                       for a, b in zip(lo.tolist(), ends[1:].tolist())]
+        self.pos[order] = np.arange(n) - np.repeat(lo, lens)
+        self.cycles = {int(order[a]): order[a:b]
+                       for a, b in zip(lo.tolist(), ends[1:].tolist())}
 
     def rings(self, tails, heads):
         """The cycles that succ[tails] = heads makes of the ones it cuts.
@@ -164,7 +167,7 @@ class PermutationDigraph:
         touched cycle after its rewired tails leaves arcs, each running
         from an old head to the next rewired tail along its cycle; each
         new cycle is a ring of such arcs.  Returns (rings, lens): each
-        ring lists its arcs in path order as (cycle id, offset of the
+        ring lists its arcs in path order as (cycle name, offset of the
         arc's first vertex, vertex count), and lens[r] is ring r's vertex
         count.  O(d log d) for d tails, with no n-long array, in plain
         Python: d is a delta chain's length, never n, and numpy's fixed
@@ -180,10 +183,10 @@ class PermutationDigraph:
         old = self.succ[tails].tolist()
         if sorted(heads) != sorted(old):
             raise ValueError("succ is not a permutation")
-        cid = self.cycle_id[tails]
-        # tails run by (cycle_id, pos), their order along cycles
-        runs = sorted(zip(cid.tolist(), self.pos[tails].tolist(),
-                          self.cycle_lens[cid].tolist(), old, heads))
+        cid = self.cycle_id[tails].tolist()
+        # tails run by (cycle name, pos), their order along cycles
+        runs = sorted(zip(cid, self.pos[tails].tolist(),
+                          [len(self.cycles[c]) for c in cid], old, heads))
         d = len(runs)
         rank = {r[3]: j for j, r in enumerate(runs)}  # by old head
         # arc j runs from the old head of tail j to tail k, the next
@@ -214,8 +217,9 @@ class PermutationDigraph:
 
         The tables are spliced from this cover's, not rebuilt: each new
         cycle is one of rings' rings, its arcs joined and rotated to
-        start at its smallest vertex.  Cycles with no rewired tail keep
-        their arrays, and cycle ids are renumbered by start.
+        start at its smallest vertex, and stored under that name in
+        place of the cycles the tails cut.  Every other cycle keeps its
+        name and its array.
         """
         tails = np.asarray(tails, dtype=np.int64).ravel()
         heads = np.asarray(heads, dtype=np.int64).ravel()
@@ -224,8 +228,19 @@ class PermutationDigraph:
             raise ValueError("tails, heads and eids differ in length")
         if len(tails) == 0:
             return self
-        arc_rings, ring_lens = self.rings(tails, heads)
-        rings = []
+        arc_rings, _ = self.rings(tails, heads)
+        out = object.__new__(type(self))
+        out.succ = self.succ.copy()
+        out.succ[tails] = heads
+        out.pred = self.pred.copy()
+        out.pred[heads] = tails
+        out.edge_ids = self.edge_ids.copy()
+        out.edge_ids[tails] = eids
+        out.cycle_id = self.cycle_id.copy()
+        out.pos = self.pos.copy()
+        out.cycles = dict(self.cycles)
+        for c in set(self.cycle_id[tails].tolist()):
+            del out.cycles[c]
         for arcs in arc_rings:
             parts = []
             for c, lo, length in arcs:
@@ -235,36 +250,11 @@ class PermutationDigraph:
                     parts.append(cyc[:lo + length - len(cyc)])
             ring = np.concatenate(parts)
             at = int(ring.argmin())
-            rings.append(np.concatenate((ring[at:], ring[:at])))
-        ring_lens = np.array(ring_lens, dtype=np.int64)
-        ring_at = np.cumsum(ring_lens) - ring_lens
-        rid = np.repeat(np.arange(len(rings)), ring_lens)
-        flat = np.concatenate(rings)
-        # renumber: kept cycles and new rings, in order of their starts
-        kept = np.ones(self.num_cycles, dtype=bool)
-        kept[self.cycle_id[tails]] = False
-        kept = np.flatnonzero(kept)
-        order = np.argsort(np.r_[np.flatnonzero(self.pos == 0)[kept],
-                                 flat[ring_at]])
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        remap = np.full(self.num_cycles, -1, dtype=np.int64)
-        remap[kept] = rank[:len(kept)]
-        pieces = [self.cycles[c] for c in kept.tolist()] + rings
-
-        out = object.__new__(type(self))
-        out.succ = self.succ.copy()
-        out.succ[tails] = heads
-        out.pred = self.pred.copy()
-        out.pred[heads] = tails
-        out.edge_ids = self.edge_ids.copy()
-        out.edge_ids[tails] = eids
-        out.cycle_id = remap[self.cycle_id]
-        out.cycle_id[flat] = rank[len(kept):][rid]
-        out.pos = self.pos.copy()
-        out.pos[flat] = np.arange(len(flat)) - ring_at[rid]
-        out.cycles = [pieces[i] for i in order.tolist()]
-        out.cycle_lens = np.r_[self.cycle_lens[kept], ring_lens][order]
+            ring = np.concatenate((ring[at:], ring[:at]))
+            start = int(ring[0])
+            out.cycle_id[ring] = start
+            out.pos[ring] = np.arange(len(ring))
+            out.cycles[start] = ring
         return out
 
     @property
@@ -273,9 +263,12 @@ class PermutationDigraph:
 
 
 def cycles_of(pd: PermutationDigraph, n0: float) -> tuple[list, list]:
-    """Cycle ids split into (small, large): small means length < n0."""
-    small = pd.cycle_lens < n0
-    return np.flatnonzero(small).tolist(), np.flatnonzero(~small).tolist()
+    """Cycle names, ascending, split into (small, large): small means
+    length < n0."""
+    small, large = [], []
+    for c in sorted(pd.cycles):
+        (small if len(pd.cycles[c]) < n0 else large).append(c)
+    return small, large
 
 
 # no further in-phase level runs once this many starts are admitted
@@ -368,9 +361,9 @@ def _path_rings(pd: PermutationDigraph, steps, end: int, u0: int):
     counting only, so the steps and that edge rewire Π: the tails are
     v0 and each later end, the heads their Π-successors.  rings cuts
     every Π-cycle a step touched into arcs.  Returns (arcs, lens):
-    arcs maps each such cycle id to its arcs (first pos, vertex count,
-    ring, vertices before the arc along its ring), and lens[r] is ring
-    r's vertex count.  Ring 0 is the path's, rotated to start at u0, so
+    arcs maps each such cycle's name to its arcs (first pos, vertex
+    count, ring, vertices before the arc along its ring), and lens[r] is
+    ring r's vertex count.  Ring 0 is the path's, rotated to start at u0, so
     lens[0] is the path's vertex count.
     """
     tails = [t for t, _, _ in steps] + [end]
@@ -404,13 +397,13 @@ def _rotate(pd: PermutationDigraph, arcs, lens, w: int, n0: float):
     """
     c = int(pd.cycle_id[w])
     for lo, count, ring, before in arcs.get(c, ()):
-        into = (int(pd.pos[w]) - lo) % int(pd.cycle_lens[c])
+        into = (int(pd.pos[w]) - lo) % len(pd.cycles[c])
         if into < count:
             if ring:
                 return lens[0] + lens[ring]
             before += into
             return before if n0 <= before <= lens[0] - n0 else None
-    return lens[0] + int(pd.cycle_lens[c])
+    return lens[0] + len(pd.cycles[c])
 
 
 def out_phase(pd: PermutationDigraph, u0: int, sd: SimpleDigraph,
@@ -430,7 +423,7 @@ def out_phase(pd: PermutationDigraph, u0: int, sd: SimpleDigraph,
     # the broken edge needs no C(ii) clearance: W is this start's own,
     # and burns from earlier closures are already materialized into Π
     w_set[u0] = w_set[v0] = 1
-    level = [_Node((), int(pd.cycle_lens[pd.cycle_id[u0]]), v0)]
+    level = [_Node((), len(pd.cycles[int(pd.cycle_id[u0])]), v0)]
     while True:
         leaves = [nd for nd in level if nd.path_v >= n0]
         if len(leaves) >= budget.leaf_target:
@@ -572,10 +565,11 @@ def _assert_progress(old: PermutationDigraph, new: PermutationDigraph,
     new_small, _ = cycles_of(new, n0)
     if len(new_small) >= len(old_small):
         raise ValueError("phase 2: small-cycle count failed to drop")
-    old_sets = {frozenset(old.cycles[c].tolist()) for c in old_small}
+    # equal vertex sets have the same smallest vertex, so an old small
+    # cycle that survives keeps its name
     for c in new_small:
-        members = frozenset(new.cycles[c].tolist())
-        if members not in old_sets:
+        if c not in old.cycles or (set(new.cycles[c].tolist())
+                                   != set(old.cycles[c].tolist())):
             raise ValueError("phase 2: a new small cycle appeared")
 
 
@@ -598,8 +592,8 @@ def eliminate_small_cycles(pd: PermutationDigraph, sd: SimpleDigraph,
         small, _large = cycles_of(pd, budget.n0)
         if not small:
             break
-        cid = max(small, key=lambda c: pd.cycle_lens[c])
-        clen = int(pd.cycle_lens[cid])
+        cid = max(small, key=lambda c: len(pd.cycles[c]))
+        clen = len(pd.cycles[cid])
         stats.iterations += 1
         new_pd = None
         order = pd.cycles[cid][rng.permutation(clen)].tolist()
@@ -628,6 +622,6 @@ def eliminate_small_cycles(pd: PermutationDigraph, sd: SimpleDigraph,
         _assert_progress(pd, new_pd, budget.n0)
         stats.eliminated.append(clen)
         pd = new_pd
-    if pd.cycle_lens.min() < budget.n0:
+    if min(map(len, pd.cycles.values())) < budget.n0:
         raise ValueError("phase 2: postcondition violated")
     return pd, stats

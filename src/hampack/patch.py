@@ -139,14 +139,14 @@ def merge_patch(pd: PermutationDigraph, sd: SimpleDigraph,
     """
     stats = PatchStats()
     while pd.num_cycles > 1:
-        cid = int(np.argmin(pd.cycle_lens))
+        cid = min(pd.cycles, key=lambda c: (len(pd.cycles[c]), c))
         found = _find_exchange(pd, cid, sd, in_pool, rng)
         if found is None:
             found = _find_exchange(pd, cid, sd, spare, rng)
             stats.rung_merges += found is not None
         if found is None:
             raise PhaseFailure(
-                "phase3", f"no exchange merges the {int(pd.cycle_lens[cid])}"
+                "phase3", f"no exchange merges the {len(pd.cycles[cid])}"
                 f"-cycle ({pd.num_cycles} cycles left)")
         a, b, eid1, eid2 = found
         merged = pd.rewired((a, b), (sd.heads[eid1], pd.succ[a]),

@@ -164,7 +164,7 @@ def _phase2_floors(params, sd, seed):
         used[pms[i].edge_ids] = False
         pd2, _ = eliminate_small_cycles(pd, sd, part.reserve(3, i, used),
                                         rng, budget)
-        floors.append(int(pd2.cycle_lens.min()))
+        floors.append(min(map(len, pd2.cycles.values())))
         used[pd2.edge_ids] = True
     return floors
 

@@ -76,12 +76,14 @@ class TestPermutationDigraph:
     def test_cycle_extraction(self):
         pd = perm_digraph([0, 3, 1], [2, 4], [5])
         assert pd.num_cycles == 3
-        assert sorted(pd.cycle_lens.tolist()) == [1, 2, 3]
+        # each cycle is named by its smallest vertex
+        assert sorted(pd.cycles) == [0, 2, 5]
+        assert [len(pd.cycles[c]) for c in (0, 2, 5)] == [3, 2, 1]
         for v in (0, 3, 1):
-            assert pd.cycle_id[v] == pd.cycle_id[0]
-        assert pd.cycle_lens[pd.cycle_id[4]] == 2
+            assert pd.cycle_id[v] == 0
+        assert pd.cycle_id[4] == 2
         # pos is the offset from the cycle's canonical start
-        walk = pd.cycles[pd.cycle_id[0]]
+        walk = pd.cycles[0]
         for off, v in enumerate(walk):
             assert pd.pos[v] == off
             assert pd.succ[walk[off]] == walk[(off + 1) % len(walk)]
@@ -113,41 +115,40 @@ def walk_cycles(succ):
     """Reference cycle tables by walking succ from each unseen vertex.
 
     A plain Python loop over the vertices in order, kept as the oracle
-    for PermutationDigraph's cycle_id, pos, cycles and cycle_lens.
+    for PermutationDigraph's cycle_id, pos and cycles: the first vertex
+    a walk meets is its cycle's smallest, which names the cycle.
     """
     n = len(succ)
     cycle_id = np.full(n, -1, dtype=np.int64)
     pos = np.zeros(n, dtype=np.int64)
-    cycles = []
+    cycles = {}
     for start in range(n):
         if cycle_id[start] >= 0:
             continue
-        cid = len(cycles)
         walk = []
         v = start
         while cycle_id[v] < 0:
-            cycle_id[v] = cid
+            cycle_id[v] = start
             pos[v] = len(walk)
             walk.append(v)
             v = int(succ[v])
-        cycles.append(np.asarray(walk, dtype=np.int64))
-    lens = np.array([len(c) for c in cycles], dtype=np.int64)
-    return cycle_id, pos, cycles, lens
+        cycles[start] = np.asarray(walk, dtype=np.int64)
+    return cycle_id, pos, cycles
 
 
 class TestExtractCyclesOracle:
     @staticmethod
     def check(succ):
         pd = PermutationDigraph(succ, np.arange(len(succ)))
-        cycle_id, pos, cycles, lens = walk_cycles(succ)
+        cycle_id, pos, cycles = walk_cycles(succ)
         assert np.array_equal(pd.cycle_id, cycle_id)
         assert np.array_equal(pd.pos, pos)
-        assert np.array_equal(pd.cycle_lens, lens)
-        assert pd.cycle_lens.dtype == np.int64
-        assert len(pd.cycles) == len(cycles)
-        for got, want in zip(pd.cycles, cycles):
-            assert got.dtype == np.int64
-            assert np.array_equal(got, want)
+        assert pd.cycle_id.dtype == pd.pos.dtype == np.int64
+        assert list(pd.cycles) == list(cycles)  # names, in start order
+        for c, want in cycles.items():
+            assert type(c) is int
+            assert pd.cycles[c].dtype == np.int64
+            assert np.array_equal(pd.cycles[c], want)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 300).flatmap(
@@ -194,7 +195,7 @@ class TestExtractCyclesOracle:
             PermutationDigraph(np.array(succ), np.arange(3))
 
 
-TABLES = ("succ", "pred", "edge_ids", "cycle_id", "pos", "cycle_lens")
+TABLES = ("succ", "pred", "edge_ids", "cycle_id", "pos")
 
 
 @st.composite
@@ -228,14 +229,21 @@ class TestRewiredOracle:
         for name in TABLES:
             assert getattr(got, name).dtype == np.int64, name
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        assert len(got.cycles) == len(want.cycles)
-        for a, b in zip(got.cycles, want.cycles):
-            assert np.array_equal(a, b)
+        assert sorted(got.cycles) == sorted(want.cycles)
+        for c, cyc in want.cycles.items():
+            assert type(c) is int
+            assert got.cycles[c].dtype == np.int64
+            assert np.array_equal(got.cycles[c], cyc)
+        # a cycle no tail cuts keeps its name and its array
+        cut = set(pd.cycle_id[list(tails)].tolist())
+        for c, cyc in pd.cycles.items():
+            if c not in cut:
+                assert got.cycles[c] is cyc
         if len(tails):
             # the rings are the rebuilt cover's cycles through a tail
             _, lens = pd.rings(tails, heads)
-            made = np.unique(want.cycle_id[list(tails)])
-            assert sorted(lens) == sorted(want.cycle_lens[made].tolist())
+            made = set(want.cycle_id[list(tails)].tolist())
+            assert sorted(lens) == sorted(len(want.cycles[c]) for c in made)
 
     @settings(max_examples=300, deadline=None)
     @given(rewires())
@@ -285,7 +293,8 @@ class TestRewiredOracle:
         out = pd.rewired([0, 2], [4, 3], [10, 11])
         # 0 -> 4 -> 2 -> 3 -> 1 -> 0 joins the first two cycles
         assert out.cycles[0].tolist() == [0, 4, 2, 3, 1]
-        assert out.cycles[1] is pd.cycles[2]
+        assert out.cycles[5] is pd.cycles[5]
+        assert sorted(out.cycles) == [0, 5]
         assert out.edge_ids[[0, 2]].tolist() == [10, 11]
         assert out.pred[4] == 0 and out.pred[3] == 2
 
@@ -330,11 +339,11 @@ class TestRings:
                 keys.append((c, (lo - 1) % len(cyc)))  # the feeding tail
             # one whole cycle of the rewired cover, in successor order
             cid = int(want.cycle_id[walk[0]])
-            assert len(walk) == length == want.cycle_lens[cid]
+            assert len(walk) == length == len(want.cycles[cid])
             assert all(new[a] == b for a, b in zip(walk, walk[1:] + walk[:1]))
             assert cid not in made
             made.add(cid)
-            # each ring starts at its first tail by (cycle id, pos)
+            # each ring starts at its first tail by (cycle name, pos)
             assert keys[0] == min(keys)
             firsts.append(keys[0])
         assert made == set(want.cycle_id[tails].tolist())
@@ -519,8 +528,8 @@ class TestCyclesOf:
             start += ln
         pd = PermutationDigraph(succ, np.arange(n))
         small, large = cycles_of(pd, n / math.log(n))
-        small_lens = sorted(int(pd.cycle_lens[c]) for c in small)
-        large_lens = sorted(int(pd.cycle_lens[c]) for c in large)
+        small_lens = sorted(len(pd.cycles[c]) for c in small)
+        large_lens = sorted(len(pd.cycles[c]) for c in large)
         assert small_lens == [1085]
         assert large_lens == [1086, n - 2171]
 
@@ -528,6 +537,14 @@ class TestCyclesOf:
         pd = perm_digraph(list(range(40)))
         small, large = cycles_of(pd, 40 / math.log(40))
         assert small == [] and large == [0]
+
+    def test_names_ascend_after_a_rewire(self):
+        # splitting cycle 0 adds names 0 and 2 after 4, the one cycle
+        # the rewire leaves alone; cycles_of still lists them in order
+        pd = perm_digraph([0, 1, 2, 3], [5, 6, 7, 8, 9, 4])
+        out = pd.rewired([1, 3], [0, 2], [10, 11])
+        assert list(out.cycles)[0] == 4 and sorted(out.cycles) == [0, 2, 4]
+        assert cycles_of(out, 3) == ([0, 2], [4])
 
 
 class TestUniformCycleLaw:
@@ -541,8 +558,8 @@ class TestUniformCycleLaw:
             pd = PermutationDigraph(np.array(p), np.arange(n))
             count += 1
             for s in totals:
-                totals[s] += int(
-                    sum(ln for ln in pd.cycle_lens.tolist() if ln <= s))
+                totals[s] += sum(len(cyc) for cyc in pd.cycles.values()
+                                 if len(cyc) <= s)
         assert count == math.factorial(n)
         for s, tot in totals.items():
             assert tot == s * count
@@ -638,8 +655,8 @@ class TestReplay:
         tails, heads, eids = zip(*steps)
         _, lens = pd.rings(tails, heads)
         new = pd.rewired(tails, heads, eids)
-        made = np.unique(new.cycle_id[list(tails)])
-        assert sorted(lens) == sorted(new.cycle_lens[made].tolist())
+        made = set(new.cycle_id[list(tails)].tolist())
+        assert sorted(lens) == sorted(len(new.cycles[c]) for c in made)
         return sorted(lens)
 
     def test_empty_chain_needs_long_path(self):
@@ -738,7 +755,7 @@ class TestRotateOracle:
         w_set = bytearray(sd.n)
         cv.out_phase(pd, u0, sd, pool, w_set, budget)
         assert w_set.count(1) > 0
-        old = {frozenset(c.tolist()) for c in pd.cycles}
+        old = {frozenset(c.tolist()) for c in pd.cycles.values()}
         by_steps = {node.steps: node for node in made}
         assert len(by_steps) == len(made)
         kinds = []
@@ -893,7 +910,7 @@ class TestOutPhase:
         assert res[0] == "closed"
         closed = res[1]
         assert closed.num_cycles == 1
-        assert closed.cycle_lens[0] == 8
+        assert len(closed.cycles[0]) == 8
         # the closure reused only host edges
         tails = np.arange(8)
         assert all(
@@ -1023,7 +1040,8 @@ class TestInPhase:
         assert out is not None
         assert out.cycles[0].tolist() == [0, 1, 2, 3, 8, 9, 10, 11, 4, 5,
                                           6, 7]
-        assert out.cycle_lens.tolist() == [12, 4]
+        assert {c: len(cyc) for c, cyc in out.cycles.items()} == {0: 12,
+                                                                  12: 4}
 
 
 class TestEliminate:
@@ -1034,7 +1052,7 @@ class TestEliminate:
         sd, pd, pool = TestOutPhase.two_cycle_chain(70, closing=True)
         out, stats = eliminate_small_cycles(
             pd, sd, pool, rng_stream(7), PhaseTwoBudget.for_model(140, 8, 1))
-        assert out.num_cycles == 1 and out.cycle_lens[0] == 140
+        assert out.num_cycles == 1 and len(out.cycles[0]) == 140
         assert stats.eliminated == [2] and stats.early_closures == 1
         assert stats.w_size == 140
 
@@ -1120,7 +1138,7 @@ class TestEliminate:
         seen = []
 
         def failing_out_phase(pd, u0, sd, pool, w_set, budget):
-            seen.append(pd.cycle_lens[pd.cycle_id[u0]])
+            seen.append(len(pd.cycles[int(pd.cycle_id[u0])]))
             return ("fail", "forced")
 
         monkeypatch.setattr(cv, "out_phase", failing_out_phase)
@@ -1130,6 +1148,28 @@ class TestEliminate:
             eliminate_small_cycles(pd, sd, pool, rng_stream(7),
                                    tiny_budget(n0=5))
         assert seen and seen[0] == 4
+
+    def test_equal_largest_small_cycles_lowest_start_first(self,
+                                                           monkeypatch):
+        # the 3-cycles 2 3 4 and 5 6 7 tie for largest small cycle; the
+        # rewire that split 2 3 4 off 0 1 stores it after 5 6 7, and it
+        # is still entered first
+        seen = []
+
+        def failing_out_phase(pd, u0, sd, pool, w_set, budget):
+            seen.append(int(pd.cycles[int(pd.cycle_id[u0])][0]))
+            return ("fail", "forced")
+
+        monkeypatch.setattr(cv, "out_phase", failing_out_phase)
+        sd, pd, pool = host_with_cover([5, 6, 7], [0, 1, 2, 3, 4],
+                                       list(range(8, 17)),
+                                       extra=[(1, 0), (4, 2)])
+        pd = pd.rewired([1, 4], [0, 2],
+                        [sd.edge_lookup(1, 0), sd.edge_lookup(4, 2)])
+        with pytest.raises(PhaseFailure, match="3-cycle after 3 starts"):
+            eliminate_small_cycles(pd, sd, pool, rng_stream(7),
+                                   tiny_budget(n0=5))
+        assert seen == [2, 2, 2]
 
     def test_output_pinned(self, host_k2):
         # cover 0 of host_k2 after the pipeline's own split, SMALL and
@@ -1211,7 +1251,7 @@ class TestPipelineIntegration:
     def test_min_cycle_length_postcondition(self, repaired):
         params, _, budget, covers = repaired
         for out, _ in covers:
-            assert out.cycle_lens.min() >= budget.n0
+            assert min(map(len, out.cycles.values())) >= budget.n0
 
     def test_covers_use_disjoint_host_edges(self, repaired):
         params, sd, _, covers = repaired

@@ -318,7 +318,7 @@ def two_cycles(pd, *args, **kwargs):
 
 def new_small_cycle(pd, *args, **kwargs):
     """An "early closure" that leaves one small cycle, a new one."""
-    v = int(pd.cycles[int(np.argmax(pd.cycle_lens))][0])
+    v = int(max(pd.cycles.values(), key=len)[0])
     rest = np.flatnonzero(np.arange(pd.n) != v)
     succ = np.full(pd.n, v)
     succ[rest] = np.roll(rest, -1)

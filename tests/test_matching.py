@@ -447,7 +447,7 @@ class TestCycleCover:
                              edge_ids=np.array([0, 1, 2, 3]))
         pd = matching_to_cycle_cover(pm)
         assert pd.num_cycles == 2
-        assert sorted(pd.cycle_lens.tolist()) == [2, 2]
+        assert sorted(map(len, pd.cycles.values())) == [2, 2]
 
     def test_single_n_cycle(self):
         from hampack.matching import PerfectMatching
@@ -456,4 +456,4 @@ class TestCycleCover:
                              edge_ids=np.arange(n))
         pd = matching_to_cycle_cover(pm)
         assert pd.num_cycles == 1
-        assert pd.cycle_lens[0] == n
+        assert len(pd.cycles[0]) == n

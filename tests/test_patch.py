@@ -260,6 +260,27 @@ class TestMergePatch:
         assert ham.num_cycles == 1
         assert (stats.merges, stats.rung_merges) == (1, 0)
 
+    def test_equal_smallest_cycles_lowest_start_first(self, monkeypatch):
+        # the 4-cycles 0..3, 4..7 and 8..11 tie for smallest; the rewire
+        # that split 0..7 stores 0..3 and 4..7 after the other two, and
+        # 0..3 is still the one both rungs try to splice
+        seen = []
+
+        def no_exchange(pd, cid, *args):
+            seen.append(int(pd.cycles[cid][0]))
+            return None
+
+        monkeypatch.setattr(pt, "_find_exchange", no_exchange)
+        sd, pd, pool = cover_instance(
+            [list(range(8)), list(range(8, 12)), list(range(12, 20))],
+            extra=[(3, 0), (7, 4)])
+        pd = pd.rewired([3, 7], [0, 4],
+                        [sd.edge_lookup(3, 0), sd.edge_lookup(7, 4)])
+        with pytest.raises(PhaseFailure,
+                           match=r"the 4-cycle \(4 cycles left\)"):
+            pt.merge_patch(pd, sd, pool, rng_stream(4), none_of(sd))
+        assert seen == [0, 0]
+
     def test_output_pinned(self):
         # digest of what merge_patch produced with loop_find_exchange
         # as its search: five merges; the batched search must reproduce
@@ -317,7 +338,7 @@ class TestFindExchangeOracle:
             # half the reserve leaves host edges off Π out of the pool
             half = pool & (rng_stream(seed, 7).random(sd.m) < 0.5)
             for in_pool in (pool, np.ones(sd.m, dtype=bool), half):
-                for cid in range(pd.num_cycles):
+                for cid in pd.cycles:
                     twin = copy.deepcopy(rng0)
                     want = loop_find_exchange(pd, cid, sd, in_pool, twin)
                     got = pt._find_exchange(pd, cid, sd, in_pool, rng0)
@@ -394,7 +415,7 @@ class TestFindExchangeOracle:
         sd, pd, pool, _ = self.long_cycle_case(seed, hits)
         sd2, pd2, pool2, _ = random_instance(seed, 400, n=700, parts=2)
         for sd, pd, pool in ((sd, pd, pool), (sd2, pd2, pool2)):
-            for cid in range(pd.num_cycles):
+            for cid in pd.cycles:
                 # the long case's feasible starts sit at hits in this order
                 rng = rng_stream(seed, 6)
                 order = pd.cycles[cid][copy.deepcopy(rng).permutation(
@@ -436,7 +457,7 @@ class TestPipelinePhaseThree:
         assert len(hams) == params.k
         for ham in hams:
             assert ham.num_cycles == 1
-            assert int(ham.cycle_lens[0]) == params.n
+            assert len(ham.cycles[0]) == params.n
             rows = sd.edges[ham.edge_ids]
             assert (rows[:, 0] == np.arange(params.n)).all()
             assert (rows[:, 1] == ham.succ).all()
