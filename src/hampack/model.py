@@ -44,7 +44,8 @@ Sampling proceeds in three stages:
    only practical option at the mean degrees where Hamilton packing is
    interesting).  Erasure is one np.sort of the pair codes u*n + v, so
    edge id is the code's rank; the host takes the kept columns as is,
-   and one sort of the codes v*n + u is its index.
+   and one sort of the heads is its index: its edge ids by head, each
+   head's row by tail, which puts the codes v*n + u in order.
 """
 
 from __future__ import annotations
@@ -180,6 +181,8 @@ class ModelParams:
             raise ValueError("n must be >= 1")
         if k < 1:
             raise ValueError("k must be >= 1")
+        if not math.isfinite(c):
+            raise ValueError(f"c = {c} is not finite")
         m_real = c * n
         m = int(round(m_real))
         if abs(m_real - m) > 1e-9:
@@ -412,7 +415,7 @@ def pair_configuration(ds: DegreeSequence,
     return ConfigDigraph(n=n, tails=tails, heads=heads)
 
 
-_CHUNK = 1 << 20  # positions ORed or gathered per step, in place
+_CHUNK = 1 << 20  # positions ORed, or edge lines written, per step
 
 
 def key_dtype(bound: int, shift: int = 0):
@@ -420,47 +423,34 @@ def key_dtype(bound: int, shift: int = 0):
     return np.int32 if max(int(bound) - 1, 0) << shift < 1 << 31 else np.int64
 
 
-def _sort_packed(key: np.ndarray, shift: int) -> np.ndarray:
-    """Sort key << shift | position in place; key is a fresh array."""
-    key <<= shift
-    for lo in range(0, len(key), _CHUNK):
-        hi = min(lo + _CHUNK, len(key))
-        key[lo:hi] |= np.arange(lo, hi, dtype=key.dtype)
-    key.sort()
-    return key
-
-
 def sort_codes(codes, bound: int) -> tuple[np.ndarray, np.ndarray]:
     """(order, codes[order]): the stable ascending order of codes.
 
-    A code outside [0, bound) raises ValueError, as a packed key would
-    misorder it.  One np.sort of code << b | position, b the bit length
-    of len - 1, in an int32 word when (bound - 1) << b < 2^31, does a
-    stable argsort's work at a fraction of its cost; when bound << b
-    would pass 63 bits, the low and then the high digits are sorted so
-    in turn (LSD).  Both results are int64.  At most three m-long int64
-    arrays, the input included, live at once, plus the word if int32.
+    One np.sort of the word code << b | position, b the bit length of
+    len - 1, does a stable argsort's work at a fraction of its cost; the
+    word is int32 when (bound - 1) << b < 2^31.  Its callers sort vertex
+    ids (bound n), whose word fits in 63 bits while n * len <= 2^62, as
+    2^b < 2 len.  A code outside [0, bound) raises ValueError, as the
+    word would misorder it, and so does a word past 63 bits.  Both
+    results are int64.  At most three m-long int64 arrays, the input
+    included, live at once, plus the word if int32.
     """
     codes = np.asarray(codes, dtype=np.int64)
     if len(codes) and (codes.min() < 0 or codes.max() >= bound):
         raise ValueError("code outside [0, bound)")
     shift = max(len(codes) - 1, 0).bit_length()
-    width, mask = 63 - shift, (1 << shift) - 1
-    if max(bound - 1, 0) >> width == 0:
-        key = _sort_packed(codes.astype(key_dtype(bound, shift)), shift)
-        codes = (key >> shift).astype(np.int64, copy=False)
-        key &= mask
-        return key.astype(np.int64, copy=False), codes
-    low = _sort_packed(codes & ((1 << width) - 1), shift)
-    low &= mask
-    order = codes[low]
-    order >>= width
-    _sort_packed(order, shift)
-    order &= mask
-    for lo in range(0, len(order), _CHUNK):
-        order[lo:lo + _CHUNK] = low[order[lo:lo + _CHUNK]]
-    del low  # so codes[order] is the third m-long array, not the fourth
-    return order, codes[order]
+    if max(bound - 1, 0) >> 63 - shift:
+        raise ValueError(f"bound {bound} with {len(codes)} positions "
+                         f"passes a 63-bit sort word")
+    key = codes.astype(key_dtype(bound, shift))
+    key <<= shift
+    for lo in range(0, len(key), _CHUNK):
+        hi = min(lo + _CHUNK, len(key))
+        key[lo:hi] |= np.arange(lo, hi, dtype=key.dtype)
+    key.sort()
+    codes = (key >> shift).astype(np.int64, copy=False)
+    key &= (1 << shift) - 1
+    return key.astype(np.int64, copy=False), codes
 
 
 def row_starts(codes: np.ndarray, n: int) -> np.ndarray:
@@ -483,9 +473,10 @@ class SimpleDigraph:
     Edge e runs from tails[e] to heads[e] (edges: (tail, head) rows, read
     through column views; from_columns takes the columns as they are),
     in an order every pool label, bitset and certificate refers to.
-    Its one index serves edge_lookup, csr(1) and in_deg: the codes
-    v*n + u, sorted once at construction by the check for repeats, and
-    their edge ids.
+    Construction sorts vertex ids only: the tails, unless they ascend,
+    and then the heads taken in that order.  That gives the out-CSR and
+    the in-CSR, and the in-order's codes v*n + u, ascending, are the one
+    index edge_lookup, the check for repeats and in_deg read.
     """
 
     def __init__(self, n: int, edges, k: int, *, _columns=None):
@@ -506,13 +497,22 @@ class SimpleDigraph:
                 raise ValueError("edge endpoint out of range")
             if np.any(t == h):
                 raise ValueError("loop edge present")
-        order, codes = sort_codes(h * n + t, n * n)
+        id_dtype = key_dtype(len(t))
+        by_tail = None  # the ids as they stand, when the tails ascend
+        if np.any(t[1:] < t[:-1]):
+            by_tail = sort_codes(t, n)[0]
+        # a stable sort by head of the ids by tail: (head, tail) order
+        order, codes = sort_codes(h if by_tail is None else h[by_tail], n)
+        if by_tail is not None:
+            order, by_tail = by_tail[order], by_tail.astype(id_dtype)
+        codes *= n
+        codes += t[order]
         if np.any(codes[1:] == codes[:-1]):  # repeats are neighbours
             raise ValueError("duplicate ordered pair present")
         self._codes = codes
-        self._csrs = [None, (row_starts(codes, n),
-                             order.astype(key_dtype(len(t))))]
         self.out_deg = np.bincount(t, minlength=n)
+        self._csrs = ((np.r_[0, np.cumsum(self.out_deg)], by_tail),
+                      (row_starts(codes, n), order.astype(id_dtype)))
         self.in_deg = np.diff(self._csrs[1][0])
 
     @classmethod
@@ -533,16 +533,7 @@ class SimpleDigraph:
         """(indptr, ids): edge ids by tail (side 0) or head (side 1); row
         v is ids[indptr[v]:indptr[v + 1]], or that range when ids is None
         (tails that ascend).  Out-rows ascend by id and in-rows by tail;
-        the in-CSR is the index, the out-CSR one packed sort of the
-        tails, int32 if m <= 2^31, made on first use."""
-        if self._csrs[side] is None:
-            ids = None
-            if np.any(self.tails[1:] < self.tails[:-1]):
-                b = max(self.m - 1, 0).bit_length()  # n << b < 2nm
-                ids = _sort_packed(self.tails.astype(key_dtype(self.n, b)), b)
-                ids &= (1 << b) - 1
-                ids = ids.astype(key_dtype(self.m), copy=False)
-            self._csrs[0] = np.r_[0, np.cumsum(self.out_deg)], ids
+        ids are int32 if m <= 2^31.  Both are built at construction."""
         return self._csrs[side]
 
     def edge_lookup(self, u, v):

@@ -942,6 +942,18 @@ class TestCLI:
                 (["stats", "census", *model], "requires c > k+1"),
                 (["pack", "--n", "10", "--c", "4.05", "--k", "1"],
                  "not an integer"),
+                (["pack", "--n", "100", "--c", "inf", "--k", "1"],
+                 "c = inf is not finite"),
+                (["pack", "--n", "100", "--c", "1e400", "--k", "1"],
+                 "c = inf is not finite"),
+                (["pack", "--n", "100", "--c", "nan", "--k", "1"],
+                 "c = nan is not finite"),
+                (["sample", "--n", "100", "--c=-inf", "--k", "1", "--out",
+                  str(tmp_path / "h.txt")], "c = -inf is not finite"),
+                (["stats", "census", "--n", "100", "--c", "inf", "--k",
+                  "1"], "c = inf is not finite"),
+                (["sweep", "--grid", "n=100;c=inf;k=1", "--trials", "1"],
+                 "c = inf is not finite"),
                 (["sweep", "--grid", "n=10;c=4", "--trials", "1"],
                  "grid is missing ['k']"),
                 (["sweep", "--grid", "n=0;c=4;k=1", "--trials", "1"],

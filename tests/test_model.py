@@ -463,15 +463,15 @@ class TestSimpleDigraph:
                                      rng_stream(19, 2))[0]
 
     def test_lookup_index_built_at_construction(self, monkeypatch):
-        # a host whose tails do not ascend sorts its codes once, by its
-        # check for repeats; phase 1's matched edges, every later lookup
-        # and the in-rows read that index, and only the out-rows sort
-        # again, once, on first use, by a packed sort of the tails
+        # a host whose tails do not ascend sorts its tails, then its heads
+        # in that order, both at construction; phase 1's matched edges,
+        # every later lookup and both CSRs read what those two sorts built,
+        # and nothing is sorted again to the end of a trial
         host = self.small_host()
         edges = host.edges[rng_stream(19, 3).permutation(host.m)]
         calls = self.counted_sorts(monkeypatch)
         sd = SimpleDigraph(host.n, edges, host.k)
-        assert calls == [sd.m]
+        assert calls == [sd.m, sd.m]
         ids = sd.csr(1)[1]
         assert ids.dtype == np.int32
         assert np.array_equal(sd.heads[ids] * sd.n + sd.tails[ids],
@@ -482,7 +482,40 @@ class TestSimpleDigraph:
         assert out_ids.dtype == np.int32 and np.array_equal(
             out_ids, np.argsort(sd.tails, kind="stable"))
         self.packed(sd)
-        assert calls == [sd.m] and sd.csr(0)[1] is out_ids
+        assert calls == [sd.m, sd.m] and sd.csr(0)[1] is out_ids
+
+    @pytest.mark.parametrize("order", ["ascending", "shuffled"])
+    def test_chunked_index_matches_naive_order(self, monkeypatch, order):
+        # positions ORed three at a time into both sorts' words: the
+        # codes, both CSRs and the in-degrees against a naive sort of
+        # the ids by (head, tail) and by tail
+        monkeypatch.setattr(md, "_CHUNK", 3)
+        rng = rng_stream(19, 5)
+        n = 9
+        codes = rng.choice(n * (n - 1), size=40, replace=False)
+        tails, heads = codes // (n - 1), codes % (n - 1)
+        heads += heads >= tails  # no loops
+        if order == "ascending":
+            by_code = np.argsort(tails * n + heads)
+            tails, heads = tails[by_code], heads[by_code]
+        sd = SimpleDigraph.from_columns(n, tails, heads, 1)
+        pairs = list(zip(heads.tolist(), tails.tolist()))
+        by_head = sorted(range(len(pairs)), key=pairs.__getitem__)
+        assert sd._codes.tolist() == [h * n + t for h, t
+                                      in sorted(pairs)]
+        ptr, ids = sd.csr(1)
+        assert ids.tolist() == by_head
+        assert ptr.tolist() == [sum(h < v for h in heads.tolist())
+                                for v in range(n + 1)]
+        assert sd.in_deg.tolist() == [heads.tolist().count(v)
+                                      for v in range(n)]
+        ptr, ids = sd.csr(0)
+        by_tail = sorted(range(len(pairs)), key=lambda e: (tails[e], e))
+        assert ptr.tolist() == [sum(t < v for t in tails.tolist())
+                                for v in range(n + 1)]
+        assert (ids is None) == (order == "ascending")
+        assert (list(range(len(pairs))) if ids is None
+                else ids.tolist()) == by_tail
 
     def test_min_degree(self, tiny_params, tiny_host):
         assert tiny_host.min_degree() >= tiny_params.k + 1
@@ -700,50 +733,40 @@ class TestSortCodes:
         self.check(*case)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.integers(0, (1 << 62) - 1), max_size=40),
-           st.integers(0, 3))
-    def test_two_pass_near_two_to_the_62(self, values, reps):
-        # a bound near 2^62 leaves too few bits for even a short
-        # array's positions, so the low and high digits sort in turn
-        codes = np.array(values * (reps + 1), dtype=np.int64)
-        self.check(codes, 1 << 62)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 300), st.sampled_from(["int32", "int64", "lsd"]),
+    @given(st.integers(1, 300), st.sampled_from(["int32", "int64"]),
            st.integers(0, 1), st.randoms(use_true_random=False))
     def test_word_width_either_side_of_2_to_the_31(self, size, side, off,
                                                      rnd):
         # b, the bit length of size - 1, stays below 32 here (it reaches
         # 32 only past 2^31 keys), so 31 - b is never a negative shift.
-        # top = bound - 1 sits at or just under the last int32 word,
-        # just over it, or at or one under the first two-pass (LSD)
-        # bound; at b = 0 no int64 code passes that bound
-        size = max(size, 2) if side == "lsd" else size
+        # top = bound - 1 sits at or just under the last int32 word, or
+        # just over it
         b = (size - 1).bit_length()
-        top = {"int32": (1 << 31 - b) - 1 - off, "int64": (1 << 31 - b) + off,
-               "lsd": (1 << 63 - b) - off}[side]
+        top = {"int32": (1 << 31 - b) - 1 - off,
+               "int64": (1 << 31 - b) + off}[side]
         assert md.key_dtype(top + 1, b) == (np.int32 if side == "int32"
                                             else np.int64)
-        assert (top >> 63 - b != 0) == (side == "lsd" and off == 0)
         values = [top, 0] + [rnd.randint(0, top) for _ in range(size)]
         codes = np.array([rnd.choice(values) for _ in range(size)],
                          dtype=np.int64)
         self.check(codes, top + 1)
 
-    def test_two_pass_ties_on_each_digit(self):
-        hi, lo = 1 << 61, 5
-        codes = np.array([hi + lo, lo, hi, hi + lo, 0, lo, hi, 0],
-                         dtype=np.int64)
-        self.check(codes, 1 << 62)
+    @pytest.mark.parametrize("size", [1, 2, 3, 300])
+    def test_word_past_63_bits_refused(self, size):
+        # (bound - 1) << b reaches 2^63 at bound - 1 = 2^(63 - b); one
+        # under that bound is the widest word sorted
+        b = (size - 1).bit_length()
+        top = 1 << 63 - b
+        self.check(np.r_[top - 1, np.arange(size - 1) * (top // 2 // size)],
+                   top)
+        with pytest.raises(ValueError, match="63-bit"):
+            md.sort_codes(np.zeros(size, dtype=np.int64), top + 1)
 
     def test_chunked_steps(self, monkeypatch):
-        # positions ORed and gathered three at a time, ragged last chunk
+        # positions ORed three at a time, ragged last chunk
         monkeypatch.setattr(md, "_CHUNK", 3)
         rng = rng_stream(23, 0)
         self.check(rng.integers(0, 7, 29), 7)
-        # ties on both digits of the two-pass sort
-        self.check(rng.integers(0, 4, 29) << 58 | rng.integers(0, 3, 29),
-                   1 << 62)
 
     def test_empty_and_one_element(self):
         for codes in ([], [0], [6]):
@@ -1064,6 +1087,13 @@ class TestParams:
     def test_non_integer_m_rejected(self):
         with pytest.raises(ValueError):
             ModelParams.make(1000, 3.0005, 1)
+
+    @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan, 1e400],
+                             ids=["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_c_rejected(self, c):
+        # c * n would be inf or nan, which no round() makes an integer
+        with pytest.raises(ValueError, match=r"c = .* is not finite"):
+            ModelParams.make(100, c, 1)
 
     def test_from_nmk_low_density(self):
         p = ModelParams.from_nmk(10, 15, 1)
