@@ -51,22 +51,19 @@ below ~10⁹, so a literal reading can never finish a single tree.  The
 leaf budget here keeps its shape at bench scale: ν ≈ √(n/α) leaves
 with α = ⌈c/8k⌉.  W is not capped.  Unlike the construction, the
 out-phase has no per-node cap of α children: a node admits every pivot
-its pool row offers, and only the level's leaf cap stops it.
+its pool row offers until its level holds 3ν nodes.
 
-Those are all the limits: the leaf target and leaf cap, the in-phase's
-in_branch = 3α children per start, and the MAX_STARTS cap on in-phase
-starts.  Every loop ends without a cap of its own.  Each node an
-out-phase level admits, like each in-phase start, burns its pivot w,
-which was unburnt, so the levels of either phase stop once nothing is
-left to burn, and a start burns at most n vertices.  Each in-phase
-start is a vertex not seen before, so each closure target is checked
-at most once.  The start cap is checked once per breadth-first level,
-before the level runs, so the level that crosses it still admits all
-its starts, up to in_branch per frontier start.  It binds only on an
-in-phase that never closes: measured from n = 2·10³ to 10⁵, every
-in-phase past its root check closed within 115 starts.  A small cycle
-gets at most one start per vertex, each with a fresh W, and each
-elimination removes a small cycle.
+With the in-phase's in_branch = 3α children per start and its
+MAX_STARTS starts, those are all the limits.  Both caps bind at
+admission, so W holds the burns of kept nodes only.  No loop needs a
+cap of its own: each node an out-phase level admits, like each
+in-phase start, burns an unburnt pivot w, so a start burns at most n
+vertices, and each in-phase start is a new vertex, so each closure
+target is checked at most once.  The start cap binds only on an
+in-phase that never closes: from n = 2·10³ to 10⁵, every in-phase past
+its root check closed within 115 starts.  A small cycle gets at most
+one start per vertex, each with a fresh W, and each elimination
+removes a small cycle.
 """
 
 from __future__ import annotations
@@ -271,7 +268,7 @@ def cycles_of(pd: PermutationDigraph, n0: float) -> tuple[list, list]:
     return small, large
 
 
-# no further in-phase level runs once this many starts are admitted
+# an in-phase gives up once this many starts, u0's included, are admitted
 MAX_STARTS = 384
 
 
@@ -281,7 +278,6 @@ class PhaseTwoBudget:
 
     n0: float
     leaf_target: int
-    leaf_cap: int
     in_branch: int
 
     @classmethod
@@ -293,8 +289,7 @@ class PhaseTwoBudget:
         # validation odds hinge on.  Below n = 3, n/ln n exceeds n (or
         # divides by ln 1 = 0) and would make a Hamilton cycle small.
         n0 = n / math.log(n) if n >= 3 else n
-        return cls(n0=n0, leaf_target=nu, leaf_cap=3 * nu,
-                   in_branch=3 * alpha)
+        return cls(n0=n0, leaf_target=nu, in_branch=3 * alpha)
 
 
 @dataclass
@@ -413,12 +408,15 @@ def out_phase(pd: PermutationDigraph, u0: int, sd: SimpleDigraph,
     w_set is the burnt set W, one byte per vertex, 1 once burnt.  A
     node's rings are built on its first pivot past W, and every pivot
     it places is read off them (_rotate): one off the path absorbs its
-    whole cycle, one on the path splits under C(i).
+    whole cycle, one on the path splits under C(i).  A level that holds
+    3 * leaf_target nodes admits and expands no more.
 
     Returns ("closed", Π') on early closure, ("leaves", [nodes]) once
-    enough long-path leaves exist, or ("fail", reason).
+    enough long-path leaves exist, all of the last level's, longest
+    path first, or ("fail", reason).
     """
     n0 = budget.n0
+    cap = 3 * budget.leaf_target
     v0 = int(pd.pred[u0])
     # the broken edge needs no C(ii) clearance: W is this start's own,
     # and burns from earlier closures are already materialized into Π
@@ -457,7 +455,9 @@ def out_phase(pd: PermutationDigraph, u0: int, sd: SimpleDigraph,
                     continue
                 w_set[w] = w_set[x] = 1
                 nxt.append(_Node(node.steps + ((v, w, eid),), pv, x))
-            if len(nxt) >= budget.leaf_cap:
+                if len(nxt) == cap:
+                    break
+            if len(nxt) == cap:
                 break
         if not nxt:
             if leaves:
@@ -465,7 +465,7 @@ def out_phase(pd: PermutationDigraph, u0: int, sd: SimpleDigraph,
             return ("fail", "tree stalled with no long-path leaf")
         level = nxt
     leaves.sort(key=lambda nd: -nd.path_v)
-    return ("leaves", leaves[:budget.leaf_cap])
+    return ("leaves", leaves)
 
 
 def _materialize(pd: PermutationDigraph, steps) -> PermutationDigraph:
@@ -531,7 +531,7 @@ def in_phase(pd: PermutationDigraph, u0: int, leaves: list,
     hit = try_close(u0)
     if hit is not None:
         return hit
-    while frontier and len(chains) < MAX_STARTS:
+    while frontier:
         at, eids, tails = pool_rows(sd, pool, pd, 1,
                                     np.array(frontier, dtype=np.int64))
         cuts = np.searchsorted(at, np.arange(len(frontier) + 1)).tolist()
@@ -552,7 +552,7 @@ def in_phase(pd: PermutationDigraph, u0: int, leaves: list,
                 chains[x] = chains[s] + ((w, s, eid),)
                 admitted += 1
                 hit = try_close(x)
-                if hit is not None:
+                if hit is not None or len(chains) >= MAX_STARTS:
                     return hit
                 nxt.append(x)
         frontier = nxt

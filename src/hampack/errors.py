@@ -14,7 +14,7 @@ class TailUnderflowError(HampackError):
 
 
 class InfeasibleDegreeError(HampackError):
-    """Raised when the requested mean degree c is not achievable (c <= k+1)."""
+    """The degrees asked for are not achievable: c <= k+1, or n < k+2."""
 
 
 class ConditioningFailureError(HampackError):

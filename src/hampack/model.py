@@ -565,6 +565,12 @@ class SimpleDigraph:
         return int(min(self.out_deg.min(), self.in_deg.min()))
 
 
+def _require_room(params: ModelParams) -> None:
+    if params.n < params.k + 2:  # each vertex has only n - 1 others
+        raise InfeasibleDegreeError(f"n={params.n}, k={params.k}: no simple "
+                                    "digraph on n < k+2 has min degree k+1")
+
+
 def sample_simple_digraph(params: ModelParams, rng: np.random.Generator,
                           cap: int = 10_000) -> tuple[SimpleDigraph, int]:
     """Exact-uniform simple digraph by whole-sample rejection.
@@ -576,6 +582,7 @@ def sample_simple_digraph(params: ModelParams, rng: np.random.Generator,
     beta = z^2 f_{k-1}(z) / (c f_{k+1}(z)); it is usable for c below
     roughly 5 and decays super-exponentially in c afterwards.
     """
+    _require_room(params)
     for attempt in range(1, cap + 1):
         cfg = pair_configuration(sample_degree_sequence(params, rng), rng)
         if cfg.is_simple():
@@ -597,6 +604,7 @@ def sample_erased_digraph(params: ModelParams, rng: np.random.Generator,
     of edges and the min-degree condition survives; when it does not
     (possible at small c), the draw is repeated up to cap times.
     """
+    _require_room(params)
     for attempt in range(1, cap + 1):
         cfg = pair_configuration(sample_degree_sequence(params, rng), rng)
         tails, heads = cfg.tails, cfg.heads  # heads reuse the in-slot buffer

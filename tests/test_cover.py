@@ -1,5 +1,6 @@
 """Cycle-cover repair: rotation trees and the small-cycle sweep."""
 
+import collections
 import hashlib
 import itertools
 import math
@@ -67,9 +68,24 @@ def mask_of(sd, ids):
 
 
 def tiny_budget(n0, **kw):
-    base = dict(n0=n0, leaf_target=4, leaf_cap=16, in_branch=4)
+    base = dict(n0=n0, leaf_target=4, in_branch=4)
     base.update(kw)
     return PhaseTwoBudget(**base)
+
+
+def record_nodes(monkeypatch):
+    """The list of every _Node the rotation trees make from now on."""
+    made = []
+
+    class Recorded(cv._Node):
+        __slots__ = ()
+
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            made.append(self)
+
+    monkeypatch.setattr(cv, "_Node", Recorded)
+    return made
 
 
 class TestPermutationDigraph:
@@ -738,20 +754,11 @@ class TestRotateOracle:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_admitted_nodes_match_their_chains(self, seed, monkeypatch):
-        made = []
-
-        class Recorded(cv._Node):
-            __slots__ = ()
-
-            def __init__(self, *args, **kw):
-                super().__init__(*args, **kw)
-                made.append(self)
-
-        monkeypatch.setattr(cv, "_Node", Recorded)
+        made = record_nodes(monkeypatch)
         sd, pd, pool, u0 = self.instance(seed)
         v0 = int(pd.pred[u0])
         n0 = 8
-        budget = tiny_budget(n0=n0, leaf_target=10 ** 6, leaf_cap=10 ** 6)
+        budget = tiny_budget(n0=n0, leaf_target=10 ** 6)
         w_set = bytearray(sd.n)
         cv.out_phase(pd, u0, sd, pool, w_set, budget)
         assert w_set.count(1) > 0
@@ -970,25 +977,58 @@ class TestOutPhase:
         assert all(sd.edge_lookup(t, h) == eid for t, h, eid in leaf.steps)
         assert w_set.count(1) == 140
 
-    def test_leaves_longest_first(self):
+    def test_leaves_longest_first(self, monkeypatch):
         # in_phase ranks closure targets by leaf order, so out_phase
-        # must hand its leaves over longest path first, at most leaf_cap
+        # must hand its leaves over longest path first: every long-path
+        # node of its last level, which like every level holds at most
+        # 3 * leaf_target nodes
+        made = record_nodes(monkeypatch)
         runs = []
         for seed in range(8):
-            for leaf_target, leaf_cap in ((4, 16), (8, 3)):
+            for leaf_target in (4, 1):
                 sd, pd, pool, u0 = TestRotateOracle.instance(seed)
-                budget = tiny_budget(n0=8, leaf_target=leaf_target,
-                                     leaf_cap=leaf_cap)
-                res = cv.out_phase(pd, u0, sd, pool, bytearray(sd.n), budget)
+                cap = 3 * leaf_target
+                made.clear()
+                res = cv.out_phase(pd, u0, sd, pool, bytearray(sd.n),
+                                   tiny_budget(n0=8, leaf_target=leaf_target))
+                sizes = collections.Counter(len(nd.steps) for nd in made)
+                assert max(sizes.values()) <= cap
                 if res[0] != "leaves":
                     continue
                 lens = [leaf.path_v for leaf in res[1]]
                 assert lens == sorted(lens, reverse=True)
-                assert 0 < len(lens) <= leaf_cap and min(lens) >= 8
-                runs.append((len(lens) == leaf_cap, len(set(lens)) > 1))
-        # the cap cut some level, and some leaves differ in length
-        assert any(cut for cut, _ in runs)
+                assert 0 < len(lens) <= cap and min(lens) >= 8
+                last = [nd for nd in made if len(nd.steps) == max(sizes)
+                        and nd.path_v >= 8]
+                assert {id(nd) for nd in res[1]} == {id(nd) for nd in last}
+                runs.append((cap in sizes.values(), len(set(lens)) > 1))
+        # some level filled to the cap, and some leaves differ in length
+        assert any(full for full, _ in runs)
         assert any(mixed for _, mixed in runs)
+
+    def test_a_full_level_burns_only_its_nodes(self, monkeypatch):
+        # the root absorbs the 2-cycle {2, 3} or {4, 5}: a level of two
+        # nodes, ends 3 and 5.  Their rows offer eight and two pivots,
+        # each the head of its own 8-cycle, whose absorb makes a
+        # 12-vertex leaf.  The next level fills at 3 * leaf_target = 6
+        # nodes inside end 3's row, and end 5's is never read, so only
+        # the pivots of kept nodes and their predecessors burn
+        made = record_nodes(monkeypatch)
+        eights = [list(range(6 + 8 * i, 14 + 8 * i)) for i in range(10)]
+        sd, pd, pool = host_with_cover(
+            [0, 1], [2, 3], [4, 5], *eights,
+            extra=[(1, 2), (1, 4)] + [(3 if i < 8 else 5, 6 + 8 * i)
+                                      for i in range(10)])
+        w_set = bytearray(sd.n)
+        res = cv.out_phase(pd, 0, sd, pool, w_set,
+                           tiny_budget(n0=10, leaf_target=2))
+        admitted = [nd for nd in made if nd.steps]
+        assert [len(nd.steps) for nd in admitted] == [1] * 2 + [2] * 6
+        assert w_set.count(1) == 2 + 2 * len(admitted)
+        assert res[0] == "leaves"
+        assert [nd.path_v for nd in res[1]] == [12] * 6
+        assert {id(nd) for nd in res[1]} == {id(nd) for nd in admitted[2:]}
+        assert {nd.steps[0][1] for nd in res[1]} == {2}
 
     def test_tree_stops_when_nothing_is_left_to_burn(self):
         # with n0 past n no leaf ever comes and no closure is tried:
@@ -1025,6 +1065,22 @@ class TestInPhase:
         assert cv.in_phase(pd, 0, [leaf], sd, pool, w_set,
                            tiny_budget(n0=100)) is None
         assert w_set.count(1) == 40
+
+    @pytest.mark.parametrize("max_starts", [2, 4])
+    def test_stops_at_max_starts(self, max_starts, monkeypatch):
+        # five reserve edges (2i, 0) into the leaf path 0 -> 1 make the
+        # odd vertices 3, 5, ..., 11 starts, and no closure is valid (n0
+        # past n): the in-phase stops at the start that brings its count,
+        # u0's included, to MAX_STARTS, two burns per start after u0
+        monkeypatch.setattr(cv, "MAX_STARTS", max_starts)
+        sd, pd, pool = host_with_cover(
+            *[[2 * i, 2 * i + 1] for i in range(6)],
+            extra=[(1, 2)] + [(2 * i, 0) for i in range(1, 6)])
+        w_set = bytearray(sd.n)
+        w_set[0] = w_set[1] = 1  # the leaves' burns: the broken edge's
+        assert cv.in_phase(pd, 0, [cv._Node((), 2, 1)], sd, pool, w_set,
+                           tiny_budget(n0=100)) is None
+        assert w_set.count(1) - 2 == 2 * (max_starts - 1)
 
     def test_closes_through_a_created_cycle(self):
         # the leaf's end split 4..11 off (11 -> 4, end 3); reserve edge
@@ -1193,8 +1249,8 @@ class TestEliminate:
         h.update(out.succ.astype("<i8").tobytes())
         h.update(out.edge_ids.astype("<i8").tobytes())
         h.update(repr(counts).encode())
-        assert h.hexdigest() == ("e16a15b308c6aa0da8aaaaac3eb3e81c"
-                                 "831f6644ae8dbf284bee6e00775b98f8")
+        assert h.hexdigest() == ("2d8892e9765278ae6755df9c9a74b964"
+                                 "2c6ea5a16602e9dcaecba44db6e98964")
         assert int(rng.integers(1 << 62)) == 4277912237676510138
 
 
@@ -1224,7 +1280,6 @@ class TestBudget:
         assert b.n0 == pytest.approx(5000 / math.log(5000))
         assert b.in_branch == 3 * alpha
         assert b.leaf_target == math.ceil(math.sqrt(5000 / alpha))
-        assert b.leaf_cap == 3 * b.leaf_target
 
 
 class TestPipelineIntegration:

@@ -220,9 +220,9 @@ class TestRecordsPinned:
         return hashlib.sha256(rec.to_json().encode()).hexdigest()
 
     @pytest.mark.parametrize("seed, want", [
-        (0, "df60404bbd97ee2cf810c54be4d28cbb6a460c6e90042c2d51b34eae37a22a66"),
-        (1, "3462f185c4a740d84541e17aa7bccc2eeeb5483193f2b5c549930575f65aada6"),
-        (2, "9b35c39f5328f0b84123607ab06824abd2fb372aba269dc846d57aa0ceaffb7e"),
+        (0, "96116ddb1713a7813e6f9e6054a2b7409a6a27ffb8b47004681f1c24957d1f4e"),
+        (1, "ff0e8d4914244470bbfc83389825d8915a5ae01ce53492bb1f1fbd0e3fe59160"),
+        (2, "a7eb18d523c82da02e089bb5156dbd117c8c30ea6965086b9d5d6ac93cdd2f22"),
     ], ids=["seed0", "seed1", "seed2"])
     def test_run_trial(self, seed, want):
         rec = hn.run_trial(ModelParams.make(2000, 100.0, 2), seed)
@@ -231,9 +231,9 @@ class TestRecordsPinned:
 
     @pytest.mark.parametrize("seed, outcome, want", [
         (0, "success",
-         "4a7858b5e68af39df98c808565eb0eb5ed46eb136ed223b7f9707cadb5b046fe"),
+         "760105d5b9402c3757b65752d0901c2282a4599f091ef728d3df94f1ecdbadc3"),
         (1, "success",
-         "7117941e18f4ccd418849b840a5e11e3d0e027e3a9c7647d3fc0582a89fc70cf"),
+         "14e6af30b015de63db37d3b5bdc6e9117363a6565d89acce50f963dc3f3571c4"),
     ], ids=["seed0", "seed1"])
     def test_pack_given_host(self, seed, outcome, want):
         # the ``pack --in`` path: a fixed host, drawn apart from the
@@ -1101,6 +1101,21 @@ class TestCLI:
         assert f"hampack {cmd}:" in err and "Traceback" not in err
         assert ("rejection stall" if argv[0] == "sample"
                 else "erasure broke") in err
+
+    def test_no_room_for_the_degree_floor(self, capsys, tmp_path):
+        # n < k+2: no simple host exists, so pack fails in the sampler
+        # and sample gives up before a draw, each naming n and k
+        assert hn.main(["pack", "--n", "2", "--c", "3", "--k", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "failure:sample: n=2, k=1: no simple digraph on n < k+2 has "
+            "min degree k+1\n")
+        for host in ("erased", "exact"):
+            assert hn.main(["sample", "--n", "3", "--c", "4", "--k", "2",
+                            "--host", host,
+                            "--out", str(tmp_path / "h.txt")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("hampack sample: n=3, k=2: ")
+            assert len(err.splitlines()) == 1
 
     def test_stats_cli_json(self, capsys):
         code = hn.main(["stats", "rphi", "--kappa", "3"])

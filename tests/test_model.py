@@ -792,6 +792,24 @@ class TestSamplers:
             sample_simple_digraph(params, rng_stream(15, 0), cap=3)
         assert exc.value.attempts == 3
 
+    @pytest.mark.parametrize("sampler", [sample_erased_digraph,
+                                         sample_simple_digraph])
+    @pytest.mark.parametrize("n, c, k", [(2, 3.0, 1), (3, 4.0, 2)])
+    def test_no_room_for_the_degree_floor(self, sampler, n, c, k):
+        # a loop-free digraph on n <= k+1 vertices has no vertex with
+        # k+1 distinct out-neighbours: refused before the first draw
+        rng = rng_stream(0, 0)
+        with pytest.raises(InfeasibleDegreeError, match=f"^n={n}, k={k}: "):
+            sampler(ModelParams.make(n, c, k), rng)
+        assert rng.random() == rng_stream(0, 0).random()
+
+    def test_erased_host_at_n_k_plus_2_is_complete(self):
+        # n = k+2 leaves room only for the complete digraph, which
+        # erasing a 30-edge pairing on 3 vertices meets
+        sd, _ = sample_erased_digraph(ModelParams.make(3, 10.0, 1),
+                                      rng_stream(0, 0))
+        assert sd.m == 6 and sd.min_degree() == 2
+
     def test_erased_host_properties(self, host_5k):
         params, sd = host_5k
         assert sd.min_degree() >= params.k + 1
