@@ -716,6 +716,48 @@ class TestStats:
         assert out["duplicate_exponent_second_order"] \
             > out["duplicate_exponent"]
 
+    # the JSON of `stats simplicity-rate`, and the next draw of its
+    # stream after the last pairing: the rate reads 0 at the two high-c
+    # points, but the draw shows how many draws the pairings took, and
+    # at (200, 30, 1) the first pairing takes the sampler's labels
+    SIMPLICITY_PINNED = {
+        (2000, 4.0, 1, 50): (0.0, 3.695133977252959, 4.000000000158089,
+                             1716029202846264650),
+        (200, 30.0, 1, 20): (0.0, 30.000000000087027, 30.00000000016844,
+                             1012129308857629682),
+        (200, 2.2, 1, 200): (0.11, 1.2990075654291275, 2.199999999959183,
+                             3191282451041392378),
+    }
+
+    @pytest.mark.parametrize("point", sorted(SIMPLICITY_PINNED), ids=str)
+    def test_simplicity_rate_pinned(self, point, capsys, monkeypatch):
+        n, c, k, attempts = point
+        rate, dup_exp, loop_exp, next_draw = self.SIMPLICITY_PINNED[point]
+        streams = []
+
+        def recorded(*keys):
+            streams.append(rng_stream(*keys))
+            return streams[-1]
+
+        monkeypatch.setattr(hn, "rng_stream", recorded)
+        assert hn.main(["stats", "simplicity-rate", "--n", str(n), "--c",
+                        str(c), "--k", str(k), "--attempts", str(attempts),
+                        "--seed", "5"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["attempts"] == attempts and doc["observed_rate"] == rate
+        assert doc["duplicate_exponent"] == pytest.approx(dup_exp, rel=1e-12)
+        assert doc["loop_exponent"] == pytest.approx(loop_exp, rel=1e-12)
+        assert len(streams) == 1
+        assert streams[0].integers(1 << 62) == next_draw
+
+    def test_degree_gof_pinned(self, capsys):
+        assert hn.main(["stats", "degree-gof", "--n", "2000", "--c", "20",
+                        "--k", "1", "--seed", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["bins"], doc["passed"]) == (24, True)
+        assert doc["p_values"] == pytest.approx([0.0984466957176741],
+                                                rel=1e-9)
+
     def test_degree_gof_passes(self):
         out = hn.stats_degree_gof(ModelParams.make(20000, 10.0, 1), seed=3)
         assert out["passed"]

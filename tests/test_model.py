@@ -959,6 +959,28 @@ class TestSamplers:
         assert digest == ("dbcbebf03c60c360849c9d4d29b3f2b8"
                           "1e85a9773244985356340baa981a1efb")
 
+    @staticmethod
+    def edge_digest(sd) -> str:
+        return hashlib.sha256(
+            np.ascontiguousarray(sd.edges, dtype="<i8").tobytes()).hexdigest()
+
+    def test_exact_host_pinned(self):
+        # the strict-rejection sampler on rejection-path degree vectors,
+        # every attempt's pairing a shuffle
+        sd, attempts = sample_simple_digraph(ModelParams.make(300, 3.0, 1),
+                                             rng_stream(424242, 0))
+        assert attempts == 86 and sd.m == 900
+        assert self.edge_digest(sd) == ("86651eeb073619782888121cfdda5bba"
+                                        "8f9377c524144b611d055ca78b735d11")
+
+    def test_erased_rejection_path_host_pinned(self):
+        # the erased sampler where the in-slots are a shuffle, not labels
+        sd, attempts = sample_erased_digraph(ModelParams.make(2000, 8.0, 1),
+                                             rng_stream(3))
+        assert attempts == 1 and sd.m == 15963
+        assert self.edge_digest(sd) == ("a102a0fa246ba3cbc917eb5ee5867d2b"
+                                        "0163db4d928fc9d10e627dd6df687bf9")
+
     def test_defect_rates_match_theory(self):
         # loop count ~ Poisson(rho^2/c); duplicate pairs ~ Poisson(beta^2/2)
         params = ModelParams.make(10_000, 20.0, 1)
