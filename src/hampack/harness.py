@@ -38,6 +38,7 @@ from .matching import build_k_matchings, matching_to_cycle_cover
 from .model import (
     ModelParams,
     TruncatedPoisson,
+    is_simple,
     pair_configuration,
     read_edge_list,
     sample_degree_sequence,
@@ -315,13 +316,15 @@ def stats_simplicity_rate(params: ModelParams, attempts: int,
     One typical degree sequence backs all pairings: the loop/duplicate
     moments are functions of the sequence only through sums that
     concentrate, and the analysis itself conditions on the sequence.
+    The sampler's in-slot labels arrange the first pairing only; each
+    later one is a fresh shuffle.
     """
     rng = rng_stream(seed, 61)
     simple = 0
-    ds = sample_degree_sequence(params, rng)
-    for _ in range(attempts):
-        cd = pair_configuration(ds, rng)
-        simple += cd.is_simple()
+    out_deg, in_deg, in_slots = sample_degree_sequence(params, rng)
+    for j in range(attempts):
+        simple += is_simple(params.n, *pair_configuration(
+            out_deg, in_deg, rng, None if j else in_slots))
     loop_exp, beta, beta2 = simplicity_exponents(params)
     return {
         "n": params.n, "c": params.c, "k": params.k,
@@ -355,8 +358,7 @@ def stats_degree_gof(params: ModelParams, seed: int,
     p_values = []
     for attempt in range(1 + reseeds):
         rng = rng_stream(derive_seed(seed, attempt), 62)
-        ds = sample_degree_sequence(params, rng)
-        degs = ds.out_deg
+        degs = sample_degree_sequence(params, rng)[0]
         jmax = int(degs.max())
         obs = np.bincount(degs, minlength=jmax + 1)[k + 1:].astype(float)
         exp = np.array([n * tp.pmf(j) for j in range(k + 1, jmax + 1)])
@@ -612,10 +614,22 @@ def _cmd_sample(args) -> int:
     params = _model_params(ModelParams.make, args.n, args.c, args.k)
     sampler = (sample_erased_digraph if args.host == "erased"
                else sample_simple_digraph)
-    # opened before sampling: a path that cannot be written costs no sample
-    with open(args.out, "w", encoding="ascii") as fh:
-        sd, attempts = sampler(params, rng_stream(args.seed))
-        write_edge_list(sd, fh)
+    # moved onto --out once whole, so a refused sample leaves it as it was
+    if os.path.isdir(args.out):  # else os.replace refuses it after the draw
+        raise _UsageError(f"--out {args.out} is a directory")
+    tmp = os.path.join(os.path.dirname(args.out), f".tmp{os.urandom(6).hex()}")
+    try:  # before the draw: a path that cannot be written costs no sample
+        fh = open(tmp, "x", encoding="ascii")
+    except OSError as exc:  # named as the path asked for
+        raise OSError(exc.errno, exc.strerror, args.out) from None
+    try:
+        with fh:
+            sd, attempts = sampler(params, rng_stream(args.seed))
+            write_edge_list(sd, fh)
+        os.replace(tmp, args.out)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     print(f"n={sd.n} m={sd.m} k={sd.k} attempts={attempts} -> {args.out}")
     return 0
 

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,10 +62,9 @@ from .errors import (ConditioningFailureError, EdgeListFormatError,
 
 __all__ = [
     "poisson_term", "poisson_tail", "rho", "sigma2", "solve_z", "ModelParams",
-    "TruncatedPoisson", "DegreeSequence", "degree_vector_path",
-    "conditioned_degree_vector", "sample_degree_sequence",
-    "ConfigDigraph", "pair_configuration", "duplicate_pair_count",
-    "key_dtype", "sort_codes", "row_starts", "SimpleDigraph",
+    "TruncatedPoisson", "degree_vector_path", "conditioned_degree_vector",
+    "sample_degree_sequence", "pair_configuration", "duplicate_pair_count",
+    "is_simple", "key_dtype", "sort_codes", "row_starts", "SimpleDigraph",
     "sample_simple_digraph", "sample_erased_digraph",
     "simplicity_exponents", "write_edge_list", "read_edge_list",
 ]
@@ -248,38 +247,12 @@ class TruncatedPoisson:
         return (self.lo + idx).astype(np.int64)
 
 
-@dataclass
-class DegreeSequence:
-    """Paired out/in degree vectors with equal sums."""
-
-    out_deg: np.ndarray
-    in_deg: np.ndarray
-    in_slots: np.ndarray | None = field(  # set by the sampler, used once
-        default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.out_deg = np.asarray(self.out_deg, dtype=np.int64)
-        self.in_deg = np.asarray(self.in_deg, dtype=np.int64)
-        if self.out_deg.shape != self.in_deg.shape:
-            raise ValueError("out/in degree vectors differ in length")
-        if int(self.out_deg.sum()) != int(self.in_deg.sum()):
-            raise ValueError("degree sums differ")
-
-    @property
-    def n(self) -> int:
-        return len(self.out_deg)
-
-    @property
-    def m(self) -> int:
-        return int(self.out_deg.sum())
-
-
 _BATCH_ROWS = 64
 # attempts allowed per vector, per sqrt(n)
 _CAP_PER_ROOT_N = 1e6
 
 
-def degree_vector_path(n: int, m: int, k: int) -> str:
+def degree_vector_path(params: ModelParams) -> str:
     """"multinomial" or "rejection": the cheaper exact path at (n, m, k).
 
     The multinomial path meets the floor with probability about
@@ -287,11 +260,11 @@ def degree_vector_path(n: int, m: int, k: int) -> str:
     try; rejection hits sum m with probability about
     1/sqrt(2 pi sigma^2 n) and costs n draws per try.  The expected
     costs are compared in logs.  Raises InfeasibleDegreeError when
-    m/n <= k+1, as the sampler does.
+    params.z is None (m/n <= k+1), as the sampler does.
     """
-    c = m / n
-    z = solve_z(c, k)
-    lam = n * math.fsum(poisson_term(j, c) for j in range(k + 1))
+    n, m, k = params.n, params.m, params.k
+    z = params.require_z()
+    lam = n * math.fsum(poisson_term(j, m / n) for j in range(k + 1))
     multinomial = lam + math.log(m)
     rejection = 0.5 * math.log(2 * math.pi * sigma2(z, k) * n) + math.log(n)
     return "multinomial" if multinomial < rejection else "rejection"
@@ -348,71 +321,37 @@ def conditioned_degree_vector(params: ModelParams,
     multinomial path's labels (None on the rejection path).
     """
     cap = int(_CAP_PER_ROOT_N * math.sqrt(params.n))
-    if degree_vector_path(params.n, params.m, params.k) == "multinomial":
+    if degree_vector_path(params) == "multinomial":
         return _multinomial_vector(params, rng, cap)
     return _rejection_vector(params, rng, cap)
 
 
 def sample_degree_sequence(params: ModelParams,
-                           rng: np.random.Generator) -> DegreeSequence:
-    """Out- and in-degree vectors, independently conditioned on sum m."""
+                           rng: np.random.Generator) -> tuple:
+    """(out_deg, in_deg, in_slots): degree vectors conditioned on sum m,
+    and in_deg's multinomial-path labels, a uniform in-slot order for
+    one pairing (None on the rejection path)."""
     out_deg, _, _ = conditioned_degree_vector(params, rng)
-    in_deg, _, labels = conditioned_degree_vector(params, rng)
-    ds = DegreeSequence(out_deg=out_deg, in_deg=in_deg)
-    ds.in_slots = labels
-    return ds
+    in_deg, _, in_slots = conditioned_degree_vector(params, rng)
+    return out_deg, in_deg, in_slots
 
 
-@dataclass
-class ConfigDigraph:
-    """A pairing of degree slots, possibly with loops and repeated pairs.
-
-    Edge j of the multigraph runs from tails[j] to heads[j], tails
-    ascending, as in SimpleDigraph.  Nothing else is stored: loops and
-    degrees are computed when asked for, and repeated pairs are counted
-    by duplicate_pair_count.
-    """
-
-    n: int
-    tails: np.ndarray
-    heads: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return len(self.tails)
-
-    @property
-    def loops(self) -> np.ndarray:
-        """Indices of the edges that are loops."""
-        return np.flatnonzero(self.tails == self.heads)
-
-    @property
-    def out_deg(self) -> np.ndarray:
-        return np.bincount(self.tails, minlength=self.n)
-
-    @property
-    def in_deg(self) -> np.ndarray:
-        return np.bincount(self.heads, minlength=self.n)
-
-    def is_simple(self) -> bool:
-        return len(self.loops) == 0 and duplicate_pair_count(self) == 0
-
-
-def pair_configuration(ds: DegreeSequence,
-                       rng: np.random.Generator) -> ConfigDigraph:
-    """Uniform pairing of out-slots with in-slots.
+def pair_configuration(out_deg, in_deg, rng: np.random.Generator,
+                       in_slots=None) -> tuple[np.ndarray, np.ndarray]:
+    """(tails, heads): a uniform pairing of out-slots with in-slots.
 
     tails lists vertex v out_deg[v] times in vertex order; heads is
-    ds.in_slots, taken once, or else a shuffle of the in-slots: a uniform
-    arrangement either way, so the pairing is a uniform bijection.
-    """
-    n = ds.n
-    tails = np.repeat(np.arange(n, dtype=np.int64), ds.out_deg)
-    heads, ds.in_slots = ds.in_slots, None
+    in_slots (a uniform in-slot order) or else a fresh shuffle of the
+    in-slots.  Degree sums that differ raise ValueError."""
+    n = len(out_deg)
+    tails = np.repeat(np.arange(n, dtype=np.int64), out_deg)
+    heads = in_slots
     if heads is None:
-        heads = np.repeat(np.arange(n, dtype=np.int64), ds.in_deg)
+        heads = np.repeat(np.arange(n, dtype=np.int64), in_deg)
         rng.shuffle(heads)
-    return ConfigDigraph(n=n, tails=tails, heads=heads)
+    if len(heads) != len(tails):
+        raise ValueError("degree sums differ")
+    return tails, heads
 
 
 _CHUNK = 1 << 20  # positions ORed, or edge lines written, per step
@@ -458,13 +397,18 @@ def row_starts(codes: np.ndarray, n: int) -> np.ndarray:
     return np.searchsorted(codes, np.arange(n + 1, dtype=codes.dtype) * n)
 
 
-def duplicate_pair_count(cfg: ConfigDigraph) -> int:
+def duplicate_pair_count(n: int, tails, heads) -> int:
     """Number of unordered index pairs {j, j'} carrying the same ordered
-    pair, loops left out."""
-    keep = cfg.tails != cfg.heads
-    _, counts = np.unique(cfg.tails[keep] * cfg.n + cfg.heads[keep],
-                          return_counts=True)
+    pair tails[j] -> heads[j], loops left out."""
+    keep = tails != heads
+    _, counts = np.unique(tails[keep] * n + heads[keep], return_counts=True)
     return int((counts * (counts - 1) // 2).sum())
+
+
+def is_simple(n: int, tails, heads) -> bool:
+    """No loop and no repeated ordered pair tails[j] -> heads[j]."""
+    loops = np.any(tails == heads)
+    return not (loops or duplicate_pair_count(n, tails, heads))
 
 
 class SimpleDigraph:
@@ -584,9 +528,10 @@ def sample_simple_digraph(params: ModelParams, rng: np.random.Generator,
     """
     _require_room(params)
     for attempt in range(1, cap + 1):
-        cfg = pair_configuration(sample_degree_sequence(params, rng), rng)
-        if cfg.is_simple():
-            return SimpleDigraph.from_columns(cfg.n, cfg.tails, cfg.heads,
+        out_deg, in_deg, in_slots = sample_degree_sequence(params, rng)
+        tails, heads = pair_configuration(out_deg, in_deg, rng, in_slots)
+        if is_simple(params.n, tails, heads):
+            return SimpleDigraph.from_columns(params.n, tails, heads,
                                               params.k), attempt
     raise RejectionStallError(
         f"rejection stall: no simple pairing in {cap} attempts", attempts=cap)
@@ -606,15 +551,16 @@ def sample_erased_digraph(params: ModelParams, rng: np.random.Generator,
     """
     _require_room(params)
     for attempt in range(1, cap + 1):
-        cfg = pair_configuration(sample_degree_sequence(params, rng), rng)
-        tails, heads = cfg.tails, cfg.heads  # heads reuse the in-slot buffer
+        out_deg, in_deg, in_slots = sample_degree_sequence(params, rng)
+        tails, heads = pair_configuration(out_deg, in_deg, rng, in_slots)
+        del in_slots  # heads reuse the in-slot buffer
         codes = np.multiply(tails, params.n, dtype=key_dtype(params.n ** 2))
         codes += heads
         codes.sort()  # tails are nondecreasing, so the sorted codes keep them
         np.subtract(codes, np.multiply(tails, params.n, out=heads), out=heads)
         keep = heads != tails
         keep[1:] &= codes[1:] != codes[:-1]
-        del cfg, codes  # at most four m-long arrays live at once
+        del codes  # at most four m-long arrays live at once
         cols = tails[keep], heads[keep]
         del tails, heads  # and the host's check holds only the kept columns
         sd = SimpleDigraph.from_columns(params.n, *cols, params.k)

@@ -19,7 +19,7 @@ def sweep_cells():
     return cells
 
 
-def _rejection(n, m, k):
+def _rejection(params):
     return "rejection"
 
 

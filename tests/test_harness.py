@@ -472,7 +472,7 @@ class TestFailureTags:
         # counts per draw fall below the floor, with a cap of
         # int(sqrt(300)) = 17 draws
         monkeypatch.setattr(md, "degree_vector_path",
-                            lambda n, m, k: "multinomial")
+                            lambda params: "multinomial")
         monkeypatch.setattr(md, "_CAP_PER_ROOT_N", 1.0)
         rec = hn.run_trial(ModelParams.make(300, 3.0, 1), 9)
         assert rec.outcome == "failure:sample"
@@ -860,11 +860,20 @@ def test_readme_commands_parse():
 
 
 class TestCLI:
-    def test_sample_round_trip(self, tmp_path):
+    def test_sample_round_trip(self, capsys, tmp_path):
+        # the host replaces a file already at --out, with these very
+        # bytes, and nothing else is left in the directory
         out = tmp_path / "host.txt"
+        out.write_text("3 3 1\n0 1\n1 2\n2 0\n")
         code = hn.main(["sample", "--n", "300", "--c", "4", "--k", "1",
                         "--seed", "2", "--out", str(out)])
         assert code == 0
+        assert capsys.readouterr().out == \
+            f"n=300 m=1191 k=1 attempts=2 -> {out}\n"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "be0fc27c4292b926925699a06011fe35"
+            "0c1eea67baf302792a8422c29027706a")
+        assert os.listdir(tmp_path) == ["host.txt"]
         sd = read_edge_list(out)
         assert sd.n == 300 and sd.k == 1
         assert sd.min_degree() >= 2
@@ -1078,15 +1087,32 @@ class TestCLI:
         assert out == "" and err.startswith(f"hampack {argv[0]}: ")
         assert path in err and len(trials) == (argv[0] == "pack")
 
-    def test_sample_opens_out_before_sampling(self, monkeypatch, tmp_path):
-        # a path that cannot be written costs no sample
+    def test_sample_opens_out_before_sampling(self, monkeypatch, tmp_path,
+                                              capsys):
+        # a path that cannot be written, in a missing directory or a
+        # directory itself, costs no sample and leaves no temporary file
         calls = []
         monkeypatch.setattr(hn, "sample_erased_digraph",
                             lambda *args: calls.append(args))
-        path = str(tmp_path / "missing" / "h.txt")
-        assert hn.main(["sample", "--n", "300", "--c", "4", "--k", "1",
-                        "--out", path]) == 64
+        for path in (tmp_path / "missing" / "h.txt", tmp_path):
+            assert hn.main(["sample", "--n", "300", "--c", "4", "--k", "1",
+                            "--out", str(path)]) == 64
+            err = capsys.readouterr().err
+            assert err.startswith("hampack sample: ") and str(path) in err
         assert calls == []
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("host", ["erased", "exact"])
+    def test_refused_sample_keeps_existing_out(self, host, capsys, tmp_path):
+        # n < k+2 refuses the sample (exit 2): the file already at --out
+        # keeps its bytes, and no temporary file is left beside it
+        path = tmp_path / "keep.txt"
+        path.write_text("3 3 1\n0 1\n1 2\n2 0\n")
+        assert hn.main(["sample", "--n", "2", "--c", "3", "--k", "1",
+                        "--host", host, "--out", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("hampack sample: n=2, k=1")
+        assert path.read_text() == "3 3 1\n0 1\n1 2\n2 0\n"
+        assert os.listdir(tmp_path) == ["keep.txt"]
 
     def test_huge_n_header_exits_64(self, capsys, tmp_path):
         # more vertices than edge lines: refused before any n-long array

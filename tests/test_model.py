@@ -25,11 +25,11 @@ from hampack.errors import (ConditioningFailureError, EdgeListFormatError,
                             InfeasibleDegreeError, RejectionStallError,
                             TailUnderflowError)
 from hampack.harness import run_pipeline
-from hampack.model import (ConfigDigraph, DegreeSequence, ModelParams,
-                           SimpleDigraph, TruncatedPoisson,
+from hampack.model import (ModelParams, SimpleDigraph, TruncatedPoisson,
                            conditioned_degree_vector, duplicate_pair_count,
-                           pair_configuration, poisson_tail, poisson_term,
-                           read_edge_list, rho, sample_degree_sequence,
+                           is_simple, pair_configuration, poisson_tail,
+                           poisson_term, read_edge_list, rho,
+                           sample_degree_sequence,
                            sample_erased_digraph, sample_simple_digraph,
                            sigma2, simplicity_exponents, solve_z,
                            write_edge_list)
@@ -293,16 +293,17 @@ class TestExactLaw:
 
 class TestPathChoice:
     @pytest.mark.parametrize("point", [(2000, 100, 2), (5000, 50, 1),
-                                       (100_000, 20, 1)], ids=str)
+                                       (100_000, 20, 1), (2000, 20, 1),
+                                       (200, 30, 1)], ids=str)
     def test_multinomial_where_the_floor_holds_by_chance(self, point):
-        n, c, k = point
-        assert md.degree_vector_path(n, c * n, k) == "multinomial"
+        assert md.degree_vector_path(ModelParams.make(*point)) \
+            == "multinomial"
 
     @pytest.mark.parametrize("point", [(300, 3, 1), (10_000, 5, 1),
-                                       (100_000, 10, 1)], ids=str)
+                                       (100_000, 10, 1), (2000, 8, 1),
+                                       (2000, 4, 1)], ids=str)
     def test_rejection_at_low_c(self, point):
-        n, c, k = point
-        assert md.degree_vector_path(n, c * n, k) == "rejection"
+        assert md.degree_vector_path(ModelParams.make(*point)) == "rejection"
 
     def test_dispatch_follows_the_choice(self, monkeypatch):
         # the chosen path draws the vector: same vector, same stream
@@ -310,7 +311,7 @@ class TestPathChoice:
         for name, path in (("multinomial", md._multinomial_vector),
                            ("rejection", md._rejection_vector)):
             monkeypatch.setattr(md, "degree_vector_path",
-                                lambda n, m, k, name=name: name)
+                                lambda params, name=name: name)
             a, b = rng_stream(20, 0), rng_stream(20, 0)
             vec, draws, _ = conditioned_degree_vector(params, a)
             ref, ref_draws, _ = path(params, b, int(1e6 * math.sqrt(200)))
@@ -318,45 +319,43 @@ class TestPathChoice:
             assert a.integers(1 << 62) == b.integers(1 << 62)
 
     def test_infeasible_point_refused(self):
+        # c = k+1 admits no calibrated z
         with pytest.raises(InfeasibleDegreeError):
-            md.degree_vector_path(10, 20, 1)
+            md.degree_vector_path(ModelParams.from_nmk(10, 20, 1))
 
 
 class TestPairing:
     def test_degrees_preserved(self, tiny_params):
         rng = rng_stream(14, 0)
-        ds = sample_degree_sequence(tiny_params, rng)
-        cfg = pair_configuration(ds, rng)
-        assert np.array_equal(cfg.out_deg, ds.out_deg)
-        assert np.array_equal(cfg.in_deg, ds.in_deg)
-        assert cfg.m == tiny_params.m
+        out_deg, in_deg, in_slots = sample_degree_sequence(tiny_params, rng)
+        tails, heads = pair_configuration(out_deg, in_deg, rng, in_slots)
+        n = tiny_params.n
+        assert np.array_equal(np.bincount(tails, minlength=n), out_deg)
+        assert np.array_equal(np.bincount(heads, minlength=n), in_deg)
+        assert len(tails) == len(heads) == tiny_params.m
 
     def test_defect_detection_on_fixed_slots(self):
         # edges: (0,0) loop, (1,2), (1,2) duplicated, (2,1)
-        cfg = ConfigDigraph(n=3, tails=np.array([0, 1, 1, 2]),
-                            heads=np.array([0, 2, 2, 1]))
-        assert list(cfg.loops) == [0]
-        assert not cfg.is_simple()
-        assert duplicate_pair_count(cfg) == 1
+        tails, heads = np.array([0, 1, 1, 2]), np.array([0, 2, 2, 1])
+        assert list(np.flatnonzero(tails == heads)) == [0]
+        assert not is_simple(3, tails, heads)
+        assert duplicate_pair_count(3, tails, heads) == 1
+        # a loop alone, or a repeat alone, is enough to be not simple
+        assert not is_simple(3, tails[[0, 1, 3]], heads[[0, 1, 3]])
+        assert not is_simple(3, tails[1:], heads[1:])
+        assert is_simple(3, tails[2:], heads[2:])
 
     def test_triple_pair_counts_three(self):
-        cfg = ConfigDigraph(n=3, tails=np.array([0, 0, 0, 2]),
-                            heads=np.array([1, 1, 1, 0]))
-        assert duplicate_pair_count(cfg) == 3  # C(3,2)
+        tails, heads = np.array([0, 0, 0, 2]), np.array([1, 1, 1, 0])
+        assert duplicate_pair_count(3, tails, heads) == 3  # C(3,2)
 
     def test_degree_sum_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            DegreeSequence(out_deg=np.array([2, 2]), in_deg=np.array([2, 3]))
-
-    def test_in_slots_are_sampler_state(self):
-        # slots that disagree with in_deg cannot be handed in, and the
-        # m-long array stays out of repr
-        with pytest.raises(TypeError):
-            DegreeSequence(out_deg=[2, 2], in_deg=[2, 2],
-                           in_slots=[0, 0, 0, 1])
-        ds = DegreeSequence(out_deg=[2, 2], in_deg=[2, 2])
-        ds.in_slots = np.array([1, 0, 1, 0])
-        assert "in_slots" not in repr(ds)
+        rng = rng_stream(0, 0)
+        with pytest.raises(ValueError, match="degree sums differ"):
+            pair_configuration(np.array([2, 2]), np.array([2, 3]), rng)
+        with pytest.raises(ValueError, match="degree sums differ"):
+            pair_configuration(np.array([2, 2]), np.array([2, 2]), rng,
+                               np.array([0, 0, 1]))
 
 
 class TestSimpleDigraph:
@@ -842,9 +841,8 @@ class TestSamplers:
     def test_erasure_leaves_distinct_pairs_in_code_order(self, monkeypatch):
         pairs = np.array(self.PAIRING, dtype=np.int64)
 
-        def fixed_pairing(ds, rng):
-            return ConfigDigraph(n=4, tails=pairs[:, 0].copy(),
-                                 heads=pairs[:, 1].copy())
+        def fixed_pairing(out_deg, in_deg, rng, in_slots=None):
+            return pairs[:, 0].copy(), pairs[:, 1].copy()
 
         monkeypatch.setattr(md, "pair_configuration", fixed_pairing)
         sd, attempts = sample_erased_digraph(ModelParams.make(4, 4.0, 1),
@@ -864,15 +862,13 @@ class TestSamplers:
         law = collections.Counter(
             tuple(sorted(zip(outs.tolist(), ins[list(p)].tolist())))
             for p in itertools.permutations(range(5)))
-        ds = DegreeSequence(out_deg=out_deg, in_deg=in_deg)
         rng = rng_stream(31, 0)
         draws = 12_000
         seen = collections.Counter()
         for _ in range(draws):
-            cfg = pair_configuration(ds, rng)
-            assert cfg.tails.tolist() == outs.tolist()
-            seen[tuple(sorted(zip(cfg.tails.tolist(),
-                                  cfg.heads.tolist())))] += 1
+            tails, heads = pair_configuration(out_deg, in_deg, rng)
+            assert tails.tolist() == outs.tolist()
+            seen[tuple(sorted(zip(tails.tolist(), heads.tolist())))] += 1
         assert set(seen) == set(law)
         keys = sorted(law)
         expected = [draws * law[g] / 120 for g in keys]
@@ -909,21 +905,20 @@ class TestSamplers:
         # drawn; the pair counts must follow the degree law times a
         # uniform bijection of out-slots to in-slots
         n, m, k = 2, 7, 1
-        assert md.degree_vector_path(n, m, k) == "multinomial"
+        params = ModelParams.from_nmk(n, m, k)
+        assert md.degree_vector_path(params) == "multinomial"
         pmf = conditional_pmf(n, m, k)
         law = {t: p_out * p_in * self.bijection_share(d_out, d_in, t)
                for d_out, p_out in pmf.items() for d_in, p_in in pmf.items()
                for t in self.tables(d_out, d_in)}
         assert math.isclose(math.fsum(law.values()), 1.0)
-        params = ModelParams.from_nmk(n, m, k)
         rng = rng_stream(32, 0)
         draws = []
         for _ in range(self.PAIRING_DRAWS):
-            ds = sample_degree_sequence(params, rng)
-            slots = ds.in_slots
-            cfg = pair_configuration(ds, rng)
-            assert cfg.heads is slots and ds.in_slots is None
-            draws.append(tuple(np.bincount(cfg.tails * n + cfg.heads,
+            out_deg, in_deg, slots = sample_degree_sequence(params, rng)
+            tails, heads = pair_configuration(out_deg, in_deg, rng, slots)
+            assert heads is slots
+            draws.append(tuple(np.bincount(tails * n + heads,
                                            minlength=n * n).tolist()))
         assert chi_square_p(draws, law) > 1e-4
         uniform = {t: 1 / len(law) for t in law}
@@ -931,21 +926,26 @@ class TestSamplers:
 
     def test_reused_sequence_is_paired_afresh(self):
         # the drawn arrangement serves the first pairing only; every
-        # later pairing of the same sequence is a fresh uniform one
+        # later pairing of the same sequence, given no slots, is a fresh
+        # uniform one, and the given slots are read, never written
         params = ModelParams.from_nmk(2, 7, 1)
         rng = rng_stream(33, 0)
-        ds = sample_degree_sequence(params, rng)
-        first = ds.in_slots
-        assert np.array_equal(np.bincount(first, minlength=2), ds.in_deg)
-        d_out, d_in = tuple(ds.out_deg.tolist()), tuple(ds.in_deg.tolist())
+        out_deg, in_deg, first = sample_degree_sequence(params, rng)
+        kept = first.copy()
+        assert np.array_equal(np.bincount(first, minlength=2), in_deg)
+        d_out, d_in = tuple(out_deg.tolist()), tuple(in_deg.tolist())
         law = {t: self.bijection_share(d_out, d_in, t)
                for t in self.tables(d_out, d_in)}
         draws = []
         for j in range(self.PAIRING_DRAWS):
-            cfg = pair_configuration(ds, rng)
-            assert ds.in_slots is None and (cfg.heads is first) == (j == 0)
-            draws.append(tuple(np.bincount(cfg.tails * 2 + cfg.heads,
+            tails, heads = pair_configuration(out_deg, in_deg, rng,
+                                              first if j == 0 else None)
+            assert (heads is first) == (j == 0)
+            draws.append(tuple(np.bincount(tails * 2 + heads,
                                            minlength=4).tolist()))
+        assert np.array_equal(first, kept)
+        # no state between calls: the same slots serve a second pairing
+        assert pair_configuration(out_deg, in_deg, rng, first)[1] is first
         assert len(law) > 1 and chi_square_p(draws, law) > 1e-4
 
     def test_erased_edges_pinned(self):
@@ -986,12 +986,13 @@ class TestSamplers:
         params = ModelParams.make(10_000, 20.0, 1)
         loop_mean, beta, half_beta_sq = simplicity_exponents(params)
         rng = rng_stream(16, 0)
-        ds = sample_degree_sequence(params, rng)
+        out_deg, in_deg, in_slots = sample_degree_sequence(params, rng)
         loops, dups = [], []
         for _ in range(40):
-            cfg = pair_configuration(ds, rng)
-            loops.append(len(cfg.loops))
-            dups.append(duplicate_pair_count(cfg))
+            tails, heads = pair_configuration(out_deg, in_deg, rng, in_slots)
+            in_slots = None  # the labels arrange the first pairing only
+            loops.append(int(np.count_nonzero(tails == heads)))
+            dups.append(duplicate_pair_count(params.n, tails, heads))
         assert np.mean(loops) == pytest.approx(
             loop_mean, abs=5 * math.sqrt(loop_mean / 40))
         assert np.mean(dups) == pytest.approx(

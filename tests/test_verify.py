@@ -5,6 +5,7 @@ import io
 import json
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -280,8 +281,15 @@ class TestDegreeCensus:
 
     def test_accepts_configuration(self):
         params = ModelParams.make(500, 4.0, 1)
-        ds = sample_degree_sequence(params, rng_stream(608))
-        cd = pair_configuration(ds, rng_stream(609))
+        out_deg, in_deg, in_slots = sample_degree_sequence(params,
+                                                           rng_stream(608))
+        tails, heads = pair_configuration(out_deg, in_deg, rng_stream(609),
+                                          in_slots)
+        # the pairing's own degree vectors, loops and repeats included
+        cd = SimpleNamespace(out_deg=np.bincount(tails, minlength=500),
+                             in_deg=np.bincount(heads, minlength=500))
+        assert np.array_equal(cd.out_deg, out_deg)
+        assert np.array_equal(cd.in_deg, in_deg)
         rows = census_rows(vf.degree_census(cd, params))
         assert sum(row["observed"] for row in rows) == 500
 
